@@ -31,7 +31,7 @@ CHUNK = 25
 
 
 def _run(backend, trials):
-    engine = TrialEngine(executor=backend)
+    engine = TrialEngine(backend=backend)
     return engine.run(coin_trial, trials=trials, seed=1234, label="bench-dist")
 
 

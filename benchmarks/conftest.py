@@ -2,7 +2,7 @@
 
 Every figure benchmark runs its experiment once (rounds=1) through
 pytest-benchmark so the timing is recorded, then prints the regenerated
-figure as a textual series table — the same rows EXPERIMENTS.md records.
+figure as a textual series table.
 
 Trial counts default to a reduced-but-stable setting so the whole harness
 finishes in minutes; set REPRO_BENCH_TRIALS=1000 to match the paper's
@@ -15,8 +15,8 @@ the same way:
 - ``REPRO_BENCH_TOLERANCE=0.02`` enables adaptive early stopping, cutting
   trial counts per point once the CI half-width is within tolerance;
 - ``REPRO_BENCH_BACKEND=shm-pool`` picks an execution backend by registry
-  name (``serial`` / ``chunked`` / ``fork-pool`` / ``shm-pool`` /
-  ``distributed``; unset defers to the ``REPRO_BENCH_JOBS`` sugar), with
+  name (``serial`` / ``shm-pool`` / ``distributed``; unset defers to the
+  ``REPRO_BENCH_JOBS`` sugar), with
   ``REPRO_BENCH_WORKERS=host:port,...`` supplying worker addresses for
   the distributed backend (``REPRO_BENCH_POOL=N`` spawns a local pool
   instead) and ``REPRO_BENCH_CHUNK_SIZE=N|auto`` setting the span size

@@ -19,8 +19,8 @@ Quick tour (see README.md for a runnable quickstart):
 - :mod:`repro.experiments` - Monte-Carlo drivers reproducing every figure
   of the paper's evaluation (Figs. 6, 7, 8).
 - :mod:`repro.backends` - the unified execution layer: one
-  ``ExecutionBackend`` protocol over serial / chunked / fork-pool /
-  shm-pool / distributed (TCP worker) substrates.
+  ``ExecutionBackend`` interface over serial / shm-pool / distributed
+  (TCP worker) substrates.
 - :mod:`repro.scenarios` - declarative sweep specs, orchestrator, and the
   content-addressed result store.
 - :mod:`repro.api` - the public façade: ``run_scenario`` / ``run_sweep`` /

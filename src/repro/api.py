@@ -18,7 +18,7 @@ front door::
 Scenario arguments accept either a registered name or a full
 :class:`~repro.scenarios.spec.ScenarioSpec`; backend arguments accept a
 registry name, a :class:`~repro.backends.base.BackendSpec`, or an
-already-open :class:`~repro.backends.base.ExecutionBackend` instance.
+already-open :class:`~repro.backends.ExecutionBackend` instance.
 Everything here is a thin composition of the stable subsystems — specs,
 backends, orchestrator, store — so anything the façade can do, the
 underlying modules can too.
@@ -29,8 +29,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.backends import BackendSpec, ExecutionBackend
 from repro.backends import list_backends as _registry_list_backends
-from repro.backends.base import BackendSpec, ExecutionBackend
 from repro.scenarios.orchestrator import SweepOrchestrator, SweepReport
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.spec import ScenarioSpec
@@ -122,9 +122,10 @@ def run_sweep(
     hash and skipped on re-runs — calling this twice performs zero new
     trials the second time, and an interrupted sweep resumes from the
     last persisted point.  ``backend`` picks the execution substrate
-    (``"serial"``, ``"fork-pool"``, ``"shm-pool"``, ``"distributed"``
-    with a workers option, or any registered/pre-built backend);
-    ``jobs`` is the usual sugar.  Neither changes results or cache keys.
+    (``"serial"``, ``"shm-pool"``, ``"distributed"`` with a workers
+    option, or any registered/pre-built backend) and wins over the
+    spec's pinned ``engine.backend``, which wins over the ``jobs``
+    sugar.  None of them changes results or cache keys.
 
     ``trace`` records the run's span tree and typed events — a
     :class:`~repro.obs.trace.Tracer`, or a path to write a JSONL trace
@@ -198,9 +199,9 @@ def verify_store(
     """Checksum-verify a result store (or one scenario within it).
 
     Every record is re-hashed against its embedded ``checksum``; the
-    report buckets records as ok / legacy (pre-checksum, trusted) /
-    corrupt (torn JSON) / mismatched (bytes changed since write), and
-    lists orphaned temp files.  Read-only — pair with
+    report buckets records as ok / corrupt (torn JSON) / mismatched
+    (bytes changed since write, or checksum stripped), and lists
+    orphaned temp files.  Read-only — pair with
     :func:`repair_store` to quarantine what it flags.
     """
     resolved = _resolve_store(store)

@@ -2,13 +2,16 @@
 
 The repository's execution layer in one subsystem:
 
-- :mod:`repro.backends.base` — the :class:`ExecutionBackend` protocol
-  (open/close + start/finish lifecycles; ``run_counts`` /
-  ``run_batches`` / ``run_collect`` spans; capability flags) and the
-  JSON-round-trippable :class:`BackendSpec`;
-- :mod:`repro.backends.registry` — ``get("serial" | "chunked" |
-  "fork-pool" | "shm-pool" | "distributed")`` plus
-  :func:`register_backend` for new substrates;
+- :class:`ExecutionBackend` — the one interface (open/close +
+  start/finish lifecycles; ``run_counts`` / ``run_batches`` /
+  ``run_collect`` spans; capability flags), defined beside the local
+  implementations in :mod:`repro.experiments.executors`;
+- :mod:`repro.backends.base` — the JSON-round-trippable
+  :class:`BackendSpec`;
+- :mod:`repro.backends.registry` — ``get("serial" | "shm-pool" |
+  "distributed")``, the one resolver (``backend=`` >
+  ``spec.engine.backend`` > ``jobs``), plus :func:`register_backend`
+  for new substrates;
 - :mod:`repro.backends.distributed` / :mod:`repro.backends.worker` —
   the TCP span protocol: ``repro worker serve --bind`` on the worker
   side, :class:`DistributedBackend` on the orchestrator side, with
@@ -33,7 +36,7 @@ excluded from result-store cache keys unless they declare semantically
 meaningful options.
 """
 
-from repro.backends.base import CAPABILITY_FLAGS, BackendSpec, ExecutionBackend
+from repro.backends.base import BackendSpec
 from repro.backends.autotune import (
     bench_rate,
     record_observed_rates,
@@ -58,7 +61,6 @@ from repro.backends.registry import (
     backend_names,
     get,
     list_backends,
-    make_backend,
     register_backend,
     resolve_spec,
     semantic_option_names,
@@ -66,6 +68,7 @@ from repro.backends.registry import (
 )
 from repro.backends.wire import probe_worker
 from repro.backends.worker import WorkerServer, serve
+from repro.experiments.executors import CAPABILITY_FLAGS, ExecutionBackend
 
 __all__ = [
     "BackendEntry",
@@ -88,7 +91,6 @@ __all__ = [
     "get",
     "list_backends",
     "load_hosts_file",
-    "make_backend",
     "probe_worker",
     "record_observed_rates",
     "register_backend",

@@ -17,8 +17,8 @@ dispatched unit of work should hold so that it is
 By the determinism contract a span size can never change results — only
 wall time — so autotuning is a pure performance knob, excluded from
 result-store cache keys like every other transport option.  Opt in with
-``chunk_size="auto"`` on the ``distributed``/``fork-pool``/``shm-pool``
-backends (CLI: ``--chunk-size auto``; benchmarks:
+``chunk_size="auto"`` on the ``distributed``/``shm-pool`` backends
+(CLI: ``--chunk-size auto``; benchmarks:
 ``REPRO_BENCH_CHUNK_SIZE=auto``).  Records are read from
 ``REPRO_BENCH_OUT`` (the directory benchmarks write to; default: the
 working directory); with no records at all, a conservative default rate
@@ -41,10 +41,9 @@ DEFAULT_RATE = 20_000.0
 
 #: Target wall seconds per span, per backend.  The distributed backend
 #: tolerates a larger span (its per-span cost is a network round trip);
-#: the local pools prefer finer ones (their per-span cost is tiny).
+#: the local pool prefers finer ones (its per-span cost is tiny).
 TARGET_SPAN_SECONDS: Dict[str, float] = {
     "distributed": 0.5,
-    "fork-pool": 0.2,
     "shm-pool": 0.2,
 }
 

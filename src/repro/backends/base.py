@@ -1,50 +1,21 @@
-"""The :class:`ExecutionBackend` protocol and the :class:`BackendSpec` value.
+"""The :class:`BackendSpec` value: a declarative backend selection.
 
-Everything in the repository that runs Monte-Carlo work — the
-:class:`~repro.experiments.engine.TrialEngine`, the sweep orchestrator,
-the CLI, the benchmarks — talks to exactly one interface.  An execution
-backend has two nested lifecycles and three *spans*:
-
-- :meth:`~ExecutionBackend.open` / :meth:`~ExecutionBackend.close`
-  bracket long-lived resources (a worker pool, a set of TCP
-  connections); a sweep opens its backend once and runs every point
-  through it.  Backends are context managers over this pair.
-- :meth:`~ExecutionBackend.start` / :meth:`~ExecutionBackend.finish`
-  bracket one engine run (one :class:`~repro.experiments.executors.TrialTask`).
-- :meth:`~ExecutionBackend.run_counts`, :meth:`~ExecutionBackend.run_batches`
-  and :meth:`~ExecutionBackend.run_collect` execute half-open spans of
-  trial indices / batch indices and return per-channel success counts
-  (or index-ordered values, for collect mode).
-
-**Determinism contract.**  Per-trial streams are a pure function of
-``(seed, label, index)`` and per-batch streams of the fixed batch
-partition, and count aggregation is exact integer addition — so no
-conforming backend, worker count, chunking, or host topology can change
-results.  That contract is what lets the result store exclude transport
-options (``jobs``, worker addresses) from its cache keys.
-
-A :class:`BackendSpec` is the declarative, JSON-round-trippable half: a
-registry name plus an options mapping.  It can live inside a
+The interface every execution substrate implements is
+:class:`~repro.experiments.executors.ExecutionBackend` (re-exported as
+``repro.backends.ExecutionBackend``); this module holds the
+JSON-round-trippable half.  A :class:`BackendSpec` is a registry name
+plus an options mapping.  It can live inside a
 :class:`~repro.scenarios.spec.ScenarioSpec`'s engine settings and
 participates in result-store cache keys only through
 :meth:`BackendSpec.cache_fields` — the options the backend's registry
 entry declares *semantically meaningful* (none of the built-ins declare
-any, which is exactly why existing stores stay valid).
+any, which is exactly why a backend choice never moves a cache key).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Any, Dict, Mapping, Optional
 
 import json
 
@@ -71,52 +42,6 @@ def _check_option_value(value: Any, where: str) -> Any:
         f"{where} must be a JSON scalar or a list of scalars, "
         f"got {type(value).__name__}"
     )
-
-
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """Structural interface every execution substrate satisfies.
-
-    The historical :class:`~repro.experiments.executors.TrialExecutor`
-    hierarchy implements this protocol verbatim (it is the local half of
-    the backend registry); :class:`~repro.backends.distributed.DistributedBackend`
-    is the first non-local implementation.  Capability flags are class
-    attributes so callers (and ``repro backends list``) can introspect a
-    backend without opening it.
-    """
-
-    #: Whether batch results can travel through ``multiprocessing.shared_memory``.
-    supports_shared_memory: bool
-    #: Whether spans execute outside this process's memory image.
-    supports_remote: bool
-    #: Whether the backend survives worker failures mid-run: failed spans
-    #: are retried on surviving workers with results unchanged, instead of
-    #: failing fast and relying on ``repro sweep resume``.
-    supports_fault_tolerance: bool
-    #: Whether the worker fleet can change *while a run is in flight*:
-    #: workers join (announce registry, hosts-file edits, pool respawn)
-    #: and leave (retire/drain) a running dispatch, and tripped circuit
-    #: breakers re-admit after cooldown — results unchanged, by the same
-    #: determinism contract.
-    supports_elastic_membership: bool
-
-    def open(self) -> "ExecutionBackend": ...
-
-    def close(self) -> None: ...
-
-    def __enter__(self) -> "ExecutionBackend": ...
-
-    def __exit__(self, exc_type, exc, tb) -> None: ...
-
-    def start(self, task: Any) -> None: ...
-
-    def finish(self) -> None: ...
-
-    def run_counts(self, task: Any, start: int, stop: int) -> List[int]: ...
-
-    def run_batches(self, task: Any, first: int, last: int) -> List[int]: ...
-
-    def run_collect(self, task: Any, start: int, stop: int) -> List[Any]: ...
 
 
 @dataclass(frozen=True)
@@ -162,7 +87,7 @@ class BackendSpec:
         Only options the registry declares *semantically meaningful* for
         this backend — ones that could change results, which by the
         determinism contract excludes every transport knob (``jobs``,
-        ``chunk_size``, ``use_shared_memory``, ``workers``, timeouts).
+        ``chunk_size``, ``workers``, timeouts).
         All built-in backends declare none, so the returned dict is
         empty and the backend never perturbs a cache key — exactly the
         historical ``jobs``-is-excluded behaviour, generalised.
@@ -202,12 +127,3 @@ class BackendSpec:
             f"{key}={value}" for key, value in sorted(self.options.items())
         )
         return f"{self.name}({rendered})"
-
-
-#: The capability flags :func:`repro.backends.list_backends` reports.
-CAPABILITY_FLAGS: Tuple[str, ...] = (
-    "supports_shared_memory",
-    "supports_remote",
-    "supports_fault_tolerance",
-    "supports_elastic_membership",
-)

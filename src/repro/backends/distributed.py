@@ -1,8 +1,8 @@
 """The distributed execution backend: spans over TCP workers, elastically.
 
 :class:`DistributedBackend` implements the
-:class:`~repro.backends.base.ExecutionBackend` protocol against one or
-more ``repro worker serve`` processes (see :mod:`repro.backends.worker`),
+:class:`~repro.experiments.executors.ExecutionBackend` interface against
+one or more ``repro worker serve`` processes (see :mod:`repro.backends.worker`),
 reachable as ``host:port`` addresses — or spawned on demand as a local
 :class:`~repro.backends.pool.WorkerPool` via ``pool=N``.  One persistent
 connection per worker is opened by :meth:`~DistributedBackend.open` and
@@ -115,7 +115,7 @@ from repro.backends.wire import (
     request,
 )
 from repro.experiments.executors import (
-    TrialExecutor,
+    ExecutionBackend,
     TrialTask,
     run_batch_range,
     run_collect_range,
@@ -439,7 +439,7 @@ class _SpanSource:
                 self._condition.wait(timeout)
 
 
-class DistributedBackend(TrialExecutor):
+class DistributedBackend(ExecutionBackend):
     """Dispatch trial spans to remote ``repro worker`` processes.
 
     Parameters

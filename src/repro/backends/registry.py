@@ -2,19 +2,24 @@
 
 Every execution substrate in the repository is registered here under a
 stable name, and everything that needs one — the trial engine, the sweep
-orchestrator, the CLI's ``--backend`` flag, ``repro.api`` — resolves it
-through :func:`get`:
+orchestrator, the daemon, the CLI's ``--backend`` flag, ``repro.api`` —
+resolves it through :func:`get`:
 
-======== ============= =====================================================
-name      class         substrate
-======== ============= =====================================================
-serial    SerialExecutor      the in-process reference loop
-chunked   ChunkedExecutor     in-process, fixed-size chunks
-fork-pool ProcessPoolExecutor one fork pool per engine run (task inherited)
-shm-pool  SweepPoolExecutor   one long-lived fork pool per sweep,
-                              pickle-shipped tasks, shared-memory results
-distributed DistributedBackend spans over TCP to ``repro worker`` processes
-======== ============= =====================================================
+=========== ================== =========================================
+name        class              substrate
+=========== ================== =========================================
+serial      SerialExecutor     the in-process reference loop
+shm-pool    SweepPoolExecutor  one fork pool from ``open`` to ``close``,
+                               pickle-shipped tasks, shared-memory
+                               batch results
+distributed DistributedBackend spans over TCP to ``repro worker``
+                               processes
+=========== ================== =========================================
+
+Resolution order, everywhere: an explicit ``backend=`` (registry name,
+:class:`BackendSpec`, or built instance) > the spec's pinned
+``engine.backend`` > the ``jobs`` sugar (``1`` = ``serial``, above that
+``shm-pool``).
 
 Each entry declares which options its factory accepts and which of them
 are *semantically meaningful* — able to change results.  By the engine's
@@ -22,11 +27,7 @@ determinism contract none of the built-ins have any (``jobs``, chunking,
 transport and topology are all invisible in the counts), which is what
 :meth:`BackendSpec.cache_fields` uses to keep backends out of
 result-store cache keys unless a future backend genuinely changes the
-numbers.
-
-``--jobs`` remains pure sugar: :func:`spec_for_jobs` maps a worker count
-to the historical defaults (serial for 1; ``fork-pool`` for engine runs,
-``shm-pool`` for sweeps above that).
+numbers.  Capability flags are read from the factory class.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
-from repro.backends.base import BackendSpec, ExecutionBackend
+from repro.backends.base import BackendSpec
+from repro.experiments.executors import CAPABILITY_FLAGS, ExecutionBackend
 from repro.util.validation import check_positive_int
 
 
@@ -47,10 +49,6 @@ class BackendEntry:
     factory: Callable[..., ExecutionBackend]
     option_names: FrozenSet[str]
     semantic_options: FrozenSet[str]
-    supports_shared_memory: bool
-    supports_remote: bool
-    supports_fault_tolerance: bool
-    supports_elastic_membership: bool
     available: Callable[[], bool]
 
 
@@ -64,10 +62,6 @@ def register_backend(
     description: str,
     options: Tuple[str, ...] = (),
     semantic_options: Tuple[str, ...] = (),
-    supports_shared_memory: bool = False,
-    supports_remote: bool = False,
-    supports_fault_tolerance: bool = False,
-    supports_elastic_membership: bool = False,
     available: Optional[Callable[[], bool]] = None,
 ) -> None:
     """Register an execution backend under a stable name.
@@ -78,7 +72,8 @@ def register_backend(
     same :func:`get` call.  ``semantic_options`` names the options that
     can change results and therefore belong in result-store cache keys;
     leave it empty for any backend that honours the determinism
-    contract.
+    contract.  Capability flags are the factory's own class attributes
+    (see :class:`~repro.experiments.executors.ExecutionBackend`).
     """
     unknown_semantic = set(semantic_options) - set(options)
     if unknown_semantic:
@@ -92,10 +87,6 @@ def register_backend(
         factory=factory,
         option_names=frozenset(options),
         semantic_options=frozenset(semantic_options),
-        supports_shared_memory=supports_shared_memory,
-        supports_remote=supports_remote,
-        supports_fault_tolerance=supports_fault_tolerance,
-        supports_elastic_membership=supports_elastic_membership,
         available=available if available is not None else (lambda: True),
     )
 
@@ -132,10 +123,10 @@ def list_backends() -> List[Dict[str, Any]]:
             "description": entry.description,
             "options": sorted(entry.option_names),
             "semantic_options": sorted(entry.semantic_options),
-            "supports_shared_memory": entry.supports_shared_memory,
-            "supports_remote": entry.supports_remote,
-            "supports_fault_tolerance": entry.supports_fault_tolerance,
-            "supports_elastic_membership": entry.supports_elastic_membership,
+            **{
+                flag: bool(getattr(entry.factory, flag, False))
+                for flag in CAPABILITY_FLAGS
+            },
             "available": bool(entry.available()),
         }
         for _, entry in sorted(_REGISTRY.items())
@@ -146,26 +137,21 @@ def list_backends() -> List[Dict[str, Any]]:
 BackendLike = Union[str, BackendSpec, ExecutionBackend, None]
 
 
-def spec_for_jobs(jobs: int = 1, sweep: bool = False) -> BackendSpec:
-    """The historical ``--jobs`` sugar as a :class:`BackendSpec`.
+def spec_for_jobs(jobs: int = 1) -> BackendSpec:
+    """The ``--jobs`` sugar as a :class:`BackendSpec`.
 
-    ``jobs=1`` is the serial reference; above that, engine runs get the
-    per-run ``fork-pool`` (tasks inherited through fork, so closures
-    need not pickle) and sweeps get the long-lived ``shm-pool`` (one
-    pool for every point, shared-memory batch results).
+    ``jobs=1`` is the serial reference; above that, the ``shm-pool``
+    (one pool from ``open`` to ``close``, shared-memory batch results).
     """
     check_positive_int(jobs, "jobs")
     if jobs == 1:
         return BackendSpec("serial")
-    return BackendSpec(
-        "shm-pool" if sweep else "fork-pool", options={"jobs": jobs}
-    )
+    return BackendSpec("shm-pool", options={"jobs": jobs})
 
 
 def resolve_spec(
     backend: Union[str, BackendSpec, None],
     jobs: Optional[int] = None,
-    sweep: bool = False,
 ) -> BackendSpec:
     """Normalise (backend, jobs) into one :class:`BackendSpec`.
 
@@ -178,7 +164,7 @@ def resolve_spec(
     win).
     """
     if backend is None:
-        return spec_for_jobs(1 if jobs is None else jobs, sweep=sweep)
+        return spec_for_jobs(1 if jobs is None else jobs)
     if isinstance(backend, str):
         backend = BackendSpec(backend)
     entry = _entry(backend.name)
@@ -191,7 +177,6 @@ def get(
     backend: BackendLike = None,
     *,
     jobs: Optional[int] = None,
-    sweep: bool = False,
 ) -> ExecutionBackend:
     """Build (or pass through) an execution backend.
 
@@ -202,7 +187,7 @@ def get(
     """
     if backend is not None and not isinstance(backend, (str, BackendSpec)):
         return backend
-    spec = resolve_spec(backend, jobs=jobs, sweep=sweep)
+    spec = resolve_spec(backend, jobs=jobs)
     entry = _entry(spec.name)
     unknown = sorted(set(spec.options) - entry.option_names)
     if unknown:
@@ -214,18 +199,12 @@ def get(
     return entry.factory(**spec.options)
 
 
-#: Alias for call sites that read better as a constructor.
-make_backend = get
-
-
 # -- built-in registrations ---------------------------------------------------
 
 
 def _register_builtins() -> None:
     from repro.backends.distributed import DistributedBackend
     from repro.experiments.executors import (
-        ChunkedExecutor,
-        ProcessPoolExecutor,
         SerialExecutor,
         SweepPoolExecutor,
         fork_available,
@@ -238,30 +217,14 @@ def _register_builtins() -> None:
         description="in-process reference loop (the determinism oracle)",
     )
     register_backend(
-        "chunked",
-        ChunkedExecutor,
-        description="in-process, fixed-size chunks (partition stress test)",
-        options=("chunk_size",),
-    )
-    register_backend(
-        "fork-pool",
-        ProcessPoolExecutor,
-        description=(
-            "one fork pool per engine run; tasks inherited through the "
-            "parent's memory image, so closures need not pickle"
-        ),
-        options=("jobs", "chunk_size"),
-        available=fork_available,
-    )
-    register_backend(
         "shm-pool",
         SweepPoolExecutor,
         description=(
-            "one long-lived fork pool per sweep; pickle-shipped tasks, "
-            "batch counts through shared memory"
+            "one fork pool from open to close (a bare engine run opens "
+            "and closes its own); pickle-shipped tasks, batch counts "
+            "through shared memory"
         ),
-        options=("jobs", "chunk_size", "use_shared_memory"),
-        supports_shared_memory=True,
+        options=("jobs", "chunk_size"),
         available=lambda: fork_available() and shared_memory_available(),
     )
     register_backend(
@@ -293,9 +256,6 @@ def _register_builtins() -> None:
             "pool_faults",
             "pool_respawns",
         ),
-        supports_remote=True,
-        supports_fault_tolerance=True,
-        supports_elastic_membership=True,
     )
 
 

@@ -50,22 +50,19 @@ from typing import List, Optional
 #: is the source of truth, and ``--backend`` accepts anything registered
 #: (including backends added via ``repro.backends.register_backend``),
 #: validated lazily so ``--help`` never imports the backend subsystem.
-_BUILTIN_BACKENDS = "serial, chunked, fork-pool, shm-pool, distributed"
+_BUILTIN_BACKENDS = "serial, shm-pool, distributed"
 
 
-def _add_backend_arguments(parser, sweep: bool) -> None:
+def _add_backend_arguments(parser) -> None:
     """The shared execution-backend surface of ``figures`` and ``sweep``."""
-    scope = "the whole sweep shares ONE backend" if sweep else (
-        "the Monte-Carlo trial engine"
-    )
     parser.add_argument(
         "--jobs",
         type=int,
         default=None,
-        help=f"worker processes for {scope} "
-        "(1 = serial; results are identical for any value; sugar for "
-        f"--backend {'shm-pool' if sweep else 'fork-pool'}, and merged "
-        "into an explicit --backend that takes a jobs option)",
+        help="worker processes for the run's ONE shared backend "
+        "(1 = serial; results are identical for any value; above 1, "
+        "sugar for --backend shm-pool; merged into an explicit "
+        "--backend that takes a jobs option)",
     )
     parser.add_argument(
         "--backend",
@@ -138,7 +135,7 @@ def _parse_chunk_size(text):
     return value
 
 
-def _backend_from_args(args, sweep: bool):
+def _backend_from_args(args):
     """Resolve the CLI's backend surface into a BackendSpec.
 
     (--backend, --workers/--pool, --chunk-size, --jobs) — returns ``None``
@@ -209,9 +206,7 @@ def _backend_from_args(args, sweep: bool):
         options["chunk_size"] = chunk_size
     try:
         return resolve_spec(
-            BackendSpec(args.backend, options=options),
-            jobs=args.jobs,
-            sweep=sweep,
+            BackendSpec(args.backend, options=options), jobs=args.jobs
         )
     except ValueError as error:  # unknown backend name: a clean CLI error
         raise SystemExit(str(error)) from None
@@ -298,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--figure", choices=["6a", "6b", "6c", "6d", "7", "8"], required=True
     )
     figures.add_argument("--trials", type=int, default=300)
-    _add_backend_arguments(figures, sweep=False)
+    _add_backend_arguments(figures)
     figures.add_argument(
         "--tolerance",
         type=float,
@@ -369,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "engine settings) — worker count never affects results, so it "
             "is not part of the key (default: %(default)s)",
         )
-        _add_backend_arguments(action_parser, sweep=True)
+        _add_backend_arguments(action_parser)
         action_parser.add_argument(
             "--trials",
             type=int,
@@ -484,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
         (
             "verify",
             "checksum-verify store records; exit 1 if any are torn or "
-            "tampered (legacy pre-checksum records are trusted)",
+            "tampered (a record without a checksum counts as tampered)",
         ),
         (
             "repair",
@@ -605,7 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=".repro-store",
         help="the result store every job shares (default: %(default)s)",
     )
-    _add_backend_arguments(serve, sweep=True)
+    _add_backend_arguments(serve)
 
     jobs_parser = subparsers.add_parser(
         "jobs", help="talk to a running `repro serve` daemon"
@@ -758,16 +753,14 @@ def _command_figures(args) -> int:
 
     # One backend serves the whole figure; `with` covers long-lived
     # substrates (shm-pool keeps its pool, distributed its sockets).
-    backend = get_backend(
-        _backend_from_args(args, sweep=False), jobs=args.jobs, sweep=False
-    )
+    backend = get_backend(_backend_from_args(args), jobs=args.jobs)
     tracer = _open_tracer(args)
     if tracer is not None and hasattr(backend, "tracer"):
         backend.tracer = tracer
     try:
         with backend:
             engine = TrialEngine(
-                executor=backend, tolerance=args.tolerance, tracer=tracer
+                backend=backend, tolerance=args.tolerance, tracer=tracer
             )
             return _render_figure(args, engine)
     finally:
@@ -938,7 +931,7 @@ def _command_sweep(args) -> int:
     orchestrator = SweepOrchestrator(
         store=store,
         jobs=args.jobs,
-        backend=_backend_from_args(args, sweep=True),
+        backend=_backend_from_args(args),
         tolerance=args.tolerance,
         batch_size=args.batch_size,
         tracer=tracer,
@@ -1120,7 +1113,7 @@ def _command_serve(args) -> int:
         host=host,
         port=port,
         jobs=args.jobs,
-        backend=_backend_from_args(args, sweep=True),
+        backend=_backend_from_args(args),
         tracer=tracer,
     )
 
@@ -1259,7 +1252,7 @@ def _sweep_integrity(args) -> int:
     scope = f" [{args.name}]" if args.name else ""
     print(
         f"{args.store}{scope}: scanned {report.scanned} record(s) — "
-        f"{report.ok} ok, {report.legacy} legacy, "
+        f"{report.ok} ok, "
         f"{len(report.corrupt)} corrupt, {len(report.mismatched)} "
         f"mismatched, {len(report.orphans)} orphaned tmp"
     )

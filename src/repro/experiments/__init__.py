@@ -12,15 +12,14 @@ One module per figure:
 plus shared machinery:
 
 - :mod:`repro.experiments.engine` — the batched parallel Monte-Carlo
-  trial engine (pluggable executors, streaming aggregation, adaptive
-  early stopping) every experiment runs through;
+  trial engine (pluggable execution backends, streaming aggregation,
+  adaptive early stopping) every experiment runs through;
 - :mod:`repro.experiments.attack_kernels` — the vectorised
   finite-population attack kernels behind Fig. 6's default
   ``kernel="vectorized"`` lane;
-- :mod:`repro.experiments.executors` — serial / chunked / process-pool
-  trial executors with a shared determinism contract;
-- :mod:`repro.experiments.runner` — the original two-function estimation
-  API, kept as thin wrappers over a default engine;
+- :mod:`repro.experiments.executors` — the ``ExecutionBackend``
+  interface, its determinism contract, and the serial and process-pool
+  implementations;
 - :mod:`repro.experiments.churn_model` — the vectorised epoch churn model
   (DESIGN.md §5);
 - :mod:`repro.experiments.reporting` — textual tables and series, the
@@ -46,7 +45,6 @@ from repro.experiments.engine import (
     TrialEngine,
 )
 from repro.experiments.reporting import format_series_table
-from repro.experiments.runner import estimate_probability, estimate_resilience_pair
 
 __all__ = [
     "run_attack_resilience",
@@ -62,8 +60,6 @@ __all__ = [
     "AvailabilityPoint",
     "TrialEngine",
     "EngineResult",
-    "estimate_probability",
-    "estimate_resilience_pair",
     "MonteCarloEstimate",
     "PairedEstimate",
     "format_series_table",

@@ -2,7 +2,7 @@
 
 Every figure in the paper is an average over repeated randomised trials;
 this module is the single machinery that runs them.  A :class:`TrialEngine`
-owns an executor (see :mod:`repro.experiments.executors`), streams
+owns an execution backend (see :mod:`repro.experiments.executors`), streams
 per-channel success counts out of it, and turns the totals into
 :class:`MonteCarloEstimate` values through one shared aggregation path.
 
@@ -18,8 +18,8 @@ Three modes cover every experiment in the repository:
 
 **Determinism guarantee.**  Trial ``i``'s random stream is a pure function
 of ``(seed, label, i)`` — the historical fork-per-trial labeling scheme —
-and aggregation is exact integer counting, so serial, chunked, and
-process-pool executors produce *identical* results for the same seed, for
+and aggregation is exact integer counting, so the serial, process-pool and
+distributed backends produce *identical* results for the same seed, for
 any trial count and any chunking.  Adaptive early stopping preserves this:
 the stopping rule is evaluated only at fixed checkpoint boundaries
 (multiples of ``check_interval``), which are a function of engine
@@ -46,10 +46,9 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro.experiments.executors import (
     BatchFunction,
     IndexedTrialFunction,
-    TrialExecutor,
+    SerialExecutor,
     TrialFunction,
     TrialTask,
-    make_executor,
 )
 from repro.obs.trace import coerce_tracer
 from repro.util.stats import sample_proportion_ci, wilson_proportion_ci
@@ -132,25 +131,23 @@ class EngineResult:
 
 
 class TrialEngine:
-    """Runs Monte-Carlo trials through a pluggable executor.
+    """Runs Monte-Carlo trials through a pluggable execution backend.
 
     Parameters
     ----------
-    executor:
-        A pre-built :class:`~repro.backends.base.ExecutionBackend`
-        instance (any :class:`~repro.experiments.executors.TrialExecutor`
-        qualifies); overrides both ``backend`` and ``jobs`` when given.
-        The caller owns its open/close lifecycle.
     backend:
-        A backend registry name (``"serial"``, ``"chunked"``,
-        ``"fork-pool"``, ``"shm-pool"``, ``"distributed"``) or a
-        :class:`~repro.backends.base.BackendSpec`; resolved through
-        :func:`repro.backends.get`.  Long-lived backends built this way
-        (``shm-pool``, ``distributed``) should be closed by the caller:
-        ``with engine.executor: ...``.
+        A backend registry name (``"serial"``, ``"shm-pool"``,
+        ``"distributed"``), a :class:`~repro.backends.base.BackendSpec`,
+        or a pre-built :class:`~repro.backends.ExecutionBackend`
+        instance whose open/close lifecycle the caller owns; resolved
+        through :func:`repro.backends.get` and kept as
+        ``engine.executor``.  To share one pool (or one set of worker
+        connections) across several runs, bracket them with
+        ``with engine.executor: ...``; a bare run on an unopened
+        ``shm-pool`` opens a pool for that run and closes it again.
     jobs:
-        Worker-count sugar for the default backend — ``1`` selects the
-        serial backend, more a per-run ``fork-pool``.  An explicit value
+        Worker-count sugar when no ``backend`` is named — ``1`` selects
+        the serial backend, more the ``shm-pool``.  An explicit value
         is merged into a named ``backend`` that accepts a ``jobs``
         option (including ``jobs=1`` → a one-worker pool); leaving it
         ``None`` keeps the named backend's own default.
@@ -185,7 +182,6 @@ class TrialEngine:
 
     def __init__(
         self,
-        executor: Optional[TrialExecutor] = None,
         jobs: Optional[int] = None,
         tolerance: Optional[float] = None,
         min_trials: int = DEFAULT_MIN_TRIALS,
@@ -195,14 +191,14 @@ class TrialEngine:
         backend: Any = None,
         tracer: Any = None,
     ) -> None:
-        if executor is not None:
-            self.executor = executor
-        elif backend is not None:
+        if backend is None and jobs in (None, 1):
+            # The default path builds the reference backend directly, so
+            # a plain ``TrialEngine()`` never imports ``repro.backends``.
+            self.executor = SerialExecutor()
+        else:
             from repro.backends import get as get_backend
 
             self.executor = get_backend(backend, jobs=jobs)
-        else:
-            self.executor = make_executor(1 if jobs is None else jobs)
         if tolerance is not None:
             check_positive(tolerance, "tolerance")
         self.tolerance = tolerance

@@ -1,27 +1,28 @@
 """Trial executors: how a block of Monte-Carlo trials actually runs.
 
 The :class:`~repro.experiments.engine.TrialEngine` decides *which* trial
-indices to run; an executor decides *how* — in-process, in fixed-size
-chunks, or fanned out over a ``multiprocessing`` pool.  Three invariants
-make every executor interchangeable:
+indices to run; an :class:`ExecutionBackend` decides *how* — in-process
+(:class:`SerialExecutor`), fanned out over a ``multiprocessing`` pool
+(:class:`SweepPoolExecutor`), or over TCP to worker processes
+(:class:`~repro.backends.distributed.DistributedBackend`).  Three
+invariants make every backend interchangeable:
 
 1. **Per-trial streams are a pure function of (seed, label, index).**
    Trial ``i`` draws from ``RandomSource(derive_seed(seed, f"{label}-{i}"))``
    — exactly the stream the historical serial loop produced with
-   ``RandomSource(seed, label).fork(f"{label}-{i}")`` — so no executor,
+   ``RandomSource(seed, label).fork(f"{label}-{i}")`` — so no backend,
    chunk size, or worker count can perturb it.
-2. **Aggregation is exact integer counting.**  Executors return per-channel
+2. **Aggregation is exact integer counting.**  Backends return per-channel
    success *counts* over an index range; integer addition is associative
    and exact, so any partition of the range sums to the same totals.
 3. **Collected values keep index order.**  The collect mode returns one
    value per trial in trial-index order regardless of which worker
    produced it.
 
-The process-pool executor uses the ``fork`` start method and passes the
-task to workers by module-global inheritance rather than pickling, so
-trial closures (which capture scheme objects, plans, and populations) need
-not be picklable.  On platforms without ``fork`` it degrades to in-process
-execution.
+That contract is what lets the result store exclude transport options
+(``jobs``, worker addresses) from its cache keys.  Tasks reach pool and
+remote workers *by pickling*; a task whose callables cannot be pickled
+(an ad-hoc closure) runs in-process — exact, just not parallel.
 """
 
 from __future__ import annotations
@@ -152,42 +153,62 @@ def run_batch_range(task: TrialTask, first: int, last: int) -> List[int]:
     return counts
 
 
-class TrialExecutor:
-    """Interface: run blocks of a task, preserving the engine invariants.
+#: The capability flags every backend class declares (and
+#: :func:`repro.backends.list_backends` reports).
+CAPABILITY_FLAGS: Tuple[str, ...] = (
+    "supports_shared_memory",
+    "supports_remote",
+    "supports_fault_tolerance",
+    "supports_elastic_membership",
+)
 
-    This is the local half of the
-    :class:`~repro.backends.base.ExecutionBackend` protocol — every
-    subclass satisfies it structurally and is registered by name in
-    :mod:`repro.backends.registry` (``serial``, ``chunked``,
-    ``fork-pool``, ``shm-pool``); the remote half lives in
-    :mod:`repro.backends.distributed`.
 
-    Executors have two nested lifecycles.  :meth:`open`/:meth:`close` (or
-    the equivalent ``with executor:`` block) bracket *long-lived* resources
-    — a sweep orchestrator opens an executor once and runs every point of
-    the sweep through it.  :meth:`start`/:meth:`finish` bracket one engine
-    run (one task).  The in-process executors need neither, so both pairs
-    default to no-ops and any executor can be used as a context manager.
+class ExecutionBackend:
+    """The one interface everything that runs Monte-Carlo work talks to.
+
+    The trial engine, the sweep orchestrator, the daemon, the CLI and the
+    benchmarks all drive a backend through these nine methods; every
+    implementation subclasses this class and is registered by name in
+    :mod:`repro.backends.registry` (``serial``, ``shm-pool``,
+    ``distributed``).
+
+    Backends have two nested lifecycles.  :meth:`open`/:meth:`close` (or
+    the equivalent ``with backend:`` block) bracket *long-lived* resources
+    — a worker pool, a set of TCP connections; a sweep opens its backend
+    once and runs every point through it.  :meth:`start`/:meth:`finish`
+    bracket one engine run (one :class:`TrialTask`).  The in-process
+    backend needs neither, so both pairs default to no-ops.  The three
+    ``run_*`` methods execute half-open spans of trial (or batch) indices
+    and return per-channel success counts, or index-ordered values in
+    collect mode.
     """
 
-    #: Capability flags of the ExecutionBackend protocol: whether batch
-    #: results can travel through shared memory, whether spans run
-    #: outside this process's memory image, whether the backend survives
-    #: (retries/rebalances around) worker failures mid-run, and whether
-    #: its worker fleet can change while a run is in flight.
+    # Capability flags are class attributes so callers (and ``repro
+    # backends list``) can introspect a backend without building it.
+
+    #: Whether batch results can travel through ``multiprocessing.shared_memory``.
     supports_shared_memory = False
+    #: Whether spans execute outside this process's memory image.
     supports_remote = False
+    #: Whether the backend survives worker failures mid-run: failed spans
+    #: are retried on surviving workers with results unchanged, instead of
+    #: failing fast and relying on ``repro sweep resume``.
     supports_fault_tolerance = False
+    #: Whether the worker fleet can change *while a run is in flight*:
+    #: workers join (announce registry, hosts-file edits, pool respawn)
+    #: and leave (retire/drain) a running dispatch, and tripped circuit
+    #: breakers re-admit after cooldown — results unchanged, by the same
+    #: determinism contract.
     supports_elastic_membership = False
 
-    def open(self) -> "TrialExecutor":  # pragma: no cover - trivial
+    def open(self) -> "ExecutionBackend":  # pragma: no cover - trivial
         """Acquire long-lived resources (a worker pool); idempotent."""
         return self
 
     def close(self) -> None:  # pragma: no cover - trivial
         """Release resources acquired by :meth:`open`."""
 
-    def __enter__(self) -> "TrialExecutor":
+    def __enter__(self) -> "ExecutionBackend":
         return self.open()
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -209,8 +230,8 @@ class TrialExecutor:
         """Release resources acquired by :meth:`start`."""
 
 
-class SerialExecutor(TrialExecutor):
-    """The reference executor: one in-process loop, no chunking."""
+class SerialExecutor(ExecutionBackend):
+    """The reference backend: one in-process loop, no chunking."""
 
     def run_counts(self, task: TrialTask, start: int, stop: int) -> List[int]:
         return run_count_range(task, start, stop)
@@ -229,81 +250,7 @@ def _split_spans(start: int, stop: int, span: int) -> List[Tuple[int, int]]:
     ]
 
 
-def _check_chunk_size(chunk_size) -> None:
-    """Pool chunk sizes are a positive int, ``None`` (balanced), or
-    ``"auto"`` (sized from bench records — :mod:`repro.backends.autotune`)."""
-    if chunk_size not in (None, "auto"):
-        check_positive_int(chunk_size, "chunk_size")
-
-
-def _pool_span(
-    executor, chunk_size, backend_name: str, start: int, stop: int, jobs: int
-) -> int:
-    """Resolve a pool executor's span size for one block."""
-    if chunk_size == "auto":
-        # Imported lazily: the backends package imports this module.  The
-        # resolved rate is memoised on the executor so the bench-record
-        # scan happens once per instance, not once per block.
-        from repro.backends.autotune import resolved_rate, suggest_chunk_size
-
-        return suggest_chunk_size(
-            backend_name,
-            stop - start,
-            workers=jobs,
-            rate=resolved_rate(executor, backend_name),
-        )
-    if chunk_size is not None:
-        return chunk_size
-    return max(1, -(-(stop - start) // jobs))
-
-
-@dataclass
-class ChunkedExecutor(TrialExecutor):
-    """In-process executor that works in fixed-size chunks.
-
-    Functionally a stress test of invariant (2): any ``chunk_size``
-    produces counts identical to :class:`SerialExecutor`, including trial
-    counts that do not divide evenly.  It is also the building block the
-    pool executor shares its arithmetic with.
-    """
-
-    chunk_size: Any = 64
-
-    def __post_init__(self) -> None:
-        if self.chunk_size != "auto":
-            check_positive_int(self.chunk_size, "chunk_size")
-
-    def _span(self, start: int, stop: int) -> int:
-        return _pool_span(self, self.chunk_size, "chunked", start, stop, 1)
-
-    def run_counts(self, task: TrialTask, start: int, stop: int) -> List[int]:
-        counts = [0] * task.channels
-        for low, high in _split_spans(start, stop, self._span(start, stop)):
-            for channel, value in enumerate(run_count_range(task, low, high)):
-                counts[channel] += value
-        return counts
-
-    def run_collect(self, task: TrialTask, start: int, stop: int) -> List[Any]:
-        values: List[Any] = []
-        for low, high in _split_spans(start, stop, self._span(start, stop)):
-            values.extend(run_collect_range(task, low, high))
-        return values
-
-    def run_batches(self, task: TrialTask, first: int, last: int) -> List[int]:
-        counts = [0] * task.channels
-        for low, high in _split_spans(first, last, self._span(first, last)):
-            for channel, value in enumerate(run_batch_range(task, low, high)):
-                counts[channel] += value
-        return counts
-
-
 # -- process pool ------------------------------------------------------------
-
-# The active task travels to fork()ed workers through this module global:
-# the parent assigns it immediately before creating the pool, every child
-# inherits the parent's memory image, and nothing is pickled — which is
-# what lets trial closures capture arbitrary objects.
-_ACTIVE_TASK: Optional[TrialTask] = None
 
 # Monotone count of worker pools ever constructed in this process.  The
 # sweep orchestrator's contract — one pool per sweep, however many points —
@@ -324,18 +271,6 @@ def _new_pool(jobs: int):
     return pool
 
 
-def _pool_counts(span: Tuple[int, int]) -> List[int]:
-    return run_count_range(_ACTIVE_TASK, span[0], span[1])
-
-
-def _pool_collect(span: Tuple[int, int]) -> List[Any]:
-    return run_collect_range(_ACTIVE_TASK, span[0], span[1])
-
-
-def _pool_batches(span: Tuple[int, int]) -> List[int]:
-    return run_batch_range(_ACTIVE_TASK, span[0], span[1])
-
-
 def fork_available() -> bool:
     """Whether the ``fork`` start method (and thus the pool) is usable."""
     try:
@@ -344,85 +279,6 @@ def fork_available() -> bool:
         return False
     return True
 
-
-@dataclass
-class ProcessPoolExecutor(TrialExecutor):
-    """Fan trials out over a ``fork``-based ``multiprocessing.Pool``.
-
-    The pool is created in :meth:`start` — *after* the task is published to
-    :data:`_ACTIVE_TASK` — so workers inherit the task through fork.  Each
-    block is split into ``chunk_size`` spans (default: balanced across
-    workers) whose counts the parent sums; by invariant (2) the totals are
-    identical to the serial executor's for any worker count.
-    """
-
-    jobs: int = 2
-    chunk_size: Any = None
-    # None doubles as the serial-fallback signal on platforms without fork.
-    _pool: Any = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.jobs, "jobs")
-        _check_chunk_size(self.chunk_size)
-
-    def start(self, task: TrialTask) -> None:
-        global _ACTIVE_TASK
-        if not fork_available():  # pragma: no cover - non-POSIX platforms
-            return
-        _ACTIVE_TASK = task
-        self._pool = _new_pool(self.jobs)
-
-    def finish(self) -> None:
-        global _ACTIVE_TASK
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        _ACTIVE_TASK = None
-
-    def _spans(self, start: int, stop: int) -> List[Tuple[int, int]]:
-        span = _pool_span(
-            self, self.chunk_size, "fork-pool", start, stop, self.jobs
-        )
-        return _split_spans(start, stop, span)
-
-    def run_counts(self, task: TrialTask, start: int, stop: int) -> List[int]:
-        if self._pool is None:  # pragma: no cover - non-POSIX platforms
-            return run_count_range(task, start, stop)
-        counts = [0] * task.channels
-        for chunk in self._pool.map(_pool_counts, self._spans(start, stop)):
-            for channel, value in enumerate(chunk):
-                counts[channel] += value
-        return counts
-
-    def run_collect(self, task: TrialTask, start: int, stop: int) -> List[Any]:
-        if self._pool is None:  # pragma: no cover - non-POSIX platforms
-            return run_collect_range(task, start, stop)
-        values: List[Any] = []
-        for chunk in self._pool.map(_pool_collect, self._spans(start, stop)):
-            values.extend(chunk)
-        return values
-
-    def run_batches(self, task: TrialTask, first: int, last: int) -> List[int]:
-        if self._pool is None:  # pragma: no cover - non-POSIX platforms
-            return run_batch_range(task, first, last)
-        counts = [0] * task.channels
-        spans = _split_spans(first, last, 1)
-        for chunk in self._pool.map(_pool_batches, spans):
-            for channel, value in enumerate(chunk):
-                counts[channel] += value
-        return counts
-
-
-def make_executor(jobs: int = 1) -> TrialExecutor:
-    """The default executor for a worker count: serial for 1, pool above."""
-    check_positive_int(jobs, "jobs")
-    if jobs == 1:
-        return SerialExecutor()
-    return ProcessPoolExecutor(jobs=jobs)
-
-
-# -- shared sweep pool --------------------------------------------------------
 
 # Bytes per count slot in a shared-memory result buffer (signed 64-bit).
 _SHM_SLOT_BYTES = 8
@@ -506,14 +362,15 @@ def _shipped_batches(args: Tuple[bytes, int, int]) -> List[int]:
 
 
 @dataclass
-class SweepPoolExecutor(TrialExecutor):
-    """One long-lived fork pool shared by every engine run of a sweep.
+class SweepPoolExecutor(ExecutionBackend):
+    """One fork pool shared by every engine run between ``open`` and ``close``.
 
-    :class:`ProcessPoolExecutor` forks a fresh pool per engine run so
-    workers inherit the active task through the parent's memory image; a
-    multi-hundred-point sweep pays that fork cost per point.  This executor
-    instead keeps a single pool open across runs (``open``/``close``, or a
-    ``with`` block) and ships each task to the workers *by pickling*.
+    Opened once (``open``/``close``, or a ``with`` block) the pool serves
+    every engine run of a sweep, a figure, or the daemon's lifetime, and
+    each task ships to the workers *by pickling*.  A bare engine run on
+    an unopened executor still gets a pool: :meth:`start` opens one and
+    the matching :meth:`finish` closes it again, so nothing outlives the
+    run.
 
     Tasks whose callables cannot be pickled (ad-hoc closures) fall back to
     exact in-process execution for that run — same counts, no parallelism —
@@ -521,9 +378,9 @@ class SweepPoolExecutor(TrialExecutor):
     All engine invariants hold unchanged: counts are identical to the
     serial executor for any worker count or span partition.
 
-    **Shared-memory results lane.**  With ``use_shared_memory`` (the
-    default, where :mod:`multiprocessing.shared_memory` exists), batch-mode
-    results stop round-tripping through pickle: the parent allocates one
+    **Shared-memory results lane.**  Where
+    :mod:`multiprocessing.shared_memory` exists, batch-mode results stop
+    round-tripping through pickle: the parent allocates one
     shared int64 buffer per ``run_batches`` block, every batch index owns a
     ``channels``-wide row keyed by its offset in the block, workers write
     their counts straight into it, and the parent sums the rows in batch
@@ -533,16 +390,22 @@ class SweepPoolExecutor(TrialExecutor):
     """
 
     jobs: int = 2
+    #: Trials per shipped span: a positive int, ``None`` (balanced across
+    #: the workers), or ``"auto"`` (sized from bench records —
+    #: :mod:`repro.backends.autotune`).
     chunk_size: Any = None
-    use_shared_memory: bool = True
     _pool: Any = field(default=None, repr=False, compare=False)
     _payload: Optional[bytes] = field(default=None, repr=False, compare=False)
+    # Whether the latest start() had to open the pool itself, and the
+    # matching finish() therefore owes the close.
+    _opened_by_start: bool = field(default=False, repr=False, compare=False)
 
     supports_shared_memory = True
 
     def __post_init__(self) -> None:
         check_positive_int(self.jobs, "jobs")
-        _check_chunk_size(self.chunk_size)
+        if self.chunk_size not in (None, "auto"):
+            check_positive_int(self.chunk_size, "chunk_size")
 
     def open(self) -> "SweepPoolExecutor":
         if self._pool is None and fork_available():
@@ -557,6 +420,7 @@ class SweepPoolExecutor(TrialExecutor):
         self._payload = None
 
     def start(self, task: TrialTask) -> None:
+        self._opened_by_start = self._pool is None
         self.open()
         try:
             self._payload = pickle.dumps(task)
@@ -567,11 +431,26 @@ class SweepPoolExecutor(TrialExecutor):
 
     def finish(self) -> None:
         self._payload = None
+        if self._opened_by_start:
+            self.close()
 
     def _spans(self, start: int, stop: int) -> List[Tuple[int, int]]:
-        span = _pool_span(
-            self, self.chunk_size, "shm-pool", start, stop, self.jobs
-        )
+        if self.chunk_size == "auto":
+            # Imported lazily: the backends package imports this module.
+            # The resolved rate is memoised on the executor so the
+            # bench-record scan happens once per instance, not per block.
+            from repro.backends.autotune import resolved_rate, suggest_chunk_size
+
+            span = suggest_chunk_size(
+                "shm-pool",
+                stop - start,
+                workers=self.jobs,
+                rate=resolved_rate(self, "shm-pool"),
+            )
+        elif self.chunk_size is not None:
+            span = self.chunk_size
+        else:
+            span = max(1, -(-(stop - start) // self.jobs))
         return _split_spans(start, stop, span)
 
     def _ship(self, spans: List[Tuple[int, int]]) -> List[Tuple[bytes, int, int]]:
@@ -599,7 +478,7 @@ class SweepPoolExecutor(TrialExecutor):
     def run_batches(self, task: TrialTask, first: int, last: int) -> List[int]:
         if self._pool is None or self._payload is None:
             return run_batch_range(task, first, last)
-        if self.use_shared_memory and shared_memory_available():
+        if shared_memory_available():
             return self._run_batches_shared(task, first, last)
         counts = [0] * task.channels
         spans = _split_spans(first, last, 1)
@@ -646,16 +525,3 @@ class SweepPoolExecutor(TrialExecutor):
                 block.close()
             finally:
                 block.unlink()
-
-
-def make_sweep_executor(jobs: int = 1) -> TrialExecutor:
-    """The executor a sweep orchestrator should own for a worker count.
-
-    Serial for ``jobs=1`` (the context-manager protocol is a no-op there),
-    a shared :class:`SweepPoolExecutor` above — exactly one pool for the
-    whole sweep, however many points run through it.
-    """
-    check_positive_int(jobs, "jobs")
-    if jobs == 1:
-        return SerialExecutor()
-    return SweepPoolExecutor(jobs=jobs)

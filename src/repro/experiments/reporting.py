@@ -2,7 +2,7 @@
 
 The paper's figures are line plots; the equivalent textual artefact is one
 table per figure with a row per x-value and a column per series, which is
-what these formatters produce (and EXPERIMENTS.md records).
+what these formatters produce.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def comparison_rows(
     paper: Sequence[Tuple[str, float]],
     measured: Sequence[Tuple[str, float]],
 ) -> List[str]:
-    """Side-by-side 'paper says / we measured' rows for EXPERIMENTS.md."""
+    """Side-by-side 'paper says / we measured' rows."""
     paper_map = dict(paper)
     lines = []
     for name, value in measured:

@@ -5,9 +5,9 @@ One :meth:`SweepOrchestrator.run` call owns the whole sweep:
 - the point grid comes from :meth:`ScenarioSpec.points` (axes cross
   product, last axis fastest);
 - **one** execution backend serves every point, resolved through
-  :mod:`repro.backends` (explicit ``backend`` argument, else the spec's
-  pinned ``engine.backend``, else the ``jobs`` sugar: serial for 1, the
-  shared ``shm-pool`` above) and opened exactly once per sweep — a
+  :func:`repro.backends.get` (explicit ``backend`` argument, else the
+  spec's pinned ``engine.backend``, else the ``jobs`` sugar: serial for
+  1, ``shm-pool`` above) and opened exactly once per sweep — a
   ``distributed`` backend connects its workers once and streams every
   point's spans through the same sockets;
 - each point gets its *own* :class:`~repro.experiments.engine.TrialEngine`
@@ -33,7 +33,7 @@ from repro.backends import get as get_backend
 from repro.backends.base import BackendSpec
 from repro.backends.distributed import NoWorkersLeft, PointDeadlineExceeded
 from repro.experiments.engine import TrialEngine
-from repro.experiments.executors import TrialExecutor
+from repro.experiments.executors import ExecutionBackend
 from repro.obs.trace import NULL_TRACER, coerce_tracer
 from repro.scenarios.journal import SweepJournal, sweep_spec_hash
 from repro.scenarios.runners import get_runner
@@ -52,6 +52,10 @@ ToleranceFn = Callable[[Mapping[str, Any]], Optional[float]]
 
 #: Per-point progress hook: (point, record, served_from_cache).
 ProgressFn = Callable[[SweepPoint, Dict[str, Any], bool], None]
+
+#: How often a driver (or the daemon) blocked on another process's
+#: in-flight claim re-checks for the record, or a released/expired claim.
+CLAIM_POLL_SECONDS = 0.05
 
 
 @contextmanager
@@ -116,9 +120,38 @@ def resolve_entries(
     return spec, effective_trials, entries
 
 
+def load_cached_record(
+    store: ResultStore, scenario: str, key: str, span: Any
+) -> Optional[Dict[str, Any]]:
+    """Load a stored record if one exists, quarantining damage.
+
+    The one cache read of the CLI driver and the daemon.  ``None`` means
+    the store has nothing usable under ``key``: either no record, or one
+    that failed verification and has been moved to the store's
+    quarantine (a ``quarantine`` event on ``span`` says which) — the
+    caller recomputes the point, so resumes heal a damaged store rather
+    than abort on it.
+    """
+    try:
+        record = store.load_verified(scenario, key)
+    except FileNotFoundError:
+        return None
+    except StoreIntegrityError as damage:
+        quarantined = store.quarantine(damage.path)
+        span.event(
+            "quarantine",
+            key=key,
+            status=damage.status,
+            path=str(quarantined),
+        )
+        return None
+    record["from_cache"] = True
+    return record
+
+
 def compute_point_result(
     runner: Callable[..., Any],
-    executor: TrialExecutor,
+    executor: ExecutionBackend,
     spec: ScenarioSpec,
     entry: PointEntry,
     trials: int,
@@ -131,7 +164,7 @@ def compute_point_result(
     one backend with one of these calls at a time.
     """
     engine = TrialEngine(
-        executor=executor,
+        backend=executor,
         tolerance=entry.tolerance,
         min_trials=spec.engine.min_trials,
         check_interval=spec.engine.check_interval,
@@ -194,7 +227,7 @@ class _PointWatchdog:
         self.fired = 0
 
     @contextmanager
-    def guard(self, executor: TrialExecutor, index: int, sweep_span: Any):
+    def guard(self, executor: ExecutionBackend, index: int, sweep_span: Any):
         cancel = getattr(executor, "cancel_active", None)
         if cancel is None:
             yield
@@ -256,7 +289,7 @@ class SweepReport:
 
 
 class SweepOrchestrator:
-    """Runs scenario specs through one shared executor and a result store.
+    """Runs scenario specs through one shared backend and a result store.
 
     Parameters
     ----------
@@ -268,18 +301,14 @@ class SweepOrchestrator:
         above that one shared ``shm-pool``).  An explicit value is
         merged into a named ``backend`` that accepts a ``jobs`` option
         (including ``jobs=1`` → a one-worker pool); ``None`` keeps a
-        named backend's own default.  Ignored when ``executor`` is
-        given.
-    executor:
-        A pre-built :class:`~repro.backends.base.ExecutionBackend`
-        instance to use instead; its ``open``/``close`` lifecycle still
-        brackets each :meth:`run`.
+        named backend's own default.
     backend:
-        A backend registry name or
+        A backend registry name, a
         :class:`~repro.backends.base.BackendSpec` — e.g.
-        ``"distributed"`` with ``workers=[...]`` options.  Overrides a
-        spec's pinned ``engine.backend``; itself overridden by
-        ``executor``.
+        ``"distributed"`` with ``workers=[...]`` options — or a
+        pre-built :class:`~repro.backends.ExecutionBackend` instance
+        (its ``open``/``close`` lifecycle still brackets each
+        :meth:`run`).  Overrides a spec's pinned ``engine.backend``.
     tolerance:
         Base tolerance override; ``None`` defers to each spec's.
     tolerance_fn:
@@ -333,8 +362,7 @@ class SweepOrchestrator:
         self,
         store: Optional[ResultStore] = None,
         jobs: Optional[int] = None,
-        executor: Optional[TrialExecutor] = None,
-        backend: Union[str, BackendSpec, TrialExecutor, None] = None,
+        backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         tolerance: Optional[float] = None,
         tolerance_fn: Optional[ToleranceFn] = None,
         batch_size: Optional[int] = None,
@@ -345,7 +373,6 @@ class SweepOrchestrator:
     ) -> None:
         self.store = store
         self.jobs = None if jobs is None else check_positive_int(jobs, "jobs")
-        self._executor = executor
         self.backend = backend
         self.tolerance = tolerance
         self.tolerance_fn = tolerance_fn
@@ -369,22 +396,12 @@ class SweepOrchestrator:
         #: backend dies mid-run and no :class:`SweepReport` is returned.
         self.last_backend_stats: Optional[Dict[str, int]] = None
 
-    def _backend_for(self, spec: ScenarioSpec) -> TrialExecutor:
-        """Resolve one run's backend: executor > backend > spec > jobs."""
-        if self._executor is not None:
-            return self._executor
+    def _backend_for(self, spec: ScenarioSpec) -> ExecutionBackend:
+        """Resolve one run's backend: backend > spec.engine.backend > jobs."""
         backend = self.backend
-        if backend is None and spec.engine.backend is not None:
+        if backend is None:
             backend = spec.engine.backend
-        return get_backend(backend, jobs=self.jobs, sweep=True)
-
-    def point_tolerance(
-        self, spec: ScenarioSpec, point: SweepPoint
-    ) -> Optional[float]:
-        """Resolve one point's tolerance: hook > (base override + schedule)."""
-        if self.tolerance_fn is not None:
-            return self.tolerance_fn(point.params(spec))
-        return spec.point_tolerance(point.values, base=self.tolerance)
+        return get_backend(backend, jobs=self.jobs)
 
     def run(
         self,
@@ -441,7 +458,7 @@ class SweepOrchestrator:
             else None
         )
         degraded = 0
-        fallback_executor: Optional[TrialExecutor] = None
+        fallback_executor: Optional[ExecutionBackend] = None
         with self.tracer.span(
             "sweep",
             scenario=spec.name,
@@ -477,10 +494,9 @@ class SweepOrchestrator:
                                 self.store is not None
                                 and not force
                                 and key not in midflight
-                                and self.store.has(spec.name, key)
                             ):
-                                record = self._load_cached(
-                                    spec.name, key, point_span
+                                record = load_cached_record(
+                                    self.store, spec.name, key, point_span
                                 )
                                 if record is not None:
                                     records.append(record)
@@ -580,7 +596,7 @@ class SweepOrchestrator:
                                             to_backend="local",
                                         )
                                         fallback_executor = get_backend(
-                                            None, jobs=self.jobs, sweep=True
+                                            None, jobs=self.jobs
                                         )
                                         if (
                                             self.tracer is not NULL_TRACER
@@ -657,33 +673,6 @@ class SweepOrchestrator:
             backend_stats=backend_stats,
         )
 
-    def _load_cached(
-        self, scenario: str, key: str, point_span: Any
-    ) -> Optional[Dict[str, Any]]:
-        """Load a cached record, quarantining damage instead of crashing.
-
-        ``None`` means the record failed verification: it has been moved
-        to the store's quarantine and the caller should recompute the
-        point — resumes heal a damaged store rather than abort on it.
-        """
-        try:
-            record = self.store.load_verified(scenario, key)
-        except StoreIntegrityError as damage:
-            quarantined = self.store.quarantine(damage.path)
-            point_span.event(
-                "quarantine",
-                key=key,
-                status=damage.status,
-                path=str(quarantined),
-            )
-            return None
-        record["from_cache"] = True
-        return record
-
-    #: How often a driver blocked on another driver's in-flight claim
-    #: re-checks for the record (or a released/expired claim).
-    claim_poll_seconds = 0.05
-
     def _claim_or_follow(
         self, scenario: str, key: str, point_span: Any, force: bool
     ) -> Tuple[Optional[Any], Optional[Dict[str, Any]]]:
@@ -706,9 +695,11 @@ class SweepOrchestrator:
             if not waited:
                 waited = True
                 point_span.event("claim_wait", key=key)
-            time.sleep(self.claim_poll_seconds)
-            if not force and self.store.has(scenario, key):
-                record = self._load_cached(scenario, key, point_span)
+            time.sleep(CLAIM_POLL_SECONDS)
+            if not force:
+                record = load_cached_record(
+                    self.store, scenario, key, point_span
+                )
                 if record is not None:
                     return None, record
 

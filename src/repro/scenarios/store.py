@@ -61,9 +61,6 @@ _KEY_HEX_CHARS = 32  # 128 bits of SHA-256: collision-free at any sweep scale
 #: ``repro sweep gc --keep-latest`` should be able to prune.
 STORE_GENERATION = 3
 
-#: What untagged (pre-generation) records read as.
-LEGACY_GENERATION = 1
-
 #: The integrity field stamped into every generation-3 record.
 CHECKSUM_FIELD = "checksum"
 
@@ -112,11 +109,9 @@ class StoreIntegrityError(ValueError):
 
 
 def record_generation(record: Mapping[str, Any]) -> int:
-    """The store-format generation of one record (legacy reads as 1)."""
-    value = record.get("store_generation", LEGACY_GENERATION)
-    return value if isinstance(value, int) and not isinstance(value, bool) else (
-        LEGACY_GENERATION
-    )
+    """The store-format generation of one record (unstamped reads as 1)."""
+    value = record.get("store_generation")
+    return value if isinstance(value, int) and not isinstance(value, bool) else 1
 
 
 def canonical_json(payload: Any) -> str:
@@ -142,18 +137,16 @@ def record_checksum(record: Mapping[str, Any]) -> str:
 
 
 def verify_record(record: Any) -> str:
-    """One record's integrity status: ``ok`` | ``legacy`` | ``mismatch``.
+    """One record's integrity status: ``ok`` | ``mismatch``.
 
-    ``legacy`` means the record predates checksums (generation < 3) —
-    trusted as-is, exactly as before the integrity layer existed.
-    ``mismatch`` means the record *claims* a checksum that its content
-    does not hash to.
+    ``mismatch`` means the record's content does not hash to the
+    checksum it carries — or that it carries none: every record this
+    code writes is checksummed, so stripping the field must not be a way
+    around the check.
     """
     if not isinstance(record, Mapping):
         return "mismatch"
     claimed = record.get(CHECKSUM_FIELD)
-    if claimed is None:
-        return "legacy"
     if not isinstance(claimed, str):
         return "mismatch"
     return "ok" if record_checksum(record) == claimed else "mismatch"
@@ -269,9 +262,8 @@ class ResultStore:
         """Load one record, raising :class:`StoreIntegrityError` if bad.
 
         The cache-trusting load for resumes: torn/corrupt JSON and
-        checksum mismatches raise instead of poisoning the sweep;
-        ``legacy`` (pre-checksum) records pass, exactly as they always
-        have.
+        missing or mismatched checksums raise instead of poisoning the
+        sweep.
         """
         path = self.find(scenario, key)
         if path is None:
@@ -285,7 +277,7 @@ class ResultStore:
         except json.JSONDecodeError:
             raise StoreIntegrityError(path, "corrupt") from None
         status = verify_record(record)
-        if status == "mismatch":
+        if status != "ok":
             raise StoreIntegrityError(path, status)
         return record
 
@@ -425,9 +417,9 @@ class ResultStore:
         """Check every record's integrity without touching anything.
 
         Scans one scenario (or the whole store) and buckets each record:
-        ``ok`` (checksum matches), ``legacy`` (pre-checksum, trusted),
-        ``corrupt`` (unreadable JSON / not a record object), or
-        ``mismatched`` (checksum does not match the content).  Leftover
+        ``ok`` (checksum matches), ``corrupt`` (unreadable JSON), or
+        ``mismatched`` (checksum missing or not matching the content;
+        also anything that is not a record object).  Leftover
         ``.json.tmp`` orphans are reported too — they are gc's business,
         but a verify after a driver SIGKILL should name them.
         """
@@ -450,11 +442,8 @@ class ResultStore:
                 except (OSError, json.JSONDecodeError):
                     report.corrupt.append(path)
                     continue
-                status = verify_record(record)
-                if status == "ok":
+                if verify_record(record) == "ok":
                     report.ok += 1
-                elif status == "legacy":
-                    report.legacy += 1
                 else:
                     report.mismatched.append(path)
         return report
@@ -701,15 +690,14 @@ class GcReport:
 class VerifyReport:
     """What one :meth:`ResultStore.verify`/:meth:`repair` pass found.
 
-    ``ok``/``legacy`` count healthy records (legacy = pre-checksum,
-    trusted as-is); ``corrupt``/``mismatched`` name the damaged files;
-    ``quarantined`` names where :meth:`ResultStore.repair` moved them.
+    ``ok`` counts healthy records; ``corrupt``/``mismatched`` name the
+    damaged files; ``quarantined`` names where
+    :meth:`ResultStore.repair` moved them.
     """
 
     scenario: Optional[str] = None
     scanned: int = 0
     ok: int = 0
-    legacy: int = 0
     corrupt: List[Path] = field(default_factory=list)
     mismatched: List[Path] = field(default_factory=list)
     orphans: List[Path] = field(default_factory=list)

@@ -39,16 +39,18 @@ import asyncio
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from repro.experiments.executors import TrialExecutor
+from repro.experiments.executors import ExecutionBackend
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import coerce_tracer
 from repro.scenarios.orchestrator import (
+    CLAIM_POLL_SECONDS,
     PointEntry,
     build_point_record,
     compute_point_result,
+    load_cached_record,
 )
 from repro.scenarios.runners import get_runner
-from repro.scenarios.store import ResultStore, StoreIntegrityError
+from repro.scenarios.store import ResultStore
 from repro.service.jobs import (
     JOB_CANCELLED,
     JOB_DONE,
@@ -96,15 +98,10 @@ def result_half_width(result: Any) -> Optional[float]:
 class JobScheduler:
     """Serves every job's entries through one shared executor, fairly."""
 
-    #: How often an entry blocked on a foreign claim re-checks for the
-    #: record (or an expired claim) — the async sibling of
-    #: :attr:`SweepOrchestrator.claim_poll_seconds`.
-    claim_poll_seconds = 0.05
-
     def __init__(
         self,
         store: ResultStore,
-        executor: TrialExecutor,
+        executor: ExecutionBackend,
         table: JobTable,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Any = None,
@@ -273,7 +270,7 @@ class JobScheduler:
         scenario = job.spec.name
         key = entry.key
         if not job.force:
-            record = self._load_if_present(scenario, key, span)
+            record = load_cached_record(self.store, scenario, key, span)
             if record is not None:
                 return record, self._adoption_status(job, scenario, key)
         claim = None
@@ -287,9 +284,9 @@ class JobScheduler:
             if not followed:
                 followed = True
                 span.event("claim_wait", key=key)
-            await asyncio.sleep(self.claim_poll_seconds)
+            await asyncio.sleep(CLAIM_POLL_SECONDS)
             if not job.force:
-                record = self._load_if_present(scenario, key, span)
+                record = load_cached_record(self.store, scenario, key, span)
                 if record is not None:
                     return record, "dedup"
         try:
@@ -314,31 +311,6 @@ class JobScheduler:
         if producer is not None and producer != job.id:
             return "dedup"
         return "cached"
-
-    def _load_if_present(
-        self, scenario: str, key: str, span: Any
-    ) -> Optional[Dict[str, Any]]:
-        """Load a stored record if it exists, quarantining damage.
-
-        Mirrors the orchestrator's resume behaviour: a record that fails
-        verification is quarantined and ``None`` returned, so the entry
-        recomputes instead of the job aborting on a damaged store.
-        """
-        if not self.store.has(scenario, key):
-            return None
-        try:
-            record = self.store.load_verified(scenario, key)
-        except StoreIntegrityError as damage:
-            quarantined = self.store.quarantine(damage.path)
-            span.event(
-                "quarantine",
-                key=key,
-                status=damage.status,
-                path=str(quarantined),
-            )
-            return None
-        record["from_cache"] = True
-        return record
 
     async def _notify(self) -> None:
         condition = self.table.condition

@@ -123,7 +123,7 @@ class SweepService:
         self._shutdown = asyncio.Event()
         self.table.condition = asyncio.Condition()
         self._install_signal_handlers()
-        executor = get_backend(self.backend, jobs=self.jobs, sweep=True)
+        executor = get_backend(self.backend, jobs=self.jobs)
         if self.tracer.enabled and hasattr(executor, "tracer"):
             executor.tracer = self.tracer
         self.scheduler = JobScheduler(

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.backends import (
+    BackendSpec,
     DistributedBackend,
     WorkerServer,
     bench_rate,
@@ -206,7 +207,7 @@ class TestObservedRateFeedback:
             with DistributedBackend(
                 [f"{host}:{port}"], chunk_size="auto"
             ) as backend:
-                TrialEngine(executor=backend).run(
+                TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=101, seed=5
                 )
                 rates = backend.worker_rates()
@@ -228,7 +229,7 @@ class TestObservedRateFeedback:
             with DistributedBackend(
                 [f"{host}:{port}"], chunk_size=20
             ) as backend:
-                TrialEngine(executor=backend).run(
+                TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=60, seed=5
                 )
         assert not (tmp_path / "BENCH_observed.json").exists()
@@ -279,7 +280,7 @@ class TestAutoIntegration:
             with DistributedBackend(
                 [f"{host}:{port}"], chunk_size="auto"
             ) as backend:
-                result = TrialEngine(executor=backend).run(
+                result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=101, seed=5
                 )
                 # 200 trials/s × 0.5s target → 100-trial spans, but the
@@ -290,14 +291,12 @@ class TestAutoIntegration:
 
     def test_registry_accepts_auto_for_pool_backends(self):
         reference = TrialEngine().run(bernoulli_trial, trials=60, seed=7)
-        for name in ("fork-pool", "shm-pool"):
-            backend = get(name, jobs=2)
-            backend.chunk_size = "auto"
-            with backend:
-                result = TrialEngine(executor=backend).run(
-                    bernoulli_trial, trials=60, seed=7
-                )
-            assert result == reference, name
+        spec = BackendSpec("shm-pool", {"jobs": 2, "chunk_size": "auto"})
+        with get(spec) as backend:
+            result = TrialEngine(backend=backend).run(
+                bernoulli_trial, trials=60, seed=7
+            )
+        assert result == reference
 
     def test_rejects_garbage_chunk_size(self):
         with pytest.raises((ValueError, TypeError)):

@@ -15,14 +15,9 @@ from repro.backends import (
     spec_for_jobs,
 )
 from repro.experiments.engine import TrialEngine
-from repro.experiments.executors import (
-    ChunkedExecutor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    SweepPoolExecutor,
-)
+from repro.experiments.executors import SerialExecutor, SweepPoolExecutor
 
-BUILTINS = ("chunked", "distributed", "fork-pool", "serial", "shm-pool")
+BUILTINS = ("distributed", "serial", "shm-pool")
 
 
 def bernoulli_trial(rng):
@@ -35,8 +30,6 @@ class TestRegistry:
 
     def test_get_builds_the_right_classes(self):
         assert isinstance(get("serial"), SerialExecutor)
-        assert isinstance(get("chunked"), ChunkedExecutor)
-        assert isinstance(get("fork-pool"), ProcessPoolExecutor)
         assert isinstance(get("shm-pool"), SweepPoolExecutor)
         distributed = get(BackendSpec("distributed", {"workers": ["h:1"]}))
         assert isinstance(distributed, DistributedBackend)
@@ -50,8 +43,14 @@ class TestRegistry:
         assert get(executor) is executor
 
     def test_unknown_backend_is_a_clear_error(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get("gpu-lane")
+        # The two retired names fail like any other unregistered one.
+        for name in ("gpu-lane", "fork-pool", "chunked"):
+            with pytest.raises(
+                ValueError,
+                match="unknown backend .*registered backends: "
+                "distributed, serial, shm-pool",
+            ):
+                get(name)
 
     def test_unknown_option_is_a_clear_error(self):
         with pytest.raises(ValueError, match="does not accept option"):
@@ -91,13 +90,13 @@ class TestRegistry:
 class TestJobsSugar:
     def test_jobs_one_is_serial_everywhere(self):
         assert spec_for_jobs(1) == BackendSpec("serial")
-        assert spec_for_jobs(1, sweep=True) == BackendSpec("serial")
+        assert isinstance(TrialEngine(jobs=1).executor, SerialExecutor)
 
-    def test_engine_runs_get_fork_pool_sweeps_get_shm_pool(self):
-        assert spec_for_jobs(4) == BackendSpec("fork-pool", {"jobs": 4})
-        assert spec_for_jobs(4, sweep=True) == BackendSpec(
-            "shm-pool", {"jobs": 4}
-        )
+    def test_jobs_above_one_is_shm_pool_everywhere(self):
+        assert spec_for_jobs(4) == BackendSpec("shm-pool", {"jobs": 4})
+        assert resolve_spec(None, jobs=4) == spec_for_jobs(4)
+        executor = TrialEngine(jobs=4).executor
+        assert isinstance(executor, SweepPoolExecutor) and executor.jobs == 4
 
     def test_resolve_merges_jobs_into_named_backends(self):
         assert resolve_spec("shm-pool", jobs=8) == BackendSpec(
@@ -109,16 +108,16 @@ class TestJobsSugar:
             "shm-pool", {"jobs": 1}
         )
         # Unset jobs keeps the named backend's own default.
-        assert resolve_spec("fork-pool", jobs=None) == BackendSpec("fork-pool")
+        assert resolve_spec("shm-pool", jobs=None) == BackendSpec("shm-pool")
         # Backends without a jobs option are untouched.
         assert resolve_spec("serial", jobs=8) == BackendSpec("serial")
         # Explicit options always win over the sugar.
-        pinned = BackendSpec("fork-pool", {"jobs": 2})
+        pinned = BackendSpec("shm-pool", {"jobs": 2})
         assert resolve_spec(pinned, jobs=8) == pinned
 
     def test_explicit_jobs_one_builds_one_worker_pool(self):
-        backend = get("fork-pool", jobs=1)
-        assert isinstance(backend, ProcessPoolExecutor)
+        backend = get("shm-pool", jobs=1)
+        assert isinstance(backend, SweepPoolExecutor)
         assert backend.jobs == 1
 
     def test_invalid_jobs_rejected(self):
@@ -157,8 +156,6 @@ class TestProtocolAndCapabilities:
     def test_every_builtin_satisfies_the_protocol(self):
         instances = [
             SerialExecutor(),
-            ChunkedExecutor(),
-            ProcessPoolExecutor(),
             SweepPoolExecutor(),
             DistributedBackend(["h:1"]),
         ]
@@ -176,19 +173,11 @@ class TestProtocolAndCapabilities:
 class TestEngineBackendParameter:
     def test_engine_accepts_backend_names_and_specs(self):
         reference = TrialEngine().run(bernoulli_trial, trials=60, seed=3)
-        for backend in ("serial", "chunked", BackendSpec("fork-pool", {"jobs": 2})):
+        for backend in ("serial", BackendSpec("shm-pool", {"jobs": 2})):
             engine = TrialEngine(backend=backend)
             assert engine.run(bernoulli_trial, trials=60, seed=3) == reference
 
     def test_engine_jobs_merges_into_named_backend(self):
         engine = TrialEngine(backend="shm-pool", jobs=3)
-        try:
-            assert isinstance(engine.executor, SweepPoolExecutor)
-            assert engine.executor.jobs == 3
-        finally:
-            engine.executor.close()
-
-    def test_explicit_executor_wins_over_backend(self):
-        executor = SerialExecutor()
-        engine = TrialEngine(executor=executor, backend="shm-pool")
-        assert engine.executor is executor
+        assert isinstance(engine.executor, SweepPoolExecutor)
+        assert engine.executor.jobs == 3

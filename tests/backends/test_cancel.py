@@ -60,7 +60,7 @@ class TestCancelOp:
 
                 def run():
                     try:
-                        outcome["result"] = TrialEngine(executor=backend).run(
+                        outcome["result"] = TrialEngine(backend=backend).run(
                             bernoulli_trial, trials=50, seed=3
                         )
                     except Exception as error:  # noqa: BLE001
@@ -126,7 +126,7 @@ class TestMidSpanDrain:
                 leaver.start()
                 began = time.perf_counter()
                 try:
-                    result = TrialEngine(executor=backend).run(
+                    result = TrialEngine(backend=backend).run(
                         bernoulli_trial, trials=80, seed=4
                     )
                 finally:
@@ -167,7 +167,7 @@ class TestMidSpanDrain:
                 began = time.perf_counter()
                 try:
                     with pytest.raises(Deadline):
-                        TrialEngine(executor=backend).run(
+                        TrialEngine(backend=backend).run(
                             bernoulli_trial, trials=50, seed=3
                         )
                 finally:
@@ -194,7 +194,7 @@ class TestMidSpanDrain:
             with DistributedBackend(
                 [_address(server)], chunk_size=7
             ) as backend:
-                result = TrialEngine(executor=backend).run(
+                result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=100, seed=9
                 )
             assert result == reference

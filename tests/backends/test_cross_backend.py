@@ -24,9 +24,7 @@ def backend_specs(worker) -> dict:
     host, port = worker.address
     return {
         "serial": BackendSpec("serial"),
-        "chunked": BackendSpec("chunked", {"chunk_size": 7}),
-        "fork-pool": BackendSpec("fork-pool", {"jobs": 2}),
-        "shm-pool": BackendSpec("shm-pool", {"jobs": 2}),
+        "shm-pool": BackendSpec("shm-pool", {"jobs": 2, "chunk_size": 7}),
         "distributed": BackendSpec(
             "distributed", {"workers": [f"{host}:{port}"]}
         ),
@@ -111,21 +109,25 @@ class TestSpecPinnedBackend:
     def test_spec_engine_backend_is_honoured_and_overridable(self, tmp_path):
         import dataclasses
 
+        from repro.experiments.executors import pools_constructed
         from repro.scenarios.spec import EngineSettings
 
         spec = get_scenario("smoke")
         pinned = dataclasses.replace(
             spec,
-            engine=EngineSettings(backend=BackendSpec("chunked")),
+            engine=EngineSettings(backend=BackendSpec("shm-pool", {"jobs": 2})),
         )
         # Round trip survives the pin.
         from repro.scenarios.spec import ScenarioSpec
 
         assert ScenarioSpec.from_json(pinned.to_json()) == pinned
-        # The pinned backend runs (and produces the usual numbers)...
-        report = SweepOrchestrator().run(pinned)
+        # spec.engine.backend beats the jobs sugar (one pool, usual numbers)...
         reference = SweepOrchestrator().run(spec)
+        before = pools_constructed()
+        report = SweepOrchestrator(jobs=1).run(pinned)
+        assert pools_constructed() - before == 1
         assert report.results() == reference.results()
-        # ...and an explicit orchestrator backend still wins.
+        # ...and an explicit orchestrator backend beats the spec's.
         overridden = SweepOrchestrator(backend=BackendSpec("serial")).run(pinned)
+        assert pools_constructed() - before == 1
         assert overridden.results() == reference.results()

@@ -126,7 +126,7 @@ class TestDistributedDeterminism:
         )
         addresses = [_address(server) for server in worker_pair]
         with DistributedBackend(addresses) as backend:
-            result = TrialEngine(executor=backend).run(
+            result = TrialEngine(backend=backend).run(
                 paired_trial, trials=101, seed=5, label="dist", channels=2
             )
         assert result == reference
@@ -136,7 +136,7 @@ class TestDistributedDeterminism:
             counting_batch, trials=97, seed=23, label="vb", batch_size=10
         )
         with DistributedBackend([_address(worker)]) as backend:
-            result = TrialEngine(executor=backend).run_batched(
+            result = TrialEngine(backend=backend).run_batched(
                 counting_batch, trials=97, seed=23, label="vb", batch_size=10
             )
         assert result == reference
@@ -146,7 +146,7 @@ class TestDistributedDeterminism:
         reference = TrialEngine().map(indexed_measure, trials=23, seed=3)
         addresses = [_address(server) for server in worker_pair]
         with DistributedBackend(addresses, chunk_size=4) as backend:
-            values = TrialEngine(executor=backend).map(
+            values = TrialEngine(backend=backend).map(
                 indexed_measure, trials=23, seed=3
             )
         assert values == reference
@@ -155,7 +155,7 @@ class TestDistributedDeterminism:
         kwargs = dict(trials=1000, seed=21, label="tol")
         reference = TrialEngine(tolerance=0.05).run(bernoulli_trial, **kwargs)
         with DistributedBackend([_address(worker)]) as backend:
-            result = TrialEngine(executor=backend, tolerance=0.05).run(
+            result = TrialEngine(backend=backend, tolerance=0.05).run(
                 bernoulli_trial, **kwargs
             )
         assert result == reference
@@ -166,14 +166,14 @@ class TestDistributedDeterminism:
             with DistributedBackend(
                 [_address(worker)], chunk_size=chunk_size
             ) as backend:
-                result = TrialEngine(executor=backend).run(
+                result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=50, seed=9
                 )
             assert result == reference, chunk_size
 
     def test_one_connection_set_across_many_engine_runs(self, worker):
         with DistributedBackend([_address(worker)]) as backend:
-            engine = TrialEngine(executor=backend)
+            engine = TrialEngine(backend=backend)
             results = [
                 engine.run(bernoulli_trial, trials=40, seed=seed)
                 for seed in (1, 2, 3)
@@ -203,7 +203,7 @@ class TestDistributedFailureModes:
 
     def test_worker_side_exception_propagates_with_remote_traceback(self, worker):
         with DistributedBackend([_address(worker)]) as backend:
-            engine = TrialEngine(executor=backend)
+            engine = TrialEngine(backend=backend)
             with pytest.raises(RuntimeError, match="injected batch failure") as info:
                 engine.run_batched(
                     FailingBatch(), trials=40, seed=1, batch_size=10
@@ -225,7 +225,7 @@ class TestDistributedFailureModes:
         closure = lambda rng: rng.bernoulli(bias)  # noqa: E731 - deliberate
         reference = TrialEngine().run(closure, trials=60, seed=9, label="cl")
         with DistributedBackend([_address(worker)]) as backend:
-            result = TrialEngine(executor=backend).run(
+            result = TrialEngine(backend=backend).run(
                 closure, trials=60, seed=9, label="cl"
             )
         assert result == reference

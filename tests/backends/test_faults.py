@@ -143,7 +143,7 @@ class TestKillRebalancing:
         servers = _start_servers(faults)
         try:
             with _backend(servers) as backend:
-                result = TrialEngine(executor=backend).run(
+                result = TrialEngine(backend=backend).run(
                     paired_trial, trials=90, seed=5, label="chaos", channels=2
                 )
                 assert result == reference
@@ -163,7 +163,7 @@ class TestKillRebalancing:
         )
         try:
             with _backend(servers, chunk_size=1) as backend:
-                result = TrialEngine(executor=backend).run_batched(
+                result = TrialEngine(backend=backend).run_batched(
                     counting_batch, trials=96, seed=23, label="vb", batch_size=8
                 )
                 assert result == reference
@@ -178,7 +178,7 @@ class TestKillRebalancing:
         )
         try:
             with _backend(servers, chunk_size=3) as backend:
-                values = TrialEngine(executor=backend).map(
+                values = TrialEngine(backend=backend).map(
                     indexed_measure, trials=30, seed=3
                 )
                 assert values == reference
@@ -192,7 +192,7 @@ class TestKillRebalancing:
         )
         try:
             with _backend(servers) as backend:
-                engine = TrialEngine(executor=backend)
+                engine = TrialEngine(backend=backend)
                 first = engine.run(bernoulli_trial, trials=60, seed=1)
                 assert backend.stats["workers_broken"] == 1
                 failures_after_first = backend.stats["worker_failures"]
@@ -212,7 +212,7 @@ class TestKillRebalancing:
             started = time.monotonic()
             with _backend(servers) as backend:
                 with pytest.raises(NoWorkersLeft):
-                    TrialEngine(executor=backend).run(
+                    TrialEngine(backend=backend).run(
                         bernoulli_trial, trials=60, seed=1
                     )
             assert time.monotonic() - started < 30  # bounded, not a hang
@@ -291,7 +291,7 @@ class TestWorkerSpecificTaskFailures:
                 heartbeat_interval=0.1,
                 ping_timeout=0.5,
             ) as backend:
-                result = TrialEngine(executor=backend).run(
+                result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=60, seed=5
                 )
                 assert result == reference
@@ -310,7 +310,7 @@ class TestDropAndSlowWorkers:
         )
         try:
             with _backend(servers) as backend:
-                result = TrialEngine(executor=backend).run(
+                result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=90, seed=5
                 )
                 assert result == reference
@@ -327,7 +327,7 @@ class TestDropAndSlowWorkers:
         servers = _start_servers([FaultSpec("slow", after_spans=0, delay=0.4), None])
         try:
             with _backend(servers, chunk_size=10) as backend:
-                result = TrialEngine(executor=backend).run(
+                result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=40, seed=5
                 )
                 assert result == reference
@@ -346,7 +346,7 @@ class TestDropAndSlowWorkers:
         )
         try:
             with _backend(servers) as backend:
-                result = TrialEngine(executor=backend).run(
+                result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=60, seed=5
                 )
                 assert result == reference
@@ -432,7 +432,7 @@ class TestBreakerReadmission:
                 breaker_cooldown=0.05,
                 membership_interval=0.05,
             ) as backend:
-                result = TrialEngine(executor=backend).run(
+                result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=90, seed=5
                 )
                 assert result == reference
@@ -457,7 +457,7 @@ class TestBreakerReadmission:
                 breaker_cooldown=0.05,
                 membership_interval=0.05,
             ) as backend:
-                result = TrialEngine(executor=backend).run(
+                result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=60, seed=8
                 )
                 assert result == reference
@@ -482,7 +482,7 @@ class TestBreakerReadmission:
             with _backend(
                 servers, breaker_threshold=2, breaker_cooldown=60.0
             ) as backend:
-                engine = TrialEngine(executor=backend)
+                engine = TrialEngine(backend=backend)
                 first = engine.run(bernoulli_trial, trials=20, seed=1)
                 assert backend.stats["worker_failures"] == 0
                 # Simulate run A ending one strike shy of the threshold.
@@ -527,7 +527,7 @@ class TestPoolRespawn:
             membership_interval=0.05,
             breaker_cooldown=60.0,
         ) as backend:
-            result = TrialEngine(executor=backend).run(
+            result = TrialEngine(backend=backend).run(
                 pool_trial, trials=90, seed=7
             )
             assert result == reference
@@ -639,7 +639,7 @@ class TestElasticMembershipProperty:
                 joiner = threading.Thread(target=join_late)
                 joiner.start()
                 try:
-                    result = TrialEngine(executor=backend).run(
+                    result = TrialEngine(backend=backend).run(
                         paired_trial,
                         trials=75,
                         seed=19,
@@ -680,7 +680,7 @@ class TestRandomFaultPlansProperty:
         )
         try:
             with _backend(servers, chunk_size=3) as backend:
-                engine = TrialEngine(executor=backend)
+                engine = TrialEngine(backend=backend)
                 assert (
                     engine.run(
                         paired_trial, trials=75, seed=11, label="prop", channels=2

@@ -293,7 +293,7 @@ class TestElasticJoin:
                 joiner = threading.Thread(target=join_late)
                 joiner.start()
                 try:
-                    result = TrialEngine(executor=backend).run(
+                    result = TrialEngine(backend=backend).run(
                         bernoulli_trial, trials=120, seed=9
                     )
                 finally:
@@ -329,7 +329,7 @@ class TestElasticJoin:
                 leaver = threading.Thread(target=retire_late)
                 leaver.start()
                 try:
-                    result = TrialEngine(executor=backend).run(
+                    result = TrialEngine(backend=backend).run(
                         bernoulli_trial, trials=80, seed=4
                     )
                 finally:
@@ -367,7 +367,7 @@ class TestElasticJoin:
                 editor = threading.Thread(target=grow_fleet)
                 editor.start()
                 try:
-                    result = TrialEngine(executor=backend).run(
+                    result = TrialEngine(backend=backend).run(
                         bernoulli_trial, trials=120, seed=2
                     )
                 finally:

@@ -58,7 +58,7 @@ class TestWorkerPool:
     def test_engine_results_match_serial_through_the_pool(self, pool):
         reference = TrialEngine().run(bernoulli_trial, trials=60, seed=9)
         with DistributedBackend(pool.addresses, connect_timeout=10) as backend:
-            result = TrialEngine(executor=backend).run(
+            result = TrialEngine(backend=backend).run(
                 bernoulli_trial, trials=60, seed=9
             )
         assert result == reference
@@ -69,7 +69,7 @@ class TestWorkerPool:
         with backend:
             owned = backend._pool
             assert len(backend.workers) == 2
-            result = TrialEngine(executor=backend).run(
+            result = TrialEngine(backend=backend).run(
                 bernoulli_trial, trials=40, seed=3
             )
         assert result == reference
@@ -175,7 +175,7 @@ class TestWorkerPool:
                 ping_timeout=0.5,
                 connect_timeout=10,
             ) as backend:
-                TrialEngine(executor=backend).run(
+                TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=60, seed=5
                 )
             deadline = time.monotonic() + 10
@@ -211,7 +211,7 @@ class TestWorkerPool:
                 ping_timeout=0.5,
                 connect_timeout=10,
             ) as backend:
-                result = TrialEngine(executor=backend).run(
+                result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=60, seed=5
                 )
                 assert result == reference

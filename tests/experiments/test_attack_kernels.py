@@ -32,7 +32,7 @@ from repro.experiments.attack_resilience import (
     attack_resilience_point,
 )
 from repro.experiments.engine import TrialEngine
-from repro.experiments.executors import ChunkedExecutor, SweepPoolExecutor
+from repro.experiments.executors import SweepPoolExecutor
 from repro.util.stats import wilson_proportion_ci
 
 
@@ -137,12 +137,8 @@ class TestBatchUnits:
             batch, trials=300, seed=17, label="det", channels=2, batch_size=64
         )
         assert again == reference
-        chunked = TrialEngine(executor=ChunkedExecutor(chunk_size=3)).run_batched(
-            batch, trials=300, seed=17, label="det", channels=2, batch_size=64
-        )
-        assert chunked == reference
         with SweepPoolExecutor(jobs=2) as executor:
-            pooled = TrialEngine(executor=executor).run_batched(
+            pooled = TrialEngine(backend=executor).run_batched(
                 batch, trials=300, seed=17, label="det", channels=2, batch_size=64
             )
         assert pooled == reference

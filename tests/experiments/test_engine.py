@@ -1,8 +1,8 @@
 """The batched parallel trial engine: determinism, stopping, and wiring.
 
 The engine's contract is that the *executor is never observable in the
-results*: serial, chunked, and process-pool runs of the same seeded task
-are byte-identical, for any trial count (including counts that do not
+results*: serial and process-pool runs of the same seeded task are
+byte-identical, for any trial count (including counts that do not
 divide evenly into chunks) and any worker count.  These tests pin that
 contract, the adaptive-early-stopping behaviour, and the backward
 compatibility of the refactored experiment drivers.
@@ -15,9 +15,8 @@ import pytest
 from repro.experiments.attack_resilience import run_attack_resilience
 from repro.experiments.engine import EngineResult, TrialEngine
 from repro.experiments.executors import (
-    ChunkedExecutor,
-    ProcessPoolExecutor,
     SerialExecutor,
+    SweepPoolExecutor,
     trial_source,
 )
 from repro.util.rng import RandomSource
@@ -31,13 +30,25 @@ def paired_trial(rng):
     return rng.bernoulli(0.8), rng.bernoulli(0.2)
 
 
+# Module-level (picklable) so the pool really ships them to its workers.
+def sparse_batch(generator, count):
+    return (int((generator.random(count) < 0.3).sum()),)
+
+
+def dense_batch(generator, count):
+    return (int((generator.random(count) < 0.97).sum()),)
+
+
+def indexed_measure(index, rng):
+    return (index, round(rng.random(), 6))
+
+
 def all_executors():
     return [
         SerialExecutor(),
-        ChunkedExecutor(chunk_size=7),  # 53 and 101 don't divide by 7
-        ChunkedExecutor(chunk_size=64),
-        ProcessPoolExecutor(jobs=2),
-        ProcessPoolExecutor(jobs=3, chunk_size=9),
+        SweepPoolExecutor(jobs=2),
+        SweepPoolExecutor(jobs=2, chunk_size=7),  # 53, 101 don't divide by 7
+        SweepPoolExecutor(jobs=3, chunk_size=64),
     ]
 
 
@@ -48,7 +59,7 @@ class TestDeterminismAcrossExecutors:
             bernoulli_trial, trials=trials, seed=11, label="det"
         )
         for executor in all_executors():
-            result = TrialEngine(executor=executor).run(
+            result = TrialEngine(backend=executor).run(
                 bernoulli_trial, trials=trials, seed=11, label="det"
             )
             assert result == reference, executor
@@ -58,7 +69,7 @@ class TestDeterminismAcrossExecutors:
             paired_trial, trials=101, seed=5, label="pair", channels=2
         )
         for executor in all_executors():
-            result = TrialEngine(executor=executor).run(
+            result = TrialEngine(backend=executor).run(
                 paired_trial, trials=101, seed=5, label="pair", channels=2
             )
             assert result == reference, executor
@@ -66,7 +77,7 @@ class TestDeterminismAcrossExecutors:
     def test_adaptive_stopping_byte_identical(self):
         """The stopping decision is checkpointed, never executor-shaped."""
         results = [
-            TrialEngine(executor=executor, tolerance=0.05).run(
+            TrialEngine(backend=executor, tolerance=0.05).run(
                 bernoulli_trial, trials=5000, seed=3, label="stop"
             )
             for executor in all_executors()
@@ -75,27 +86,23 @@ class TestDeterminismAcrossExecutors:
         assert results[0].stopped_early
 
     def test_batched_mode_byte_identical(self):
-        def batch(generator, count):
-            return (int((generator.random(count) < 0.3).sum()),)
-
         reference = TrialEngine().run_batched(
-            batch, trials=997, seed=13, label="vec", batch_size=100
+            sparse_batch, trials=997, seed=13, label="vec", batch_size=100
         )
         for executor in all_executors():
-            result = TrialEngine(executor=executor).run_batched(
-                batch, trials=997, seed=13, label="vec", batch_size=100
+            result = TrialEngine(backend=executor).run_batched(
+                sparse_batch, trials=997, seed=13, label="vec", batch_size=100
             )
             assert result == reference, executor
 
     def test_collect_mode_preserves_index_order(self):
-        def measure(index, rng):
-            return (index, round(rng.random(), 6))
-
-        reference = TrialEngine().map(measure, trials=23, seed=7, label="m")
+        reference = TrialEngine().map(
+            indexed_measure, trials=23, seed=7, label="m"
+        )
         assert [index for index, _ in reference] == list(range(23))
         for executor in all_executors():
-            values = TrialEngine(executor=executor).map(
-                measure, trials=23, seed=7, label="m"
+            values = TrialEngine(backend=executor).map(
+                indexed_measure, trials=23, seed=7, label="m"
             )
             assert values == reference, executor
 
@@ -204,12 +211,9 @@ class TestAdaptiveStopping:
         assert low <= 0.02 <= high
 
     def test_batched_adaptive_stopping_byte_identical(self):
-        def batch(generator, count):
-            return (int((generator.random(count) < 0.97).sum()),)
-
         results = [
-            TrialEngine(executor=executor, tolerance=0.02).run_batched(
-                batch, trials=5000, seed=19, label="vstop", batch_size=100
+            TrialEngine(backend=executor, tolerance=0.02).run_batched(
+                dense_batch, trials=5000, seed=19, label="vstop", batch_size=100
             )
             for executor in all_executors()
         ]
@@ -276,7 +280,7 @@ class TestAttackResilienceSmoke:
 
     @pytest.mark.parametrize(
         "engine",
-        [None, TrialEngine(executor=ProcessPoolExecutor(jobs=2, chunk_size=7))],
+        [None, TrialEngine(backend=SweepPoolExecutor(jobs=2, chunk_size=7))],
         ids=["serial-default", "process-pool"],
     )
     def test_pinned_seed_values(self, engine):

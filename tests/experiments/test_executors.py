@@ -3,23 +3,27 @@
 The engine's determinism contract says the executor is never observable in
 the results; these tests push the paths that contract depends on but the
 figure drivers rarely exercise: worker counts above the trial count,
-zero-trial runs, chunk sizes that do not divide the trial count, and the
-long-lived :class:`SweepPoolExecutor` (pickle-shipped tasks, in-process
-fallback for unpicklable ones, one pool across many engine runs).
+zero-trial runs, partitions that do not divide the trial count, and the
+:class:`SweepPoolExecutor` (pickle-shipped tasks, in-process fallback for
+unpicklable ones, one pool across many runs, none left by a bare run).
 """
 
+import gc
+import itertools
+import multiprocessing
+import warnings
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.experiments import executors as executors_module
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import (
-    ChunkedExecutor,
-    ProcessPoolExecutor,
     SerialExecutor,
     SweepPoolExecutor,
     TrialTask,
-    make_executor,
-    make_sweep_executor,
+    _split_spans,
     pools_constructed,
     run_batch_range,
     run_collect_range,
@@ -41,6 +45,10 @@ def counting_batch(generator, count):
     return (int((generator.random(count) < 0.3).sum()),)
 
 
+def indexed_measure(index, rng):
+    return (index, round(rng.random(), 6))
+
+
 class TestJobsExceedTrials:
     """More workers than trials must still produce exact serial counts."""
 
@@ -50,11 +58,10 @@ class TestJobsExceedTrials:
             bernoulli_trial, trials=trials, seed=31, label="tiny"
         )
         for executor in (
-            ProcessPoolExecutor(jobs=8),
             SweepPoolExecutor(jobs=8),
-            ChunkedExecutor(chunk_size=100),
+            SweepPoolExecutor(jobs=2, chunk_size=100),
         ):
-            result = TrialEngine(executor=executor).run(
+            result = TrialEngine(backend=executor).run(
                 bernoulli_trial, trials=trials, seed=31, label="tiny"
             )
             assert result == reference, executor
@@ -63,19 +70,16 @@ class TestJobsExceedTrials:
         reference = TrialEngine().run_batched(
             counting_batch, trials=150, seed=7, label="vtiny", batch_size=100
         )
-        result = TrialEngine(executor=SweepPoolExecutor(jobs=8)).run_batched(
+        result = TrialEngine(backend=SweepPoolExecutor(jobs=8)).run_batched(
             counting_batch, trials=150, seed=7, label="vtiny", batch_size=100
         )
         assert result == reference
 
     def test_pool_collect_jobs_above_trial_count(self):
-        def measure(index, rng):
-            return (index, round(rng.random(), 6))
-
-        reference = TrialEngine().map(measure, trials=2, seed=3, label="c")
+        reference = TrialEngine().map(indexed_measure, trials=2, seed=3, label="c")
         with SweepPoolExecutor(jobs=6) as executor:
-            values = TrialEngine(executor=executor).map(
-                measure, trials=2, seed=3, label="c"
+            values = TrialEngine(backend=executor).map(
+                indexed_measure, trials=2, seed=3, label="c"
             )
         assert values == reference
 
@@ -101,10 +105,10 @@ class TestZeroTrials:
 
     @pytest.mark.parametrize(
         "executor",
-        [SerialExecutor(), ChunkedExecutor(chunk_size=3), SweepPoolExecutor(jobs=2)],
+        [SerialExecutor(), SweepPoolExecutor(jobs=2), SweepPoolExecutor(jobs=3)],
     )
     def test_engine_zero_trials_scalar(self, executor):
-        result = TrialEngine(executor=executor).run(
+        result = TrialEngine(backend=executor).run(
             bernoulli_trial, trials=0, seed=1, channels=2
         )
         assert result.trials == 0
@@ -131,20 +135,40 @@ class TestIndivisibleChunks:
     @pytest.mark.parametrize("trials", [1, 11, 53, 97])
     @pytest.mark.parametrize("chunk_size", [2, 7, 10, 64])
     def test_chunked_counts_match_serial(self, trials, chunk_size):
-        reference = TrialEngine().run(
-            bernoulli_trial, trials=trials, seed=13, label="mod"
+        task = TrialTask(seed=13, label="mod", trial=bernoulli_trial)
+        chunked = sum(
+            run_count_range(task, low, high)[0]
+            for low, high in _split_spans(0, trials, chunk_size)
         )
-        result = TrialEngine(executor=ChunkedExecutor(chunk_size=chunk_size)).run(
-            bernoulli_trial, trials=trials, seed=13, label="mod"
+        assert [chunked] == run_count_range(task, 0, trials)
+
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=6))
+    def test_any_partition_matches_the_single_span(self, lengths):
+        # Invariants (2) and (3) on the range functions every backend
+        # shares; a 0 length is an empty span.
+        bounds = [0, *itertools.accumulate(lengths)]
+        spans, n = list(zip(bounds, bounds[1:])), bounds[-1]
+        counts = TrialTask(seed=13, label="part", channels=2, trial=paired_trial)
+        collect = TrialTask(seed=13, label="part", indexed_trial=indexed_measure)
+        batches = TrialTask(  # n batches of 3 trials, the last a trial short
+            seed=13,
+            label="part",
+            batch=counting_batch,
+            batch_size=3,
+            total_trials=max(0, 3 * n - 1),
         )
-        assert result == reference
+        for run, task in ((run_count_range, counts), (run_batch_range, batches)):
+            parts = [run(task, low, high) for low, high in spans]
+            assert [sum(column) for column in zip(*parts)] == run(task, 0, n)
+        parts = [run_collect_range(collect, low, high) for low, high in spans]
+        assert sum(parts, []) == run_collect_range(collect, 0, n)
 
     def test_sweep_pool_chunk_not_dividing(self):
         reference = TrialEngine().run(
             paired_trial, trials=101, seed=5, label="mod2", channels=2
         )
         with SweepPoolExecutor(jobs=3, chunk_size=7) as executor:
-            result = TrialEngine(executor=executor).run(
+            result = TrialEngine(backend=executor).run(
                 paired_trial, trials=101, seed=5, label="mod2", channels=2
             )
         assert result == reference
@@ -155,7 +179,7 @@ class TestIndivisibleChunks:
             counting_batch, trials=97, seed=23, label="vb", batch_size=10
         )
         with SweepPoolExecutor(jobs=2) as executor:
-            result = TrialEngine(executor=executor).run_batched(
+            result = TrialEngine(backend=executor).run_batched(
                 counting_batch, trials=97, seed=23, label="vb", batch_size=10
             )
         assert result == reference
@@ -189,19 +213,23 @@ class TestSharedMemoryLane:
         )
         before = shm_buffers_created()
         with SweepPoolExecutor(jobs=2) as executor:
-            result = TrialEngine(executor=executor).run_batched(
+            result = TrialEngine(backend=executor).run_batched(
                 counting_batch, trials=230, seed=11, label="shm", batch_size=25
             )
         assert result == reference
         assert shm_buffers_created() > before
 
-    def test_disabled_lane_matches_too(self):
+    def test_disabled_lane_matches_too(self, monkeypatch):
+        # Without multiprocessing.shared_memory, counts come back pickled.
+        monkeypatch.setattr(
+            executors_module, "shared_memory_available", lambda: False
+        )
         reference = TrialEngine().run_batched(
             counting_batch, trials=230, seed=11, label="shm", batch_size=25
         )
         before = shm_buffers_created()
-        with SweepPoolExecutor(jobs=2, use_shared_memory=False) as executor:
-            result = TrialEngine(executor=executor).run_batched(
+        with SweepPoolExecutor(jobs=2) as executor:
+            result = TrialEngine(backend=executor).run_batched(
                 counting_batch, trials=230, seed=11, label="shm", batch_size=25
             )
         assert result == reference
@@ -217,7 +245,7 @@ class TestSharedMemoryLane:
             batch_size=13,
         )
         with SweepPoolExecutor(jobs=3) as executor:
-            result = TrialEngine(executor=executor).run_batched(
+            result = TrialEngine(backend=executor).run_batched(
                 negative_corner_batch,
                 trials=301,
                 seed=3,
@@ -227,14 +255,17 @@ class TestSharedMemoryLane:
             )
         assert result == reference
 
-    def test_adaptive_stopping_identical_across_lanes(self):
+    def test_adaptive_stopping_identical_across_lanes(self, monkeypatch):
         kwargs = dict(trials=1000, seed=21, label="tol", batch_size=50)
         reference = TrialEngine(tolerance=0.05).run_batched(
             counting_batch, **kwargs
         )
         for shared in (True, False):
-            with SweepPoolExecutor(jobs=2, use_shared_memory=shared) as executor:
-                result = TrialEngine(executor=executor, tolerance=0.05).run_batched(
+            monkeypatch.setattr(
+                executors_module, "shared_memory_available", lambda: shared
+            )
+            with SweepPoolExecutor(jobs=2) as executor:
+                result = TrialEngine(backend=executor, tolerance=0.05).run_batched(
                     counting_batch, **kwargs
                 )
             assert result == reference
@@ -265,11 +296,11 @@ class TestSharedMemoryLane:
         )
         with SweepPoolExecutor(jobs=2) as executor:
             with pytest.raises(RuntimeError, match="injected shared-memory"):
-                TrialEngine(executor=executor).run_batched(
+                TrialEngine(backend=executor).run_batched(
                     FailingBatch(), trials=120, seed=7, batch_size=10
                 )
             # The pool survives and the next (healthy) run still works.
-            healthy = TrialEngine(executor=executor).run_batched(
+            healthy = TrialEngine(backend=executor).run_batched(
                 counting_batch, trials=120, seed=7, batch_size=10
             )
         assert healthy == TrialEngine().run_batched(
@@ -290,7 +321,7 @@ class TestSharedMemoryLane:
         )
         before = shm_buffers_created()
         with SweepPoolExecutor(jobs=2) as executor:
-            result = TrialEngine(executor=executor).run_batched(
+            result = TrialEngine(backend=executor).run_batched(
                 closure, trials=90, seed=2, label="clb", batch_size=30
             )
         assert result == reference
@@ -300,8 +331,8 @@ class TestSharedMemoryLane:
 class TestSweepPoolLifecycle:
     def test_one_pool_across_many_engine_runs(self):
         before = pools_constructed()
-        with SweepPoolExecutor(jobs=2) as executor:
-            engine = TrialEngine(executor=executor)
+        engine = TrialEngine(jobs=2)
+        with engine.executor:
             reference = [
                 TrialEngine().run(bernoulli_trial, trials=40, seed=seed)
                 for seed in (1, 2, 3)
@@ -314,23 +345,32 @@ class TestSweepPoolLifecycle:
         assert pools_constructed() - before == 1
 
     def test_per_run_pool_constructs_one_pool_per_run(self):
-        # The contrast that motivates the sweep pool.
+        # Regression: a bare jobs > 1 run used to leak its pool.  What
+        # start() had to open, the matching finish() closes — no children,
+        # no "unclosed running multiprocessing pool" ResourceWarning.
         before = pools_constructed()
-        engine = TrialEngine(executor=ProcessPoolExecutor(jobs=2))
-        for seed in (1, 2, 3):
-            engine.run(bernoulli_trial, trials=40, seed=seed)
+        children = set(multiprocessing.active_children())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            engine = TrialEngine(jobs=2)
+            for seed in (1, 2, 3):
+                engine.run(bernoulli_trial, trials=40, seed=seed)
+            assert set(multiprocessing.active_children()) <= children
+            del engine
+            gc.collect()
         assert pools_constructed() - before == 3
+        assert not [w for w in caught if w.category is ResourceWarning]
 
     def test_unpicklable_task_falls_back_in_process(self):
         bias = 0.6
         closure = lambda rng: rng.bernoulli(bias)  # noqa: E731 - deliberate
         reference = TrialEngine().run(closure, trials=60, seed=9, label="cl")
         with SweepPoolExecutor(jobs=2) as executor:
-            result = TrialEngine(executor=executor).run(
+            result = TrialEngine(backend=executor).run(
                 closure, trials=60, seed=9, label="cl"
             )
             # The pool survives the fallback and still serves picklable tasks.
-            after = TrialEngine(executor=executor).run(
+            after = TrialEngine(backend=executor).run(
                 bernoulli_trial, trials=60, seed=9, label="ok"
             )
         assert result == reference
@@ -341,38 +381,26 @@ class TestSweepPoolLifecycle:
     def test_close_then_reopen(self):
         executor = SweepPoolExecutor(jobs=2)
         with executor:
-            first = TrialEngine(executor=executor).run(
+            first = TrialEngine(backend=executor).run(
                 bernoulli_trial, trials=30, seed=4
             )
         with executor:
-            second = TrialEngine(executor=executor).run(
+            second = TrialEngine(backend=executor).run(
                 bernoulli_trial, trials=30, seed=4
             )
         assert first == second
 
     def test_unopened_executor_runs_in_process(self):
-        # start() opens lazily, so a bare engine run works too.
+        # start() opens lazily — and finish() closes what start() opened.
         executor = SweepPoolExecutor(jobs=2)
-        try:
-            result = TrialEngine(executor=executor).run(
-                bernoulli_trial, trials=30, seed=4
-            )
-        finally:
-            executor.close()
+        result = TrialEngine(backend=executor).run(bernoulli_trial, trials=30, seed=4)
+        assert executor._pool is None
         assert result == TrialEngine().run(bernoulli_trial, trials=30, seed=4)
-
-    def test_factories(self):
-        assert isinstance(make_sweep_executor(1), SerialExecutor)
-        sweep = make_sweep_executor(3)
-        assert isinstance(sweep, SweepPoolExecutor) and sweep.jobs == 3
-        assert isinstance(make_executor(1), SerialExecutor)
-        with pytest.raises(ValueError):
-            make_sweep_executor(0)
 
     def test_serial_executor_context_manager_is_noop(self):
         before = pools_constructed()
-        with make_sweep_executor(1) as executor:
-            result = TrialEngine(executor=executor).run(
+        with SerialExecutor() as executor:
+            result = TrialEngine(backend=executor).run(
                 bernoulli_trial, trials=25, seed=6
             )
         assert pools_constructed() == before

@@ -1,35 +1,32 @@
-"""Monte-Carlo runner and textual reporting."""
+"""Single-estimate engine entry points and textual reporting."""
 
 import pytest
 
+from repro.experiments.engine import TrialEngine
 from repro.experiments.reporting import (
     comparison_rows,
     format_cost_table,
     format_series_table,
-)
-from repro.experiments.runner import (
-    estimate_probability,
-    estimate_resilience_pair,
 )
 
 
 class TestEstimateProbability:
     def test_deterministic(self):
         trial = lambda rng: rng.bernoulli(0.4)
-        a = estimate_probability(trial, trials=500, seed=1)
-        b = estimate_probability(trial, trials=500, seed=1)
+        a = TrialEngine().estimate(trial, trials=500, seed=1)
+        b = TrialEngine().estimate(trial, trials=500, seed=1)
         assert a == b
 
     def test_estimate_close_to_truth(self):
-        result = estimate_probability(
+        result = TrialEngine().estimate(
             lambda rng: rng.bernoulli(0.3), trials=5000, seed=2
         )
         assert result.estimate == pytest.approx(0.3, abs=0.03)
         assert result.low <= 0.3 <= result.high
 
     def test_extremes(self):
-        always = estimate_probability(lambda rng: True, trials=100, seed=3)
-        never = estimate_probability(lambda rng: False, trials=100, seed=3)
+        always = TrialEngine().estimate(lambda rng: True, trials=100, seed=3)
+        never = TrialEngine().estimate(lambda rng: False, trials=100, seed=3)
         assert always.estimate == 1.0
         assert never.estimate == 0.0
 
@@ -40,16 +37,16 @@ class TestEstimateProbability:
             observed.append(rng.random())
             return True
 
-        estimate_probability(trial, trials=50, seed=4)
+        TrialEngine().estimate(trial, trials=50, seed=4)
         assert len(set(observed)) == 50
 
     def test_str_format(self):
-        result = estimate_probability(lambda rng: True, trials=10, seed=5)
+        result = TrialEngine().estimate(lambda rng: True, trials=10, seed=5)
         assert "n=10" in str(result)
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            estimate_probability(lambda rng: True, trials=-1)
+            TrialEngine().estimate(lambda rng: True, trials=-1)
 
 
 class TestPairedEstimate:
@@ -57,7 +54,7 @@ class TestPairedEstimate:
         def trial(rng):
             return rng.bernoulli(0.8), rng.bernoulli(0.2)
 
-        pair = estimate_resilience_pair(trial, trials=3000, seed=6)
+        pair = TrialEngine().estimate_pair(trial, trials=3000, seed=6)
         assert pair.release.estimate == pytest.approx(0.8, abs=0.03)
         assert pair.drop.estimate == pytest.approx(0.2, abs=0.03)
         assert pair.worst == pair.drop.estimate

@@ -15,6 +15,7 @@ from repro import api
 from repro.backends import DistributedBackend, FaultSpec, WorkerServer
 from repro.backends.wire import fetch_worker_stats
 from repro.experiments.engine import TrialEngine
+from repro.experiments.executors import SerialExecutor
 from repro.obs import JsonlSink, Tracer, read_trace
 from repro.scenarios import ResultStore, SweepOrchestrator, get_scenario
 
@@ -130,7 +131,7 @@ class TestWorkerTelemetry:
         with WorkerServer() as server:
             host, port = server.address
             with DistributedBackend([f"{host}:{port}"]) as backend:
-                engine = TrialEngine(executor=backend)
+                engine = TrialEngine(backend=backend)
                 engine.run(bernoulli_trial, trials=40, seed=1)
                 snapshot = fetch_worker_stats(host, port)
         assert snapshot is not None
@@ -153,7 +154,7 @@ class TestWorkerTelemetry:
             address = f"{host}:{port}"
             backend = DistributedBackend([address])
             with backend:
-                TrialEngine(executor=backend).run(
+                TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=40, seed=1
                 )
         assert address in backend.last_worker_stats
@@ -164,7 +165,7 @@ class TestWorkerTelemetry:
         with WorkerServer() as server:
             host, port = server.address
             with DistributedBackend([f"{host}:{port}"]) as backend:
-                TrialEngine(executor=backend).run(
+                TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=40, seed=1
                 )
                 stats = backend.stats
@@ -198,7 +199,7 @@ class TestFaultEventsMatchStats:
             backend.tracer = tracer
             with backend:
                 with tracer.span("sweep"):
-                    TrialEngine(executor=backend).run(
+                    TrialEngine(backend=backend).run(
                         bernoulli_trial, trials=60, seed=7
                     )
                 stats = backend.stats
@@ -242,7 +243,7 @@ class TestFaultEventsMatchStats:
             backend = DistributedBackend(addresses, chunk_size=5)
             backend.tracer = tracer
             with backend:
-                TrialEngine(executor=backend).run(
+                TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=60, seed=3
                 )
                 stats = backend.stats
@@ -261,35 +262,10 @@ class TestPartialStatsSurvival:
     def test_backend_stats_snapshot_survives_a_failing_finish(self, tmp_path):
         """Satellite: a backend dying in finish() still yields stats."""
 
-        class DoomedBackend:
+        class DoomedBackend(SerialExecutor):
             """Serial execution, canned stats, a finish() that dies."""
 
-            def __init__(self):
-                self.stats = {"spans_completed": 3, "worker_failures": 1}
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                pass
-
-            def start(self, task):
-                self._task = task
-
-            def run_counts(self, task, start, stop):
-                from repro.experiments.executors import run_count_range
-
-                return run_count_range(task, start, stop)
-
-            def run_batches(self, task, first, last):
-                from repro.experiments.executors import run_batch_range
-
-                return run_batch_range(task, first, last)
-
-            def run_collect(self, task, start, stop):
-                from repro.experiments.executors import run_collect_range
-
-                return run_collect_range(task, start, stop)
+            stats = {"spans_completed": 3, "worker_failures": 1}
 
             def finish(self):
                 raise ConnectionError("fleet gone mid-finish")
@@ -297,7 +273,7 @@ class TestPartialStatsSurvival:
         trace_path = tmp_path / "t.jsonl"
         tracer = Tracer(JsonlSink(trace_path))
         orchestrator = SweepOrchestrator(
-            executor=DoomedBackend(), tracer=tracer
+            backend=DoomedBackend(), tracer=tracer
         )
         with pytest.raises(ConnectionError, match="mid-finish"):
             orchestrator.run(get_scenario("smoke"), trials=20)

@@ -99,7 +99,7 @@ class TestFallbackLadder:
         # executor survives point 0 and collapses on point 1.
         orchestrator = SweepOrchestrator(
             store=store,
-            executor=CollapsingExecutor(collapse_after_spans=1),
+            backend=CollapsingExecutor(collapse_after_spans=1),
             fallback="local",
             tracer=Tracer(JsonlSink(trace_path)),
         )
@@ -128,7 +128,7 @@ class TestFallbackLadder:
         degraded_store = ResultStore(tmp_path / "degraded")
         SweepOrchestrator(
             store=degraded_store,
-            executor=CollapsingExecutor(collapse_after_spans=1),
+            backend=CollapsingExecutor(collapse_after_spans=1),
             fallback="local",
         ).run(spec)
         keys = healthy_store.keys(spec.name)
@@ -144,7 +144,7 @@ class TestFallbackLadder:
         store = ResultStore(tmp_path)
         spec = degradation_spec()
         orchestrator = SweepOrchestrator(
-            store=store, executor=CollapsingExecutor(collapse_after_spans=1)
+            store=store, backend=CollapsingExecutor(collapse_after_spans=1)
         )
         with pytest.raises(NoWorkersLeft):
             orchestrator.run(spec)
@@ -169,7 +169,7 @@ class TestFallbackLadder:
         raised while already on the fallback must propagate."""
         spec = degradation_spec(points=2)
         orchestrator = SweepOrchestrator(
-            executor=CollapsingExecutor(collapse_after_spans=0),
+            backend=CollapsingExecutor(collapse_after_spans=0),
             fallback="local",
         )
         report = orchestrator.run(spec)
@@ -208,7 +208,7 @@ class TestWatchdog:
         trace_path = tmp_path / "trace.jsonl"
         spec = degradation_spec(points=2)
         orchestrator = SweepOrchestrator(
-            executor=CancellableExecutor(hang_on_span=1),
+            backend=CancellableExecutor(hang_on_span=1),
             fallback="local",
             point_deadline=0.2,
             tracer=Tracer(JsonlSink(trace_path)),
@@ -238,7 +238,7 @@ class TestWatchdog:
     def test_deadline_without_fallback_propagates(self, counting_kind):
         spec = degradation_spec(points=2)
         orchestrator = SweepOrchestrator(
-            executor=CancellableExecutor(hang_on_span=1),
+            backend=CancellableExecutor(hang_on_span=1),
             point_deadline=0.2,
         )
         with pytest.raises(PointDeadlineExceeded):
@@ -251,6 +251,6 @@ class TestWatchdog:
         # not crash, and the sweep completes normally.
         spec = degradation_spec(points=2)
         report = SweepOrchestrator(
-            executor=SerialExecutor(), point_deadline=0.05
+            backend=SerialExecutor(), point_deadline=0.05
         ).run(spec)
         assert report.computed == 2

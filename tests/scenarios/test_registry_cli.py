@@ -477,31 +477,23 @@ class TestCli:
                     "--store",
                     str(tmp_path),
                     "--backend",
-                    "chunked",
+                    "shm-pool",
                     "--chunk-size",
                     bad,
                 ]
             )
 
     def test_chunk_size_auto_works_on_every_chunked_backend(self, tmp_path):
-        """'auto' must not blow up mid-sweep on any backend taking the
-        option — and by the determinism contract it changes nothing."""
+        """'auto' must not blow up mid-sweep — and by the determinism
+        contract it changes nothing.  (The distributed lane's 'auto' is
+        held in test_autotune.py.)"""
         reference = None
-        for backend in ("chunked", "shm-pool"):
-            store = tmp_path / backend
+        for backend in (["serial"], ["shm-pool", "--chunk-size", "auto"]):
+            store = tmp_path / backend[0]
             assert (
                 main(
-                    [
-                        "sweep",
-                        "run",
-                        "smoke",
-                        "--store",
-                        str(store),
-                        "--backend",
-                        backend,
-                        "--chunk-size",
-                        "auto",
-                    ]
+                    ["sweep", "run", "smoke", "--store", str(store)]
+                    + ["--backend", *backend]
                 )
                 == 0
             )
@@ -631,8 +623,8 @@ class TestCli:
     def test_backends_list_cli(self, capsys):
         assert main(["backends", "list"]) == 0
         out = capsys.readouterr().out
-        for name in ("serial", "fork-pool", "shm-pool", "distributed"):
-            assert name in out
+        listed = [line.split()[0] for line in out.splitlines() if line[:1].strip()]
+        assert listed == ["distributed", "serial", "shm-pool"]
         assert "remote" in out
         assert "elastic" in out
 
@@ -646,7 +638,7 @@ class TestCli:
                     "--trials",
                     "10",
                     "--backend",
-                    "chunked",
+                    "shm-pool",
                 ]
             )
             == 0

@@ -7,9 +7,9 @@ import os
 import pytest
 
 from repro.backends import BackendSpec
+from repro.scenarios import SweepOrchestrator, get_scenario
 from repro.scenarios.spec import Axis, EngineSettings, ScenarioSpec
 from repro.scenarios.store import (
-    LEGACY_GENERATION,
     STORE_GENERATION,
     ResultStore,
     StoreIntegrityError,
@@ -88,7 +88,7 @@ class TestCacheKeys:
         reference = point_cache_key(spec_for_keys(), {"p": 0.1})
         for backend in (
             BackendSpec("serial"),
-            BackendSpec("shm-pool", {"jobs": 8, "use_shared_memory": False}),
+            BackendSpec("shm-pool", {"jobs": 8, "chunk_size": 3}),
             BackendSpec("distributed", {"workers": ["a:1", "b:2"]}),
         ):
             pinned = spec_for_keys(engine=EngineSettings(backend=backend))
@@ -134,10 +134,8 @@ class TestResultStore:
         assert finalize_record(stamped) == stamped
 
     def test_untagged_records_read_as_legacy_generation(self):
-        assert record_generation({"result": {}}) == LEGACY_GENERATION
-        assert record_generation({"store_generation": "bogus"}) == (
-            LEGACY_GENERATION
-        )
+        assert record_generation({"result": {}}) == 1
+        assert record_generation({"store_generation": "bogus"}) == 1
 
     def test_keys_and_counts(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -374,14 +372,25 @@ class TestIntegrity:
         assert report.scanned == 3 and report.ok == 3
         assert report.clean and report.bad_paths() == []
 
-    def test_legacy_records_are_trusted_not_flagged(self, tmp_path):
-        store = self.populated(tmp_path)
-        legacy = tmp_path / "scn" / "00ff.json"
-        legacy.write_text(json.dumps({"result": {"value": 0.9}}))
-        report = store.verify()
-        assert report.legacy == 1 and report.clean
-        # And load_verified serves them exactly as before checksums.
-        assert store.load_verified("scn", "00ff")["result"] == {"value": 0.9}
+    def test_stripping_the_checksum_does_not_defeat_the_check(self, tmp_path):
+        store = ResultStore(tmp_path)
+        spec = get_scenario("smoke")
+        SweepOrchestrator(store=store).run(spec, trials=20)
+        victim = sorted((tmp_path / "smoke").glob("*.json"))[0]
+        pristine = victim.read_bytes()
+        edited = json.loads(pristine)
+        del edited["checksum"]
+        edited["result"]["trials_run"] = 10**6
+        victim.write_text(json.dumps(edited))
+        # Reported, not trusted...
+        assert [p.name for p in store.verify().mismatched] == [victim.name]
+        with pytest.raises(StoreIntegrityError, match="mismatch"):
+            store.load_verified("smoke", victim.stem)
+        # ...quarantined by repair, and recomputed byte-identically.
+        assert [p.name for p in store.repair().quarantined] == [victim.name]
+        report = SweepOrchestrator(store=store).run(spec, trials=20)
+        assert (report.computed, report.cached) == (1, 1)
+        assert victim.read_bytes() == pristine
 
     def test_verify_flags_torn_and_tampered_records(self, tmp_path):
         store = self.populated(tmp_path)

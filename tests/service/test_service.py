@@ -299,7 +299,7 @@ class TestFairShare:
         spec_a = service_scenarios["service-test"]
         spec_b = _make_spec("service-test-b", seed=11)
         store = ResultStore(tmp_path / "store")
-        executor = get_backend(None, jobs=1, sweep=True)
+        executor = get_backend(None, jobs=1)
 
         async def scenario():
             table = JobTable()
@@ -324,7 +324,7 @@ class TestFairShare:
         long_spec = _make_spec("service-test-long", points=8, seed=13)
         short_spec = _make_spec("service-test-short", points=2, seed=17)
         store = ResultStore(tmp_path / "store")
-        executor = get_backend(None, jobs=1, sweep=True)
+        executor = get_backend(None, jobs=1)
 
         async def scenario():
             table = JobTable()
