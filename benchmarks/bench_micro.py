@@ -28,6 +28,7 @@ from repro.crypto.shamir import (
 from repro.dht.bootstrap import build_network
 from repro.dht.node_id import NodeId
 from repro.experiments.engine import TrialEngine
+from repro.experiments.timeliness import TimelinessTrial
 from repro.util.rng import RandomSource
 
 BENCH = "micro"
@@ -202,3 +203,13 @@ def test_dht_iterative_lookup(benchmark):
 def test_overlay_construction(benchmark):
     overlay = benchmark(build_network, 1000, 79)
     assert len(overlay) == 1000
+
+
+def test_protocol_release_share(benchmark):
+    """One ``share`` release on a fresh 100-node overlay: build, install
+    holders, send, run the loop to release — the perf ledger's
+    ``protocol-release`` run shape, and the Kademlia lane's heaviest user
+    (about 1,150 RPCs of hop re-resolution)."""
+    release = TimelinessTrial("share", max_latency=0.5, seed=2017, path_length=3)
+    lateness = benchmark(release, 0, None)
+    assert lateness is not None and 0.0 <= lateness < 1.0

@@ -102,9 +102,10 @@ class HolderService:
                 # A dropping holder swallows onions and shares.  It still
                 # accepts layer keys: refusing those would not help it, and
                 # the leak above already recorded them.
-                self.context.trace.record(
-                    now, "attack", f"{self.node.node_id} dropped {channel} package"
-                )
+                if self.context.trace.enabled:
+                    self.context.trace.record(
+                        now, "attack", f"{self.node.node_id} dropped {channel} package"
+                    )
                 return
 
         if channel == CHANNEL_LAYER_KEY:
@@ -165,12 +166,13 @@ class HolderService:
         del self._pending[(key_id, row)]
         self._processed.add((key_id, row))
         now = self.context.network.loop.clock.now
-        self.context.trace.record(
-            now,
-            "holder",
-            f"{self.node.node_id} peeled column {layer.column} (row {row})",
-            column=layer.column,
-        )
+        if self.context.trace.enabled:
+            self.context.trace.record(
+                now,
+                "holder",
+                f"{self.node.node_id} peeled column {layer.column} (row {row})",
+                column=layer.column,
+            )
         if self.context.is_malicious(self.node.node_id):
             self.context.pool.deposit(
                 Observation(

@@ -116,13 +116,13 @@ def _seed_routing_tables(
     ordered = sorted(ids, key=lambda node_id: node_id.value)
     index_of = {node_id: position for position, node_id in enumerate(ordered)}
     population = len(ordered)
+    sample_count = min(contacts_per_node, population - 1)
     for node_id, node in nodes.items():
+        add_contact = node.routing_table.add_contact
         position = index_of[node_id]
         lo = max(0, position - node.bucket_size // 2)
         hi = min(population, position + node.bucket_size // 2 + 1)
         for neighbour in ordered[lo:hi]:
-            node.routing_table.add_contact(neighbour)
-        sample_count = min(contacts_per_node, population - 1)
+            add_contact(neighbour)
         for _ in range(sample_count):
-            peer = ordered[rng.randrange(population)]
-            node.routing_table.add_contact(peer)
+            add_contact(ordered[rng.randrange(population)])

@@ -13,10 +13,11 @@ payloads (onion packages, key shares).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set, Tuple
 
-from repro.dht.node_id import NodeId, sort_by_distance
+from repro.dht.node_id import NodeId
 from repro.dht.rpc import (
     Deliver,
     DeliverAck,
@@ -75,7 +76,7 @@ class KademliaNode:
         self.store = ValueStore(network.loop.clock)
         self.bucket_size = bucket_size
         self.concurrency = max(1, concurrency)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
+        self.trace = trace if trace is not None else network.trace
         self.deliver_handler: Optional[DeliverHandler] = None
         self.delivered_payloads: List[Tuple[str, bytes]] = []
 
@@ -113,12 +114,13 @@ class KademliaNode:
         raise TypeError(f"unhandled request type {type(request).__name__}")
 
     def _closest_excluding(self, target: NodeId, sender: NodeId) -> Tuple[NodeId, ...]:
+        sender_value = sender.value
         contacts = [
             contact
             for contact in self.routing_table.closest_contacts(
                 target, self.bucket_size + 1
             )
-            if contact != sender
+            if contact.value != sender_value
         ]
         return tuple(contacts[: self.bucket_size])
 
@@ -194,70 +196,71 @@ class KademliaNode:
         """The iterative α-probe loop shared by FIND_NODE and FIND_VALUE."""
         from repro.dht.network import NodeUnreachable
 
-        shortlist = self.routing_table.closest_contacts(target, self.bucket_size)
-        queried: Set[NodeId] = {self.node_id}
+        target_value = target.value
+        # Both lists hold (distance, contact) nearest first; XOR distances to
+        # one target are distinct, so tuple order never reaches the contact.
+        # ``pending`` is the part of the shortlist not yet probed.
+        shortlist = [
+            (contact.value ^ target_value, contact)
+            for contact in self.routing_table.closest_contacts(target, self.bucket_size)
+        ]
+        pending = list(shortlist)
+        known: Set[NodeId] = {contact for _, contact in shortlist}
+        known.add(self.node_id)
         failed: List[NodeId] = []
         result = LookupResult(target=target, closest=[])
         best_distance: Optional[int] = None
+        request = (
+            FindValue(sender=self.node_id, key=target)
+            if find_value
+            else FindNode(sender=self.node_id, target=target)
+        )
 
-        while True:
-            candidates = [
-                contact
-                for contact in sort_by_distance(shortlist, target)
-                if contact not in queried and contact not in failed
-            ][: self.concurrency]
-            if not candidates:
-                break
+        while pending and result.value is None:
+            candidates = pending[: self.concurrency]
+            del pending[: self.concurrency]
             result.rounds += 1
-            round_rtts: List[float] = []
+            # α probes run in parallel: charge the slowest of the round,
+            # where a dead contact costs the timeout the caller sat out.
+            round_wait = 0.0
             improved = False
-            for contact in candidates:
-                queried.add(contact)
-                request = (
-                    FindValue(sender=self.node_id, key=target)
-                    if find_value
-                    else FindNode(sender=self.node_id, target=target)
-                )
+            for _, contact in candidates:
                 try:
                     response, rtt = self.network.rpc(request, contact)
-                except NodeUnreachable:
+                except NodeUnreachable as unreachable:
+                    round_wait = max(round_wait, unreachable.waited)
                     failed.append(contact)
                     self.routing_table.remove_contact(contact)
                     continue
-                round_rtts.append(rtt)
+                round_wait = max(round_wait, rtt)
                 result.contacted += 1
                 self.routing_table.add_contact(contact, probe=self._probe_contact)
                 if isinstance(response, FoundValue) and response.value is not None:
                     result.value = response.value
-                    result.elapsed += max(round_rtts)
-                    result.closest = sort_by_distance(
-                        [c for c in shortlist if c not in failed], target
-                    )[: self.bucket_size]
-                    result.failures = failed
-                    return result
-                new_contacts = (
-                    response.contacts if hasattr(response, "contacts") else ()
-                )
-                for new_contact in new_contacts:
-                    if new_contact == self.node_id or new_contact in shortlist:
+                    break
+                for new_contact in getattr(response, "contacts", ()):
+                    if new_contact in known:
                         continue
-                    shortlist.append(new_contact)
-                    distance = new_contact.distance_to(target)
+                    known.add(new_contact)
+                    distance = new_contact.value ^ target_value
+                    entry = (distance, new_contact)
+                    insort(shortlist, entry)
+                    insort(pending, entry)
                     if best_distance is None or distance < best_distance:
                         best_distance = distance
                         improved = True
-            if round_rtts:
-                # α probes run in parallel: charge the slowest of the round.
-                result.elapsed += max(round_rtts)
-            if not improved and all(
-                contact in queried or contact in failed
-                for contact in sort_by_distance(shortlist, target)[: self.bucket_size]
+            result.elapsed += round_wait
+            # Done once a round learns nothing nearer and the k nearest known
+            # contacts (dead ones included) have all been probed.
+            if not improved and (
+                not pending or pending[0] > shortlist[: self.bucket_size][-1]
             ):
                 break
 
-        result.closest = sort_by_distance(
-            [c for c in shortlist if c not in failed], target
-        )[: self.bucket_size]
+        dead = set(failed)
+        result.closest = [contact for _, contact in shortlist if contact not in dead][
+            : self.bucket_size
+        ]
         result.failures = failed
         return result
 

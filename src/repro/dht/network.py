@@ -5,9 +5,11 @@ carries RPCs between them.  Two delivery modes are offered:
 
 - :meth:`SimulatedNetwork.rpc` — synchronous request/response that returns
   ``(response, round_trip_seconds)``.  Kademlia's iterative lookup uses
-  this and *accounts* the accumulated latency, which the protocol layer then
-  converts into scheduled forwarding delays.  This keeps lookup logic
-  straight-line while preserving timing semantics.
+  this and *accounts* the accumulated latency in ``LookupResult.elapsed``.
+  Nothing consumes that figure yet: the protocol layer resolves a hop and
+  hands the package over in the same virtual instant, so only
+  :meth:`send_at`'s one-way delay reaches the release schedule (ROADMAP,
+  fidelity item).  This keeps lookup logic straight-line.
 - :meth:`SimulatedNetwork.send_at` — fire-and-forget delivery scheduled on
   the event loop at an absolute virtual time; the key-routing protocol uses
   it for holder-to-holder package handoffs at period boundaries.
@@ -37,12 +39,16 @@ class Liveness(Enum):
 
 
 class NodeUnreachable(Exception):
-    """Raised when an RPC targets a node that is offline or dead."""
+    """Raised when an RPC targets a node that is offline or dead.
 
-    def __init__(self, node_id: NodeId, liveness: Liveness) -> None:
+    ``waited`` is the one-way delay the caller sat out before giving up.
+    """
+
+    def __init__(self, node_id: NodeId, liveness: Liveness, waited: float) -> None:
         super().__init__(f"node {node_id} is {liveness.value}")
         self.node_id = node_id
         self.liveness = liveness
+        self.waited = waited
 
 
 class SimulatedNetwork:
@@ -136,15 +142,16 @@ class SimulatedNetwork:
         self._require_known(target)
         one_way = self.latency.delay(request.sender.value, target.value)
         if not self.is_online(target):
-            raise NodeUnreachable(target, self._liveness[target])
+            raise NodeUnreachable(target, self._liveness[target], one_way)
         node = self._nodes[target]
         response = node.handle_request(request)
         self.rpc_count += 1
-        self.trace.record(
-            self.loop.clock.now,
-            "rpc",
-            f"{describe(request)} {request.sender} -> {target}",
-        )
+        if self.trace.enabled:
+            self.trace.record(
+                self.loop.clock.now,
+                "rpc",
+                f"{describe(request)} {request.sender} -> {target}",
+            )
         return response, 2.0 * one_way
 
     def send_at(
@@ -168,26 +175,28 @@ class SimulatedNetwork:
         def deliver() -> None:
             if not self.is_online(target):
                 self.dropped_sends += 1
-                self.trace.record(
-                    self.loop.clock.now,
-                    "network",
-                    f"dropped {describe(request)} to {target} "
-                    f"({self._liveness[target].value})",
-                )
+                if self.trace.enabled:
+                    self.trace.record(
+                        self.loop.clock.now,
+                        "network",
+                        f"dropped {describe(request)} to {target} "
+                        f"({self._liveness[target].value})",
+                    )
                 if on_failed is not None:
                     on_failed(target)
                 return
             node = self._nodes[target]
             response = node.handle_request(request)
-            self.trace.record(
-                self.loop.clock.now,
-                "network",
-                f"delivered {describe(request)} {request.sender} -> {target}",
-            )
+            if self.trace.enabled:
+                self.trace.record(
+                    self.loop.clock.now,
+                    "network",
+                    f"delivered {describe(request)} {request.sender} -> {target}",
+                )
             if on_delivered is not None:
                 on_delivered(response)
 
-        self.loop.call_at(timestamp + one_way, deliver, label=describe(request))
+        self.loop.call_at(timestamp + one_way, deliver, label=type(request).__name__)
 
     def _require_known(self, node_id: NodeId) -> None:
         if node_id not in self._nodes:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from repro.util.rng import RandomSource
@@ -13,17 +12,64 @@ ID_BYTES = ID_BITS // 8
 _MAX_ID = (1 << ID_BITS) - 1
 
 
-@dataclass(frozen=True, order=True)
 class NodeId:
-    """An identifier in the 160-bit Kademlia id space."""
+    """An identifier in the 160-bit Kademlia id space.
 
-    value: int
+    An immutable value object.  Lookups compare and hash ids millions of
+    times per release, so equality short-circuits on identity (an overlay
+    shares one instance per node) and the hash is computed once.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int):
-            raise TypeError(f"id value must be int, got {type(self.value).__name__}")
-        if not 0 <= self.value <= _MAX_ID:
-            raise ValueError(f"id value out of range: {self.value}")
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: int) -> None:
+        if not isinstance(value, int):
+            raise TypeError(f"id value must be int, got {type(value).__name__}")
+        if not 0 <= value <= _MAX_ID:
+            raise ValueError(f"id value out of range: {value}")
+        object.__setattr__(self, "value", value)
+        # Pinned to the hash of the 1-tuple: the iteration order of every
+        # set and dict of ids, and so every trace, depends on this value.
+        object.__setattr__(self, "_hash", hash((value,)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (NodeId, (self.value,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is NodeId:
+            return self.value == other.value
+        return NotImplemented
+
+    def __lt__(self, other: "NodeId") -> bool:
+        if other.__class__ is NodeId:
+            return self.value < other.value
+        return NotImplemented
+
+    def __le__(self, other: "NodeId") -> bool:
+        if other.__class__ is NodeId:
+            return self.value <= other.value
+        return NotImplemented
+
+    def __gt__(self, other: "NodeId") -> bool:
+        if other.__class__ is NodeId:
+            return self.value > other.value
+        return NotImplemented
+
+    def __ge__(self, other: "NodeId") -> bool:
+        if other.__class__ is NodeId:
+            return self.value >= other.value
+        return NotImplemented
 
     # -- constructors ------------------------------------------------------
 
@@ -71,13 +117,14 @@ class NodeId:
         return self.value.to_bytes(ID_BYTES, "big")
 
     def hex(self) -> str:
-        return self.to_bytes().hex()
+        return format(self.value, "040x")
 
     def __str__(self) -> str:
-        return self.hex()[:12]
+        """The leading 48 bits, as 12 hex digits."""
+        return format(self.value >> (ID_BITS - 48), "012x")
 
     def __repr__(self) -> str:
-        return f"NodeId({self.hex()[:12]}...)"
+        return f"NodeId({self}...)"
 
 
 def sort_by_distance(ids: Iterable[NodeId], target: NodeId) -> List[NodeId]:

@@ -1,6 +1,6 @@
 """k-bucket routing tables (Kademlia §2.2, §2.4).
 
-Each node keeps 160 buckets; bucket ``i`` holds contacts whose XOR distance
+Each node has 160 buckets; bucket ``i`` holds contacts whose XOR distance
 from the owner has bit length ``i + 1``.  Buckets are least-recently-seen
 ordered: fresh contacts go to the tail, re-seen contacts move to the tail,
 and when a bucket is full the head (stalest) contact is evicted only if it
@@ -9,10 +9,9 @@ fails a liveness check supplied by the caller.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.dht.node_id import ID_BITS, NodeId, sort_by_distance
+from repro.dht.node_id import ID_BITS, NodeId
 
 DEFAULT_BUCKET_SIZE = 20
 
@@ -26,8 +25,8 @@ class KBucket:
         if capacity < 1:
             raise ValueError(f"bucket capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        # OrderedDict keyed by NodeId: head = stalest, tail = freshest.
-        self._contacts: "OrderedDict[NodeId, None]" = OrderedDict()
+        # Insertion-ordered, keyed by NodeId: head = stalest, tail = freshest.
+        self._contacts: Dict[NodeId, None] = {}
 
     def __len__(self) -> int:
         return len(self._contacts)
@@ -37,7 +36,7 @@ class KBucket:
 
     @property
     def contacts(self) -> List[NodeId]:
-        return list(self._contacts.keys())
+        return list(self._contacts)
 
     @property
     def stalest(self) -> Optional[NodeId]:
@@ -51,19 +50,21 @@ class KBucket:
         stale contact is refreshed and the newcomer dropped — Kademlia's
         proven stability bias toward long-lived nodes; a dead one is evicted.
         """
-        if node_id in self._contacts:
-            self._contacts.move_to_end(node_id)
+        contacts = self._contacts
+        if node_id in contacts:
+            del contacts[node_id]
+            contacts[node_id] = None  # back in at the tail
             return True
-        if len(self._contacts) < self.capacity:
-            self._contacts[node_id] = None
+        if len(contacts) < self.capacity:
+            contacts[node_id] = None
             return True
-        stalest = self.stalest
-        if probe is not None and stalest is not None and not probe(stalest):
-            del self._contacts[stalest]
-            self._contacts[node_id] = None
+        stalest = next(iter(contacts))  # capacity >= 1: a full bucket has a head
+        if probe is not None and not probe(stalest):
+            del contacts[stalest]
+            contacts[node_id] = None
             return True
-        if stalest is not None:
-            self._contacts.move_to_end(stalest)
+        del contacts[stalest]
+        contacts[stalest] = None
         return False
 
     def remove(self, node_id: NodeId) -> bool:
@@ -75,54 +76,77 @@ class KBucket:
 
 
 class RoutingTable:
-    """The full per-node routing table: one :class:`KBucket` per distance bit."""
+    """The full per-node routing table: one :class:`KBucket` per distance bit.
+
+    Buckets are created on first contact: an N-node overlay fills about
+    log2(N) of a node's 160, and the experiments build an overlay per run.
+    """
 
     def __init__(self, owner: NodeId, bucket_size: int = DEFAULT_BUCKET_SIZE) -> None:
         self.owner = owner
         self.bucket_size = bucket_size
-        self._buckets = [KBucket(bucket_size) for _ in range(ID_BITS)]
+        self._buckets: Dict[int, KBucket] = {}  # bucket index -> live bucket
+
+    def _index_of(self, node_id: NodeId) -> int:
+        """Bucket index of ``node_id``; -1, which no bucket has, for the owner."""
+        return (node_id.value ^ self.owner.value).bit_length() - 1
 
     def bucket_for(self, node_id: NodeId) -> KBucket:
-        return self._buckets[self.owner.bucket_index_for(node_id)]
+        index = self.owner.bucket_index_for(node_id)
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = KBucket(self.bucket_size)
+        return bucket
 
     def add_contact(self, node_id: NodeId, probe: Optional[LivenessProbe] = None) -> bool:
         """Insert/refresh a contact; silently ignores the owner's own id."""
-        if node_id == self.owner:
+        # Every seeded contact and every RPC lands here, so the index is
+        # computed inline rather than through ``bucket_for``.
+        index = (node_id.value ^ self.owner.value).bit_length() - 1
+        if index < 0:
             return False
-        return self.bucket_for(node_id).touch(node_id, probe)
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = KBucket(self.bucket_size)
+        return bucket.touch(node_id, probe)
 
     def remove_contact(self, node_id: NodeId) -> bool:
-        if node_id == self.owner:
-            return False
-        return self.bucket_for(node_id).remove(node_id)
+        bucket = self._buckets.get(self._index_of(node_id))
+        return bucket is not None and bucket.remove(node_id)
 
     def __contains__(self, node_id: NodeId) -> bool:
-        if node_id == self.owner:
-            return False
-        return node_id in self.bucket_for(node_id)
+        bucket = self._buckets.get(self._index_of(node_id))
+        return bucket is not None and node_id in bucket
 
     def closest_contacts(self, target: NodeId, count: int) -> List[NodeId]:
-        """The ``count`` known contacts closest to ``target``.
+        """The ``count`` known contacts closest to ``target``, nearest first.
 
-        Scans outward from the target's bucket; with at most 160 * k
-        contacts total, a full scan plus sort is cheap and obviously correct,
-        which we prefer over a clever partial scan.
+        A flat scan of the live buckets.  XOR distances to one target are
+        distinct per id, so keying on the distance drops no contact and
+        leaves no ties to break.
         """
-        everyone: List[NodeId] = []
-        for bucket in self._buckets:
-            everyone.extend(bucket.contacts)
-        return sort_by_distance(everyone, target)[:count]
+        target_value = target.value
+        by_distance = {
+            contact.value ^ target_value: contact
+            for bucket in self._buckets.values()
+            for contact in bucket._contacts
+        }
+        return [by_distance[d] for d in sorted(by_distance)[:count]]
 
     @property
     def contact_count(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets)
+        return sum(len(bucket) for bucket in self._buckets.values())
 
     def all_contacts(self) -> List[NodeId]:
+        """Every contact, by ascending bucket index, LRS order within one."""
         contacts: List[NodeId] = []
-        for bucket in self._buckets:
-            contacts.extend(bucket.contacts)
+        for index in sorted(self._buckets):
+            contacts.extend(self._buckets[index]._contacts)
         return contacts
 
     def bucket_sizes(self) -> List[int]:
         """Occupancy per bucket index (diagnostics and tests)."""
-        return [len(bucket) for bucket in self._buckets]
+        sizes = [0] * ID_BITS
+        for index, bucket in self._buckets.items():
+            sizes[index] = len(bucket)
+        return sizes

@@ -217,3 +217,24 @@ class TestAttacks:
         record = bob.received(result.key_id)
         assert record is not None
         assert record.copies >= 1
+
+
+class TestDisabledTracing:
+    def test_disabled_tracing_formats_nothing(self, monkeypatch):
+        """With no recorder the RPC/deliver/peel path builds no trace text."""
+
+        def fail(*args, **kwargs):
+            raise AssertionError("trace text built while tracing is disabled")
+
+        monkeypatch.setattr("repro.dht.rpc.describe", fail)
+        monkeypatch.setattr("repro.dht.network.describe", fail)
+        monkeypatch.setattr("repro.sim.trace.TraceRecorder.record", fail)
+        overlay, context, cloud, alice, bob = make_world()
+        assert not context.trace.enabled and not overlay.network.trace.enabled
+        timeline, result = send(alice, bob)
+        overlay.loop.run()
+        assert overlay.network.rpc_count > 0
+        assert (
+            bob.decrypt_from_cloud(cloud, result.blob.blob_id, result.key_id)
+            == MESSAGE
+        )

@@ -117,6 +117,40 @@ class TestLiveResolution:
         assert victim not in node.routing_table
 
 
+class TestFailedProbesCostTime:
+    """A dead contact costs the one-way delay its timeout took."""
+
+    ONE_WAY = 0.05  # build_network's default ConstantLatency
+
+    def test_first_round_of_dead_candidates_is_charged(self):
+        overlay = build_network(80, seed=37)
+        node = overlay.any_node()
+        target = NodeId.random(RandomSource(45))
+        first_round = node.routing_table.closest_contacts(target, node.concurrency)
+        for contact in first_round:
+            overlay.network.kill(contact)
+        result = node.iterative_find_node(target)
+        assert result.failures[: node.concurrency] == first_round
+        assert result.contacted > 0
+        # One timed-out round, then rounds that each cost a full round trip.
+        assert result.elapsed == pytest.approx(
+            self.ONE_WAY + (result.rounds - 1) * 2 * self.ONE_WAY
+        )
+
+    def test_lookup_that_reaches_nobody_still_waited(self):
+        overlay = build_network(40, seed=38)
+        node = overlay.any_node()
+        known = node.routing_table.all_contacts()
+        for contact in known:
+            overlay.network.kill(contact)
+        result = node.iterative_find_node(NodeId.random(RandomSource(46)))
+        assert result.contacted == 0 and result.closest == []
+        assert result.rounds >= 1
+        assert result.elapsed == pytest.approx(result.rounds * self.ONE_WAY)
+        # Every contact that timed out was forgotten.
+        assert node.routing_table.contact_count == len(known) - len(result.failures)
+
+
 class TestFullJoin:
     def test_bootstrap_procedure_converges(self):
         overlay = build_network(25, seed=35, full_join=True)

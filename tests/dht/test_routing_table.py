@@ -1,8 +1,10 @@
 """k-bucket routing tables."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.dht.node_id import NodeId, sort_by_distance
+from repro.dht.node_id import ID_BITS, NodeId, sort_by_distance
 from repro.dht.routing_table import KBucket, RoutingTable
 from repro.util.rng import RandomSource
 
@@ -10,6 +12,13 @@ from repro.util.rng import RandomSource
 def make_ids(count, seed=1):
     rng = RandomSource(seed)
     return [NodeId.random(rng) for _ in range(count)]
+
+
+# Mostly small values, so ids share high bits and pile into low buckets.
+id_values = st.one_of(
+    st.integers(min_value=0, max_value=255),
+    st.integers(min_value=0, max_value=2 ** ID_BITS - 1),
+)
 
 
 class TestKBucket:
@@ -122,3 +131,106 @@ class TestRoutingTable:
         table = RoutingTable(owner)
         table.add_contact(NodeId(2 ** 100 + 1))  # distance 1 -> bucket 0
         assert table.bucket_sizes()[0] == 1
+
+    def test_bucket_sizes_always_lists_every_bucket(self):
+        owner, other = make_ids(2)
+        table = RoutingTable(owner)
+        assert table.bucket_sizes() == [0] * ID_BITS
+        table.add_contact(other)
+        assert len(table.bucket_sizes()) == ID_BITS
+
+    def test_bucket_for_returns_the_bucket_contacts_land_in(self):
+        owner, other = make_ids(2)
+        table = RoutingTable(owner, bucket_size=4)
+        bucket = table.bucket_for(other)
+        assert isinstance(bucket, KBucket) and bucket.capacity == 4
+        table.add_contact(other)
+        assert other in bucket
+        assert table.bucket_for(other) is bucket
+        with pytest.raises(ValueError):
+            table.bucket_for(owner)
+
+    def test_queries_about_unseen_ids_leave_no_trace(self):
+        owner, other = make_ids(2)
+        table = RoutingTable(owner)
+        assert other not in table
+        assert not table.remove_contact(other)
+        assert table.all_contacts() == []
+        assert table.closest_contacts(other, 5) == []
+
+    @pytest.mark.parametrize(
+        "probe, admitted, order",
+        [
+            (None, False, "bca"),  # no probe: head refreshed, newcomer dropped
+            (lambda node: True, False, "bca"),  # live head refreshed
+            (lambda node: False, True, "bcd"),  # dead head evicted
+        ],
+    )
+    def test_full_bucket_eviction_through_the_table(self, probe, admitted, order):
+        # Same top bit as each other, different from the owner: one bucket.
+        owner = NodeId(0)
+        ids = dict(zip("abcd", (NodeId(2 ** 159 + n) for n in range(4))))
+        table = RoutingTable(owner, bucket_size=3)
+        for name in "abc":
+            assert table.add_contact(ids[name])
+        assert table.add_contact(ids["d"], probe=probe) is admitted
+        assert table.all_contacts() == [ids[name] for name in order]
+        assert table.bucket_sizes()[159] == 3
+
+
+class TestOracle:
+    """The table against the obvious definitions, on arbitrary input."""
+
+    @given(
+        owner=id_values,
+        contacts=st.lists(id_values, max_size=60),
+        removed=st.lists(id_values, max_size=10),
+        target=id_values,
+        count=st.integers(min_value=0, max_value=70),
+        bucket_size=st.integers(min_value=1, max_value=8),
+    )
+    def test_closest_contacts_is_the_head_of_the_full_sort(
+        self, owner, contacts, removed, target, count, bucket_size
+    ):
+        table = RoutingTable(NodeId(owner), bucket_size=bucket_size)
+        for value in contacts:
+            table.add_contact(NodeId(value))
+        for value in removed:
+            table.remove_contact(NodeId(value))
+        everyone = table.all_contacts()
+        expected = sorted(everyone, key=lambda c: c.value ^ target)[:count]
+        assert table.closest_contacts(NodeId(target), count) == expected
+        sizes = table.bucket_sizes()
+        assert len(sizes) == ID_BITS
+        assert sum(sizes) == table.contact_count == len(everyone)
+        assert max(sizes) <= bucket_size
+        assert NodeId(owner) not in everyone
+        assert all(contact in table for contact in everyone)
+
+    @given(
+        touches=st.lists(st.tuples(st.integers(0, 9), st.sampled_from("nld")), max_size=60),
+        capacity=st.integers(min_value=1, max_value=4),
+    )
+    def test_bucket_is_least_recently_seen_ordered(self, touches, capacity):
+        """Replay against a list model of the Kademlia eviction rule."""
+        probes = {"n": None, "l": lambda node: True, "d": lambda node: False}
+        ids = make_ids(10, seed=4)
+        bucket = KBucket(capacity)
+        model = []
+        for which, probe in touches:
+            node_id = ids[which]
+            expected = True
+            if node_id in model:
+                model.remove(node_id)
+                model.append(node_id)
+            elif len(model) < capacity:
+                model.append(node_id)
+            elif probe == "d":
+                model.pop(0)
+                model.append(node_id)
+            else:
+                model.append(model.pop(0))
+                expected = False
+            assert bucket.touch(node_id, probes[probe]) is expected
+            assert bucket.contacts == model
+            assert bucket.stalest == model[0]
