@@ -92,9 +92,9 @@ def test_checksum_computation(benchmark):
 def test_journal_transition_throughput(benchmark, tmp_path):
     """One full sweep's WAL traffic: begin + 2·RECORDS marks + complete.
 
-    This is the whole per-sweep journal overhead — every transition is
-    an atomic rewrite, so cost grows with point count; the record here
-    keeps that growth honest.
+    This is the whole per-sweep journal overhead — ``begin`` installs
+    the log by temp + rename, every later transition is one appended
+    line, so cost is linear in point count; the record here keeps it so.
     """
     keys = [f"{index:08x}" for index in range(RECORDS)]
     spec_hash = sweep_spec_hash(keys)

@@ -15,12 +15,15 @@ the node budget ``N`` cannot meet the target.  That is exactly what
    (ties: cheaper).
 
 The search is vectorised with numpy; the 64 x 2048 grid per ``p`` evaluates
-in a few milliseconds.
+in a few milliseconds.  A sweep asks for the same few decisions over and
+over (fig7: 132 multipath points, 11 distinct plans per scheme), so the
+*decision* is memoised — never the grids, which are 2 MB per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +33,11 @@ from repro.util.validation import check_positive_int, check_probability
 DEFAULT_TARGET = 0.999
 DEFAULT_MAX_REPLICATION = 64
 DEFAULT_MAX_PATH_LENGTH = 2048
+
+#: Planner decisions kept by the memo.  Each is one small frozen
+#: :class:`PlannedConfiguration`; the fig6a-d, fig7, fig8, heavy-churn
+#: and availability sweeps together ask for 88 distinct ones.
+PLAN_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,9 @@ def plan_configuration(
     ``scheme`` is ``"central"`` (alias ``"centralized"``), ``"disjoint"``
     or ``"joint"``.  The centralized scheme has no parameters — it always
     returns ``k = l = 1``.
+
+    Arguments are validated on every call; the multipath grid search
+    behind a valid call runs once per distinct argument tuple.
     """
     p = check_probability(malicious_rate, "malicious_rate")
     check_positive_int(node_budget, "node_budget")
@@ -113,7 +124,21 @@ def plan_configuration(
             target=target,
             meets_target=baseline >= target,
         )
+    return _plan_multipath(
+        scheme, p, node_budget, target, max_replication, max_path_length
+    )
 
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan_multipath(
+    scheme: str,
+    p: float,
+    node_budget: int,
+    target: float,
+    max_replication: int,
+    max_path_length: int,
+) -> PlannedConfiguration:
+    """The grid search of :func:`plan_configuration`, on validated arguments."""
     k_values = np.arange(1, min(max_replication, node_budget) + 1)
     l_values = np.arange(1, min(max_path_length, node_budget) + 1)
     release, drop = _resilience_grids(scheme, p, k_values, l_values)

@@ -13,32 +13,46 @@ gap the WAL way — intent is persisted *before* the action:
   into the store,
 - ``complete()`` seals the sweep.
 
-Every transition rewrites the journal file atomically (temp + rename),
-so the journal itself survives any kill.  On resume, ``begin`` with the
-same ``spec_hash`` returns the *mid-flight* keys — points whose start
-was journaled but whose finish never was.  The orchestrator recomputes
-exactly those points (the determinism contract makes the recomputation
-byte-identical, so a resumed store matches an uninterrupted run), and
-trusts the store for everything else.  A different ``spec_hash`` means a
-different sweep (other trials, tolerance, grid): the journal resets
-rather than poison the new run with stale flight state.
+**On disk** the journal is an append-only log of canonical-JSON lines,
+``.journal/<scenario>.jsonl``.  ``begin`` installs a fresh, compacted
+log by temp + rename — a header line (``spec_hash``, ``total_points``,
+the owner) followed by one line per mark carried over from the run it
+resumes — and keeps an ``O_APPEND`` descriptor on it; every later
+transition is one ``os.write`` of one line, O(1) however many points the
+sweep has.  The reader folds the lines into a state dict and stops at
+the first line that is torn (no newline) or does not parse, so a kill
+mid-append loses at most the transition being written and the journal
+survives any kill.  Nothing is ever appended after a torn tail, because
+every ``begin`` starts a new file.  Nothing calls ``fsync``: the
+guarantee is SIGKILL-safety, not power-loss-safety.
+
+On resume, ``begin`` with the same ``spec_hash`` returns the *mid-flight*
+keys — points whose start was journaled but whose finish never was.  The
+orchestrator recomputes exactly those points (the determinism contract
+makes the recomputation byte-identical, so a resumed store matches an
+uninterrupted run), and trusts the store for everything else.  A
+different ``spec_hash`` means a different sweep (other trials, tolerance,
+grid): the journal resets rather than poison the new run with stale
+flight state.
 
 The journal lives in the store's ``.journal/`` dot-directory — next to
 the records it guards, invisible to content-key lookups and gc scans.
 
-**Ownership.**  The full-state rewrite is atomic but not *coordinated*:
-two live drivers resuming the same scenario would interleave rewrites
-and silently lose each other's marks.  ``begin`` therefore takes an
-owner lease — ``{"pid", "token"}`` persisted in the state plus an mtime
-heartbeat thread that touches the file while the sweep runs — and a
-second driver meeting a live lease fails fast with
-:class:`JournalBusyError` instead of corrupting the flight record.  A
-lease is *dead* (and silently taken over) when its owner process no
-longer exists or its heartbeat has gone stale for
+**Ownership.**  Two live drivers appending to one log would tell two
+stories in it.  ``begin`` therefore takes an owner lease — ``{"pid",
+"token"}`` in the header plus an mtime heartbeat thread that touches the
+owner's *own descriptor* while the sweep runs — and a second driver
+meeting a live lease fails fast with :class:`JournalBusyError`.  A lease
+is *dead* (and silently taken over) when its owner process no longer
+exists or its heartbeat has gone stale for
 :data:`DEFAULT_LEASE_SECONDS`; ``complete``/``release`` drop it
-explicitly.  A driver that loses its lease to a takeover (wedged past
-the lease window, then resumed) gets :class:`JournalOwnershipLost` on
-its next write instead of clobbering the new owner's marks.
+explicitly.  Because every takeover or reset installs a *new file* by
+rename, "am I still the owner?" is one ``stat``: the inode at
+:attr:`SweepJournal.path` is the inode of the descriptor this driver
+opened, or it is not.  A driver that loses its lease to a takeover
+(wedged past the lease window, then resumed) gets
+:class:`JournalOwnershipLost` on its next write — the write never
+happens, and its heartbeat only ever touches the file it lost.
 """
 
 from __future__ import annotations
@@ -52,13 +66,15 @@ import uuid
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Set
 
-from repro.scenarios.store import _pid_alive, canonical_json
+from repro.scenarios.store import (
+    JOURNAL_DIR,
+    JOURNAL_SUFFIX,
+    _pid_alive,
+    canonical_json,
+)
 
-#: Journal file schema version.
-JOURNAL_SCHEMA = 1
-
-#: Store dot-directory holding one journal file per scenario.
-JOURNAL_DIR = ".journal"
+#: Journal file schema version (2: the append-only line log).
+JOURNAL_SCHEMA = 2
 
 #: How stale an owner's mtime heartbeat may grow before its lease is
 #: considered expired.  The heartbeat touches the file every quarter of
@@ -68,15 +84,17 @@ DEFAULT_LEASE_SECONDS = 30.0
 
 _STARTED = "started"
 _FINISHED = "finished"
+_COMPLETE = "complete"
+_RELEASE = "release"
 
 
 class JournalBusyError(RuntimeError):
     """Another live driver holds this journal's owner lease.
 
-    Raised by :meth:`SweepJournal.begin` instead of interleaving
-    full-state rewrites with the living owner.  The message names the
-    owner (pid + heartbeat age) so the operator can tell a genuinely
-    concurrent driver from a stale lease about to expire on its own.
+    Raised by :meth:`SweepJournal.begin` instead of taking the log away
+    from the living owner.  The message names the owner (pid + heartbeat
+    age) so the operator can tell a genuinely concurrent driver from a
+    stale lease about to expire on its own.
     """
 
 
@@ -103,6 +121,57 @@ def sweep_spec_hash(keys: Sequence[str]) -> str:
     return digest[:32]
 
 
+def _line(payload: Dict[str, Any]) -> bytes:
+    return canonical_json(payload).encode("utf-8") + b"\n"
+
+
+def _mark_line(key: str, index: int, status: str) -> bytes:
+    return _line({"key": key, "index": index, "status": status})
+
+
+def _fold(data: bytes) -> Optional[Dict[str, Any]]:
+    """Fold a log's bytes into the journal state, or ``None``.
+
+    The first line is the header; each later line is a mark or a
+    ``complete``/``release`` op.  Folding stops at the first line that
+    is torn (the tail has no newline) or is not one of those — a prefix
+    of the transitions, never a phantom key.  No readable header means
+    no journal.
+    """
+    lines = data.split(b"\n")
+    lines.pop()  # what follows the last newline: empty, or a torn tail
+    try:
+        header = json.loads(lines[0])
+        if not isinstance(header["spec_hash"], str):
+            return None
+    except (IndexError, ValueError, KeyError, TypeError):
+        return None
+    points: Dict[str, Any] = {}
+    state = {**header, "status": "running", "points": points}
+    for raw in lines[1:]:
+        try:
+            entry = json.loads(raw)
+            op = entry.get("op")
+            if op is None:
+                status = entry["status"]
+                if status not in (_STARTED, _FINISHED):
+                    break
+                points[entry["key"]] = {
+                    "status": status,
+                    "index": entry["index"],
+                }
+            elif op == _COMPLETE:
+                state["status"] = "complete"
+                state["owner"] = None
+            elif op == _RELEASE:
+                state["owner"] = None
+            else:
+                break
+        except (ValueError, KeyError, TypeError, AttributeError):
+            break
+    return state
+
+
 class SweepJournal:
     """One scenario's write-ahead journal inside a result store.
 
@@ -117,15 +186,19 @@ class SweepJournal:
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
     ) -> None:
         self.scenario = scenario
-        self.path = Path(root) / JOURNAL_DIR / f"{scenario}.json"
+        self.path = Path(root) / JOURNAL_DIR / f"{scenario}{JOURNAL_SUFFIX}"
         self.lease_seconds = float(lease_seconds)
         self._state: Optional[Dict[str, Any]] = None
         #: This journal object's lease identity.  The pid alone cannot
         #: distinguish two drivers in one process (threads, tests); the
         #: token can.
         self._token = uuid.uuid4().hex
+        #: The ``O_APPEND`` descriptor on the log this driver installed,
+        #: and that file's inode; held from ``begin`` until the lease is
+        #: dropped (``complete``/``release``).
+        self._fd: Optional[int] = None
+        self._inode: Optional[int] = None
         self._heartbeat_stop: Optional[threading.Event] = None
-        self._heartbeat_thread: Optional[threading.Thread] = None
 
     def __repr__(self) -> str:
         return f"SweepJournal({str(self.path)!r})"
@@ -141,22 +214,16 @@ class SweepJournal:
         pre-journal behaviour.
         """
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                state = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+            return _fold(self.path.read_bytes())
+        except OSError:
             return None
-        if not isinstance(state, dict) or not isinstance(
-            state.get("points"), dict
-        ):
-            return None
-        return state
 
     @staticmethod
     def _keys_in(state: Dict[str, Any], status: str) -> Set[str]:
         return {
             key
-            for key, entry in state.get("points", {}).items()
-            if isinstance(entry, dict) and entry.get("status") == status
+            for key, entry in state["points"].items()
+            if entry["status"] == status
         }
 
     def midflight_keys(self) -> Set[str]:
@@ -201,29 +268,28 @@ class SweepJournal:
         *live* foreign lease holds the journal (owner process alive and
         heartbeat within :attr:`lease_seconds`); a dead or expired lease
         is taken over silently — exactly the crashed-driver resume path.
+
+        Always installs a fresh, compacted log, so whatever a killed
+        predecessor left at the tail of the old one is never appended to.
         """
         existing = self.load()
         self._check_foreign_lease(existing)
         midflight: Set[str] = set()
+        points: Dict[str, Any] = {}
         if existing is not None and existing.get("spec_hash") == spec_hash:
-            if existing.get("status") == "running":
+            if existing["status"] == "running":
                 midflight = self._keys_in(existing, _STARTED)
-            state = existing
-            state["status"] = "running"
-            state["total_points"] = total_points
-        else:
-            state = {
-                "schema": JOURNAL_SCHEMA,
-                "scenario": self.scenario,
-                "spec_hash": spec_hash,
-                "status": "running",
-                "total_points": total_points,
-                "points": {},
-            }
-        state["owner"] = {"pid": os.getpid(), "token": self._token}
-        self._state = state
-        self._write()
-        self._start_heartbeat()
+            points = existing["points"]
+        self._state = {
+            "schema": JOURNAL_SCHEMA,
+            "scenario": self.scenario,
+            "spec_hash": spec_hash,
+            "status": "running",
+            "total_points": total_points,
+            "points": points,
+            "owner": {"pid": os.getpid(), "token": self._token},
+        }
+        self._install()
         return midflight
 
     def point_started(self, key: str, index: int) -> None:
@@ -240,13 +306,11 @@ class SweepJournal:
         Dropping the owner lease is part of sealing — a later driver
         adopts the completed journal without any takeover ceremony.
         """
-        if self._state is None:
-            raise RuntimeError("journal.complete() before begin()")
-        self._check_still_owner()
-        self._stop_heartbeat()
+        self._check_still_owner(_COMPLETE)
+        self._append(_line({"op": _COMPLETE}))
         self._state["status"] = "complete"
         self._state["owner"] = None
-        self._write()
+        self._close()
 
     def release(self) -> None:
         """Drop the owner lease without sealing; idempotent.
@@ -256,27 +320,71 @@ class SweepJournal:
         it is, so a later ``begin`` resumes it, but the lease is gone and
         that later driver does not have to wait it out.  Called by the
         orchestrator in a ``finally`` so an aborted sweep never leaves a
-        live-looking lease behind.
+        live-looking lease behind.  A driver that lost the lease never
+        touches the new owner's log: its line goes to the file it lost,
+        or — once a mark has detected the loss — nowhere.
         """
-        self._stop_heartbeat()
-        if self._state is None:
+        if self._fd is None:
             return
-        on_disk = self.load()
-        if (
-            on_disk is not None
-            and isinstance(on_disk.get("owner"), dict)
-            and on_disk["owner"].get("token") == self._token
-        ):
-            on_disk["owner"] = None
-            self._state = on_disk
-            self._write()
+        self._append(_line({"op": _RELEASE}))
+        self._state["owner"] = None
+        self._close()
 
     def _mark(self, key: str, index: int, status: str) -> None:
-        if self._state is None:
-            raise RuntimeError(f"journal.{status} before begin()")
-        self._check_still_owner()
+        self._check_still_owner(status)
+        self._append(_mark_line(key, index, status))
         self._state["points"][key] = {"status": status, "index": index}
-        self._write()
+
+    def _append(self, data: bytes) -> None:
+        """One ``write`` on the ``O_APPEND`` descriptor: whole, or an error."""
+        if os.write(self._fd, data) != len(data):
+            raise OSError(f"short write to journal {self.path}")
+
+    def _install(self) -> None:
+        """Write ``_state`` as a compacted log and rename it into place.
+
+        The descriptor is opened on the temp file and follows it through
+        the rename, so from here on this driver's appends and heartbeat
+        go to the file *it* installed — wherever a later takeover leaves
+        that file — and ``path`` showing another inode means the lease
+        moved on.
+        """
+        self._close()
+        state = self._state
+        header = {
+            name: value
+            for name, value in state.items()
+            if name not in ("points", "status")
+        }
+        log = _line(header) + b"".join(
+            _mark_line(key, entry["index"], entry["status"])
+            for key, entry in state["points"].items()
+        )
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        # Named by the token: two drivers racing `begin` never share one.
+        temp = self.path.with_name(
+            f"{self.scenario}.{self._token}{JOURNAL_SUFFIX}.tmp"
+        )
+        self._fd = os.open(
+            temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND, 0o666
+        )
+        try:
+            self._append(log)
+            os.replace(temp, self.path)
+        except BaseException:
+            self._close()
+            raise
+        self._inode = os.fstat(self._fd).st_ino
+        self._start_heartbeat()
+
+    def _close(self) -> None:
+        """Stop the heartbeat and let go of the log's descriptor."""
+        if self._heartbeat_stop is not None:
+            self._heartbeat_stop.set()
+            self._heartbeat_stop = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     # -- the owner lease ---------------------------------------------------
 
@@ -317,17 +425,26 @@ class SweepJournal:
             f"state — stop that driver or wait for its lease to expire"
         )
 
-    def _check_still_owner(self) -> None:
-        """Raise :class:`JournalOwnershipLost` if the lease moved on."""
-        on_disk = self.load()
-        if on_disk is None:
-            return  # journal lost entirely — rewriting it is recovery
-        owner = on_disk.get("owner")
-        if isinstance(owner, dict) and owner.get("token") not in (
-            None,
-            self._token,
-        ):
-            self._stop_heartbeat()
+    def _check_still_owner(self, transition: str) -> None:
+        """Raise :class:`JournalOwnershipLost` if the lease moved on.
+
+        One ``stat``, no read: a takeover or reset always installs a new
+        file, so the lease is still ours exactly while ``path`` is the
+        file our descriptor is open on.
+        """
+        if self._fd is None:
+            raise RuntimeError(
+                f"journal.{transition} without the lease: call begin() first"
+            )
+        try:
+            inode = os.stat(self.path).st_ino
+        except FileNotFoundError:
+            # Journal lost entirely — rewriting it is recovery.
+            self._install()
+            return
+        if inode != self._inode:
+            self._close()
+            owner = (self.load() or {}).get("owner") or {}
             raise JournalOwnershipLost(
                 f"journal {self.path} lease was taken over by pid "
                 f"{owner.get('pid')} — this driver's sweep state is stale "
@@ -335,45 +452,32 @@ class SweepJournal:
             )
 
     def _start_heartbeat(self) -> None:
-        if self._heartbeat_thread is not None:
-            return
+        """Touch our own log's mtime every quarter lease until stopped.
+
+        The thread touches a private ``dup`` of the descriptor, never the
+        path: after a takeover the path is the *new* owner's file, and
+        keeping that one fresh would hide a wedged new owner.
+        """
         stop = threading.Event()
         interval = max(self.lease_seconds / 4.0, 0.05)
-        path = self.path
+        fd = os.dup(self._fd)
 
         def touch_loop() -> None:
-            while not stop.wait(interval):
-                try:
-                    os.utime(path)
-                except OSError:
-                    pass
+            try:
+                while not stop.wait(interval):
+                    os.utime(fd)
+            finally:
+                os.close(fd)
 
-        thread = threading.Thread(
+        self._heartbeat_stop = stop
+        threading.Thread(
             target=touch_loop,
             name=f"repro-journal-heartbeat-{self.scenario}",
             daemon=True,
-        )
-        self._heartbeat_stop = stop
-        self._heartbeat_thread = thread
-        thread.start()
-
-    def _stop_heartbeat(self) -> None:
-        if self._heartbeat_stop is not None:
-            self._heartbeat_stop.set()
-        self._heartbeat_stop = None
-        self._heartbeat_thread = None
+        ).start()
 
     def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
         try:
-            self._stop_heartbeat()
+            self._close()
         except Exception:
             pass
-
-    def _write(self) -> None:
-        """Atomic full-state rewrite — the same temp+rename as the store."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        temp = self.path.with_suffix(".json.tmp")
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(self._state, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(temp, self.path)

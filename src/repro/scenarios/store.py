@@ -79,6 +79,13 @@ CLAIM_SUFFIX = ".claim"
 #: defensively so re-verifying a loaded record stays stable).
 _UNCHECKSUMMED_FIELDS = (CHECKSUM_FIELD, "from_cache")
 
+#: Where the per-scenario sweep journals live and how their files are
+#: named: :mod:`repro.scenarios.journal` writes ``<scenario><suffix>``
+#: (through a ``<suffix>.tmp`` sibling), :meth:`ResultStore.gc` collects
+#: their leftovers.
+JOURNAL_DIR = ".journal"
+JOURNAL_SUFFIX = ".jsonl"
+
 
 def _pid_alive(pid: Any) -> bool:
     """Is ``pid`` a live process on this host?  Unknowable reads as yes.
@@ -114,9 +121,14 @@ def record_generation(record: Mapping[str, Any]) -> int:
     return value if isinstance(value, int) and not isinstance(value, bool) else 1
 
 
+#: One encoder for every call: ``json.dumps`` with non-default options
+#: builds a fresh ``JSONEncoder`` each time, a third of a small payload's cost.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace — the hashing form."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(payload)
 
 
 def record_checksum(record: Mapping[str, Any]) -> str:
@@ -557,14 +569,14 @@ class ResultStore:
         # sweep that journaled `begin` but has not saved its first point
         # yet is never collected out from under a live driver.  Journal
         # tmp files get the ordinary orphan treatment.
-        journal_root = self.root / ".journal"
+        journal_root = self.root / JOURNAL_DIR
         if journal_root.is_dir():
             live = {
                 directory.name
                 for directory in directories
                 if any(directory.glob("*.json"))
             }
-            for orphan in sorted(journal_root.glob("*.json.tmp")):
+            for orphan in sorted(journal_root.glob(f"*{JOURNAL_SUFFIX}.tmp")):
                 try:
                     age = now - orphan.stat().st_mtime
                 except OSError:
@@ -573,7 +585,7 @@ class ResultStore:
                     report.orphans.append(orphan)
                 else:
                     report.fresh_tmp.append(orphan)
-            for journal in sorted(journal_root.glob("*.json")):
+            for journal in sorted(journal_root.glob(f"*{JOURNAL_SUFFIX}")):
                 if journal.stem in live:
                     continue
                 try:

@@ -1,9 +1,11 @@
 """Parameter planning (the Fig. 6 methodology)."""
 
+import dataclasses
 import itertools
 
 import pytest
 
+from repro.core import planner
 from repro.core.analysis import joint_resilience
 from repro.core.planner import plan_configuration
 
@@ -119,3 +121,69 @@ class TestValidation:
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             plan_configuration("joint", 0.1, 0)
+
+
+class TestMemo:
+    """The decision is memoised; validation, ``central`` and the grids are not."""
+
+    #: (scheme, p, N, target) over the fig6 / fig7 / availability grids.
+    GRID = [
+        (scheme, round(0.05 * i, 2), budget, target)
+        for scheme in ("disjoint", "joint")
+        for i in range(11)
+        for budget in (100, 10000)
+        for target in (planner.DEFAULT_TARGET, 0.9)
+    ]
+
+    def test_memoised_plan_equals_the_unmemoised_reference(self):
+        reference = planner._plan_multipath.__wrapped__
+        for scheme, p, budget, target in self.GRID:
+            expected = reference(
+                scheme,
+                p,
+                budget,
+                target,
+                planner.DEFAULT_MAX_REPLICATION,
+                planner.DEFAULT_MAX_PATH_LENGTH,
+            )
+            for _ in range(2):  # a miss, then a hit
+                planned = plan_configuration(scheme, p, budget, target=target)
+                assert dataclasses.astuple(planned) == dataclasses.astuple(expected)
+
+    def test_repeated_call_is_served_from_the_cache(self):
+        planner._plan_multipath.cache_clear()
+        first = plan_configuration("joint", 0.3, 10000)
+        assert plan_configuration("joint", 0.3, 10000) is first
+        info = planner._plan_multipath.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert info.maxsize == planner.PLAN_CACHE_SIZE
+
+    def test_invalid_arguments_raise_on_every_call(self):
+        plan_configuration("joint", 0.1, 100)  # a valid neighbour, cached
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                plan_configuration("joint", 1.5, 100)
+            with pytest.raises(ValueError):
+                plan_configuration("joint", 0.1, 0)
+            with pytest.raises(TypeError):
+                plan_configuration("joint", 0.1, 100.0)
+            with pytest.raises(ValueError):
+                plan_configuration("joint", 0.1, 100, target=-0.5)
+            with pytest.raises(ValueError):
+                plan_configuration("mystery", 0.1, 100)
+
+    def test_cached_values_are_plain_decisions_not_grids(self):
+        """Every field is a builtin scalar: nothing numpy — no grid, no
+        array scalar keeping one alive — is reachable from the cache."""
+        for scheme, p, budget, target in self.GRID:
+            planned = plan_configuration(scheme, p, budget, target=target)
+            assert type(planned) is planner.PlannedConfiguration
+            for field in dataclasses.fields(planned):
+                value = getattr(planned, field.name)
+                assert type(value) in (str, int, float, bool), field.name
+
+    def test_central_bypasses_the_cache(self):
+        before = planner._plan_multipath.cache_info()
+        for name in ("central", "centralized"):
+            assert plan_configuration(name, 0.2, 10000).cost == 1
+        assert planner._plan_multipath.cache_info() == before

@@ -4,9 +4,13 @@ present on disk for a point the journal says was still mid-flight."""
 
 import json
 import os
+import tempfile
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios.journal import (
     JOURNAL_DIR,
@@ -57,6 +61,38 @@ def journal_spec(points=3, trials=40, **overrides) -> ScenarioSpec:
     )
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+#: A pid no process can have (above the kernel's PID_MAX_LIMIT of 2**22).
+DEAD_PID = 2 ** 22 + 1
+
+
+def forge_sigkill(path, keep=None) -> None:
+    """Leave ``path`` as a SIGKILLed driver would: the log cut after
+    ``keep`` bytes (anywhere, mid-line included) and an owner pid that no
+    longer exists.  The crash is forged in the file, through no writer of
+    the journal's own."""
+    data = path.read_bytes()[:keep]
+    path.write_bytes(
+        data.replace(b'"pid":%d' % os.getpid(), b'"pid":%d' % DEAD_PID, 1)
+    )
+
+
+def offset_after(path, key, status) -> int:
+    """The byte offset just past the line marking ``key`` as ``status``."""
+    offset = 0
+    for line in path.read_bytes().splitlines(keepends=True):
+        offset += len(line)
+        entry = json.loads(line)
+        if entry.get("key") == key and entry.get("status") == status:
+            return offset
+    raise AssertionError(f"no {status} line for {key} in {path}")
+
+
+def complete_lines(path) -> list:
+    """Every newline-terminated line of the log, parsed."""
+    data = path.read_bytes()
+    return [json.loads(line) for line in data[: data.rfind(b"\n") + 1].splitlines()]
 
 
 class TestSpecHash:
@@ -124,7 +160,7 @@ class TestStateMachine:
         assert second.begin("hash1", 1) == set()
 
     def test_unreadable_journal_is_treated_as_absent(self, tmp_path):
-        path = tmp_path / JOURNAL_DIR / "scn.json"
+        path = tmp_path / JOURNAL_DIR / "scn.jsonl"
         path.parent.mkdir(parents=True)
         path.write_text("{torn", encoding="utf-8")
         journal = SweepJournal(tmp_path, "scn")
@@ -132,13 +168,115 @@ class TestStateMachine:
         assert journal.begin("hash1", 1) == set()
         assert SweepJournal.status(tmp_path, "scn")["status"] == "running"
 
-    def test_journal_file_is_valid_json_at_every_transition(self, tmp_path):
+    def test_every_line_parses_and_fold_is_expected_state(self, tmp_path):
         journal = SweepJournal(tmp_path, "scn")
-        journal.begin("hash1", 1)
+        expected = {"status": "running", "points": {}}
+
+        def check():
+            lines = complete_lines(journal.path)
+            assert lines[0]["spec_hash"] == "hash1"
+            assert lines[0]["total_points"] == 2
+            state = journal.load()
+            assert state["status"] == expected["status"]
+            assert state["points"] == expected["points"]
+            assert not list(journal.path.parent.glob("*.tmp"))
+            return lines, state
+
+        journal.begin("hash1", 2)
+        lines, state = check()
+        assert len(lines) == 1
+        assert state["owner"] == {"pid": os.getpid(), "token": journal._token}
         journal.point_started("k1", 0)
-        state = json.loads(journal.path.read_text(encoding="utf-8"))
-        assert state["points"]["k1"] == {"status": "started", "index": 0}
-        assert not list(journal.path.parent.glob("*.tmp"))
+        expected["points"]["k1"] = {"status": "started", "index": 0}
+        lines, _ = check()
+        assert lines[-1] == {"key": "k1", "index": 0, "status": "started"}
+        journal.point_finished("k1", 0)
+        expected["points"]["k1"] = {"status": "finished", "index": 0}
+        check()
+        journal.point_started("k2", 1)
+        expected["points"]["k2"] = {"status": "started", "index": 1}
+        check()
+        journal.release()
+        _, state = check()
+        assert state["owner"] is None
+        resumed = SweepJournal(tmp_path, "scn")
+        assert resumed.begin("hash1", 2) == {"k2"}
+        lines, state = check()  # compacted: header + one line per mark
+        assert len(lines) == 3
+        assert state["owner"]["token"] == resumed._token
+        resumed.point_finished("k2", 1)
+        expected["points"]["k2"] = {"status": "finished", "index": 1}
+        resumed.complete()
+        expected["status"] = "complete"
+        lines, state = check()
+        assert lines[-1] == {"op": "complete"}
+        assert state["owner"] is None
+
+
+class TestCrashRecovery:
+    """What a SIGKILL can leave behind, forged byte for byte in the log."""
+
+    def test_resume_never_appends_after_a_torn_tail(self, tmp_path):
+        first = SweepJournal(tmp_path, "scn")
+        first.begin("hash1", 3)
+        first.point_started("k1", 0)
+        first.point_finished("k1", 0)
+        first.point_started("k2", 1)
+        # Killed half-way through k2's start line.
+        forge_sigkill(first.path, offset_after(first.path, "k2", "started") - 9)
+        assert not first.path.read_bytes().endswith(b"\n")
+        second = SweepJournal(tmp_path, "scn")
+        # The torn start never made it: k2 had not begun computing.
+        assert second.begin("hash1", 3) == set()
+        second.point_started("k3", 2)
+        data = second.path.read_bytes()
+        assert data.endswith(b"\n")
+        lines = [json.loads(line) for line in data.splitlines()]  # all parse
+        assert [line.get("key") for line in lines[1:]] == ["k1", "k3"]
+        assert second.load()["points"] == {
+            "k1": {"status": "finished", "index": 0},
+            "k3": {"status": "started", "index": 2},
+        }
+        second.release()
+
+    def test_torn_finish_line_leaves_the_point_midflight(self, tmp_path):
+        first = SweepJournal(tmp_path, "scn")
+        first.begin("hash1", 3)
+        first.point_started("k1", 0)
+        first.point_finished("k1", 0)
+        first.point_started("k2", 1)
+        first.point_finished("k2", 1)
+        # Killed inside k2: its finish line is cut to a fragment.
+        forge_sigkill(first.path, offset_after(first.path, "k2", "finished") - 1)
+        second = SweepJournal(tmp_path, "scn")
+        assert second.begin("hash1", 3) == {"k2"}
+        second.release()
+
+    def test_torn_header_reads_as_no_journal(self, tmp_path):
+        first = SweepJournal(tmp_path, "scn")
+        first.begin("hash1", 1)
+        first.point_started("k1", 0)
+        forge_sigkill(first.path, 40)
+        assert SweepJournal.status(tmp_path, "scn") is None
+        second = SweepJournal(tmp_path, "scn")
+        assert second.begin("hash1", 1) == set()
+        second.release()
+
+    def test_vanished_log_is_reinstalled_from_memory(self, tmp_path):
+        journal = SweepJournal(tmp_path, "scn")
+        journal.begin("hash1", 2)
+        journal.point_started("k1", 0)
+        journal.path.unlink()
+        journal.point_finished("k1", 0)  # rewriting it is recovery
+        journal.point_started("k2", 1)
+        state = SweepJournal(tmp_path, "scn").load()
+        assert state["owner"]["token"] == journal._token
+        assert state["points"] == {
+            "k1": {"status": "finished", "index": 0},
+            "k2": {"status": "started", "index": 1},
+        }
+        journal.complete()
+        assert SweepJournal.status(tmp_path, "scn")["status"] == "complete"
 
 
 class TestOwnerLease:
@@ -160,13 +298,7 @@ class TestOwnerLease:
         first = SweepJournal(tmp_path, "scn")
         first.begin("hash1", 2)
         first.point_started("k1", 0)
-        # Forge the crash: heartbeat stops, and the on-disk owner pid
-        # becomes one that cannot exist.
-        first._stop_heartbeat()
-        state = first.load()
-        state["owner"]["pid"] = 2 ** 22 + os.getpid()
-        first._state = state
-        first._write()
+        forge_sigkill(first.path)  # the whole log, owner pid gone
         second = SweepJournal(tmp_path, "scn")
         assert second.begin("hash1", 2) == {"k1"}
         second.release()
@@ -174,9 +306,9 @@ class TestOwnerLease:
     def test_stale_heartbeat_lease_expires(self, tmp_path):
         """A live-pid owner whose heartbeat went silent past the lease
         window (wedged driver) loses the lease to the next driver."""
-        first = SweepJournal(tmp_path, "scn", lease_seconds=0.2)
+        first = SweepJournal(tmp_path, "scn")  # next heartbeat: 7.5 s away
         first.begin("hash1", 1)
-        first._stop_heartbeat()  # the wedge: alive pid, silent heartbeat
+        # The wedge: alive pid, heartbeat silent for longer than the lease.
         old = first.path.stat().st_mtime - 5.0
         os.utime(first.path, (old, old))
         second = SweepJournal(tmp_path, "scn", lease_seconds=0.2)
@@ -186,18 +318,44 @@ class TestOwnerLease:
     def test_usurped_driver_cannot_write(self, tmp_path):
         """The loser of a takeover gets a typed error on its next mark
         instead of silently clobbering the new owner's flight state."""
-        first = SweepJournal(tmp_path, "scn", lease_seconds=0.2)
+        first = SweepJournal(tmp_path, "scn")
         first.begin("hash1", 2)
         first.point_started("k1", 0)
-        first._stop_heartbeat()
         old = first.path.stat().st_mtime - 5.0
         os.utime(first.path, (old, old))
         second = SweepJournal(tmp_path, "scn", lease_seconds=0.2)
         second.begin("hash1", 2)
-        with pytest.raises(JournalOwnershipLost):
+        taken_over = second.path.read_bytes()
+        with pytest.raises(JournalOwnershipLost, match=str(os.getpid())):
             first.point_finished("k1", 0)
+        first.release()  # the loser's abort path writes nothing either
+        assert second.path.read_bytes() == taken_over
         assert second.load()["owner"]["token"] == second._token
         second.release()
+
+    def test_usurped_heartbeat_spares_the_new_owner(self, tmp_path):
+        """The loser of a takeover, still inside a long point, keeps
+        heart-beating — on the file it lost, not on the new owner's: a
+        wedged new owner must still look stale."""
+        first = SweepJournal(tmp_path, "scn", lease_seconds=0.2)  # 50 ms beat
+        first.begin("hash1", 2)
+        first.point_started("k1", 0)
+        second = SweepJournal(tmp_path, "scn", lease_seconds=0.0)
+        second.begin("hash1", 2)  # a zero lease is always expired
+        second.release()  # ...and the new owner's own heartbeat stops
+        taken_over = second.path.read_bytes()
+        old = time.time() - 60.0
+        os.utime(second.path, (old, old))
+        os.utime(first._fd, (old, old))
+        deadline = time.time() + 10.0
+        while os.fstat(first._fd).st_mtime == old and time.time() < deadline:
+            time.sleep(0.05)
+        assert os.fstat(first._fd).st_mtime > old  # the loser still beats
+        assert second.path.stat().st_mtime == old  # but not on this file
+        with pytest.raises(JournalOwnershipLost):
+            first.point_finished("k1", 0)
+        assert second.path.read_bytes() == taken_over
+        assert first._token.encode() not in taken_over
 
     def test_complete_releases_the_lease(self, tmp_path):
         journal = SweepJournal(tmp_path, "scn")
@@ -284,14 +442,11 @@ class TestOrchestratorIntegration:
         keys = store.keys(spec.name)
         victim = keys[1]
         before = (store.path_for(spec.name, victim)).read_bytes()
-        # Forge the crash: mark the point started-but-unfinished while
-        # its record stays in the store.
+        # Forge the crash: the driver died right after the victim's
+        # record landed, before its finish line — the record stays in
+        # the store, the log ends at the victim's start line.
         journal = SweepJournal(tmp_path, spec.name)
-        state = journal.load()
-        state["status"] = "running"
-        state["points"][victim]["status"] = "started"
-        journal._state = state
-        journal._write()
+        forge_sigkill(journal.path, offset_after(journal.path, victim, "started"))
 
         resumed = run_scenario(spec, store=store)
         assert (resumed.computed, resumed.cached) == (1, 2)
@@ -309,11 +464,7 @@ class TestOrchestratorIntegration:
         victim = store.keys(spec.name)[0]
         store.path_for(spec.name, victim).unlink()
         journal = SweepJournal(tmp_path, spec.name)
-        state = journal.load()
-        state["status"] = "running"
-        state["points"][victim]["status"] = "started"
-        journal._state = state
-        journal._write()
+        forge_sigkill(journal.path, offset_after(journal.path, victim, "started"))
         resumed = run_scenario(spec, store=store)
         assert (resumed.computed, resumed.cached) == (1, 2)
 
@@ -332,12 +483,204 @@ class TestOrchestratorIntegration:
         spec = journal_spec()
         store = ResultStore(tmp_path)
         run_scenario(spec, store=store)
+        # Killed mid-sweep: a running journal with one point in flight.
         journal = SweepJournal(tmp_path, spec.name)
-        state = journal.load()
-        state["status"] = "running"
-        journal._state = state
-        journal._write()
+        victim = store.keys(spec.name)[1]
+        forge_sigkill(journal.path, offset_after(journal.path, victim, "started"))
+        assert SweepJournal.status(tmp_path, spec.name)["midflight"] == [victim]
         # A different trial budget is a different sweep: every point has
         # a new key, nothing is "mid-flight", all points compute fresh.
         other = run_scenario(spec, store=store, trials=20)
         assert (other.computed, other.cached) == (3, 0)
+
+
+# -- properties ---------------------------------------------------------------
+
+KEYS = st.sampled_from(["k0", "k1", "k2", "k3"])
+HASHES = st.sampled_from(["hash1", "hash2"])
+TRANSITIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("begin"), HASHES),
+        st.tuples(st.just("second-driver"), HASHES),
+        st.tuples(st.just("started"), KEYS),
+        st.tuples(st.just("finished"), KEYS),
+        st.tuples(st.just("complete")),
+        st.tuples(st.just("release")),
+    ),
+    max_size=24,
+)
+
+
+def summary(state):
+    """What a journal state says, minus who says it."""
+    if state is None:
+        return None
+    return {
+        "spec_hash": state["spec_hash"],
+        "status": state["status"],
+        "points": {key: entry["status"] for key, entry in state["points"].items()},
+        "held": state["owner"] is not None,
+    }
+
+
+def fold_whole_lines(data):
+    """The reference reader: the log format restated over whole lines."""
+    state = None
+    for line in data.splitlines():
+        entry = json.loads(line)
+        if state is None:
+            state = {**entry, "status": "running", "points": {}}
+        elif "key" in entry:
+            state["points"][entry["key"]] = {
+                "status": entry["status"],
+                "index": entry["index"],
+            }
+        else:
+            if entry["op"] == "complete":
+                state["status"] = "complete"
+            state["owner"] = None
+    return state
+
+
+class JournalModel:
+    """The journal as a plain dict: no file, no lease clock, no log."""
+
+    def __init__(self):
+        self.state = None
+
+    def begin(self, spec_hash):
+        same = self.state is not None and self.state["spec_hash"] == spec_hash
+        midflight = set()
+        if same and self.state["status"] == "running":
+            midflight = {
+                key
+                for key, status in self.state["points"].items()
+                if status == "started"
+            }
+        self.state = {
+            "spec_hash": spec_hash,
+            "status": "running",
+            "points": self.state["points"] if same else {},
+            "held": True,
+        }
+        return midflight
+
+    @property
+    def held(self):
+        return self.state is not None and self.state["held"]
+
+
+def drive(root, transitions, after_each=lambda: None):
+    """Apply ``transitions`` to real journals under ``root`` and to the
+    model, asserting they agree after every step."""
+    model = JournalModel()
+    driver = SweepJournal(root, "scn")
+    opened = [driver]
+    try:
+        for transition in transitions:
+            op = transition[0]
+            if op == "begin":
+                if not model.held:
+                    # A driver that let go of the lease is gone; the
+                    # next one to begin is a new process.
+                    driver = SweepJournal(root, "scn")
+                    opened.append(driver)
+                assert driver.begin(transition[1], 4) == model.begin(transition[1])
+            elif op == "second-driver":
+                rival = SweepJournal(root, "scn")
+                opened.append(rival)
+                if model.held:
+                    with pytest.raises(JournalBusyError):
+                        rival.begin(transition[1], 4)
+                else:
+                    assert rival.begin(transition[1], 4) == model.begin(
+                        transition[1]
+                    )
+                    driver = rival
+            elif op in ("started", "finished"):
+                mark = (
+                    driver.point_started if op == "started" else driver.point_finished
+                )
+                if model.held:
+                    mark(transition[1], 0)
+                    model.state["points"][transition[1]] = op
+                else:
+                    with pytest.raises(RuntimeError):
+                        mark(transition[1], 0)
+            elif op == "complete":
+                if model.held:
+                    driver.complete()
+                    model.state.update(status="complete", held=False)
+                else:
+                    with pytest.raises(RuntimeError):
+                        driver.complete()
+            else:
+                driver.release()
+                if model.held:
+                    model.state["held"] = False
+            assert summary(SweepJournal(root, "scn").load()) == model.state
+            after_each()
+    finally:
+        for journal in opened:
+            journal.release()
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(TRANSITIONS)
+    def test_any_transition_sequence_folds_to_the_dict_model(self, transitions):
+        with tempfile.TemporaryDirectory() as root:
+            drive(root, transitions)
+
+    @settings(max_examples=25, deadline=None)
+    @given(TRANSITIONS)
+    def test_truncation_at_any_offset_folds_to_a_prefix(self, transitions):
+        """Cut the log at every byte offset: the reader returns the fold
+        of the whole lines before the cut — the state after some earlier
+        transition — never an exception, never a key from a torn line."""
+        with tempfile.TemporaryDirectory() as root, \
+                tempfile.TemporaryDirectory() as cut_root:
+            live = SweepJournal(root, "scn")
+            cut = SweepJournal(cut_root, "scn")
+            cut.path.parent.mkdir(parents=True)
+
+            def check_every_cut():
+                if not live.path.exists():
+                    return
+                data = live.path.read_bytes()
+                for offset in range(len(data) + 1):
+                    cut.path.write_bytes(data[:offset])
+                    whole = data[: data.rfind(b"\n", 0, offset) + 1]
+                    assert cut.load() == fold_whole_lines(whole), offset
+
+            drive(root, transitions, after_each=check_every_cut)
+
+    def test_a_mark_on_a_large_journal_is_one_line_and_no_read(
+        self, tmp_path, monkeypatch
+    ):
+        seeded = SweepJournal(tmp_path, "scn")
+        seeded.begin("hash1", 2001)
+        for index in range(2000):
+            seeded.point_started(f"key-{index:04d}", index)
+        seeded.release()
+        journal = SweepJournal(tmp_path, "scn")
+        assert len(journal.begin("hash1", 2001)) == 2000
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("a mark must not read the log")
+
+        monkeypatch.setattr(SweepJournal, "load", no_read)
+        monkeypatch.setattr(os, "read", no_read)
+        before = journal.path.stat()
+        journal.point_started("key-2000", 2000)
+        line = b'{"index":2000,"key":"key-2000","status":"started"}\n'
+        after = journal.path.stat()
+        assert after.st_size - before.st_size == len(line)
+        assert after.st_ino == before.st_ino  # appended to, not replaced
+        journal.point_finished("key-0000", 0)
+        monkeypatch.undo()
+        assert journal.path.read_bytes().endswith(
+            line + b'{"index":0,"key":"key-0000","status":"finished"}\n'
+        )
+        assert journal.path.read_bytes().count(b"\n") == 2003
+        journal.release()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -606,14 +607,16 @@ class TestCli:
 
         store = str(tmp_path / "store")
         assert main(["sweep", "run", "smoke", "--store", store]) == 0
-        # Forge a crash: one point journaled as still mid-flight.
-        journal = SweepJournal(store, "smoke")
-        state = journal.load()
-        state["status"] = "running"
-        victim = next(iter(state["points"]))
-        state["points"][victim]["status"] = "started"
-        journal._state = state
-        journal._write()
+        # Forge a SIGKILL inside the first point, in the log itself: cut
+        # it after that point's start line, under an owner pid that no
+        # longer exists.
+        log = SweepJournal(store, "smoke").path
+        header, started = log.read_bytes().splitlines(keepends=True)[:2]
+        assert b'"status":"started"' in started
+        log.write_bytes(
+            header.replace(b'"pid":%d' % os.getpid(), b'"pid":%d' % (2 ** 22 + 1))
+            + started
+        )
         capsys.readouterr()
         assert main(["sweep", "resume", "smoke", "--store", store]) == 0
         out = capsys.readouterr().out

@@ -306,18 +306,18 @@ class TestGarbageCollection:
         store = self.populated(tmp_path)
         journal_dir = tmp_path / ".journal"
         journal_dir.mkdir()
-        orphan = journal_dir / "gone-scenario.json"
-        orphan.write_text(json.dumps({"status": "running", "points": {}}))
+        orphan = journal_dir / "gone-scenario.jsonl"
+        orphan.write_text(json.dumps({"spec_hash": "h", "owner": None}) + "\n")
         report = store.gc()
         assert report.journal_orphans == []
         assert [p.name for p in report.fresh_journals] == [
-            "gone-scenario.json"
+            "gone-scenario.jsonl"
         ]
         assert orphan.exists()
         backdate(orphan)
         report = store.gc()
         assert [p.name for p in report.journal_orphans] == [
-            "gone-scenario.json"
+            "gone-scenario.jsonl"
         ]
         assert report.removed == 1
         assert not orphan.exists()
@@ -328,8 +328,8 @@ class TestGarbageCollection:
         store = self.populated(tmp_path)
         journal_dir = tmp_path / ".journal"
         journal_dir.mkdir()
-        live = journal_dir / "scn.json"  # "scn" has records in the store
-        live.write_text(json.dumps({"status": "complete", "points": {}}))
+        live = journal_dir / "scn.jsonl"  # "scn" has records in the store
+        live.write_text(json.dumps({"spec_hash": "h", "owner": None}) + "\n")
         backdate(live)
         report = store.gc()
         assert report.journal_orphans == []
@@ -340,7 +340,7 @@ class TestGarbageCollection:
         store = self.populated(tmp_path)
         journal_dir = tmp_path / ".journal"
         journal_dir.mkdir()
-        torn = journal_dir / "scn.json.tmp"
+        torn = journal_dir / "scn.0123abcd.jsonl.tmp"
         torn.write_text("{\"half\": ")
         backdate(torn)
         report = store.gc()
