@@ -6,43 +6,27 @@
 - per-scheme communication/storage cost table.
 """
 
-from conftest import bench_engine, bench_trials, record_bench, run_once
+from conftest import bench_sweep, bench_trials, record_bench, run_once
 
 from repro.adversary.adaptive import adaptive_resilience_sweep
 from repro.core.schemes import NodeDisjointScheme, NodeJointScheme
 from repro.core.sizing import centralized_cost, key_share_cost, multipath_cost
-from repro.experiments.availability import run_availability_sweep
-from repro.experiments.reporting import format_series_table
+from repro.experiments.reporting import format_series_table, format_sweep_table
 
 
 def test_extension_availability(benchmark):
-    points = run_once(
-        benchmark,
-        run_availability_sweep,
-        population_size=10000,
-        uptimes=(1.0, 0.95, 0.9, 0.8),
-        p_sweep=(0.0, 0.1, 0.2, 0.3),
-        trials=bench_trials(),
-        engine=bench_engine(),
-    )
+    report = run_once(benchmark, bench_sweep, "availability", trials=bench_trials())
     by_key = {
-        (point.scheme, point.uptime, point.malicious_rate): point.resilience
-        for point in points
+        (result["scheme"], result["uptime"], result["p"]): result["value"]
+        for result in report.results()
     }
-    uptimes = (1.0, 0.95, 0.9, 0.8)
     for scheme in ("disjoint", "joint", "share"):
         print()
         print(
-            format_series_table(
+            format_sweep_table(
                 f"Extension: resilience vs p per uptime level ({scheme})",
-                "p",
-                [0.0, 0.1, 0.2, 0.3],
-                {
-                    f"uptime={up:g}": [
-                        by_key[(scheme, up, p)] for p in (0.0, 0.1, 0.2, 0.3)
-                    ]
-                    for up in uptimes
-                },
+                ("uptime", "p"),
+                [r for r in report.records if r["point"]["scheme"] == scheme],
             )
         )
     # The share scheme's (m, n) slack absorbs flakiness far better than the
@@ -53,11 +37,7 @@ def test_extension_availability(benchmark):
             by_key[("share", 0.8, p)]
             >= by_key[("disjoint", 0.8, p)] - 0.02
         )
-    record_bench(
-        "extensions",
-        benchmark,
-        trials=sum(point.outcome.trials for point in points),
-    )
+    record_bench("extensions", benchmark, trials=report.trials_run)
 
 
 def test_extension_adaptive_adversary(benchmark):
@@ -103,26 +83,26 @@ def test_extension_adaptive_adversary(benchmark):
 
 
 def test_extension_timeliness(benchmark):
-    from repro.experiments.timeliness import measure_timeliness
-
-    results = run_once(
+    report = run_once(
         benchmark,
-        measure_timeliness,
-        schemes=("central", "joint", "share"),
-        max_latencies=(0.05, 0.5),
-        runs=5,
+        bench_sweep,
+        "timeliness",
+        trials=5,
+        axes={"scheme": ("central", "joint", "share")},
     )
+    results = report.results()
     print()
     print("Extension: release lateness (arrival - tr), end-to-end protocol:")
     for result in results:
         print(
-            f"  {result.scheme:>8} latency<={result.max_latency:4.2f}s  "
-            f"delivered {result.delivered}/{result.runs}  "
-            f"mean +{result.mean_lateness:.3f}s  worst +{result.worst_lateness:.3f}s  "
-            f"early={result.early_releases}"
+            f"  {result['scheme']:>8} latency<={result['max_latency']:4.2f}s  "
+            f"delivered {result['delivered']}/{result['runs']}  "
+            f"mean +{result['mean_lateness']:.3f}s  "
+            f"worst +{result['worst_lateness']:.3f}s  "
+            f"early={result['early_releases']}"
         )
-    assert all(result.early_releases == 0 for result in results)
-    assert all(result.delivery_rate == 1.0 for result in results)
+    assert all(result["early_releases"] == 0 for result in results)
+    assert all(result["delivery_rate"] == 1.0 for result in results)
 
 
 def test_extension_lifetime_distribution_sensitivity(benchmark):

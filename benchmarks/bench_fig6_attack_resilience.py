@@ -1,163 +1,109 @@
 """Figure 6 — attack resilience and node cost vs malicious rate.
 
-Regenerates all four panels:
+Regenerates all four panels from the registered ``fig6a``…``fig6d``
+scenarios:
 
 - (a) resilience R vs p, N = 10,000   - (b) required nodes C vs p, N = 10,000
 - (c) resilience R vs p, N = 100      - (d) required nodes C vs p, N = 100
 
-Each benchmark prints the panel as a table: one row per p, one column per
+Each benchmark prints its figure as a table: one row per p, one column per
 scheme (central / disjoint / joint), analytic values with Monte-Carlo
 verification at the paper's sweep points.
 """
 
 from conftest import (
-    bench_engine,
+    bench_sweep,
     bench_trials,
+    curves,
     record_bench,
     record_wall,
     run_once,
     time_call,
 )
 
-from repro.experiments.attack_resilience import (
-    DEFAULT_P_SWEEP,
-    run_attack_resilience,
-    series_by_scheme,
-)
-from repro.experiments.reporting import format_cost_table, format_series_table
+from repro.experiments.reporting import format_sweep_table
 from repro.util.stats import wilson_proportion_ci
 
 BENCH = "fig6"
-SCHEMES = ("central", "disjoint", "joint")
 
 
-def _measured_trials(points) -> int:
-    """Total Monte-Carlo trials a sweep actually executed."""
-    return sum(
-        point.measured.release.trials
-        for point in points
-        if point.measured is not None
+def _print_resilience(title, report):
+    axes, records = report.spec.axis_names, list(report.records)
+    print()
+    print(format_sweep_table(f"{title} — analytic", axes, records, "analytic_worst"))
+    print()
+    print(format_sweep_table(f"{title} — Monte Carlo", axes, records))
+
+
+def _print_costs(title, report):
+    print()
+    print(
+        format_sweep_table(
+            title,
+            report.spec.axis_names,
+            list(report.records),
+            value_key="cost",
+            value_format="{:.0f}",
+        )
     )
-
-
-def _resilience_series(points):
-    series = series_by_scheme(points)
-    x_values = [entry[0] for entry in series["central"]]
-    analytic = {name: [entry[1] for entry in series[name]] for name in SCHEMES}
-    measured = {
-        f"{name} (mc)": [entry[2] for entry in series[name]] for name in SCHEMES
-    }
-    return x_values, {**analytic, **measured}
-
-
-def _cost_series(points):
-    series = series_by_scheme(points)
-    x_values = [entry[0] for entry in series["central"]]
-    costs = {name: [entry[3] for entry in series[name]] for name in SCHEMES}
-    return x_values, costs
 
 
 def test_fig6a_resilience_10000(benchmark):
-    points = run_once(
-        benchmark,
-        run_attack_resilience,
-        population_size=10000,
-        p_sweep=DEFAULT_P_SWEEP,
-        trials=bench_trials(),
-        engine=bench_engine(),
-    )
-    x_values, series = _resilience_series(points)
-    print()
-    print(
-        format_series_table(
-            "Fig 6(a): attack resilience R vs p (N=10000)", "p", x_values, series
-        )
-    )
-    joint = dict(zip(x_values, series["joint"]))
+    report = run_once(benchmark, bench_sweep, "fig6a", trials=bench_trials())
+    _print_resilience("Fig 6(a): attack resilience R vs p (N=10000)", report)
+    joint = curves(report, "analytic_worst")["scheme=joint"]
     assert joint[0.3] > 0.99  # paper: R > 0.99 before p = 0.34
     assert joint[0.4] > 0.9  # paper: R > 0.9 before p = 0.42
     record_bench(
         BENCH,
         benchmark,
-        trials=_measured_trials(points),
+        trials=report.trials_run,
         population=10000,
         kernel="vectorized",
     )
 
 
 def test_fig6b_cost_10000(benchmark):
-    points = run_once(
-        benchmark,
-        run_attack_resilience,
-        population_size=10000,
-        p_sweep=DEFAULT_P_SWEEP,
-        measure=False,
-    )
-    x_values, costs = _cost_series(points)
-    print()
-    print(
-        format_cost_table(
-            "Fig 6(b): required nodes C vs p (N=10000)", x_values, costs
-        )
-    )
-    joint = dict(zip(x_values, costs["joint"]))
+    report = run_once(benchmark, bench_sweep, "fig6b")
+    _print_costs("Fig 6(b): required nodes C vs p (N=10000)", report)
+    joint = curves(report, "cost")["scheme=joint"]
     assert joint[0.15] < 100
     assert joint[0.35] > 5000  # cost explosion toward the 10,000 cap
     record_bench(BENCH, benchmark, population=10000, kernel="analytic")
 
 
 def test_fig6c_resilience_100(benchmark):
-    points = run_once(
-        benchmark,
-        run_attack_resilience,
-        population_size=100,
-        p_sweep=DEFAULT_P_SWEEP,
-        trials=bench_trials(),
-        engine=bench_engine(),
-    )
-    x_values, series = _resilience_series(points)
-    print()
-    print(
-        format_series_table(
-            "Fig 6(c): attack resilience R vs p (N=100)", "p", x_values, series
-        )
-    )
+    report = run_once(benchmark, bench_sweep, "fig6c", trials=bench_trials())
+    _print_resilience("Fig 6(c): attack resilience R vs p (N=100)", report)
     # Paper: the DHT scale does not influence resilience dramatically —
     # the joint scheme still dominates and stays high for moderate p.
-    joint = dict(zip(x_values, series["joint"]))
-    central = dict(zip(x_values, series["central"]))
+    worst = curves(report, "analytic_worst")
+    joint, central = worst["scheme=joint"], worst["scheme=central"]
     for p in (0.1, 0.2, 0.3):
         assert joint[p] > central[p]
     assert joint[0.2] > 0.95
     record_bench(
         BENCH,
         benchmark,
-        trials=_measured_trials(points),
+        trials=report.trials_run,
         population=100,
         kernel="vectorized",
     )
 
 
 def test_fig6d_cost_100(benchmark):
-    points = run_once(
-        benchmark,
-        run_attack_resilience,
-        population_size=100,
-        p_sweep=DEFAULT_P_SWEEP,
-        measure=False,
-    )
-    x_values, costs = _cost_series(points)
-    print()
-    print(format_cost_table("Fig 6(d): required nodes C vs p (N=100)", x_values, costs))
+    report = run_once(benchmark, bench_sweep, "fig6d")
+    _print_costs("Fig 6(d): required nodes C vs p (N=100)", report)
     # Costs are clamped by the tiny network.
-    assert all(cost <= 100 for cost in costs["joint"])
+    assert all(cost <= 100 for cost in curves(report, "cost")["scheme=joint"].values())
     record_bench(BENCH, benchmark, population=100, kernel="analytic")
 
 
 def test_fig6_kernel_speedup(benchmark):
     """The vectorised lane vs the scalar oracle on the same N=10,000 sweep.
 
-    Runs the full Fig. 6(a) sweep through both Monte-Carlo lanes with the
+    Runs the full ``fig6a`` sweep through both Monte-Carlo lanes (pinned
+    through ``fixed["kernel"]``, as ``sweep run --kernel`` does) with the
     same seed and trial budget, then
 
     - asserts the vectorised kernel is strictly faster (the CI perf-smoke
@@ -171,46 +117,32 @@ def test_fig6_kernel_speedup(benchmark):
     """
     trials = bench_trials()
     vectorized = run_once(
-        benchmark,
-        run_attack_resilience,
-        population_size=10000,
-        p_sweep=DEFAULT_P_SWEEP,
-        trials=trials,
-        engine=bench_engine(),
-        kernel="vectorized",
+        benchmark, bench_sweep, "fig6a", trials=trials, kernel="vectorized"
     )
     scalar, scalar_wall = time_call(
-        run_attack_resilience,
-        population_size=10000,
-        p_sweep=DEFAULT_P_SWEEP,
-        trials=trials,
-        engine=bench_engine(),
-        kernel="scalar",
+        bench_sweep, "fig6a", trials=trials, kernel="scalar"
     )
 
     overlaps = 0
     checked = 0
-    for fast, slow in zip(vectorized, scalar):
-        assert (fast.scheme, fast.malicious_rate) == (
-            slow.scheme,
-            slow.malicious_rate,
-        )
-        if fast.measured is None or slow.measured is None:
+    for fast, slow in zip(vectorized.results(), scalar.results()):
+        assert (fast["scheme"], fast["p"]) == (slow["scheme"], slow["p"])
+        if fast["measured"] is None or slow["measured"] is None:
             continue
         for channel in ("release", "drop"):
-            fast_est = getattr(fast.measured, channel)
-            slow_est = getattr(slow.measured, channel)
+            fast_est = fast["measured"][channel]
+            slow_est = slow["measured"][channel]
             _, fast_low, fast_high = wilson_proportion_ci(
-                fast_est.successes, fast_est.trials, z_score=3.29
+                fast_est["successes"], fast_est["trials"], z_score=3.29
             )
             _, slow_low, slow_high = wilson_proportion_ci(
-                slow_est.successes, slow_est.trials, z_score=3.29
+                slow_est["successes"], slow_est["trials"], z_score=3.29
             )
             checked += 1
             overlap = fast_low <= slow_high and slow_low <= fast_high
             overlaps += overlap
             assert overlap, (
-                f"{fast.scheme} p={fast.malicious_rate} {channel}: "
+                f"{fast['scheme']} p={fast['p']} {channel}: "
                 f"[{fast_low:.4f}, {fast_high:.4f}] vs "
                 f"[{slow_low:.4f}, {slow_high:.4f}] do not overlap"
             )
@@ -218,11 +150,11 @@ def test_fig6_kernel_speedup(benchmark):
     record = record_bench(
         BENCH,
         benchmark,
-        trials=_measured_trials(vectorized),
+        trials=vectorized.trials_run,
         population=10000,
         kernel="vectorized-vs-scalar",
         scalar_wall_seconds=round(scalar_wall, 6),
-        scalar_trials_per_second=round(_measured_trials(scalar) / scalar_wall, 3),
+        scalar_trials_per_second=round(scalar.trials_run / scalar_wall, 3),
         speedup=round(scalar_wall / record_wall(benchmark), 2)
         if record_wall(benchmark)
         else None,

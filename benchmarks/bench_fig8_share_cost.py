@@ -1,62 +1,39 @@
 """Figure 8 — key-share routing cost: resilience vs node budget N.
 
-α = 3, N in {100, 1000, 5000, 10000}.  Prints one column per budget
-(Monte Carlo) plus Algorithm 1's analytic prediction.
+The registered ``fig8`` scenario: α = 3, N in {100, 1000, 5000, 10000}.
+Prints one column per budget (Monte Carlo) plus Algorithm 1's analytic
+prediction.
 """
 
-from conftest import bench_engine, bench_trials, record_bench, run_once
+from conftest import bench_sweep, bench_trials, curves, record_bench, run_once
 
-from repro.experiments.cost import (
-    DEFAULT_BUDGETS,
-    DEFAULT_P_SWEEP,
-    run_share_cost,
-    series_by_budget,
-)
-from repro.experiments.reporting import format_series_table
+from repro.experiments.reporting import format_sweep_table
 
 
 def test_fig8_share_cost(benchmark):
-    points = run_once(
-        benchmark,
-        run_share_cost,
-        budgets=DEFAULT_BUDGETS,
-        p_sweep=DEFAULT_P_SWEEP,
-        trials=bench_trials(),
-        engine=bench_engine(),
-    )
-    grouped = series_by_budget(points)
-    x_values = [p for p, _, _ in grouped[DEFAULT_BUDGETS[0]]]
-    series = {}
-    for budget in DEFAULT_BUDGETS:
-        series[f"N={budget}"] = [measured for _, measured, _ in grouped[budget]]
-    for budget in DEFAULT_BUDGETS:
-        series[f"N={budget} (alg1)"] = [
-            analytic for _, _, analytic in grouped[budget]
-        ]
+    report = run_once(benchmark, bench_sweep, "fig8", trials=bench_trials())
+    axes, records = report.spec.axis_names, list(report.records)
+    title = "Fig 8: key-share scheme resilience vs p per node budget (alpha=3)"
+    print()
+    print(format_sweep_table(f"{title} — Monte Carlo", axes, records))
     print()
     print(
-        format_series_table(
-            "Fig 8: key-share scheme resilience vs p per node budget (alpha=3)",
-            "p",
-            x_values,
-            series,
+        format_sweep_table(
+            f"{title} — Algorithm 1", axes, records, "analytic_resilience"
         )
     )
 
-    by_budget = {
-        budget: dict((p, measured) for p, measured, _ in grouped[budget])
-        for budget in DEFAULT_BUDGETS
-    }
+    by_budget = curves(report)
     # Paper claims (§IV-B.3):
-    assert by_budget[10000][0.3] > 0.9  # drops only after p > 0.3
-    assert by_budget[1000][0.25] > 0.9  # good to p ~ 0.26
-    assert by_budget[100][0.1] > 0.9  # acceptable to p ~ 0.14
+    assert by_budget["budget=10000"][0.3] > 0.9  # drops only after p > 0.3
+    assert by_budget["budget=1000"][0.25] > 0.9  # good to p ~ 0.26
+    assert by_budget["budget=100"][0.1] > 0.9  # acceptable to p ~ 0.14
     # 5000 nearly coincides with 10000 for moderate p.
     for p in (0.1, 0.2, 0.25):
-        assert abs(by_budget[5000][p] - by_budget[10000][p]) < 0.03
+        assert abs(by_budget["budget=5000"][p] - by_budget["budget=10000"][p]) < 0.03
     record_bench(
         "fig8",
         benchmark,
-        trials=sum(point.outcome.trials for point in points),
-        budgets=list(DEFAULT_BUDGETS),
+        trials=report.trials_run,
+        budgets=[100, 1000, 5000, 10000],
     )

@@ -1,8 +1,9 @@
 """Shared benchmark configuration.
 
-Every figure benchmark runs its experiment once (rounds=1) through
-pytest-benchmark so the timing is recorded, then prints the regenerated
-figure as a textual series table.
+Every figure benchmark runs its registered scenario once (rounds=1,
+:func:`bench_sweep` → ``api.run_scenario``) through pytest-benchmark so
+the timing is recorded, then prints the regenerated figure as a textual
+series table.
 
 Trial counts default to a reduced-but-stable setting so the whole harness
 finishes in minutes; set REPRO_BENCH_TRIALS=1000 to match the paper's
@@ -20,8 +21,7 @@ the same way:
   ``REPRO_BENCH_WORKERS=host:port,...`` supplying worker addresses for
   the distributed backend (``REPRO_BENCH_POOL=N`` spawns a local pool
   instead) and ``REPRO_BENCH_CHUNK_SIZE=N|auto`` setting the span size
-  for backends that take one — ``auto`` closes the loop: spans sized
-  from the very ``BENCH_*.json`` records these benchmarks emit.
+  for backends that take one (``auto``: from each worker's observed rate).
 
 **Machine-readable records.**  Besides the human tables, every benchmark
 appends a record to ``BENCH_<name>.json`` (written to ``REPRO_BENCH_OUT``,
@@ -32,6 +32,7 @@ the files as artifacts, so the performance trajectory is diffable across
 commits instead of living in scrollback.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -39,7 +40,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.engine import TrialEngine
+from repro import api
+from repro.experiments.reporting import sweep_series
+from repro.scenarios.spec import Axis
 
 
 def bench_trials(default: int = 300) -> int:
@@ -93,13 +96,37 @@ def bench_backend():
     return BackendSpec(name, options=options)
 
 
-def bench_engine() -> TrialEngine:
-    """The trial engine every figure benchmark drives its sweep through."""
-    return TrialEngine(
-        jobs=bench_jobs(None),
+def bench_sweep(name, trials=None, axes=None, **fixed):
+    """Run a registered scenario under the ``REPRO_BENCH_*`` engine knobs.
+
+    ``axes`` (``{axis name: values}``) narrows the named axes of the
+    spec's grid and ``fixed`` overrides fixed parameters — how a bench
+    runs one panel, a reduced grid, or a pinned kernel lane of a figure.
+    """
+    spec = api.get_scenario(name)
+    spec = dataclasses.replace(
+        spec,
+        fixed={**spec.fixed, **fixed},
+        axes=tuple(
+            Axis(axis.name, (axes or {}).get(axis.name, axis.values))
+            for axis in spec.axes
+        ),
+    )
+    return api.run_scenario(
+        spec,
+        trials=trials,
         tolerance=bench_tolerance(),
         backend=bench_backend(),
+        jobs=bench_jobs(None),
     )
+
+
+def curves(report, value_key="value"):
+    """A report pivoted by :func:`sweep_series`: ``{series name: {x: value}}``."""
+    x_values, series = sweep_series(
+        report.spec.axis_names, list(report.records), value_key=value_key
+    )
+    return {name: dict(zip(x_values, column)) for name, column in series.items()}
 
 
 def bench_out_dir() -> Path:

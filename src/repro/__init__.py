@@ -16,8 +16,8 @@ Quick tour (see README.md for a runnable quickstart):
 - :mod:`repro.churn` - exponential lifetime churn and replica repair.
 - :mod:`repro.adversary` - Sybil populations and the two attack models.
 - :mod:`repro.cloud` - the encrypted-blob store.
-- :mod:`repro.experiments` - Monte-Carlo drivers reproducing every figure
-  of the paper's evaluation (Figs. 6, 7, 8).
+- :mod:`repro.experiments` - the trial engine and the typed per-point
+  units behind every figure of the paper's evaluation (Figs. 6, 7, 8).
 - :mod:`repro.backends` - the unified execution layer: one
   ``ExecutionBackend`` interface over serial / shm-pool / distributed
   (TCP worker) substrates.

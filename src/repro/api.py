@@ -114,7 +114,6 @@ def run_sweep(
     trace: Optional[Any] = None,
     fallback: Optional[str] = None,
     point_deadline: Optional[float] = None,
-    journal: bool = True,
 ) -> SweepReport:
     """Run (or resume) a scenario sweep through the orchestrator.
 
@@ -137,10 +136,10 @@ def run_sweep(
     ``fallback="local"`` opts into the degradation ladder — when the
     fleet collapses (``NoWorkersLeft``) or a point blows its
     ``point_deadline`` (seconds), the sweep finishes on a local backend
-    instead of aborting; records stay byte-identical either way.
-    ``journal=False`` disables the per-sweep write-ahead journal that
-    lets a resume after SIGKILL tell committed points from mid-flight
-    ones.
+    instead of aborting; records stay byte-identical either way.  With
+    a ``store`` the per-sweep write-ahead journal is always kept: it is
+    what lets a resume after SIGKILL tell committed points from
+    mid-flight ones.
     """
     spec = _resolve_scenario(scenario)
     tracer, owned = _resolve_trace(trace)
@@ -152,7 +151,6 @@ def run_sweep(
         tracer=tracer,
         fallback=fallback,
         point_deadline=point_deadline,
-        journal=journal,
     )
     try:
         return orchestrator.run(

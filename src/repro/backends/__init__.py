@@ -26,8 +26,8 @@ The repository's execution layer in one subsystem:
 - :mod:`repro.backends.faults` — deterministic, seedable fault
   injection (:class:`FaultPlan`): how the chaos tests and the CI chaos
   job prove counts survive worker failure bit-identically;
-- :mod:`repro.backends.autotune` — span sizing from recorded
-  ``BENCH_*.json`` rates (``chunk_size="auto"``).
+- :mod:`repro.backends.autotune` — span sizing from in-run observed
+  rates (``chunk_size="auto"``).
 
 Every backend honours the determinism contract — streams keyed by
 ``(seed, label, index)`` and exact integer aggregation make results
@@ -37,11 +37,7 @@ meaningful options.
 """
 
 from repro.backends.base import BackendSpec
-from repro.backends.autotune import (
-    bench_rate,
-    record_observed_rates,
-    suggest_chunk_size,
-)
+from repro.backends.autotune import suggest_chunk_size
 from repro.backends.distributed import (
     DistributedBackend,
     NoWorkersLeft,
@@ -87,12 +83,10 @@ __all__ = [
     "WorkerServer",
     "announce_worker",
     "backend_names",
-    "bench_rate",
     "get",
     "list_backends",
     "load_hosts_file",
     "probe_worker",
-    "record_observed_rates",
     "register_backend",
     "resolve_spec",
     "retire_worker",

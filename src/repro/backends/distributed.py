@@ -21,9 +21,9 @@ Execution model per span call:
    range on demand: each live worker's driver thread pulls the next span
    off a shared cursor, sized for *that* worker (``chunk_size`` trials;
    default balances the range across live workers; ``"auto"`` sizes
-   spans from the worker's own observed rate, falling back to recorded
-   ``BENCH_*.json`` rates — see :mod:`repro.backends.autotune`), so slow
-   workers naturally take less and fast ones more.
+   spans from the worker's own observed rate — see
+   :mod:`repro.backends.autotune`), so slow workers naturally take less
+   and fast ones more.
 3. Counts are summed over spans — exact integer addition over per-span
    counts that are pure functions of ``(task, span)``, so *any* disjoint
    partition of the range gives identical totals — and collect values
@@ -450,10 +450,9 @@ class DistributedBackend(ExecutionBackend):
     chunk_size:
         Trials (batches, in batch mode) per dispatched span.  ``None``
         balances the range across live workers; ``"auto"`` sizes each
-        worker's spans from its own observed rate, seeded by recorded
-        benchmark rates (:mod:`repro.backends.autotune`), targeting
-        sub-second spans so retry/rebalancing stays granular.  Never
-        observable in results.
+        worker's spans from its own observed rate
+        (:mod:`repro.backends.autotune`), targeting sub-second spans so
+        retry/rebalancing stays granular.  Never observable in results.
     connect_timeout:
         Seconds allowed for TCP connect + hello handshake per worker.
     pool:
@@ -686,7 +685,6 @@ class DistributedBackend(ExecutionBackend):
 
     def close(self) -> None:
         self._collect_worker_stats()
-        self._record_observed_rates()
         if self._registry is not None:
             self._registry.stop()
             self._registry = None
@@ -742,34 +740,6 @@ class DistributedBackend(ExecutionBackend):
             return None
         host, port = self._registry.address
         return f"{host}:{port}"
-
-    def worker_rates(self) -> Dict[str, float]:
-        """Observed trials/second per worker address (measured ones only)."""
-        with self._membership_lock:
-            workers = list(self._workers or ())
-        rates: Dict[str, float] = {}
-        for worker in workers:
-            rate = worker.observed_rate()
-            if rate is not None:
-                rates[worker.address] = rate
-        return rates
-
-    def _record_observed_rates(self) -> None:
-        """Feed per-worker observed rates back into the autotune records.
-
-        Only when autotuning was actually in play (``chunk_size="auto"``):
-        a fixed-chunk run's rates are equally valid, but an operator who
-        never opted into autotuning should not find benchmark artifacts
-        appearing in their working directory.
-        """
-        if self.chunk_size != "auto" or self._workers is None:
-            return
-        rates = self.worker_rates()
-        if not rates:
-            return
-        from repro.backends.autotune import record_observed_rates
-
-        record_observed_rates("distributed", rates)
 
     def _collect_worker_stats(self) -> None:
         """Pull every live worker's telemetry and merge it into ours.
@@ -947,14 +917,13 @@ class DistributedBackend(ExecutionBackend):
         # "auto": each worker's demonstrated rate sizes its own spans —
         # slow workers get small spans (cheap to requeue or steal), fast
         # ones get spans near the target wall time.
-        from repro.backends.autotune import resolved_rate, suggest_chunk_size
+        from repro.backends.autotune import DEFAULT_RATE, suggest_chunk_size
 
         total_trials = total_units * trials_per_unit
-        fallback_rate = resolved_rate(self, "distributed")
 
         def sizer(worker: _Worker) -> int:
             live = max(1, len(self.live_workers()))
-            rate = worker.observed_rate() or fallback_rate
+            rate = worker.observed_rate() or DEFAULT_RATE
             trials = suggest_chunk_size(
                 "distributed", total_trials, workers=live, rate=rate
             )

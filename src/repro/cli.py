@@ -4,7 +4,6 @@ Installed as the ``repro`` console script::
 
     repro plan --scheme joint -p 0.25 --budget 10000
     repro plan --scheme joint -p 0.25 --budget 500 --frontier
-    repro figures --figure 7 --trials 400
     repro scenarios list
     repro scenarios show fig7
     repro sweep run fig7 --jobs 4 --store .repro-store
@@ -24,7 +23,7 @@ Installed as the ``repro`` console script::
     repro sweep run fig7 --backend distributed --pool 2 --fallback local --point-deadline 120
     repro sweep verify --store .repro-store
     repro sweep repair fig7 --store .repro-store
-    repro sweep gc --store .repro-store --keep-latest
+    repro sweep gc --store .repro-store --dry-run
     repro sweep gc --store .repro-store --tmp-grace 0 --purge-quarantine
     repro worker serve --bind 127.0.0.1:7070
     repro worker serve --bind 127.0.0.1:0 --announce 127.0.0.1:7171
@@ -54,7 +53,7 @@ _BUILTIN_BACKENDS = "serial, shm-pool, distributed"
 
 
 def _add_backend_arguments(parser) -> None:
-    """The shared execution-backend surface of ``figures`` and ``sweep``."""
+    """The shared execution-backend surface of ``sweep`` and ``serve``."""
     parser.add_argument(
         "--jobs",
         type=int,
@@ -93,7 +92,7 @@ def _add_backend_arguments(parser) -> None:
         metavar="N|auto",
         help="span size per dispatched unit of work for backends that "
         "take one (never observable in results); 'auto' sizes spans "
-        "from recorded BENCH_*.json rates",
+        "from each worker's observed rate",
     )
     parser.add_argument(
         "--announce-bind",
@@ -286,39 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="T / t_life (share scheme planning only)",
     )
 
-    figures = subparsers.add_parser(
-        "figures", help="regenerate a paper figure as a table"
-    )
-    figures.add_argument(
-        "--figure", choices=["6a", "6b", "6c", "6d", "7", "8"], required=True
-    )
-    figures.add_argument("--trials", type=int, default=300)
-    _add_backend_arguments(figures)
-    figures.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="adaptive early stopping: stop a point once its CI "
-        "half-width is at most this value (default: run all trials)",
-    )
-    figures.add_argument(
-        "--kernel",
-        choices=["vectorized", "scalar"],
-        default="vectorized",
-        help="Monte-Carlo lane for the Fig. 6 attack trials: the numpy "
-        "batch kernels (default) or the per-trial scalar oracle; the "
-        "lanes agree statistically, not bit-for-bit",
-    )
-    figures.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="trials per vectorised batch (default: 100-trial batches on "
-        "the Fig. 6 attack lane so --jobs can fan them out; figures 7/8 "
-        "keep one batch per point, or check-interval-sized batches when "
-        "--tolerance is set)",
-    )
-
     scenarios = subparsers.add_parser(
         "scenarios", help="inspect the declarative scenario registry"
     )
@@ -415,13 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "many seconds (cancelling its in-flight spans) and, with "
             "--fallback local, retry it locally",
         )
-        action_parser.add_argument(
-            "--no-journal",
-            action="store_true",
-            help="skip the per-sweep write-ahead journal (the journal is "
-            "what lets a resume after a driver crash tell committed "
-            "points from mid-flight ones)",
-        )
         if action == "run":
             action_parser.add_argument(
                 "--force",
@@ -441,20 +400,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep_gc = sweep_actions.add_parser(
         "gc",
-        help="prune orphaned temp files, corrupt records, and (with "
-        "--keep-latest) records from older store-format generations",
+        help="prune orphaned temp files, corrupt records, abandoned "
+        "claims and recordless journals",
     )
     sweep_gc.add_argument(
         "--store",
         default=".repro-store",
         help="result-store directory to collect (default: %(default)s)",
-    )
-    sweep_gc.add_argument(
-        "--keep-latest",
-        action="store_true",
-        help="also remove records whose store-format generation is older "
-        "than the newest one present (pruned points recompute on the "
-        "next sweep)",
     )
     sweep_gc.add_argument(
         "--dry-run",
@@ -747,105 +699,6 @@ def _command_plan(args) -> int:
     return 0
 
 
-def _command_figures(args) -> int:
-    from repro.backends import get as get_backend
-    from repro.experiments.engine import TrialEngine
-
-    # One backend serves the whole figure; `with` covers long-lived
-    # substrates (shm-pool keeps its pool, distributed its sockets).
-    backend = get_backend(_backend_from_args(args), jobs=args.jobs)
-    tracer = _open_tracer(args)
-    if tracer is not None and hasattr(backend, "tracer"):
-        backend.tracer = tracer
-    try:
-        with backend:
-            engine = TrialEngine(
-                backend=backend, tolerance=args.tolerance, tracer=tracer
-            )
-            return _render_figure(args, engine)
-    finally:
-        _finish_trace(tracer, getattr(args, "trace", None))
-
-
-def _render_figure(args, engine) -> int:
-    from repro.experiments.attack_resilience import (
-        run_attack_resilience,
-        series_by_scheme,
-    )
-    from repro.experiments.churn_resilience import panel, run_churn_resilience
-    from repro.experiments.cost import run_share_cost, series_by_budget
-    from repro.experiments.reporting import format_cost_table, format_series_table
-
-    if args.figure in ("6a", "6b", "6c", "6d"):
-        population = 10000 if args.figure in ("6a", "6b") else 100
-        wants_cost = args.figure in ("6b", "6d")
-        points = run_attack_resilience(
-            population_size=population,
-            trials=args.trials,
-            measure=not wants_cost,
-            engine=engine,
-            kernel=args.kernel,
-            batch_size=args.batch_size,
-        )
-        series = series_by_scheme(points)
-        x_values = [entry[0] for entry in series["central"]]
-        if wants_cost:
-            print(
-                format_cost_table(
-                    f"Fig 6({args.figure[-1]}): required nodes (N={population})",
-                    x_values,
-                    {name: [e[3] for e in series[name]] for name in series},
-                )
-            )
-        else:
-            print(
-                format_series_table(
-                    f"Fig 6({args.figure[-1]}): attack resilience (N={population})",
-                    "p",
-                    x_values,
-                    {name: [e[1] for e in series[name]] for name in series},
-                )
-            )
-        return 0
-
-    if args.figure == "7":
-        points = run_churn_resilience(
-            trials=args.trials, engine=engine, batch_size=args.batch_size
-        )
-        for alpha in (1.0, 2.0, 3.0, 5.0):
-            data = panel(points, alpha)
-            x_values = [p for p, _ in data["central"]]
-            print(
-                format_series_table(
-                    f"Fig 7 (alpha={alpha:g})",
-                    "p",
-                    x_values,
-                    {name: [v for _, v in data[name]] for name in data},
-                )
-            )
-            print()
-        return 0
-
-    if args.figure == "8":
-        points = run_share_cost(
-            trials=args.trials, engine=engine, batch_size=args.batch_size
-        )
-        grouped = series_by_budget(points)
-        budgets = sorted(grouped)
-        x_values = [p for p, _, _ in grouped[budgets[0]]]
-        print(
-            format_series_table(
-                "Fig 8 (alpha=3)",
-                "p",
-                x_values,
-                {f"N={b}": [m for _, m, _ in grouped[b]] for b in budgets},
-            )
-        )
-        return 0
-
-    raise AssertionError("unreachable")
-
-
 def _command_scenarios(args) -> int:
     from repro.scenarios import builtin_scenarios, get_scenario
 
@@ -937,7 +790,6 @@ def _command_sweep(args) -> int:
         tracer=tracer,
         fallback=args.fallback,
         point_deadline=args.point_deadline,
-        journal=not args.no_journal,
     )
     total = spec.point_count
     sweep_began = time.perf_counter()
@@ -1065,7 +917,6 @@ def _sweep_submit(args) -> int:
         (args.watch_workers, "--watch-workers"),
         (args.fallback, "--fallback"),
         (args.point_deadline, "--point-deadline"),
-        (args.no_journal, "--no-journal"),
         (args.trace, "--trace"),
     ):
         if value:
@@ -1290,7 +1141,6 @@ def _sweep_gc(args) -> int:
     if grace < 0:
         raise SystemExit("--tmp-grace must be >= 0 seconds")
     report = ResultStore(args.store).gc(
-        keep_latest=args.keep_latest,
         dry_run=args.dry_run,
         tmp_grace_seconds=grace,
         purge_quarantine=args.purge_quarantine,
@@ -1302,16 +1152,11 @@ def _sweep_gc(args) -> int:
         else ""
     )
     print(
-        f"{args.store}: scanned {report.scanned} record(s), kept "
-        f"{report.kept}; {verb} {len(report.orphans)} orphan(s), "
-        f"{len(report.corrupt)} corrupt, {len(report.stale)} stale, "
+        f"{args.store}: scanned {report.scanned} record(s); "
+        f"{verb} {len(report.orphans)} orphan(s), "
+        f"{len(report.corrupt)} corrupt, "
         f"{len(report.journal_orphans)} orphaned journal(s)"
         f"{quarantine_note}"
-        + (
-            f" (latest generation {report.latest_generation})"
-            if report.latest_generation is not None
-            else ""
-        )
     )
     if report.fresh_tmp:
         print(
@@ -1545,7 +1390,6 @@ def _command_demo(args) -> int:
 
 _COMMANDS = {
     "plan": _command_plan,
-    "figures": _command_figures,
     "scenarios": _command_scenarios,
     "sweep": _command_sweep,
     "serve": _command_serve,

@@ -1,6 +1,8 @@
-"""Experiment drivers reproducing the paper's evaluation (Section IV).
+"""The per-point experiment units behind the paper's evaluation (Section IV).
 
-One module per figure:
+One module per figure, each exposing the typed ``*_point`` function the
+scenario runners call (the sweeps themselves are the registered
+``fig6a``…``fig8`` scenarios — :mod:`repro.scenarios.registry`):
 
 - :mod:`repro.experiments.attack_resilience` — Fig. 6(a)-(d): attack
   resilience and node cost vs malicious rate, N = 10,000 and N = 100;
@@ -33,11 +35,11 @@ from repro.experiments.attack_kernels import (
 )
 from repro.experiments.attack_resilience import (
     AttackResiliencePoint,
-    run_attack_resilience,
+    attack_resilience_point,
 )
-from repro.experiments.availability import AvailabilityPoint, run_availability_sweep
-from repro.experiments.churn_resilience import ChurnPoint, run_churn_resilience
-from repro.experiments.cost import CostPoint, run_share_cost
+from repro.experiments.availability import AvailabilityPoint, availability_point
+from repro.experiments.churn_resilience import ChurnPoint, churn_resilience_point
+from repro.experiments.cost import CostPoint, share_cost_point
 from repro.experiments.engine import (
     EngineResult,
     MonteCarloEstimate,
@@ -47,16 +49,16 @@ from repro.experiments.engine import (
 from repro.experiments.reporting import format_series_table
 
 __all__ = [
-    "run_attack_resilience",
+    "attack_resilience_point",
     "AttackResiliencePoint",
     "attack_batch_for",
     "CentralAttackBatch",
     "MultipathAttackBatch",
-    "run_churn_resilience",
+    "churn_resilience_point",
     "ChurnPoint",
-    "run_share_cost",
+    "share_cost_point",
     "CostPoint",
-    "run_availability_sweep",
+    "availability_point",
     "AvailabilityPoint",
     "TrialEngine",
     "EngineResult",

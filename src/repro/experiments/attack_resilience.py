@@ -9,8 +9,9 @@ For each malicious rate ``p`` and each scheme (central / disjoint / joint):
    ids malicious, sample the holder structure, evaluate both attacks —
    verifies the curve the way the paper's Overlay Weaver experiments do.
 
-``run_attack_resilience`` produces the full series for Fig. 6(a)+(b)
-(``population=10000``) or Fig. 6(c)+(d) (``population=100``).
+``attack_resilience_point`` is one (scheme, p) point; the registered
+``fig6a``…``fig6d`` scenarios sweep it over the figure's grid
+(``population_size=10000`` for (a)+(b), ``100`` for (c)+(d)).
 
 Two Monte-Carlo lanes implement step 3:
 
@@ -30,7 +31,7 @@ lane, results remain executor-independent and seed-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.adversary.population import SybilPopulation
 from repro.core.planner import DEFAULT_TARGET, PlannedConfiguration, plan_configuration
@@ -43,8 +44,6 @@ from repro.core.schemes import (
 from repro.experiments.engine import PairedEstimate, TrialEngine
 from repro.util.rng import RandomSource
 
-DEFAULT_P_SWEEP = tuple(round(0.05 * i, 2) for i in range(11))  # 0.00 .. 0.50
-SCHEME_ORDER = ("central", "disjoint", "joint")
 KERNELS = ("vectorized", "scalar")
 
 #: Default trials per vectorised batch.  A fixed constant — never derived
@@ -185,12 +184,10 @@ def attack_resilience_point(
 
     Plans the configuration, evaluates the closed-form curve, and (when
     ``measure`` and the plan fits the population) verifies it by Monte
-    Carlo.  ``run_attack_resilience`` and the registered scenarios both
-    call this, so the two paths produce identical numbers for a seed.
-    ``kernel`` picks the Monte-Carlo lane (``"vectorized"`` numpy batches
-    or the ``"scalar"`` per-trial oracle); ``batch_size`` partitions the
-    vectorised lane (results depend on it only through the engine's
-    documented batch-stream rule).
+    Carlo.  ``kernel`` picks the Monte-Carlo lane (``"vectorized"`` numpy
+    batches or the ``"scalar"`` per-trial oracle); ``batch_size``
+    partitions the vectorised lane (results depend on it only through the
+    engine's documented batch-stream rule).
     """
     if engine is None:
         engine = TrialEngine()
@@ -219,63 +216,3 @@ def attack_resilience_point(
         analytic_drop=configuration.drop_resilience,
         measured=measured,
     )
-
-
-def run_attack_resilience(
-    population_size: int = 10000,
-    p_sweep: Sequence[float] = DEFAULT_P_SWEEP,
-    trials: int = 400,
-    target: float = DEFAULT_TARGET,
-    measure: bool = True,
-    seed: int = 2017,
-    engine: Optional[TrialEngine] = None,
-    jobs: int = 1,
-    tolerance: Optional[float] = None,
-    kernel: str = "vectorized",
-    batch_size: Optional[int] = None,
-) -> List[AttackResiliencePoint]:
-    """Produce the Fig. 6 series for one population size.
-
-    Set ``measure=False`` for the analytic-only variant (instant; used by
-    tests that pin exact values).  Pass an ``engine`` (or ``jobs`` /
-    ``tolerance`` to build a default one) to parallelise the Monte Carlo
-    or stop each point adaptively; executors never change the estimates
-    for a fixed trial count.  ``kernel="scalar"`` selects the per-trial
-    oracle lane over the default vectorised kernels.
-    """
-    if engine is None:
-        engine = TrialEngine(jobs=jobs, tolerance=tolerance)
-    return [
-        attack_resilience_point(
-            scheme_name,
-            p,
-            population_size=population_size,
-            trials=trials,
-            target=target,
-            measure=measure,
-            seed=seed,
-            engine=engine,
-            kernel=kernel,
-            batch_size=batch_size,
-        )
-        for scheme_name in SCHEME_ORDER
-        for p in p_sweep
-    ]
-
-
-def series_by_scheme(
-    points: Sequence[AttackResiliencePoint],
-) -> dict:
-    """Group a point list into per-scheme (p, R, C) triples for reporting."""
-    series: dict = {}
-    for point in points:
-        entry = series.setdefault(point.scheme, [])
-        entry.append(
-            (
-                point.malicious_rate,
-                point.analytic_worst,
-                point.measured_worst,
-                point.cost,
-            )
-        )
-    return series

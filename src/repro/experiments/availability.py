@@ -22,7 +22,7 @@ is untouched — which is exactly why the effect is interesting: it shifts
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,8 +35,6 @@ from repro.experiments.churn_model import (
 )
 from repro.experiments.engine import TrialEngine
 from repro.util.validation import check_positive_int, check_probability
-
-DEFAULT_UPTIMES = (1.0, 0.95, 0.9, 0.8)
 
 
 @dataclass(frozen=True)
@@ -213,9 +211,6 @@ def availability_point(
 ) -> AvailabilityPoint:
     """One (scheme, uptime, p) point of the sweep — the sweepable unit.
 
-    ``run_availability_sweep`` and the registered scenario both call this,
-    so the two paths produce identical numbers for a seed.
-
     ``kernel="static"`` (the default — and the only lane historical cache
     keys ever pinned) keeps the original no-deaths offline model; the
     ``"epoch"`` / ``"epoch-scalar"`` lanes run the ``repro.epoch`` churn
@@ -281,35 +276,3 @@ def availability_point(
         malicious_rate=p,
         outcome=outcome_from_result(result),
     )
-
-
-def run_availability_sweep(
-    population_size: int = 10000,
-    uptimes: Sequence[float] = DEFAULT_UPTIMES,
-    p_sweep: Sequence[float] = (0.0, 0.1, 0.2, 0.3),
-    trials: int = 1000,
-    schemes: Sequence[str] = ("disjoint", "joint", "share"),
-    seed: int = 2017,
-    engine: Optional[TrialEngine] = None,
-    jobs: int = 1,
-    tolerance: Optional[float] = None,
-    batch_size: Optional[int] = None,
-) -> List[AvailabilityPoint]:
-    """The extension sweep: resilience vs p per uptime level."""
-    if engine is None:
-        engine = TrialEngine(jobs=jobs, tolerance=tolerance)
-    return [
-        availability_point(
-            scheme,
-            uptime,
-            p,
-            population_size=population_size,
-            trials=trials,
-            seed=seed,
-            engine=engine,
-            batch_size=batch_size,
-        )
-        for uptime in uptimes
-        for p in p_sweep
-        for scheme in schemes
-    ]

@@ -70,7 +70,7 @@ def outcome_from_counts(
 def outcome_from_result(result) -> ChurnOutcome:
     """A two-channel engine result (release, drop attack successes) → outcome.
 
-    The adapter every engine-batched figure driver (Fig. 7, Fig. 8, the
+    The adapter every engine-batched point unit (Fig. 7, Fig. 8, the
     availability extension) uses to turn a
     :class:`~repro.experiments.engine.EngineResult` into the figure's
     resilience pair through the same aggregation rule the direct

@@ -16,7 +16,7 @@ parallelism and adaptive early stopping for large sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.core.planner import plan_configuration
 from repro.core.schemes.keyshare import plan_share_scheme
@@ -28,10 +28,6 @@ from repro.experiments.churn_model import (
     simulate_multipath_counts,
 )
 from repro.experiments.engine import TrialEngine
-
-DEFAULT_ALPHAS = (1.0, 2.0, 3.0, 5.0)
-DEFAULT_P_SWEEP = tuple(round(0.05 * i, 2) for i in range(11))
-SCHEME_ORDER = ("central", "disjoint", "joint", "share")
 
 # The sender plans its structure for an *assumed* adversary; planning for
 # p = 0 would yield k = l = 1 (no redundancy at all), which makes the churn
@@ -127,11 +123,7 @@ def churn_resilience_point(
     engine: Optional[TrialEngine] = None,
     batch_size: Optional[int] = None,
 ) -> ChurnPoint:
-    """One (scheme, α, p) point of Fig. 7 — the sweepable unit.
-
-    ``run_churn_resilience`` and the registered scenarios both call this,
-    so the two paths produce identical numbers for a seed.
-    """
+    """One (scheme, α, p) point of Fig. 7 — the sweepable unit."""
     if engine is None:
         engine = TrialEngine()
     p = malicious_rate
@@ -174,47 +166,3 @@ def churn_resilience_point(
         replication=k,
         path_length=length,
     )
-
-
-def run_churn_resilience(
-    population_size: int = 10000,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    p_sweep: Sequence[float] = DEFAULT_P_SWEEP,
-    trials: int = 1000,
-    schemes: Sequence[str] = SCHEME_ORDER,
-    seed: int = 2017,
-    engine: Optional[TrialEngine] = None,
-    jobs: int = 1,
-    tolerance: Optional[float] = None,
-    batch_size: Optional[int] = None,
-) -> List[ChurnPoint]:
-    """Produce the Fig. 7 series (all α panels by default)."""
-    if engine is None:
-        engine = TrialEngine(jobs=jobs, tolerance=tolerance)
-    return [
-        churn_resilience_point(
-            scheme,
-            alpha,
-            p,
-            population_size=population_size,
-            trials=trials,
-            seed=seed,
-            engine=engine,
-            batch_size=batch_size,
-        )
-        for alpha in alphas
-        for p in p_sweep
-        for scheme in schemes
-    ]
-
-
-def panel(points: Sequence[ChurnPoint], alpha: float) -> dict:
-    """One Fig. 7 panel: scheme -> [(p, R)] for a fixed α."""
-    result: dict = {}
-    for point in points:
-        if point.alpha != alpha:
-            continue
-        result.setdefault(point.scheme, []).append(
-            (point.malicious_rate, point.resilience)
-        )
-    return result

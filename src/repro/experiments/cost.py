@@ -10,15 +10,13 @@ p ≈ 0.26, and even 100 nodes keep R > 0.9 to p ≈ 0.14.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.core.schemes.keyshare import SharePlan, plan_share_scheme
 from repro.experiments.churn_model import ChurnOutcome, outcome_from_result
 from repro.experiments.churn_resilience import KeyShareChurnBatch
 from repro.experiments.engine import TrialEngine
 
-DEFAULT_BUDGETS = (100, 1000, 5000, 10000)
-DEFAULT_P_SWEEP = tuple(round(0.05 * i, 2) for i in range(11))
 DEFAULT_ALPHA = 3.0
 
 
@@ -51,11 +49,7 @@ def share_cost_point(
     engine: Optional[TrialEngine] = None,
     batch_size: Optional[int] = None,
 ) -> CostPoint:
-    """One (N, p) point of Fig. 8 — the sweepable unit.
-
-    ``run_share_cost`` and the registered scenarios both call this, so the
-    two paths produce identical numbers for a seed.
-    """
+    """One (N, p) point of Fig. 8 — the sweepable unit."""
     if engine is None:
         engine = TrialEngine()
     plan = plan_share_scheme(
@@ -76,42 +70,3 @@ def share_cost_point(
         plan=plan,
         outcome=outcome_from_result(result),
     )
-
-
-def run_share_cost(
-    budgets: Sequence[int] = DEFAULT_BUDGETS,
-    p_sweep: Sequence[float] = DEFAULT_P_SWEEP,
-    alpha: float = DEFAULT_ALPHA,
-    trials: int = 1000,
-    seed: int = 2017,
-    engine: Optional[TrialEngine] = None,
-    jobs: int = 1,
-    tolerance: Optional[float] = None,
-    batch_size: Optional[int] = None,
-) -> List[CostPoint]:
-    """Produce the Fig. 8 series (engine-batched; single batch by default)."""
-    if engine is None:
-        engine = TrialEngine(jobs=jobs, tolerance=tolerance)
-    return [
-        share_cost_point(
-            budget,
-            p,
-            alpha=alpha,
-            trials=trials,
-            seed=seed,
-            engine=engine,
-            batch_size=batch_size,
-        )
-        for budget in budgets
-        for p in p_sweep
-    ]
-
-
-def series_by_budget(points: Sequence[CostPoint]) -> dict:
-    """Group into budget -> [(p, measured R, analytic R)]."""
-    series: dict = {}
-    for point in points:
-        series.setdefault(point.node_budget, []).append(
-            (point.malicious_rate, point.resilience, point.analytic_resilience)
-        )
-    return series

@@ -374,7 +374,7 @@ class SweepPoolExecutor(ExecutionBackend):
 
     Tasks whose callables cannot be pickled (ad-hoc closures) fall back to
     exact in-process execution for that run — same counts, no parallelism —
-    which the figure drivers avoid by using module-level callable classes.
+    which the figure units avoid by using module-level callable classes.
     All engine invariants hold unchanged: counts are identical to the
     serial executor for any worker count or span partition.
 
@@ -391,8 +391,7 @@ class SweepPoolExecutor(ExecutionBackend):
 
     jobs: int = 2
     #: Trials per shipped span: a positive int, ``None`` (balanced across
-    #: the workers), or ``"auto"`` (sized from bench records —
-    #: :mod:`repro.backends.autotune`).
+    #: the workers), or ``"auto"`` (:mod:`repro.backends.autotune`).
     chunk_size: Any = None
     _pool: Any = field(default=None, repr=False, compare=False)
     _payload: Optional[bytes] = field(default=None, repr=False, compare=False)
@@ -437,15 +436,10 @@ class SweepPoolExecutor(ExecutionBackend):
     def _spans(self, start: int, stop: int) -> List[Tuple[int, int]]:
         if self.chunk_size == "auto":
             # Imported lazily: the backends package imports this module.
-            # The resolved rate is memoised on the executor so the
-            # bench-record scan happens once per instance, not per block.
-            from repro.backends.autotune import resolved_rate, suggest_chunk_size
+            from repro.backends.autotune import suggest_chunk_size
 
             span = suggest_chunk_size(
-                "shm-pool",
-                stop - start,
-                workers=self.jobs,
-                rate=resolved_rate(self, "shm-pool"),
+                "shm-pool", stop - start, workers=self.jobs
             )
         elif self.chunk_size is not None:
             span = self.chunk_size

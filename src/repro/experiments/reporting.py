@@ -50,22 +50,6 @@ def format_series_table(
     return "\n".join(lines)
 
 
-def format_cost_table(
-    title: str,
-    x_values: Sequence[float],
-    series: Dict[str, Sequence[Optional[int]]],
-) -> str:
-    """Node-cost variant (integer cells, Fig. 6(b)/(d))."""
-    return format_series_table(
-        title,
-        "p",
-        x_values,
-        {name: [float(v) if v is not None else None for v in values]
-         for name, values in series.items()},
-        value_format="{:.0f}",
-    )
-
-
 def pick_x_axis(axis_names: Sequence[str], records: Sequence[Dict]) -> str:
     """The axis that should be a table's rows: the last all-numeric one.
 

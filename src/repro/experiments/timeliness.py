@@ -11,7 +11,7 @@ the release instant to within one network hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.cloud.storage import CloudStore
 from repro.core.protocol import ProtocolContext, install_holders
@@ -129,8 +129,7 @@ def timeliness_point(
 
     Each end-to-end run is one collect-mode engine trial; the per-run
     seeds are a function of the run index alone, keeping results identical
-    for any executor.  ``measure_timeliness`` and the registered scenario
-    both call this, so the two paths produce identical numbers for a seed.
+    for any executor.
 
     ``kernel="event"`` (the default — the only lane historical cache keys
     ever pinned) runs the live protocol on the simulated overlay; the
@@ -200,29 +199,3 @@ def timeliness_point(
         worst_lateness=max(latenesses) if latenesses else 0.0,
         early_releases=early,
     )
-
-
-def measure_timeliness(
-    schemes: Sequence[str] = ("central", "disjoint", "joint", "share"),
-    max_latencies: Sequence[float] = (0.05, 0.5),
-    runs: int = 10,
-    path_length: int = 3,
-    seed: int = 31337,
-    engine: Optional[TrialEngine] = None,
-    jobs: int = 1,
-) -> List[TimelinessResult]:
-    """Lateness sweep over schemes and latency regimes."""
-    if engine is None:
-        engine = TrialEngine(jobs=jobs)
-    return [
-        timeliness_point(
-            scheme,
-            max_latency,
-            runs=runs,
-            path_length=path_length,
-            seed=seed,
-            engine=engine,
-        )
-        for scheme in schemes
-        for max_latency in max_latencies
-    ]

@@ -1,11 +1,11 @@
 """Declarative scenarios: specs, registry, sweep orchestration, result store.
 
-The subsystem that turns the repository's figure drivers into data:
+The subsystem that makes every figure and extension sweep a piece of data:
 
 - :mod:`repro.scenarios.spec` — frozen, JSON-round-trippable
   :class:`ScenarioSpec` dataclasses describing a complete workload;
 - :mod:`repro.scenarios.registry` — every paper figure and extension as a
-  named scenario, plus new workloads the bespoke drivers never covered;
+  named scenario, plus workloads beyond the paper's figures;
 - :mod:`repro.scenarios.runners` — per-kind point runners (register your
   own with :func:`register_kind` to declare a brand-new workload);
 - :mod:`repro.scenarios.orchestrator` — grid expansion, one shared
@@ -22,11 +22,7 @@ from repro.scenarios.journal import (
     SweepJournal,
     sweep_spec_hash,
 )
-from repro.scenarios.orchestrator import (
-    SweepOrchestrator,
-    SweepReport,
-    run_scenario,
-)
+from repro.scenarios.orchestrator import SweepOrchestrator, SweepReport
 from repro.scenarios.registry import builtin_scenarios, get_scenario, scenario_names
 from repro.scenarios.runners import get_runner, kind_names, register_kind
 from repro.scenarios.spec import (
@@ -67,7 +63,6 @@ __all__ = [
     "kind_names",
     "point_cache_key",
     "register_kind",
-    "run_scenario",
     "scenario_names",
     "sweep_spec_hash",
 ]

@@ -13,8 +13,7 @@ One :meth:`SweepOrchestrator.run` call owns the whole sweep:
 - each point gets its *own* :class:`~repro.experiments.engine.TrialEngine`
   (engines are cheap; the executor is the expensive part) so tolerance can
   vary per point: a spec's :class:`~repro.scenarios.spec.ToleranceSchedule`
-  or an arbitrary ``tolerance_fn(params) -> float | None`` hook decides
-  how hard to pin each point;
+  decides how hard to pin each point;
 - with a :class:`~repro.scenarios.store.ResultStore`, finished points are
   persisted under their content hash and *skipped* on re-runs — re-running
   a completed sweep performs zero new trials, and a sweep interrupted at
@@ -27,7 +26,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.backends import get as get_backend
 from repro.backends.base import BackendSpec
@@ -46,9 +45,6 @@ from repro.scenarios.store import (
     point_cache_key,
 )
 from repro.util.validation import check_positive_int
-
-#: Per-point tolerance hook: full parameter dict -> tolerance (or None).
-ToleranceFn = Callable[[Mapping[str, Any]], Optional[float]]
 
 #: Per-point progress hook: (point, record, served_from_cache).
 ProgressFn = Callable[[SweepPoint, Dict[str, Any], bool], None]
@@ -83,14 +79,13 @@ def resolve_entries(
     spec: ScenarioSpec,
     trials: Optional[int] = None,
     tolerance: Optional[float] = None,
-    tolerance_fn: Optional[ToleranceFn] = None,
     batch_size: Optional[int] = None,
 ) -> Tuple[ScenarioSpec, int, List[PointEntry]]:
     """Resolve a spec's whole grid up front: effective spec, trials, entries.
 
     ``batch_size`` is folded into the spec *before* any cache key is
     derived (the partition is result-shaping); per-point tolerance is
-    ``tolerance_fn`` > (base ``tolerance`` + the spec's schedule).
+    the base ``tolerance`` scaled by the spec's schedule.
     Returns the effective spec (use it, not the argument, from here on),
     the effective trial budget, and one :class:`PointEntry` per point in
     grid order.
@@ -103,10 +98,7 @@ def resolve_entries(
     check_positive_int(effective_trials, "trials", minimum=0)
     entries: List[PointEntry] = []
     for point in spec.points():
-        if tolerance_fn is not None:
-            resolved = tolerance_fn(point.params(spec))
-        else:
-            resolved = spec.point_tolerance(point.values, base=tolerance)
+        resolved = spec.point_tolerance(point.values, base=tolerance)
         key = point_cache_key(
             spec, point.values, trials=effective_trials, tolerance=resolved
         )
@@ -311,9 +303,6 @@ class SweepOrchestrator:
         :meth:`run`).  Overrides a spec's pinned ``engine.backend``.
     tolerance:
         Base tolerance override; ``None`` defers to each spec's.
-    tolerance_fn:
-        Per-point hook receiving the point's full parameter dict and
-        returning its tolerance; overrides base + schedule entirely.
     batch_size:
         Override of each spec's pinned engine ``batch_size`` — i.e. of
         the batch *partition*, which (unlike any backend choice) is
@@ -351,11 +340,10 @@ class SweepOrchestrator:
         ladder.  Only enforceable against executors exposing
         ``cancel_active`` (the distributed backend); local executors
         ignore it.
-    journal:
-        Whether store-backed runs keep a per-sweep write-ahead journal
-        (:class:`~repro.scenarios.journal.SweepJournal`) distinguishing
-        committed from mid-flight points across driver crashes.  On by
-        default; no effect without a store.
+
+    Every store-backed run keeps a per-sweep write-ahead journal
+    (:class:`~repro.scenarios.journal.SweepJournal`) distinguishing
+    committed from mid-flight points across driver crashes.
     """
 
     def __init__(
@@ -364,18 +352,15 @@ class SweepOrchestrator:
         jobs: Optional[int] = None,
         backend: Union[str, BackendSpec, ExecutionBackend, None] = None,
         tolerance: Optional[float] = None,
-        tolerance_fn: Optional[ToleranceFn] = None,
         batch_size: Optional[int] = None,
         tracer: Any = None,
         fallback: Optional[str] = None,
         point_deadline: Optional[float] = None,
-        journal: bool = True,
     ) -> None:
         self.store = store
         self.jobs = None if jobs is None else check_positive_int(jobs, "jobs")
         self.backend = backend
         self.tolerance = tolerance
-        self.tolerance_fn = tolerance_fn
         self.batch_size = (
             None
             if batch_size is None
@@ -390,7 +375,6 @@ class SweepOrchestrator:
         if point_deadline is not None and not point_deadline > 0:
             raise ValueError("point_deadline must be a positive number of seconds")
         self.point_deadline = point_deadline
-        self.journal = bool(journal)
         #: The most recent run's backend-stats snapshot — taken in a
         #: ``finally``, so it survives (and gets traced) even when the
         #: backend dies mid-run and no :class:`SweepReport` is returned.
@@ -430,7 +414,6 @@ class SweepOrchestrator:
             spec,
             trials=trials,
             tolerance=self.tolerance,
-            tolerance_fn=self.tolerance_fn,
             batch_size=self.batch_size,
         )
         records: List[Dict[str, Any]] = []
@@ -442,7 +425,7 @@ class SweepOrchestrator:
             executor.tracer = self.tracer
         journal: Optional[SweepJournal] = None
         midflight: frozenset = frozenset()
-        if self.store is not None and self.journal:
+        if self.store is not None:
             journal = SweepJournal(self.store.root, spec.name)
             # Takes the owner lease: a second driver racing this journal
             # gets JournalBusyError here — fail fast, never interleave.
@@ -702,24 +685,3 @@ class SweepOrchestrator:
                 )
                 if record is not None:
                     return None, record
-
-
-def run_scenario(
-    spec: ScenarioSpec,
-    store: Optional[ResultStore] = None,
-    jobs: Optional[int] = None,
-    trials: Optional[int] = None,
-    tolerance: Optional[float] = None,
-    force: bool = False,
-    backend: Union[str, BackendSpec, None] = None,
-    batch_size: Optional[int] = None,
-) -> SweepReport:
-    """One-call convenience wrapper around :class:`SweepOrchestrator`."""
-    orchestrator = SweepOrchestrator(
-        store=store,
-        jobs=jobs,
-        backend=backend,
-        tolerance=tolerance,
-        batch_size=batch_size,
-    )
-    return orchestrator.run(spec, trials=trials, force=force)

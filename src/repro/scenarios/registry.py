@@ -1,15 +1,13 @@
 """The built-in scenario registry.
 
 Every figure the repository reproduces ships as a named, declarative
-scenario — the same per-point code ``repro figures`` runs, so both paths
-produce identical numbers for a seed — plus new workloads the bespoke
-drivers never covered (scheme matrix at a fixed budget, (k, l) sensitivity,
-the adaptive adversary, heavy churn) and a tiny 2-point smoke scenario CI
-sweeps end-to-end.
+scenario — the only way a figure is produced — plus workloads beyond the
+paper (scheme matrix at a fixed budget, (k, l) sensitivity, the adaptive
+adversary, heavy churn) and a tiny 2-point smoke scenario CI sweeps
+end-to-end.
 
-Axis values intentionally mirror the drivers' default sweeps (including
-their float spellings — point labels embed them, so ``3.0`` and ``3``
-would be different random streams).
+Axis values' float spellings are part of a point's identity (point labels
+embed them, so ``3.0`` and ``3`` would be different random streams).
 """
 
 from __future__ import annotations
@@ -138,7 +136,7 @@ def _builtin_list() -> List[ScenarioSpec]:
             trials=10,
             seed=31337,
         ),
-        # -- new workloads beyond the bespoke drivers ---------------------
+        # -- new workloads beyond the paper's figures ---------------------
         ScenarioSpec(
             name="scheme-matrix-n1000",
             kind="attack_resilience",

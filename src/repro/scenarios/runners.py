@@ -10,10 +10,9 @@ result dict.  Every result carries two common fields:
   adaptive stopping fires; what "zero new trials on a cached re-run"
   means operationally).
 
-The figure kinds delegate to the same per-point functions the historical
-drivers loop over (``attack_resilience_point`` & co.), which is the whole
-equivalence argument: ``repro figures`` and ``repro sweep run`` literally
-execute the same code per point, so the numbers match for a seed.
+The figure kinds delegate to the typed per-point units in
+:mod:`repro.experiments` (``attack_resilience_point`` & co.) — the same
+functions the kernel and oracle tests call directly.
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ def _pair_dict(pair: PairedEstimate) -> Dict[str, Any]:
 
 
 @register_kind("attack_resilience")
-def run_attack_resilience_point(
+def attack_resilience_runner(
     params: Mapping[str, Any],
     trials: int,
     seed: int,
@@ -170,7 +169,7 @@ def run_attack_resilience_point(
 
 
 @register_kind("churn_resilience")
-def run_churn_resilience_point(
+def churn_resilience_runner(
     params: Mapping[str, Any],
     trials: int,
     seed: int,
@@ -210,7 +209,7 @@ def run_churn_resilience_point(
 
 
 @register_kind("share_cost")
-def run_share_cost_point(
+def share_cost_runner(
     params: Mapping[str, Any],
     trials: int,
     seed: int,
@@ -251,7 +250,7 @@ def run_share_cost_point(
 
 
 @register_kind("availability")
-def run_availability_point(
+def availability_runner(
     params: Mapping[str, Any],
     trials: int,
     seed: int,
@@ -310,7 +309,7 @@ def run_availability_point(
 
 
 @register_kind("timeliness")
-def run_timeliness_point(
+def timeliness_runner(
     params: Mapping[str, Any],
     trials: int,
     seed: int,
@@ -400,7 +399,7 @@ def _multipath_scheme(name: str, replication: int, path_length: int):
 
 
 @register_kind("sensitivity")
-def run_sensitivity_point(
+def sensitivity_runner(
     params: Mapping[str, Any],
     trials: int,
     seed: int,
@@ -502,7 +501,7 @@ class AdaptiveTrial:
 
 
 @register_kind("adaptive")
-def run_adaptive_point(
+def adaptive_runner(
     params: Mapping[str, Any],
     trials: int,
     seed: int,

@@ -114,8 +114,7 @@ class ToleranceSchedule:
     """A per-point tolerance policy: the first matching rule scales the base.
 
     The schedule only shapes a tolerance that is already on — with no base
-    tolerance the sweep runs every trial and results stay bit-identical to
-    the historical figure drivers.
+    tolerance the sweep runs every trial.
     """
 
     rules: Tuple[ToleranceRule, ...]
@@ -248,7 +247,7 @@ class ScenarioSpec:
         Root seed; per-trial streams derive from it deterministically.
     tolerance:
         Default adaptive-stopping base tolerance (``None`` = run every
-        trial — required for bit-identity with the figure drivers).
+        trial).
     schedule:
         Optional per-point tolerance schedule applied to the base.
     engine:

@@ -47,18 +47,18 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.scenarios.spec import ScenarioSpec
 
 _KEY_HEX_CHARS = 32  # 128 bits of SHA-256: collision-free at any sweep scale
 
 #: The store-format generation stamped into every record written by this
-#: code.  Generation 1 is the PR 2/3 format (no stamp — reads as 1);
-#: generation 2 added the stamp itself plus the backend-aware cache-key
-#: derivation; generation 3 added the record ``checksum``.  Bump it
-#: whenever the record schema changes in a way
-#: ``repro sweep gc --keep-latest`` should be able to prune.
+#: code (generation 3 is the first with a record ``checksum``).  Nothing
+#: reads the stamp back: :func:`verify_record` refuses any record without
+#: a checksum, so records of an older generation are never loaded — they
+#: quarantine and recompute.  It stays in the record because it is part
+#: of the checksummed bytes.
 STORE_GENERATION = 3
 
 #: The integrity field stamped into every generation-3 record.
@@ -115,12 +115,6 @@ class StoreIntegrityError(ValueError):
         self.status = status
 
 
-def record_generation(record: Mapping[str, Any]) -> int:
-    """The store-format generation of one record (unstamped reads as 1)."""
-    value = record.get("store_generation")
-    return value if isinstance(value, int) and not isinstance(value, bool) else 1
-
-
 #: One encoder for every call: ``json.dumps`` with non-default options
 #: builds a fresh ``JSONEncoder`` each time, a third of a small payload's cost.
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -165,12 +159,14 @@ def verify_record(record: Any) -> str:
 
 
 def finalize_record(record: Mapping[str, Any]) -> Dict[str, Any]:
-    """Stamp a record with the current generation and its checksum.
+    """Stamp a record with :data:`STORE_GENERATION` and its checksum.
 
-    Idempotent: any stale checksum is recomputed, so finalizing a
-    finalized record is a no-op.  :meth:`ResultStore.save` finalizes
-    internally; the orchestrator also finalizes the in-memory copy so a
-    report's record shape never depends on cache state.
+    The generation is written, never consulted; the checksum is what
+    every load verifies.  Idempotent: any stale checksum is recomputed,
+    so finalizing a finalized record is a no-op.
+    :meth:`ResultStore.save` finalizes internally; the orchestrator also
+    finalizes the in-memory copy so a report's record shape never
+    depends on cache state.
     """
     stamped = {**record, "store_generation": STORE_GENERATION}
     stamped[CHECKSUM_FIELD] = record_checksum(stamped)
@@ -309,10 +305,10 @@ class ResultStore:
     def save(self, scenario: str, key: str, record: Mapping[str, Any]) -> Path:
         """Atomically persist one point record (temp file + rename).
 
-        Every record is stamped with the current store-format
-        :data:`STORE_GENERATION` so ``gc(keep_latest=True)`` can prune
-        records written by older formats, plus its :func:`record_checksum`
-        so :meth:`verify` can detect torn or tampered copies.
+        Every record is stamped (:func:`finalize_record`) with the
+        store-format :data:`STORE_GENERATION` and its
+        :func:`record_checksum`, so :meth:`verify` can detect torn or
+        tampered copies.
 
         A second writer of an *identical* record is a no-op: concurrent
         sweeps sharing a point (the determinism contract makes their
@@ -478,7 +474,6 @@ class ResultStore:
 
     def gc(
         self,
-        keep_latest: bool = False,
         dry_run: bool = False,
         tmp_grace_seconds: float = DEFAULT_TMP_GRACE_SECONDS,
         purge_quarantine: bool = False,
@@ -492,13 +487,10 @@ class ResultStore:
         sweep); younger tmp files are reported as *fresh* and kept.
         Always removes *corrupt* records (unreadable JSON; cannot happen
         through :meth:`save`, but gc is the safety net for torn copies
-        and manual edits).  With ``keep_latest``, additionally removes
-        *stale* records: every record whose :func:`record_generation` is
-        below the newest generation present in the store.  Records parked
-        by :meth:`repair` are reported in their own *quarantined* bucket
-        and only removed under ``purge_quarantine`` — quarantine is
-        evidence, purging it is an explicit decision.  Empty directories
-        are dropped at the end.
+        and manual edits).  Records parked by :meth:`repair` are reported
+        in their own *quarantined* bucket and only removed under
+        ``purge_quarantine`` — quarantine is evidence, purging it is an
+        explicit decision.  Empty directories are dropped at the end.
 
         ``dry_run`` reports what would be removed without touching
         anything.  Pruned points simply recompute on the next sweep —
@@ -511,7 +503,6 @@ class ResultStore:
             return report
         directories = self._scenario_dirs()
         now = time.time()
-        records: List[Tuple[Path, int]] = []
         for directory in directories:
             for orphan in sorted(directory.glob("*.json.tmp")):
                 try:
@@ -551,18 +542,7 @@ class ResultStore:
                     # exactly the manual-edit damage gc exists to prune.
                     report.corrupt.append(path)
                     continue
-                records.append((path, record_generation(record)))
-        report.scanned = len(records)
-        if keep_latest and records:
-            newest = max(generation for _, generation in records)
-            report.latest_generation = newest
-            report.stale.extend(
-                path for path, generation in records if generation < newest
-            )
-        stale_set = set(report.stale)
-        report.kept = sum(
-            1 for path, _ in records if path not in stale_set
-        )
+                report.scanned += 1
         # Journals whose scenario has no live records are leftovers of a
         # sweep whose store records were pruned (or written elsewhere);
         # age-gate them behind the same grace period as tmp orphans so a
@@ -658,14 +638,11 @@ class GcReport:
     dry_run: bool = False
     purge_quarantine: bool = False
     scanned: int = 0
-    kept: int = 0
-    latest_generation: Optional[int] = None
     orphans: List[Path] = field(default_factory=list)
     #: Tmp files younger than the grace period: kept, a live driver may
     #: be about to rename them.
     fresh_tmp: List[Path] = field(default_factory=list)
     corrupt: List[Path] = field(default_factory=list)
-    stale: List[Path] = field(default_factory=list)
     #: ``.journal/`` entries whose scenario has no live store records,
     #: past the tmp grace period.
     journal_orphans: List[Path] = field(default_factory=list)
@@ -685,7 +662,6 @@ class GcReport:
         removed = [
             *self.orphans,
             *self.corrupt,
-            *self.stale,
             *self.journal_orphans,
             *self.stale_claims,
         ]

@@ -1,9 +1,11 @@
-"""Span-size autotuning: bench-record seeding, sizing math, integration.
+"""Span-size autotuning: sizing math, in-run rates, no disk side channel.
 
 Autotuning must be a pure performance knob — ``chunk_size="auto"`` on
 any backend produces results identical to the serial reference (the
-determinism contract) — and must *never* fail a run over missing or torn
-benchmark records.
+determinism contract) — and a production backend neither reads nor writes
+benchmark artefacts: whatever ``BENCH_*.json`` records sit in
+``REPRO_BENCH_OUT`` or the working directory, spans are sized from
+``DEFAULT_RATE`` and the rates the run measures itself.
 """
 
 import json
@@ -14,16 +16,12 @@ from repro.backends import (
     BackendSpec,
     DistributedBackend,
     WorkerServer,
-    bench_rate,
     get,
     suggest_chunk_size,
 )
-from repro.backends.autotune import (
-    DEFAULT_RATE,
-    MIN_SPANS_PER_WORKER,
-    load_bench_rates,
-)
+from repro.backends.autotune import DEFAULT_RATE, MIN_SPANS_PER_WORKER
 from repro.experiments.engine import TrialEngine
+from repro.experiments.executors import SweepPoolExecutor
 
 
 def bernoulli_trial(rng):
@@ -36,48 +34,31 @@ def _write_bench(directory, name, records):
     )
 
 
+@pytest.fixture
+def bench_dir(tmp_path, monkeypatch):
+    """One directory that is both the cwd and ``REPRO_BENCH_OUT``."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
+    return tmp_path
+
+
+def auto_span_count() -> int:
+    """Spans the shm-pool ``"auto"`` lane carves 10^6 trials into."""
+    return len(SweepPoolExecutor(jobs=2, chunk_size="auto")._spans(0, 10**6))
+
+
+#: The partition ``DEFAULT_RATE`` gives at the pool's 0.2 s target; a
+#: loaded 800 trials/s record would have made it 6250 spans.
+DEFAULT_SPAN_COUNT = 10**6 // int(DEFAULT_RATE * 0.2)
+
+
 class TestBenchRecordSeeding:
-    def test_rates_grouped_by_backend_name(self, tmp_path):
-        _write_bench(
-            tmp_path,
-            "fig6",
-            [
-                {"trials_per_second": 1000.0, "backend": None},
-                {"trials_per_second": 3000.0, "backend": "shm-pool(jobs=4)"},
-                {"trials_per_second": 500.0, "backend": "distributed(workers=2)"},
-                {"trials_per_second": None, "backend": None},  # rate-less: skipped
-            ],
-        )
-        rates = load_bench_rates(tmp_path)
-        assert rates == {
-            "local": [1000.0],
-            "shm-pool": [3000.0],
-            "distributed": [500.0],
-        }
+    """Benchmark records, readable or not, never seed a run."""
 
-    def test_median_rate_with_local_fallback(self, tmp_path):
-        _write_bench(
-            tmp_path,
-            "a",
-            [
-                {"trials_per_second": 100.0, "backend": None},
-                {"trials_per_second": 900.0, "backend": None},
-                {"trials_per_second": 400.0, "backend": None},
-            ],
-        )
-        # A backend with no records of its own borrows the local median.
-        assert bench_rate("distributed", tmp_path) == 400.0
-        _write_bench(
-            tmp_path, "b", [{"trials_per_second": 50.0, "backend": "distributed(x=1)"}]
-        )
-        assert bench_rate("distributed", tmp_path) == 50.0
-
-    def test_torn_records_never_fail_a_run(self, tmp_path):
-        (tmp_path / "BENCH_torn.json").write_text('{"records": [')
-        (tmp_path / "BENCH_shape.json").write_text('["not", "a", "dict"]')
-        assert load_bench_rates(tmp_path) == {}
-        assert bench_rate("distributed", tmp_path) is None
-        assert load_bench_rates(tmp_path / "missing-dir") == {}
+    def test_torn_records_never_fail_a_run(self, bench_dir):
+        (bench_dir / "BENCH_torn.json").write_text('{"records": [')
+        (bench_dir / "BENCH_shape.json").write_text('["not", "a", "dict"]')
+        assert auto_span_count() == DEFAULT_SPAN_COUNT
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -88,7 +69,7 @@ class TestBenchRecordSeeding:
             0,
             0.0,
             -125.0,
-            True,  # bool is an int subclass: would sneak in as 1.0
+            True,
             False,
             "fast",
             None,
@@ -96,112 +77,30 @@ class TestBenchRecordSeeding:
         ],
         ids=repr,
     )
-    def test_corrupt_rates_are_filtered_not_loaded(self, tmp_path, corrupt):
-        """Satellite regression: NaN poisons a median silently, inf
-        drives spans to nonsense, True parses as 1.0 — every corrupt
-        shape must be dropped, never 'any float accepted'."""
+    def test_corrupt_rates_are_filtered_not_loaded(self, bench_dir, corrupt):
         _write_bench(
-            tmp_path,
+            bench_dir,
             "mixed",
             [
                 {"trials_per_second": corrupt, "backend": None},
                 {"trials_per_second": 800.0, "backend": None},
             ],
         )
-        assert load_bench_rates(tmp_path) == {"local": [800.0]}
-        assert bench_rate("distributed", tmp_path) == 800.0
+        assert auto_span_count() == DEFAULT_SPAN_COUNT
 
-    def test_all_corrupt_records_fall_back_to_default(self, tmp_path):
+    def test_all_corrupt_records_fall_back_to_default(self, bench_dir):
         _write_bench(
-            tmp_path,
+            bench_dir,
             "bad",
             [{"trials_per_second": float("nan"), "backend": None}],
         )
-        assert bench_rate("distributed", tmp_path) is None
-        span = suggest_chunk_size(
-            "distributed", total=10**9, workers=1, directory=tmp_path
-        )
-        assert span == int(DEFAULT_RATE * 0.5)
+        assert auto_span_count() == DEFAULT_SPAN_COUNT
 
 
 class TestObservedRateFeedback:
-    """``record_observed_rates``: the autotune feedback loop's disk half."""
+    """Rates are measured and used inside the run, never on disk."""
 
-    def test_recorded_rates_round_trip_into_bench_rate(self, tmp_path):
-        from repro.backends.autotune import record_observed_rates
-
-        path = record_observed_rates(
-            "distributed",
-            {"127.0.0.1:7070": 1500.0, "127.0.0.1:7071": 500.0},
-            directory=tmp_path,
-        )
-        assert path is not None and path.exists()
-        assert bench_rate("distributed", tmp_path) == 1000.0  # the median
-        payload = json.loads(path.read_text())
-        assert [record["worker"] for record in payload["records"]] == [
-            "127.0.0.1:7070",
-            "127.0.0.1:7071",
-        ]
-
-    def test_corrupt_observed_rates_are_dropped_at_the_door(self, tmp_path):
-        from repro.backends.autotune import record_observed_rates
-
-        assert (
-            record_observed_rates(
-                "distributed",
-                {
-                    "a:1": float("nan"),
-                    "b:2": float("inf"),
-                    "c:3": 0.0,
-                    "d:4": True,
-                },
-                directory=tmp_path,
-            )
-            is None
-        )
-        assert list(tmp_path.iterdir()) == []  # nothing usable → no file
-
-    def test_records_append_and_trim_to_keep(self, tmp_path):
-        from repro.backends.autotune import record_observed_rates
-
-        record_observed_rates("distributed", {"a:1": 100.0}, directory=tmp_path)
-        record_observed_rates(
-            "distributed",
-            {"a:1": 200.0, "b:2": 300.0},
-            directory=tmp_path,
-            keep=2,
-        )
-        payload = json.loads((tmp_path / "BENCH_observed.json").read_text())
-        # The keep budget trimmed the oldest record.
-        assert [r["trials_per_second"] for r in payload["records"]] == [
-            200.0,
-            300.0,
-        ]
-
-    def test_torn_observed_file_is_replaced_not_fatal(self, tmp_path):
-        from repro.backends.autotune import record_observed_rates
-
-        (tmp_path / "BENCH_observed.json").write_text('{"records": [')
-        path = record_observed_rates(
-            "distributed", {"a:1": 100.0}, directory=tmp_path
-        )
-        assert path is not None
-        assert bench_rate("distributed", tmp_path) == 100.0
-
-    def test_missing_directory_is_a_no_op(self, tmp_path):
-        from repro.backends.autotune import record_observed_rates
-
-        assert (
-            record_observed_rates(
-                "distributed", {"a:1": 100.0}, directory=tmp_path / "absent"
-            )
-            is None
-        )
-
-    def test_auto_distributed_run_records_worker_rates(self, tmp_path, monkeypatch):
-        """End to end: a chunk_size='auto' run feeds what its workers
-        sustained back into the bench records on close."""
-        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
+    def test_auto_distributed_run_records_worker_rates(self, bench_dir):
         with WorkerServer() as server:
             host, port = server.address
             with DistributedBackend(
@@ -210,20 +109,10 @@ class TestObservedRateFeedback:
                 TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=101, seed=5
                 )
-                rates = backend.worker_rates()
-                assert f"{host}:{port}" in rates
-                assert rates[f"{host}:{port}"] > 0
-        payload = json.loads((tmp_path / "BENCH_observed.json").read_text())
-        assert any(
-            record["backend"] == "distributed"
-            and record["worker"] == f"{host}:{port}"
-            for record in payload["records"]
-        )
+                assert backend._workers[0].observed_rate() > 0
+        assert list(bench_dir.iterdir()) == []
 
-    def test_fixed_chunk_size_runs_record_nothing(self, tmp_path, monkeypatch):
-        """Observed-rate feedback is an 'auto' feature: a pinned span
-        size leaves the bench records alone."""
-        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
+    def test_fixed_chunk_size_runs_record_nothing(self, bench_dir):
         with WorkerServer() as server:
             host, port = server.address
             with DistributedBackend(
@@ -232,7 +121,12 @@ class TestObservedRateFeedback:
                 TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=60, seed=5
                 )
-        assert not (tmp_path / "BENCH_observed.json").exists()
+        assert list(bench_dir.iterdir()) == []
+
+    def test_missing_directory_is_a_no_op(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path / "absent"))
+        assert auto_span_count() == DEFAULT_SPAN_COUNT
+        assert not (tmp_path / "absent").exists()
 
 
 class TestSizingMath:
@@ -257,22 +151,22 @@ class TestSizingMath:
             suggest_chunk_size("distributed", total=10, workers=1, rate=1e9) <= 10
         )
 
-    def test_default_rate_applies_without_records(self, tmp_path):
-        span = suggest_chunk_size(
-            "distributed", total=10**9, workers=1, directory=tmp_path
-        )
-        assert span == int(DEFAULT_RATE * 0.5) // 1  # distributed target 0.5s
+    def test_default_rate_applies_without_records(self):
+        span = suggest_chunk_size("distributed", total=10**9, workers=1)
+        assert span == int(DEFAULT_RATE * 0.5)  # distributed target 0.5s
 
 
 class TestAutoIntegration:
     """``chunk_size="auto"`` is accepted everywhere and changes nothing."""
 
-    def test_distributed_auto_matches_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
+    def test_distributed_auto_matches_serial(self, bench_dir):
+        # A record claiming 1 trial/s would, if it were read, carve the
+        # run into 101 one-trial spans; the run must ignore it and leave
+        # the directory exactly as it found it.
         _write_bench(
-            tmp_path,
+            bench_dir,
             "x",
-            [{"trials_per_second": 200.0, "backend": "distributed(y=1)"}],
+            [{"trials_per_second": 1.0, "backend": "distributed(y=1)"}],
         )
         reference = TrialEngine().run(bernoulli_trial, trials=101, seed=5)
         with WorkerServer() as server:
@@ -283,11 +177,12 @@ class TestAutoIntegration:
                 result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=101, seed=5
                 )
-                # 200 trials/s × 0.5s target → 100-trial spans, but the
-                # granularity floor (4 spans per worker) tightens them to
+                # DEFAULT_RATE × 0.5s target is far above the range, so
+                # the granularity floor (4 spans per worker) decides:
                 # ceil(101/4) = 26 trials → 4 spans.
                 assert backend.stats["spans_completed"] == 4
         assert result == reference
+        assert [path.name for path in bench_dir.iterdir()] == ["BENCH_x.json"]
 
     def test_registry_accepts_auto_for_pool_backends(self):
         reference = TrialEngine().run(bernoulli_trial, trials=60, seed=7)

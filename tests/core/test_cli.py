@@ -40,20 +40,29 @@ class TestPlan:
 
 
 class TestFigures:
-    def test_fig6b_cost_table(self, capsys):
-        assert main(["figures", "--figure", "6b", "--trials", "10"]) == 0
+    """Figures come out of ``sweep run figN``; ``repro figures`` is gone."""
+
+    def test_fig6b_cost_table(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        assert main(["sweep", "run", "fig6b", "--trials", "10", "--store", store]) == 0
         out = capsys.readouterr().out
         assert "required nodes" in out
-        assert "joint" in out
+        assert "scheme=joint" in out
+        # Integer ({:.0f}) cells: joint needs 3806 nodes at p = 0.30.
+        row = next(line for line in out.splitlines() if line.startswith("    0.30"))
+        assert row.split() == ["0.30", "1", "4", "3806"]
 
-    def test_fig8(self, capsys):
-        assert main(["figures", "--figure", "8", "--trials", "50"]) == 0
+    def test_fig8(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        assert main(["sweep", "run", "fig8", "--trials", "50", "--store", store]) == 0
         out = capsys.readouterr().out
-        assert "N=10000" in out
+        assert "budget=10000" in out
 
-    def test_unknown_figure_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["figures", "--figure", "9"])
+    def test_unknown_figure_rejected(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["figures", "--figure", "6b"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'figures'" in capsys.readouterr().err
 
 
 class TestCostAndDemo:

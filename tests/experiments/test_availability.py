@@ -1,14 +1,18 @@
 """The transient-unavailability extension."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core.schemes.keyshare import algorithm1
 from repro.experiments.availability import (
-    run_availability_sweep,
+    availability_point,
     simulate_key_share_availability,
     simulate_multipath_availability,
 )
+from repro.scenarios.spec import Axis
 
 TRIALS = 3000
 
@@ -88,16 +92,20 @@ class TestKeyShareAvailability:
 
 class TestSweep:
     def test_sweep_shape_and_ordering(self):
-        points = run_availability_sweep(
-            population_size=2000,
-            uptimes=(1.0, 0.8),
-            p_sweep=(0.0, 0.2),
-            trials=500,
+        spec = dataclasses.replace(
+            api.get_scenario("availability"),
+            fixed={"population_size": 2000},
+            axes=(
+                Axis("uptime", (1.0, 0.8)),
+                Axis("p", (0.0, 0.2)),
+                Axis("scheme", ("disjoint", "joint", "share")),
+            ),
         )
-        assert len(points) == 2 * 2 * 3  # uptimes x p values x schemes
+        results = api.run_scenario(spec, trials=500).results()
+        assert len(results) == 2 * 2 * 3  # uptimes x p values x schemes
         by_key = {
-            (point.scheme, point.uptime, point.malicious_rate): point.resilience
-            for point in points
+            (result["scheme"], result["uptime"], result["p"]): result["value"]
+            for result in results
         }
         # Lower uptime can only hurt (within Monte-Carlo noise).
         for scheme in ("disjoint", "joint", "share"):
@@ -106,4 +114,4 @@ class TestSweep:
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            run_availability_sweep(schemes=("bogus",), trials=10)
+            availability_point("bogus", 0.9, 0.1, trials=10)

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.experiments.attack_resilience import run_attack_resilience
+from repro.experiments.attack_resilience import attack_resilience_point
 from repro.experiments.engine import EngineResult, TrialEngine
 from repro.experiments.executors import (
     SerialExecutor,
@@ -284,14 +284,18 @@ class TestAttackResilienceSmoke:
         ids=["serial-default", "process-pool"],
     )
     def test_pinned_seed_values(self, engine):
-        points = run_attack_resilience(
-            population_size=500,
-            p_sweep=(0.1, 0.3),
-            trials=50,
-            seed=99,
-            engine=engine,
-            kernel="scalar",
-        )
+        points = [
+            attack_resilience_point(
+                scheme,
+                p,
+                population_size=500,
+                trials=50,
+                seed=99,
+                engine=engine,
+                kernel="scalar",
+            )
+            for scheme, p, _, _ in self.PINNED
+        ]
         observed = [
             (
                 point.scheme,

@@ -1,131 +1,159 @@
-"""Figure drivers: reduced sweeps asserting the paper's qualitative claims."""
+"""The paper's qualitative claims, asserted on reduced ``figN`` scenarios.
+
+Each class shrinks a registered figure scenario (fewer axis values, fewer
+trials) and runs it through ``api.run_scenario`` — the path the store, CI
+and the perf ledger exercise — then reads the curves off ``sweep_series``.
+"""
+
+import dataclasses
 
 import pytest
 
-from repro.experiments.attack_resilience import (
-    run_attack_resilience,
-    series_by_scheme,
-)
-from repro.experiments.churn_resilience import panel, run_churn_resilience
-from repro.experiments.cost import run_share_cost, series_by_budget
+from repro import api
+from repro.experiments.reporting import sweep_series
+from repro.scenarios.spec import Axis
+
+SCHEMES = ("central", "disjoint", "joint")
+CHURN_SCHEMES = SCHEMES + ("share",)
+
+
+def run_reduced(name, axes, trials=None, **fixed):
+    spec = api.get_scenario(name)
+    spec = dataclasses.replace(
+        spec,
+        axes=tuple(Axis(axis, values) for axis, values in axes),
+        fixed={**spec.fixed, **fixed},
+    )
+    return api.run_scenario(spec, trials=trials)
+
+
+def curves(report, value_key="value"):
+    """``{series name: {x: value}}`` for a report's records."""
+    x_values, series = sweep_series(
+        report.spec.axis_names, list(report.records), value_key=value_key
+    )
+    return {name: dict(zip(x_values, column)) for name, column in series.items()}
 
 
 class TestFig6Analytic:
-    """Fast analytic-only checks (measure=False)."""
+    """Fast analytic-only checks (fig6b: ``measure=False``, zero trials)."""
+
+    P_SWEEP = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
     @pytest.fixture(scope="class")
-    def points(self):
-        return run_attack_resilience(
-            population_size=10000,
-            p_sweep=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
-            measure=False,
+    def report(self):
+        return run_reduced(
+            "fig6b", (("scheme", SCHEMES), ("p", self.P_SWEEP))
         )
 
-    def test_all_schemes_swept(self, points):
-        series = series_by_scheme(points)
-        assert set(series) == {"central", "disjoint", "joint"}
-        assert all(len(entries) == 6 for entries in series.values())
+    def test_all_schemes_swept(self, report):
+        costs = curves(report, "cost")
+        assert set(costs) == {f"scheme={scheme}" for scheme in SCHEMES}
+        assert all(len(curve) == 6 for curve in costs.values())
+        assert report.trials_run == 0
+        assert all(result["measured"] is None for result in report.results())
 
-    def test_scheme_ordering(self, points):
-        series = series_by_scheme(points)
-        for index in range(6):
-            central = series["central"][index][1]
-            disjoint = series["disjoint"][index][1]
-            joint = series["joint"][index][1]
-            assert joint >= disjoint - 1e-9
-            assert disjoint >= central - 1e-9
+    def test_scheme_ordering(self, report):
+        worst = curves(report, "analytic_worst")
+        for p in self.P_SWEEP:
+            assert worst["scheme=joint"][p] >= worst["scheme=disjoint"][p] - 1e-9
+            assert worst["scheme=disjoint"][p] >= worst["scheme=central"][p] - 1e-9
 
-    def test_costs_within_budget(self, points):
-        for point in points:
-            assert point.cost <= 10000
+    def test_costs_within_budget(self, report):
+        for result in report.results():
+            assert result["cost"] <= 10000
 
-    def test_joint_cost_growth(self, points):
-        series = series_by_scheme(points)
-        joint_costs = [cost for _, _, _, cost in series["joint"]]
-        assert joint_costs[1] < 100  # p = 0.1
-        assert joint_costs[3] > 3000  # p = 0.3
+    def test_joint_cost_growth(self, report):
+        joint_costs = curves(report, "cost")["scheme=joint"]
+        assert joint_costs[0.1] < 100
+        assert joint_costs[0.3] > 3000
 
 
 class TestFig6Measured:
     def test_monte_carlo_confirms_analytics(self):
-        points = run_attack_resilience(
-            population_size=2000,
-            p_sweep=(0.1, 0.3),
+        report = run_reduced(
+            "fig6a",
+            (("scheme", SCHEMES), ("p", (0.1, 0.3))),
             trials=300,
-            measure=True,
+            population_size=2000,
         )
-        for point in points:
-            if point.measured is None:
+        for result in report.results():
+            if result["measured"] is None:
                 continue
-            assert point.measured.release.estimate == pytest.approx(
-                point.analytic_release, abs=0.08
+            assert result["measured"]["release"]["estimate"] == pytest.approx(
+                result["analytic_release"], abs=0.08
             )
-            assert point.measured.drop.estimate == pytest.approx(
-                point.analytic_drop, abs=0.08
+            assert result["measured"]["drop"]["estimate"] == pytest.approx(
+                result["analytic_drop"], abs=0.08
             )
 
 
 class TestFig7:
     @pytest.fixture(scope="class")
-    def points(self):
-        return run_churn_resilience(
+    def panels(self):
+        report = run_reduced(
+            "fig7",
+            (
+                ("alpha", (1.0, 5.0)),
+                ("p", (0.0, 0.1, 0.2, 0.3)),
+                ("scheme", CHURN_SCHEMES),
+            ),
             trials=600,
-            alphas=(1.0, 5.0),
-            p_sweep=(0.0, 0.1, 0.2, 0.3),
         )
+        return curves(report)
 
-    def test_panel_extraction(self, points):
-        one = panel(points, 1.0)
-        assert set(one) == {"central", "disjoint", "joint", "share"}
+    def test_panel_extraction(self, panels):
+        assert set(panels) == {
+            f"alpha={alpha} scheme={scheme}"
+            for alpha in (1.0, 5.0)
+            for scheme in CHURN_SCHEMES
+        }
 
-    def test_share_scheme_flat_under_churn(self, points):
+    def test_share_scheme_flat_under_churn(self, panels):
         for alpha in (1.0, 5.0):
-            share = dict(panel(points, alpha)["share"])
+            share = panels[f"alpha={alpha} scheme=share"]
             for p in (0.0, 0.1, 0.2):
                 assert share[p] > 0.9, f"share at p={p}, alpha={alpha}"
 
-    def test_multipath_schemes_decay_with_alpha(self, points):
-        joint_1 = dict(panel(points, 1.0)["joint"])
-        joint_5 = dict(panel(points, 5.0)["joint"])
+    def test_multipath_schemes_decay_with_alpha(self, panels):
+        joint_1 = panels["alpha=1.0 scheme=joint"]
+        joint_5 = panels["alpha=5.0 scheme=joint"]
         assert joint_5[0.1] < joint_1[0.1] - 0.1
 
-    def test_central_is_baseline(self, points):
+    def test_central_is_baseline(self, panels):
         for alpha in (1.0, 5.0):
-            central = dict(panel(points, alpha)["central"])
-            share = dict(panel(points, alpha)["share"])
+            central = panels[f"alpha={alpha} scheme=central"]
+            share = panels[f"alpha={alpha} scheme=share"]
             for p in (0.1, 0.2, 0.3):
                 assert central[p] <= share[p] + 0.02
 
 
 class TestFig8:
     @pytest.fixture(scope="class")
-    def points(self):
-        return run_share_cost(
-            budgets=(100, 1000, 10000),
-            p_sweep=(0.1, 0.14, 0.26, 0.3, 0.45),
+    def report(self):
+        return run_reduced(
+            "fig8",
+            (
+                ("budget", (100, 1000, 10000)),
+                ("p", (0.1, 0.14, 0.26, 0.3, 0.45)),
+            ),
             trials=600,
         )
 
-    def test_paper_claims(self, points):
-        series = {
-            budget: dict((p, measured) for p, measured, _ in entries)
-            for budget, entries in series_by_budget(points).items()
-        }
-        assert series[100][0.14] > 0.9
-        assert series[1000][0.26] > 0.9
-        assert series[10000][0.3] > 0.9
-        assert series[10000][0.45] < 0.2
+    def test_paper_claims(self, report):
+        series = curves(report)
+        assert series["budget=100"][0.14] > 0.9
+        assert series["budget=1000"][0.26] > 0.9
+        assert series["budget=10000"][0.3] > 0.9
+        assert series["budget=10000"][0.45] < 0.2
 
-    def test_bigger_budget_never_much_worse(self, points):
-        series = {
-            budget: dict((p, measured) for p, measured, _ in entries)
-            for budget, entries in series_by_budget(points).items()
-        }
+    def test_bigger_budget_never_much_worse(self, report):
+        series = curves(report)
         for p in (0.1, 0.14, 0.26, 0.3):
-            assert series[10000][p] >= series[100][p] - 0.05
+            assert series["budget=10000"][p] >= series["budget=100"][p] - 0.05
 
-    def test_measured_matches_algorithm1(self, points):
-        for point in points:
-            assert point.resilience == pytest.approx(
-                point.analytic_resilience, abs=0.06
+    def test_measured_matches_algorithm1(self, report):
+        for result in report.results():
+            assert result["value"] == pytest.approx(
+                result["analytic_resilience"], abs=0.06
             )

@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.engine import TrialEngine
 from repro.experiments.reporting import (
     comparison_rows,
-    format_cost_table,
     format_series_table,
 )
 
@@ -79,7 +78,9 @@ class TestReporting:
             format_series_table("t", "p", [0.0, 0.1], {"a": [1.0]})
 
     def test_cost_table_integer_cells(self):
-        text = format_cost_table("Costs", [0.1], {"joint": [2048]})
+        text = format_series_table(
+            "Costs", "p", [0.1], {"joint": [2048]}, value_format="{:.0f}"
+        )
         assert "2048" in text
         assert "2048.0" not in text
 

@@ -19,7 +19,8 @@ from repro.scenarios.journal import (
     SweepJournal,
     sweep_spec_hash,
 )
-from repro.scenarios.orchestrator import SweepOrchestrator, run_scenario
+from repro.api import run_sweep
+from repro.scenarios.orchestrator import SweepOrchestrator
 from repro.scenarios.runners import _RUNNERS, register_kind
 from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.scenarios.store import ResultStore
@@ -415,7 +416,7 @@ class TestOwnerLease:
 class TestOrchestratorIntegration:
     def test_clean_sweep_seals_the_journal(self, counting_kind, tmp_path):
         spec = journal_spec()
-        run_scenario(spec, store=ResultStore(tmp_path))
+        run_sweep(spec, store=ResultStore(tmp_path))
         status = SweepJournal.status(tmp_path, spec.name)
         assert status["status"] == "complete"
         assert status["committed"] == 3
@@ -426,7 +427,7 @@ class TestOrchestratorIntegration:
     ):
         spec = journal_spec()
         store = ResultStore(tmp_path)
-        run_scenario(spec, store=store)
+        run_sweep(spec, store=store)
         assert store.scenarios() == [spec.name]
         assert store.gc(dry_run=True).removed == 0
 
@@ -438,7 +439,7 @@ class TestOrchestratorIntegration:
         untrusted and the point recomputes (byte-identically)."""
         spec = journal_spec()
         store = ResultStore(tmp_path)
-        run_scenario(spec, store=store)
+        run_sweep(spec, store=store)
         keys = store.keys(spec.name)
         victim = keys[1]
         before = (store.path_for(spec.name, victim)).read_bytes()
@@ -448,7 +449,7 @@ class TestOrchestratorIntegration:
         journal = SweepJournal(tmp_path, spec.name)
         forge_sigkill(journal.path, offset_after(journal.path, victim, "started"))
 
-        resumed = run_scenario(spec, store=store)
+        resumed = run_sweep(spec, store=store)
         assert (resumed.computed, resumed.cached) == (1, 2)
         assert len(counting_kind) == 4  # 3 cold + exactly the victim
         # Determinism contract: the recomputed record is byte-identical.
@@ -460,29 +461,20 @@ class TestOrchestratorIntegration:
     ):
         spec = journal_spec()
         store = ResultStore(tmp_path)
-        run_scenario(spec, store=store)
+        run_sweep(spec, store=store)
         victim = store.keys(spec.name)[0]
         store.path_for(spec.name, victim).unlink()
         journal = SweepJournal(tmp_path, spec.name)
         forge_sigkill(journal.path, offset_after(journal.path, victim, "started"))
-        resumed = run_scenario(spec, store=store)
+        resumed = run_sweep(spec, store=store)
         assert (resumed.computed, resumed.cached) == (1, 2)
-
-    def test_journal_disabled_skips_the_wal(self, counting_kind, tmp_path):
-        spec = journal_spec()
-        orchestrator = SweepOrchestrator(
-            store=ResultStore(tmp_path), journal=False
-        )
-        orchestrator.run(spec)
-        assert SweepJournal.status(tmp_path, spec.name) is None
-        assert not (tmp_path / JOURNAL_DIR).exists()
 
     def test_spec_change_does_not_inherit_stale_flight_state(
         self, counting_kind, tmp_path
     ):
         spec = journal_spec()
         store = ResultStore(tmp_path)
-        run_scenario(spec, store=store)
+        run_sweep(spec, store=store)
         # Killed mid-sweep: a running journal with one point in flight.
         journal = SweepJournal(tmp_path, spec.name)
         victim = store.keys(spec.name)[1]
@@ -490,7 +482,7 @@ class TestOrchestratorIntegration:
         assert SweepJournal.status(tmp_path, spec.name)["midflight"] == [victim]
         # A different trial budget is a different sweep: every point has
         # a new key, nothing is "mid-flight", all points compute fresh.
-        other = run_scenario(spec, store=store, trials=20)
+        other = run_sweep(spec, store=store, trials=20)
         assert (other.computed, other.cached) == (3, 0)
 
 

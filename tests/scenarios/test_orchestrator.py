@@ -1,12 +1,13 @@
-"""The sweep orchestrator: caching, resume, pooling, tolerance hooks,
-and numeric equivalence with the historical figure drivers."""
+"""The sweep orchestrator: caching, resume, pooling, tolerance schedules,
+and the runners' marshalling into the typed per-point units."""
 
 import dataclasses
 
 import pytest
 
 from repro.experiments.executors import pools_constructed
-from repro.scenarios.orchestrator import SweepOrchestrator, run_scenario
+from repro.api import run_sweep
+from repro.scenarios.orchestrator import SweepOrchestrator
 from repro.scenarios.runners import _RUNNERS, register_kind
 from repro.scenarios.spec import Axis, ScenarioSpec, ToleranceRule, ToleranceSchedule
 from repro.scenarios.store import ResultStore
@@ -57,10 +58,10 @@ class TestCachingAndResume:
     def test_rerun_of_completed_sweep_computes_nothing(self, counting_kind, tmp_path):
         store = ResultStore(tmp_path)
         spec = counting_spec()
-        cold = run_scenario(spec, store=store)
+        cold = run_sweep(spec, store=store)
         assert (cold.computed, cold.cached) == (4, 0)
         assert len(counting_kind) == 4
-        warm = run_scenario(spec, store=store)
+        warm = run_sweep(spec, store=store)
         assert (warm.computed, warm.cached) == (0, 4)
         assert warm.trials_run == 0
         assert len(counting_kind) == 4  # zero new runner invocations
@@ -79,10 +80,10 @@ class TestCachingAndResume:
 
         spec = counting_spec()
         with pytest.raises(RuntimeError, match="killed mid-sweep"):
-            run_scenario(spec, store=DyingStore(tmp_path))
+            run_sweep(spec, store=DyingStore(tmp_path))
         assert len(counting_kind) == 3  # two persisted + the dying third
 
-        resumed = run_scenario(spec, store=ResultStore(tmp_path))
+        resumed = run_sweep(spec, store=ResultStore(tmp_path))
         assert (resumed.computed, resumed.cached) == (2, 2)
         # Only the two missing points recomputed.
         assert len(counting_kind) == 5
@@ -93,15 +94,15 @@ class TestCachingAndResume:
             0.7,
         ]
         # And now the sweep is complete: a further run is free.
-        final = run_scenario(spec, store=ResultStore(tmp_path))
+        final = run_sweep(spec, store=ResultStore(tmp_path))
         assert (final.computed, final.cached) == (0, 4)
         assert len(counting_kind) == 5
 
     def test_force_recomputes_cached_points(self, counting_kind, tmp_path):
         store = ResultStore(tmp_path)
         spec = counting_spec(points=2)
-        run_scenario(spec, store=store)
-        forced = run_scenario(spec, store=store, force=True)
+        run_sweep(spec, store=store)
+        forced = run_sweep(spec, store=store, force=True)
         assert (forced.computed, forced.cached) == (2, 0)
         assert len(counting_kind) == 4
 
@@ -110,23 +111,23 @@ class TestCachingAndResume:
     ):
         store = ResultStore(tmp_path)
         spec = counting_spec(points=2)
-        run_scenario(spec, store=store)
-        other = run_scenario(spec, store=store, trials=30)
+        run_sweep(spec, store=store)
+        other = run_sweep(spec, store=store, trials=30)
         assert other.computed == 2
         assert store.count(spec.name) == 4
 
     def test_storeless_runs_always_compute(self, counting_kind):
         spec = counting_spec(points=2)
-        run_scenario(spec)
-        run_scenario(spec)
+        run_sweep(spec)
+        run_sweep(spec)
         assert len(counting_kind) == 4
 
     def test_cached_records_marked(self, counting_kind, tmp_path):
         store = ResultStore(tmp_path)
         spec = counting_spec(points=2)
-        cold = run_scenario(spec, store=store)
+        cold = run_sweep(spec, store=store)
         assert not any(record.get("from_cache") for record in cold.records)
-        warm = run_scenario(spec, store=store)
+        warm = run_sweep(spec, store=store)
         assert all(record["from_cache"] for record in warm.records)
 
 
@@ -136,37 +137,23 @@ class TestSharedPool:
     ):
         spec = counting_spec(points=5, trials=40)
         before = pools_constructed()
-        report = run_scenario(spec, store=ResultStore(tmp_path), jobs=2)
+        report = run_sweep(spec, store=ResultStore(tmp_path), jobs=2)
         assert pools_constructed() - before == 1
         assert report.computed == 5
 
     def test_serial_sweep_constructs_no_pool(self, counting_kind):
         before = pools_constructed()
-        run_scenario(counting_spec(points=3, trials=20), jobs=1)
+        run_sweep(counting_spec(points=3, trials=20), jobs=1)
         assert pools_constructed() == before
 
     def test_parallel_results_identical_to_serial(self, counting_kind):
         spec = counting_spec(points=3, trials=50)
-        serial = run_scenario(spec, jobs=1)
-        parallel = run_scenario(spec, jobs=3)
+        serial = run_sweep(spec, jobs=1)
+        parallel = run_sweep(spec, jobs=3)
         assert serial.results() == parallel.results()
 
 
 class TestToleranceHooks:
-    def test_tolerance_fn_receives_full_params_and_wins(self, counting_kind):
-        seen = []
-
-        def tolerance_fn(params):
-            seen.append(dict(params))
-            return 0.2 if params["p"] < 0.4 else None
-
-        spec = counting_spec(points=3, trials=400, fixed={"tag": "x"})
-        orchestrator = SweepOrchestrator(tolerance_fn=tolerance_fn)
-        report = orchestrator.run(spec)
-        assert [params["tag"] for params in seen] == ["x", "x", "x"]
-        tolerances = [r["engine_tolerance"] for r in report.results()]
-        assert tolerances == [0.2, 0.2, None]
-
     def test_schedule_applied_with_cli_style_base(self, counting_kind):
         spec = counting_spec(
             points=3,
@@ -176,7 +163,7 @@ class TestToleranceHooks:
             ),
         )
         # No base tolerance: the schedule stays dormant.
-        dormant = run_scenario(spec)
+        dormant = run_sweep(spec)
         assert [r["engine_tolerance"] for r in dormant.results()] == [
             None,
             None,
@@ -191,7 +178,7 @@ class TestToleranceHooks:
     def test_resolved_tolerance_recorded_and_keyed(self, counting_kind, tmp_path):
         store = ResultStore(tmp_path)
         spec = counting_spec(points=2, trials=400)
-        run_scenario(spec, store=store)
+        run_sweep(spec, store=store)
         toleranced = SweepOrchestrator(store=store, tolerance=0.1).run(spec)
         # Different tolerance -> different cache entries, recorded per point.
         assert toleranced.computed == 2
@@ -203,7 +190,7 @@ class TestValidationAndErrors:
     def test_unknown_kind_is_a_clear_error(self):
         spec = ScenarioSpec(name="x", kind="no-such-kind")
         with pytest.raises(ValueError, match="unknown scenario kind"):
-            run_scenario(spec)
+            run_sweep(spec)
 
     def test_unknown_parameter_is_a_clear_error(self, counting_kind):
         # The registered figure kinds validate their parameter sets.
@@ -214,7 +201,7 @@ class TestValidationAndErrors:
             trials=0,
         )
         with pytest.raises(ValueError, match="typo_parameter"):
-            run_scenario(spec)
+            run_sweep(spec)
 
     def test_wrong_parameter_type_is_a_clear_error(self):
         # e.g. a hand-edited JSON spec quoting a number.
@@ -225,7 +212,7 @@ class TestValidationAndErrors:
             trials=0,
         )
         with pytest.raises(TypeError, match="'p' must be float"):
-            run_scenario(spec)
+            run_sweep(spec)
 
     def test_int_accepted_where_float_expected(self):
         spec = ScenarioSpec(
@@ -234,22 +221,22 @@ class TestValidationAndErrors:
             fixed={"scheme": "joint", "p": 0, "measure": False},
             trials=0,
         )
-        assert run_scenario(spec).points == 1
+        assert run_sweep(spec).points == 1
 
     def test_renamed_scenario_reuses_cached_results(self, counting_kind, tmp_path):
         store = ResultStore(tmp_path)
         spec = counting_spec(points=3)
-        run_scenario(spec, store=store)
+        run_sweep(spec, store=store)
         assert len(counting_kind) == 3
         renamed = dataclasses.replace(spec, name="renamed-sweep")
-        report = run_scenario(renamed, store=store)
+        report = run_sweep(renamed, store=store)
         assert (report.computed, report.cached) == (0, 3)
         assert len(counting_kind) == 3  # nothing recomputed
 
     def test_progress_hook_sees_every_point(self, counting_kind, tmp_path):
         store = ResultStore(tmp_path)
         spec = counting_spec(points=3, trials=20)
-        run_scenario(spec, store=store)
+        run_sweep(spec, store=store)
         events = []
         SweepOrchestrator(store=store).run(
             spec, progress=lambda point, record, cached: events.append(
@@ -260,16 +247,19 @@ class TestValidationAndErrors:
 
 
 class TestDriverEquivalence:
-    """`repro sweep run` and the bespoke drivers agree number-for-number."""
+    """A scenario record is the typed per-point unit called directly.
+
+    The runners only marshal: spec parameters, trials, seed and batch size
+    reach ``attack_resilience_point`` & co. unchanged, so a record's
+    numbers equal a direct call's for the same seed.
+    """
 
     def test_attack_resilience_scenario_matches_driver(self):
-        from repro.experiments.attack_resilience import run_attack_resilience
+        from repro.experiments.attack_resilience import attack_resilience_point
 
         # The spec pins the Monte-Carlo lane (as every built-in measuring
-        # spec does): the equivalence contract is per lane — a spec that
-        # omits "kernel" keeps the pre-kernel scalar estimator so old
-        # result stores stay valid, while the driver defaults to the
-        # vectorised lane.
+        # spec does): a spec that omits "kernel" runs the scalar oracle,
+        # while the unit defaults to the vectorised lane.
         spec = ScenarioSpec(
             name="fig6-small",
             kind="attack_resilience",
@@ -281,14 +271,12 @@ class TestDriverEquivalence:
             trials=50,
             seed=99,
         )
-        report = run_scenario(spec)
-        driver_points = run_attack_resilience(
-            population_size=500, p_sweep=(0.1, 0.3), trials=50, seed=99
-        )
-        assert len(report.records) == len(driver_points)
-        for record, point in zip(report.results(), driver_points):
-            assert record["scheme"] == point.scheme
-            assert record["p"] == point.malicious_rate
+        results = run_sweep(spec).results()
+        assert len(results) == 6
+        for record in results:
+            point = attack_resilience_point(
+                record["scheme"], record["p"], population_size=500, trials=50, seed=99
+            )
             assert record["measured"]["release"]["successes"] == (
                 point.measured.release.successes
             )
@@ -298,7 +286,7 @@ class TestDriverEquivalence:
             assert record["cost"] == point.cost
 
     def test_churn_scenario_matches_driver_via_registered_spec(self):
-        from repro.experiments.churn_resilience import run_churn_resilience
+        from repro.experiments.churn_resilience import churn_resilience_point
         from repro.scenarios.registry import get_scenario
 
         registered = get_scenario("fig7")
@@ -311,20 +299,16 @@ class TestDriverEquivalence:
             ),
             trials=100,
         )
-        report = run_scenario(small, jobs=2)
-        driver_points = run_churn_resilience(
-            population_size=10000,
-            alphas=(1.0, 3.0),
-            p_sweep=(0.1, 0.3),
-            trials=100,
-            seed=registered.seed,
-        )
-        assert len(report.records) == len(driver_points)
-        for record, point in zip(report.results(), driver_points):
-            assert (record["scheme"], record["alpha"], record["p"]) == (
-                point.scheme,
-                point.alpha,
-                point.malicious_rate,
+        results = run_sweep(small, jobs=2).results()
+        assert len(results) == 16
+        for record in results:
+            point = churn_resilience_point(
+                record["scheme"],
+                record["alpha"],
+                record["p"],
+                population_size=10000,
+                trials=100,
+                seed=registered.seed,
             )
             assert record["release_resilience"] == (
                 point.outcome.release_resilience
@@ -332,7 +316,7 @@ class TestDriverEquivalence:
             assert record["drop_resilience"] == point.outcome.drop_resilience
 
     def test_share_cost_scenario_matches_driver(self):
-        from repro.experiments.cost import run_share_cost
+        from repro.experiments.cost import share_cost_point
 
         spec = ScenarioSpec(
             name="fig8-small",
@@ -342,16 +326,15 @@ class TestDriverEquivalence:
             trials=120,
             seed=2017,
         )
-        report = run_scenario(spec)
-        driver_points = run_share_cost(
-            budgets=(100, 1000), p_sweep=(0.1, 0.3), trials=120, seed=2017
-        )
-        for record, point in zip(report.results(), driver_points):
+        for record in run_sweep(spec).results():
+            point = share_cost_point(
+                record["budget"], record["p"], trials=120, seed=2017
+            )
             assert record["value"] == point.resilience
             assert record["analytic_resilience"] == point.analytic_resilience
 
     def test_availability_scenario_matches_driver(self):
-        from repro.experiments.availability import run_availability_sweep
+        from repro.experiments.availability import availability_point
 
         spec = ScenarioSpec(
             name="availability-small",
@@ -365,24 +348,19 @@ class TestDriverEquivalence:
             trials=150,
             seed=2017,
         )
-        report = run_scenario(spec)
-        driver_points = run_availability_sweep(
-            population_size=2000,
-            uptimes=(0.9,),
-            p_sweep=(0.1, 0.2),
-            trials=150,
-            seed=2017,
-        )
-        for record, point in zip(report.results(), driver_points):
-            assert (record["scheme"], record["uptime"], record["p"]) == (
-                point.scheme,
-                point.uptime,
-                point.malicious_rate,
+        for record in run_sweep(spec).results():
+            point = availability_point(
+                record["scheme"],
+                record["uptime"],
+                record["p"],
+                population_size=2000,
+                trials=150,
+                seed=2017,
             )
             assert record["value"] == point.resilience
 
     def test_timeliness_scenario_matches_driver(self):
-        from repro.experiments.timeliness import measure_timeliness
+        from repro.experiments.timeliness import timeliness_point
 
         spec = ScenarioSpec(
             name="timeliness-small",
@@ -392,15 +370,12 @@ class TestDriverEquivalence:
             trials=3,
             seed=31337,
         )
-        report = run_scenario(spec)
-        driver = measure_timeliness(
-            schemes=("central",), max_latencies=(0.05,), runs=3, seed=31337
-        )[0]
-        record = report.results()[0]
-        assert record["delivered"] == driver.delivered
-        assert record["mean_lateness"] == driver.mean_lateness
-        assert record["worst_lateness"] == driver.worst_lateness
-        assert record["early_releases"] == driver.early_releases
+        record = run_sweep(spec).results()[0]
+        direct = timeliness_point("central", 0.05, runs=3, seed=31337)
+        assert record["delivered"] == direct.delivered
+        assert record["mean_lateness"] == direct.mean_lateness
+        assert record["worst_lateness"] == direct.worst_lateness
+        assert record["early_releases"] == direct.early_releases
 
     def test_zero_trial_cost_panels_record_analytics(self):
         # Fig. 6(b)/(d) style: measurement-free points run zero trials.
@@ -412,7 +387,7 @@ class TestDriverEquivalence:
             trials=0,
             seed=99,
         )
-        report = run_scenario(spec)
+        report = run_sweep(spec)
         assert report.trials_run == 0
         for record in report.results():
             assert record["measured"] is None

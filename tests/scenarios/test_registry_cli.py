@@ -6,9 +6,9 @@ import os
 
 import pytest
 
+from repro import api
 from repro.cli import main
 from repro.experiments.reporting import format_sweep_table, pick_x_axis, sweep_series
-from repro.scenarios.orchestrator import run_scenario
 from repro.scenarios.registry import builtin_scenarios, get_scenario, scenario_names
 from repro.scenarios.runners import get_runner
 from repro.scenarios.spec import Axis, ScenarioSpec
@@ -81,7 +81,7 @@ class TestRegistry:
             axes=tuple(Axis(a.name, a.values[:1]) for a in spec.axes),
             trials=min(spec.trials, 1),
         )
-        report = run_scenario(tiny)
+        report = api.run_scenario(tiny)
         assert report.points == 1
         assert "value" in report.results()[0]
 
@@ -570,8 +570,7 @@ class TestCli:
         assert "would remove 1 orphan(s)" in out
         assert orphan.exists()
         assert main(
-            ["sweep", "gc", "--store", store, "--keep-latest",
-             "--tmp-grace", "0"]
+            ["sweep", "gc", "--store", store, "--tmp-grace", "0"]
         ) == 0
         out = capsys.readouterr().out
         assert "removed 1 orphan(s)" in out
@@ -631,23 +630,21 @@ class TestCli:
         assert "remote" in out
         assert "elastic" in out
 
-    def test_figures_backend_flag(self, capsys):
-        assert (
-            main(
-                [
-                    "figures",
-                    "--figure",
-                    "6c",
-                    "--trials",
-                    "10",
-                    "--backend",
-                    "shm-pool",
-                ]
+    def test_figures_backend_flag(self, tmp_path, capsys):
+        # A figure's table is the same text on every backend.
+        tables = []
+        for backend in ("serial", "shm-pool"):
+            store = str(tmp_path / backend)
+            assert (
+                main(
+                    ["sweep", "run", "fig6c", "--trials", "10", "--store", store]
+                    + ["--backend", backend]
+                )
+                == 0
             )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "attack resilience" in out
+            out = capsys.readouterr().out
+            tables.append(out[out.index("fig6c: Fig. 6(c): attack resilience") :])
+        assert tables[0] == tables[1]
 
     def test_sweep_run_trials_override_and_force(self, tmp_path, capsys):
         store = str(tmp_path / "store")

@@ -17,7 +17,6 @@ from repro.scenarios.store import (
     finalize_record,
     point_cache_key,
     record_checksum,
-    record_generation,
     verify_record,
 )
 
@@ -128,14 +127,16 @@ class TestResultStore:
         stamped = finalize_record(record)
         assert store.load("scn", "abc") == stamped
         assert json.loads(path.read_text()) == stamped
-        assert record_generation(store.load("scn", "abc")) == STORE_GENERATION
+        assert store.load("scn", "abc")["store_generation"] == STORE_GENERATION
         assert verify_record(store.load("scn", "abc")) == "ok"
         # finalize is idempotent: re-saving a loaded record is a no-op.
         assert finalize_record(stamped) == stamped
 
     def test_untagged_records_read_as_legacy_generation(self):
-        assert record_generation({"result": {}}) == 1
-        assert record_generation({"store_generation": "bogus"}) == 1
+        # Why nothing reads the generation stamp back: a record of an
+        # older format carries no checksum, so it never verifies.
+        assert verify_record({"result": {}}) == "mismatch"
+        assert verify_record({"store_generation": 2, "result": {}}) == "mismatch"
 
     def test_keys_and_counts(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -182,7 +183,7 @@ class TestResultStore:
 
 
 class TestGarbageCollection:
-    """Generation tags + `gc`: orphans, corrupt records, stale generations."""
+    """`gc`: orphans, corrupt records, abandoned claims, quarantine."""
 
     @staticmethod
     def populated(tmp_path) -> ResultStore:
@@ -194,9 +195,8 @@ class TestGarbageCollection:
 
     def test_clean_store_is_a_no_op(self, tmp_path):
         store = self.populated(tmp_path)
-        report = store.gc(keep_latest=True)
+        report = store.gc()
         assert report.scanned == 3
-        assert report.kept == 3
         assert report.removed == 0
         assert store.count("scn") == 2
 
@@ -236,7 +236,7 @@ class TestGarbageCollection:
 
     def test_valid_json_that_is_not_an_object_counts_as_corrupt(self, tmp_path):
         # Manual-edit damage: parses fine but is no record. gc must
-        # classify it, not crash on record_generation.
+        # classify it, not crash on it.
         store = self.populated(tmp_path)
         weird = tmp_path / "scn" / "0123.json"
         weird.write_text("[1, 2, 3]")
@@ -244,43 +244,23 @@ class TestGarbageCollection:
         assert [p.name for p in report.corrupt] == ["0123.json"]
         assert not weird.exists()
 
-    def test_keep_latest_prunes_older_generations(self, tmp_path):
-        store = self.populated(tmp_path)
-        # A legacy (untagged, generation-1) record left over from an old
-        # store format, in its own scenario directory.
-        legacy_dir = tmp_path / "legacy"
-        legacy_dir.mkdir()
-        (legacy_dir / "00ff.json").write_text(
-            json.dumps({"result": {"value": 0.9}})
-        )
-        # Without --keep-latest the legacy record survives.
-        assert store.gc().removed == 0
-        # With it, only the newest generation survives and the emptied
-        # scenario directory disappears.
-        report = store.gc(keep_latest=True)
-        assert report.latest_generation == STORE_GENERATION
-        assert [p.name for p in report.stale] == ["00ff.json"]
-        assert report.kept == 3
-        assert not legacy_dir.exists()
-        assert store.scenarios() == ["other", "scn"]
-
     def test_dry_run_reports_without_deleting(self, tmp_path):
         store = self.populated(tmp_path)
         orphan = tmp_path / "scn" / "feed.json.tmp"
         orphan.write_text("x")
         backdate(orphan)
-        legacy = tmp_path / "scn" / "00aa.json"
-        legacy.write_text(json.dumps({"result": {}}))
-        report = store.gc(keep_latest=True, dry_run=True)
+        torn = tmp_path / "scn" / "00aa.json"
+        torn.write_text("{\"result\":")
+        report = store.gc(dry_run=True)
         assert report.dry_run
         assert {p.name for p in report.removed_paths()} == {
             "feed.json.tmp",
             "00aa.json",
         }
-        assert orphan.exists() and legacy.exists()
+        assert orphan.exists() and torn.exists()
 
     def test_missing_store_directory_is_empty_report(self, tmp_path):
-        report = ResultStore(tmp_path / "nope").gc(keep_latest=True)
+        report = ResultStore(tmp_path / "nope").gc()
         assert report.scanned == 0 and report.removed == 0
 
     def test_quarantine_gets_its_own_bucket(self, tmp_path):
