@@ -6,10 +6,8 @@
 - per-scheme communication/storage cost table.
 """
 
-from conftest import bench_sweep, bench_trials, record_bench, run_once
+from conftest import bench_sweep, bench_trials, curves, record_bench, run_once
 
-from repro.adversary.adaptive import adaptive_resilience_sweep
-from repro.core.schemes import NodeDisjointScheme, NodeJointScheme
 from repro.core.sizing import centralized_cost, key_share_cost, multipath_cost
 from repro.experiments.reporting import format_series_table, format_sweep_table
 
@@ -41,45 +39,33 @@ def test_extension_availability(benchmark):
 
 
 def test_extension_adaptive_adversary(benchmark):
-    def sweep():
-        rates = (0.0, 0.25, 0.5, 0.75, 1.0)
-        disjoint = adaptive_resilience_sweep(
-            NodeDisjointScheme(3, 4),
-            population_size=10000,
-            seed_rate=0.02,
-            observation_rates=rates,
-            budget=8,
-            trials=max(100, bench_trials() // 3),
-        )
-        joint = adaptive_resilience_sweep(
-            NodeJointScheme(3, 4),
-            population_size=10000,
-            seed_rate=0.02,
-            observation_rates=rates,
-            budget=8,
-            trials=max(100, bench_trials() // 3),
-        )
-        return rates, disjoint, joint
-
-    rates, disjoint, joint = run_once(benchmark, sweep)
+    report = run_once(
+        benchmark,
+        bench_sweep,
+        "adaptive-observation",
+        trials=max(100, bench_trials() // 3),
+    )
+    release = curves(report, "release_resilience")
+    drop = curves(report, "drop_resilience")
+    rates = sorted(release["scheme=disjoint"])
     print()
     print(
         format_series_table(
             "Extension: resilience vs adversary observation rate "
             "(seed p=0.02, targeted budget=8 on a 3x4 grid, N=10000)",
             "obs",
-            list(rates),
+            rates,
             {
-                "disjoint Rr": [row["release_resilience"] for row in disjoint],
-                "disjoint Rd": [row["drop_resilience"] for row in disjoint],
-                "joint Rr": [row["release_resilience"] for row in joint],
-                "joint Rd": [row["drop_resilience"] for row in joint],
+                f"{scheme} {label}": [series[f"scheme={scheme}"][rate] for rate in rates]
+                for scheme in ("disjoint", "joint")
+                for label, series in (("Rr", release), ("Rd", drop))
             },
         )
     )
     # Observability strictly empowers the adversary.
-    assert disjoint[-1]["drop_resilience"] <= disjoint[0]["drop_resilience"]
-    assert joint[-1]["release_resilience"] <= joint[0]["release_resilience"]
+    assert drop["scheme=disjoint"][1.0] <= drop["scheme=disjoint"][0.0]
+    assert release["scheme=joint"][1.0] <= release["scheme=joint"][0.0]
+    record_bench("extensions", benchmark, trials=report.trials_run)
 
 
 def test_extension_timeliness(benchmark):

@@ -8,6 +8,7 @@ sweep).  They guard against performance regressions that would make the
 figure sweeps impractically slow.
 """
 
+import numpy as np
 import pytest
 from conftest import mean_seconds, record_bench
 
@@ -27,8 +28,10 @@ from repro.crypto.shamir import (
 )
 from repro.dht.bootstrap import build_network
 from repro.dht.node_id import NodeId
+from repro.experiments.attack_kernels import place_malicious_counts
 from repro.experiments.engine import TrialEngine
 from repro.experiments.timeliness import TimelinessTrial
+from repro.scenarios.runners import AdaptiveTrial
 from repro.util.rng import RandomSource
 
 BENCH = "micro"
@@ -105,6 +108,45 @@ def test_trial_engine_adaptive_stopping(benchmark):
         wall=mean_seconds(benchmark),
         tolerance=0.02,
     )
+
+
+@pytest.mark.parametrize(
+    "trials, replication, path_length",
+    # The largest node-joint knee grid of fig6a (p = 0.40 plans 11 x 905 =
+    # 9,955 cells, one 100-trial batch) and a small grid like every point
+    # off the knee.
+    [(100, 11, 905), (1000, 3, 4)],
+    ids=["100x9955", "1000x12"],
+)
+def test_place_malicious_counts(benchmark, trials, replication, path_length):
+    """The Fig. 6 kernel's placement step: keys, threshold, mask."""
+    cells = replication * path_length
+    counts = np.random.default_rng(3).integers(0, cells + 1, size=trials)
+
+    def place():
+        return place_malicious_counts(
+            np.random.default_rng(2017), counts, replication, path_length
+        )
+
+    mask = benchmark(place)
+    assert (mask.sum(axis=(1, 2)) == counts).all()
+    record_bench(BENCH, benchmark, trials=trials)
+
+
+def test_adaptive_trial_10000(benchmark):
+    """One adaptive-game trial at N = 10,000, as ``adaptive-observation``
+    runs it: index marking, 3x4 structure, observe, target, evaluate."""
+    trial = AdaptiveTrial(
+        NodeJointScheme(3, 4),
+        population_size=10000,
+        seed_rate=0.02,
+        observation_rate=0.5,
+        budget=8,
+    )
+    root = RandomSource(4242, label="bench-adaptive")
+    outcome = benchmark(lambda: trial(root.fork("t0")))
+    assert outcome == trial(root.fork("t0"))
+    record_bench(BENCH, benchmark, trials=1)
 
 
 def test_cipher_roundtrip(benchmark):

@@ -27,7 +27,7 @@ not just deep corruption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Sequence
+from typing import Hashable, Sequence
 
 from repro.adversary.population import SybilPopulation
 from repro.util.rng import RandomSource
@@ -61,15 +61,19 @@ class AdaptiveAdversary:
         )
         self.budget = check_positive_int(budget, "budget", minimum=0)
         self._rng = rng
+        #: Holders observed / corruptions spent by the last :meth:`corrupt`.
+        self.last_observed = 0
+        self.last_targeted = 0
 
     def corrupt(
         self,
-        population_ids: Sequence[Hashable],
+        population_size: int,
         holders: Sequence[Hashable],
     ) -> SybilPopulation:
-        """Run both phases and return the resulting malicious population."""
+        """Run both phases over the id population ``range(population_size)``
+        and return the resulting malicious population."""
         sybil = SybilPopulation(self.seed_rate, self._rng.fork("seed-phase"))
-        sybil.mark_population(list(population_ids))
+        sybil.mark_index_population(population_size)
 
         observe_rng = self._rng.fork("observe")
         observed = [
@@ -81,37 +85,32 @@ class AdaptiveAdversary:
         candidates = [h for h in observed if not sybil.is_malicious(h)]
         target_rng.shuffle(candidates)
         sybil.force_malicious(candidates[: self.budget])
-        self._last_observed = len(observed)
-        self._last_targeted = min(self.budget, len(candidates))
+        self.last_observed = len(observed)
+        self.last_targeted = min(self.budget, len(candidates))
         return sybil
-
-    @property
-    def last_observed(self) -> int:
-        return getattr(self, "_last_observed", 0)
-
-    @property
-    def last_targeted(self) -> int:
-        return getattr(self, "_last_targeted", 0)
 
 
 def evaluate_adaptive_attack(
     scheme,
-    population_ids: Sequence[Hashable],
+    population_size: int,
     adversary: AdaptiveAdversary,
     rng: RandomSource,
 ) -> AdaptiveOutcome:
     """One trial: sample a structure, corrupt adaptively, evaluate attacks.
 
-    ``scheme`` is any :class:`repro.core.schemes.base.Scheme`.  The
+    ``scheme`` is any :class:`repro.core.schemes.base.Scheme`; node ids are
+    the indices ``range(population_size)``, never materialised.  The
     adversary sees the holder list only through its observation filter —
     it never learns holders its nodes did not notice.
     """
-    structure = scheme.sample_structure(list(population_ids), rng.fork("structure"))
+    structure = scheme.sample_structure(
+        range(population_size), rng.fork("structure")
+    )
     if hasattr(structure, "all_holders"):
         holders = structure.all_holders()
     else:
         holders = [structure]
-    population = adversary.corrupt(population_ids, holders)
+    population = adversary.corrupt(population_size, holders)
     outcome = scheme.evaluate_attacks(structure, population)
     return AdaptiveOutcome(
         seeds_used=population.malicious_count - adversary.last_targeted,
@@ -120,38 +119,3 @@ def evaluate_adaptive_attack(
         release_resisted=outcome.release_resisted,
         drop_resisted=outcome.drop_resisted,
     )
-
-
-def adaptive_resilience_sweep(
-    scheme,
-    population_size: int,
-    seed_rate: float,
-    observation_rates: Sequence[float],
-    budget: int,
-    trials: int = 300,
-    seed: int = 4242,
-) -> List[dict]:
-    """Resilience vs observation rate, holding the corruption budget fixed."""
-    population_ids = list(range(population_size))
-    rows = []
-    for observation_rate in observation_rates:
-        root = RandomSource(seed, label=f"adaptive-{observation_rate}")
-        release_hits = drop_hits = 0
-        for index in range(trials):
-            trial_rng = root.fork(f"t{index}")
-            adversary = AdaptiveAdversary(
-                seed_rate, observation_rate, budget, trial_rng.fork("adversary")
-            )
-            outcome = evaluate_adaptive_attack(
-                scheme, population_ids, adversary, trial_rng
-            )
-            release_hits += outcome.release_resisted
-            drop_hits += outcome.drop_resisted
-        rows.append(
-            {
-                "observation_rate": observation_rate,
-                "release_resilience": release_hits / trials,
-                "drop_resilience": drop_hits / trials,
-            }
-        )
-    return rows

@@ -14,9 +14,10 @@ batch units for :meth:`~repro.experiments.engine.TrialEngine.run_batched`:
    and under without-replacement sampling that reduces to: the number of
    malicious holders in the grid is ``Hypergeometric(N, M, c)`` and their
    cells are a uniform ``h``-subset of the ``c`` cells.  The kernel draws
-   the count per trial and places it with one batched permutation
-   (``argsort`` of uniform keys), giving a ``(trials, k, l)`` boolean
-   malicious mask without constructing a single id.
+   the count per trial and places it with one batched draw of uniform
+   keys — the cells whose key is below the row's ``count``-th smallest,
+   ties taken lowest cell index first — giving a ``(trials, k, l)``
+   boolean malicious mask without constructing a single id.
 3. **Attack predicates.**  Release-ahead succeeds when every column holds a
    malicious replica (Eq. 1); a drop needs every row cut (node-disjoint,
    Eq. 2) or a fully-malicious column (node-joint, Eq. 3) — three axis
@@ -59,14 +60,32 @@ def place_malicious_counts(
 ) -> np.ndarray:
     """Scatter per-trial malicious counts into uniform random grid cells.
 
-    Rank uniform keys per trial: cells ranked below the trial's count form
-    a uniform random subset of exactly that size (a batched permutation).
+    Draw one uniform key per cell and mark each trial's ``count`` smallest:
+    a uniform random subset of exactly that size.  The subset is selected
+    by *value* — every key below the row's ``count``-th order statistic —
+    so one sort per row replaces a full ranking.  Keys tied with the
+    threshold are taken lowest cell index first, which makes the mask a
+    function of the keys alone (no dependence on a sort's tie order) and
+    keeps every row at exactly ``count`` marked cells.
     """
     trials = counts.shape[0]
     cells = replication * path_length
     keys = generator.random((trials, cells))
-    ranks = keys.argsort(axis=1).argsort(axis=1)
-    mask = ranks < counts[:, None]
+    ordered = np.sort(keys, axis=1)
+    # The smallest key *not* taken; a row that takes every cell has none.
+    threshold = np.where(
+        counts >= cells,
+        np.inf,
+        ordered[np.arange(trials), np.minimum(counts, cells - 1)],
+    )[:, None]
+    mask = keys < threshold
+    short = counts - mask.sum(axis=1)
+    rows = np.flatnonzero(short)
+    if rows.size:
+        # The threshold key repeats below its own rank: top those rows up
+        # from the tied cells in index order.
+        tied = keys[rows] == threshold[rows]
+        mask[rows] |= tied & (tied.cumsum(axis=1) <= short[rows, None])
     return mask.reshape(trials, replication, path_length)
 
 

@@ -480,7 +480,7 @@ class AdaptiveTrial:
         budget: int,
     ) -> None:
         self.scheme = scheme
-        self.population_ids = list(range(population_size))
+        self.population_size = population_size
         self.seed_rate = seed_rate
         self.observation_rate = observation_rate
         self.budget = budget
@@ -495,7 +495,7 @@ class AdaptiveTrial:
             rng.fork("adversary"),
         )
         outcome = evaluate_adaptive_attack(
-            self.scheme, self.population_ids, adversary, rng
+            self.scheme, self.population_size, adversary, rng
         )
         return outcome.release_resisted, outcome.drop_resisted
 

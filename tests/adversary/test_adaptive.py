@@ -1,29 +1,49 @@
 """The adaptive (traffic-observing) adversary extension."""
 
+import dataclasses
+
 import pytest
 
-from repro.adversary.adaptive import (
-    AdaptiveAdversary,
-    adaptive_resilience_sweep,
-    evaluate_adaptive_attack,
-)
-from repro.core.schemes import NodeDisjointScheme, NodeJointScheme
+from repro import api
+from repro.adversary.adaptive import AdaptiveAdversary, evaluate_adaptive_attack
+from repro.core.schemes import NodeJointScheme
+from repro.scenarios.spec import Axis
 from repro.util.rng import RandomSource
 
-POPULATION = list(range(2000))
+#: Node ids are the indices ``range(POPULATION)``.
+POPULATION = 2000
+
+
+def run_reduced(scheme, observation_rates, trials, **fixed):
+    """The registered ``adaptive-observation`` scenario on a smaller game."""
+    spec = api.get_scenario("adaptive-observation")
+    spec = dataclasses.replace(
+        spec,
+        axes=(
+            Axis("scheme", (scheme,)),
+            Axis("observation_rate", observation_rates),
+        ),
+        fixed={**spec.fixed, **fixed},
+    )
+    return api.run_scenario(spec, trials=trials)
 
 
 class TestCorruption:
+    def test_fresh_adversary_reports_nothing(self):
+        adversary = AdaptiveAdversary(0.2, 0.5, budget=5, rng=RandomSource(1))
+        assert adversary.last_observed == 0
+        assert adversary.last_targeted == 0
+
     def test_zero_observation_equals_uniform_sybil(self):
         adversary = AdaptiveAdversary(0.2, 0.0, budget=50, rng=RandomSource(1))
-        population = adversary.corrupt(POPULATION, holders=POPULATION[:20])
+        population = adversary.corrupt(POPULATION, holders=range(20))
         assert adversary.last_observed == 0
         assert adversary.last_targeted == 0
         assert population.malicious_count == 400  # 0.2 * 2000
 
     def test_full_observation_spends_budget_on_holders(self):
         adversary = AdaptiveAdversary(0.0, 1.0, budget=5, rng=RandomSource(2))
-        holders = POPULATION[:20]
+        holders = range(20)
         population = adversary.corrupt(POPULATION, holders=holders)
         assert adversary.last_observed == 20
         assert adversary.last_targeted == 5
@@ -32,14 +52,14 @@ class TestCorruption:
 
     def test_budget_larger_than_holder_set(self):
         adversary = AdaptiveAdversary(0.0, 1.0, budget=100, rng=RandomSource(3))
-        holders = POPULATION[:10]
+        holders = range(10)
         population = adversary.corrupt(POPULATION, holders=holders)
         assert adversary.last_targeted == 10
         assert population.malicious_count == 10
 
     def test_partial_observation(self):
         adversary = AdaptiveAdversary(0.0, 0.5, budget=1000, rng=RandomSource(4))
-        holders = POPULATION[:200]
+        holders = range(200)
         adversary.corrupt(POPULATION, holders=holders)
         # ~half the holders observed (binomial around 100).
         assert 70 < adversary.last_observed < 130
@@ -79,17 +99,10 @@ class TestAttackEvaluation:
 
 class TestSweep:
     def test_observability_degrades_resilience(self):
-        scheme = NodeDisjointScheme(3, 4)
-        rows = adaptive_resilience_sweep(
-            scheme,
-            population_size=2000,
-            seed_rate=0.02,
-            observation_rates=(0.0, 1.0),
-            budget=8,
-            trials=150,
+        report = run_reduced(
+            "disjoint", (0.0, 1.0), trials=150, population_size=POPULATION
         )
-        blind = rows[0]
-        omniscient = rows[1]
+        blind, omniscient = report.results()
         assert blind["observation_rate"] == 0.0
         # Full observation with a budget near the grid size must hurt.
         assert (
@@ -100,12 +113,20 @@ class TestSweep:
         )
 
     def test_rows_contain_both_axes(self):
-        scheme = NodeJointScheme(2, 2)
-        rows = adaptive_resilience_sweep(
-            scheme, 500, 0.05, (0.5,), budget=2, trials=50
+        report = run_reduced(
+            "joint",
+            (0.5,),
+            trials=50,
+            population_size=500,
+            seed_rate=0.05,
+            budget=2,
+            replication=2,
+            path_length=2,
         )
-        assert set(rows[0]) == {
+        (row,) = report.results()
+        assert row["trials_run"] == 50
+        assert {
             "observation_rate",
             "release_resilience",
             "drop_resilience",
-        }
+        } <= set(row)

@@ -1,0 +1,46 @@
+#!/usr/bin/env python3
+"""Record-checksum pins for the Fig. 6 kernel and the adaptive game
+(``tests/experiments/test_record_parity.py``).
+
+    PYTHONPATH=src python3 tests/experiments/golden/regen.py
+
+rewrites ``record_parity.json`` beside this file from whatever ``repro``
+is on the path.  The committed golden was generated on the commit *before*
+PR 16 replaced the double ``argsort`` in ``place_malicious_counts`` with a
+threshold on the count-th smallest key and moved the adaptive game onto
+``mark_index_population``, so it states what "same draws, same store
+bytes" means for the vectorised Fig. 6 lane and ``adversary/adaptive.py``.
+Only rerun it in a PR that says why a record's bytes changed.
+
+Each pin is the store checksum of one point record (SHA-256 over its
+canonical JSON: point, params, seed, trials, result), keyed by the point's
+content key, at the scenario's registry seed.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Dict
+
+from repro import api
+
+GOLDEN = Path(__file__).with_name("record_parity.json")
+#: scenario -> trials per point (fig6a pins ``kernel="vectorized"`` itself).
+SWEEPS = {"fig6a": 1000, "fig6c": 200, "adaptive-observation": 100}
+
+
+def checksums(scenario: str) -> Dict[str, str]:
+    report = api.run_scenario(scenario, trials=SWEEPS[scenario])
+    return {record["key"]: record["checksum"] for record in report.records}
+
+
+def compute() -> Dict[str, Dict[str, str]]:
+    return {scenario: checksums(scenario) for scenario in SWEEPS}
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as handle:
+        json.dump(compute(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {GOLDEN}")

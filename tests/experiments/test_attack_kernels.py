@@ -13,6 +13,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.schemes import (
     CentralizedScheme,
@@ -25,6 +27,7 @@ from repro.experiments.attack_kernels import (
     attack_batch_for,
     evaluate_multipath_masks,
     malicious_count,
+    place_malicious_counts,
     sample_malicious_grids,
 )
 from repro.experiments.attack_resilience import (
@@ -88,6 +91,82 @@ class TestMaskSampler:
         assert not drop_joint[0]
         # Both rows contain a malicious holder -> disjoint drop succeeds.
         assert drop_disjoint[0]
+
+
+class _StubGenerator:
+    """Returns prepared placement keys instead of drawing them."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def random(self, shape):
+        assert shape == self.keys.shape
+        return self.keys
+
+
+@st.composite
+def _placements(draw):
+    """``(seed, counts, k, l)`` with counts covering ``0`` and ``k * l``."""
+    replication = draw(st.integers(1, 5))
+    path_length = draw(st.integers(1, 8))
+    cells = replication * path_length
+    counts = draw(
+        st.lists(
+            st.one_of(st.sampled_from((0, cells)), st.integers(0, cells)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    return seed, np.array(counts), replication, path_length
+
+
+class TestPlacement:
+    """Threshold placement ≡ full ranking; ties never lose or add a cell."""
+
+    @given(_placements())
+    def test_equals_double_argsort_on_tie_free_keys(self, placement):
+        seed, counts, replication, path_length = placement
+        keys = np.random.default_rng(seed).random(
+            (len(counts), replication * path_length)
+        )
+        ranks = keys.argsort(axis=1).argsort(axis=1)
+        reference = (ranks < counts[:, None]).reshape(
+            len(counts), replication, path_length
+        )
+        mask = place_malicious_counts(
+            np.random.default_rng(seed), counts, replication, path_length
+        )
+        assert mask.dtype == bool
+        assert (mask == reference).all()
+
+    @given(_placements(), st.integers(1, 3))
+    def test_exact_counts_under_heavy_ties(self, placement, levels):
+        seed, counts, replication, path_length = placement
+        # At most ``levels`` distinct key values per row; ``levels == 1``
+        # is the all-equal row.
+        keys = (
+            np.random.default_rng(seed).integers(
+                0, levels, size=(len(counts), replication * path_length)
+            )
+            / 4.0
+        )
+        mask = place_malicious_counts(
+            _StubGenerator(keys), counts, replication, path_length
+        )
+        assert (mask.sum(axis=(1, 2)) == counts).all()
+        flat = mask.reshape(len(counts), -1)
+        for row, count in enumerate(counts):
+            # The documented rule: smallest keys, lowest cell index first.
+            expected = np.argsort(keys[row], kind="stable")[:count]
+            assert set(np.flatnonzero(flat[row])) == set(expected)
+
+    def test_all_equal_row_marks_the_leading_cells(self):
+        keys = np.full((1, 6), 0.5)
+        mask = place_malicious_counts(
+            _StubGenerator(keys), np.array([4]), 2, 3
+        )
+        assert mask.reshape(-1).tolist() == [True] * 4 + [False] * 2
 
 
 class TestBatchUnits:
