@@ -29,7 +29,9 @@ from repro.crypto.shamir import (
 from repro.dht.bootstrap import build_network
 from repro.dht.node_id import NodeId
 from repro.experiments.attack_kernels import place_malicious_counts
+from repro.experiments.churn_resilience import churn_resilience_point
 from repro.experiments.engine import TrialEngine
+from repro.experiments.executors import SweepPoolExecutor
 from repro.experiments.timeliness import TimelinessTrial
 from repro.scenarios.runners import AdaptiveTrial
 from repro.util.rng import RandomSource
@@ -108,6 +110,25 @@ def test_trial_engine_adaptive_stopping(benchmark):
         wall=mean_seconds(benchmark),
         tolerance=0.02,
     )
+
+
+@pytest.mark.parametrize("batch_size", [50, 10])
+def test_trial_engine_pool_batched_400(benchmark, batch_size):
+    """A mid-grid fig7 point through one open 2-worker pool.
+
+    400 trials as 8 and as 40 batches: each batch is one span shipped to
+    the pool and one count vector back, so the pair prices the pool's
+    results lane per batch (the ledger runs no pool workload).
+    """
+    point = dict(scheme="joint", alpha=2.0, malicious_rate=0.25, trials=400)
+    executor = SweepPoolExecutor(jobs=2)
+    engine = TrialEngine(backend=executor)
+    with executor:
+        result = benchmark(
+            churn_resilience_point, engine=engine, batch_size=batch_size, **point
+        )
+    assert result == churn_resilience_point(batch_size=batch_size, **point)
+    record_bench(BENCH, benchmark, trials=400, jobs=2, batch_size=batch_size)
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,8 @@ the same way:
   contract);
 - ``REPRO_BENCH_TOLERANCE=0.02`` enables adaptive early stopping, cutting
   trial counts per point once the CI half-width is within tolerance;
-- ``REPRO_BENCH_BACKEND=shm-pool`` picks an execution backend by registry
-  name (``serial`` / ``shm-pool`` / ``distributed``; unset defers to the
+- ``REPRO_BENCH_BACKEND=process-pool`` picks an execution backend by registry
+  name (``serial`` / ``process-pool`` / ``distributed``; unset defers to the
   ``REPRO_BENCH_JOBS`` sugar), with
   ``REPRO_BENCH_WORKERS=host:port,...`` supplying worker addresses for
   the distributed backend (``REPRO_BENCH_POOL=N`` spawns a local pool

@@ -19,7 +19,7 @@ Quick tour (see README.md for a runnable quickstart):
 - :mod:`repro.experiments` - the trial engine and the typed per-point
   units behind every figure of the paper's evaluation (Figs. 6, 7, 8).
 - :mod:`repro.backends` - the unified execution layer: one
-  ``ExecutionBackend`` interface over serial / shm-pool / distributed
+  ``ExecutionBackend`` interface over serial / process-pool / distributed
   (TCP worker) substrates.
 - :mod:`repro.scenarios` - declarative sweep specs, orchestrator, and the
   content-addressed result store.

@@ -8,7 +8,7 @@ front door::
     from repro import api
 
     report = api.run_scenario("fig6a", trials=200, jobs=4)
-    report = api.run_sweep("fig7", store=".repro-store", backend="shm-pool",
+    report = api.run_sweep("fig7", store=".repro-store", backend="process-pool",
                            jobs=8, tolerance=0.02)
     records = api.load_results(".repro-store", "fig7")
     job = api.submit_sweep("127.0.0.1:7272", "fig7", watch=True)
@@ -121,7 +121,7 @@ def run_sweep(
     hash and skipped on re-runs — calling this twice performs zero new
     trials the second time, and an interrupted sweep resumes from the
     last persisted point.  ``backend`` picks the execution substrate
-    (``"serial"``, ``"shm-pool"``, ``"distributed"`` with a workers
+    (``"serial"``, ``"process-pool"``, ``"distributed"`` with a workers
     option, or any registered/pre-built backend) and wins over the
     spec's pinned ``engine.backend``, which wins over the ``jobs``
     sugar.  None of them changes results or cache keys.

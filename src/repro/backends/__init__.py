@@ -8,7 +8,7 @@ The repository's execution layer in one subsystem:
   implementations in :mod:`repro.experiments.executors`;
 - :mod:`repro.backends.base` — the JSON-round-trippable
   :class:`BackendSpec`;
-- :mod:`repro.backends.registry` — ``get("serial" | "shm-pool" |
+- :mod:`repro.backends.registry` — ``get("serial" | "process-pool" |
   "distributed")``, the one resolver (``backend=`` >
   ``spec.engine.backend`` > ``jobs``), plus :func:`register_backend`
   for new substrates;

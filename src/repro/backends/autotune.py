@@ -21,7 +21,7 @@ written to disk.
 By the determinism contract a span size can never change results — only
 wall time — so autotuning is a pure performance knob, excluded from
 result-store cache keys like every other transport option.  Opt in with
-``chunk_size="auto"`` on the ``distributed``/``shm-pool`` backends
+``chunk_size="auto"`` on the ``distributed``/``process-pool`` backends
 (CLI: ``--chunk-size auto``; benchmarks:
 ``REPRO_BENCH_CHUNK_SIZE=auto``).
 """
@@ -40,7 +40,7 @@ DEFAULT_RATE = 20_000.0
 #: the local pool prefers finer ones (its per-span cost is tiny).
 TARGET_SPAN_SECONDS: Dict[str, float] = {
     "distributed": 0.5,
-    "shm-pool": 0.2,
+    "process-pool": 0.2,
 }
 
 #: Target for backends without an entry above.

@@ -5,21 +5,20 @@ stable name, and everything that needs one — the trial engine, the sweep
 orchestrator, the daemon, the CLI's ``--backend`` flag, ``repro.api`` —
 resolves it through :func:`get`:
 
-=========== ================== =========================================
-name        class              substrate
-=========== ================== =========================================
-serial      SerialExecutor     the in-process reference loop
-shm-pool    SweepPoolExecutor  one fork pool from ``open`` to ``close``,
-                               pickle-shipped tasks, shared-memory
-                               batch results
-distributed DistributedBackend spans over TCP to ``repro worker``
-                               processes
-=========== ================== =========================================
+============ ================== ========================================
+name         class              substrate
+============ ================== ========================================
+serial       SerialExecutor     the in-process reference loop
+process-pool SweepPoolExecutor  one fork pool from ``open`` to ``close``,
+                                pickle-shipped tasks and results
+distributed  DistributedBackend spans over TCP to ``repro worker``
+                                processes
+============ ================== ========================================
 
 Resolution order, everywhere: an explicit ``backend=`` (registry name,
 :class:`BackendSpec`, or built instance) > the spec's pinned
 ``engine.backend`` > the ``jobs`` sugar (``1`` = ``serial``, above that
-``shm-pool``).
+``process-pool``).
 
 Each entry declares which options its factory accepts and which of them
 are *semantically meaningful* — able to change results.  By the engine's
@@ -140,13 +139,13 @@ BackendLike = Union[str, BackendSpec, ExecutionBackend, None]
 def spec_for_jobs(jobs: int = 1) -> BackendSpec:
     """The ``--jobs`` sugar as a :class:`BackendSpec`.
 
-    ``jobs=1`` is the serial reference; above that, the ``shm-pool``
-    (one pool from ``open`` to ``close``, shared-memory batch results).
+    ``jobs=1`` is the serial reference; above that, the ``process-pool``
+    (one pool from ``open`` to ``close``).
     """
     check_positive_int(jobs, "jobs")
     if jobs == 1:
         return BackendSpec("serial")
-    return BackendSpec("shm-pool", options={"jobs": jobs})
+    return BackendSpec("process-pool", options={"jobs": jobs})
 
 
 def resolve_spec(
@@ -157,7 +156,7 @@ def resolve_spec(
 
     ``backend=None`` defers entirely to the ``jobs`` sugar.  A bare name
     gets an *explicit* ``jobs`` merged in when the backend accepts that
-    option — ``--backend shm-pool --jobs 8`` means what it reads like,
+    option — ``--backend process-pool --jobs 8`` means what it reads like,
     and ``--jobs 1`` gives a one-worker pool, not the factory default —
     while ``jobs=None`` (unset) leaves the backend's own default alone.
     A full :class:`BackendSpec` is honoured verbatim (its own options
@@ -208,7 +207,6 @@ def _register_builtins() -> None:
         SerialExecutor,
         SweepPoolExecutor,
         fork_available,
-        shared_memory_available,
     )
 
     register_backend(
@@ -217,15 +215,14 @@ def _register_builtins() -> None:
         description="in-process reference loop (the determinism oracle)",
     )
     register_backend(
-        "shm-pool",
+        "process-pool",
         SweepPoolExecutor,
         description=(
             "one fork pool from open to close (a bare engine run opens "
-            "and closes its own); pickle-shipped tasks, batch counts "
-            "through shared memory"
+            "and closes its own); pickle-shipped tasks and results"
         ),
         options=("jobs", "chunk_size"),
-        available=lambda: fork_available() and shared_memory_available(),
+        available=fork_available,
     )
     register_backend(
         "distributed",

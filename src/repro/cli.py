@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Installed as the ``repro`` console script::
+``PYTHONPATH=src python -m repro.cli`` is the entry point (nothing is
+installed; ``repro`` below stands for that prefix)::
 
     repro plan --scheme joint -p 0.25 --budget 10000
     repro plan --scheme joint -p 0.25 --budget 500 --frontier
@@ -14,8 +15,7 @@ Installed as the ``repro`` console script::
     repro sweep run fig7 --backend distributed --workers host1:7070,host2:7070
     repro sweep run fig7 --backend distributed --pool 4
     repro serve --bind 127.0.0.1:7272 --store .repro-store --jobs 4
-    repro sweep run fig7 --submit 127.0.0.1:7272
-    repro jobs submit fig7 --at 127.0.0.1:7272
+    repro jobs submit fig7 --at 127.0.0.1:7272 --watch
     repro jobs status --at 127.0.0.1:7272
     repro jobs watch job-0001 --at 127.0.0.1:7272
     repro jobs cancel job-0001 --at 127.0.0.1:7272
@@ -49,7 +49,7 @@ from typing import List, Optional
 #: is the source of truth, and ``--backend`` accepts anything registered
 #: (including backends added via ``repro.backends.register_backend``),
 #: validated lazily so ``--help`` never imports the backend subsystem.
-_BUILTIN_BACKENDS = "serial, shm-pool, distributed"
+_BUILTIN_BACKENDS = "serial, process-pool, distributed"
 
 
 def _add_backend_arguments(parser) -> None:
@@ -60,7 +60,7 @@ def _add_backend_arguments(parser) -> None:
         default=None,
         help="worker processes for the run's ONE shared backend "
         "(1 = serial; results are identical for any value; above 1, "
-        "sugar for --backend shm-pool; merged into an explicit "
+        "sugar for --backend process-pool; merged into an explicit "
         "--backend that takes a jobs option)",
     )
     parser.add_argument(
@@ -386,16 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--force",
                 action="store_true",
                 help="recompute every point, overwriting cached results",
-            )
-            action_parser.add_argument(
-                "--submit",
-                default=None,
-                metavar="HOST:PORT",
-                help="submit the sweep to a running `repro serve` daemon "
-                "instead of executing it here; the daemon's store and "
-                "backend apply (local --store/--backend options are "
-                "refused), progress streams back per point, and work "
-                "overlapping other jobs is deduplicated",
             )
 
     sweep_gc = sweep_actions.add_parser(
@@ -757,8 +747,6 @@ def _command_sweep(args) -> int:
         return _sweep_gc(args)
     if args.action in ("verify", "repair"):
         return _sweep_integrity(args)
-    if getattr(args, "submit", None):
-        return _sweep_submit(args)
     try:
         spec = get_scenario(args.name)
     except ValueError as error:
@@ -903,50 +891,6 @@ def _print_job_summary(final, address) -> None:
         f"{key}={value}" for key, value in sorted(counters.items())
     )
     print(f"backend stats: {rendered}", flush=True)
-
-
-def _sweep_submit(args) -> int:
-    """`repro sweep run NAME --submit HOST:PORT`: delegate to the daemon."""
-    for value, flag in (
-        (args.backend, "--backend"),
-        (args.workers, "--workers"),
-        (args.pool, "--pool"),
-        (args.jobs, "--jobs"),
-        (args.chunk_size, "--chunk-size"),
-        (args.announce_bind, "--announce-bind"),
-        (args.watch_workers, "--watch-workers"),
-        (args.fallback, "--fallback"),
-        (args.point_deadline, "--point-deadline"),
-        (args.trace, "--trace"),
-    ):
-        if value:
-            raise SystemExit(
-                f"{flag} cannot be combined with --submit — the daemon "
-                "owns the backend, store, and journal policy"
-            )
-    from repro.service import submit_job, watch_job
-
-    try:
-        accepted = submit_job(
-            args.submit,
-            args.name,
-            trials=args.trials,
-            tolerance=args.tolerance,
-            batch_size=args.batch_size,
-            kernel=getattr(args, "kernel", None),
-            force=getattr(args, "force", False),
-        )
-        job = accepted["job"]
-        print(
-            f"submitted {args.name!r} as {job} ({accepted['points']} "
-            f"points) to {args.submit}",
-            flush=True,
-        )
-        final = watch_job(args.submit, job, on_frame=_render_progress_frame)
-    except (OSError, ConnectionError, RuntimeError) as error:
-        raise SystemExit(f"sweep service at {args.submit}: {error}") from None
-    _print_job_summary(final, args.submit)
-    return 0 if final["status"] == "done" else 1
 
 
 def _command_serve(args) -> int:
@@ -1333,7 +1277,6 @@ def _command_backends(args) -> int:
         flags = [
             flag
             for flag, label in (
-                ("shared-memory", "supports_shared_memory"),
                 ("remote", "supports_remote"),
                 ("fault-tolerant", "supports_fault_tolerance"),
                 ("elastic", "supports_elastic_membership"),

@@ -179,7 +179,3 @@ def multiply_many(values: Sequence[int], scalar: int) -> List[int]:
     """
     row = _MUL[scalar << 8 : (scalar + 1) << 8]
     return [row[value] for value in values]
-
-
-# Historical name for multiply_many, kept for existing callers.
-batch_multiply = multiply_many

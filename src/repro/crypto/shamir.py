@@ -24,11 +24,11 @@ Coefficients are drawn from the :class:`~repro.util.rng.RandomSource` in
 exactly the order the historical scalar loop drew them, so for the same
 seed the batch codec is *byte-identical* to the scalar reference — which is
 how :func:`split_secret` and :func:`combine_shares` can delegate to it
-(when NumPy is importable and the workload is past the measured size
-crossovers) without perturbing a single stored share.
+(when the workload is past the measured size crossovers) without
+perturbing a single stored share.
 The scalar implementations are kept as :func:`split_secret_reference` /
-:func:`combine_shares_reference`, both the fallback and the equivalence
-oracle the property tests compare against.
+:func:`combine_shares_reference`, both the small-input lane and the
+equivalence oracle the property tests compare against.
 """
 
 from __future__ import annotations
@@ -36,25 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto import gf256
+import numpy as np
+
+from repro.crypto import gf256, gf256_numpy
 from repro.crypto.primefield import DEFAULT_PRIME, PrimeField
 from repro.util.rng import RandomSource
 from repro.util.validation import check_positive_int
 
-try:  # The batch codec rides on numpy; the scalar lane needs nothing.
-    import numpy as _np
-
-    from repro.crypto import gf256_numpy as _gfnp
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-    _gfnp = None
-
 MAX_SHARES = 255  # x-coordinates live in GF(256) \ {0}
-
-
-def batch_codec_available() -> bool:
-    """Whether the NumPy batch codec is importable in this environment."""
-    return _gfnp is not None
 
 
 @dataclass(frozen=True)
@@ -125,7 +114,7 @@ def split_secret_reference(
 ) -> List[Share]:
     """The scalar reference split: pure-Python Horner per byte per share.
 
-    Kept as the no-numpy fallback and as the oracle the batch codec is
+    Kept as the small-split lane and as the oracle the batch codec is
     property-tested against; :func:`split_secret` is the front door.
     """
     _check_split_arguments(secret, threshold, share_count)
@@ -205,19 +194,16 @@ def split_bytes(
 
     Byte-identical to :func:`split_secret_reference` for the same ``rng``:
     the coefficients are drawn in the same order and the vectorised Horner
-    evaluation is exact table arithmetic.  Raises ``RuntimeError`` when
-    numpy is unavailable (use :func:`split_secret`, which falls back).
+    evaluation is exact table arithmetic.
     """
-    if _gfnp is None:  # pragma: no cover - numpy ships with the toolchain
-        raise RuntimeError("the Shamir batch codec requires numpy")
     _check_split_arguments(secret, threshold, share_count)
     if rng is None:
         rng = RandomSource(0xD5EC2E7).fork("shamir-default")
-    coefficients = _np.array(
-        _draw_coefficient_rows(secret, threshold, rng), dtype=_np.uint8
+    coefficients = np.array(
+        _draw_coefficient_rows(secret, threshold, rng), dtype=np.uint8
     ).reshape(len(secret), threshold)
-    xs = _np.arange(1, share_count + 1, dtype=_np.uint8)
-    payloads = _gfnp.eval_polynomials(coefficients, xs)
+    xs = np.arange(1, share_count + 1, dtype=np.uint8)
+    payloads = gf256_numpy.eval_polynomials(coefficients, xs)
     return ShareMatrix(
         indices=tuple(range(1, share_count + 1)),
         payloads=payloads,
@@ -244,13 +230,12 @@ def split_secret(
     Parameters mirror the paper's ``(m, n)``: any ``m = threshold`` of the
     ``n = share_count`` shares recover the secret; fewer reveal nothing.
     Delegates to the batch codec (byte-identical, one vectorised evaluation
-    for the whole share matrix) when numpy is importable and the workload
-    is past the measured crossover; tiny splits and no-numpy environments
-    take the scalar reference.
+    for the whole share matrix) when the workload is past the measured
+    crossover; tiny splits take the scalar reference.
     """
     _check_split_arguments(secret, threshold, share_count)
     work = share_count * threshold * len(secret)
-    if _gfnp is not None and work >= _BATCH_SPLIT_MIN_WORK:
+    if work >= _BATCH_SPLIT_MIN_WORK:
         return split_bytes(secret, threshold, share_count, rng).shares()
     return split_secret_reference(secret, threshold, share_count, rng)
 
@@ -312,19 +297,17 @@ def combine_bytes(
     With ``threshold`` given, only the first ``threshold`` rows are used —
     matching :func:`combine_shares`'s exactly-threshold behaviour.
     """
-    if _gfnp is None:  # pragma: no cover - numpy ships with the toolchain
-        raise RuntimeError("the Shamir batch codec requires numpy")
-    if isinstance(payloads, _np.ndarray):
+    if isinstance(payloads, np.ndarray):
         matrix = payloads
-        if matrix.dtype != _np.uint8:
+        if matrix.dtype != np.uint8:
             # An unsafe cast would silently wrap out-of-range values mod
             # 256; match the bytearray path's fail-fast behaviour instead.
             if matrix.size and (matrix.min() < 0 or matrix.max() > 255):
                 raise ValueError("payload values must be bytes in [0, 255]")
-            matrix = matrix.astype(_np.uint8)
+            matrix = matrix.astype(np.uint8)
     else:
-        matrix = _np.asarray(
-            [bytearray(row) for row in payloads], dtype=_np.uint8
+        matrix = np.asarray(
+            [bytearray(row) for row in payloads], dtype=np.uint8
         )
     if matrix.ndim != 2:
         raise ValueError(f"payload matrix must be 2-D, got shape {matrix.shape}")
@@ -337,8 +320,8 @@ def combine_bytes(
         raise ValueError(
             f"threshold {used} outside [1, {len(indices)}] available rows"
         )
-    xs = _np.asarray(indices[:used], dtype=_np.uint8)
-    return _gfnp.combine_at_zero(xs, matrix[:used]).tobytes()
+    xs = np.asarray(indices[:used], dtype=np.uint8)
+    return gf256_numpy.combine_at_zero(xs, matrix[:used]).tobytes()
 
 
 def combine_shares(shares: Iterable[Share]) -> bytes:
@@ -354,7 +337,7 @@ def combine_shares(shares: Iterable[Share]) -> bytes:
     """
     share_list, threshold, length = _checked_share_list(shares)
     used = share_list[:threshold]
-    if _gfnp is not None and threshold * length >= _BATCH_COMBINE_MIN_WORK:
+    if threshold * length >= _BATCH_COMBINE_MIN_WORK:
         return combine_bytes(
             [share.index for share in used],
             [share.payload for share in used],

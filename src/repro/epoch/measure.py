@@ -1,7 +1,7 @@
 """TrialEngine-compatible batch units + point-level epoch estimators.
 
 The batch units are frozen module-level dataclasses (picklable, so the
-fork/shm pool executors can ship them — the PR 3 kernel convention).
+pool and distributed backends can ship them — the PR 3 kernel convention).
 ``EpochAvailabilityBatch(generator, count)`` returns ``(release, drop)``
 attack-success counts; ``EpochTimelinessBatch`` returns ``(delivered,
 lateness >= 1, ..., lateness >= R)`` counts — every channel a valid

@@ -1,8 +1,8 @@
 """The vectorized per-epoch death/repair round.
 
-Mirrors the maintenance semantics of ``dht/maintenance.py`` and
-``churn.replication`` at epoch granularity: within one epoch all deaths
-land *simultaneously*, then the survivors republish.  A column whose
+Mirrors the replica-maintenance semantics of ``churn.replication`` at
+epoch granularity: within one epoch all deaths land *simultaneously*,
+then the survivors republish.  A column whose
 ``k`` holders all die in the same epoch is lost — there is no survivor
 to repair from (``simulate_column_epoch_deaths``'s sequential
 interleaving could never lose a ``k >= 2`` column; the scalar oracle

@@ -136,7 +136,7 @@ class TrialEngine:
     Parameters
     ----------
     backend:
-        A backend registry name (``"serial"``, ``"shm-pool"``,
+        A backend registry name (``"serial"``, ``"process-pool"``,
         ``"distributed"``), a :class:`~repro.backends.base.BackendSpec`,
         or a pre-built :class:`~repro.backends.ExecutionBackend`
         instance whose open/close lifecycle the caller owns; resolved
@@ -144,10 +144,10 @@ class TrialEngine:
         ``engine.executor``.  To share one pool (or one set of worker
         connections) across several runs, bracket them with
         ``with engine.executor: ...``; a bare run on an unopened
-        ``shm-pool`` opens a pool for that run and closes it again.
+        ``process-pool`` opens a pool for that run and closes it again.
     jobs:
         Worker-count sugar when no ``backend`` is named — ``1`` selects
-        the serial backend, more the ``shm-pool``.  An explicit value
+        the serial backend, more the ``process-pool``.  An explicit value
         is merged into a named ``backend`` that accepts a ``jobs``
         option (including ``jobs=1`` → a one-worker pool); leaving it
         ``None`` keeps the named backend's own default.

@@ -35,11 +35,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro.util.rng import RandomSource, derive_seed
 from repro.util.validation import check_positive_int
 
-try:
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - always present on CPython >= 3.8
-    _shared_memory = None
-
 #: A scalar trial: draws from its private stream, returns ``bool`` for a
 #: single-channel run or a tuple of bools for a multi-channel run.
 TrialFunction = Callable[[RandomSource], Any]
@@ -156,7 +151,6 @@ def run_batch_range(task: TrialTask, first: int, last: int) -> List[int]:
 #: The capability flags every backend class declares (and
 #: :func:`repro.backends.list_backends` reports).
 CAPABILITY_FLAGS: Tuple[str, ...] = (
-    "supports_shared_memory",
     "supports_remote",
     "supports_fault_tolerance",
     "supports_elastic_membership",
@@ -169,7 +163,7 @@ class ExecutionBackend:
     The trial engine, the sweep orchestrator, the daemon, the CLI and the
     benchmarks all drive a backend through these nine methods; every
     implementation subclasses this class and is registered by name in
-    :mod:`repro.backends.registry` (``serial``, ``shm-pool``,
+    :mod:`repro.backends.registry` (``serial``, ``process-pool``,
     ``distributed``).
 
     Backends have two nested lifecycles.  :meth:`open`/:meth:`close` (or
@@ -186,8 +180,6 @@ class ExecutionBackend:
     # Capability flags are class attributes so callers (and ``repro
     # backends list``) can introspect a backend without building it.
 
-    #: Whether batch results can travel through ``multiprocessing.shared_memory``.
-    supports_shared_memory = False
     #: Whether spans execute outside this process's memory image.
     supports_remote = False
     #: Whether the backend survives worker failures mid-run: failed spans
@@ -280,85 +272,19 @@ def fork_available() -> bool:
     return True
 
 
-# Bytes per count slot in a shared-memory result buffer (signed 64-bit).
-_SHM_SLOT_BYTES = 8
-
-# Monotone count of shared-memory result buffers ever allocated here; the
-# tests assert the zero-copy lane actually engaged from deltas of this.
-_SHM_BUFFERS_CREATED = 0
+def _shipped(args: Tuple[Callable[..., Any], bytes, int, int]) -> Any:
+    """Worker side of the pool: unpickle the task, run one span of it."""
+    run_range, payload, low, high = args
+    return run_range(pickle.loads(payload), low, high)
 
 
-def shm_buffers_created() -> int:
-    """How many shared-memory result buffers this module has allocated."""
-    return _SHM_BUFFERS_CREATED
-
-
-def shared_memory_available() -> bool:
-    """Whether the shared-memory results lane can be used here."""
-    return _shared_memory is not None
-
-
-def _attach_shm(name: str):
-    """Attach an existing shared-memory block from a worker process.
-
-    Attaching registers the segment with the (fork-inherited) resource
-    tracker a second time on CPython < 3.13; unregister immediately so the
-    tracker does not try to unlink the parent's segment again at pool
-    shutdown.
-    """
-    block = _shared_memory.SharedMemory(name=name)
-    try:
-        from multiprocessing import resource_tracker
-
-        # Must be the private ``_name`` (with its leading slash on POSIX):
-        # the tracker registered exactly that string, and unregistering the
-        # slash-stripped public ``name`` would be a silent no-op.  If the
-        # attribute ever disappears, the except only costs shutdown
-        # warnings, never correctness.
-        resource_tracker.unregister(block._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-    return block
-
-
-def _shm_write_batches(args: Tuple[bytes, int, int, str, int]) -> None:
-    """Worker side of the shared-memory lane: run batches, write counts.
-
-    Each batch index owns one ``channels``-wide row of the buffer (row =
-    ``batch_index - first``), so concurrent workers never touch the same
-    slot and the parent can sum rows in deterministic batch order.  Nothing
-    but the implicit ``None`` acknowledgment travels back through pickle.
-    """
-    payload, first_of_span, last_of_span, shm_name, buffer_first = args
-    task = pickle.loads(payload)
-    block = _attach_shm(shm_name)
-    try:
-        slots = block.buf.cast("q")
-        try:
-            for batch_index in range(first_of_span, last_of_span):
-                counts = run_batch_range(task, batch_index, batch_index + 1)
-                base = (batch_index - buffer_first) * task.channels
-                for channel, value in enumerate(counts):
-                    slots[base + channel] = value
-        finally:
-            slots.release()
-    finally:
-        block.close()
-
-
-def _shipped_counts(args: Tuple[bytes, int, int]) -> List[int]:
-    payload, start, stop = args
-    return run_count_range(pickle.loads(payload), start, stop)
-
-
-def _shipped_collect(args: Tuple[bytes, int, int]) -> List[Any]:
-    payload, start, stop = args
-    return run_collect_range(pickle.loads(payload), start, stop)
-
-
-def _shipped_batches(args: Tuple[bytes, int, int]) -> List[int]:
-    payload, first, last = args
-    return run_batch_range(pickle.loads(payload), first, last)
+def _sum_counts(channels: int, parts: Sequence[Sequence[int]]) -> List[int]:
+    """Add per-span count vectors channel by channel (exact integers)."""
+    counts = [0] * channels
+    for part in parts:
+        for channel, value in enumerate(part):
+            counts[channel] += value
+    return counts
 
 
 @dataclass
@@ -377,16 +303,6 @@ class SweepPoolExecutor(ExecutionBackend):
     which the figure units avoid by using module-level callable classes.
     All engine invariants hold unchanged: counts are identical to the
     serial executor for any worker count or span partition.
-
-    **Shared-memory results lane.**  Where
-    :mod:`multiprocessing.shared_memory` exists, batch-mode results stop
-    round-tripping through pickle: the parent allocates one
-    shared int64 buffer per ``run_batches`` block, every batch index owns a
-    ``channels``-wide row keyed by its offset in the block, workers write
-    their counts straight into it, and the parent sums the rows in batch
-    order.  Summation remains exact integer addition over the same
-    per-batch counts, so the determinism contract (identical totals to the
-    serial executor) is untouched — only the transport changed.
     """
 
     jobs: int = 2
@@ -398,8 +314,6 @@ class SweepPoolExecutor(ExecutionBackend):
     # Whether the latest start() had to open the pool itself, and the
     # matching finish() therefore owes the close.
     _opened_by_start: bool = field(default=False, repr=False, compare=False)
-
-    supports_shared_memory = True
 
     def __post_init__(self) -> None:
         check_positive_int(self.jobs, "jobs")
@@ -439,7 +353,7 @@ class SweepPoolExecutor(ExecutionBackend):
             from repro.backends.autotune import suggest_chunk_size
 
             span = suggest_chunk_size(
-                "shm-pool", stop - start, workers=self.jobs
+                "process-pool", stop - start, workers=self.jobs
             )
         elif self.chunk_size is not None:
             span = self.chunk_size
@@ -447,75 +361,35 @@ class SweepPoolExecutor(ExecutionBackend):
             span = max(1, -(-(stop - start) // self.jobs))
         return _split_spans(start, stop, span)
 
-    def _ship(self, spans: List[Tuple[int, int]]) -> List[Tuple[bytes, int, int]]:
-        return [(self._payload, low, high) for low, high in spans]
+    def _map(
+        self,
+        run_range: Callable[[TrialTask, int, int], Any],
+        task: TrialTask,
+        spans: List[Tuple[int, int]],
+    ) -> List[Any]:
+        """One ``run_range`` result per span, in span order.
+
+        Spans ship to the pool with the pickled task and their results
+        come back through ``pool.map``; without a pool (no ``fork``) or
+        for an unpicklable task they run here instead.
+        """
+        if self._pool is None or self._payload is None:
+            return [run_range(task, low, high) for low, high in spans]
+        return self._pool.map(
+            _shipped,
+            [(run_range, self._payload, low, high) for low, high in spans],
+        )
 
     def run_counts(self, task: TrialTask, start: int, stop: int) -> List[int]:
-        if self._pool is None or self._payload is None:
-            return run_count_range(task, start, stop)
-        counts = [0] * task.channels
-        spans = self._spans(start, stop)
-        for chunk in self._pool.map(_shipped_counts, self._ship(spans)):
-            for channel, value in enumerate(chunk):
-                counts[channel] += value
-        return counts
+        parts = self._map(run_count_range, task, self._spans(start, stop))
+        return _sum_counts(task.channels, parts)
 
     def run_collect(self, task: TrialTask, start: int, stop: int) -> List[Any]:
-        if self._pool is None or self._payload is None:
-            return run_collect_range(task, start, stop)
-        values: List[Any] = []
-        spans = self._spans(start, stop)
-        for chunk in self._pool.map(_shipped_collect, self._ship(spans)):
-            values.extend(chunk)
-        return values
+        parts = self._map(run_collect_range, task, self._spans(start, stop))
+        return [value for part in parts for value in part]
 
     def run_batches(self, task: TrialTask, first: int, last: int) -> List[int]:
-        if self._pool is None or self._payload is None:
-            return run_batch_range(task, first, last)
-        if shared_memory_available():
-            return self._run_batches_shared(task, first, last)
-        counts = [0] * task.channels
-        spans = _split_spans(first, last, 1)
-        for chunk in self._pool.map(_shipped_batches, self._ship(spans)):
-            for channel, value in enumerate(chunk):
-                counts[channel] += value
-        return counts
-
-    def _run_batches_shared(
-        self, task: TrialTask, first: int, last: int
-    ) -> List[int]:
-        """Batch counts through one shared-memory buffer (no pickling back)."""
-        global _SHM_BUFFERS_CREATED
-        batches = last - first
-        if batches <= 0:
-            # Contract parity with every other lane on the empty range.
-            return [0] * task.channels
-        block = _shared_memory.SharedMemory(
-            create=True, size=batches * task.channels * _SHM_SLOT_BYTES
-        )
-        _SHM_BUFFERS_CREATED += 1
-        try:
-            jobs = [
-                (self._payload, low, high, block.name, first)
-                for low, high in _split_spans(first, last, 1)
-            ]
-            self._pool.map(_shm_write_batches, jobs)
-            counts = [0] * task.channels
-            slots = block.buf.cast("q")
-            try:
-                for row in range(batches):
-                    base = row * task.channels
-                    for channel in range(task.channels):
-                        counts[channel] += slots[base + channel]
-            finally:
-                slots.release()
-            return counts
-        finally:
-            # The unlink is the part that must never be skipped: a block
-            # that survives this frame (e.g. a failing batch raising out
-            # of pool.map, or close() itself raising BufferError on an
-            # exported view) would leak a named segment until reboot.
-            try:
-                block.close()
-            finally:
-                block.unlink()
+        # One span per batch: the batch is the unit the engine partitioned
+        # the run into, so chunk_size (in trials) does not apply.
+        parts = self._map(run_batch_range, task, _split_spans(first, last, 1))
+        return _sum_counts(task.channels, parts)

@@ -132,17 +132,3 @@ def format_sweep_table(
     return format_series_table(
         title, x_axis, x_values, series, value_format=value_format
     )
-
-
-def comparison_rows(
-    paper: Sequence[Tuple[str, float]],
-    measured: Sequence[Tuple[str, float]],
-) -> List[str]:
-    """Side-by-side 'paper says / we measured' rows."""
-    paper_map = dict(paper)
-    lines = []
-    for name, value in measured:
-        expected = paper_map.get(name)
-        expected_text = f"{expected:.3f}" if expected is not None else "n/a"
-        lines.append(f"{name:>24}: paper={expected_text} measured={value:.3f}")
-    return lines

@@ -7,7 +7,7 @@ One :meth:`SweepOrchestrator.run` call owns the whole sweep:
 - **one** execution backend serves every point, resolved through
   :func:`repro.backends.get` (explicit ``backend`` argument, else the
   spec's pinned ``engine.backend``, else the ``jobs`` sugar: serial for
-  1, ``shm-pool`` above) and opened exactly once per sweep — a
+  1, ``process-pool`` above) and opened exactly once per sweep — a
   ``distributed`` backend connects its workers once and streams every
   point's spans through the same sockets;
 - each point gets its *own* :class:`~repro.experiments.engine.TrialEngine`
@@ -26,6 +26,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.backends import get as get_backend
@@ -49,14 +50,9 @@ from repro.util.validation import check_positive_int
 #: Per-point progress hook: (point, record, served_from_cache).
 ProgressFn = Callable[[SweepPoint, Dict[str, Any], bool], None]
 
-#: How often a driver (or the daemon) blocked on another process's
-#: in-flight claim re-checks for the record, or a released/expired claim.
+#: How often :func:`serve_point`, blocked on another process's in-flight
+#: claim, re-checks for the record or a released/expired claim.
 CLAIM_POLL_SECONDS = 0.05
-
-
-@contextmanager
-def _null_guard():
-    yield
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,8 @@ def load_cached_record(
 ) -> Optional[Dict[str, Any]]:
     """Load a stored record if one exists, quarantining damage.
 
-    The one cache read of the CLI driver and the daemon.  ``None`` means
+    The one cache read of the commit path (the daemon also calls it on
+    its event loop, to answer a hit without a thread hop).  ``None`` means
     the store has nothing usable under ``key``: either no record, or one
     that failed verification and has been moved to the store's
     quarantine (a ``quarantine`` event on ``span`` says which) — the
@@ -199,53 +196,193 @@ def build_point_record(
     )
 
 
-class _PointWatchdog:
-    """Arms a per-point deadline against a cancellable executor.
+def serve_point(
+    store: Optional[ResultStore],
+    spec: ScenarioSpec,
+    entry: PointEntry,
+    trials: int,
+    compute: Callable[[], Any],
+    span: Any,
+    force: bool = False,
+    skip_first_read: bool = False,
+    journal: Optional[SweepJournal] = None,
+) -> Tuple[Dict[str, Any], str]:
+    """The one commit path of a point: read, claim or follow, compute, save.
 
-    When the deadline fires, the executor's in-flight dispatch is
+    Returns ``(record, status)``.  ``"cached"``: the store already held
+    a verified record.  ``"followed"``: a concurrent driver held the
+    point's claim and finished first — its record is ours by content
+    address, so the point is never computed twice.  ``"computed"``:
+    ``compute()`` ran here and its record is committed.  The CLI driver
+    and the daemon both serve every point through this function (the
+    daemon from a worker thread: the poll blocks).
+
+    ``force`` recomputes: the first read is skipped and a claim holder's
+    record is never adopted, so this returns only once the claim is ours.
+    ``skip_first_read`` skips only that — the CLI driver sets it for a key
+    a dead predecessor left mid-flight in the journal (whatever sits in
+    the store under it is suspect), the daemon because it has just read
+    the key itself — while a record a *live* holder commits during the
+    wait is adopted as usual.
+    A holder that dies mid-point is handled by claim expiry (dead-pid
+    check inside :meth:`ResultStore.claim`), so the wait cannot wedge.
+
+    With a ``journal`` the order is write-ahead: ``point_started`` is on
+    disk before the claim is taken and the point computes — a SIGKILL
+    between there and ``point_finished`` (the last thing this function
+    does, for all three statuses) marks the point mid-flight, never
+    silently committed.  Without a ``store`` there is nothing to read,
+    claim or commit: the point is computed and its record returned.
+    """
+    if store is None:
+        return build_point_record(spec, entry, trials, compute()), "computed"
+    scenario, key, index = spec.name, entry.key, entry.point.index
+    record = None
+    status = "cached"
+    if not (force or skip_first_read):
+        record = load_cached_record(store, scenario, key, span)
+    if record is None:
+        if journal is not None:
+            journal.point_started(key, index)
+        status = "followed"
+        waited = False
+        while True:
+            claim = store.claim(scenario, key)
+            if claim is not None:
+                break
+            if not waited:
+                waited = True
+                span.event("claim_wait", key=key)
+            time.sleep(CLAIM_POLL_SECONDS)
+            if not force:
+                record = load_cached_record(store, scenario, key, span)
+                if record is not None:
+                    break
+        if claim is not None:
+            status = "computed"
+            try:
+                record = build_point_record(spec, entry, trials, compute())
+                store.save(scenario, key, record)
+            finally:
+                # Released *after* the save: a waiter that sees the claim
+                # disappear finds the record already renamed in.
+                claim.release()
+    if journal is not None:
+        journal.point_finished(key, index)
+    return record, status
+
+
+class _ComputeLadder:
+    """How a sweep's points compute: on its backend, under the watchdog,
+    degrading one-way to the local backend under ``fallback="local"``.
+
+    With a ``point_deadline``, each computation arms a timer against a
+    cancellable backend: when it fires, the in-flight dispatch is
     aborted with :class:`PointDeadlineExceeded` and busy workers are
-    told to abandon their spans — the orchestrator then either degrades
-    to the fallback backend or propagates the error.  Executors without
-    ``cancel_active`` (all the local ones) cannot be interrupted from
-    outside, so the guard no-ops for them.
+    told to abandon their spans.  Backends without ``cancel_active``
+    (all the local ones) cannot be interrupted from outside, so the
+    deadline no-ops for them.  On :class:`NoWorkersLeft` or a fired
+    deadline the ladder either propagates the error or — ``"local"`` —
+    reruns the failed point, and every later one, on the ``jobs`` sugar's
+    backend.  Same task, same spans, same bytes.
     """
 
-    def __init__(self, deadline: float, tracer: Any) -> None:
-        self.deadline = deadline
+    def __init__(
+        self,
+        executor: ExecutionBackend,
+        run_point: Callable[[ExecutionBackend, PointEntry], Any],
+        sweep_span: Any,
+        tracer: Any,
+        jobs: Optional[int],
+        fallback: Optional[str],
+        point_deadline: Optional[float],
+    ) -> None:
+        self.executor = executor
+        #: What points compute on now: ``executor`` until degraded.
+        self.active = executor
+        self.run_point = run_point
+        self.sweep_span = sweep_span
         self.tracer = tracer
+        self.jobs = jobs
+        self.fallback = fallback
+        self.point_deadline = point_deadline
+        self.degraded = 0
         #: Times the deadline fired.  A firing that loses the race with
         #: a completing point is a harmless no-op abort but still counts
         #: — this is "fired", not "point failed".
-        self.fired = 0
+        self.watchdog_fired = 0
+
+    def compute(self, entry: PointEntry) -> Any:
+        index = entry.point.index
+        while True:
+            try:
+                with self._deadline(index):
+                    return self.run_point(self.active, entry)
+            except (NoWorkersLeft, PointDeadlineExceeded) as failure:
+                if self.fallback != "local" or self.active is not self.executor:
+                    raise
+                self._degrade(index, failure)
 
     @contextmanager
-    def guard(self, executor: ExecutionBackend, index: int, sweep_span: Any):
-        cancel = getattr(executor, "cancel_active", None)
-        if cancel is None:
+    def _deadline(self, index: int):
+        cancel = getattr(self.active, "cancel_active", None)
+        if self.point_deadline is None or cancel is None:
             yield
             return
 
         def expire() -> None:
-            self.fired += 1
+            self.watchdog_fired += 1
             self.tracer.event(
                 "watchdog",
-                span=sweep_span,
+                span=self.sweep_span,
                 point=index,
-                deadline_seconds=self.deadline,
+                deadline_seconds=self.point_deadline,
             )
             cancel(
                 PointDeadlineExceeded(
-                    f"point {index} exceeded its {self.deadline}s deadline"
+                    f"point {index} exceeded its {self.point_deadline}s deadline"
                 )
             )
 
-        timer = threading.Timer(self.deadline, expire)
+        timer = threading.Timer(self.point_deadline, expire)
         timer.daemon = True
         timer.start()
         try:
             yield
         finally:
             timer.cancel()
+
+    def _degrade(self, index: int, failure: Exception) -> None:
+        self.degraded += 1
+        self.tracer.event(
+            "degraded",
+            span=self.sweep_span,
+            reason=(
+                "point_deadline"
+                if isinstance(failure, PointDeadlineExceeded)
+                else "no_workers_left"
+            ),
+            point=index,
+            from_backend=type(self.active).__name__,
+            to_backend="local",
+        )
+        self.active = get_backend(None, jobs=self.jobs)
+        if self.tracer is not NULL_TRACER and hasattr(self.active, "tracer"):
+            self.active.tracer = self.tracer
+        self.active.open()
+
+    def counters(self) -> Dict[str, int]:
+        """The non-zero degradation counters, for ``backend_stats``."""
+        counters = {
+            "degraded": self.degraded,
+            "watchdog_fired": self.watchdog_fired,
+        }
+        return {name: count for name, count in counters.items() if count}
+
+    def close(self) -> None:
+        """Close the fallback backend, if the sweep degraded onto one."""
+        if self.active is not self.executor:
+            self.active.close()
 
 
 @dataclass(frozen=True)
@@ -290,7 +427,7 @@ class SweepOrchestrator:
         cached and re-runs/resumes skip them.
     jobs:
         Worker-count sugar for the default backend (``1`` = serial,
-        above that one shared ``shm-pool``).  An explicit value is
+        above that one shared ``process-pool``).  An explicit value is
         merged into a named ``backend`` that accepts a ``jobs`` option
         (including ``jobs=1`` → a one-worker pool); ``None`` keeps a
         named backend's own default.
@@ -435,13 +572,6 @@ class SweepOrchestrator:
                     len(entries),
                 )
             )
-        watchdog = (
-            _PointWatchdog(self.point_deadline, self.tracer)
-            if self.point_deadline is not None
-            else None
-        )
-        degraded = 0
-        fallback_executor: Optional[ExecutionBackend] = None
         with self.tracer.span(
             "sweep",
             scenario=spec.name,
@@ -458,162 +588,65 @@ class SweepOrchestrator:
                     span=sweep_span,
                     midflight=len(midflight),
                 )
-            active = executor
+            ladder = _ComputeLadder(
+                executor,
+                lambda backend, entry: compute_point_result(
+                    runner,
+                    backend,
+                    spec,
+                    entry,
+                    effective_trials,
+                    tracer=self.tracer,
+                ),
+                sweep_span,
+                tracer=self.tracer,
+                jobs=self.jobs,
+                fallback=self.fallback,
+                point_deadline=self.point_deadline,
+            )
             with executor:
                 try:
                     for entry in entries:
-                        point, tolerance, key = (
-                            entry.point,
-                            entry.tolerance,
-                            entry.key,
-                        )
                         with self.tracer.span(
                             "point",
-                            index=point.index,
+                            index=entry.point.index,
                             label=entry.label,
-                            key=key,
+                            key=entry.key,
                         ) as point_span:
-                            if (
-                                self.store is not None
-                                and not force
-                                and key not in midflight
-                            ):
-                                record = load_cached_record(
-                                    self.store, spec.name, key, point_span
-                                )
-                                if record is not None:
-                                    records.append(record)
-                                    cached += 1
-                                    point_span.set_attr("cached", True)
-                                    point_span.event("cache_hit", key=key)
-                                    if journal is not None:
-                                        journal.point_finished(
-                                            key, point.index
-                                        )
-                                    if progress is not None:
-                                        progress(point, record, True)
-                                    continue
-                            if journal is not None:
-                                # WAL: intent on disk before the point
-                                # computes — a SIGKILL between here and
-                                # point_finished marks the point
-                                # mid-flight, never silently committed.
-                                journal.point_started(key, point.index)
-                            claim = None
-                            if self.store is not None:
-                                claim, shared = self._claim_or_follow(
-                                    spec.name, key, point_span, force=force
-                                )
-                                if claim is None:
-                                    # A concurrent driver computed this
-                                    # point while we waited on its claim:
-                                    # its record is ours by content
-                                    # address — the point is never
-                                    # computed twice.
-                                    records.append(shared)
-                                    cached += 1
-                                    point_span.set_attr("cached", True)
-                                    point_span.event(
-                                        "dedup_follow", key=key
-                                    )
-                                    if journal is not None:
-                                        journal.point_finished(
-                                            key, point.index
-                                        )
-                                    if progress is not None:
-                                        progress(point, shared, True)
-                                    continue
-                            try:
-                                while True:
-                                    try:
-                                        guard = (
-                                            watchdog.guard(
-                                                active,
-                                                point.index,
-                                                sweep_span,
-                                            )
-                                            if watchdog is not None
-                                            else _null_guard()
-                                        )
-                                        with guard:
-                                            result = compute_point_result(
-                                                runner,
-                                                active,
-                                                spec,
-                                                entry,
-                                                effective_trials,
-                                                tracer=self.tracer,
-                                            )
-                                        break
-                                    except (
-                                        NoWorkersLeft,
-                                        PointDeadlineExceeded,
-                                    ) as failure:
-                                        if (
-                                            self.fallback != "local"
-                                            or active is not executor
-                                        ):
-                                            raise
-                                        # Degrade one-way: the failed
-                                        # point — and every later one —
-                                        # reruns on the local default
-                                        # backend.  Same task, same
-                                        # spans, same bytes.
-                                        degraded += 1
-                                        reason = (
-                                            "point_deadline"
-                                            if isinstance(
-                                                failure,
-                                                PointDeadlineExceeded,
-                                            )
-                                            else "no_workers_left"
-                                        )
-                                        self.tracer.event(
-                                            "degraded",
-                                            span=sweep_span,
-                                            reason=reason,
-                                            point=point.index,
-                                            from_backend=type(
-                                                active
-                                            ).__name__,
-                                            to_backend="local",
-                                        )
-                                        fallback_executor = get_backend(
-                                            None, jobs=self.jobs
-                                        )
-                                        if (
-                                            self.tracer is not NULL_TRACER
-                                            and hasattr(
-                                                fallback_executor, "tracer"
-                                            )
-                                        ):
-                                            fallback_executor.tracer = (
-                                                self.tracer
-                                            )
-                                        fallback_executor.open()
-                                        active = fallback_executor
-                                record = build_point_record(
-                                    spec, entry, effective_trials, result
-                                )
-                                if self.store is not None:
-                                    self.store.save(spec.name, key, record)
-                            finally:
-                                # Claim released *after* the save: a
-                                # waiter that sees the claim disappear
-                                # finds the record already renamed in.
-                                if claim is not None:
-                                    claim.release()
-                            if journal is not None:
-                                journal.point_finished(key, point.index)
-                            records.append(record)
-                            computed += 1
-                            point_span.set_attr(
-                                "trials_run", result.get("trials_run", 0)
-                                if isinstance(result, dict)
-                                else 0,
+                            record, status = serve_point(
+                                self.store,
+                                spec,
+                                entry,
+                                effective_trials,
+                                partial(ladder.compute, entry),
+                                point_span,
+                                force=force,
+                                skip_first_read=entry.key in midflight,
+                                journal=journal,
                             )
+                            if status == "computed":
+                                computed += 1
+                                result = record["result"]
+                                point_span.set_attr(
+                                    "trials_run",
+                                    result.get("trials_run", 0)
+                                    if isinstance(result, dict)
+                                    else 0,
+                                )
+                            else:
+                                cached += 1
+                                point_span.set_attr("cached", True)
+                                point_span.event(
+                                    "cache_hit"
+                                    if status == "cached"
+                                    else "dedup_follow",
+                                    key=entry.key,
+                                )
+                            records.append(record)
                             if progress is not None:
-                                progress(point, record, False)
+                                progress(
+                                    entry.point, record, status != "computed"
+                                )
                     if journal is not None:
                         journal.complete()
                 finally:
@@ -622,26 +655,21 @@ class SweepOrchestrator:
                     # take its counters down with it — partial-run stats
                     # survive for callers and land in the trace — and
                     # close() may tear down the very state (workers,
-                    # pool) the stats describe.  The orchestrator's own
+                    # pool) the stats describe.  The ladder's own
                     # degradation counters ride in the same dict.
                     stats = getattr(executor, "stats", None)
                     backend_stats = (
                         dict(stats) if isinstance(stats, dict) else None
                     )
-                    ladder: Dict[str, int] = {}
-                    if degraded:
-                        ladder["degraded"] = degraded
-                    if watchdog is not None and watchdog.fired:
-                        ladder["watchdog_fired"] = watchdog.fired
-                    if ladder:
-                        backend_stats = {**(backend_stats or {}), **ladder}
+                    degradation = ladder.counters()
+                    if degradation:
+                        backend_stats = {**(backend_stats or {}), **degradation}
                     self.last_backend_stats = backend_stats
                     if backend_stats:
                         self.tracer.event(
                             "backend_stats", span=sweep_span, **backend_stats
                         )
-                    if fallback_executor is not None:
-                        fallback_executor.close()
+                    ladder.close()
                     if journal is not None:
                         # Drop the owner lease whatever happened: a
                         # completed sweep already sealed it (no-op), an
@@ -655,33 +683,3 @@ class SweepOrchestrator:
             cached=cached,
             backend_stats=backend_stats,
         )
-
-    def _claim_or_follow(
-        self, scenario: str, key: str, point_span: Any, force: bool
-    ) -> Tuple[Optional[Any], Optional[Dict[str, Any]]]:
-        """Claim a point, or follow the concurrent driver computing it.
-
-        Returns ``(claim, None)`` once the in-flight claim is ours, or
-        ``(None, record)`` when the claim's holder finished first and
-        its record can simply be adopted (content-addressed: same key,
-        same bytes).  Under ``force`` the record is never adopted — the
-        caller asked for a recompute — so this only returns once the
-        claim is acquired.  A holder that dies mid-point is handled by
-        claim expiry (dead-pid check inside :meth:`ResultStore.claim`),
-        so the wait cannot wedge on a killed driver.
-        """
-        waited = False
-        while True:
-            claim = self.store.claim(scenario, key)
-            if claim is not None:
-                return claim, None
-            if not waited:
-                waited = True
-                point_span.event("claim_wait", key=key)
-            time.sleep(CLAIM_POLL_SECONDS)
-            if not force:
-                record = load_cached_record(
-                    self.store, scenario, key, point_span
-                )
-                if record is not None:
-                    return None, record

@@ -10,11 +10,9 @@ The asyncio daemon behind ``repro serve``:
   deduplicating overlapping work through the content-addressed store;
 - :mod:`repro.service.jobs` — the job table and lifecycle states;
 - :mod:`repro.service.client` — the synchronous client the CLI
-  (``repro jobs ...``, ``repro sweep run --submit``) and
-  :mod:`repro.api` ride on.
+  (``repro jobs ...``) and :mod:`repro.api` ride on.
 
-CLI: ``repro serve``, ``repro jobs submit/status/watch/cancel``, and
-``repro sweep run NAME --submit HOST:PORT``.
+CLI: ``repro serve`` and ``repro jobs submit/status/watch/cancel``.
 """
 
 from repro.service.client import (

@@ -21,8 +21,10 @@ A record another job of *this* service produced counts as a
 computed exactly once, with the second job adopting the first's bytes.
 Against drivers *outside* the service (a racing CLI sweep on the same
 store), the point-level claim files arbitrate: whoever claims computes,
-the other adopts.  Compute runs in a worker thread
-(:func:`asyncio.to_thread`), so the event loop keeps answering
+the other adopts.  A miss runs the orchestrator's
+:func:`~repro.scenarios.orchestrator.serve_point` — claim or follow,
+compute, save; the one commit path a CLI sweep also runs — in a worker
+thread (:func:`asyncio.to_thread`), so the event loop keeps answering
 ``status``/``watch``/``submit`` while a point is in flight.
 
 **No journal, on purpose.**  A per-scenario
@@ -37,17 +39,17 @@ from __future__ import annotations
 
 import asyncio
 import time
+from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.experiments.executors import ExecutionBackend
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import coerce_tracer
 from repro.scenarios.orchestrator import (
-    CLAIM_POLL_SECONDS,
     PointEntry,
-    build_point_record,
     compute_point_result,
     load_cached_record,
+    serve_point,
 )
 from repro.scenarios.runners import get_runner
 from repro.scenarios.store import ResultStore
@@ -266,51 +268,47 @@ class JobScheduler:
         already held it), ``"dedup"`` (another job — or a racing external
         driver whose claim this entry waited on — produced it while the
         service ran), or ``"computed"``.
+
+        A hit is answered right here on the event loop; only a miss pays
+        the hop to a worker thread, where the orchestrator's
+        :func:`~repro.scenarios.orchestrator.serve_point` — the same
+        commit path a CLI sweep runs — claims or follows, computes and
+        saves (in-service jobs are serialised through this very loop, so
+        a claim it has to wait on belongs to another process).
         """
         scenario = job.spec.name
         key = entry.key
+        status = "cached"
+        record = None
         if not job.force:
             record = load_cached_record(self.store, scenario, key, span)
-            if record is not None:
-                return record, self._adoption_status(job, scenario, key)
-        claim = None
-        followed = False
-        while True:
-            claim = self.store.claim(scenario, key)
-            if claim is not None:
-                break
-            # Someone else — another process; in-service jobs are
-            # serialised through this very loop — holds the point.
-            if not followed:
-                followed = True
-                span.event("claim_wait", key=key)
-            await asyncio.sleep(CLAIM_POLL_SECONDS)
-            if not job.force:
-                record = load_cached_record(self.store, scenario, key, span)
-                if record is not None:
-                    return record, "dedup"
-        try:
-            runner = get_runner(job.spec.kind)
-            result = await asyncio.to_thread(
-                compute_point_result,
-                runner,
-                self.executor,
+        if record is None:
+            record, status = await asyncio.to_thread(
+                serve_point,
+                self.store,
                 job.spec,
                 entry,
                 job.trials,
+                partial(
+                    compute_point_result,
+                    get_runner(job.spec.kind),
+                    self.executor,
+                    job.spec,
+                    entry,
+                    job.trials,
+                ),
+                span,
+                force=job.force,
+                skip_first_read=True,  # it just missed, above
             )
-            record = build_point_record(job.spec, entry, job.trials, result)
-            self.store.save(scenario, key, record)
+        if status == "computed":
             self._produced[(scenario, key)] = job.id
-        finally:
-            claim.release()
-        return record, "computed"
-
-    def _adoption_status(self, job: Job, scenario: str, key: str) -> str:
-        producer = self._produced.get((scenario, key))
-        if producer is not None and producer != job.id:
-            return "dedup"
-        return "cached"
+        elif status == "followed":
+            status = "dedup"
+        elif self._produced.get((scenario, key), job.id) != job.id:
+            # Already on disk, but another job of this service put it there.
+            status = "dedup"
+        return record, status
 
     async def _notify(self) -> None:
         condition = self.table.condition

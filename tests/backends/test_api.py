@@ -31,7 +31,7 @@ class TestRunScenario:
         reference = api.run_scenario("smoke", trials=20)
         for backend in (
             "serial",
-            BackendSpec("shm-pool", {"jobs": 2}),
+            BackendSpec("process-pool", {"jobs": 2}),
             SerialExecutor(),
         ):
             report = api.run_scenario("smoke", trials=20, backend=backend)
@@ -90,4 +90,4 @@ class TestRunSweepAndLoadResults:
 class TestListBackends:
     def test_lists_the_registry(self):
         names = {entry["name"] for entry in api.list_backends()}
-        assert names == {"serial", "shm-pool", "distributed"}
+        assert names == {"serial", "process-pool", "distributed"}

@@ -43,7 +43,7 @@ def bench_dir(tmp_path, monkeypatch):
 
 
 def auto_span_count() -> int:
-    """Spans the shm-pool ``"auto"`` lane carves 10^6 trials into."""
+    """Spans the process-pool ``"auto"`` lane carves 10^6 trials into."""
     return len(SweepPoolExecutor(jobs=2, chunk_size="auto")._spans(0, 10**6))
 
 
@@ -186,7 +186,7 @@ class TestAutoIntegration:
 
     def test_registry_accepts_auto_for_pool_backends(self):
         reference = TrialEngine().run(bernoulli_trial, trials=60, seed=7)
-        spec = BackendSpec("shm-pool", {"jobs": 2, "chunk_size": "auto"})
+        spec = BackendSpec("process-pool", {"jobs": 2, "chunk_size": "auto"})
         with get(spec) as backend:
             result = TrialEngine(backend=backend).run(
                 bernoulli_trial, trials=60, seed=7
@@ -197,4 +197,4 @@ class TestAutoIntegration:
         with pytest.raises((ValueError, TypeError)):
             DistributedBackend(["h:1"], chunk_size="fast")
         with pytest.raises((ValueError, TypeError)):
-            get("shm-pool", jobs=2).__class__(jobs=2, chunk_size="fast")
+            get("process-pool", jobs=2).__class__(jobs=2, chunk_size="fast")

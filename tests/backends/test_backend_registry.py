@@ -17,7 +17,7 @@ from repro.backends import (
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import SerialExecutor, SweepPoolExecutor
 
-BUILTINS = ("distributed", "serial", "shm-pool")
+BUILTINS = ("distributed", "process-pool", "serial")
 
 
 def bernoulli_trial(rng):
@@ -30,12 +30,12 @@ class TestRegistry:
 
     def test_get_builds_the_right_classes(self):
         assert isinstance(get("serial"), SerialExecutor)
-        assert isinstance(get("shm-pool"), SweepPoolExecutor)
+        assert isinstance(get("process-pool"), SweepPoolExecutor)
         distributed = get(BackendSpec("distributed", {"workers": ["h:1"]}))
         assert isinstance(distributed, DistributedBackend)
 
     def test_options_reach_the_factory(self):
-        backend = get(BackendSpec("shm-pool", {"jobs": 5, "chunk_size": 7}))
+        backend = get(BackendSpec("process-pool", {"jobs": 5, "chunk_size": 7}))
         assert backend.jobs == 5 and backend.chunk_size == 7
 
     def test_prebuilt_instances_pass_through(self):
@@ -48,7 +48,7 @@ class TestRegistry:
             with pytest.raises(
                 ValueError,
                 match="unknown backend .*registered backends: "
-                "distributed, serial, shm-pool",
+                "distributed, process-pool, serial",
             ):
                 get(name)
 
@@ -80,8 +80,7 @@ class TestRegistry:
         entries = {entry["name"]: entry for entry in list_backends()}
         json.dumps(list(entries.values()))  # must not raise
         assert set(entries) == set(BUILTINS)
-        assert entries["shm-pool"]["supports_shared_memory"]
-        assert not entries["shm-pool"]["supports_remote"]
+        assert not entries["process-pool"]["supports_remote"]
         assert entries["distributed"]["supports_remote"]
         assert entries["serial"]["available"]
         assert "workers" in entries["distributed"]["options"]
@@ -92,31 +91,31 @@ class TestJobsSugar:
         assert spec_for_jobs(1) == BackendSpec("serial")
         assert isinstance(TrialEngine(jobs=1).executor, SerialExecutor)
 
-    def test_jobs_above_one_is_shm_pool_everywhere(self):
-        assert spec_for_jobs(4) == BackendSpec("shm-pool", {"jobs": 4})
+    def test_jobs_above_one_is_process_pool_everywhere(self):
+        assert spec_for_jobs(4) == BackendSpec("process-pool", {"jobs": 4})
         assert resolve_spec(None, jobs=4) == spec_for_jobs(4)
         executor = TrialEngine(jobs=4).executor
         assert isinstance(executor, SweepPoolExecutor) and executor.jobs == 4
 
     def test_resolve_merges_jobs_into_named_backends(self):
-        assert resolve_spec("shm-pool", jobs=8) == BackendSpec(
-            "shm-pool", {"jobs": 8}
+        assert resolve_spec("process-pool", jobs=8) == BackendSpec(
+            "process-pool", {"jobs": 8}
         )
         # An explicit jobs=1 is honoured (a one-worker pool), not
         # silently swapped for the factory default of 2.
-        assert resolve_spec("shm-pool", jobs=1) == BackendSpec(
-            "shm-pool", {"jobs": 1}
+        assert resolve_spec("process-pool", jobs=1) == BackendSpec(
+            "process-pool", {"jobs": 1}
         )
         # Unset jobs keeps the named backend's own default.
-        assert resolve_spec("shm-pool", jobs=None) == BackendSpec("shm-pool")
+        assert resolve_spec("process-pool", jobs=None) == BackendSpec("process-pool")
         # Backends without a jobs option are untouched.
         assert resolve_spec("serial", jobs=8) == BackendSpec("serial")
         # Explicit options always win over the sugar.
-        pinned = BackendSpec("shm-pool", {"jobs": 2})
+        pinned = BackendSpec("process-pool", {"jobs": 2})
         assert resolve_spec(pinned, jobs=8) == pinned
 
     def test_explicit_jobs_one_builds_one_worker_pool(self):
-        backend = get("shm-pool", jobs=1)
+        backend = get("process-pool", jobs=1)
         assert isinstance(backend, SweepPoolExecutor)
         assert backend.jobs == 1
 
@@ -148,7 +147,7 @@ class TestBackendSpec:
     def test_describe(self):
         assert BackendSpec("serial").describe() == "serial"
         assert (
-            BackendSpec("shm-pool", {"jobs": 4}).describe() == "shm-pool(jobs=4)"
+            BackendSpec("process-pool", {"jobs": 4}).describe() == "process-pool(jobs=4)"
         )
 
 
@@ -163,21 +162,19 @@ class TestProtocolAndCapabilities:
             assert isinstance(instance, ExecutionBackend), type(instance)
 
     def test_capability_flags(self):
-        assert not SerialExecutor().supports_shared_memory
         assert not SerialExecutor().supports_remote
-        assert SweepPoolExecutor().supports_shared_memory
+        assert not SweepPoolExecutor().supports_remote
         assert DistributedBackend(["h:1"]).supports_remote
-        assert not DistributedBackend(["h:1"]).supports_shared_memory
 
 
 class TestEngineBackendParameter:
     def test_engine_accepts_backend_names_and_specs(self):
         reference = TrialEngine().run(bernoulli_trial, trials=60, seed=3)
-        for backend in ("serial", BackendSpec("shm-pool", {"jobs": 2})):
+        for backend in ("serial", BackendSpec("process-pool", {"jobs": 2})):
             engine = TrialEngine(backend=backend)
             assert engine.run(bernoulli_trial, trials=60, seed=3) == reference
 
     def test_engine_jobs_merges_into_named_backend(self):
-        engine = TrialEngine(backend="shm-pool", jobs=3)
+        engine = TrialEngine(backend="process-pool", jobs=3)
         assert isinstance(engine.executor, SweepPoolExecutor)
         assert engine.executor.jobs == 3

@@ -24,7 +24,7 @@ def backend_specs(worker) -> dict:
     host, port = worker.address
     return {
         "serial": BackendSpec("serial"),
-        "shm-pool": BackendSpec("shm-pool", {"jobs": 2, "chunk_size": 7}),
+        "process-pool": BackendSpec("process-pool", {"jobs": 2, "chunk_size": 7}),
         "distributed": BackendSpec(
             "distributed", {"workers": [f"{host}:{port}"]}
         ),
@@ -115,7 +115,7 @@ class TestSpecPinnedBackend:
         spec = get_scenario("smoke")
         pinned = dataclasses.replace(
             spec,
-            engine=EngineSettings(backend=BackendSpec("shm-pool", {"jobs": 2})),
+            engine=EngineSettings(backend=BackendSpec("process-pool", {"jobs": 2})),
         )
         # Round trip survives the pin.
         from repro.scenarios.spec import ScenarioSpec

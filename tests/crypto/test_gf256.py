@@ -127,11 +127,6 @@ class TestPolynomials:
 
 class TestBatchMultiply:
     @given(st.lists(elements, max_size=10), elements)
-    def test_matches_elementwise(self, values, scalar):
-        expected = [gf256.multiply(v, scalar) for v in values]
-        assert gf256.batch_multiply(values, scalar) == expected
-
-    @given(st.lists(elements, max_size=10), elements)
     def test_multiply_many_matches_elementwise(self, values, scalar):
         expected = [gf256.multiply(v, scalar) for v in values]
         assert gf256.multiply_many(values, scalar) == expected

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.crypto import gf256, gf256_numpy
 from repro.crypto.shamir import (
     ShareMatrix,
-    batch_codec_available,
     combine_bytes,
     combine_shares,
     combine_shares_reference,
@@ -79,9 +78,6 @@ class TestNumpyBackend:
 
 
 class TestCodecEquivalence:
-    def test_codec_is_available_with_numpy(self):
-        assert batch_codec_available()
-
     @settings(max_examples=60)
     @given(secrets, schemes(), seeds)
     def test_split_is_byte_identical_to_reference(self, secret, scheme, seed):

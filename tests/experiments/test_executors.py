@@ -11,13 +11,15 @@ unpicklable ones, one pool across many runs, none left by a bare run).
 import gc
 import itertools
 import multiprocessing
+import subprocess
+import sys
 import warnings
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.experiments import executors as executors_module
+from repro.backends.pool import _worker_environment
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import (
     SerialExecutor,
@@ -28,8 +30,6 @@ from repro.experiments.executors import (
     run_batch_range,
     run_collect_range,
     run_count_range,
-    shared_memory_available,
-    shm_buffers_created,
 )
 
 
@@ -193,47 +193,14 @@ def negative_corner_batch(generator, count):
 
 
 class FailingBatch:
-    """A picklable batch that dies on the worker mid-``run_batches``.
-
-    The nastiest cleanup path: the shared buffer is live and attached by
-    workers when the run raises out of ``pool.map``.
-    """
+    """A picklable batch that dies on the worker mid-``run_batches``."""
 
     def __call__(self, generator, count):
-        raise RuntimeError("injected shared-memory batch failure")
+        raise RuntimeError("injected batch failure")
 
 
 class TestSharedMemoryLane:
-    """Batch counts through shared memory match the pickle lane exactly."""
-
-    def test_shared_lane_engages_and_matches_serial(self):
-        assert shared_memory_available()
-        reference = TrialEngine().run_batched(
-            counting_batch, trials=230, seed=11, label="shm", batch_size=25
-        )
-        before = shm_buffers_created()
-        with SweepPoolExecutor(jobs=2) as executor:
-            result = TrialEngine(backend=executor).run_batched(
-                counting_batch, trials=230, seed=11, label="shm", batch_size=25
-            )
-        assert result == reference
-        assert shm_buffers_created() > before
-
-    def test_disabled_lane_matches_too(self, monkeypatch):
-        # Without multiprocessing.shared_memory, counts come back pickled.
-        monkeypatch.setattr(
-            executors_module, "shared_memory_available", lambda: False
-        )
-        reference = TrialEngine().run_batched(
-            counting_batch, trials=230, seed=11, label="shm", batch_size=25
-        )
-        before = shm_buffers_created()
-        with SweepPoolExecutor(jobs=2) as executor:
-            result = TrialEngine(backend=executor).run_batched(
-                counting_batch, trials=230, seed=11, label="shm", batch_size=25
-            )
-        assert result == reference
-        assert shm_buffers_created() == before
+    """The pool's batch lane: per-batch counts back through ``pool.map``."""
 
     def test_multi_channel_counts_fill_every_slot(self):
         reference = TrialEngine().run_batched(
@@ -255,47 +222,21 @@ class TestSharedMemoryLane:
             )
         assert result == reference
 
-    def test_adaptive_stopping_identical_across_lanes(self, monkeypatch):
+    def test_adaptive_stopping_identical_across_lanes(self):
         kwargs = dict(trials=1000, seed=21, label="tol", batch_size=50)
         reference = TrialEngine(tolerance=0.05).run_batched(
             counting_batch, **kwargs
         )
-        for shared in (True, False):
-            monkeypatch.setattr(
-                executors_module, "shared_memory_available", lambda: shared
-            )
-            with SweepPoolExecutor(jobs=2) as executor:
-                result = TrialEngine(backend=executor, tolerance=0.05).run_batched(
-                    counting_batch, **kwargs
-                )
-            assert result == reference
-
-    def test_failing_batch_never_leaks_the_shared_block(self, monkeypatch):
-        """Regression: an exception mid-run_batches must unlink the buffer.
-
-        Shared-memory segments outlive the process on POSIX; a block
-        whose unlink is skipped on the exception path leaks /dev/shm
-        space until reboot.  Track every created block by name and
-        verify each one is unlinked (unattachable) after the failure.
-        """
-        import types
-
-        real = executors_module._shared_memory
-        created = []
-
-        def tracking_shared_memory(*args, **kwargs):
-            block = real.SharedMemory(*args, **kwargs)
-            if kwargs.get("create"):
-                created.append(block.name)
-            return block
-
-        monkeypatch.setattr(
-            executors_module,
-            "_shared_memory",
-            types.SimpleNamespace(SharedMemory=tracking_shared_memory),
-        )
         with SweepPoolExecutor(jobs=2) as executor:
-            with pytest.raises(RuntimeError, match="injected shared-memory"):
+            result = TrialEngine(backend=executor, tolerance=0.05).run_batched(
+                counting_batch, **kwargs
+            )
+        assert result == reference
+        assert result.stopped_early
+
+    def test_failing_batch_leaves_the_pool_usable(self):
+        with SweepPoolExecutor(jobs=2) as executor:
+            with pytest.raises(RuntimeError, match="injected batch failure"):
                 TrialEngine(backend=executor).run_batched(
                     FailingBatch(), trials=120, seed=7, batch_size=10
                 )
@@ -306,10 +247,6 @@ class TestSharedMemoryLane:
         assert healthy == TrialEngine().run_batched(
             counting_batch, trials=120, seed=7, batch_size=10
         )
-        assert created, "the shared lane never engaged"
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                real.SharedMemory(name=name)
 
     def test_unpicklable_batch_falls_back_in_process(self):
         bias = 0.25
@@ -319,13 +256,11 @@ class TestSharedMemoryLane:
         reference = TrialEngine().run_batched(
             closure, trials=90, seed=2, label="clb", batch_size=30
         )
-        before = shm_buffers_created()
         with SweepPoolExecutor(jobs=2) as executor:
             result = TrialEngine(backend=executor).run_batched(
                 closure, trials=90, seed=2, label="clb", batch_size=30
             )
         assert result == reference
-        assert shm_buffers_created() == before
 
 
 class TestSweepPoolLifecycle:
@@ -360,6 +295,25 @@ class TestSweepPoolLifecycle:
             gc.collect()
         assert pools_constructed() - before == 3
         assert not [w for w in caught if w.category is ResourceWarning]
+
+    def test_two_pool_sweeps_in_one_process_exit_quietly(self):
+        # Regression: a pool forked after an earlier sweep used to leave
+        # the multiprocessing resource tracker printing KeyError
+        # tracebacks (44 of them for this script) at interpreter exit.
+        script = (
+            "from repro import api\n"
+            "for _ in range(2):\n"
+            "    api.run_scenario('fig8', trials=100, jobs=2)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            env=_worker_environment(),
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_unpicklable_task_falls_back_in_process(self):
         bias = 0.6

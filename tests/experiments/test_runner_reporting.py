@@ -3,10 +3,7 @@
 import pytest
 
 from repro.experiments.engine import TrialEngine
-from repro.experiments.reporting import (
-    comparison_rows,
-    format_series_table,
-)
+from repro.experiments.reporting import format_series_table
 
 
 class TestEstimateProbability:
@@ -83,12 +80,3 @@ class TestReporting:
         )
         assert "2048" in text
         assert "2048.0" not in text
-
-    def test_comparison_rows(self):
-        rows = comparison_rows(
-            paper=[("joint@0.3", 0.99)],
-            measured=[("joint@0.3", 0.985), ("extra", 0.5)],
-        )
-        assert "paper=0.990" in rows[0]
-        assert "measured=0.985" in rows[0]
-        assert "n/a" in rows[1]

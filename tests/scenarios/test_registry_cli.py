@@ -252,7 +252,7 @@ class TestCli:
                     "--store",
                     pool_store,
                     "--backend",
-                    "shm-pool",
+                    "process-pool",
                     "--jobs",
                     "2",
                 ]
@@ -478,7 +478,7 @@ class TestCli:
                     "--store",
                     str(tmp_path),
                     "--backend",
-                    "shm-pool",
+                    "process-pool",
                     "--chunk-size",
                     bad,
                 ]
@@ -489,7 +489,7 @@ class TestCli:
         contract it changes nothing.  (The distributed lane's 'auto' is
         held in test_autotune.py.)"""
         reference = None
-        for backend in (["serial"], ["shm-pool", "--chunk-size", "auto"]):
+        for backend in (["serial"], ["process-pool", "--chunk-size", "auto"]):
             store = tmp_path / backend[0]
             assert (
                 main(
@@ -626,14 +626,14 @@ class TestCli:
         assert main(["backends", "list"]) == 0
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines() if line[:1].strip()]
-        assert listed == ["distributed", "serial", "shm-pool"]
+        assert listed == ["distributed", "process-pool", "serial"]
         assert "remote" in out
         assert "elastic" in out
 
     def test_figures_backend_flag(self, tmp_path, capsys):
         # A figure's table is the same text on every backend.
         tables = []
-        for backend in ("serial", "shm-pool"):
+        for backend in ("serial", "process-pool"):
             store = str(tmp_path / backend)
             assert (
                 main(

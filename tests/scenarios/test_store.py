@@ -87,7 +87,7 @@ class TestCacheKeys:
         reference = point_cache_key(spec_for_keys(), {"p": 0.1})
         for backend in (
             BackendSpec("serial"),
-            BackendSpec("shm-pool", {"jobs": 8, "chunk_size": 3}),
+            BackendSpec("process-pool", {"jobs": 8, "chunk_size": 3}),
             BackendSpec("distributed", {"workers": ["a:1", "b:2"]}),
         ):
             pinned = spec_for_keys(engine=EngineSettings(backend=backend))
