@@ -3,9 +3,10 @@
 The repository's execution layer in one subsystem:
 
 - :class:`ExecutionBackend` — the one interface (open/close +
-  start/finish lifecycles; ``run_counts`` / ``run_batches`` /
-  ``run_collect`` spans; capability flags), defined beside the local
-  implementations in :mod:`repro.experiments.executors`;
+  start/finish lifecycles; one ``run(task, start, stop)`` span call —
+  the :class:`~repro.experiments.executors.TrialTask` knows its own
+  kind), defined beside the local implementations in
+  :mod:`repro.experiments.executors`;
 - :mod:`repro.backends.base` — the JSON-round-trippable
   :class:`BackendSpec`;
 - :mod:`repro.backends.registry` — ``get("serial" | "process-pool" |
@@ -32,8 +33,7 @@ The repository's execution layer in one subsystem:
 Every backend honours the determinism contract — streams keyed by
 ``(seed, label, index)`` and exact integer aggregation make results
 backend-invariant — so backends are interchangeable at run time and
-excluded from result-store cache keys unless they declare semantically
-meaningful options.
+excluded from result-store cache keys.
 """
 
 from repro.backends.base import BackendSpec
@@ -59,17 +59,15 @@ from repro.backends.registry import (
     list_backends,
     register_backend,
     resolve_spec,
-    semantic_option_names,
     spec_for_jobs,
 )
 from repro.backends.wire import probe_worker
 from repro.backends.worker import WorkerServer, serve
-from repro.experiments.executors import CAPABILITY_FLAGS, ExecutionBackend
+from repro.experiments.executors import ExecutionBackend
 
 __all__ = [
     "BackendEntry",
     "BackendSpec",
-    "CAPABILITY_FLAGS",
     "DistributedBackend",
     "ExecutionBackend",
     "FaultPlan",
@@ -90,7 +88,6 @@ __all__ = [
     "register_backend",
     "resolve_spec",
     "retire_worker",
-    "semantic_option_names",
     "serve",
     "spec_for_jobs",
     "suggest_chunk_size",

@@ -5,11 +5,8 @@ The interface every execution substrate implements is
 ``repro.backends.ExecutionBackend``); this module holds the
 JSON-round-trippable half.  A :class:`BackendSpec` is a registry name
 plus an options mapping.  It can live inside a
-:class:`~repro.scenarios.spec.ScenarioSpec`'s engine settings and
-participates in result-store cache keys only through
-:meth:`BackendSpec.cache_fields` — the options the backend's registry
-entry declares *semantically meaningful* (none of the built-ins declare
-any, which is exactly why a backend choice never moves a cache key).
+:class:`~repro.scenarios.spec.ScenarioSpec`'s engine settings, and by
+the determinism contract never reaches a result-store cache key.
 """
 
 from __future__ import annotations
@@ -80,26 +77,6 @@ class BackendSpec:
         """A copy with extra options merged in (existing keys win)."""
         merged = {**options, **self.options}
         return BackendSpec(name=self.name, options=merged)
-
-    def cache_fields(self) -> Dict[str, Any]:
-        """The options that belong in a result-store cache key.
-
-        Only options the registry declares *semantically meaningful* for
-        this backend — ones that could change results, which by the
-        determinism contract excludes every transport knob (``jobs``,
-        ``chunk_size``, ``workers``, timeouts).
-        All built-in backends declare none, so the returned dict is
-        empty and the backend never perturbs a cache key — exactly the
-        historical ``jobs``-is-excluded behaviour, generalised.
-        """
-        from repro.backends.registry import semantic_option_names
-
-        semantic = semantic_option_names(self.name)
-        return {
-            key: value
-            for key, value in sorted(self.options.items())
-            if key in semantic
-        }
 
     # -- serialization -----------------------------------------------------
 

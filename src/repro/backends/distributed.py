@@ -17,22 +17,23 @@ Execution model per span call:
    that cannot be pickled falls back to exact in-process execution for
    that run, mirroring
    :class:`~repro.experiments.executors.SweepPoolExecutor`.
-2. ``run_counts``/``run_batches``/``run_collect`` carve their half-open
-   range on demand: each live worker's driver thread pulls the next span
-   off a shared cursor, sized for *that* worker (``chunk_size`` trials;
-   default balances the range across live workers; ``"auto"`` sizes
-   spans from the worker's own observed rate — see
-   :mod:`repro.backends.autotune`), so slow workers naturally take less
-   and fast ones more.
-3. Counts are summed over spans — exact integer addition over per-span
+2. :meth:`run` carves its half-open range on demand: each live worker's
+   driver thread pulls the next span off a shared cursor, sized for
+   *that* worker (``chunk_size`` trials; default balances the range
+   across live workers; ``"auto"`` sizes spans from the worker's own
+   observed rate — see :mod:`repro.backends.autotune`), so slow workers
+   naturally take less and fast ones more.  The ``run`` request names
+   only the span: the task loaded on the connection knows its own kind.
+3. The per-span results go through the task's own ``merge`` in span
+   order: counts are summed — exact integer addition over per-span
    counts that are pure functions of ``(task, span)``, so *any* disjoint
    partition of the range gives identical totals — and collect values
-   are re-assembled in span (trial-index) order.
+   are re-assembled in trial-index order.
 
 **Fault tolerance.**  A span dispatch that fails at the transport level
 (EOF, refused reconnect, a torn frame, a wire timeout, a heartbeat
 declaring the worker dead) *requeues the span* for the surviving
-workers, up to ``span_retries`` attempts per span.  Because every span's
+workers, up to :data:`SPAN_RETRIES` attempts per span.  Because every span's
 counts are a pure function of the task and the span bounds, re-executing
 a span — even one the dying worker may have half-finished — produces the
 exact same numbers, so results and result-store cache keys stay
@@ -53,7 +54,7 @@ requeued immediately.
 - *Breaker re-admission* — an open breaker is a cooldown, not a death
   sentence.  Each trip schedules an exponentially backed-off cooldown
   (``breaker_cooldown`` doubling per trip, capped at
-  ``breaker_cooldown_max``); once it expires, a successful heartbeat
+  :data:`BREAKER_COOLDOWN_MAX`); once it expires, a successful heartbeat
   probe re-admits the worker with reset strikes.  Re-admission probes
   are counted separately (``readmission_probes``) and never as
   ``worker_failures``.
@@ -114,19 +115,13 @@ from repro.backends.wire import (
     probe_worker,
     request,
 )
-from repro.experiments.executors import (
-    ExecutionBackend,
-    TrialTask,
-    run_batch_range,
-    run_collect_range,
-    run_count_range,
-)
+from repro.experiments.executors import ExecutionBackend, TrialTask
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.util.validation import check_positive_int
 
 #: Re-dispatch attempts allowed per span before the run is declared failed.
-DEFAULT_SPAN_RETRIES = 5
+SPAN_RETRIES = 5
 
 #: Consecutive failures that open a worker's circuit breaker.
 DEFAULT_BREAKER_THRESHOLD = 3
@@ -142,8 +137,8 @@ DEFAULT_PING_TIMEOUT = 2.0
 #: short enough that a restarted worker rejoins a real sweep promptly.
 DEFAULT_BREAKER_COOLDOWN = 5.0
 
-#: Cap on the exponential breaker cooldown.
-DEFAULT_BREAKER_COOLDOWN_MAX = 60.0
+#: Cap on the exponential breaker cooldown (a longer base cooldown wins).
+BREAKER_COOLDOWN_MAX = 60.0
 
 #: How often a running dispatch sweeps for membership changes (announce
 #: registry, hosts file, pool respawns, cooldown expiries).  Span
@@ -184,7 +179,7 @@ _STAT_EVENTS = {
 
 
 class WorkerLost(ConnectionError):
-    """A worker stopped responding mid-span (heartbeat or hard timeout)."""
+    """A worker stopped responding mid-span (its heartbeat went silent)."""
 
 
 class NoWorkersLeft(ConnectionError):
@@ -272,15 +267,18 @@ class _Worker:
 
     # -- breaker lifecycle -------------------------------------------------
 
-    def schedule_cooldown(self, base: float, cap: float) -> None:
+    def schedule_cooldown(self, base: float) -> None:
         """Start (or extend, doubling) this worker's breaker cooldown."""
         self.breaker_trips += 1
-        backoff = min(base * (2 ** (self.breaker_trips - 1)), cap)
+        backoff = min(
+            base * (2 ** (self.breaker_trips - 1)),
+            max(base, BREAKER_COOLDOWN_MAX),
+        )
         self.cooldown_until = time.monotonic() + backoff
 
-    def trip_breaker(self, base: float, cap: float) -> None:
+    def trip_breaker(self, base: float) -> None:
         self.broken = True
-        self.schedule_cooldown(base, cap)
+        self.schedule_cooldown(base)
 
     def readmit(self) -> None:
         """Close the breaker: fresh strikes, fresh connection next span."""
@@ -459,8 +457,6 @@ class DistributedBackend(ExecutionBackend):
         Spawn a local :class:`~repro.backends.pool.WorkerPool` of this
         many ``repro worker serve`` processes in :meth:`open` and own
         its lifecycle — sweeps and tests stand up a pool in one call.
-    span_retries:
-        Re-dispatch attempts allowed per span before the run fails.
     breaker_threshold:
         Consecutive failures that open a worker's circuit breaker.
     heartbeat_interval:
@@ -468,15 +464,10 @@ class DistributedBackend(ExecutionBackend):
         answer the probe and are waited on, dead ones are requeued.
     ping_timeout:
         Deadline for each heartbeat probe.
-    span_timeout:
-        Optional hard cap on one span's wall time; on expiry the worker
-        is treated as lost even if its heartbeat still answers.  ``None``
-        (default) trusts the heartbeat alone.
     breaker_cooldown:
         Base seconds an open breaker cools down before a re-admission
-        probe; doubles on every consecutive trip.
-    breaker_cooldown_max:
-        Cap on the exponential breaker cooldown.
+        probe; doubles on every consecutive trip, up to
+        :data:`BREAKER_COOLDOWN_MAX`.
     membership_interval:
         Seconds between membership sweeps during a dispatch.
     announce_bind:
@@ -496,27 +487,16 @@ class DistributedBackend(ExecutionBackend):
         disables).  Respawned children carry no scripted fault.
     """
 
-    supports_remote = True
-    supports_fault_tolerance = True
-    supports_elastic_membership = True
-    #: An in-flight dispatch can be aborted from another thread
-    #: (:meth:`cancel_active`) and busy workers told to abandon their
-    #: spans mid-flight — what the orchestrator's point watchdog needs.
-    supports_cancellation = True
-
     def __init__(
         self,
         workers: Sequence[str] = (),
         chunk_size: Union[int, str, None] = None,
         connect_timeout: float = 10.0,
         pool: Optional[int] = None,
-        span_retries: int = DEFAULT_SPAN_RETRIES,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         ping_timeout: float = DEFAULT_PING_TIMEOUT,
-        span_timeout: Optional[float] = None,
         breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
-        breaker_cooldown_max: float = DEFAULT_BREAKER_COOLDOWN_MAX,
         membership_interval: float = DEFAULT_MEMBERSHIP_INTERVAL,
         announce_bind: Optional[str] = None,
         watch_hosts: Optional[Any] = None,
@@ -548,21 +528,16 @@ class DistributedBackend(ExecutionBackend):
         self.chunk_size = chunk_size
         self.connect_timeout = connect_timeout
         self.pool_size = pool
-        self.span_retries = check_positive_int(span_retries, "span_retries")
         self.breaker_threshold = check_positive_int(
             breaker_threshold, "breaker_threshold"
         )
         self.heartbeat_interval = heartbeat_interval
         self.ping_timeout = ping_timeout
-        self.span_timeout = span_timeout
         if breaker_cooldown <= 0:
             raise ValueError(
                 f"breaker_cooldown must be > 0, got {breaker_cooldown!r}"
             )
         self.breaker_cooldown = float(breaker_cooldown)
-        self.breaker_cooldown_max = max(
-            float(breaker_cooldown), float(breaker_cooldown_max)
-        )
         if membership_interval <= 0:
             raise ValueError(
                 f"membership_interval must be > 0, got {membership_interval!r}"
@@ -855,9 +830,7 @@ class DistributedBackend(ExecutionBackend):
                         via="probe",
                     )
                 else:
-                    worker.schedule_cooldown(
-                        self.breaker_cooldown, self.breaker_cooldown_max
-                    )
+                    worker.schedule_cooldown(self.breaker_cooldown)
 
     def _dispatchable_workers(self) -> List[_Worker]:
         with self._membership_lock:
@@ -938,23 +911,15 @@ class DistributedBackend(ExecutionBackend):
 
         Reply silence beyond ``heartbeat_interval`` triggers a ``ping``
         probe on a fresh connection: an answering (merely slow) worker is
-        waited on indefinitely — or until ``span_timeout`` — while a
-        silent one raises :class:`WorkerLost` so the span is requeued.
+        waited on — the orchestrator's point deadline, not this loop,
+        bounds an over-budget span — while a silent one raises
+        :class:`WorkerLost` so the span is requeued.
         """
         waited = 0.0
 
         def on_idle() -> None:
             nonlocal waited
             waited += self.heartbeat_interval
-            if self.span_timeout is not None and waited >= self.span_timeout:
-                # The worker is (probably) alive but over budget: tell it
-                # to abandon the span before we write it off, so it stops
-                # burning CPU on work that is about to be requeued.
-                self._cancel_worker_spans(worker)
-                raise WorkerLost(
-                    f"worker {worker.address} exceeded the {self.span_timeout}s "
-                    f"span timeout"
-                )
             self._count("heartbeat_probes")
             if not worker.probe(self.ping_timeout):
                 raise WorkerLost(
@@ -977,14 +942,12 @@ class DistributedBackend(ExecutionBackend):
             self._worker_request(worker, {"op": "task", "task": self._payload})
             worker.loaded = self._payload
 
-    def _dispatch(
-        self, mode: str, start: int, stop: int, trials_per_unit: int = 1
-    ) -> List[Any]:
+    def _dispatch(self, task: TrialTask, start: int, stop: int) -> List[Any]:
         """Run the whole range on the live fleet; replies in span order.
 
         Each live worker gets a driver thread pulling demand-carved spans
         off one shared :class:`_SpanSource`; transport failures requeue
-        the span (bounded by ``span_retries``) and strike the worker
+        the span (bounded by :data:`SPAN_RETRIES`) and strike the worker
         (breaker at ``breaker_threshold``), task failures abort the
         dispatch.  Between spans the controller thread sweeps membership —
         admitting announced workers, adopting respawned pool children,
@@ -994,6 +957,8 @@ class DistributedBackend(ExecutionBackend):
         socket.
         """
         assert self._workers is not None
+        mode = task.mode
+        trials_per_unit = task.trials_per_unit
         sizer = self._make_sizer(start, stop, trials_per_unit)
         source = _SpanSource(
             start, stop, sizer, on_split=lambda: self._count("spans_split")
@@ -1039,13 +1004,7 @@ class DistributedBackend(ExecutionBackend):
                                 ) from error
                             began = time.monotonic()
                             reply = self._worker_request(
-                                worker,
-                                {
-                                    "op": "run",
-                                    "mode": mode,
-                                    "start": low,
-                                    "stop": high,
-                                },
+                                worker, {"op": "run", "start": low, "stop": high}
                             )
                     except (ConnectionError, OSError) as error:
                         # Transport failure: strike the worker, requeue
@@ -1063,16 +1022,13 @@ class DistributedBackend(ExecutionBackend):
                             worker.strikes >= self.breaker_threshold
                             and not worker.broken
                         ):
-                            worker.trip_breaker(
-                                self.breaker_cooldown,
-                                self.breaker_cooldown_max,
-                            )
+                            worker.trip_breaker(self.breaker_cooldown)
                             self._count(
                                 "workers_broken",
                                 worker=worker.address,
                                 trips=worker.breaker_trips,
                             )
-                        if attempts + 1 >= self.span_retries:
+                        if attempts + 1 >= SPAN_RETRIES:
                             source.abort(
                                 NoWorkersLeft(
                                     f"span [{low}, {high}) failed on "
@@ -1206,50 +1162,13 @@ class DistributedBackend(ExecutionBackend):
         results.sort(key=lambda pair: pair[0])
         return [reply for _, reply in results]
 
-    def _summed_counts(
-        self,
-        task: TrialTask,
-        mode: str,
-        start: int,
-        stop: int,
-        trials_per_unit: int = 1,
-    ) -> List[int]:
-        counts = [0] * task.channels
-        for reply in self._dispatch(mode, start, stop, trials_per_unit):
-            chunk = reply["counts"]
-            if len(chunk) != task.channels:
-                raise ValueError(
-                    f"worker returned {len(chunk)} channel(s), "
-                    f"expected {task.channels}"
-                )
-            for channel, value in enumerate(chunk):
-                counts[channel] += int(value)
-        return counts
-
-    # -- the three spans ---------------------------------------------------
-
-    def run_counts(self, task: TrialTask, start: int, stop: int) -> List[int]:
+    def run(self, task: TrialTask, start: int, stop: int) -> List[Any]:
         if self._payload is None:
-            return run_count_range(task, start, stop)
+            return task.run_range(start, stop)
         if start >= stop:
-            return [0] * task.channels
-        return self._summed_counts(task, "counts", start, stop)
-
-    def run_batches(self, task: TrialTask, first: int, last: int) -> List[int]:
-        if self._payload is None:
-            return run_batch_range(task, first, last)
-        if first >= last:
-            return [0] * task.channels
-        return self._summed_counts(
-            task, "batches", first, last, trials_per_unit=max(1, task.batch_size)
+            return task.merge(())
+        # A span's reply carries JSON counts, or pickled collect values.
+        return task.merge(
+            decode_blob(reply["values"]) if "values" in reply else reply["counts"]
+            for reply in self._dispatch(task, start, stop)
         )
-
-    def run_collect(self, task: TrialTask, start: int, stop: int) -> List[Any]:
-        if self._payload is None:
-            return run_collect_range(task, start, stop)
-        if start >= stop:
-            return []
-        values: List[Any] = []
-        for reply in self._dispatch("collect", start, stop):
-            values.extend(decode_blob(reply["values"]))
-        return values

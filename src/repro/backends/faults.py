@@ -222,7 +222,7 @@ class FaultPlan:
         """A seed-deterministic schedule that leaves ≥ 1 worker unfaulted.
 
         The generator behind the chaos property tests: any plan it can
-        produce must leave ``run_counts``/``run_batches`` totals
+        produce must leave ``backend.run`` totals
         bit-identical to a fault-free run.  ``hang`` is deliberately
         excluded here — it is covered by dedicated tests, because waiting
         out a heartbeat window per example would dominate the property

@@ -1,4 +1,4 @@
-"""The execution-backend registry: name → factory, capabilities, options.
+"""The execution-backend registry: name → factory and accepted options.
 
 Every execution substrate in the repository is registered here under a
 stable name, and everything that needs one — the trial engine, the sweep
@@ -20,13 +20,10 @@ Resolution order, everywhere: an explicit ``backend=`` (registry name,
 ``engine.backend`` > the ``jobs`` sugar (``1`` = ``serial``, above that
 ``process-pool``).
 
-Each entry declares which options its factory accepts and which of them
-are *semantically meaningful* — able to change results.  By the engine's
-determinism contract none of the built-ins have any (``jobs``, chunking,
-transport and topology are all invisible in the counts), which is what
-:meth:`BackendSpec.cache_fields` uses to keep backends out of
-result-store cache keys unless a future backend genuinely changes the
-numbers.  Capability flags are read from the factory class.
+Each entry declares which options its factory accepts.  By the engine's
+determinism contract none of them can change results (``jobs``,
+chunking, transport and topology are all invisible in the counts), which
+is why a backend never reaches a result-store cache key.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.backends.base import BackendSpec
-from repro.experiments.executors import CAPABILITY_FLAGS, ExecutionBackend
+from repro.experiments.executors import ExecutionBackend
 from repro.util.validation import check_positive_int
 
 
@@ -47,7 +44,6 @@ class BackendEntry:
     description: str
     factory: Callable[..., ExecutionBackend]
     option_names: FrozenSet[str]
-    semantic_options: FrozenSet[str]
     available: Callable[[], bool]
 
 
@@ -60,7 +56,6 @@ def register_backend(
     *,
     description: str,
     options: Tuple[str, ...] = (),
-    semantic_options: Tuple[str, ...] = (),
     available: Optional[Callable[[], bool]] = None,
 ) -> None:
     """Register an execution backend under a stable name.
@@ -68,24 +63,13 @@ def register_backend(
     Public on purpose: a new substrate (asyncio, GPU lane, a different
     RPC fabric) is "write the class, register it" — every consumer
     (engine, orchestrator, CLI, ``repro.api``) picks it up through the
-    same :func:`get` call.  ``semantic_options`` names the options that
-    can change results and therefore belong in result-store cache keys;
-    leave it empty for any backend that honours the determinism
-    contract.  Capability flags are the factory's own class attributes
-    (see :class:`~repro.experiments.executors.ExecutionBackend`).
+    same :func:`get` call.
     """
-    unknown_semantic = set(semantic_options) - set(options)
-    if unknown_semantic:
-        raise ValueError(
-            f"semantic options {sorted(unknown_semantic)} not in the "
-            f"declared options of backend {name!r}"
-        )
     _REGISTRY[name] = BackendEntry(
         name=name,
         description=description,
         factory=factory,
         option_names=frozenset(options),
-        semantic_options=frozenset(semantic_options),
         available=available if available is not None else (lambda: True),
     )
 
@@ -103,29 +87,18 @@ def _entry(name: str) -> BackendEntry:
     return _REGISTRY[name]
 
 
-def semantic_option_names(name: str) -> FrozenSet[str]:
-    """The cache-key-relevant option names of a backend (usually empty)."""
-    return _entry(name).semantic_options
-
-
 def list_backends() -> List[Dict[str, Any]]:
     """JSON-safe descriptions of every registered backend.
 
     The payload behind ``repro backends list`` and
-    :func:`repro.api.list_backends`: name, description, accepted and
-    semantic options, capability flags, and whether the backend is
-    usable on this platform.
+    :func:`repro.api.list_backends`: name, description, accepted
+    options, and whether the backend is usable on this platform.
     """
     return [
         {
             "name": entry.name,
             "description": entry.description,
             "options": sorted(entry.option_names),
-            "semantic_options": sorted(entry.semantic_options),
-            **{
-                flag: bool(getattr(entry.factory, flag, False))
-                for flag in CAPABILITY_FLAGS
-            },
             "available": bool(entry.available()),
         }
         for _, entry in sorted(_REGISTRY.items())
@@ -240,13 +213,10 @@ def _register_builtins() -> None:
             "chunk_size",
             "connect_timeout",
             "pool",
-            "span_retries",
             "breaker_threshold",
             "heartbeat_interval",
             "ping_timeout",
-            "span_timeout",
             "breaker_cooldown",
-            "breaker_cooldown_max",
             "membership_interval",
             "announce_bind",
             "watch_hosts",

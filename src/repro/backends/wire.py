@@ -13,9 +13,9 @@ op          request fields                                  reply
 ========== =============================================== =======================
 ``hello``   —                                               ``role``, ``protocol``
 ``ping``    —                                               ``ok``
-``task``    ``task`` (base64 pickle)                        ``ok``
-``run``     ``mode`` ∈ {counts, batches, collect},          ``counts`` (list of
-            ``start``, ``stop`` (half-open span)            int) or ``values``
+``task``    ``task`` (base64 pickle of a ``TrialTask``)     ``ok``
+``run``     ``start``, ``stop`` (half-open span of the      ``counts`` (list of
+            task loaded on this connection)                 int) or ``values``
                                                             (base64 pickle)
 ``stats``   —                                               ``stats`` (a metrics
                                                             registry snapshot —
@@ -26,10 +26,13 @@ op          request fields                                  reply
                                                             told to abandon)
 ========== =============================================== =======================
 
-``stats`` and ``cancel`` are additive — a version-1 worker that predates
-them replies ``ok: false``, which :func:`fetch_worker_stats` and
-:func:`cancel_worker` fold into ``None`` — so the protocol version stays
-at 1.
+Version 2 dropped the ``mode`` field of ``run`` (and ``modes`` from the
+``hello`` reply): the loaded task is one kind of work and says which, so
+a request cannot disagree with it.  Which reply field a span carries
+follows from the task too — ``values`` for a collect task, ``counts``
+otherwise.  ``stats`` and ``cancel`` are additive — a worker that
+predates them replies ``ok: false``, which :func:`fetch_worker_stats`
+and :func:`cancel_worker` fold into ``None``.
 
 ``cancel`` is the cooperative mid-span drain primitive: it bumps the
 worker's cancel generation, and every running span (they check between
@@ -39,8 +42,8 @@ failure — so a draining or deadline-struck worker hands its work back in
 milliseconds instead of holding the drain hostage to the span's runtime.
 
 Every reply carries ``ok``; failures carry ``ok: false`` plus ``error``.
-Workers compute spans with the exact same range functions the local
-executors use, so per-trial streams — a pure function of
+Workers compute spans with the exact same ``TrialTask.run_range`` the
+local executors use, so per-trial streams — a pure function of
 ``(seed, label, index)`` — are identical on any machine.
 
 The driver-side membership registry (:mod:`repro.backends.membership`)
@@ -78,7 +81,7 @@ import struct
 from typing import Any, Callable, Dict, Optional
 
 #: Bumped on incompatible message-vocabulary changes; ``hello`` reports it.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: The server role string ``hello`` replies carry, so a client can tell a
 #: repro worker from some unrelated service listening on the same port.

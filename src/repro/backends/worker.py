@@ -4,12 +4,12 @@
 data — any machine with the same codebase on ``PYTHONPATH``.  The
 orchestrator side (:class:`~repro.backends.distributed.DistributedBackend`)
 connects, ships the pickled :class:`~repro.experiments.executors.TrialTask`
-once per engine run, then streams span requests; the worker executes each
-span with the *same* range functions every local executor uses
-(:func:`~repro.experiments.executors.run_count_range` & co.), so per-trial
-random streams — a pure function of ``(seed, label, index)`` — are
-identical across machines and the determinism contract survives the
-network hop.
+once per engine run, then streams span requests naming only ``start`` and
+``stop``; the worker executes each span through the loaded task's own
+:meth:`~repro.experiments.executors.TrialTask.run_range` — the *same*
+kernels every local executor uses — so per-trial random streams — a pure
+function of ``(seed, label, index)`` — are identical across machines and
+the determinism contract survives the network hop.
 
 Connections are stateful (one current task per connection) and served one
 per thread, so several orchestrators — or several concurrent span threads
@@ -52,7 +52,7 @@ import socketserver
 import threading
 import time
 import traceback
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.backends.faults import FaultInjector, FaultSpec
 from repro.backends.wire import (
@@ -64,14 +64,8 @@ from repro.backends.wire import (
     recv_message,
     send_message,
 )
-from repro.experiments.executors import (
-    run_batch_range,
-    run_collect_range,
-    run_count_range,
-)
+from repro.experiments.executors import TrialTask
 from repro.obs.metrics import MetricsRegistry
-
-_RUN_MODES = ("counts", "batches", "collect")
 
 #: Ops counted under their own name; anything else lands in
 #: ``ops.unknown`` so a misbehaving client cannot mint metric names.
@@ -82,65 +76,37 @@ _COUNTED_OPS = ("hello", "ping", "task", "run", "stats", "cancel")
 _DEFAULT_HANG_SECONDS = 60.0
 
 #: Cancellation checks per span: each span is executed in roughly this
-#: many sub-slices, checking the cancel generation between them.  The
-#: range functions are additive over *any* disjoint partition (per-trial
+#: many sub-slices, checking the cancel generation between them.  A
+#: task's ranges are additive over *any* disjoint partition (per-trial
 #: streams are pure functions of ``(seed, label, index)``), so
 #: sub-slicing is invisible in results; it just bounds how long a cancel
 #: can go unnoticed to ~1/8 of the span.
 _CANCEL_CHECKS = 8
 
-_RANGE_FNS = {
-    "counts": run_count_range,
-    "batches": run_batch_range,
-    "collect": run_collect_range,
-}
-
 
 def _execute_span(
-    task: Any,
-    mode: str,
-    start: int,
-    stop: int,
-    should_abandon: Optional[Any] = None,
+    task: TrialTask, start: int, stop: int, should_abandon: Callable[[], bool]
 ) -> Dict[str, Any]:
-    """Run one span through the shared range functions; JSON-safe reply.
+    """Run one span of the loaded task; JSON-safe reply.
 
-    With ``should_abandon``, the span runs as ~:data:`_CANCEL_CHECKS`
-    sub-slices with a cancellation check between each; a fired check
-    abandons the rest and replies ``cancelled: true`` — the client
-    requeues the span, so abandoning is always safe.  Partial sub-slice
-    results are merged exactly as the distributed driver merges spans
-    (integer count addition, in-order value concatenation), so a span
+    The span runs as ~:data:`_CANCEL_CHECKS` sub-slices with a
+    cancellation check between each; a fired check abandons the rest and
+    replies ``cancelled: true`` — the client requeues the span, so
+    abandoning is always safe.  Sub-slice results go through the same
+    ``task.merge`` the distributed driver merges spans with, so a span
     that is *not* cancelled returns bytes identical to a single-shot run.
     """
-    range_fn = _RANGE_FNS.get(mode)
-    if range_fn is None:
-        raise ValueError(f"run mode must be one of {_RUN_MODES}, got {mode!r}")
-
-    def reply_for(payload: Any) -> Dict[str, Any]:
-        if mode == "collect":
-            return {"ok": True, "values": encode_blob(payload)}
-        return {"ok": True, "counts": payload}
-
-    if should_abandon is None:
-        return reply_for(range_fn(task, start, stop))
     step = max(1, -(-(stop - start) // _CANCEL_CHECKS))
-    merged: Optional[Any] = None
-    low = start
-    while low < stop:
+    parts = []
+    for low in range(start, stop, step):
         if should_abandon():
             return {"ok": True, "cancelled": True}
-        high = min(low + step, stop)
-        partial = range_fn(task, low, high)
-        if merged is None:
-            merged = list(partial)
-        elif mode == "collect":
-            merged.extend(partial)
-        else:
-            for channel, value in enumerate(partial):
-                merged[channel] += value
-        low = high
-    return reply_for(merged if merged is not None else range_fn(task, start, stop))
+        parts.append(task.run_range(low, min(low + step, stop)))
+    merged = task.merge(parts)
+    if task.mode == "collect":
+        # Arbitrary values ride as a pickle; counts are plain JSON ints.
+        return {"ok": True, "values": encode_blob(merged)}
+    return {"ok": True, "counts": merged}
 
 
 def _cancellable_sleep(
@@ -166,7 +132,7 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
     """One connection: a hello/task/run conversation until EOF."""
 
     def handle(self) -> None:
-        task: Optional[Any] = None
+        task: Optional[TrialTask] = None
         while True:
             try:
                 message = recv_message(self.request)
@@ -187,12 +153,17 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                         "ok": True,
                         "role": WORKER_ROLE,
                         "protocol": PROTOCOL_VERSION,
-                        "modes": list(_RUN_MODES),
                     }
                 elif op == "ping":
                     reply = {"ok": True}
                 elif op == "task":
-                    task = decode_blob(message["task"])
+                    loaded = decode_blob(message["task"])
+                    if not isinstance(loaded, TrialTask):
+                        raise TypeError(
+                            "task must be a pickled TrialTask, got "
+                            f"{type(loaded).__name__}"
+                        )
+                    task = loaded
                     reply = {"ok": True}
                 elif op == "stats":
                     reply = {"ok": True, "stats": metrics.snapshot()}
@@ -236,21 +207,16 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                                     "no task loaded on this connection "
                                     "(send op=task first)"
                                 )
-                            mode = message.get("mode", "")
                             start = int(message["start"])
                             stop = int(message["stop"])
                             began = time.perf_counter()
-                            reply = _execute_span(
-                                task, mode, start, stop, should_abandon=abandoned
-                            )
+                            reply = _execute_span(task, start, stop, abandoned)
                             if not reply.get("cancelled"):
-                                # Only completed spans record service time —
-                                # mode is validated by now, so the metric
-                                # name is well-formed.
+                                # Only completed spans record service time.
                                 metrics.histogram(
-                                    f"service_seconds.{mode}"
+                                    f"service_seconds.{task.mode}"
                                 ).observe(time.perf_counter() - began)
-                                metrics.counter(f"units.{mode}").inc(
+                                metrics.counter(f"units.{task.mode}").inc(
                                     max(0, stop - start)
                                 )
                     finally:

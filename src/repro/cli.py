@@ -1274,21 +1274,8 @@ def _command_backends(args) -> int:
     entries = list_backends()
     width = max(len(entry["name"]) for entry in entries)
     for entry in entries:
-        flags = [
-            flag
-            for flag, label in (
-                ("remote", "supports_remote"),
-                ("fault-tolerant", "supports_fault_tolerance"),
-                ("elastic", "supports_elastic_membership"),
-            )
-            if entry[label]
-        ]
-        suffix = f"  [{', '.join(flags)}]" if flags else ""
         availability = "" if entry["available"] else "  (unavailable here)"
-        print(
-            f"{entry['name'].ljust(width)}  {entry['description']}"
-            f"{suffix}{availability}"
-        )
+        print(f"{entry['name'].ljust(width)}  {entry['description']}{availability}")
         if entry["options"]:
             print(f"{' ' * width}  options: {', '.join(entry['options'])}")
     return 0

@@ -6,7 +6,7 @@ owns an execution backend (see :mod:`repro.experiments.executors`), streams
 per-channel success counts out of it, and turns the totals into
 :class:`MonteCarloEstimate` values through one shared aggregation path.
 
-Three modes cover every experiment in the repository:
+Three kinds of task cover every experiment in the repository:
 
 - :meth:`TrialEngine.run` / :meth:`~TrialEngine.estimate` /
   :meth:`~TrialEngine.estimate_pair` — scalar trials drawing from a
@@ -15,6 +15,11 @@ Three modes cover every experiment in the repository:
   (Fig. 7, Fig. 8, the availability extension);
 - :meth:`TrialEngine.map` — trials returning arbitrary values collected
   in index order (the timeliness extension).
+
+They share one path: each builds a
+:class:`~repro.experiments.executors.TrialTask`, which alone knows its
+kind, and hands spans of it to ``backend.run``; the two counting kinds
+also share one checkpointed driver loop.
 
 **Determinism guarantee.**  Trial ``i``'s random stream is a pure function
 of ``(seed, label, i)`` — the historical fork-per-trial labeling scheme —
@@ -40,6 +45,7 @@ Reported estimates still carry the interval ``ci_method`` selects
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -274,7 +280,63 @@ class TrialEngine:
             half_widths=widths,
         )
 
-    # -- scalar trial mode -------------------------------------------------
+    # -- the one span path -------------------------------------------------
+
+    @contextmanager
+    def _engine_run(self, task: TrialTask, trials: int, **attrs: Any):
+        """One engine run of ``task``: its ``engine`` span around the
+        backend's ``start``/``finish`` bracket."""
+        with self.tracer.span(
+            "engine",
+            mode=task.mode,
+            label=task.label,
+            trials=trials,
+            seed=task.seed,
+            **attrs,
+        ) as span:
+            self.executor.start(task)
+            try:
+                yield span
+            finally:
+                self.executor.finish()
+
+    def _call(self, task: TrialTask, low: int, high: int) -> List[Any]:
+        with self.tracer.span(
+            "backend.call",
+            mode=task.mode,
+            low=low,
+            high=high,
+            executor=type(self.executor).__name__,
+        ):
+            return self.executor.run(task, low, high)
+
+    def _run_counted(
+        self, task: TrialTask, trials: int, step: int, **attrs: Any
+    ) -> EngineResult:
+        """Count ``trials`` trials of ``task``, ``step`` units per checkpoint.
+
+        A unit is one trial, or one batch of ``task.trials_per_unit``.
+        Without a tolerance the whole range is one backend call; with
+        one, the stopping rule runs after every ``step`` units — a
+        function of engine configuration alone, never of the executor.
+        """
+        units = -(-trials // task.trials_per_unit)
+        counts = task.merge(())
+        low = done = 0
+        with self._engine_run(task, trials, **attrs) as span:
+            while low < units:
+                high = units if self.tolerance is None else min(low + step, units)
+                counts = task.merge((counts, self._call(task, low, high)))
+                low = high
+                done = min(high * task.trials_per_unit, trials)
+                self._trace_ci_check(span, counts, done)
+                if self._within_tolerance(counts, done):
+                    break
+            span.set_attr("trials_run", done)
+            span.set_attr("stopped_early", done < trials)
+        return self._result(counts, done, trials)
+
+    # -- scalar trials -----------------------------------------------------
 
     def run(
         self,
@@ -295,37 +357,7 @@ class TrialEngine:
         if trials == 0:
             return self._result([0] * channels, 0, 0)
         task = TrialTask(seed=seed, label=label, channels=channels, trial=trial)
-        counts = [0] * channels
-        done = 0
-        with self.tracer.span(
-            "engine", mode="counts", label=label, trials=trials, seed=seed
-        ) as span:
-            self.executor.start(task)
-            try:
-                while done < trials:
-                    if self.tolerance is None:
-                        stop = trials
-                    else:
-                        stop = min(done + self.check_interval, trials)
-                    with self.tracer.span(
-                        "backend.call",
-                        mode="counts",
-                        low=done,
-                        high=stop,
-                        executor=type(self.executor).__name__,
-                    ):
-                        chunk = self.executor.run_counts(task, done, stop)
-                    for channel, value in enumerate(chunk):
-                        counts[channel] += value
-                    done = stop
-                    self._trace_ci_check(span, counts, done)
-                    if self._within_tolerance(counts, done):
-                        break
-            finally:
-                self.executor.finish()
-            span.set_attr("trials_run", done)
-            span.set_attr("stopped_early", done < trials)
-        return self._result(counts, done, trials)
+        return self._run_counted(task, trials, self.check_interval)
 
     def estimate(
         self,
@@ -349,7 +381,7 @@ class TrialEngine:
             trial, trials=trials, seed=seed, label=label, channels=2
         ).pair
 
-    # -- vectorised batch mode ---------------------------------------------
+    # -- vectorised batches ------------------------------------------------
 
     def run_batched(
         self,
@@ -368,8 +400,9 @@ class TrialEngine:
         batch whose generator matches the pre-engine per-point generator,
         reproducing historical results exactly; with a tolerance the
         partition defaults to ``check_interval``-sized batches so stopping
-        has checkpoints.  Results depend on the partition but never on the
-        executor.
+        has checkpoints, ``checkpoint_batches`` of them per check: enough
+        for a pool to chew on in parallel.  Results depend on the
+        partition but never on the executor.
         """
         check_positive_int(trials, "trials", minimum=0)
         check_positive_int(channels, "channels")
@@ -378,7 +411,6 @@ class TrialEngine:
         if batch_size is None:
             batch_size = trials if self.tolerance is None else self.check_interval
         check_positive_int(batch_size, "batch_size")
-        total_batches = -(-trials // batch_size)
         task = TrialTask(
             seed=seed,
             label=label,
@@ -387,52 +419,11 @@ class TrialEngine:
             batch_size=batch_size,
             total_trials=trials,
         )
-        counts = [0] * channels
-        done = 0
-        next_batch = 0
-        with self.tracer.span(
-            "engine",
-            mode="batches",
-            label=label,
-            trials=trials,
-            seed=seed,
-            batch_size=batch_size,
-        ) as span:
-            self.executor.start(task)
-            try:
-                while next_batch < total_batches:
-                    if self.tolerance is None:
-                        last = total_batches
-                    else:
-                        # Dispatch a fixed-size group of batches per checkpoint:
-                        # enough for a pool to chew on in parallel, while the
-                        # stopping decision stays a function of configuration
-                        # alone (never of the executor).
-                        last = min(
-                            next_batch + self.checkpoint_batches, total_batches
-                        )
-                    with self.tracer.span(
-                        "backend.call",
-                        mode="batches",
-                        low=next_batch,
-                        high=last,
-                        executor=type(self.executor).__name__,
-                    ):
-                        chunk = self.executor.run_batches(task, next_batch, last)
-                    for channel, value in enumerate(chunk):
-                        counts[channel] += value
-                    done = min(last * batch_size, trials)
-                    next_batch = last
-                    self._trace_ci_check(span, counts, done)
-                    if self._within_tolerance(counts, done):
-                        break
-            finally:
-                self.executor.finish()
-            span.set_attr("trials_run", done)
-            span.set_attr("stopped_early", done < trials)
-        return self._result(counts, done, trials)
+        return self._run_counted(
+            task, trials, self.checkpoint_batches, batch_size=batch_size
+        )
 
-    # -- collect mode ------------------------------------------------------
+    # -- collected values --------------------------------------------------
 
     def map(
         self,
@@ -452,18 +443,5 @@ class TrialEngine:
         if trials == 0:
             return []
         task = TrialTask(seed=seed, label=label, indexed_trial=trial)
-        with self.tracer.span(
-            "engine", mode="collect", label=label, trials=trials, seed=seed
-        ):
-            self.executor.start(task)
-            try:
-                with self.tracer.span(
-                    "backend.call",
-                    mode="collect",
-                    low=0,
-                    high=trials,
-                    executor=type(self.executor).__name__,
-                ):
-                    return self.executor.run_collect(task, 0, trials)
-            finally:
-                self.executor.finish()
+        with self._engine_run(task, trials):
+            return self._call(task, 0, trials)

@@ -15,7 +15,7 @@ invariants make every backend interchangeable:
 2. **Aggregation is exact integer counting.**  Backends return per-channel
    success *counts* over an index range; integer addition is associative
    and exact, so any partition of the range sums to the same totals.
-3. **Collected values keep index order.**  The collect mode returns one
+3. **Collected values keep index order.**  A collect task returns one
    value per trial in trial-index order regardless of which worker
    produced it.
 
@@ -23,6 +23,12 @@ That contract is what lets the result store exclude transport options
 (``jobs``, worker addresses) from its cache keys.  Tasks reach pool and
 remote workers *by pickling*; a task whose callables cannot be pickled
 (an ad-hoc closure) runs in-process — exact, just not parallel.
+
+There are three *kinds* of task — scalar trials, vectorised batches,
+collected values — and the :class:`TrialTask` alone knows which it is:
+:meth:`TrialTask.run_range` picks the kernel and :meth:`TrialTask.merge`
+combines partial results, so every backend is one ``run(task, start,
+stop)`` that splits a range, calls the first and feeds the second.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.util.rng import RandomSource, derive_seed
 from repro.util.validation import check_positive_int
@@ -52,9 +58,11 @@ BatchFunction = Callable[[Any, int], Sequence[int]]
 class TrialTask:
     """A self-describing unit of Monte-Carlo work.
 
-    Exactly one of the three callables is set; the executors dispatch on
-    which.  ``seed``/``label`` root the deterministic stream tree and
-    ``channels`` sizes the success-count vector.
+    Exactly one of the three callables is set, and it fixes the task's
+    kind (:attr:`mode`): how a range of it runs (:meth:`run_range`) and
+    how partial results combine (:meth:`merge`).  ``seed``/``label`` root
+    the deterministic stream tree and ``channels`` sizes the
+    success-count vector.
     """
 
     seed: int
@@ -68,6 +76,59 @@ class TrialTask:
     #: batch's stream) never depends on the executor.
     batch_size: int = 0
     total_trials: int = 0
+
+    def __post_init__(self) -> None:
+        callables = (self.trial, self.indexed_trial, self.batch)
+        given = sum(function is not None for function in callables)
+        if given != 1:
+            raise ValueError(
+                "a TrialTask sets exactly one of trial / indexed_trial / "
+                f"batch, got {given}"
+            )
+
+    @property
+    def mode(self) -> str:
+        """The task's kind: ``counts``, ``batches`` or ``collect``."""
+        if self.trial is not None:
+            return "counts"
+        return "batches" if self.batch is not None else "collect"
+
+    @property
+    def trials_per_unit(self) -> int:
+        """Trials behind one range index: a whole batch, or one trial."""
+        return max(1, self.batch_size) if self.batch is not None else 1
+
+    def run_range(self, low: int, high: int) -> List[Any]:
+        """Run units ``[low, high)`` — trial indices, or batch indices.
+
+        Per-channel success counts, or one value per trial in index
+        order for a collect task.
+        """
+        if self.trial is not None:
+            return run_count_range(self, low, high)
+        if self.batch is not None:
+            return run_batch_range(self, low, high)
+        return run_collect_range(self, low, high)
+
+    def merge(self, parts: Iterable[Sequence[Any]]) -> List[Any]:
+        """Combine :meth:`run_range` results of consecutive ranges.
+
+        Counts add channel by channel (exact integers, so any partition
+        of a range gives the same totals); collected values concatenate
+        in the order given.
+        """
+        if self.indexed_trial is not None:
+            return [value for part in parts for value in part]
+        counts = [0] * self.channels
+        for part in parts:
+            if len(part) != self.channels:
+                raise ValueError(
+                    f"partial result has {len(part)} channel(s), "
+                    f"expected {self.channels}"
+                )
+            for channel, value in enumerate(part):
+                counts[channel] += int(value)
+        return counts
 
 
 def trial_source(seed: int, label: str, index: int) -> RandomSource:
@@ -148,20 +209,11 @@ def run_batch_range(task: TrialTask, first: int, last: int) -> List[int]:
     return counts
 
 
-#: The capability flags every backend class declares (and
-#: :func:`repro.backends.list_backends` reports).
-CAPABILITY_FLAGS: Tuple[str, ...] = (
-    "supports_remote",
-    "supports_fault_tolerance",
-    "supports_elastic_membership",
-)
-
-
 class ExecutionBackend:
     """The one interface everything that runs Monte-Carlo work talks to.
 
     The trial engine, the sweep orchestrator, the daemon, the CLI and the
-    benchmarks all drive a backend through these nine methods; every
+    benchmarks all drive a backend through these seven methods; every
     implementation subclasses this class and is registered by name in
     :mod:`repro.backends.registry` (``serial``, ``process-pool``,
     ``distributed``).
@@ -171,27 +223,10 @@ class ExecutionBackend:
     — a worker pool, a set of TCP connections; a sweep opens its backend
     once and runs every point through it.  :meth:`start`/:meth:`finish`
     bracket one engine run (one :class:`TrialTask`).  The in-process
-    backend needs neither, so both pairs default to no-ops.  The three
-    ``run_*`` methods execute half-open spans of trial (or batch) indices
-    and return per-channel success counts, or index-ordered values in
-    collect mode.
+    backend needs neither, so both pairs default to no-ops.  :meth:`run`
+    executes a half-open span of the task's trial (or batch) indices and
+    returns what the task's own :meth:`~TrialTask.run_range` would have.
     """
-
-    # Capability flags are class attributes so callers (and ``repro
-    # backends list``) can introspect a backend without building it.
-
-    #: Whether spans execute outside this process's memory image.
-    supports_remote = False
-    #: Whether the backend survives worker failures mid-run: failed spans
-    #: are retried on surviving workers with results unchanged, instead of
-    #: failing fast and relying on ``repro sweep resume``.
-    supports_fault_tolerance = False
-    #: Whether the worker fleet can change *while a run is in flight*:
-    #: workers join (announce registry, hosts-file edits, pool respawn)
-    #: and leave (retire/drain) a running dispatch, and tripped circuit
-    #: breakers re-admit after cooldown — results unchanged, by the same
-    #: determinism contract.
-    supports_elastic_membership = False
 
     def open(self) -> "ExecutionBackend":  # pragma: no cover - trivial
         """Acquire long-lived resources (a worker pool); idempotent."""
@@ -209,13 +244,8 @@ class ExecutionBackend:
     def start(self, task: TrialTask) -> None:  # pragma: no cover - trivial
         """Prepare to run blocks of ``task`` (pool setup, etc.)."""
 
-    def run_counts(self, task: TrialTask, start: int, stop: int) -> List[int]:
-        raise NotImplementedError
-
-    def run_collect(self, task: TrialTask, start: int, stop: int) -> List[Any]:
-        raise NotImplementedError
-
-    def run_batches(self, task: TrialTask, first: int, last: int) -> List[int]:
+    def run(self, task: TrialTask, start: int, stop: int) -> List[Any]:
+        """``task.run_range(start, stop)``, computed however this backend does."""
         raise NotImplementedError
 
     def finish(self) -> None:  # pragma: no cover - trivial
@@ -225,14 +255,8 @@ class ExecutionBackend:
 class SerialExecutor(ExecutionBackend):
     """The reference backend: one in-process loop, no chunking."""
 
-    def run_counts(self, task: TrialTask, start: int, stop: int) -> List[int]:
-        return run_count_range(task, start, stop)
-
-    def run_collect(self, task: TrialTask, start: int, stop: int) -> List[Any]:
-        return run_collect_range(task, start, stop)
-
-    def run_batches(self, task: TrialTask, first: int, last: int) -> List[int]:
-        return run_batch_range(task, first, last)
+    def run(self, task: TrialTask, start: int, stop: int) -> List[Any]:
+        return task.run_range(start, stop)
 
 
 def _split_spans(start: int, stop: int, span: int) -> List[Tuple[int, int]]:
@@ -272,19 +296,10 @@ def fork_available() -> bool:
     return True
 
 
-def _shipped(args: Tuple[Callable[..., Any], bytes, int, int]) -> Any:
+def _shipped(args: Tuple[bytes, int, int]) -> List[Any]:
     """Worker side of the pool: unpickle the task, run one span of it."""
-    run_range, payload, low, high = args
-    return run_range(pickle.loads(payload), low, high)
-
-
-def _sum_counts(channels: int, parts: Sequence[Sequence[int]]) -> List[int]:
-    """Add per-span count vectors channel by channel (exact integers)."""
-    counts = [0] * channels
-    for part in parts:
-        for channel, value in enumerate(part):
-            counts[channel] += value
-    return counts
+    payload, low, high = args
+    return pickle.loads(payload).run_range(low, high)
 
 
 @dataclass
@@ -347,49 +362,34 @@ class SweepPoolExecutor(ExecutionBackend):
         if self._opened_by_start:
             self.close()
 
-    def _spans(self, start: int, stop: int) -> List[Tuple[int, int]]:
+    def _spans(
+        self, task: TrialTask, start: int, stop: int
+    ) -> List[Tuple[int, int]]:
+        # chunk_size counts trials; a batch task's unit is a whole batch.
+        trials = (stop - start) * task.trials_per_unit
         if self.chunk_size == "auto":
             # Imported lazily: the backends package imports this module.
             from repro.backends.autotune import suggest_chunk_size
 
-            span = suggest_chunk_size(
-                "process-pool", stop - start, workers=self.jobs
-            )
+            span = suggest_chunk_size("process-pool", trials, workers=self.jobs)
         elif self.chunk_size is not None:
             span = self.chunk_size
         else:
-            span = max(1, -(-(stop - start) // self.jobs))
-        return _split_spans(start, stop, span)
+            span = -(-trials // self.jobs)
+        return _split_spans(start, stop, max(1, span // task.trials_per_unit))
 
-    def _map(
-        self,
-        run_range: Callable[[TrialTask, int, int], Any],
-        task: TrialTask,
-        spans: List[Tuple[int, int]],
-    ) -> List[Any]:
-        """One ``run_range`` result per span, in span order.
+    def run(self, task: TrialTask, start: int, stop: int) -> List[Any]:
+        """One ``run_range`` result per span, merged in span order.
 
         Spans ship to the pool with the pickled task and their results
         come back through ``pool.map``; without a pool (no ``fork``) or
         for an unpicklable task they run here instead.
         """
+        spans = self._spans(task, start, stop)
         if self._pool is None or self._payload is None:
-            return [run_range(task, low, high) for low, high in spans]
-        return self._pool.map(
-            _shipped,
-            [(run_range, self._payload, low, high) for low, high in spans],
-        )
-
-    def run_counts(self, task: TrialTask, start: int, stop: int) -> List[int]:
-        parts = self._map(run_count_range, task, self._spans(start, stop))
-        return _sum_counts(task.channels, parts)
-
-    def run_collect(self, task: TrialTask, start: int, stop: int) -> List[Any]:
-        parts = self._map(run_collect_range, task, self._spans(start, stop))
-        return [value for part in parts for value in part]
-
-    def run_batches(self, task: TrialTask, first: int, last: int) -> List[int]:
-        # One span per batch: the batch is the unit the engine partitioned
-        # the run into, so chunk_size (in trials) does not apply.
-        parts = self._map(run_batch_range, task, _split_spans(first, last, 1))
-        return _sum_counts(task.channels, parts)
+            parts = [task.run_range(low, high) for low, high in spans]
+        else:
+            parts = self._pool.map(
+                _shipped, [(self._payload, low, high) for low, high in spans]
+            )
+        return task.merge(parts)

@@ -154,10 +154,8 @@ class EngineSettings:
     ``backend`` optionally pins an execution backend
     (:class:`~repro.backends.base.BackendSpec`) for the whole scenario —
     a run-time ``--backend`` flag or orchestrator argument still wins.
-    By the same contract a backend never changes results either, so only
-    its *semantically meaningful* options (see
-    :meth:`BackendSpec.cache_fields`; none, for every built-in backend)
-    ever reach a cache key, and ``to_dict`` omits the field entirely
+    By the same contract a backend never changes results either, so it
+    never reaches a cache key, and ``to_dict`` omits the field entirely
     when unset so pre-backend stores stay valid byte-for-byte.
     """
 

@@ -185,20 +185,11 @@ def point_cache_key(
     per-point tolerance (after any schedule), not the base.
     """
     engine_payload = spec.engine.to_dict()
-    # A pinned execution backend reaches the key only through its
-    # *semantically meaningful* options (BackendSpec.cache_fields) — by
-    # the determinism contract transport topology (jobs, workers,
-    # chunking) never changes results, and no built-in backend declares
-    # any semantic option, so the engine payload here is byte-identical
+    # A pinned execution backend never reaches the key: by the
+    # determinism contract transport topology (jobs, workers, chunking)
+    # never changes results, so the engine payload here is byte-identical
     # to the pre-backend format and existing stores stay valid.
     engine_payload.pop("backend", None)
-    if spec.engine.backend is not None:
-        semantic = spec.engine.backend.cache_fields()
-        if semantic:
-            engine_payload["backend"] = {
-                "name": spec.engine.backend.name,
-                **semantic,
-            }
     payload = {
         "kind": spec.kind,
         "params": {**spec.fixed, **point_values},

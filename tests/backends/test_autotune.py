@@ -21,7 +21,7 @@ from repro.backends import (
 )
 from repro.backends.autotune import DEFAULT_RATE, MIN_SPANS_PER_WORKER
 from repro.experiments.engine import TrialEngine
-from repro.experiments.executors import SweepPoolExecutor
+from repro.experiments.executors import SweepPoolExecutor, TrialTask
 
 
 def bernoulli_trial(rng):
@@ -44,7 +44,8 @@ def bench_dir(tmp_path, monkeypatch):
 
 def auto_span_count() -> int:
     """Spans the process-pool ``"auto"`` lane carves 10^6 trials into."""
-    return len(SweepPoolExecutor(jobs=2, chunk_size="auto")._spans(0, 10**6))
+    task = TrialTask(seed=1, label="auto", trial=bernoulli_trial)
+    return len(SweepPoolExecutor(jobs=2, chunk_size="auto")._spans(task, 0, 10**6))
 
 
 #: The partition ``DEFAULT_RATE`` gives at the pool's 0.2 s target; a

@@ -15,12 +15,15 @@ from repro.backends.wire import (
     PROTOCOL_VERSION,
     WORKER_ROLE,
     ProtocolError,
+    decode_blob,
+    encode_blob,
     parse_address,
     recv_message,
     request,
     send_message,
 )
 from repro.experiments.engine import TrialEngine
+from repro.experiments.executors import TrialTask
 
 
 def bernoulli_trial(rng):
@@ -95,8 +98,8 @@ class TestWire:
         try:
             reply = request(connection, {"op": "hello"})
             assert reply["role"] == WORKER_ROLE
-            assert reply["protocol"] == PROTOCOL_VERSION
-            assert set(reply["modes"]) == {"counts", "batches", "collect"}
+            assert reply["protocol"] == PROTOCOL_VERSION == 2
+            assert "modes" not in reply  # the loaded task knows its kind
         finally:
             connection.close()
 
@@ -106,13 +109,21 @@ class TestWire:
             with pytest.raises(RuntimeError, match="unknown op"):
                 request(connection, {"op": "fly"})
             with pytest.raises(RuntimeError, match="no task loaded"):
-                request(
-                    connection,
-                    {"op": "run", "mode": "counts", "start": 0, "stop": 1},
-                )
-            # The connection survives both failures.
+                request(connection, {"op": "run", "start": 0, "stop": 1})
+            # A pickle that is not a TrialTask fails the load, not a span.
+            with pytest.raises(RuntimeError, match="must be a pickled TrialTask"):
+                request(connection, {"op": "task", "task": encode_blob({"x": 1})})
+            # The connection survives all three failures.
             assert request(connection, {"op": "ping"})["ok"]
-            assert worker.failures == 2
+            assert worker.failures == 3
+            # The loaded task decides what a span is: a stale ``mode``
+            # field that disagrees with it is not read.
+            task = TrialTask(seed=5, label="wire", indexed_trial=indexed_measure)
+            request(connection, {"op": "task", "task": encode_blob(task)})
+            reply = request(
+                connection, {"op": "run", "mode": "counts", "start": 0, "stop": 3}
+            )
+            assert decode_blob(reply["values"]) == task.run_range(0, 3)
         finally:
             connection.close()
 

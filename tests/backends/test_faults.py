@@ -656,7 +656,7 @@ class TestElasticMembershipProperty:
 
 class TestRandomFaultPlansProperty:
     """Satellite property: any seedable plan leaving ≥ 1 worker alive
-    yields ``run_counts``/``run_batches`` totals equal to a no-fault run."""
+    yields ``backend.run`` totals equal to a no-fault run."""
 
     WORKERS = 3
 

@@ -240,7 +240,7 @@ class TestServeShutdown:
 
             send_message(
                 connection,
-                {"op": "run", "mode": "counts", "start": 0, "stop": 1},
+                {"op": "run", "start": 0, "stop": 1},
             )
             time.sleep(0.2)  # let the handler enter its 30s sleep
             started = time.monotonic()

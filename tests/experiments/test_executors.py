@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.backends import DistributedBackend, WorkerServer
 from repro.backends.pool import _worker_environment
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import (
@@ -47,6 +48,48 @@ def counting_batch(generator, count):
 
 def indexed_measure(index, rng):
     return (index, round(rng.random(), 6))
+
+
+def kind_task(mode, units):
+    """One task of each kind over ``units`` range units."""
+    if mode == "counts":
+        return TrialTask(seed=13, label="part", channels=2, trial=paired_trial)
+    if mode == "collect":
+        return TrialTask(seed=13, label="part", indexed_trial=indexed_measure)
+    return TrialTask(  # batches of 3 trials, the last a trial short
+        seed=13,
+        label="part",
+        batch=counting_batch,
+        batch_size=3,
+        total_trials=max(0, 3 * units - 1),
+    )
+
+
+KINDS = ("counts", "batches", "collect")
+
+
+class TestTaskKind:
+    """The task owns its kind: set at construction, never a second opinion."""
+
+    @pytest.mark.parametrize("mode", KINDS)
+    def test_mode_follows_the_callable(self, mode):
+        assert kind_task(mode, 4).mode == mode
+
+    @pytest.mark.parametrize(
+        "callables",
+        [
+            {},
+            {"trial": bernoulli_trial, "batch": counting_batch},
+            {"trial": bernoulli_trial, "indexed_trial": indexed_measure},
+        ],
+    )
+    def test_not_exactly_one_kind_fails_at_construction(self, callables):
+        with pytest.raises(ValueError, match="exactly one of"):
+            TrialTask(seed=1, label="bad", **callables)
+
+    def test_merge_rejects_a_part_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="3 channel"):
+            kind_task("counts", 1).merge([[1, 2], [1, 2, 3]])
 
 
 class TestJobsExceedTrials:
@@ -142,26 +185,36 @@ class TestIndivisibleChunks:
         )
         assert [chunked] == run_count_range(task, 0, trials)
 
-    @given(st.lists(st.integers(0, 12), min_size=1, max_size=6))
-    def test_any_partition_matches_the_single_span(self, lengths):
-        # Invariants (2) and (3) on the range functions every backend
+    @given(
+        st.sampled_from(KINDS),
+        st.lists(st.integers(0, 12), min_size=1, max_size=6),
+    )
+    def test_any_partition_matches_the_single_span(self, mode, lengths):
+        # Invariants (2) and (3) on the one range/merge pair every backend
         # shares; a 0 length is an empty span.
         bounds = [0, *itertools.accumulate(lengths)]
-        spans, n = list(zip(bounds, bounds[1:])), bounds[-1]
-        counts = TrialTask(seed=13, label="part", channels=2, trial=paired_trial)
-        collect = TrialTask(seed=13, label="part", indexed_trial=indexed_measure)
-        batches = TrialTask(  # n batches of 3 trials, the last a trial short
-            seed=13,
-            label="part",
-            batch=counting_batch,
-            batch_size=3,
-            total_trials=max(0, 3 * n - 1),
-        )
-        for run, task in ((run_count_range, counts), (run_batch_range, batches)):
-            parts = [run(task, low, high) for low, high in spans]
-            assert [sum(column) for column in zip(*parts)] == run(task, 0, n)
-        parts = [run_collect_range(collect, low, high) for low, high in spans]
-        assert sum(parts, []) == run_collect_range(collect, 0, n)
+        task = kind_task(mode, bounds[-1])
+        parts = [task.run_range(low, high) for low, high in zip(bounds, bounds[1:])]
+        assert task.merge(parts) == task.run_range(0, bounds[-1])
+
+    @pytest.mark.parametrize("mode", KINDS)
+    def test_every_backend_runs_every_kind(self, mode):
+        task = kind_task(mode, 11)
+        reference = task.run_range(0, 11)
+        with WorkerServer() as server:
+            host, port = server.address
+            for backend in (
+                SerialExecutor(),
+                SweepPoolExecutor(jobs=2, chunk_size=4),
+                DistributedBackend([f"{host}:{port}"], chunk_size=4),
+            ):
+                with backend:
+                    backend.start(task)
+                    try:
+                        assert backend.run(task, 0, 11) == reference, backend
+                        assert backend.run(task, 5, 5) == task.merge([])
+                    finally:
+                        backend.finish()
 
     def test_sweep_pool_chunk_not_dividing(self):
         reference = TrialEngine().run(
@@ -193,14 +246,14 @@ def negative_corner_batch(generator, count):
 
 
 class FailingBatch:
-    """A picklable batch that dies on the worker mid-``run_batches``."""
+    """A picklable batch that dies on the worker mid-span."""
 
     def __call__(self, generator, count):
         raise RuntimeError("injected batch failure")
 
 
-class TestSharedMemoryLane:
-    """The pool's batch lane: per-batch counts back through ``pool.map``."""
+class TestPoolBatchLane:
+    """Batch tasks through the pool: per-span counts back through ``pool.map``."""
 
     def test_multi_channel_counts_fill_every_slot(self):
         reference = TrialEngine().run_batched(
@@ -222,7 +275,7 @@ class TestSharedMemoryLane:
             )
         assert result == reference
 
-    def test_adaptive_stopping_identical_across_lanes(self):
+    def test_adaptive_stopping_matches_serial(self):
         kwargs = dict(trials=1000, seed=21, label="tol", batch_size=50)
         reference = TrialEngine(tolerance=0.05).run_batched(
             counting_batch, **kwargs

@@ -62,8 +62,6 @@ class CollapsingExecutor(SerialExecutor):
     the same ``stats`` dict so partial backend stats can be asserted.
     """
 
-    supports_fault_tolerance = True
-
     def __init__(self, collapse_after_spans: int) -> None:
         self.collapse_after_spans = collapse_after_spans
         self.spans_served = 0
@@ -75,17 +73,9 @@ class CollapsingExecutor(SerialExecutor):
         self.spans_served += 1
         self.stats["spans_total"] += 1
 
-    def run_counts(self, task, start, stop):
+    def run(self, task, start, stop):
         self._maybe_collapse()
-        return super().run_counts(task, start, stop)
-
-    def run_collect(self, task, start, stop):
-        self._maybe_collapse()
-        return super().run_collect(task, start, stop)
-
-    def run_batches(self, task, first, last):
-        self._maybe_collapse()
-        return super().run_batches(task, first, last)
+        return super().run(task, start, stop)
 
 
 class TestFallbackLadder:
@@ -192,13 +182,13 @@ class CancellableExecutor(SerialExecutor):
         self._cancelled.set()
         return True
 
-    def run_counts(self, task, start, stop):
+    def run(self, task, start, stop):
         index = self.spans_served
         self.spans_served += 1
         if index == self.hang_on_span and not self._cancelled.is_set():
             assert self._cancelled.wait(timeout=30.0), "watchdog never fired"
             raise self._error
-        return super().run_counts(task, start, stop)
+        return super().run(task, start, stop)
 
 
 class TestWatchdog:

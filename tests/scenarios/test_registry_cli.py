@@ -627,8 +627,9 @@ class TestCli:
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines() if line[:1].strip()]
         assert listed == ["distributed", "process-pool", "serial"]
-        assert "remote" in out
+        # What a backend can do is said once, in its description.
         assert "elastic" in out
+        assert "[remote" not in out
 
     def test_figures_backend_flag(self, tmp_path, capsys):
         # A figure's table is the same text on every backend.
