@@ -13,15 +13,15 @@ from repro.cloud import CloudStore
 from repro.core import DataReceiver, DataSender, ReleaseTimeline
 from repro.core.protocol import ProtocolContext, install_holders
 from repro.dht import build_network
-from repro.sim.trace import TraceRecorder
+from repro.obs.sink import ListSink
 from repro.util import RandomSource
 
 
 def main() -> None:
     # 1. Stand up a 200-node overlay on a deterministic event loop.
-    trace = TraceRecorder()
+    trace = ListSink()
     overlay = build_network(200, seed=7, trace=trace)
-    context = ProtocolContext(network=overlay.network, trace=trace)
+    context = ProtocolContext(network=overlay.network)
     install_holders(overlay, context)
 
     # 2. Alice and Bob own two of the overlay's nodes.
@@ -61,10 +61,11 @@ def main() -> None:
           f"(release time was {timeline.release_time:.0f}s)\n")
 
     # 6. A peek at the protocol timeline.
-    holder_events = trace.filter("holder")
+    holder_events = [event for event in trace.records if event["name"] == "holder"]
     print("onion progress (first 8 holder events):")
     for event in holder_events[:8]:
-        print(f"  {event}")
+        message = event["attrs"]["message"]
+        print(f"  [t={event['t']:12.3f}] {event['name']:>18}: {message}")
 
 
 if __name__ == "__main__":

@@ -111,6 +111,7 @@ from repro.backends.wire import (
     decode_blob,
     encode_blob,
     fetch_worker_stats,
+    handshake,
     parse_address,
     probe_worker,
     request,
@@ -238,12 +239,7 @@ class _Worker:
                 f"cannot reach worker {self.address}: {error}"
             ) from error
         try:
-            hello = request(sock, {"op": "hello"})
-            if hello.get("role") != WORKER_ROLE:
-                raise ConnectionError(
-                    f"{self.address} is not a repro worker "
-                    f"(role {hello.get('role')!r})"
-                )
+            handshake(sock, WORKER_ROLE)
         except BaseException:
             sock.close()
             raise

@@ -56,6 +56,7 @@ from typing import Callable, List, Optional, Set, Tuple
 
 from repro.backends.wire import (
     PROTOCOL_VERSION,
+    handshake,
     parse_address,
     probe_worker,
     recv_message,
@@ -284,13 +285,9 @@ def _describe_occupant(
     """
     try:
         with socket.create_connection((host, port), timeout=timeout) as sock:
-            sock.settimeout(timeout)
-            hello = request(sock, {"op": "hello"})
+            return handshake(sock, REGISTRY_ROLE)
     except (OSError, ConnectionError, RuntimeError, ValueError):
         return None
-    if hello.get("role") != REGISTRY_ROLE:
-        return None
-    return hello
 
 
 def _registry_request(
@@ -299,13 +296,7 @@ def _registry_request(
     """One framed round trip to a driver registry, role-checked."""
     host, port = parse_address(registry_address)
     with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        hello = request(sock, {"op": "hello"})
-        if hello.get("role") != REGISTRY_ROLE:
-            raise ConnectionError(
-                f"{registry_address} is not a repro driver registry "
-                f"(role {hello.get('role')!r})"
-            )
+        handshake(sock, REGISTRY_ROLE)
         return request(sock, payload)
 
 

@@ -80,7 +80,7 @@ import socket
 import struct
 from typing import Any, Callable, Dict, Optional
 
-#: Bumped on incompatible message-vocabulary changes; ``hello`` reports it.
+#: Bumped on incompatible message-vocabulary changes; :func:`handshake` checks it.
 PROTOCOL_VERSION = 2
 
 #: The server role string ``hello`` replies carry, so a client can tell a
@@ -239,6 +239,23 @@ def request(
             message += f"\nremote traceback:\n{remote_traceback}"
         raise RuntimeError(message)
     return reply
+
+
+def handshake(sock: socket.socket, role: str) -> Dict[str, Any]:
+    """The client half of ``hello``; returns the peer's reply.
+
+    A peer of another role or :data:`PROTOCOL_VERSION` is refused here, at
+    connect, not mid-sweep on a frame it no longer understands.
+    """
+    hello = request(sock, {"op": "hello"})
+    if (hello.get("role"), hello.get("protocol")) != (role, PROTOCOL_VERSION):
+        host, port = sock.getpeername()[:2]
+        raise ConnectionError(
+            f"{host}:{port} is not a {role.replace('-', ' ')} on wire protocol "
+            f"{PROTOCOL_VERSION} (its hello says role {hello.get('role')!r}, "
+            f"protocol {hello.get('protocol')!r})"
+        )
+    return hello
 
 
 async def send_message_async(writer, payload: Dict[str, Any]) -> None:

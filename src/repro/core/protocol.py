@@ -49,7 +49,6 @@ from repro.crypto.shamir import Share, combine_shares
 from repro.dht.kademlia import KademliaNode
 from repro.dht.node_id import NodeId
 from repro.dht.rpc import Deliver
-from repro.sim.trace import TraceRecorder
 
 ATTACK_NONE = "none"
 ATTACK_RELEASE_AHEAD = "release-ahead"
@@ -64,11 +63,10 @@ MULTIPATH_ROW = 0
 class ProtocolContext:
     """Shared state for one protocol deployment on an overlay."""
 
-    network: object  # SimulatedNetwork
+    network: object  # SimulatedNetwork; its ``tracer`` records the holders' steps
     population: Optional[SybilPopulation] = None
     pool: CollusionPool = field(default_factory=CollusionPool)
     attack_mode: str = ATTACK_NONE
-    trace: TraceRecorder = field(default_factory=lambda: TraceRecorder(enabled=False))
     resolve_targets: bool = False  # key-share mode: re-resolve hop ids
 
     def is_malicious(self, node_id: NodeId) -> bool:
@@ -102,9 +100,11 @@ class HolderService:
                 # A dropping holder swallows onions and shares.  It still
                 # accepts layer keys: refusing those would not help it, and
                 # the leak above already recorded them.
-                if self.context.trace.enabled:
-                    self.context.trace.record(
-                        now, "attack", f"{self.node.node_id} dropped {channel} package"
+                tracer = self.context.network.tracer
+                if tracer.enabled:
+                    tracer.event(
+                        "attack",
+                        message=f"{self.node.node_id} dropped {channel} package",
                     )
                 return
 
@@ -166,11 +166,11 @@ class HolderService:
         del self._pending[(key_id, row)]
         self._processed.add((key_id, row))
         now = self.context.network.loop.clock.now
-        if self.context.trace.enabled:
-            self.context.trace.record(
-                now,
+        tracer = self.context.network.tracer
+        if tracer.enabled:
+            tracer.event(
                 "holder",
-                f"{self.node.node_id} peeled column {layer.column} (row {row})",
+                message=f"{self.node.node_id} peeled column {layer.column} (row {row})",
                 column=layer.column,
             )
         if self.context.is_malicious(self.node.node_id):
@@ -212,8 +212,7 @@ class HolderService:
     # -- forwarding ---------------------------------------------------------------
 
     def _schedule_forward(self, key_id: bytes, row: int, layer) -> None:
-        context = self.context
-        network = context.network
+        network = self.context.network
         forward_at = max(layer.forward_at, network.loop.clock.now)
         shares = layer.forward_shares
         hops = layer.next_hops
@@ -224,21 +223,22 @@ class HolderService:
 
         def forward() -> None:
             if not network.is_online(self.node.node_id):
-                context.trace.record(
-                    network.loop.clock.now,
-                    "holder",
-                    f"{self.node.node_id} dead/offline at forward time; "
-                    "package lost",
-                )
+                if network.tracer.enabled:
+                    network.tracer.event(
+                        "holder",
+                        message=f"{self.node.node_id} dead/offline at forward "
+                        "time; package lost",
+                    )
                 return
             for index, hop_bytes in enumerate(hops):
                 target = self._resolve(NodeId.from_bytes(hop_bytes))
                 if target is None:
-                    context.trace.record(
-                        network.loop.clock.now,
-                        "holder",
-                        f"{self.node.node_id} found no live node for hop {index}",
-                    )
+                    if network.tracer.enabled:
+                        network.tracer.event(
+                            "holder",
+                            message=f"{self.node.node_id} found no live node "
+                            f"for hop {index}",
+                        )
                     continue
                 if shares:
                     # Key-share routing: the onion follows its own row; the
@@ -285,12 +285,12 @@ class HolderService:
 
         def deliver_secret() -> None:
             if not network.is_online(self.node.node_id):
-                context.trace.record(
-                    network.loop.clock.now,
-                    "holder",
-                    f"terminal holder {self.node.node_id} dead/offline at "
-                    "release time; copy lost",
-                )
+                if network.tracer.enabled:
+                    network.tracer.event(
+                        "holder",
+                        message=f"terminal holder {self.node.node_id} dead/offline "
+                        "at release time; copy lost",
+                    )
                 return
             package = SecretPackage(key_id=key_id, secret=core.secret)
             self._deliver(receiver, package)

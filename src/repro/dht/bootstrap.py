@@ -17,14 +17,14 @@ so :func:`build_network` offers two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.dht.kademlia import KademliaNode
 from repro.dht.network import SimulatedNetwork
 from repro.dht.node_id import NodeId, unique_random_ids
+from repro.obs.trace import Tracer
 from repro.sim.event_loop import EventLoop
 from repro.sim.latency import LatencyModel
-from repro.sim.trace import TraceRecorder
 from repro.util.rng import RandomSource
 from repro.util.validation import check_positive_int
 
@@ -59,7 +59,7 @@ def build_network(
     bucket_size: int = 20,
     contacts_per_node: int = 24,
     latency: Optional[LatencyModel] = None,
-    trace: Optional[TraceRecorder] = None,
+    trace: Optional[Any] = None,
 ) -> Overlay:
     """Create an overlay of ``size`` nodes with converged routing tables.
 
@@ -76,16 +76,21 @@ def build_network(
     contacts_per_node:
         In fast mode, how many random peers each node learns in addition to
         its nearest neighbours.
+    trace:
+        A sink (e.g. :class:`~repro.obs.sink.JsonlSink`) for the overlay's and
+        its holders' events, stamped with the loop's virtual time.
     """
     check_positive_int(size, "size")
     rng = RandomSource(seed, label="overlay")
     loop = EventLoop()
-    network = SimulatedNetwork(loop, latency=latency, trace=trace)
+    network = SimulatedNetwork(loop, latency=latency)
+    if trace is not None:
+        network.tracer = Tracer(trace, clock=lambda: loop.clock.now)
 
     ids = unique_random_ids(rng.fork("ids"), size)
     nodes: Dict[NodeId, KademliaNode] = {}
     for node_id in ids:
-        node = KademliaNode(node_id, network, bucket_size=bucket_size, trace=trace)
+        node = KademliaNode(node_id, network, bucket_size=bucket_size)
         nodes[node_id] = node
         network.register(node)
 

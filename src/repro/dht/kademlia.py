@@ -34,7 +34,6 @@ from repro.dht.rpc import (
 )
 from repro.dht.routing_table import RoutingTable
 from repro.dht.storage import ValueStore
-from repro.sim.trace import TraceRecorder
 
 DEFAULT_REPLICATION = 20  # Kademlia's k
 DEFAULT_CONCURRENCY = 3  # Kademlia's alpha
@@ -68,7 +67,6 @@ class KademliaNode:
         network,
         bucket_size: int = DEFAULT_REPLICATION,
         concurrency: int = DEFAULT_CONCURRENCY,
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.node_id = node_id
         self.network = network
@@ -76,7 +74,6 @@ class KademliaNode:
         self.store = ValueStore(network.loop.clock)
         self.bucket_size = bucket_size
         self.concurrency = max(1, concurrency)
-        self.trace = trace if trace is not None else network.trace
         self.deliver_handler: Optional[DeliverHandler] = None
         self.delivered_payloads: List[Tuple[str, bytes]] = []
 

@@ -27,9 +27,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.dht.node_id import NodeId
 from repro.dht.rpc import Request, Response, describe
+from repro.obs.trace import NULL_TRACER
 from repro.sim.event_loop import EventLoop
 from repro.sim.latency import ConstantLatency, LatencyModel
-from repro.sim.trace import TraceRecorder
 
 
 class Liveness(Enum):
@@ -58,11 +58,10 @@ class SimulatedNetwork:
         self,
         loop: EventLoop,
         latency: Optional[LatencyModel] = None,
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.loop = loop
         self.latency = latency if latency is not None else ConstantLatency(0.05)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
+        self.tracer = NULL_TRACER  # build_network(trace=sink) installs a live one
         self._nodes: Dict[NodeId, object] = {}
         self._liveness: Dict[NodeId, Liveness] = {}
         self.rpc_count = 0
@@ -104,7 +103,8 @@ class SimulatedNetwork:
         if self._liveness[node_id] is Liveness.DEAD:
             raise ValueError(f"node {node_id} is dead and cannot go offline")
         self._liveness[node_id] = Liveness.OFFLINE
-        self.trace.record(self.loop.clock.now, "churn", f"node {node_id} offline")
+        if self.tracer.enabled:
+            self.tracer.event("churn", message=f"node {node_id} offline")
 
     def set_online(self, node_id: NodeId) -> None:
         """Rejoin after a transient departure."""
@@ -112,7 +112,8 @@ class SimulatedNetwork:
         if self._liveness[node_id] is Liveness.DEAD:
             raise ValueError(f"node {node_id} is dead and cannot rejoin")
         self._liveness[node_id] = Liveness.ONLINE
-        self.trace.record(self.loop.clock.now, "churn", f"node {node_id} online")
+        if self.tracer.enabled:
+            self.tracer.event("churn", message=f"node {node_id} online")
 
     def kill(self, node_id: NodeId) -> None:
         """Permanent death: the node's stored data is wiped (paper §II-C)."""
@@ -122,7 +123,8 @@ class SimulatedNetwork:
         wipe = getattr(node, "wipe_storage", None)
         if wipe is not None:
             wipe()
-        self.trace.record(self.loop.clock.now, "churn", f"node {node_id} died")
+        if self.tracer.enabled:
+            self.tracer.event("churn", message=f"node {node_id} died")
 
     def online_ids(self) -> Tuple[NodeId, ...]:
         return tuple(
@@ -146,11 +148,9 @@ class SimulatedNetwork:
         node = self._nodes[target]
         response = node.handle_request(request)
         self.rpc_count += 1
-        if self.trace.enabled:
-            self.trace.record(
-                self.loop.clock.now,
-                "rpc",
-                f"{describe(request)} {request.sender} -> {target}",
+        if self.tracer.enabled:
+            self.tracer.event(
+                "rpc", message=f"{describe(request)} {request.sender} -> {target}"
             )
         return response, 2.0 * one_way
 
@@ -175,11 +175,10 @@ class SimulatedNetwork:
         def deliver() -> None:
             if not self.is_online(target):
                 self.dropped_sends += 1
-                if self.trace.enabled:
-                    self.trace.record(
-                        self.loop.clock.now,
+                if self.tracer.enabled:
+                    self.tracer.event(
                         "network",
-                        f"dropped {describe(request)} to {target} "
+                        message=f"dropped {describe(request)} to {target} "
                         f"({self._liveness[target].value})",
                     )
                 if on_failed is not None:
@@ -187,11 +186,11 @@ class SimulatedNetwork:
                 return
             node = self._nodes[target]
             response = node.handle_request(request)
-            if self.trace.enabled:
-                self.trace.record(
-                    self.loop.clock.now,
+            if self.tracer.enabled:
+                self.tracer.event(
                     "network",
-                    f"delivered {describe(request)} {request.sender} -> {target}",
+                    message=f"delivered {describe(request)} "
+                    f"{request.sender} -> {target}",
                 )
             if on_delivered is not None:
                 on_delivered(response)

@@ -4,12 +4,14 @@ Three pieces, one contract:
 
 - :mod:`repro.obs.trace` — an explicit-clock span tree
   (``sweep → point → engine → backend``) with typed point events
-  (``requeue``, ``breaker_trip``, ``join``, ``ci_check``, ...);
+  (``requeue``, ``breaker_trip``, ``join``, ``ci_check``, ...) — wall
+  seconds for a sweep, virtual seconds for a simulated overlay;
 - :mod:`repro.obs.metrics` — a registry of named counters / gauges /
   histograms with mergeable snapshots (worker-side telemetry merges into
   the driver's registry over the ``stats`` wire op);
 - :mod:`repro.obs.sink` — the schema-versioned JSONL trace file,
-  written line-buffered to a ``.tmp`` and atomically published on close.
+  written line-buffered to a ``.tmp`` and atomically published on close
+  (and an in-memory ``ListSink``).
 
 **The contract: observability is a pure side channel.**  Nothing in this
 package may change Monte-Carlo results, result-store cache keys, or
@@ -23,6 +25,7 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sink import (
     SCHEMA_VERSION,
     JsonlSink,
+    ListSink,
     TraceSchemaError,
     iter_trace,
     read_trace,
@@ -42,6 +45,7 @@ __all__ = [
     "MetricsRegistry",
     "SCHEMA_VERSION",
     "JsonlSink",
+    "ListSink",
     "TraceSchemaError",
     "iter_trace",
     "read_trace",

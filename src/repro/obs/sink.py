@@ -1,4 +1,4 @@
-"""The JSONL trace sink, and the event schema it writes.
+"""The trace sinks (JSONL on disk, a list in memory) and the event schema.
 
 One trace = one JSON object per line.  The first line is a ``meta``
 record carrying :data:`SCHEMA_VERSION`; every following line is a
@@ -186,6 +186,20 @@ def read_trace(
     to ``on_truncated``).
     """
     return [record for _, record in iter_trace(path, on_truncated)]
+
+
+class ListSink:
+    """In-memory sink: ``records`` holds every emitted record, in order."""
+
+    def __init__(self) -> None:
+        self.records: List[Dict[str, Any]] = []
+        self.closed = False
+
+    def emit(self, record: Dict[str, Any]) -> None:
+        self.records.append(record)
+
+    def close(self) -> None:
+        self.closed = True
 
 
 class JsonlSink:

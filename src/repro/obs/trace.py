@@ -14,9 +14,12 @@ a :class:`~repro.obs.sink.JsonlSink`):
   immediately.
 
 **Explicit clock.**  The tracer never calls ``time`` directly except
-through its ``clock`` callable (default ``time.perf_counter``), so tests
-— and simulated-time callers — inject a deterministic clock and get
-byte-stable traces.
+through its ``clock`` callable (default ``time.perf_counter``).  A sweep
+traces in wall seconds; ``build_network(trace=sink)`` passes the event
+loop's virtual clock, so the DHT and the protocol emit the same records
+in simulated seconds (events ``rpc``, ``network``, ``churn``, ``holder``,
+``attack``, each with a ``message`` attribute) — byte-stable, like any
+trace on a deterministic clock.
 
 **Parents.**  Within one thread, ``with tracer.span(...)`` maintains a
 thread-local stack, so nesting is automatic.  Work that crosses threads
@@ -134,10 +137,10 @@ class Tracer:
     ----------
     sink:
         Anything with ``emit(record: dict)`` and ``close()`` —
-        :class:`~repro.obs.sink.JsonlSink` in production, a list-backed
-        stub in tests.  ``None`` keeps records flowing to nowhere (the
-        tracer still tracks parents, which keeps instrumentation code
-        branch-free).
+        :class:`~repro.obs.sink.JsonlSink` on disk,
+        :class:`~repro.obs.sink.ListSink` in memory.  ``None`` keeps
+        records flowing to nowhere (the tracer still tracks parents,
+        which keeps instrumentation code branch-free).
     clock:
         The time source for every ``start``/``end``/``t`` field; must be
         monotonic for durations to mean anything.  Defaults to

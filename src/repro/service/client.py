@@ -2,9 +2,9 @@
 
 Plain blocking sockets over the shared wire framing — the CLI, the API
 façade, and tests talk to the asyncio daemon through these helpers.
-Every connection opens with a ``hello`` round trip and checks the
-:data:`~repro.service.server.SERVICE_ROLE`, so a client pointed at a
-worker or registry port gets a clear error instead of confusing frames.
+Every connection opens with :func:`~repro.backends.wire.handshake` for the
+:data:`~repro.service.server.SERVICE_ROLE`, so a client pointed at a worker or
+registry port, or at a stale daemon, gets a clear error, not confusing frames.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.backends.wire import (
     ProtocolError,
+    handshake,
     parse_address,
     recv_message,
     request,
@@ -29,13 +30,7 @@ def _connect(address: str, timeout: float) -> socket.socket:
     host, port = parse_address(address)
     sock = socket.create_connection((host, port), timeout=timeout)
     try:
-        sock.settimeout(timeout)
-        hello = request(sock, {"op": "hello"})
-        if hello.get("role") != SERVICE_ROLE:
-            raise ConnectionError(
-                f"{address} is not a repro sweep service "
-                f"(role {hello.get('role')!r})"
-            )
+        handshake(sock, SERVICE_ROLE)
     except BaseException:
         sock.close()
         raise

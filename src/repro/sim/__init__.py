@@ -6,12 +6,14 @@ events with a monotonically advancing virtual clock.  Determinism is total —
 events at the same timestamp fire in insertion order, and all randomness
 comes from :class:`~repro.util.rng.RandomSource` streams — so every test and
 experiment is exactly reproducible from its seed.
+
+Timelines are :mod:`repro.obs.trace` events: an overlay built with
+``build_network(trace=sink)`` stamps them with this loop's virtual clock.
 """
 
 from repro.sim.clock import Clock
 from repro.sim.event_loop import Event, EventLoop, ScheduledHandle
 from repro.sim.latency import ConstantLatency, LatencyModel, UniformLatency
-from repro.sim.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "EventLoop",
@@ -21,6 +23,4 @@ __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "UniformLatency",
-    "TraceRecorder",
-    "TraceEvent",
 ]

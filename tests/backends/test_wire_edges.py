@@ -14,18 +14,27 @@ import errno
 import json
 import socket
 import struct
+import threading
 import time
 
 import pytest
 
-from repro.backends import WorkerServer, probe_worker
+from repro.backends import DistributedBackend, WorkerServer, probe_worker
+from repro.backends.membership import REGISTRY_ROLE, _describe_occupant, announce_worker
 from repro.backends.wire import (
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+    WORKER_ROLE,
     ProtocolError,
     WireTimeout,
+    handshake,
+    parse_address,
     recv_message,
     request,
+    send_message,
 )
+from repro.service.client import submit_job
+from repro.service.server import SERVICE_ROLE
 
 
 @pytest.fixture()
@@ -179,8 +188,6 @@ class TestServerSideEdges:
         impostor = socket.create_server(("127.0.0.1", 0))
         host, port = impostor.getsockname()
 
-        import threading
-
         def accept_and_garbage():
             connection, _ = impostor.accept()
             with connection:
@@ -194,3 +201,81 @@ class TestServerSideEdges:
         finally:
             impostor.close()
             thread.join(timeout=2)
+
+
+class StalePeer:
+    """A server of one role that says ``hello`` at another protocol version.
+
+    Every op it is sent lands in ``ops``, so a test can assert the client
+    hung up before sending it any work.
+    """
+
+    def __init__(self, role, protocol=PROTOCOL_VERSION - 1):
+        self.hello = {"ok": True, "role": role, "protocol": protocol}
+        self.ops = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)  # so _serve notices _stop
+        self._stop = threading.Event()
+        self.address = "%s:%d" % self._listener.getsockname()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                connection, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            with connection:
+                connection.settimeout(5)
+                while (message := recv_message(connection)) is not None:
+                    self.ops.append(message["op"])
+                    reply = self.hello if message["op"] == "hello" else {"ok": True}
+                    send_message(connection, reply)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+        self._listener.close()
+
+
+class TestHandshake:
+    """A peer on another wire protocol is refused at connect, for every role."""
+
+    def test_stale_worker_is_refused_before_any_task_frame(self):
+        with StalePeer(WORKER_ROLE) as peer:
+            backend = DistributedBackend([peer.address], connect_timeout=5)
+            with pytest.raises(ConnectionError) as info:
+                backend.open()
+        message = str(info.value)  # names the address and both versions
+        assert message.startswith(f"{peer.address} is not a repro worker")
+        assert f"on wire protocol {PROTOCOL_VERSION} " in message
+        assert message.endswith(f"protocol {PROTOCOL_VERSION - 1})")
+        assert peer.ops == ["hello"]
+
+    def test_stale_registry_is_refused_before_any_announce_frame(self):
+        with StalePeer(REGISTRY_ROLE) as peer:
+            assert not announce_worker(peer.address, "127.0.0.1:1")
+            assert _describe_occupant(*parse_address(peer.address)) is None
+        assert peer.ops == ["hello", "hello"]
+
+    def test_stale_service_is_refused_before_any_submit_frame(self):
+        with StalePeer(SERVICE_ROLE) as peer:
+            with pytest.raises(ConnectionError, match="not a repro sweep service on"):
+                submit_job(peer.address, "smoke", timeout=5)
+        assert peer.ops == ["hello"]
+
+    def test_same_version_wrong_role_names_both_roles(self):
+        with StalePeer(REGISTRY_ROLE, protocol=PROTOCOL_VERSION) as peer:
+            address = parse_address(peer.address)
+            with socket.create_connection(address, timeout=5) as sock:
+                with pytest.raises(
+                    ConnectionError, match="not a repro worker .*role 'repro-registry'"
+                ):
+                    handshake(sock, WORKER_ROLE)
+                # ...and the matching role at the matching version passes.
+                assert handshake(sock, REGISTRY_ROLE)["protocol"] == PROTOCOL_VERSION

@@ -220,17 +220,21 @@ class TestAttacks:
 
 
 class TestDisabledTracing:
-    def test_disabled_tracing_formats_nothing(self, monkeypatch):
-        """With no recorder the RPC/deliver/peel path builds no trace text."""
+    @pytest.fixture(autouse=True)
+    def no_trace_text(self, monkeypatch):
+        """Any trace text built, or event emitted, fails the test."""
 
         def fail(*args, **kwargs):
             raise AssertionError("trace text built while tracing is disabled")
 
         monkeypatch.setattr("repro.dht.rpc.describe", fail)
         monkeypatch.setattr("repro.dht.network.describe", fail)
-        monkeypatch.setattr("repro.sim.trace.TraceRecorder.record", fail)
+        monkeypatch.setattr("repro.obs.trace.NullTracer.event", fail)
+
+    def test_disabled_tracing_formats_nothing(self):
+        """With no sink the RPC/deliver/peel path builds no trace text."""
         overlay, context, cloud, alice, bob = make_world()
-        assert not context.trace.enabled and not overlay.network.trace.enabled
+        assert not overlay.network.tracer.enabled
         timeline, result = send(alice, bob)
         overlay.loop.run()
         assert overlay.network.rpc_count > 0
@@ -238,3 +242,19 @@ class TestDisabledTracing:
             bob.decrypt_from_cloud(cloud, result.blob.blob_id, result.key_id)
             == MESSAGE
         )
+
+    def test_disabled_tracing_formats_nothing_on_the_loss_paths(self):
+        """Nor do churn and holders that die before their forward time."""
+        overlay, _, _, alice, bob = make_world(seed=84)
+        timeline, result = send(alice, bob, length=3, rows=5, threshold=3)
+        overlay.loop.run(until=50.0)  # column 1 holds its onions until t=100
+        column1 = [
+            alice.node.find_closest_online(target)
+            for target in result.structure.column(1)
+        ]
+        for victim in column1:
+            if victim is not None and victim != bob.node_id:
+                overlay.network.kill(victim)
+        overlay.loop.run()
+        # Every column-1 forward found its own holder dead: the key is lost.
+        assert not bob.has_key(result.key_id)

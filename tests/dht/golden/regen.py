@@ -26,8 +26,8 @@ from repro.core import DataReceiver, DataSender, ReleaseTimeline
 from repro.core.protocol import ProtocolContext, install_holders
 from repro.dht import build_network
 from repro.dht.node_id import NodeId
+from repro.obs.sink import ListSink
 from repro.sim.latency import UniformLatency
-from repro.sim.trace import TraceRecorder
 from repro.util import RandomSource
 
 GOLDEN = Path(__file__).with_name("lane_parity.json")
@@ -53,13 +53,14 @@ def tables_digest(overlay) -> str:
     return digest.hexdigest()
 
 
-def trace_digest(trace: TraceRecorder) -> str:
+def trace_digest(sink: ListSink) -> str:
+    """Time, name, message and the other attrs of every event, in order."""
     digest = hashlib.sha256()
-    for event in trace:
+    for event in sink.records:
+        details = dict(event["attrs"])
+        message = details.pop("message")
         digest.update(
-            repr(
-                (event.time, event.category, event.message, sorted(event.details.items()))
-            ).encode()
+            repr((event["t"], event["name"], message, sorted(details.items()))).encode()
         )
     return digest.hexdigest()
 
@@ -79,13 +80,15 @@ def lookup_pin(result, elapsed: bool = True) -> Dict[str, Any]:
     return pin
 
 
-def release(scheme: str, seed: int) -> Dict[str, Any]:
-    """One traced release in the shape of ``experiments.timeliness._run_one``."""
-    trace = TraceRecorder()
+def run_release(scheme: str, seed: int, trace: Optional[Any] = None):
+    """One release in the shape of ``experiments.timeliness._run_one``.
+
+    Returns the overlay and the pins a run has whether or not it is traced.
+    """
     latency = UniformLatency(0.001, 0.5, rng=RandomSource(seed, "lat"))
     overlay = build_network(100, seed=seed, latency=latency, trace=trace)
     context = ProtocolContext(
-        network=overlay.network, resolve_targets=(scheme == "share"), trace=trace
+        network=overlay.network, resolve_targets=(scheme == "share")
     )
     install_holders(overlay, context)
     alice = DataSender(
@@ -110,9 +113,7 @@ def release(scheme: str, seed: int) -> Dict[str, Any]:
         )
     overlay.loop.run(until=timeline.release_time + 60.0)
     arrival: Optional[float] = bob.release_time_of(result.key_id)
-    return {
-        "events": len(trace),
-        "trace": trace_digest(trace),
+    return overlay, {
         "rpc_count": overlay.network.rpc_count,
         "processed_count": overlay.loop.processed_count,
         "arrival": None if arrival is None else repr(arrival),
@@ -120,9 +121,16 @@ def release(scheme: str, seed: int) -> Dict[str, Any]:
     }
 
 
+def release(scheme: str, seed: int) -> Dict[str, Any]:
+    """The pins of one release traced to a :class:`ListSink`."""
+    trace = ListSink()
+    _, pin = run_release(scheme, seed, trace)
+    return {"events": len(trace.records), "trace": trace_digest(trace), **pin}
+
+
 def full_join() -> Dict[str, Any]:
     """Real bootstrap of 64 nodes, then one FIND_VALUE hit and one miss."""
-    trace = TraceRecorder()
+    trace = ListSink()
     overlay = build_network(64, seed=11, full_join=True, trace=trace)
     pin: Dict[str, Any] = {
         "rpc_count": overlay.network.rpc_count,

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.obs.sink import ListSink
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACER,
@@ -11,20 +12,6 @@ from repro.obs.trace import (
     Tracer,
     coerce_tracer,
 )
-
-
-class ListSink:
-    """Collects records in memory; the test double for JsonlSink."""
-
-    def __init__(self):
-        self.records = []
-        self.closed = False
-
-    def emit(self, record):
-        self.records.append(record)
-
-    def close(self):
-        self.closed = True
 
 
 class FakeClock:

@@ -1,9 +1,15 @@
-"""Latency models and trace recording."""
+"""Latency models, and the overlay's timeline on the virtual clock."""
 
 import pytest
 
+from repro.cloud import CloudStore
+from repro.core import DataReceiver, DataSender, ReleaseTimeline
+from repro.core.protocol import ProtocolContext, install_holders
+from repro.dht import build_network
+from repro.dht.rpc import Ping
+from repro.obs.sink import ListSink
+from repro.obs.trace import NULL_TRACER
 from repro.sim.latency import ConstantLatency, UniformLatency
-from repro.sim.trace import TraceEvent, TraceRecorder
 from repro.util.rng import RandomSource
 
 
@@ -38,50 +44,57 @@ class TestUniformLatency:
         assert [a.delay(0, 0) for _ in range(5)] == [b.delay(0, 0) for _ in range(5)]
 
 
-class TestTraceRecorder:
+class TestOverlayTrace:
+    """``build_network(trace=sink)``: ``obs.trace`` events at virtual times."""
+
     def test_record_and_filter(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "rpc", "ping sent")
-        trace.record(2.0, "churn", "node died")
-        trace.record(3.0, "rpc", "pong received")
-        assert len(trace) == 3
-        assert [e.message for e in trace.filter("rpc")] == [
-            "ping sent",
-            "pong received",
-        ]
+        sink = ListSink()
+        overlay = build_network(8, seed=3, trace=sink)
+        first, second, third = overlay.node_ids[:3]
+        overlay.network.rpc(Ping(sender=first), second)
+        overlay.network.kill(third)
+        overlay.network.rpc(Ping(sender=second), first)
+        assert [record["name"] for record in sink.records] == ["rpc", "churn", "rpc"]
+        assert [
+            record["attrs"]["message"]
+            for record in sink.records
+            if record["name"] == "rpc"
+        ] == [f"Ping {first} -> {second}", f"Ping {second} -> {first}"]
 
-    def test_first(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "a", "one")
-        trace.record(2.0, "a", "two")
-        assert trace.first("a").message == "one"
-        assert trace.first("missing") is None
+    def test_default_overlay_records_nothing(self):
+        overlay = build_network(8, seed=3)
+        assert overlay.network.tracer is NULL_TRACER
+        overlay.network.kill(overlay.node_ids[0])
+        assert not overlay.network.is_online(overlay.node_ids[0])
 
-    def test_disabled_recorder_drops_events(self):
-        trace = TraceRecorder(enabled=False)
-        trace.record(1.0, "x", "ignored")
-        assert len(trace) == 0
+    def test_events_carry_virtual_time(self):
+        sink = ListSink()
+        overlay = build_network(8, seed=3, trace=sink)
+        victim = overlay.node_ids[0]
+        overlay.loop.call_at(1.5, lambda: overlay.network.kill(victim))
+        overlay.loop.run()
+        (event,) = sink.records
+        assert (event["type"], event["name"], event["t"]) == ("event", "churn", 1.5)
+        assert event["attrs"] == {"message": f"node {victim} died"}
 
     def test_details_stored(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "x", "msg", column=3)
-        assert trace.events[0].details == {"column": 3}
-
-    def test_clear(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "x", "msg")
-        trace.clear()
-        assert len(trace) == 0
-
-    def test_format_timeline_limits(self):
-        trace = TraceRecorder()
-        for i in range(5):
-            trace.record(float(i), "x", f"event {i}")
-        text = trace.format_timeline(limit=2)
-        assert "event 0" in text
-        assert "event 4" not in text
-        assert "3 more events" in text
-
-    def test_event_str_includes_time(self):
-        event = TraceEvent(time=1.5, category="cat", message="msg")
-        assert "1.500" in str(event)
+        sink = ListSink()
+        overlay = build_network(40, seed=3, trace=sink)
+        install_holders(overlay, ProtocolContext(network=overlay.network))
+        alice = DataSender(
+            overlay.nodes[overlay.node_ids[0]],
+            CloudStore(overlay.loop.clock),
+            RandomSource(4, "alice"),
+        )
+        bob = DataReceiver(overlay.nodes[overlay.node_ids[1]])
+        timeline = ReleaseTimeline(0.0, 200.0, 2)
+        alice.send_multipath(b"m", timeline, bob.node_id, replication=2, joint=False)
+        overlay.loop.run()
+        peels = [r for r in sink.records if r["name"] == "holder"]
+        assert [r["attrs"]["column"] for r in peels] == [1, 1, 2, 2]
+        assert all(
+            f"peeled column {r['attrs']['column']}" in r["attrs"]["message"]
+            for r in peels
+        )
+        # Column 2 peels one holding period (100 s) after column 1.
+        assert peels[2]["t"] - peels[0]["t"] == pytest.approx(100.0)

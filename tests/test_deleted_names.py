@@ -1,0 +1,107 @@
+"""Deleted names stay deleted.
+
+Every pattern below is a name a simplification PR removed for good: a
+second way to do something the code now does one way.  None may come back
+in ``src``, ``tests``, ``benchmarks`` or ``README.md`` — as code, as an
+alias, or as documentation of something that no longer exists.  This file
+is not searched, so the patterns cannot match themselves.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SEARCHED = ("src", "tests", "benchmarks", "README.md")
+
+DELETED = (
+    # One figure pipeline: the loop drivers, their pivots, the autotune disk
+    # half, the journal/tolerance/generation knobs, the adaptive sweep.
+    r"adaptive_resilience_sweep",
+    r"run_attack_resilience",
+    r"run_churn_resilience",
+    r"run_share_cost",
+    r"run_availability_sweep",
+    r"measure_timeliness",
+    r"series_by_scheme",
+    r"series_by_budget",
+    r"record_observed_rates",
+    r"load_bench_rates",
+    r"keep_latest",
+    r"--no-journal",
+    r"args\.no_journal",
+    r"tolerance_fn",
+    # One lane per layer: the pool's shared-memory lane and its name, the
+    # orchestrator's and daemon's own claim loops, dead probes and stubs.
+    r"shm-pool",
+    r"shm_buffers_created",
+    r"supports_shared_memory",
+    r"shared_memory_available",
+    r"_claim_or_follow",
+    r"MaintenanceScheduler",
+    r"batch_codec_available",
+    r"comparison_rows",
+    r"--submit",
+    # One span path per layer: the per-kind span methods (the task owns its
+    # kind), the registry's semantic options, the capability flags.
+    r"run_counts",
+    r"run_batches",
+    r"run_collect\b",
+    r"_RUN_MODES",
+    r"_RANGE_FNS",
+    r"_summed_counts",
+    r"semantic_option",
+    r"cache_fields",
+    r"CAPABILITY_FLAGS",
+    r"supports_remote",
+    r"supports_fault_tolerance",
+    r"supports_elastic_membership",
+    r"supports_cancellation",
+    r"span_timeout",
+    # One event model: the simulator's own trace recorder.
+    r"TraceRecorder",
+    r"TraceEvent",
+    r"sim\.trace",
+    r"format_timeline",
+)
+
+
+def _searched_files():
+    for name in SEARCHED:
+        path = ROOT / name
+        candidates = [path] if path.is_file() else sorted(path.rglob("*"))
+        for candidate in candidates:
+            if (
+                candidate.is_file()
+                and "__pycache__" not in candidate.parts
+                and candidate != Path(__file__).resolve()
+            ):
+                yield candidate
+
+
+def test_no_deleted_name_is_back():
+    pattern = re.compile("|".join(DELETED))
+    hits = []
+    for path in _searched_files():
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            continue  # not source or documentation
+        for number, line in enumerate(text.splitlines(), start=1):
+            if pattern.search(line):
+                hits.append(f"{path.relative_to(ROOT)}:{number}: {line.strip()}")
+    assert not hits, "a deleted name is back:\n" + "\n".join(hits)
+
+
+def test_the_search_reaches_every_tree():
+    searched = {path.relative_to(ROOT).parts[0] for path in _searched_files()}
+    assert searched == set(SEARCHED)
+
+
+def test_figures_command_does_not_exist():
+    with pytest.raises(SystemExit) as info:
+        main(["figures"])
+    assert info.value.code != 0
