@@ -21,8 +21,8 @@ import os
 from conftest import bench_trials, record_bench, record_wall, run_once, time_call
 
 from repro.epoch.measure import EPOCH_METRICS
-from repro.experiments.availability import availability_point
 from repro.experiments.engine import TrialEngine
+from repro.scenarios.runners import get_runner
 from repro.util.stats import wilson_proportion_ci
 
 SCHEME = "joint"
@@ -39,16 +39,18 @@ def _nodes() -> int:
 def _point(kernel: str, nodes: int, trials: int):
     # A fresh serial engine per lane: the scalar walker is the whole
     # point of the comparison, parallel fan-out would blur it.
-    return availability_point(
-        SCHEME,
-        UPTIME,
-        MALICIOUS_RATE,
-        population_size=nodes,
-        trials=trials,
-        seed=SEED,
-        engine=TrialEngine(),
-        kernel=kernel,
-        alpha=ALPHA,
+    return get_runner("availability")(
+        {
+            "scheme": SCHEME,
+            "uptime": UPTIME,
+            "p": MALICIOUS_RATE,
+            "population_size": nodes,
+            "kernel": kernel,
+            "alpha": ALPHA,
+        },
+        trials,
+        SEED,
+        TrialEngine(),
     )
 
 
@@ -77,10 +79,9 @@ def test_epoch_churn_speedup(benchmark):
 
     # Large-N lane equivalence (same predicate as the property test).
     for label, v, s in (
-        ("release", vectorized.outcome.release_resilience,
-         scalar.outcome.release_resilience),
-        ("drop", vectorized.outcome.drop_resilience,
-         scalar.outcome.drop_resilience),
+        ("release", vectorized["release_resilience"],
+         scalar["release_resilience"]),
+        ("drop", vectorized["drop_resilience"], scalar["drop_resilience"]),
     ):
         pair = (
             (round(v * trials), trials),
@@ -108,8 +109,8 @@ def test_epoch_churn_speedup(benchmark):
         ),
         scalar_wall_seconds=round(scalar_wall, 6),
         speedup=round(speedup, 3),
-        release_resilience=vectorized.outcome.release_resilience,
-        drop_resilience=vectorized.outcome.drop_resilience,
+        release_resilience=vectorized["release_resilience"],
+        drop_resilience=vectorized["drop_resilience"],
     )
     assert speedup > 1.0, (
         f"vectorized epoch lane must beat the scalar walker, got x{speedup:.2f}"

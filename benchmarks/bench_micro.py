@@ -29,11 +29,10 @@ from repro.crypto.shamir import (
 from repro.dht.bootstrap import build_network
 from repro.dht.node_id import NodeId
 from repro.experiments.attack_kernels import place_malicious_counts
-from repro.experiments.churn_resilience import churn_resilience_point
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import SweepPoolExecutor
 from repro.experiments.timeliness import TimelinessTrial
-from repro.scenarios.runners import AdaptiveTrial
+from repro.scenarios.runners import AdaptiveTrial, get_runner
 from repro.util.rng import RandomSource
 
 BENCH = "micro"
@@ -120,14 +119,13 @@ def test_trial_engine_pool_batched_400(benchmark, batch_size):
     the pool and one count vector back, so the pair prices the pool's
     results lane per batch (the ledger runs no pool workload).
     """
-    point = dict(scheme="joint", alpha=2.0, malicious_rate=0.25, trials=400)
+    runner = get_runner("churn_resilience")
+    point = {"scheme": "joint", "alpha": 2.0, "p": 0.25}
     executor = SweepPoolExecutor(jobs=2)
     engine = TrialEngine(backend=executor)
     with executor:
-        result = benchmark(
-            churn_resilience_point, engine=engine, batch_size=batch_size, **point
-        )
-    assert result == churn_resilience_point(batch_size=batch_size, **point)
+        result = benchmark(runner, point, 400, 2017, engine, batch_size)
+    assert result == runner(point, 400, 2017, TrialEngine(), batch_size)
     record_bench(BENCH, benchmark, trials=400, jobs=2, batch_size=batch_size)
 
 

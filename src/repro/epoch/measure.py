@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.planner import plan_configuration
+from repro.core.planner import PLANNING_FLOOR, plan_configuration
 from repro.epoch.oracle import EpochAvailabilityTrial, EpochTimelinessTrial
 from repro.epoch.placement import PlacementState
 from repro.epoch.population import (
@@ -41,8 +41,8 @@ from repro.epoch.repair import step_epoch
 from repro.experiments.churn_model import outcome_from_result
 from repro.obs import MetricsRegistry
 
-#: Kernel lane names ``availability_point`` / ``timeliness_point`` accept
-#: on top of their historical defaults ("static" / "event").
+#: Kernel lane names the ``availability`` / ``timeliness`` scenario kinds
+#: accept on top of their historical defaults ("static" / "event").
 EPOCH_KERNELS = ("epoch", "epoch-scalar")
 
 #: Cap on a chunk's ``trials * path_length * replication`` cell slab.
@@ -50,10 +50,6 @@ MAX_SLAB_ELEMENTS = 4_000_000
 
 #: Process-local telemetry for the epoch kernels.
 EPOCH_METRICS = MetricsRegistry()
-
-#: Planner floor — mirrors ``availability_point``'s static lane, which
-#: plans at ``max(p, 0.05)`` so honest-majority corner cases stay sane.
-_PLANNING_FLOOR = 0.05
 
 
 def _lifetime_model(batch):
@@ -248,7 +244,7 @@ def _record(
     EPOCH_METRICS.counter("epoch.trials").inc(trials)
 
 
-# -- point-level entry points (what availability/timeliness_point call) ----
+# -- point-level entry points (what the availability/timeliness kinds call) --
 
 
 def _check_multipath(scheme: str, kernel: str) -> bool:
@@ -281,7 +277,7 @@ def epoch_availability_outcome(
     """
     joint = _check_multipath(scheme, "epoch-scalar" if scalar else "epoch")
     planned = plan_configuration(
-        scheme, max(malicious_rate, _PLANNING_FLOOR), population_size
+        scheme, max(malicious_rate, PLANNING_FLOOR), population_size
     )
     label = (
         f"epoch-avail-{scheme}-{uptime}-{malicious_rate}-{alpha}-{lifetime}"

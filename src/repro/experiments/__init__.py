@@ -1,15 +1,20 @@
-"""The per-point experiment units behind the paper's evaluation (Section IV).
+"""The Monte-Carlo units behind the paper's evaluation (Section IV).
 
-One module per figure, each exposing the typed ``*_point`` function the
-scenario runners call (the sweeps themselves are the registered
-``fig6a``…``fig8`` scenarios — :mod:`repro.scenarios.registry`):
+The sweeps are the registered ``fig6a``…``fig8`` scenarios
+(:mod:`repro.scenarios.registry`) and a point is one scenario kind
+(:mod:`repro.scenarios.runners`); the modules here hold what a kind
+ships to the engine — the picklable trial and batch units, the
+``simulate_*_counts`` kernels and the kernel-lane names:
 
-- :mod:`repro.experiments.attack_resilience` — Fig. 6(a)-(d): attack
-  resilience and node cost vs malicious rate, N = 10,000 and N = 100;
-- :mod:`repro.experiments.churn_resilience` — Fig. 7(a)-(d): resilience
-  under churn for α = T / t_life in {1, 2, 3, 5};
-- :mod:`repro.experiments.cost` — Fig. 8: key-share scheme resilience vs
-  available-node budget N in {100, 1000, 5000, 10000};
+- :mod:`repro.experiments.attack_resilience` — Fig. 6(a)-(d): the
+  finite-population attack measurement (N = 10,000 and N = 100) shared
+  by the ``attack_resilience`` and ``sensitivity`` kinds;
+- :mod:`repro.experiments.churn_resilience` — the churn batch units of
+  Fig. 7(a)-(d) (α = T / t_life in {1, 2, 3, 5}) and Fig. 8 (key-share
+  resilience vs available-node budget N in {100, 1000, 5000, 10000});
+- :mod:`repro.experiments.availability`,
+  :mod:`repro.experiments.timeliness` — the two extensions' static-lane
+  batches and the end-to-end protocol trial;
 
 plus shared machinery:
 
@@ -17,7 +22,7 @@ plus shared machinery:
   trial engine (pluggable execution backends, streaming aggregation,
   adaptive early stopping) every experiment runs through;
 - :mod:`repro.experiments.attack_kernels` — the vectorised
-  finite-population attack kernels behind Fig. 6's default
+  finite-population attack kernels behind Fig. 6's
   ``kernel="vectorized"`` lane;
 - :mod:`repro.experiments.executors` — the ``ExecutionBackend``
   interface, its determinism contract, and the serial and process-pool
@@ -33,13 +38,6 @@ from repro.experiments.attack_kernels import (
     MultipathAttackBatch,
     attack_batch_for,
 )
-from repro.experiments.attack_resilience import (
-    AttackResiliencePoint,
-    attack_resilience_point,
-)
-from repro.experiments.availability import AvailabilityPoint, availability_point
-from repro.experiments.churn_resilience import ChurnPoint, churn_resilience_point
-from repro.experiments.cost import CostPoint, share_cost_point
 from repro.experiments.engine import (
     EngineResult,
     MonteCarloEstimate,
@@ -49,17 +47,9 @@ from repro.experiments.engine import (
 from repro.experiments.reporting import format_series_table
 
 __all__ = [
-    "attack_resilience_point",
-    "AttackResiliencePoint",
     "attack_batch_for",
     "CentralAttackBatch",
     "MultipathAttackBatch",
-    "churn_resilience_point",
-    "ChurnPoint",
-    "share_cost_point",
-    "CostPoint",
-    "availability_point",
-    "AvailabilityPoint",
     "TrialEngine",
     "EngineResult",
     "MonteCarloEstimate",

@@ -22,33 +22,13 @@ is untouched — which is exactly why the effect is interesting: it shifts
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.planner import plan_configuration
-from repro.core.schemes.keyshare import SharePlan, plan_share_scheme
-from repro.experiments.churn_model import (
-    ChurnOutcome,
-    outcome_from_counts,
-    outcome_from_result,
-)
-from repro.experiments.engine import TrialEngine
+from repro.core.schemes.keyshare import SharePlan
+from repro.experiments.churn_model import ChurnOutcome, outcome_from_counts
 from repro.util.validation import check_positive_int, check_probability
-
-
-@dataclass(frozen=True)
-class AvailabilityPoint:
-    """One (scheme, uptime, p) sweep point."""
-
-    scheme: str
-    uptime: float
-    malicious_rate: float
-    outcome: ChurnOutcome
-
-    @property
-    def resilience(self) -> float:
-        return self.outcome.worst
 
 
 def simulate_multipath_availability_counts(
@@ -189,90 +169,19 @@ class KeyShareAvailabilityBatch:
         )
 
 
-#: Kernel lanes ``availability_point`` dispatches between.  "static" is
-#: the historical per-boundary offline model; the epoch lanes simulate
-#: death churn + repair on an explicit node population (repro.epoch).
+#: Kernel lanes the ``availability`` scenario kind dispatches between.
+#: "static" is the historical per-boundary offline model (the batch units
+#: above, no deaths); the epoch lanes simulate death churn + repair on an
+#: explicit node population (repro.epoch), where ``alpha`` / ``lifetime`` /
+#: ``lifetime_shape`` parameterize node lifetimes.
 AVAILABILITY_KERNELS = ("static", "epoch", "epoch-scalar")
 
 
-def availability_point(
-    scheme: str,
-    uptime: float,
-    malicious_rate: float,
-    population_size: int = 10000,
-    trials: int = 1000,
-    seed: int = 2017,
-    engine: Optional[TrialEngine] = None,
-    batch_size: Optional[int] = None,
-    kernel: str = "static",
-    alpha: float = 2.0,
-    lifetime: str = "exponential",
-    lifetime_shape: Optional[float] = None,
-) -> AvailabilityPoint:
-    """One (scheme, uptime, p) point of the sweep — the sweepable unit.
-
-    ``kernel="static"`` (the default — and the only lane historical cache
-    keys ever pinned) keeps the original no-deaths offline model; the
-    ``"epoch"`` / ``"epoch-scalar"`` lanes run the ``repro.epoch`` churn
-    simulator, where ``alpha`` / ``lifetime`` / ``lifetime_shape``
-    parameterize node lifetimes (ignored by the static lane).
-    """
-    if engine is None:
-        engine = TrialEngine()
-    p = malicious_rate
-    planning_rate = max(p, 0.05)
+def check_kernel(kernel: str) -> str:
+    """Validate an availability lane name."""
     if kernel not in AVAILABILITY_KERNELS:
         raise ValueError(
             f"unknown availability kernel {kernel!r}; "
             f"expected one of {AVAILABILITY_KERNELS}"
         )
-    if kernel != "static":
-        from repro.epoch.measure import epoch_availability_outcome
-
-        return AvailabilityPoint(
-            scheme=scheme,
-            uptime=uptime,
-            malicious_rate=p,
-            outcome=epoch_availability_outcome(
-                scheme,
-                uptime,
-                p,
-                population_size=population_size,
-                alpha=alpha,
-                lifetime=lifetime,
-                lifetime_shape=lifetime_shape,
-                trials=trials,
-                seed=seed,
-                engine=engine,
-                batch_size=batch_size,
-                scalar=(kernel == "epoch-scalar"),
-            ),
-        )
-    if scheme in ("disjoint", "joint"):
-        configuration = plan_configuration(scheme, planning_rate, population_size)
-        batch = MultipathAvailabilityBatch(
-            p,
-            uptime,
-            configuration.replication,
-            configuration.path_length,
-            joint=(scheme == "joint"),
-        )
-    elif scheme == "share":
-        plan = plan_share_scheme(planning_rate, population_size, 1.0, 1.0)
-        batch = KeyShareAvailabilityBatch(plan, uptime, p)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    result = engine.run_batched(
-        batch,
-        trials=trials,
-        seed=seed,
-        label=f"avail-{scheme}-{uptime}-{p}",
-        channels=2,
-        batch_size=batch_size,
-    )
-    return AvailabilityPoint(
-        scheme=scheme,
-        uptime=uptime,
-        malicious_rate=p,
-        outcome=outcome_from_result(result),
-    )
+    return kernel

@@ -11,7 +11,7 @@ the release instant to within one network hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.cloud.storage import CloudStore
 from repro.core.protocol import ProtocolContext, install_holders
@@ -19,26 +19,8 @@ from repro.core.receiver import DataReceiver
 from repro.core.sender import DataSender
 from repro.core.timeline import ReleaseTimeline
 from repro.dht.bootstrap import build_network
-from repro.experiments.engine import TrialEngine
 from repro.sim.latency import UniformLatency
 from repro.util.rng import RandomSource
-
-
-@dataclass(frozen=True)
-class TimelinessResult:
-    """Lateness statistics for one (scheme, latency) setting."""
-
-    scheme: str
-    max_latency: float
-    delivered: int
-    runs: int
-    mean_lateness: float
-    worst_lateness: float
-    early_releases: int  # arrivals before tr: must always be zero
-
-    @property
-    def delivery_rate(self) -> float:
-        return self.delivered / self.runs
 
 
 def _run_one(
@@ -101,101 +83,19 @@ class TimelinessTrial:
         )
 
 
-#: Kernel lanes ``timeliness_point`` dispatches between.  "event" is the
-#: historical end-to-end event-loop protocol run; the epoch lanes measure
-#: delivery lateness in holding epochs under churn (repro.epoch).
+#: Kernel lanes the ``timeliness`` scenario kind dispatches between.
+#: "event" is the historical end-to-end event-loop protocol run
+#: (:class:`TimelinessTrial`, one collect-mode engine trial per run); the
+#: epoch lanes measure delivery lateness in *holding epochs* under churn
+#: (repro.epoch), right-censored at ``retry_epochs``.
 TIMELINESS_KERNELS = ("event", "epoch", "epoch-scalar")
 
 
-def timeliness_point(
-    scheme: str,
-    max_latency: float,
-    runs: int = 10,
-    path_length: int = 3,
-    seed: int = 31337,
-    engine: Optional[TrialEngine] = None,
-    kernel: str = "event",
-    uptime: float = 0.9,
-    alpha: float = 2.0,
-    malicious_rate: float = 0.0,
-    population_size: int = 10000,
-    replication: int = 3,
-    retry_epochs: int = 8,
-    lifetime: str = "exponential",
-    lifetime_shape: Optional[float] = None,
-    batch_size: Optional[int] = None,
-) -> TimelinessResult:
-    """One (scheme, latency) point of the sweep — the sweepable unit.
-
-    Each end-to-end run is one collect-mode engine trial; the per-run
-    seeds are a function of the run index alone, keeping results identical
-    for any executor.
-
-    ``kernel="event"`` (the default — the only lane historical cache keys
-    ever pinned) runs the live protocol on the simulated overlay; the
-    ``"epoch"`` / ``"epoch-scalar"`` lanes measure lateness in *holding
-    epochs* on the ``repro.epoch`` churn simulator, where the churn knobs
-    (``uptime``, ``alpha``, ``malicious_rate``, ``population_size``,
-    ``replication``, ``retry_epochs``, ``lifetime``) apply and
-    ``max_latency`` is carried through for labeling only.  Epoch lateness
-    is right-censored at ``retry_epochs``.
-    """
-    if engine is None:
-        engine = TrialEngine()
+def check_kernel(kernel: str) -> str:
+    """Validate a timeliness lane name."""
     if kernel not in TIMELINESS_KERNELS:
         raise ValueError(
             f"unknown timeliness kernel {kernel!r}; "
             f"expected one of {TIMELINESS_KERNELS}"
         )
-    if kernel != "event":
-        from repro.epoch.measure import epoch_timeliness_result
-
-        delivered, trials_run, mean_lateness, worst = epoch_timeliness_result(
-            scheme,
-            uptime,
-            malicious_rate,
-            population_size=population_size,
-            alpha=alpha,
-            lifetime=lifetime,
-            lifetime_shape=lifetime_shape,
-            path_length=path_length,
-            replication=replication,
-            retry_epochs=retry_epochs,
-            trials=runs,
-            seed=seed,
-            engine=engine,
-            batch_size=batch_size,
-            scalar=(kernel == "epoch-scalar"),
-        )
-        return TimelinessResult(
-            scheme=scheme,
-            max_latency=max_latency,
-            delivered=delivered,
-            runs=trials_run,
-            mean_lateness=mean_lateness,
-            worst_lateness=worst,
-            early_releases=0,
-        )
-    raw = engine.map(
-        TimelinessTrial(scheme, max_latency, seed, path_length),
-        trials=runs,
-        seed=seed,
-        label=f"timeliness-{scheme}-{max_latency}",
-    )
-    latenesses: List[float] = []
-    early = 0
-    for lateness in raw:
-        if lateness is None:
-            continue
-        if lateness < 0:
-            early += 1
-        latenesses.append(lateness)
-    return TimelinessResult(
-        scheme=scheme,
-        max_latency=max_latency,
-        delivered=len(latenesses),
-        runs=runs,
-        mean_lateness=(sum(latenesses) / len(latenesses) if latenesses else 0.0),
-        worst_lateness=max(latenesses) if latenesses else 0.0,
-        early_releases=early,
-    )
+    return kernel

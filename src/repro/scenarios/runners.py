@@ -10,15 +10,22 @@ result dict.  Every result carries two common fields:
   adaptive stopping fires; what "zero new trials on a cached re-run"
   means operationally).
 
-The figure kinds delegate to the typed per-point units in
-:mod:`repro.experiments` (``attack_resilience_point`` & co.) — the same
-functions the kernel and oracle tests call directly.
+A kind is one function: it validates the parameter set against its
+``_take`` table (the one place a parameter's default is stated), plans,
+builds the picklable trial or batch unit from :mod:`repro.experiments`,
+makes one engine call and shapes the result dict — whose keys and key
+order are the store record.  To run one point directly, call
+``get_runner(kind)(params, trials, seed, engine, batch_size)``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Optional
 
+from repro.core.planner import DEFAULT_TARGET, PLANNING_FLOOR, plan_configuration
+from repro.core.schemes import CentralizedScheme, NodeDisjointScheme, NodeJointScheme
+from repro.core.schemes.keyshare import plan_share_scheme
+from repro.experiments.churn_model import ChurnOutcome, outcome_from_result
 from repro.experiments.engine import MonteCarloEstimate, PairedEstimate, TrialEngine
 
 PointRunner = Callable[
@@ -71,7 +78,12 @@ def _take(
     required: Dict[str, type],
     optional: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """Validate a point's parameter set against the kind's signature."""
+    """Validate a point's parameter set against the kind's signature.
+
+    A supplied optional must have the type of its default (a ``None``
+    default takes ``None`` or a float).  Nothing is coerced: the values
+    land in cache keys as written.
+    """
     unknown = sorted(set(params) - set(required) - set(optional))
     if unknown:
         raise ValueError(
@@ -81,7 +93,11 @@ def _take(
     missing = sorted(set(required) - set(params))
     if missing:
         raise ValueError(f"kind {kind!r} missing required parameter(s) {missing}")
-    for name, expected in required.items():
+    expected_types = dict(required)
+    for name, default in optional.items():
+        if name in params and not (default is None and params[name] is None):
+            expected_types[name] = float if default is None else type(default)
+    for name, expected in expected_types.items():
         if not _accepts(params[name], expected):
             raise TypeError(
                 f"kind {kind!r} parameter {name!r} must be "
@@ -108,6 +124,26 @@ def _pair_dict(pair: PairedEstimate) -> Dict[str, Any]:
     }
 
 
+def _outcome_dict(outcome: ChurnOutcome) -> Dict[str, Any]:
+    """The four keys every (release, drop) churn record ends with."""
+    return {
+        "release_resilience": outcome.release_resilience,
+        "drop_resilience": outcome.drop_resilience,
+        "value": outcome.worst,
+        "trials_run": outcome.trials,
+    }
+
+
+def _multipath_scheme(name: str, replication: int, path_length: int):
+    if name == "disjoint":
+        return NodeDisjointScheme(replication, path_length)
+    if name == "joint":
+        return NodeJointScheme(replication, path_length)
+    raise ValueError(
+        f"scheme must be 'disjoint' or 'joint' for this kind, got {name!r}"
+    )
+
+
 # -- the paper's figures -----------------------------------------------------
 
 
@@ -119,9 +155,14 @@ def attack_resilience_runner(
     engine: TrialEngine,
     batch_size: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Fig. 6 family: plan, closed-form curve, finite-population MC."""
-    from repro.core.planner import DEFAULT_TARGET
-    from repro.experiments.attack_resilience import attack_resilience_point
+    """Fig. 6 family: plan, closed-form curve, finite-population MC.
+
+    The plan is verified by Monte Carlo when ``measure`` is set and the
+    plan fits the population; ``fig6a``…``fig6d`` sweep this over the
+    figure's grid (``population_size=10000`` for (a)+(b), ``100`` for
+    (c)+(d)).
+    """
+    from repro.experiments.attack_resilience import check_kernel, measure_attack
 
     # The Monte-Carlo lane is part of a point's *parameter set*, so a spec
     # that wants the vectorised kernels must pin kernel="vectorized" (all
@@ -140,30 +181,41 @@ def attack_resilience_runner(
             "kernel": "scalar",
         },
     )
-    point = attack_resilience_point(
-        args["scheme"],
-        args["p"],
-        population_size=args["population_size"],
-        trials=trials,
-        target=args["target"],
-        measure=args["measure"],
-        seed=seed,
-        engine=engine,
-        kernel=args["kernel"],
-        batch_size=batch_size,
+    p, population_size = args["p"], args["population_size"]
+    check_kernel(args["kernel"])
+    plan = plan_configuration(
+        args["scheme"], p, population_size, target=args["target"]
     )
-    measured = point.measured
+    measured = None
+    if args["measure"] and plan.cost <= population_size:
+        if plan.scheme == "central":
+            scheme = CentralizedScheme()
+        else:
+            scheme = _multipath_scheme(
+                plan.scheme, plan.replication, plan.path_length
+            )
+        measured = measure_attack(
+            scheme,
+            p,
+            population_size,
+            trials,
+            seed,
+            engine,
+            kernel=args["kernel"],
+            label=f"fig6-{scheme.name}-{p}",
+            batch_size=batch_size,
+        )
     return {
-        "scheme": point.scheme,
-        "p": point.malicious_rate,
-        "replication": point.configuration.replication,
-        "path_length": point.configuration.path_length,
-        "cost": point.cost,
-        "analytic_release": point.analytic_release,
-        "analytic_drop": point.analytic_drop,
-        "analytic_worst": point.analytic_worst,
+        "scheme": args["scheme"],
+        "p": p,
+        "replication": plan.replication,
+        "path_length": plan.path_length,
+        "cost": plan.cost,
+        "analytic_release": plan.release_resilience,
+        "analytic_drop": plan.drop_resilience,
+        "analytic_worst": plan.worst_resilience,
         "measured": _pair_dict(measured) if measured is not None else None,
-        "value": measured.worst if measured is not None else point.analytic_worst,
+        "value": measured.worst if measured is not None else plan.worst_resilience,
         "trials_run": measured.release.trials if measured is not None else 0,
     }
 
@@ -177,7 +229,11 @@ def churn_resilience_runner(
     batch_size: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Fig. 7 family: the epoch churn model per (scheme, α, p)."""
-    from repro.experiments.churn_resilience import churn_resilience_point
+    from repro.experiments.churn_resilience import (
+        CentralizedChurnBatch,
+        KeyShareChurnBatch,
+        MultipathChurnBatch,
+    )
 
     args = _take(
         "churn_resilience",
@@ -185,26 +241,42 @@ def churn_resilience_runner(
         required={"scheme": str, "alpha": float, "p": float},
         optional={"population_size": 10000},
     )
-    point = churn_resilience_point(
-        args["scheme"],
-        args["alpha"],
-        args["p"],
-        population_size=args["population_size"],
+    scheme, alpha, p = args["scheme"], args["alpha"], args["p"]
+    planning_rate = max(p, PLANNING_FLOOR)
+    if scheme == "central":
+        k = length = 1
+        batch = CentralizedChurnBatch(p, alpha)
+    elif scheme in ("disjoint", "joint"):
+        plan = plan_configuration(scheme, planning_rate, args["population_size"])
+        k, length = plan.replication, plan.path_length
+        batch = MultipathChurnBatch(p, alpha, k, length, joint=(scheme == "joint"))
+    elif scheme == "share":
+        # Algorithm 1 plans with the churn level (T = α, λ = 1).
+        plan = plan_share_scheme(
+            planning_rate,
+            args["population_size"],
+            emerging_time=alpha,
+            mean_lifetime=1.0,
+        )
+        k, length = plan.replication, plan.path_length
+        batch = KeyShareChurnBatch(plan, alpha, malicious_rate=p)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    result = engine.run_batched(
+        batch,
         trials=trials,
         seed=seed,
-        engine=engine,
+        label=f"fig7-{scheme}-a{alpha}-p{p}",
+        channels=2,
         batch_size=batch_size,
     )
     return {
-        "scheme": point.scheme,
-        "alpha": point.alpha,
-        "p": point.malicious_rate,
-        "replication": point.replication,
-        "path_length": point.path_length,
-        "release_resilience": point.outcome.release_resilience,
-        "drop_resilience": point.outcome.drop_resilience,
-        "value": point.resilience,
-        "trials_run": point.outcome.trials,
+        "scheme": scheme,
+        "alpha": alpha,
+        "p": p,
+        "replication": k,
+        "path_length": length,
+        **_outcome_dict(outcome_from_result(result)),
     }
 
 
@@ -216,8 +288,15 @@ def share_cost_runner(
     engine: TrialEngine,
     batch_size: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Fig. 8: key-share resilience vs available-node budget."""
-    from repro.experiments.cost import share_cost_point
+    """Fig. 8: key-share resilience vs available-node budget.
+
+    Algorithm 1 re-plans ``(m, n)`` for each budget N at the paper's
+    α = 3 and the epoch Monte Carlo measures the resulting resilience
+    beside the plan's own (Rr, Rd) prediction.  The expected shape:
+    10,000 and 5,000 nearly coincide, 1,000 holds R > 0.95 to p ≈ 0.26,
+    and even 100 nodes keep R > 0.9 to p ≈ 0.14.
+    """
+    from repro.experiments.churn_resilience import KeyShareChurnBatch
 
     args = _take(
         "share_cost",
@@ -225,27 +304,25 @@ def share_cost_runner(
         required={"budget": int, "p": float},
         optional={"alpha": 3.0},
     )
-    point = share_cost_point(
-        args["budget"],
-        args["p"],
-        alpha=args["alpha"],
+    budget, p, alpha = args["budget"], args["p"], args["alpha"]
+    plan = plan_share_scheme(p, budget, emerging_time=alpha, mean_lifetime=1.0)
+    result = engine.run_batched(
+        KeyShareChurnBatch(plan, alpha),
         trials=trials,
         seed=seed,
-        engine=engine,
+        label=f"fig8-N{budget}-p{p}",
+        channels=2,
         batch_size=batch_size,
     )
     return {
-        "budget": point.node_budget,
-        "p": point.malicious_rate,
-        "alpha": point.alpha,
-        "replication": point.plan.replication,
-        "path_length": point.plan.path_length,
-        "shares_per_column": point.plan.shares_per_column,
-        "analytic_resilience": point.analytic_resilience,
-        "release_resilience": point.outcome.release_resilience,
-        "drop_resilience": point.outcome.drop_resilience,
-        "value": point.resilience,
-        "trials_run": point.outcome.trials,
+        "budget": budget,
+        "p": p,
+        "alpha": alpha,
+        "replication": plan.replication,
+        "path_length": plan.path_length,
+        "shares_per_column": plan.shares_per_column,
+        "analytic_resilience": plan.worst_resilience,
+        **_outcome_dict(outcome_from_result(result)),
     }
 
 
@@ -258,11 +335,16 @@ def availability_runner(
     batch_size: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Extension: transient unavailability on top of death churn."""
-    from repro.experiments.availability import availability_point
+    from repro.experiments.availability import (
+        KeyShareAvailabilityBatch,
+        MultipathAvailabilityBatch,
+        check_kernel,
+    )
 
-    # The unpinned kernel default stays "static" and the churn knobs are
-    # optional, so cache keys of stores populated before the epoch lane
-    # existed remain valid; only specs that *pin* kernel="epoch" differ.
+    # The unpinned kernel default stays "static" and the churn knobs (read
+    # by the epoch lanes only) are optional, so cache keys of stores
+    # populated before the epoch lane existed remain valid; only specs
+    # that *pin* kernel="epoch" differ.
     args = _take(
         "availability",
         params,
@@ -275,35 +357,63 @@ def availability_runner(
             "lifetime_shape": None,
         },
     )
-    point = availability_point(
-        args["scheme"],
-        args["uptime"],
-        args["p"],
-        population_size=args["population_size"],
-        trials=trials,
-        seed=seed,
-        engine=engine,
-        batch_size=batch_size,
-        kernel=args["kernel"],
-        alpha=args["alpha"],
-        lifetime=args["lifetime"],
-        lifetime_shape=args["lifetime_shape"],
-    )
-    payload = {
-        "scheme": point.scheme,
-        "uptime": point.uptime,
-        "p": point.malicious_rate,
-        "release_resilience": point.outcome.release_resilience,
-        "drop_resilience": point.outcome.drop_resilience,
-        "value": point.resilience,
-        "trials_run": point.outcome.trials,
-    }
-    if args["kernel"] != "static":
-        payload.update(
-            kernel=args["kernel"],
+    scheme, uptime, p = args["scheme"], args["uptime"], args["p"]
+    kernel, population_size = args["kernel"], args["population_size"]
+    if check_kernel(kernel) != "static":
+        from repro.epoch.measure import epoch_availability_outcome
+
+        outcome = epoch_availability_outcome(
+            scheme,
+            uptime,
+            p,
+            population_size=population_size,
             alpha=args["alpha"],
             lifetime=args["lifetime"],
-            population_size=args["population_size"],
+            lifetime_shape=args["lifetime_shape"],
+            trials=trials,
+            seed=seed,
+            engine=engine,
+            batch_size=batch_size,
+            scalar=(kernel == "epoch-scalar"),
+        )
+    else:
+        planning_rate = max(p, PLANNING_FLOOR)
+        if scheme in ("disjoint", "joint"):
+            plan = plan_configuration(scheme, planning_rate, population_size)
+            batch = MultipathAvailabilityBatch(
+                p,
+                uptime,
+                plan.replication,
+                plan.path_length,
+                joint=(scheme == "joint"),
+            )
+        elif scheme == "share":
+            plan = plan_share_scheme(planning_rate, population_size, 1.0, 1.0)
+            batch = KeyShareAvailabilityBatch(plan, uptime, p)
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        outcome = outcome_from_result(
+            engine.run_batched(
+                batch,
+                trials=trials,
+                seed=seed,
+                label=f"avail-{scheme}-{uptime}-{p}",
+                channels=2,
+                batch_size=batch_size,
+            )
+        )
+    payload = {
+        "scheme": scheme,
+        "uptime": uptime,
+        "p": p,
+        **_outcome_dict(outcome),
+    }
+    if kernel != "static":
+        payload.update(
+            kernel=kernel,
+            alpha=args["alpha"],
+            lifetime=args["lifetime"],
+            population_size=population_size,
         )
     return payload
 
@@ -316,8 +426,15 @@ def timeliness_runner(
     engine: TrialEngine,
     batch_size: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Extension: end-to-end release lateness; ``trials`` is the run count."""
-    from repro.experiments.timeliness import timeliness_point
+    """Extension: end-to-end release lateness; ``trials`` is the run count.
+
+    On the event lane each end-to-end run is one collect-mode engine
+    trial; the per-run seeds are a function of the run index alone,
+    keeping results identical for any executor.  On the epoch lanes the
+    churn knobs apply and ``max_latency`` is carried through for labeling
+    only.
+    """
+    from repro.experiments.timeliness import TimelinessTrial, check_kernel
 
     # As with availability: the kernel default stays "event" and every
     # churn knob is optional, so pre-epoch cache keys remain valid.
@@ -341,39 +458,56 @@ def timeliness_runner(
             "lifetime_shape": None,
         },
     )
-    result = timeliness_point(
-        args["scheme"],
-        args["max_latency"],
-        runs=trials,
-        path_length=args["path_length"],
-        seed=seed,
-        engine=engine,
-        kernel=args["kernel"],
-        uptime=args["uptime"],
-        alpha=args["alpha"],
-        malicious_rate=args["p"],
-        population_size=args["population_size"],
-        replication=args["replication"],
-        retry_epochs=args["retry_epochs"],
-        lifetime=args["lifetime"],
-        lifetime_shape=args["lifetime_shape"],
-        batch_size=batch_size,
-    )
+    scheme, max_latency, kernel = args["scheme"], args["max_latency"], args["kernel"]
+    if check_kernel(kernel) != "event":
+        from repro.epoch.measure import epoch_timeliness_result
+
+        delivered, runs, mean_lateness, worst_lateness = epoch_timeliness_result(
+            scheme,
+            args["uptime"],
+            args["p"],
+            population_size=args["population_size"],
+            alpha=args["alpha"],
+            lifetime=args["lifetime"],
+            lifetime_shape=args["lifetime_shape"],
+            path_length=args["path_length"],
+            replication=args["replication"],
+            retry_epochs=args["retry_epochs"],
+            trials=trials,
+            seed=seed,
+            engine=engine,
+            batch_size=batch_size,
+            scalar=(kernel == "epoch-scalar"),
+        )
+        early = 0
+    else:
+        raw = engine.map(
+            TimelinessTrial(scheme, max_latency, seed, args["path_length"]),
+            trials=trials,
+            seed=seed,
+            label=f"timeliness-{scheme}-{max_latency}",
+        )
+        latenesses = [lateness for lateness in raw if lateness is not None]
+        delivered, runs = len(latenesses), trials
+        mean_lateness = sum(latenesses) / delivered if delivered else 0.0
+        worst_lateness = max(latenesses) if latenesses else 0.0
+        # Arrivals before tr: must always be zero.
+        early = sum(1 for lateness in latenesses if lateness < 0)
     payload = {
-        "scheme": result.scheme,
-        "max_latency": result.max_latency,
-        "delivered": result.delivered,
-        "runs": result.runs,
-        "delivery_rate": result.delivery_rate if result.runs else 0.0,
-        "mean_lateness": result.mean_lateness,
-        "worst_lateness": result.worst_lateness,
-        "early_releases": result.early_releases,
-        "value": result.mean_lateness,
-        "trials_run": result.runs,
+        "scheme": scheme,
+        "max_latency": max_latency,
+        "delivered": delivered,
+        "runs": runs,
+        "delivery_rate": delivered / runs if runs else 0.0,
+        "mean_lateness": mean_lateness,
+        "worst_lateness": worst_lateness,
+        "early_releases": early,
+        "value": mean_lateness,
+        "trials_run": runs,
     }
-    if args["kernel"] != "event":
+    if kernel != "event":
         payload.update(
-            kernel=args["kernel"],
+            kernel=kernel,
             uptime=args["uptime"],
             alpha=args["alpha"],
             p=args["p"],
@@ -384,18 +518,6 @@ def timeliness_runner(
 
 
 # -- new workloads beyond the paper ------------------------------------------
-
-
-def _multipath_scheme(name: str, replication: int, path_length: int):
-    from repro.core.schemes import NodeDisjointScheme, NodeJointScheme
-
-    if name == "disjoint":
-        return NodeDisjointScheme(replication, path_length)
-    if name == "joint":
-        return NodeJointScheme(replication, path_length)
-    raise ValueError(
-        f"scheme must be 'disjoint' or 'joint' for this kind, got {name!r}"
-    )
 
 
 @register_kind("sensitivity")
@@ -415,12 +537,7 @@ def sensitivity_runner(
     does) for the numpy attack kernels; the unpinned default stays the
     scalar per-trial lane so pre-kernel result stores remain valid.
     """
-    from repro.experiments.attack_kernels import attack_batch_for
-    from repro.experiments.attack_resilience import (
-        AttackTrial,
-        check_kernel,
-        vectorized_batch_size,
-    )
+    from repro.experiments.attack_resilience import measure_attack
 
     args = _take(
         "sensitivity",
@@ -432,27 +549,20 @@ def sensitivity_runner(
         args["scheme"], args["replication"], args["path_length"]
     )
     analytic = scheme.resilience(args["p"])
-    label = (
-        f"sens-{args['scheme']}-k{args['replication']}"
-        f"-l{args['path_length']}-p{args['p']}"
+    pair = measure_attack(
+        scheme,
+        args["p"],
+        args["population_size"],
+        trials,
+        seed,
+        engine,
+        kernel=args["kernel"],
+        label=(
+            f"sens-{args['scheme']}-k{args['replication']}"
+            f"-l{args['path_length']}-p{args['p']}"
+        ),
+        batch_size=batch_size,
     )
-    if check_kernel(args["kernel"]) == "vectorized":
-        batch = attack_batch_for(scheme, args["p"], args["population_size"])
-        pair = engine.run_batched(
-            batch,
-            trials=trials,
-            seed=seed,
-            label=label,
-            channels=2,
-            batch_size=vectorized_batch_size(trials, batch_size),
-        ).pair
-    else:
-        pair = engine.estimate_pair(
-            AttackTrial(scheme, args["p"], args["population_size"]),
-            trials=trials,
-            seed=seed,
-            label=label,
-        )
     return {
         "scheme": args["scheme"],
         "replication": args["replication"],

@@ -1,4 +1,4 @@
-"""Kernel dispatch through the point APIs, runners, registry and CLI.
+"""Kernel dispatch through the runners, registry and CLI.
 
 The epoch lane must be reachable from every layer above it — and must be
 *invisible* to every pre-existing cache key: default-kernel payloads keep
@@ -10,17 +10,9 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.availability import (
-    AVAILABILITY_KERNELS,
-    AvailabilityPoint,
-    availability_point,
-)
+from repro.experiments.availability import AVAILABILITY_KERNELS
 from repro.experiments.engine import TrialEngine
-from repro.experiments.timeliness import (
-    TIMELINESS_KERNELS,
-    TimelinessResult,
-    timeliness_point,
-)
+from repro.experiments.timeliness import TIMELINESS_KERNELS
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.runners import get_runner
 
@@ -28,38 +20,31 @@ ENGINE = TrialEngine()
 
 
 class TestAvailabilityDispatch:
+    def run(self, scheme, p, trials, seed=2017, **extra):
+        return get_runner("availability")(
+            {"scheme": scheme, "uptime": 0.9, "p": p, **extra}, trials, seed, ENGINE
+        )
+
     def test_kernel_constants(self):
         assert AVAILABILITY_KERNELS == ("static", "epoch", "epoch-scalar")
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown availability kernel"):
-            availability_point(
-                "joint", 0.9, 0.1, trials=10, engine=ENGINE, kernel="warp"
-            )
+            self.run("joint", 0.1, 10, kernel="warp")
 
     @pytest.mark.parametrize("kernel", ["epoch", "epoch-scalar"])
     def test_epoch_lanes_produce_points(self, kernel):
-        point = availability_point(
-            "joint",
-            0.9,
-            0.2,
-            population_size=500,
-            trials=40,
-            seed=11,
-            engine=ENGINE,
-            kernel=kernel,
+        record = self.run(
+            "joint", 0.2, 40, seed=11, population_size=500, kernel=kernel
         )
-        assert isinstance(point, AvailabilityPoint)
-        assert point.scheme == "joint"
-        assert 0.0 <= point.outcome.release_resilience <= 1.0
-        assert 0.0 <= point.outcome.drop_resilience <= 1.0
-        assert point.outcome.trials == 40
+        assert record["scheme"] == "joint"
+        assert 0.0 <= record["release_resilience"] <= 1.0
+        assert 0.0 <= record["drop_resilience"] <= 1.0
+        assert record["trials_run"] == 40
 
     def test_share_scheme_has_no_epoch_lane(self):
         with pytest.raises(ValueError, match="multipath"):
-            availability_point(
-                "share", 0.9, 0.1, trials=10, engine=ENGINE, kernel="epoch"
-            )
+            self.run("share", 0.1, 10, kernel="epoch")
 
 
 class TestTimelinessDispatch:
@@ -68,31 +53,32 @@ class TestTimelinessDispatch:
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown timeliness kernel"):
-            timeliness_point(
-                "joint", 0.5, runs=5, engine=ENGINE, kernel="warp"
+            get_runner("timeliness")(
+                {"scheme": "joint", "kernel": "warp"}, 5, 31337, ENGINE
             )
 
     @pytest.mark.parametrize("kernel", ["epoch", "epoch-scalar"])
     def test_epoch_lanes_produce_results(self, kernel):
-        result = timeliness_point(
-            "disjoint",
-            0.0,
-            runs=40,
-            path_length=3,
-            seed=5,
-            engine=ENGINE,
-            kernel=kernel,
-            uptime=0.95,
-            alpha=1.0,
-            population_size=500,
-            retry_epochs=4,
+        record = get_runner("timeliness")(
+            {
+                "scheme": "disjoint",
+                "max_latency": 0.0,
+                "path_length": 3,
+                "kernel": kernel,
+                "uptime": 0.95,
+                "alpha": 1.0,
+                "population_size": 500,
+                "retry_epochs": 4,
+            },
+            40,
+            5,
+            ENGINE,
         )
-        assert isinstance(result, TimelinessResult)
-        assert result.runs == 40
-        assert 0 <= result.delivered <= 40
-        assert result.early_releases == 0
-        assert result.mean_lateness >= 0.0
-        assert result.worst_lateness <= 4
+        assert record["runs"] == 40
+        assert 0 <= record["delivered"] <= 40
+        assert record["early_releases"] == 0
+        assert record["mean_lateness"] >= 0.0
+        assert record["worst_lateness"] <= 4
 
 
 class TestRunnerPayloads:

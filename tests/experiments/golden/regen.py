@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record-checksum pins for the Fig. 6 kernel and the adaptive game
+"""Record-checksum pins for every scenario kind and Monte-Carlo lane
 (``tests/experiments/test_record_parity.py``).
 
     PYTHONPATH=src python3 tests/experiments/golden/regen.py
@@ -10,7 +10,10 @@ PR 16 replaced the double ``argsort`` in ``place_malicious_counts`` with a
 threshold on the count-th smallest key and moved the adaptive game onto
 ``mark_index_population``, so it states what "same draws, same store
 bytes" means for the vectorised Fig. 6 lane and ``adversary/adaptive.py``.
-Only rerun it in a PR that says why a record's bytes changed.
+The other entries (one sweep per remaining kind and lane, at small
+trials) were generated on the commit before PR 23 folded the ``*_point``
+layer into the scenario runners.  Only rerun it in a PR that says why a
+record's bytes changed.
 
 Each pin is the store checksum of one point record (SHA-256 over its
 canonical JSON: point, params, seed, trials, result), keyed by the point's
@@ -27,7 +30,19 @@ from repro import api
 
 GOLDEN = Path(__file__).with_name("record_parity.json")
 #: scenario -> trials per point (fig6a pins ``kernel="vectorized"`` itself).
-SWEEPS = {"fig6a": 1000, "fig6c": 200, "adaptive-observation": 100}
+SWEEPS = {
+    "fig6a": 1000,
+    "fig6c": 200,
+    "adaptive-observation": 100,
+    "fig7": 40,
+    "fig8": 40,
+    "availability": 40,  # static lane
+    "epoch-smoke": 40,  # availability, epoch lane
+    "timeliness": 4,  # event lane: trials are protocol runs
+    "timeliness-1e6": 8,  # epoch lane
+    "sensitivity-grid": 40,  # pins kernel="vectorized"
+    "smoke": 40,  # the unpinned scalar default
+}
 
 
 def checksums(scenario: str) -> Dict[str, str]:

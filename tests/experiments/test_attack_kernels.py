@@ -30,12 +30,10 @@ from repro.experiments.attack_kernels import (
     place_malicious_counts,
     sample_malicious_grids,
 )
-from repro.experiments.attack_resilience import (
-    AttackTrial,
-    attack_resilience_point,
-)
+from repro.experiments.attack_resilience import AttackTrial
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import SweepPoolExecutor
+from repro.scenarios.runners import get_runner
 from repro.util.stats import wilson_proportion_ci
 
 
@@ -234,46 +232,47 @@ class TestBatchUnits:
         assert slabbed == whole
 
 
+def _fig6_point(scheme_name, p, trials, seed, **extra):
+    return get_runner("attack_resilience")(
+        {"scheme": scheme_name, "p": p, **extra}, trials, seed, TrialEngine()
+    )
+
+
 class TestScalarVectorizedEquivalence:
     """Pinned-seed Wilson-CI overlap between the two lanes (deterministic)."""
 
     @pytest.mark.parametrize("scheme_name", ["central", "disjoint", "joint"])
     @pytest.mark.parametrize("p", [0.1, 0.3])
     def test_point_estimates_overlap(self, scheme_name, p):
-        kwargs = dict(
-            population_size=400, trials=400, seed=2017, measure=True
+        fast, slow = (
+            _fig6_point(
+                scheme_name, p, 400, 2017, population_size=400, kernel=kernel
+            )
+            for kernel in ("vectorized", "scalar")
         )
-        fast = attack_resilience_point(
-            scheme_name, p, kernel="vectorized", **kwargs
-        )
-        slow = attack_resilience_point(scheme_name, p, kernel="scalar", **kwargs)
-        assert fast.configuration == slow.configuration
+        for planned in ("replication", "path_length", "cost", "analytic_worst"):
+            assert fast[planned] == slow[planned]
         for channel in ("release", "drop"):
-            fast_est = getattr(fast.measured, channel)
-            slow_est = getattr(slow.measured, channel)
+            fast_est = fast["measured"][channel]
+            slow_est = slow["measured"][channel]
             assert _overlapping(
-                (fast_est.successes, fast_est.trials),
-                (slow_est.successes, slow_est.trials),
+                (fast_est["successes"], fast_est["trials"]),
+                (slow_est["successes"], slow_est["trials"]),
             ), f"{scheme_name} p={p} {channel}"
 
     def test_both_lanes_track_the_analytic_curve(self):
         # Small population, moderate p: both lanes near the closed form.
         for kernel in ("vectorized", "scalar"):
-            point = attack_resilience_point(
-                "joint",
-                0.2,
-                population_size=600,
-                trials=500,
-                seed=99,
-                kernel=kernel,
+            point = _fig6_point(
+                "joint", 0.2, 500, 99, population_size=600, kernel=kernel
             )
-            assert point.measured.release.estimate == pytest.approx(
-                point.analytic_release, abs=0.07
+            assert point["measured"]["release"]["estimate"] == pytest.approx(
+                point["analytic_release"], abs=0.07
             )
-            assert point.measured.drop.estimate == pytest.approx(
-                point.analytic_drop, abs=0.07
+            assert point["measured"]["drop"]["estimate"] == pytest.approx(
+                point["analytic_drop"], abs=0.07
             )
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            attack_resilience_point("joint", 0.1, kernel="quantum")
+        with pytest.raises(ValueError, match="kernel must be one of"):
+            _fig6_point("joint", 0.1, 400, 2017, kernel="quantum")

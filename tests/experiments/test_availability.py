@@ -8,10 +8,11 @@ import pytest
 from repro import api
 from repro.core.schemes.keyshare import algorithm1
 from repro.experiments.availability import (
-    availability_point,
     simulate_key_share_availability,
     simulate_multipath_availability,
 )
+from repro.experiments.engine import TrialEngine
+from repro.scenarios.runners import get_runner
 from repro.scenarios.spec import Axis
 
 TRIALS = 3000
@@ -113,5 +114,7 @@ class TestSweep:
                 assert by_key[(scheme, 0.8, p)] <= by_key[(scheme, 1.0, p)] + 0.03
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            availability_point("bogus", 0.9, 0.1, trials=10)
+        with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+            get_runner("availability")(
+                {"scheme": "bogus", "uptime": 0.9, "p": 0.1}, 10, 2017, TrialEngine()
+            )

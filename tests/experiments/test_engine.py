@@ -12,13 +12,13 @@ import random
 
 import pytest
 
-from repro.experiments.attack_resilience import attack_resilience_point
 from repro.experiments.engine import EngineResult, TrialEngine
 from repro.experiments.executors import (
     SerialExecutor,
     SweepPoolExecutor,
     trial_source,
 )
+from repro.scenarios.runners import get_runner
 from repro.util.rng import RandomSource
 
 
@@ -280,31 +280,29 @@ class TestAttackResilienceSmoke:
 
     @pytest.mark.parametrize(
         "engine",
-        [None, TrialEngine(backend=SweepPoolExecutor(jobs=2, chunk_size=7))],
+        [TrialEngine(), TrialEngine(backend=SweepPoolExecutor(jobs=2, chunk_size=7))],
         ids=["serial-default", "process-pool"],
     )
     def test_pinned_seed_values(self, engine):
-        points = [
-            attack_resilience_point(
-                scheme,
-                p,
-                population_size=500,
-                trials=50,
-                seed=99,
-                engine=engine,
-                kernel="scalar",
+        runner = get_runner("attack_resilience")
+        records = [
+            runner(
+                {"scheme": scheme, "p": p, "population_size": 500, "kernel": "scalar"},
+                50,
+                99,
+                engine,
             )
             for scheme, p, _, _ in self.PINNED
         ]
         observed = [
             (
-                point.scheme,
-                point.malicious_rate,
-                point.measured.release.successes,
-                point.measured.drop.successes,
+                record["scheme"],
+                record["p"],
+                record["measured"]["release"]["successes"],
+                record["measured"]["drop"]["successes"],
             )
-            for point in points
+            for record in records
         ]
         assert observed == self.PINNED
-        for point in points:
-            assert point.measured.release.trials == 50
+        for record in records:
+            assert record["trials_run"] == 50

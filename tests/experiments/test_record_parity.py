@@ -1,9 +1,9 @@
-"""Golden record parity for the Fig. 6 kernel and the adaptive game.
+"""Golden record parity for every scenario kind and Monte-Carlo lane.
 
-Both lanes are seed-deterministic, so a rewrite of the work *around* their
+Every lane is seed-deterministic, so a rewrite of the work *around* its
 random draws must reproduce the committed record checksums exactly.  The
-golden and the function that computes it live in ``golden/regen.py``; the
-golden was generated on the commit before the rewrite.
+golden and the function that computes it live in ``golden/regen.py``; each
+entry was generated on the commit before the rewrite it guards.
 """
 
 import importlib.util

@@ -1,14 +1,15 @@
 """The sweep orchestrator: caching, resume, pooling, tolerance schedules,
-and the runners' marshalling into the typed per-point units."""
+and what it hands the scenario kinds."""
 
 import dataclasses
 
 import pytest
 
+from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import pools_constructed
 from repro.api import run_sweep
 from repro.scenarios.orchestrator import SweepOrchestrator
-from repro.scenarios.runners import _RUNNERS, register_kind
+from repro.scenarios.runners import _RUNNERS, get_runner, register_kind
 from repro.scenarios.spec import Axis, ScenarioSpec, ToleranceRule, ToleranceSchedule
 from repro.scenarios.store import ResultStore
 
@@ -214,6 +215,45 @@ class TestValidationAndErrors:
         with pytest.raises(TypeError, match="'p' must be float"):
             run_sweep(spec)
 
+    @pytest.mark.parametrize(
+        "kind, fixed, message",
+        [
+            # A truthy string would *measure* and land in the cache key.
+            (
+                "attack_resilience",
+                {"scheme": "joint", "p": 0.1, "measure": "no"},
+                "'attack_resilience' parameter 'measure' must be bool",
+            ),
+            (
+                "attack_resilience",
+                {"scheme": "joint", "p": 0.1, "population_size": "10000"},
+                "'attack_resilience' parameter 'population_size' must be int",
+            ),
+            (
+                "timeliness",
+                {"scheme": "joint", "path_length": 2.5},
+                "'timeliness' parameter 'path_length' must be int",
+            ),
+        ],
+        ids=["measure-str", "population_size-str", "path_length-float"],
+    )
+    def test_wrong_optional_parameter_type_is_a_clear_error(
+        self, kind, fixed, message
+    ):
+        # Optionals are checked against the type of their default, and the
+        # error names the spec's parameter — not a callee's argument.
+        spec = ScenarioSpec(name="x", kind=kind, fixed=fixed, trials=0)
+        with pytest.raises(TypeError, match=message):
+            run_sweep(spec)
+
+    def test_none_default_takes_none_or_a_float(self):
+        runner = get_runner("availability")
+        point = {"scheme": "joint", "uptime": 0.9, "p": 0.1}
+        for shape in (None, 1.5, 2):
+            runner({**point, "lifetime_shape": shape}, 10, 1, TrialEngine())
+        with pytest.raises(TypeError, match="'lifetime_shape' must be float"):
+            runner({**point, "lifetime_shape": "1.5"}, 10, 1, TrialEngine())
+
     def test_int_accepted_where_float_expected(self):
         spec = ScenarioSpec(
             name="x",
@@ -246,20 +286,29 @@ class TestValidationAndErrors:
         assert events == [(0, True), (1, True), (2, True)]
 
 
-class TestDriverEquivalence:
-    """A scenario record is the typed per-point unit called directly.
+def run_kind_directly(spec):
+    """Each grid point through its kind's runner, with no orchestrator."""
+    runner = get_runner(spec.kind)
+    return [
+        runner(
+            point.params(spec),
+            spec.trials,
+            spec.seed,
+            TrialEngine(),
+            spec.engine.batch_size,
+        )
+        for point in spec.points()
+    ]
 
-    The runners only marshal: spec parameters, trials, seed and batch size
-    reach ``attack_resilience_point`` & co. unchanged, so a record's
-    numbers equal a direct call's for the same seed.
+
+class TestDriverEquivalence:
+    """A scenario record is the kind's runner called directly.
+
+    The orchestrator hands params, trials, seed and batch size to the
+    kind unchanged, so a record equals a direct call's for the same seed.
     """
 
     def test_attack_resilience_scenario_matches_driver(self):
-        from repro.experiments.attack_resilience import attack_resilience_point
-
-        # The spec pins the Monte-Carlo lane (as every built-in measuring
-        # spec does): a spec that omits "kernel" runs the scalar oracle,
-        # while the unit defaults to the vectorised lane.
         spec = ScenarioSpec(
             name="fig6-small",
             kind="attack_resilience",
@@ -273,25 +322,14 @@ class TestDriverEquivalence:
         )
         results = run_sweep(spec).results()
         assert len(results) == 6
-        for record in results:
-            point = attack_resilience_point(
-                record["scheme"], record["p"], population_size=500, trials=50, seed=99
-            )
-            assert record["measured"]["release"]["successes"] == (
-                point.measured.release.successes
-            )
-            assert record["measured"]["drop"]["successes"] == (
-                point.measured.drop.successes
-            )
-            assert record["cost"] == point.cost
+        assert all(record["measured"] is not None for record in results)
+        assert results == run_kind_directly(spec)
 
     def test_churn_scenario_matches_driver_via_registered_spec(self):
-        from repro.experiments.churn_resilience import churn_resilience_point
         from repro.scenarios.registry import get_scenario
 
-        registered = get_scenario("fig7")
         small = dataclasses.replace(
-            registered,
+            get_scenario("fig7"),
             axes=(
                 Axis("alpha", (1.0, 3.0)),
                 Axis("p", (0.1, 0.3)),
@@ -301,23 +339,9 @@ class TestDriverEquivalence:
         )
         results = run_sweep(small, jobs=2).results()
         assert len(results) == 16
-        for record in results:
-            point = churn_resilience_point(
-                record["scheme"],
-                record["alpha"],
-                record["p"],
-                population_size=10000,
-                trials=100,
-                seed=registered.seed,
-            )
-            assert record["release_resilience"] == (
-                point.outcome.release_resilience
-            )
-            assert record["drop_resilience"] == point.outcome.drop_resilience
+        assert results == run_kind_directly(small)
 
     def test_share_cost_scenario_matches_driver(self):
-        from repro.experiments.cost import share_cost_point
-
         spec = ScenarioSpec(
             name="fig8-small",
             kind="share_cost",
@@ -326,16 +350,9 @@ class TestDriverEquivalence:
             trials=120,
             seed=2017,
         )
-        for record in run_sweep(spec).results():
-            point = share_cost_point(
-                record["budget"], record["p"], trials=120, seed=2017
-            )
-            assert record["value"] == point.resilience
-            assert record["analytic_resilience"] == point.analytic_resilience
+        assert run_sweep(spec).results() == run_kind_directly(spec)
 
     def test_availability_scenario_matches_driver(self):
-        from repro.experiments.availability import availability_point
-
         spec = ScenarioSpec(
             name="availability-small",
             kind="availability",
@@ -348,20 +365,9 @@ class TestDriverEquivalence:
             trials=150,
             seed=2017,
         )
-        for record in run_sweep(spec).results():
-            point = availability_point(
-                record["scheme"],
-                record["uptime"],
-                record["p"],
-                population_size=2000,
-                trials=150,
-                seed=2017,
-            )
-            assert record["value"] == point.resilience
+        assert run_sweep(spec).results() == run_kind_directly(spec)
 
     def test_timeliness_scenario_matches_driver(self):
-        from repro.experiments.timeliness import timeliness_point
-
         spec = ScenarioSpec(
             name="timeliness-small",
             kind="timeliness",
@@ -370,12 +376,7 @@ class TestDriverEquivalence:
             trials=3,
             seed=31337,
         )
-        record = run_sweep(spec).results()[0]
-        direct = timeliness_point("central", 0.05, runs=3, seed=31337)
-        assert record["delivered"] == direct.delivered
-        assert record["mean_lateness"] == direct.mean_lateness
-        assert record["worst_lateness"] == direct.worst_lateness
-        assert record["early_releases"] == direct.early_releases
+        assert run_sweep(spec).results() == run_kind_directly(spec)
 
     def test_zero_trial_cost_panels_record_analytics(self):
         # Fig. 6(b)/(d) style: measurement-free points run zero trials.

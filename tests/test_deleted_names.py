@@ -66,6 +66,19 @@ DELETED = (
     r"TraceEvent",
     r"sim\.trace",
     r"format_timeline",
+    # A scenario kind is one function: the typed per-point units and their
+    # result types (PR 23).
+    r"attack_resilience_point",
+    r"churn_resilience_point",
+    r"share_cost_point",
+    r"availability_point",
+    r"timeliness_point",
+    r"AttackResiliencePoint",
+    r"\bChurnPoint\b",
+    r"CostPoint",
+    r"AvailabilityPoint",
+    r"TimelinessResult",
+    r"experiments\.cost",
 )
 
 
