@@ -28,26 +28,3 @@ Quick tour (see README.md for a runnable quickstart):
 """
 
 __version__ = "1.0.0"
-
-from repro.core import (
-    CentralizedScheme,
-    DataReceiver,
-    DataSender,
-    KeyShareScheme,
-    NodeDisjointScheme,
-    NodeJointScheme,
-    ReleaseTimeline,
-    plan_configuration,
-)
-
-__all__ = [
-    "__version__",
-    "ReleaseTimeline",
-    "CentralizedScheme",
-    "NodeDisjointScheme",
-    "NodeJointScheme",
-    "KeyShareScheme",
-    "DataSender",
-    "DataReceiver",
-    "plan_configuration",
-]

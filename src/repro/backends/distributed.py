@@ -200,15 +200,10 @@ class PointDeadlineExceeded(RuntimeError):
 class _Worker:
     """Client-side state of one worker: connection, breaker, rate."""
 
-    def __init__(
-        self, address: str, connect_timeout: float, origin: str = "static"
-    ) -> None:
+    def __init__(self, address: str, connect_timeout: float) -> None:
         self.address = address
         self.host, self.port = parse_address(address)
         self.connect_timeout = connect_timeout
-        #: How this worker entered the fleet: ``static`` (given at
-        #: construction), ``announce``, ``hosts``, or ``respawn``.
-        self.origin = origin
         self.sock: Optional[socket.socket] = None
         #: The task payload loaded on the current connection, if any.
         self.loaded: Optional[str] = None
@@ -223,8 +218,6 @@ class _Worker:
         self.draining = False
         self.breaker_trips = 0
         self.cooldown_until = 0.0
-        self.readmissions = 0
-        self.spans_completed = 0
         #: Observed throughput accounting for per-worker span sizing.
         self.trials_done = 0
         self.busy_seconds = 0.0
@@ -281,7 +274,6 @@ class _Worker:
         self.broken = False
         self.draining = False
         self.strikes = 0
-        self.readmissions += 1
         self.drop_connection()
 
     # -- observed throughput ----------------------------------------------
@@ -763,9 +755,7 @@ class DistributedBackend(ExecutionBackend):
                     if replaced is not None:
                         replaced.draining = True
                     if new_address not in by_address:
-                        worker = _Worker(
-                            new_address, self.connect_timeout, origin="respawn"
-                        )
+                        worker = _Worker(new_address, self.connect_timeout)
                         self._workers.append(worker)
                         by_address[new_address] = worker
                         self._count(
@@ -785,9 +775,7 @@ class DistributedBackend(ExecutionBackend):
                 worker = by_address.get(address)
                 if worker is None:
                     try:
-                        worker = _Worker(
-                            address, self.connect_timeout, origin="announce"
-                        )
+                        worker = _Worker(address, self.connect_timeout)
                     except ValueError:  # pragma: no cover - registry validates
                         continue
                     self._workers.append(worker)
@@ -1069,7 +1057,6 @@ class DistributedBackend(ExecutionBackend):
                     with results_lock:
                         results.append((low, reply))
                     worker.strikes = 0
-                    worker.spans_completed += 1
                     worker.record_span(
                         (high - low) * trials_per_unit,
                         time.monotonic() - began,

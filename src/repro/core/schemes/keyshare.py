@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import betainc
 
 from repro.adversary.population import SybilPopulation
 from repro.core.analysis import ResiliencePair
@@ -71,9 +71,16 @@ class SharePlan:
         return (1,) + self.thresholds
 
 
+def _binomial_tail(k: np.ndarray, n: int, p: float) -> np.ndarray:
+    """``P[Bin(n, p) > k]`` for ``0 <= k < n``: the regularised incomplete
+    beta function, which is what ``scipy.stats.binom.sf`` evaluates — bit
+    for bit — without importing ``scipy.stats``."""
+    return betainc(k + 1, n - k, p)
+
+
 def _release_tails(n: int, p: float) -> np.ndarray:
     """``P[Bin(n, p) >= m]`` for every ``m`` in 1..n (index m-1)."""
-    return stats.binom.sf(np.arange(0, n), n, p)
+    return _binomial_tail(np.arange(0, n), n, p)
 
 
 def _drop_tails(n: int, d: int, p: float) -> np.ndarray:
@@ -90,7 +97,7 @@ def _drop_tails(n: int, d: int, p: float) -> np.ndarray:
     regular = ~certain & ~impossible
     tails[certain] = 1.0
     tails[impossible] = 0.0
-    tails[regular] = stats.binom.sf(thresholds[regular] - 1, alive, p)
+    tails[regular] = _binomial_tail(thresholds[regular] - 1, alive, p)
     return tails
 
 

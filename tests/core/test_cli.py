@@ -1,7 +1,12 @@
 """The command-line interface (driven through main(argv))."""
 
+import json
+import subprocess
+import sys
+
 import pytest
 
+from repro.backends.pool import _worker_environment
 from repro.cli import main
 
 
@@ -81,3 +86,35 @@ class TestCostAndDemo:
     def test_no_command_errors(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestColdStart:
+    """What a cold ``python -m repro.cli`` pays before it does anything:
+    importing the CLI must not import the numerical stack (every command
+    imports what it needs on dispatch), and importing the key-share scheme
+    must not import ``scipy.stats``."""
+
+    @staticmethod
+    def _loaded_after(module: str, *candidates: str) -> list:
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                f"import json, sys, {module}; print(json.dumps("
+                f"[name for name in {candidates!r} if name in sys.modules]))",
+            ],
+            env=_worker_environment(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return json.loads(done.stdout)
+
+    def test_importing_the_cli_imports_neither_numpy_nor_scipy(self):
+        assert self._loaded_after("repro.cli", "numpy", "scipy") == []
+
+    def test_importing_keyshare_does_not_import_scipy_stats(self):
+        loaded = self._loaded_after(
+            "repro.core.schemes.keyshare", "scipy.special", "scipy.stats"
+        )
+        assert loaded == ["scipy.special"]

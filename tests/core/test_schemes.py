@@ -1,6 +1,8 @@
 """Scheme objects: analytics, structure sampling, Monte-Carlo agreement."""
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from repro.adversary.population import SybilPopulation
 from repro.core.analysis import disjoint_resilience, joint_resilience
@@ -13,7 +15,12 @@ from repro.core.schemes import (
     algorithm1,
     plan_share_scheme,
 )
-from repro.core.schemes.keyshare import cumulative_success_rates
+from repro.core.schemes.keyshare import (
+    _binomial_tail,
+    _drop_tails,
+    _release_tails,
+    cumulative_success_rates,
+)
 from repro.util.rng import RandomSource
 
 POPULATION = [f"node-{i}" for i in range(2000)]
@@ -141,6 +148,36 @@ class TestAlgorithm1:
         release_low, _ = cumulative_success_rates(plan, 0.05)
         release_high, _ = cumulative_success_rates(plan, 0.45)
         assert release_low[-1] < release_high[-1]
+
+
+class TestBinomialTails:
+    """Algorithm 1's tails come from ``scipy.special.betainc`` so that
+    importing the schemes does not import ``scipy.stats``; the bar is not
+    "close" but the same float, bit for bit, as ``scipy.stats.binom.sf``
+    over every (n, p, threshold) the planner can ask for — n is
+    ``node_budget // path_length``, at most 5000 at the largest budget."""
+
+    SHARES = [*range(1, 65), 100, 250, 500, 1000, 2500, 5000]
+    RATES = [0.0, *(round(0.01 * step, 2) for step in range(1, 51)), 1.0]
+
+    def test_bitwise_equal_to_binom_sf_over_the_planner_domain(self):
+        for n in self.SHARES:
+            k = np.arange(n)
+            for p in self.RATES:
+                ours = _binomial_tail(k, n, p)
+                reference = stats.binom.sf(k, n, p)
+                assert ours.tobytes() == reference.tobytes(), (n, p)
+
+    def test_release_and_drop_tails_are_those_tails(self):
+        for n, d, p in [(100, 25, 0.2), (7, 0, 0.5), (500, 499, 0.33), (12, 12, 0.1)]:
+            m = np.arange(1, n + 1)
+            release = stats.binom.sf(m - 1, n, p)
+            assert _release_tails(n, p).tobytes() == release.tobytes()
+            alive = n - d
+            drop = np.where(
+                m > alive, 1.0, stats.binom.sf(np.maximum(alive - m, 0), alive, p)
+            )
+            assert _drop_tails(n, d, p).tobytes() == drop.tobytes()
 
 
 class TestPlanShareScheme:

@@ -118,3 +118,20 @@ def test_figures_command_does_not_exist():
     with pytest.raises(SystemExit) as info:
         main(["figures"])
     assert info.value.code != 0
+
+
+def test_the_workflow_names_the_guards_and_holds_none():
+    """The guards live in ``tests/system/`` where anyone can run them; the
+    workflow lists ``pytest`` lines.  No inline store comparison, no python
+    heredoc, one dependency-install block (the composite action)."""
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    assert "read_bytes" not in workflow
+    assert not re.search(r"<<-?\s*['\"]?\w", workflow), "a heredoc is back"
+    assert len(workflow.splitlines()) < 250
+    installs = [
+        path
+        for path in sorted((ROOT / ".github").rglob("*.yml"))
+        for line in path.read_text().splitlines()
+        if "pip install" in line and "--upgrade pip" not in line
+    ]
+    assert installs == [ROOT / ".github" / "actions" / "setup" / "action.yml"]
