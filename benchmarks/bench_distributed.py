@@ -17,7 +17,10 @@ bench file.  Two records land in ``BENCH_distributed.json``:
 from pathlib import Path
 
 from conftest import bench_trials, record_bench, time_call
-from repro.backends import DistributedBackend, FaultSpec, WorkerPool, WorkerServer
+from repro.backends.distributed import DistributedBackend
+from repro.backends.faults import FaultSpec
+from repro.backends.pool import WorkerPool
+from repro.backends.worker import WorkerServer
 from repro.backends.pool import worker_import_path
 from repro.experiments.engine import TrialEngine
 
@@ -85,10 +88,7 @@ def test_distributed_fault_recovery(benchmark):
             ) as backend:
                 clean_result, clean_wall = time_call(_run, backend, trials)
             with DistributedBackend(
-                addresses(faulted_servers),
-                chunk_size=CHUNK,
-                heartbeat_interval=0.5,
-                ping_timeout=1.0,
+                addresses(faulted_servers), chunk_size=CHUNK
             ) as backend:
                 faulted_result, faulted_wall = time_call(_run, backend, trials)
                 requeued = backend.stats["spans_requeued"]

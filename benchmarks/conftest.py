@@ -73,7 +73,7 @@ def bench_backend():
     name = os.environ.get("REPRO_BENCH_BACKEND")
     if not name:
         return None
-    from repro.backends import BackendSpec
+    from repro.backends.base import BackendSpec
 
     options = {}
     workers = os.environ.get("REPRO_BENCH_WORKERS")

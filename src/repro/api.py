@@ -29,8 +29,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.backends import BackendSpec, ExecutionBackend
-from repro.backends import list_backends as _registry_list_backends
+from repro.backends.base import BackendSpec
+from repro.backends.registry import list_backends as _registry_list_backends
+from repro.experiments.executors import ExecutionBackend
 from repro.scenarios.orchestrator import SweepOrchestrator, SweepReport
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.spec import ScenarioSpec

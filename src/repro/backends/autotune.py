@@ -21,8 +21,9 @@ written to disk.
 By the determinism contract a span size can never change results — only
 wall time — so autotuning is a pure performance knob, excluded from
 result-store cache keys like every other transport option.  Opt in with
-``chunk_size="auto"`` on the ``distributed``/``process-pool`` backends
-(CLI: ``--chunk-size auto``; benchmarks:
+``chunk_size="auto"`` on the ``distributed``/``process-pool`` backends —
+the only two that take a span size, so the only two keys of
+:data:`TARGET_SPAN_SECONDS` (CLI: ``--chunk-size auto``; benchmarks:
 ``REPRO_BENCH_CHUNK_SIZE=auto``).
 """
 
@@ -35,16 +36,14 @@ from typing import Dict
 #: spans, which costs a few round trips, never coarse-grained stalls.
 DEFAULT_RATE = 20_000.0
 
-#: Target wall seconds per span, per backend.  The distributed backend
-#: tolerates a larger span (its per-span cost is a network round trip);
-#: the local pool prefers finer ones (its per-span cost is tiny).
+#: Target wall seconds per span, for the two backends that autotune.  The
+#: distributed backend tolerates a larger span (its per-span cost is a
+#: network round trip); the local pool prefers finer ones (its per-span
+#: cost is tiny).
 TARGET_SPAN_SECONDS: Dict[str, float] = {
     "distributed": 0.5,
     "process-pool": 0.2,
 }
-
-#: Target for backends without an entry above.
-FALLBACK_TARGET_SECONDS = 0.25
 
 #: Rebalancing granularity floor: a range is never carved into fewer
 #: than this many spans per worker (when it has that many trials).
@@ -66,10 +65,7 @@ def suggest_chunk_size(
     """
     if total <= 0:
         return 1
-    target_seconds = TARGET_SPAN_SECONDS.get(
-        backend_name, FALLBACK_TARGET_SECONDS
-    )
-    span = max(1, int(rate * target_seconds))
+    span = max(1, int(rate * TARGET_SPAN_SECONDS[backend_name]))
     granularity_cap = max(
         1, -(-total // (max(1, workers) * MIN_SPANS_PER_WORKER))
     )

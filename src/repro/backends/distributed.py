@@ -42,18 +42,22 @@ exact same numbers, so results and result-store cache keys stay
 exactly that.  Per-worker failures are tracked as consecutive *strikes*
 (reset by any completed span, and reset again at every engine-run
 boundary so one run's blips never poison the next): at
-``breaker_threshold`` strikes the circuit breaker opens.  A worker that
-stops sending reply bytes for ``heartbeat_interval`` seconds is probed
-with a ``ping`` on a fresh connection (see
+:data:`BREAKER_THRESHOLD` strikes the circuit breaker opens.  A worker
+that stops sending reply bytes for :data:`HEARTBEAT_INTERVAL` seconds is
+probed with a ``ping`` on a fresh connection (see
 :func:`~repro.backends.wire.probe_worker`): a *slow* worker answers and
 the client keeps waiting; a *dead* one fails the probe and its span is
 requeued immediately.
+
+The timing values are module constants, not options: no operator flag
+reaches them and none can change a result.  Each is read where it is
+used, so a test can monkeypatch it for fast fault detection.
 
 **Elasticity.**  The fleet is no longer frozen at :meth:`open`:
 
 - *Breaker re-admission* — an open breaker is a cooldown, not a death
   sentence.  Each trip schedules an exponentially backed-off cooldown
-  (``breaker_cooldown`` doubling per trip, capped at
+  (:data:`BREAKER_COOLDOWN` doubling per trip, capped at
   :data:`BREAKER_COOLDOWN_MAX`); once it expires, a successful heartbeat
   probe re-admits the worker with reset strikes.  Re-admission probes
   are counted separately (``readmission_probes``) and never as
@@ -64,19 +68,18 @@ requeued immediately.
   and a clean worker shutdown retires itself so the backend drains it
   (finish the in-flight span, take no more) instead of striking it.
   ``watch_hosts=PATH`` watches a ``--workers @FILE``-style hosts file
-  for the same events.  New members get a driver thread on the next
-  admission sweep and start pulling spans immediately.
-- *Pool respawn* — a backend-owned pool (``pool=N``) with
-  ``pool_respawns=K`` relaunches up to ``K`` dead children on fresh
-  ephemeral ports (without their scripted ``--fault``, so chaos stays
-  deterministic) and adopts the new addresses mid-dispatch.
+  for the same events — which is also how a ``repro worker pool
+  --respawn K --addresses-file FILE`` replacement joins: the rewritten
+  file reads as one leave plus one join.  New members get a driver
+  thread on the next admission sweep and start pulling spans
+  immediately.
 - *Work-stealing* — a requeued span sized for a slower (or dead) worker
   is split when a faster worker picks it up: the thief takes a span
   sized for itself and the remainder goes back on the queue for the
   next idle worker (``spans_split`` in :attr:`stats`).
 
 Only when every avenue is exhausted — all workers dead or cooling down,
-nothing to respawn, nobody announcing — does the dispatch raise
+nobody announcing — does the dispatch raise
 (:class:`NoWorkersLeft`); and because the sweep orchestrator persists
 completed points, ``repro sweep resume`` continues even that sweep
 without recomputing anything.
@@ -106,7 +109,6 @@ from typing import (
 
 from repro.backends.wire import (
     WORKER_ROLE,
-    ProtocolError,
     cancel_worker,
     decode_blob,
     encode_blob,
@@ -124,27 +126,32 @@ from repro.util.validation import check_positive_int
 #: Re-dispatch attempts allowed per span before the run is declared failed.
 SPAN_RETRIES = 5
 
+#: Seconds allowed for TCP connect + hello handshake per worker.
+CONNECT_TIMEOUT = 10.0
+
 #: Consecutive failures that open a worker's circuit breaker.
-DEFAULT_BREAKER_THRESHOLD = 3
+BREAKER_THRESHOLD = 3
 
 #: Seconds of reply silence before a heartbeat probe checks the worker.
-DEFAULT_HEARTBEAT_INTERVAL = 5.0
+HEARTBEAT_INTERVAL = 5.0
 
-#: Seconds a heartbeat probe may take before counting as dead.
-DEFAULT_PING_TIMEOUT = 2.0
+#: Seconds any liveness probe may take before counting as dead: the
+#: heartbeat, the re-admission probe, the announce registry's admission
+#: probe, and the close-time ``stats`` / ``cancel`` round trips.
+PING_TIMEOUT = 2.0
 
 #: Base cooldown after a breaker trips (doubles per consecutive trip).
 #: Long enough that the fast chaos tests never re-admit by accident,
 #: short enough that a restarted worker rejoins a real sweep promptly.
-DEFAULT_BREAKER_COOLDOWN = 5.0
+BREAKER_COOLDOWN = 5.0
 
 #: Cap on the exponential breaker cooldown (a longer base cooldown wins).
 BREAKER_COOLDOWN_MAX = 60.0
 
 #: How often a running dispatch sweeps for membership changes (announce
-#: registry, hosts file, pool respawns, cooldown expiries).  Span
-#: completion wakes the sweep early, so this adds no happy-path latency.
-DEFAULT_MEMBERSHIP_INTERVAL = 0.25
+#: registry, hosts file, cooldown expiries).  Span completion wakes the
+#: sweep early, so this adds no happy-path latency.
+MEMBERSHIP_INTERVAL = 0.25
 
 #: Every fault/elasticity counter the backend keeps, registered at zero
 #: so :attr:`DistributedBackend.stats` always carries the full key set.
@@ -158,7 +165,6 @@ STAT_NAMES = (
     "workers_readmitted",
     "workers_joined",
     "workers_left",
-    "workers_respawned",
     "heartbeat_probes",
     "readmission_probes",
 )
@@ -175,7 +181,6 @@ _STAT_EVENTS = {
     "workers_readmitted": "readmit",
     "workers_joined": "join",
     "workers_left": "leave",
-    "workers_respawned": "respawn",
 }
 
 
@@ -200,10 +205,9 @@ class PointDeadlineExceeded(RuntimeError):
 class _Worker:
     """Client-side state of one worker: connection, breaker, rate."""
 
-    def __init__(self, address: str, connect_timeout: float) -> None:
+    def __init__(self, address: str) -> None:
         self.address = address
         self.host, self.port = parse_address(address)
-        self.connect_timeout = connect_timeout
         self.sock: Optional[socket.socket] = None
         #: The task payload loaded on the current connection, if any.
         self.loaded: Optional[str] = None
@@ -225,7 +229,7 @@ class _Worker:
     def connect(self) -> None:
         try:
             sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout
+                (self.host, self.port), timeout=CONNECT_TIMEOUT
             )
         except OSError as error:
             raise ConnectionError(
@@ -251,23 +255,24 @@ class _Worker:
             self.sock = None
         self.loaded = None
 
-    def probe(self, ping_timeout: float) -> bool:
-        return probe_worker(self.host, self.port, timeout=ping_timeout)
+    def probe(self) -> bool:
+        return probe_worker(self.host, self.port, timeout=PING_TIMEOUT)
 
     # -- breaker lifecycle -------------------------------------------------
 
-    def schedule_cooldown(self, base: float) -> None:
+    def schedule_cooldown(self) -> None:
         """Start (or extend, doubling) this worker's breaker cooldown."""
         self.breaker_trips += 1
+        base = BREAKER_COOLDOWN
         backoff = min(
             base * (2 ** (self.breaker_trips - 1)),
             max(base, BREAKER_COOLDOWN_MAX),
         )
         self.cooldown_until = time.monotonic() + backoff
 
-    def trip_breaker(self, base: float) -> None:
+    def trip_breaker(self) -> None:
         self.broken = True
-        self.schedule_cooldown(base)
+        self.schedule_cooldown()
 
     def readmit(self) -> None:
         """Close the breaker: fresh strikes, fresh connection next span."""
@@ -439,25 +444,10 @@ class DistributedBackend(ExecutionBackend):
         worker's spans from its own observed rate
         (:mod:`repro.backends.autotune`), targeting sub-second spans so
         retry/rebalancing stays granular.  Never observable in results.
-    connect_timeout:
-        Seconds allowed for TCP connect + hello handshake per worker.
     pool:
         Spawn a local :class:`~repro.backends.pool.WorkerPool` of this
         many ``repro worker serve`` processes in :meth:`open` and own
         its lifecycle — sweeps and tests stand up a pool in one call.
-    breaker_threshold:
-        Consecutive failures that open a worker's circuit breaker.
-    heartbeat_interval:
-        Seconds of reply silence before a liveness probe; slow workers
-        answer the probe and are waited on, dead ones are requeued.
-    ping_timeout:
-        Deadline for each heartbeat probe.
-    breaker_cooldown:
-        Base seconds an open breaker cools down before a re-admission
-        probe; doubles on every consecutive trip, up to
-        :data:`BREAKER_COOLDOWN_MAX`.
-    membership_interval:
-        Seconds between membership sweeps during a dispatch.
     announce_bind:
         ``"host:port"`` to run a
         :class:`~repro.backends.membership.MembershipRegistry` on (port
@@ -466,30 +456,15 @@ class DistributedBackend(ExecutionBackend):
     watch_hosts:
         Path to a ``host:port``-per-line file to watch for membership
         edits (the ``--workers @FILE`` file, typically).
-    pool_faults:
-        :class:`~repro.backends.faults.FaultPlan` (or compact string)
-        for a backend-owned pool — how chaos tests script a real
-        worker-process death under ``pool=N``.
-    pool_respawns:
-        Dead backend-owned pool children to relaunch (total budget, 0
-        disables).  Respawned children carry no scripted fault.
     """
 
     def __init__(
         self,
         workers: Sequence[str] = (),
         chunk_size: Union[int, str, None] = None,
-        connect_timeout: float = 10.0,
         pool: Optional[int] = None,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        ping_timeout: float = DEFAULT_PING_TIMEOUT,
-        breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
-        membership_interval: float = DEFAULT_MEMBERSHIP_INTERVAL,
         announce_bind: Optional[str] = None,
         watch_hosts: Optional[Any] = None,
-        pool_faults: Optional[Any] = None,
-        pool_respawns: int = 0,
     ) -> None:
         addresses = [
             worker.strip() for worker in workers if str(worker).strip()
@@ -514,40 +489,11 @@ class DistributedBackend(ExecutionBackend):
         if chunk_size not in (None, "auto"):
             check_positive_int(chunk_size, "chunk_size")
         self.chunk_size = chunk_size
-        self.connect_timeout = connect_timeout
         self.pool_size = pool
-        self.breaker_threshold = check_positive_int(
-            breaker_threshold, "breaker_threshold"
-        )
-        self.heartbeat_interval = heartbeat_interval
-        self.ping_timeout = ping_timeout
-        if breaker_cooldown <= 0:
-            raise ValueError(
-                f"breaker_cooldown must be > 0, got {breaker_cooldown!r}"
-            )
-        self.breaker_cooldown = float(breaker_cooldown)
-        if membership_interval <= 0:
-            raise ValueError(
-                f"membership_interval must be > 0, got {membership_interval!r}"
-            )
-        self.membership_interval = float(membership_interval)
         if announce_bind is not None:
             parse_address(announce_bind)  # fail fast; port 0 is fine
         self.announce_bind = announce_bind
         self.watch_hosts = watch_hosts
-        if not isinstance(pool_respawns, int) or isinstance(
-            pool_respawns, bool
-        ) or pool_respawns < 0:
-            raise ValueError(
-                f"pool_respawns must be a non-negative int, got {pool_respawns!r}"
-            )
-        if (pool_faults is not None or pool_respawns) and pool is None:
-            raise ValueError(
-                "pool_faults/pool_respawns only apply to a backend-owned "
-                "pool (pass pool=N)"
-            )
-        self.pool_faults = pool_faults
-        self.pool_respawns = pool_respawns
         self._pool: Optional[Any] = None
         self._registry: Optional[Any] = None
         self._watcher: Optional[Any] = None
@@ -570,9 +516,6 @@ class DistributedBackend(ExecutionBackend):
         #: fault/membership events join the sweep's trace tree.  A pure
         #: side channel: results are byte-identical with or without it.
         self.tracer: Any = NULL_TRACER
-        #: Per-address registry snapshots fetched over the ``stats`` wire
-        #: op by the most recent :meth:`close`.
-        self.last_worker_stats: Dict[str, Dict[str, Any]] = {}
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -611,15 +554,9 @@ class DistributedBackend(ExecutionBackend):
         if self.pool_size is not None:
             from repro.backends.pool import WorkerPool
 
-            self._pool = WorkerPool(
-                workers=self.pool_size,
-                fault_plan=self.pool_faults,
-                max_respawns=self.pool_respawns,
-            ).start()
+            self._pool = WorkerPool(workers=self.pool_size).start()
             self.workers = tuple(self._pool.addresses)
-        workers = [
-            _Worker(address, self.connect_timeout) for address in self.workers
-        ]
+        workers = [_Worker(address) for address in self.workers]
         try:
             for worker in workers:
                 worker.connect()
@@ -635,9 +572,7 @@ class DistributedBackend(ExecutionBackend):
             from repro.backends.membership import MembershipRegistry
 
             host, port = parse_address(self.announce_bind)
-            self._registry = MembershipRegistry(
-                host, port, ping_timeout=self.ping_timeout
-            ).start()
+            self._registry = MembershipRegistry(host, port).start()
         if self.watch_hosts is not None:
             from repro.backends.membership import HostsFileWatcher
 
@@ -671,7 +606,7 @@ class DistributedBackend(ExecutionBackend):
             if not worker.broken:
                 worker.strikes = 0
         # A run boundary is also a natural admission point: adopt joins,
-        # drains, respawns, and any cooled-down breakers before spans fly.
+        # drains, and any cooled-down breakers before spans fly.
         self._admit_members()
         try:
             self._payload = encode_blob(task)
@@ -709,7 +644,7 @@ class DistributedBackend(ExecutionBackend):
 
         Runs at close, over fresh short-lived connections (the
         persistent sockets may be mid-teardown), bounded by
-        ``ping_timeout`` per worker.  Failures — dead worker, a worker
+        :data:`PING_TIMEOUT` per worker.  Failures — dead worker, a worker
         predating the ``stats`` op — just skip that worker: telemetry
         must never be able to fail a sweep that already finished.
         """
@@ -719,11 +654,10 @@ class DistributedBackend(ExecutionBackend):
             if worker.broken or worker.draining:
                 continue
             snapshot = fetch_worker_stats(
-                worker.host, worker.port, timeout=self.ping_timeout
+                worker.host, worker.port, timeout=PING_TIMEOUT
             )
             if snapshot is None:
                 continue
-            self.last_worker_stats[worker.address] = snapshot
             self.metrics.merge(snapshot, prefix=f"worker.{worker.address}.")
             if self.tracer.enabled:
                 counters = snapshot.get("counters") or {}
@@ -734,7 +668,7 @@ class DistributedBackend(ExecutionBackend):
     # -- membership --------------------------------------------------------
 
     def _admit_members(self, force: bool = False) -> None:
-        """One membership sweep: respawns, announces, drains, re-admissions.
+        """One membership sweep: announces, drains, re-admissions.
 
         ``force`` ignores breaker cooldowns — the dispatch controller's
         last resort before declaring :class:`NoWorkersLeft`.
@@ -745,24 +679,6 @@ class DistributedBackend(ExecutionBackend):
             by_address = {worker.address: worker for worker in self._workers}
             joined: List[str] = []
             left: List[str] = []
-            if (
-                self._pool is not None
-                and self.pool_respawns
-                and self._pool.local
-            ):
-                for old_address, new_address in self._pool.respawn_dead():
-                    replaced = by_address.get(old_address)
-                    if replaced is not None:
-                        replaced.draining = True
-                    if new_address not in by_address:
-                        worker = _Worker(new_address, self.connect_timeout)
-                        self._workers.append(worker)
-                        by_address[new_address] = worker
-                        self._count(
-                            "workers_respawned",
-                            worker=new_address,
-                            replaced=old_address,
-                        )
             if self._registry is not None:
                 registry_joined, registry_left = self._registry.poll()
                 joined += registry_joined
@@ -775,7 +691,7 @@ class DistributedBackend(ExecutionBackend):
                 worker = by_address.get(address)
                 if worker is None:
                     try:
-                        worker = _Worker(address, self.connect_timeout)
+                        worker = _Worker(address)
                     except ValueError:  # pragma: no cover - registry validates
                         continue
                     self._workers.append(worker)
@@ -806,7 +722,7 @@ class DistributedBackend(ExecutionBackend):
                 # A re-admission probe is diagnostic, not a failure: it
                 # must never count toward worker_failures.
                 self._count("readmission_probes")
-                if worker.probe(self.ping_timeout):
+                if worker.probe():
                     worker.readmit()
                     self._count(
                         "workers_readmitted",
@@ -814,7 +730,7 @@ class DistributedBackend(ExecutionBackend):
                         via="probe",
                     )
                 else:
-                    worker.schedule_cooldown(self.breaker_cooldown)
+                    worker.schedule_cooldown()
 
     def _dispatchable_workers(self) -> List[_Worker]:
         with self._membership_lock:
@@ -837,7 +753,7 @@ class DistributedBackend(ExecutionBackend):
         way: the drain then waits for the span, exactly the old
         behaviour.
         """
-        cancel_worker(worker.host, worker.port, timeout=self.ping_timeout)
+        cancel_worker(worker.host, worker.port, timeout=PING_TIMEOUT)
 
     def cancel_active(self, error: BaseException) -> bool:
         """Abort the in-flight dispatch (if any) from another thread.
@@ -893,29 +809,27 @@ class DistributedBackend(ExecutionBackend):
     ) -> Dict[str, Any]:
         """One request on a worker's persistent connection, liveness-checked.
 
-        Reply silence beyond ``heartbeat_interval`` triggers a ``ping``
-        probe on a fresh connection: an answering (merely slow) worker is
-        waited on — the orchestrator's point deadline, not this loop,
-        bounds an over-budget span — while a silent one raises
+        Reply silence beyond :data:`HEARTBEAT_INTERVAL` triggers a
+        ``ping`` probe on a fresh connection: an answering (merely slow)
+        worker is waited on — the orchestrator's point deadline, not this
+        loop, bounds an over-budget span — while a silent one raises
         :class:`WorkerLost` so the span is requeued.
         """
+        interval = HEARTBEAT_INTERVAL
         waited = 0.0
 
         def on_idle() -> None:
             nonlocal waited
-            waited += self.heartbeat_interval
+            waited += interval
             self._count("heartbeat_probes")
-            if not worker.probe(self.ping_timeout):
+            if not worker.probe():
                 raise WorkerLost(
                     f"worker {worker.address} stopped answering heartbeat "
                     f"pings after {waited:.1f}s of silence"
                 )
 
         return request(
-            worker.sock,
-            payload,
-            idle_timeout=self.heartbeat_interval,
-            on_idle=on_idle,
+            worker.sock, payload, idle_timeout=interval, on_idle=on_idle
         )
 
     def _ensure_ready(self, worker: _Worker) -> None:
@@ -932,9 +846,9 @@ class DistributedBackend(ExecutionBackend):
         Each live worker gets a driver thread pulling demand-carved spans
         off one shared :class:`_SpanSource`; transport failures requeue
         the span (bounded by :data:`SPAN_RETRIES`) and strike the worker
-        (breaker at ``breaker_threshold``), task failures abort the
+        (breaker at :data:`BREAKER_THRESHOLD`), task failures abort the
         dispatch.  Between spans the controller thread sweeps membership —
-        admitting announced workers, adopting respawned pool children,
+        admitting announced or watched workers, draining departed ones,
         re-admitting cooled-down breakers — and spawns drivers for every
         newcomer, so the fleet flexes *while the range is running*.
         Raises only after every driver thread has stopped touching its
@@ -947,15 +861,11 @@ class DistributedBackend(ExecutionBackend):
         source = _SpanSource(
             start, stop, sizer, on_split=lambda: self._count("spans_split")
         )
-        self._active_source = source
         results: List[Tuple[int, Any]] = []
         results_lock = threading.Lock()
-        # Opened (and closed) by the controller thread; driver threads
-        # parent their per-span records on it explicitly, since they
-        # never see the controller's thread-local stack.
-        dispatch_context = self.tracer.span(
-            "backend.dispatch", mode=mode, start=start, stop=stop
-        )
+        #: One driver thread per address; a thread is only ever replaced
+        #: once it has exited, so joining these joins every driver.
+        threads: Dict[str, threading.Thread] = {}
 
         def drive(worker: _Worker, dispatch_span: Any) -> None:
             try:
@@ -1003,10 +913,10 @@ class DistributedBackend(ExecutionBackend):
                             error=type(error).__name__,
                         )
                         if (
-                            worker.strikes >= self.breaker_threshold
+                            worker.strikes >= BREAKER_THRESHOLD
                             and not worker.broken
                         ):
-                            worker.trip_breaker(self.breaker_cooldown)
+                            worker.trip_breaker()
                             self._count(
                                 "workers_broken",
                                 worker=worker.address,
@@ -1066,82 +976,71 @@ class DistributedBackend(ExecutionBackend):
             finally:
                 source.driver_exited()
 
+        def spawn_drivers(dispatch_span: Any) -> bool:
+            spawned = False
+            for worker in self._dispatchable_workers():
+                existing = threads.get(worker.address)
+                if existing is not None and existing.is_alive():
+                    continue
+                source.add_driver()
+                thread = threading.Thread(
+                    target=drive,
+                    args=(worker, dispatch_span),
+                    name=f"repro-dispatch-{worker.address}",
+                    daemon=True,
+                )
+                threads[worker.address] = thread
+                thread.start()
+                spawned = True
+            return spawned
+
+        self._active_source = source
         try:
-            return self._run_dispatch(
-                source, results, results_lock, dispatch_context, drive
-            )
+            # Opened (and closed) by this controller thread; driver threads
+            # parent their per-span records on it explicitly, since they
+            # never see the controller's thread-local stack.
+            with self.tracer.span(
+                "backend.dispatch", mode=mode, start=start, stop=stop
+            ) as dispatch_span:
+                spawn_drivers(dispatch_span)
+                if source.drivers == 0:
+                    # Nobody to even begin with: give the elastic paths one
+                    # shot (cooldown overridden) before refusing the dispatch.
+                    self._admit_members(force=True)
+                    if not spawn_drivers(dispatch_span):
+                        raise NoWorkersLeft(
+                            "every worker is dead or circuit-broken; restart "
+                            "workers (or join replacements via --announce) "
+                            "and retry — completed sweep points are in the "
+                            "store (`repro sweep resume` recomputes nothing)"
+                        )
+                while not source.settled:
+                    self._admit_members()
+                    spawn_drivers(dispatch_span)
+                    if source.drivers == 0 and not source.settled:
+                        # Every driver is gone with spans still pending.
+                        # Last resort: probe even cooling-down breakers,
+                        # adopt any late joiner, then concede.
+                        self._admit_members(force=True)
+                        spawn_drivers(dispatch_span)
+                        if source.drivers == 0 and not source.settled:
+                            source.abort(
+                                NoWorkersLeft(
+                                    "span(s) still pending but every worker "
+                                    "is dead or circuit-broken (and no "
+                                    "replacement joined)"
+                                )
+                            )
+                            break
+                    source.wait(MEMBERSHIP_INTERVAL)
+                for thread in threads.values():
+                    thread.join()
+                error = source.error
+                if error is not None:
+                    raise error
+                dispatch_span.set_attr("spans", len(results))
         finally:
             self._active_source = None
-
-    def _run_dispatch(
-        self,
-        source: _SpanSource,
-        results: List[Tuple[int, Any]],
-        results_lock: threading.Lock,
-        dispatch_context: Any,
-        drive: Callable[[_Worker, Any], None],
-    ) -> List[Any]:
-        """The controller half of :meth:`_dispatch` (split for cleanup)."""
-        with dispatch_context as dispatch_span:
-            threads: Dict[str, threading.Thread] = {}
-            all_threads: List[threading.Thread] = []
-
-            def spawn_drivers() -> bool:
-                spawned = False
-                for worker in self._dispatchable_workers():
-                    existing = threads.get(worker.address)
-                    if existing is not None and existing.is_alive():
-                        continue
-                    source.add_driver()
-                    thread = threading.Thread(
-                        target=drive,
-                        args=(worker, dispatch_span),
-                        name=f"repro-dispatch-{worker.address}",
-                        daemon=True,
-                    )
-                    threads[worker.address] = thread
-                    all_threads.append(thread)
-                    thread.start()
-                    spawned = True
-                return spawned
-
-            spawn_drivers()
-            if source.drivers == 0:
-                # Nobody to even begin with: give the elastic paths one shot
-                # (cooldown overridden) before refusing the dispatch.
-                self._admit_members(force=True)
-                if not spawn_drivers():
-                    raise NoWorkersLeft(
-                        "every worker is dead or circuit-broken; restart "
-                        "workers (or join replacements via --announce) and "
-                        "retry — completed sweep points are in the store "
-                        "(`repro sweep resume` recomputes nothing)"
-                    )
-            while not source.settled:
-                self._admit_members()
-                spawn_drivers()
-                if source.drivers == 0 and not source.settled:
-                    # Every driver is gone with spans still pending.  Last
-                    # resort: probe even cooling-down breakers, adopt any
-                    # late joiner, then concede.
-                    self._admit_members(force=True)
-                    spawn_drivers()
-                    if source.drivers == 0 and not source.settled:
-                        source.abort(
-                            NoWorkersLeft(
-                                "span(s) still pending but every worker is "
-                                "dead or circuit-broken (and no replacement "
-                                "joined)"
-                            )
-                        )
-                        break
-                source.wait(self.membership_interval)
-            for thread in all_threads:
-                thread.join()
-            error = source.error
-            if error is not None:
-                raise error
-            dispatch_span.set_attr("spans", len(results))
         results.sort(key=lambda pair: pair[0])
         return [reply for _, reply in results]
 

@@ -154,19 +154,6 @@ class FaultPlan:
             if index not in self.faults or not self.faults[index].fatal
         )
 
-    def fatal_indices(self, workers: int) -> Tuple[int, ...]:
-        """Worker indices scripted to die for good (``kill``/``hang``).
-
-        The complement of :meth:`survivors` — what pool respawn and the
-        CLI's exit reporting consult to tell a *scripted* death (expected,
-        eligible for a replacement) from an unexpected one.
-        """
-        return tuple(
-            index
-            for index in range(workers)
-            if index in self.faults and self.faults[index].fatal
-        )
-
     def describe(self) -> str:
         """The compact CLI form: ``0:kill@2,2:slow@0:0.05``."""
         return ",".join(

@@ -33,8 +33,11 @@ between spans and adopts changes without interrupting dispatch):
   the same ``host:port``-per-line file ``--workers @FILE`` reads, and
   edits to it (atomic writes — see
   :func:`repro.backends.pool.write_addresses_file`) become join/leave
-  events on the next poll.  Torn or momentarily invalid file states are
-  treated as "no change", never as a mass departure.
+  events on the next poll.  This is also the one respawn path: ``repro
+  worker pool --respawn K --addresses-file FILE`` rewrites the file when
+  it relaunches a dead worker, which reads as a leave plus a join.  Torn
+  or momentarily invalid file states are treated as "no change", never
+  as a mass departure.
 
 Both channels produce the same thing: ``(joined, left)`` address
 batches, drained by the backend under its own admission cadence.  By
@@ -54,6 +57,7 @@ import time
 from pathlib import Path
 from typing import Callable, List, Optional, Set, Tuple
 
+from repro.backends import distributed
 from repro.backends.wire import (
     PROTOCOL_VERSION,
     handshake,
@@ -124,22 +128,16 @@ class MembershipRegistry(socketserver.ThreadingTCPServer):
     built with ``announce_bind=...`` (started in ``open``, stopped in
     ``close``); runs its accept loop on a daemon thread and queues
     join/leave events that :meth:`poll` drains.  Announcements are
-    validated (``host:port`` shape) and, with ``probe=True`` (the
-    default), heartbeat-pinged before acceptance, so a typo'd or
-    already-dead announcement is refused at the door with
-    ``accepted: false`` instead of poisoning the span queue.
+    validated (``host:port`` shape) and heartbeat-pinged (within the
+    backend's :data:`~repro.backends.distributed.PING_TIMEOUT`) before
+    acceptance, so a typo'd or already-dead announcement is refused at
+    the door with ``accepted: false`` instead of poisoning the span queue.
     """
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        probe: bool = True,
-        ping_timeout: float = 2.0,
-    ) -> None:
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         try:
             super().__init__((host, port), _RegistryHandler)
         except OSError as error:
@@ -159,8 +157,6 @@ class MembershipRegistry(socketserver.ThreadingTCPServer):
                     "another --announce-bind or stop that sweep"
                 ) from error
             raise
-        self.probe = probe
-        self.ping_timeout = ping_timeout
         self._lock = threading.Lock()
         self._joined: List[str] = []
         self._left: List[str] = []
@@ -187,7 +183,7 @@ class MembershipRegistry(socketserver.ThreadingTCPServer):
             # address was rejected instead of seeing a raised error.
             return {"ok": True, "accepted": False, "error": str(error)}
         address = f"{host}:{port}"
-        if self.probe and not probe_worker(host, port, timeout=self.ping_timeout):
+        if not probe_worker(host, port, timeout=distributed.PING_TIMEOUT):
             # Refused at the door: an address that cannot answer a ping
             # now would only burn strikes in the dispatch later.
             return {"ok": True, "accepted": False, "error": "worker not answering pings"}

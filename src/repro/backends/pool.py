@@ -1,32 +1,28 @@
-"""The worker-pool launcher: stand up a set of trial workers in one call.
+"""The worker-pool launcher: stand up local trial workers in one call.
 
-PR 4's distributed backend assumed an operator had already started every
-``repro worker serve`` process by hand.  :class:`WorkerPool` removes that
-step for the common cases:
+:class:`WorkerPool` spawns ``repro worker serve --bind host:0``
+subprocesses, reads each one's announced ephemeral address off its
+stdout, and owns their lifecycle (``stop`` sends SIGTERM, escalating to
+SIGKILL):
 
-- **Local pool** — ``WorkerPool(workers=3)`` spawns three
-  ``repro worker serve --bind host:0`` subprocesses, reads each one's
-  announced ephemeral address off its stdout, and owns their lifecycle
-  (``stop`` sends SIGTERM, escalating to SIGKILL).  A
-  :class:`~repro.backends.faults.FaultPlan` maps per-worker scripted
-  failures onto the spawned processes (``--fault`` per child), which is
-  how the chaos tests and the CI ``chaos`` job kill a real worker
-  process mid-sweep, deterministically.
-- **Remote hosts** — :meth:`WorkerPool.from_hosts_file` reads a
-  ``host:port``-per-line file describing workers already running
-  elsewhere, optionally heartbeat-probing each; ``stop`` leaves them
-  alone (their operator owns them).
+- **Fault plans** — a :class:`~repro.backends.faults.FaultPlan` maps
+  per-worker scripted failures onto the spawned processes (``--fault``
+  per child), which is how the chaos tests kill a real worker process
+  mid-sweep, deterministically.
 - **Respawn** — with ``max_respawns=K``, :meth:`WorkerPool.respawn_dead`
   relaunches up to ``K`` dead children on fresh ephemeral ports.
   Respawned children carry *no* ``--fault`` flag: a scripted fault has
   already fired once, and re-arming it on the replacement would make
-  chaos runs non-deterministic.  The attached
-  :class:`~repro.backends.distributed.DistributedBackend` adopts the
-  new addresses through its membership sweep, and
-  :func:`write_addresses_file` republishes them atomically for any
-  ``--workers @FILE`` reader.
+  chaos runs non-deterministic.  ``repro worker pool --respawn K
+  --addresses-file FILE`` republishes the new addresses atomically
+  (:func:`write_addresses_file`), and a sweep reading the file with
+  ``--workers @FILE --watch-workers`` adopts each replacement as one
+  leave plus one join.
 
-Either way, :attr:`addresses` plugs straight into
+Workers already running elsewhere need no pool: name them with
+``--workers host:port,...`` or a ``--workers @FILE`` host list
+(:func:`load_hosts_file`); the backend's ``open`` refuses an unreachable
+one by name.  :attr:`WorkerPool.addresses` plugs straight into
 :class:`~repro.backends.distributed.DistributedBackend` — or let the
 backend do both halves itself with ``DistributedBackend(pool=N)`` /
 ``repro sweep run ... --backend distributed --pool N``.  The CLI face is
@@ -47,18 +43,22 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.backends.faults import FaultPlan
-from repro.backends.wire import parse_address, probe_worker
+from repro.backends.wire import parse_address
 
 #: What ``repro worker serve`` announces on stdout once bound.
 _ADDRESS_LINE = re.compile(r"listening on (\S+?):(\d+)")
+
+#: Seconds each spawned worker gets to announce its address.
+STARTUP_TIMEOUT = 60.0
 
 
 def load_hosts_file(path) -> List[str]:
     """Read a worker host-list file: one ``host:port`` per line.
 
     Blank lines and ``#`` comments are ignored; every surviving line is
-    validated as an address.  This is both :meth:`WorkerPool.from_hosts_file`
-    and the CLI's ``--workers @path`` spelling.
+    validated as an address.  This is the CLI's ``--workers @path``
+    spelling and what a :class:`~repro.backends.membership.HostsFileWatcher`
+    re-reads.
     """
     addresses: List[str] = []
     for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
@@ -164,19 +164,13 @@ class WorkerPool:
     Parameters
     ----------
     workers:
-        Local serve processes to spawn (ignored when ``addresses`` names
-        already-running remote workers).
+        Local serve processes to spawn.
     host:
         Interface the local workers bind (loopback by default — the
         protocol ships pickles).
     fault_plan:
         Optional :class:`~repro.backends.faults.FaultPlan` (or its
         compact string form) mapping worker indices to scripted faults.
-    addresses:
-        Pre-existing workers to adopt instead of spawning; ``stop``
-        leaves them running.
-    startup_timeout:
-        Seconds each spawned worker gets to announce its address.
     max_respawns:
         Total budget of dead-child relaunches :meth:`respawn_dead` may
         spend (0, the default, disables respawning — scripted chaos
@@ -188,8 +182,6 @@ class WorkerPool:
         workers: int = 2,
         host: str = "127.0.0.1",
         fault_plan=None,
-        addresses: Sequence[str] = (),
-        startup_timeout: float = 30.0,
         max_respawns: int = 0,
     ) -> None:
         if isinstance(fault_plan, str):
@@ -199,34 +191,10 @@ class WorkerPool:
         self.workers = workers
         self.host = host
         self.fault_plan = fault_plan
-        self.startup_timeout = startup_timeout
         self.max_respawns = max_respawns
         self.respawns_used = 0
-        self._remote = tuple(addresses)
-        for address in self._remote:
-            parse_address(address)
         self._processes: List[subprocess.Popen] = []
         self._addresses: Optional[Tuple[str, ...]] = None
-
-    @classmethod
-    def from_hosts_file(cls, path, probe: bool = False) -> "WorkerPool":
-        """Adopt the remote workers a host-list file names.
-
-        With ``probe``, heartbeat-ping each one and fail loudly on the
-        unreachable — the "is my fleet actually up?" pre-flight.
-        """
-        pool = cls(addresses=load_hosts_file(path))
-        if probe:
-            dead = [
-                address
-                for address in pool._remote
-                if not probe_worker(*parse_address(address))
-            ]
-            if dead:
-                raise ConnectionError(
-                    f"worker(s) not answering pings: {', '.join(dead)}"
-                )
-        return pool
 
     @property
     def addresses(self) -> Tuple[str, ...]:
@@ -234,11 +202,6 @@ class WorkerPool:
         if self._addresses is None:
             raise RuntimeError("WorkerPool not started; call start() first")
         return self._addresses
-
-    @property
-    def local(self) -> bool:
-        """Whether this pool owns (spawned) its worker processes."""
-        return not self._remote
 
     def _spawn_worker(self, index: int, fault=None) -> Tuple[subprocess.Popen, str]:
         """Launch one ``repro worker serve`` child; its process + address."""
@@ -262,7 +225,7 @@ class WorkerPool:
         try:
             line = _await_line(
                 process.stdout,
-                self.startup_timeout,
+                STARTUP_TIMEOUT,
                 f"worker {index} (pid {process.pid})",
             )
             match = _ADDRESS_LINE.search(line)
@@ -281,11 +244,8 @@ class WorkerPool:
         return process, f"{match.group(1)}:{match.group(2)}"
 
     def start(self) -> "WorkerPool":
-        """Spawn the local workers (no-op for remote pools); idempotent."""
+        """Spawn the workers; idempotent."""
         if self._addresses is not None:
-            return self
-        if self._remote:
-            self._addresses = self._remote
             return self
         addresses: List[str] = []
         try:
@@ -312,13 +272,12 @@ class WorkerPool:
         """Relaunch dead children on fresh ports, within ``max_respawns``.
 
         Returns ``[(old_address, new_address), ...]`` for each slot
-        relaunched, so an attached backend can drain the dead address
-        and admit the new one.  Replacements are spawned *without* the
-        slot's scripted fault — it already fired once, and a replacement
-        that re-dies on schedule would make chaos runs non-deterministic.
-        Remote (adopted) pools never respawn: their operator owns them.
+        relaunched, so the caller can republish the addresses.
+        Replacements are spawned *without* the slot's scripted fault — it
+        already fired once, and a replacement that re-dies on schedule
+        would make chaos runs non-deterministic.
         """
-        if not self.local or self._addresses is None:
+        if self._addresses is None:
             return []
         replaced: List[Tuple[str, str]] = []
         addresses = list(self._addresses)
@@ -346,13 +305,12 @@ class WorkerPool:
         return replaced
 
     def stop(self, grace_seconds: float = 5.0) -> None:
-        """Terminate spawned workers: SIGTERM, then SIGKILL stragglers.
+        """Terminate the workers: SIGTERM, then SIGKILL stragglers.
 
-        Remote (adopted) workers are untouched — their operator owns
-        them.  Safe to call repeatedly.
+        Safe to call repeatedly.
         """
         processes, self._processes = self._processes, []
-        self._addresses = self._remote or None
+        self._addresses = None
         for process in processes:
             if process.poll() is None:
                 try:

@@ -20,8 +20,11 @@ Resolution order, everywhere: an explicit ``backend=`` (registry name,
 ``engine.backend`` > the ``jobs`` sugar (``1`` = ``serial``, above that
 ``process-pool``).
 
-Each entry declares which options its factory accepts.  By the engine's
-determinism contract none of them can change results (``jobs``,
+Each entry declares which options its factory accepts — only what an
+operator can set from the CLI (``--jobs``, ``--chunk-size``, ``--workers``,
+``--pool``, ``--announce-bind``, ``--watch-workers``); timing values such
+as the distributed heartbeat are module constants, not options.  By the
+engine's determinism contract none of them can change results (``jobs``,
 chunking, transport and topology are all invisible in the counts), which
 is why a backend never reaches a result-store cache key.
 """
@@ -205,24 +208,9 @@ def _register_builtins() -> None:
             "processes (workers=['host:port', ...] or pool=N to spawn a "
             "local pool); retries and rebalances around worker failures, "
             "and the fleet is elastic: breakers re-admit after cooldown, "
-            "workers join mid-sweep via announce_bind/watch_hosts, dead "
-            "pool children respawn"
+            "workers join and leave mid-sweep via announce_bind/watch_hosts"
         ),
-        options=(
-            "workers",
-            "chunk_size",
-            "connect_timeout",
-            "pool",
-            "breaker_threshold",
-            "heartbeat_interval",
-            "ping_timeout",
-            "breaker_cooldown",
-            "membership_interval",
-            "announce_bind",
-            "watch_hosts",
-            "pool_faults",
-            "pool_respawns",
-        ),
+        options=("workers", "chunk_size", "pool", "announce_bind", "watch_hosts"),
     )
 
 

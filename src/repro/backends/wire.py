@@ -83,9 +83,11 @@ from typing import Any, Callable, Dict, Optional
 #: Bumped on incompatible message-vocabulary changes; :func:`handshake` checks it.
 PROTOCOL_VERSION = 2
 
-#: The server role string ``hello`` replies carry, so a client can tell a
-#: repro worker from some unrelated service listening on the same port.
+#: The server role strings ``hello`` replies carry, so a client can tell a
+#: repro worker from the sweep-service daemon (``repro serve``) or some
+#: unrelated service listening on the same port.
 WORKER_ROLE = "repro-worker"
+SERVICE_ROLE = "repro-sweep-service"
 
 _HEADER = struct.Struct(">I")
 

@@ -47,7 +47,7 @@ from typing import List, Optional
 
 #: The built-in backends, for ``--help`` readability only — the registry
 #: is the source of truth, and ``--backend`` accepts anything registered
-#: (including backends added via ``repro.backends.register_backend``),
+#: (including backends added via ``repro.backends.registry.register_backend``),
 #: validated lazily so ``--help`` never imports the backend subsystem.
 _BUILTIN_BACKENDS = "serial, process-pool, distributed"
 
@@ -100,7 +100,8 @@ def _add_backend_arguments(parser) -> None:
         metavar="HOST:PORT",
         help="with --backend distributed: run a membership registry on "
         "this address so `repro worker serve --announce` processes can "
-        "join the fleet mid-sweep (port 0 picks an ephemeral port)",
+        "join the fleet mid-sweep (name a fixed port: the workers need it "
+        "before the sweep starts)",
     )
     parser.add_argument(
         "--watch-workers",
@@ -141,7 +142,8 @@ def _backend_from_args(args):
     when no explicit backend was requested, deferring to the ``--jobs``
     sugar (and, for sweeps, a spec's pinned backend).
     """
-    from repro.backends import BackendSpec, resolve_spec
+    from repro.backends.base import BackendSpec
+    from repro.backends.registry import resolve_spec
 
     if args.backend is None:
         if args.workers or args.pool:
@@ -160,13 +162,13 @@ def _backend_from_args(args):
         if not args.workers and not args.pool:
             raise SystemExit(
                 "--backend distributed requires --workers "
-                "host:port[,host:port...] (or @hosts-file) or --pool N"
+                "host:port[,host:port...] (or @FILE) or --pool N"
             )
         if args.workers and args.pool:
             raise SystemExit("pass either --workers or --pool, not both")
         if args.workers:
             if args.workers.startswith("@"):
-                from repro.backends import load_hosts_file
+                from repro.backends.pool import load_hosts_file
 
                 try:
                     options["workers"] = load_hosts_file(args.workers[1:])
@@ -193,6 +195,19 @@ def _backend_from_args(args):
         if args.pool:
             options["pool"] = args.pool
         if args.announce_bind:
+            from repro.backends.wire import parse_address
+
+            try:
+                _, port = parse_address(args.announce_bind)
+            except ValueError as error:
+                raise SystemExit(str(error)) from None
+            if port == 0:
+                raise SystemExit(
+                    "--announce-bind must name a port, not 0: workers "
+                    "started with `repro worker serve --announce HOST:PORT` "
+                    "need it before the sweep starts, and an ephemeral port "
+                    "is never printed"
+                )
             options["announce_bind"] = args.announce_bind
     elif args.workers or args.pool:
         raise SystemExit("--workers/--pool require --backend distributed")
@@ -479,8 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     worker_pool = worker_actions.add_parser(
         "pool",
-        help="launch a local pool of serve processes (or adopt a remote "
-        "host list) and run until interrupted",
+        help="launch a local pool of serve processes and run until "
+        "interrupted",
     )
     worker_pool.add_argument(
         "--workers",
@@ -493,13 +508,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="127.0.0.1",
         help="interface the spawned workers bind, each on an ephemeral "
         "port (default: %(default)s)",
-    )
-    worker_pool.add_argument(
-        "--hosts-file",
-        default=None,
-        help="adopt already-running remote workers from a host-list file "
-        "(one host:port per line) instead of spawning local ones; each "
-        "is heartbeat-probed before the pool reports ready",
     )
     worker_pool.add_argument(
         "--fault",
@@ -899,7 +907,7 @@ def _command_serve(args) -> int:
     import threading
 
     from repro.backends.wire import parse_address
-    from repro.service import SweepService
+    from repro.service.server import SweepService
 
     host, port = parse_address(args.bind)
     tracer = _open_tracer(args)
@@ -1150,19 +1158,12 @@ def _worker_pool(args) -> int:
 
     if args.respawn < 0:
         raise SystemExit("--respawn must be a non-negative integer")
-    if args.hosts_file is not None:
-        if args.fault:
-            raise SystemExit("--fault only applies to spawned local workers")
-        if args.respawn:
-            raise SystemExit("--respawn only applies to spawned local workers")
-        pool = WorkerPool.from_hosts_file(args.hosts_file, probe=True)
-    else:
-        pool = WorkerPool(
-            workers=args.workers,
-            host=args.bind_host,
-            fault_plan=args.fault,
-            max_respawns=args.respawn,
-        )
+    pool = WorkerPool(
+        workers=args.workers,
+        host=args.bind_host,
+        fault_plan=args.fault,
+        max_respawns=args.respawn,
+    )
 
     def _terminate(signum, frame):  # pragma: no cover - signal path
         raise KeyboardInterrupt
@@ -1206,9 +1207,7 @@ def _worker_pool(args) -> int:
                                 args.addresses_file, pool.addresses
                             )
                         codes = pool.poll()
-                if pool.local and codes and all(
-                    code is not None for code in codes
-                ):
+                if codes and all(code is not None for code in codes):
                     print("repro worker pool: every worker exited", flush=True)
                     return 1
     except KeyboardInterrupt:
@@ -1269,7 +1268,7 @@ def _command_trace(args) -> int:
 
 
 def _command_backends(args) -> int:
-    from repro.backends import list_backends
+    from repro.backends.registry import list_backends
 
     entries = list_backends()
     width = max(len(entry["name"]) for entry in entries)

@@ -146,7 +146,7 @@ class TrialEngine:
         ``"distributed"``), a :class:`~repro.backends.base.BackendSpec`,
         or a pre-built :class:`~repro.backends.ExecutionBackend`
         instance whose open/close lifecycle the caller owns; resolved
-        through :func:`repro.backends.get` and kept as
+        through :func:`repro.backends.registry.get` and kept as
         ``engine.executor``.  To share one pool (or one set of worker
         connections) across several runs, bracket them with
         ``with engine.executor: ...``; a bare run on an unopened
@@ -202,7 +202,7 @@ class TrialEngine:
             # a plain ``TrialEngine()`` never imports ``repro.backends``.
             self.executor = SerialExecutor()
         else:
-            from repro.backends import get as get_backend
+            from repro.backends.registry import get as get_backend
 
             self.executor = get_backend(backend, jobs=jobs)
         if tolerance is not None:

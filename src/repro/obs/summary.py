@@ -23,7 +23,6 @@ TIMELINE_EVENTS = (
     "readmit",
     "join",
     "leave",
-    "respawn",
 )
 
 

@@ -9,8 +9,8 @@ a :class:`~repro.obs.sink.JsonlSink`):
   line per completed interval), carrying ``start``/``end`` seconds
   relative to the tracer's epoch.
 - **events** — instantaneous, typed points (``requeue``, ``steal``,
-  ``breaker_trip``, ``readmit``, ``join``, ``leave``, ``respawn``,
-  ``ci_check``, ...) anchored to the span they occurred under, emitted
+  ``breaker_trip``, ``readmit``, ``join``, ``leave``, ``ci_check``,
+  ...) anchored to the span they occurred under, emitted
   immediately.
 
 **Explicit clock.**  The tracer never calls ``time`` directly except

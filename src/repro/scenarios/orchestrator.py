@@ -5,7 +5,7 @@ One :meth:`SweepOrchestrator.run` call owns the whole sweep:
 - the point grid comes from :meth:`ScenarioSpec.points` (axes cross
   product, last axis fastest);
 - **one** execution backend serves every point, resolved through
-  :func:`repro.backends.get` (explicit ``backend`` argument, else the
+  :func:`repro.backends.registry.get` (explicit ``backend`` argument, else the
   spec's pinned ``engine.backend``, else the ``jobs`` sugar: serial for
   1, ``process-pool`` above) and opened exactly once per sweep — a
   ``distributed`` backend connects its workers once and streams every
@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.backends import get as get_backend
+from repro.backends.registry import get as get_backend
 from repro.backends.base import BackendSpec
 from repro.backends.distributed import NoWorkersLeft, PointDeadlineExceeded
 from repro.experiments.engine import TrialEngine

@@ -2,15 +2,20 @@
 
 The asyncio daemon behind ``repro serve``:
 
-- :mod:`repro.service.server` — :class:`SweepService`, the
-  length-prefixed-JSON protocol server (``submit``/``status``/``watch``/
+- :mod:`repro.service.server` — :class:`~repro.service.server.SweepService`,
+  the length-prefixed-JSON protocol server (``submit``/``status``/``watch``/
   ``cancel``/``stats``/``shutdown``) and its background-thread handle;
-- :mod:`repro.service.scheduler` — :class:`JobScheduler`, fair-sharing
+- :mod:`repro.service.scheduler` — ``JobScheduler``, fair-sharing
   points across concurrent jobs over one shared execution backend and
   deduplicating overlapping work through the content-addressed store;
 - :mod:`repro.service.jobs` — the job table and lifecycle states;
 - :mod:`repro.service.client` — the synchronous client the CLI
   (``repro jobs ...``) and :mod:`repro.api` ride on.
+
+The package re-exports the client functions only: a client imports the
+wire framing and nothing else, so ``repro jobs ...`` loads neither the
+scenario registry nor numpy.  Import the daemon's names from their
+modules.
 
 CLI: ``repro serve`` and ``repro jobs submit/status/watch/cancel``.
 """
@@ -24,32 +29,8 @@ from repro.service.client import (
     submit_job,
     watch_job,
 )
-from repro.service.jobs import (
-    JOB_CANCELLED,
-    JOB_DONE,
-    JOB_FAILED,
-    JOB_QUEUED,
-    JOB_RUNNING,
-    TERMINAL_STATES,
-    Job,
-    JobTable,
-)
-from repro.service.scheduler import JobScheduler
-from repro.service.server import SERVICE_ROLE, ServiceHandle, SweepService
 
 __all__ = [
-    "JOB_CANCELLED",
-    "JOB_DONE",
-    "JOB_FAILED",
-    "JOB_QUEUED",
-    "JOB_RUNNING",
-    "Job",
-    "JobScheduler",
-    "JobTable",
-    "SERVICE_ROLE",
-    "ServiceHandle",
-    "SweepService",
-    "TERMINAL_STATES",
     "cancel_job",
     "job_status",
     "service_request",

@@ -3,8 +3,10 @@
 Plain blocking sockets over the shared wire framing — the CLI, the API
 façade, and tests talk to the asyncio daemon through these helpers.
 Every connection opens with :func:`~repro.backends.wire.handshake` for the
-:data:`~repro.service.server.SERVICE_ROLE`, so a client pointed at a worker or
+:data:`~repro.backends.wire.SERVICE_ROLE`, so a client pointed at a worker or
 registry port, or at a stale daemon, gets a clear error, not confusing frames.
+Nothing here imports the daemon, so ``repro jobs ...`` never loads the
+scenario registry or the numerical stack.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import socket
 from typing import Any, Callable, Dict, Optional
 
 from repro.backends.wire import (
+    SERVICE_ROLE,
     ProtocolError,
     handshake,
     parse_address,
@@ -20,7 +23,6 @@ from repro.backends.wire import (
     request,
     send_message,
 )
-from repro.service.server import SERVICE_ROLE
 
 #: Default bound on any single service round trip.
 DEFAULT_TIMEOUT = 10.0

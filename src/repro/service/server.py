@@ -46,10 +46,11 @@ import os
 import threading
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.backends import get as get_backend
 from repro.backends.base import BackendSpec
+from repro.backends.registry import get as get_backend
 from repro.backends.wire import (
     PROTOCOL_VERSION,
+    SERVICE_ROLE,
     ProtocolError,
     recv_message_async,
     send_message_async,
@@ -61,10 +62,6 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios.store import ResultStore
 from repro.service.jobs import Job, JobTable
 from repro.service.scheduler import JobScheduler
-
-#: The ``hello`` role — a client pointed at a worker or registry port
-#: (or vice versa) fails the handshake instead of misbehaving silently.
-SERVICE_ROLE = "repro-sweep-service"
 
 
 class SweepService:

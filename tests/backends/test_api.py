@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro import api
-from repro.backends import BackendSpec
+from repro.backends.base import BackendSpec
 from repro.experiments.executors import SerialExecutor
 from repro.scenarios.spec import Axis
 from repro.scenarios.store import STORE_GENERATION

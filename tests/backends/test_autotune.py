@@ -12,13 +12,11 @@ import json
 
 import pytest
 
-from repro.backends import (
-    BackendSpec,
-    DistributedBackend,
-    WorkerServer,
-    get,
-    suggest_chunk_size,
-)
+from repro.backends.autotune import suggest_chunk_size
+from repro.backends.base import BackendSpec
+from repro.backends.distributed import DistributedBackend
+from repro.backends.registry import get
+from repro.backends.worker import WorkerServer
 from repro.backends.autotune import DEFAULT_RATE, MIN_SPANS_PER_WORKER
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import SweepPoolExecutor, TrialTask

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.backends import (
-    BackendSpec,
-    DistributedBackend,
-    ExecutionBackend,
+from repro.backends.base import BackendSpec
+from repro.backends.distributed import DistributedBackend
+from repro.backends.registry import (
     backend_names,
     get,
     list_backends,
@@ -13,7 +12,11 @@ from repro.backends import (
     spec_for_jobs,
 )
 from repro.experiments.engine import TrialEngine
-from repro.experiments.executors import SerialExecutor, SweepPoolExecutor
+from repro.experiments.executors import (
+    ExecutionBackend,
+    SerialExecutor,
+    SweepPoolExecutor,
+)
 
 BUILTINS = ("distributed", "process-pool", "serial")
 
@@ -63,8 +66,15 @@ class TestRegistry:
         for entry in entries.values():
             assert set(entry) == {"name", "description", "options", "available"}
         assert entries["serial"]["available"]
-        assert "workers" in entries["distributed"]["options"]
-        assert len(entries["distributed"]["options"]) == 13
+        # Exactly what an operator can set: --workers, --chunk-size,
+        # --pool, --announce-bind, --watch-workers.
+        assert entries["distributed"]["options"] == [
+            "announce_bind",
+            "chunk_size",
+            "pool",
+            "watch_hosts",
+            "workers",
+        ]
 
 
 class TestJobsSugar:

@@ -8,11 +8,9 @@ import time
 
 import pytest
 
-from repro.backends import (
-    DistributedBackend,
-    FaultSpec,
-    WorkerServer,
-)
+from repro.backends.distributed import DistributedBackend
+from repro.backends.faults import FaultSpec
+from repro.backends.worker import WorkerServer
 from repro.backends.membership import retire_worker
 from repro.backends.wire import cancel_worker
 from repro.backends.worker import _cancellable_sleep
@@ -53,8 +51,6 @@ class TestCancelOp:
             with DistributedBackend(
                 [_address(server)],
                 chunk_size=50,
-                heartbeat_interval=5.0,
-                ping_timeout=1.0,
             ) as backend:
                 outcome = {}
 
@@ -96,6 +92,7 @@ class TestCancelOp:
 
 
 class TestMidSpanDrain:
+    @pytest.mark.usefixtures("fast_fault_detection")
     def test_drain_requeues_the_abandoned_span_immediately(self):
         """The ROADMAP follow-up: retiring a worker mid-span must not
         wait for the span to finish.  One worker carries a long slow
@@ -111,10 +108,7 @@ class TestMidSpanDrain:
             with DistributedBackend(
                 [_address(healthy), _address(wedged)],
                 chunk_size=2,
-                heartbeat_interval=0.1,
-                ping_timeout=0.5,
                 announce_bind="127.0.0.1:0",
-                membership_interval=0.05,
             ) as backend:
                 registry_address = backend.registry_address
 
@@ -153,8 +147,6 @@ class TestMidSpanDrain:
             with DistributedBackend(
                 [_address(server)],
                 chunk_size=50,
-                heartbeat_interval=5.0,
-                ping_timeout=1.0,
             ) as backend:
 
                 class Deadline(RuntimeError):

@@ -10,7 +10,9 @@ out of cache keys and serial and distributed runs share store entries.
 
 import pytest
 
-from repro.backends import BackendSpec, WorkerServer, get
+from repro.backends.base import BackendSpec
+from repro.backends.registry import get
+from repro.backends.worker import WorkerServer
 from repro.scenarios import ResultStore, SweepOrchestrator, get_scenario
 
 

@@ -10,7 +10,8 @@ import socket
 
 import pytest
 
-from repro.backends import DistributedBackend, WorkerServer
+from repro.backends.distributed import DistributedBackend
+from repro.backends.worker import WorkerServer
 from repro.backends.wire import (
     PROTOCOL_VERSION,
     WORKER_ROLE,
@@ -206,9 +207,7 @@ class TestDistributedFailureModes:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
-        backend = DistributedBackend(
-            [f"127.0.0.1:{port}"], connect_timeout=0.5
-        )
+        backend = DistributedBackend([f"127.0.0.1:{port}"])
         with pytest.raises(ConnectionError, match="cannot reach worker"):
             backend.open()
 

@@ -18,16 +18,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import (
-    DistributedBackend,
-    FaultPlan,
-    FaultSpec,
-    NoWorkersLeft,
-    WorkerServer,
-)
-from repro.backends.faults import FaultInjector
+from repro.backends import distributed
+from repro.backends.distributed import DistributedBackend, NoWorkersLeft
+from repro.backends.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.backends.worker import WorkerServer
 from repro.experiments.engine import TrialEngine
 from repro.scenarios import ResultStore, SweepOrchestrator, get_scenario
+
+pytestmark = pytest.mark.usefixtures("fast_fault_detection")
 
 
 def bernoulli_trial(rng):
@@ -72,16 +70,8 @@ def _stop_servers(servers):
         server.stop()
 
 
-def _backend(servers, **overrides):
-    """A backend tuned for test-speed fault detection."""
-    options = dict(
-        chunk_size=5,
-        connect_timeout=5.0,
-        heartbeat_interval=0.1,
-        ping_timeout=0.5,
-    )
-    options.update(overrides)
-    return DistributedBackend(_addresses(servers), **options)
+def _backend(servers, chunk_size=5, **options):
+    return DistributedBackend(_addresses(servers), chunk_size=chunk_size, **options)
 
 
 class TestFaultPlans:
@@ -284,13 +274,7 @@ class TestWorkerSpecificTaskFailures:
                 rejecting.address,
                 f"{healthy.address[0]}:{healthy.address[1]}",
             ]
-            with DistributedBackend(
-                addresses,
-                chunk_size=5,
-                connect_timeout=5.0,
-                heartbeat_interval=0.1,
-                ping_timeout=0.5,
-            ) as backend:
+            with DistributedBackend(addresses, chunk_size=5) as backend:
                 result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=60, seed=5
                 )
@@ -415,7 +399,9 @@ class TestSmokeSweepUnderFaults:
 class TestBreakerReadmission:
     """A tripped breaker is a cooldown, not a death sentence."""
 
-    def test_flapping_worker_is_readmitted_after_cooldown(self):
+    def test_flapping_worker_is_readmitted_after_cooldown(self, monkeypatch):
+        monkeypatch.setattr(distributed, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(distributed, "BREAKER_COOLDOWN", 0.05)
         reference = TrialEngine().run(bernoulli_trial, trials=90, seed=5)
         # The victim drops its connection once, mid-run; with threshold 1
         # that trips the breaker immediately.  The slow survivor keeps
@@ -425,13 +411,7 @@ class TestBreakerReadmission:
             [FaultSpec("drop", after_spans=1), _SLIGHTLY_SLOW]
         )
         try:
-            with _backend(
-                servers,
-                chunk_size=3,
-                breaker_threshold=1,
-                breaker_cooldown=0.05,
-                membership_interval=0.05,
-            ) as backend:
+            with _backend(servers, chunk_size=3) as backend:
                 result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=90, seed=5
                 )
@@ -444,19 +424,16 @@ class TestBreakerReadmission:
         finally:
             _stop_servers(servers)
 
-    def test_dead_worker_stays_out_through_backoff(self):
+    def test_dead_worker_stays_out_through_backoff(self, monkeypatch):
         """Re-admission probes a corpse and backs off — it never floods
         the dead address, and the run completes on the survivor."""
+        monkeypatch.setattr(distributed, "BREAKER_COOLDOWN", 0.05)
         reference = TrialEngine().run(bernoulli_trial, trials=60, seed=8)
         servers = _start_servers(
             [FaultSpec("kill", after_spans=0), _SLIGHTLY_SLOW]
         )
         try:
-            with _backend(
-                servers,
-                breaker_cooldown=0.05,
-                membership_interval=0.05,
-            ) as backend:
+            with _backend(servers) as backend:
                 result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=60, seed=8
                 )
@@ -470,23 +447,23 @@ class TestBreakerReadmission:
         finally:
             _stop_servers(servers)
 
-    def test_strikes_reset_between_engine_runs(self):
+    def test_strikes_reset_between_engine_runs(self, monkeypatch):
         """Satellite regression: strikes must not leak across start()
         boundaries — a near-threshold run A plus one transient flap in
         run B used to trip the breaker on a healthy worker."""
+        monkeypatch.setattr(distributed, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(distributed, "BREAKER_COOLDOWN", 60.0)
         reference = TrialEngine().run(bernoulli_trial, trials=20, seed=2)
         # A single worker that serves run A cleanly (4 spans of 5) and
         # drops exactly once on run B's first span.
         servers = _start_servers([FaultSpec("drop", after_spans=4)])
         try:
-            with _backend(
-                servers, breaker_threshold=2, breaker_cooldown=60.0
-            ) as backend:
+            with _backend(servers) as backend:
                 engine = TrialEngine(backend=backend)
                 first = engine.run(bernoulli_trial, trials=20, seed=1)
                 assert backend.stats["worker_failures"] == 0
                 # Simulate run A ending one strike shy of the threshold.
-                backend._workers[0].strikes = backend.breaker_threshold - 1
+                backend._workers[0].strikes = distributed.BREAKER_THRESHOLD - 1
                 second = engine.run(bernoulli_trial, trials=20, seed=2)
                 assert second == reference
                 assert backend.stats["worker_failures"] == 1  # the drop
@@ -498,102 +475,6 @@ class TestBreakerReadmission:
             _stop_servers(servers)
 
 
-class TestPoolRespawn:
-    """Dead pool children are relaunched and rejoin the running sweep."""
-
-    @pytest.fixture(autouse=True)
-    def _trials_importable_by_workers(self):
-        """Spawned children unpickle tasks by import — expose
-        ``_pool_trials`` on their PYTHONPATH (see test_pool)."""
-        from pathlib import Path
-
-        from repro.backends.pool import worker_import_path
-
-        with worker_import_path(Path(__file__).resolve().parent):
-            yield
-
-    def test_killed_child_is_respawned_and_serves_spans(self):
-        from _pool_trials import bernoulli_trial as pool_trial
-
-        reference = TrialEngine().run(pool_trial, trials=90, seed=7)
-        with DistributedBackend(
-            pool=2,
-            pool_faults="0:kill@1,1:slow@0:0.1",
-            pool_respawns=1,
-            chunk_size=3,
-            connect_timeout=10,
-            heartbeat_interval=0.1,
-            ping_timeout=0.5,
-            membership_interval=0.05,
-            breaker_cooldown=60.0,
-        ) as backend:
-            result = TrialEngine(backend=backend).run(
-                pool_trial, trials=90, seed=7
-            )
-            assert result == reference
-            assert backend.stats["workers_respawned"] == 1
-            assert backend.stats["spans_requeued"] >= 1
-            assert backend.stats["workers_broken"] == 1  # the corpse
-            # The replacement is live alongside the slow survivor; the
-            # dead child's address is gone.
-            assert len(backend.live_workers()) == 2
-
-    def test_respawn_budget_and_fault_plan_validation(self):
-        with pytest.raises(ValueError, match="pool"):
-            DistributedBackend(["h:1"], pool_respawns=1)
-        with pytest.raises(ValueError, match="pool"):
-            DistributedBackend(["h:1"], pool_faults="0:kill@0")
-        with pytest.raises((TypeError, ValueError)):
-            DistributedBackend(pool=2, pool_respawns=-1)
-        with pytest.raises((TypeError, ValueError)):
-            DistributedBackend(pool=2, pool_respawns=True)
-
-    def test_respawned_fleet_store_bytes_identical_to_serial(self, tmp_path):
-        """Kill → respawn → rejoin, end to end through the orchestrator:
-        the result store cannot tell the elastic run from serial."""
-        from repro.scenarios import ResultStore, SweepOrchestrator, get_scenario
-
-        spec = get_scenario("smoke")
-
-        def _run(store_root, backend):
-            orchestrator = SweepOrchestrator(
-                store=ResultStore(store_root), backend=backend, batch_size=4
-            )
-            report = orchestrator.run(spec)
-            assert report.computed == spec.point_count
-            return report
-
-        def _records(store_root):
-            return {
-                path.name: path.read_bytes()
-                for path in sorted(store_root.glob("smoke/*.json"))
-            }
-
-        _run(tmp_path / "serial", "serial")
-        reference = _records(tmp_path / "serial")
-        assert len(reference) == 2
-
-        backend = DistributedBackend(
-            pool=3,
-            pool_faults="0:kill@2,1:slow@0:0.02,2:slow@0:0.02",
-            pool_respawns=1,
-            chunk_size=1,
-            connect_timeout=10,
-            heartbeat_interval=0.1,
-            ping_timeout=0.5,
-            membership_interval=0.05,
-            breaker_cooldown=60.0,
-        )
-        with backend:
-            report = _run(tmp_path / "chaos", backend)
-            assert backend.stats["workers_respawned"] == 1
-            assert backend.stats["spans_requeued"] >= 1
-        # The orchestrator surfaced the same counters on its report.
-        assert report.backend_stats is not None
-        assert report.backend_stats["workers_respawned"] == 1
-        assert _records(tmp_path / "chaos") == reference
-
-
 class TestElasticMembershipProperty:
     """Hypothesis satellite: a random fault plan *plus* a mid-run joiner
     never changes counts — elasticity is invisible in results."""
@@ -603,14 +484,19 @@ class TestElasticMembershipProperty:
     @settings(
         max_examples=5,
         deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
+        # The fixtures patch module constants, the same for every example.
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
     )
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_joining_worker_never_changes_counts(self, seed):
+    def test_joining_worker_never_changes_counts(self, monkeypatch, seed):
         import threading
 
-        from repro.backends import announce_worker
+        from repro.backends.membership import announce_worker
 
+        monkeypatch.setattr(distributed, "BREAKER_COOLDOWN", 0.05)
         plan = FaultPlan.random(seed, workers=self.WORKERS)
         reference = TrialEngine().run(
             paired_trial, trials=75, seed=19, label="elastic", channels=2
@@ -621,11 +507,7 @@ class TestElasticMembershipProperty:
         extra = WorkerServer().serve_background()
         try:
             with _backend(
-                servers,
-                chunk_size=3,
-                announce_bind="127.0.0.1:0",
-                membership_interval=0.05,
-                breaker_cooldown=0.05,
+                servers, chunk_size=3, announce_bind="127.0.0.1:0"
             ) as backend:
                 registry_address = backend.registry_address
 
@@ -663,7 +545,11 @@ class TestRandomFaultPlansProperty:
     @settings(
         max_examples=8,
         deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
+        # The fixtures patch module constants, the same for every example.
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
     )
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_totals_match_the_fault_free_run(self, seed):

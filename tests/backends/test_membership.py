@@ -1,4 +1,4 @@
-"""Elastic membership: the announce registry and the hosts-file watcher.
+"""Elastic membership: the announce registry and the hosts file watcher.
 
 Unit half: :class:`MembershipRegistry` accepts only live, well-formed
 announcements; :class:`HostsFileWatcher` turns file edits into
@@ -14,22 +14,20 @@ import time
 
 import pytest
 
-from repro.backends import (
-    DistributedBackend,
-    FaultSpec,
-    HostsFileWatcher,
-    MembershipRegistry,
-    WorkerServer,
-    announce_worker,
-    retire_worker,
-    write_addresses_file,
-)
+from repro.backends.distributed import DistributedBackend
+from repro.backends.faults import FaultSpec
 from repro.backends.membership import (
     REGISTRY_ROLE,
+    HostsFileWatcher,
+    MembershipRegistry,
     RegistryBusyError,
     _registry_request,
+    announce_worker,
     resolve_announced_address,
+    retire_worker,
 )
+from repro.backends.pool import write_addresses_file
+from repro.backends.worker import WorkerServer
 from repro.experiments.engine import TrialEngine
 
 
@@ -267,6 +265,7 @@ class TestHostsFileWatcher:
         assert watcher.poll() == ([], [])
 
 
+@pytest.mark.usefixtures("fast_fault_detection")
 class TestElasticJoin:
     """Workers joining a *running* dispatch serve spans; counts never move."""
 
@@ -278,10 +277,7 @@ class TestElasticJoin:
             with DistributedBackend(
                 [_address(initial)],
                 chunk_size=2,
-                heartbeat_interval=0.1,
-                ping_timeout=0.5,
                 announce_bind="127.0.0.1:0",
-                membership_interval=0.05,
             ) as backend:
                 registry_address = backend.registry_address
                 assert registry_address is not None
@@ -315,10 +311,7 @@ class TestElasticJoin:
             with DistributedBackend(
                 [_address(worker) for worker in workers],
                 chunk_size=2,
-                heartbeat_interval=0.1,
-                ping_timeout=0.5,
                 announce_bind="127.0.0.1:0",
-                membership_interval=0.05,
             ) as backend:
                 registry_address = backend.registry_address
 
@@ -353,10 +346,7 @@ class TestElasticJoin:
             with DistributedBackend(
                 [_address(initial)],
                 chunk_size=2,
-                heartbeat_interval=0.1,
-                ping_timeout=0.5,
                 watch_hosts=str(hosts),
-                membership_interval=0.05,
             ) as backend:
                 def grow_fleet():
                     time.sleep(0.2)

@@ -23,13 +23,10 @@ from pathlib import Path
 import pytest
 
 from _pool_trials import bernoulli_trial
-from repro.backends import (
-    DistributedBackend,
-    FaultSpec,
-    WorkerPool,
-    WorkerServer,
-    load_hosts_file,
-)
+from repro.backends.distributed import DistributedBackend
+from repro.backends.faults import FaultSpec
+from repro.backends.pool import WorkerPool, load_hosts_file
+from repro.backends.worker import WorkerServer
 from repro.backends.pool import _worker_environment, worker_import_path
 from repro.backends.wire import ProtocolError, recv_message, request
 from repro.experiments.engine import TrialEngine
@@ -45,19 +42,18 @@ def _trials_importable_by_workers():
 @pytest.fixture(scope="module")
 def pool():
     """One spawned 2-worker pool shared by the module (spawns are slow)."""
-    with WorkerPool(workers=2, startup_timeout=60) as pool:
+    with WorkerPool(workers=2) as pool:
         yield pool
 
 
 class TestWorkerPool:
     def test_addresses_are_live_ephemeral_workers(self, pool):
         assert len(pool.addresses) == 2
-        assert pool.local
         assert pool.poll() == [None, None]
 
     def test_engine_results_match_serial_through_the_pool(self, pool):
         reference = TrialEngine().run(bernoulli_trial, trials=60, seed=9)
-        with DistributedBackend(pool.addresses, connect_timeout=10) as backend:
+        with DistributedBackend(pool.addresses) as backend:
             result = TrialEngine(backend=backend).run(
                 bernoulli_trial, trials=60, seed=9
             )
@@ -65,7 +61,7 @@ class TestWorkerPool:
 
     def test_backend_owned_pool_spawns_and_reaps(self):
         reference = TrialEngine().run(bernoulli_trial, trials=40, seed=3)
-        backend = DistributedBackend(pool=2, connect_timeout=10)
+        backend = DistributedBackend(pool=2)
         with backend:
             owned = backend._pool
             assert len(backend.workers) == 2
@@ -85,11 +81,6 @@ class TestWorkerPool:
             + "\n\n   # trailing comment\n"
         )
         assert load_hosts_file(hosts) == list(pool.addresses)
-        adopted = WorkerPool.from_hosts_file(hosts, probe=True).start()
-        assert adopted.addresses == pool.addresses
-        assert not adopted.local
-        adopted.stop()  # a no-op: adopted workers belong to their operator
-        assert pool.poll() == [None, None]
 
     def test_workers_and_pool_together_are_rejected(self):
         # Silently preferring one over the other would run the sweep on
@@ -162,19 +153,12 @@ class TestWorkerPool:
             == 0
         )
 
+    @pytest.mark.usefixtures("fast_fault_detection")
     def test_respawn_dead_replaces_the_process_within_budget(self):
-        with WorkerPool(
-            workers=2, fault_plan="0:kill@0", max_respawns=1, startup_timeout=60
-        ) as pool:
+        with WorkerPool(workers=2, fault_plan="0:kill@0", max_respawns=1) as pool:
             original = pool.addresses
             # Trip the scripted kill by asking worker 0 for a span.
-            with DistributedBackend(
-                pool.addresses,
-                chunk_size=5,
-                heartbeat_interval=0.2,
-                ping_timeout=0.5,
-                connect_timeout=10,
-            ) as backend:
+            with DistributedBackend(pool.addresses, chunk_size=5) as backend:
                 TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=60, seed=5
                 )
@@ -193,24 +177,15 @@ class TestWorkerPool:
             # The budget is spent: another death cannot respawn.
             assert pool.respawn_dead() == []
 
-    def test_respawn_without_budget_or_ownership_is_a_no_op(self, pool):
-        assert pool.respawn_dead() == []  # healthy pool: nothing to do
-        adopted = WorkerPool(addresses=pool.addresses, max_respawns=5).start()
-        assert adopted.respawn_dead() == []  # remote pools never respawn
+    def test_respawn_on_a_healthy_pool_is_a_no_op(self, pool):
+        assert pool.respawn_dead() == []
 
+    @pytest.mark.usefixtures("fast_fault_detection")
     def test_fault_plan_reaches_the_spawned_worker(self):
         """A pool-scripted kill really terminates the worker *process*."""
         reference = TrialEngine().run(bernoulli_trial, trials=60, seed=5)
-        with WorkerPool(
-            workers=2, fault_plan="0:kill@0", startup_timeout=60
-        ) as pool:
-            with DistributedBackend(
-                pool.addresses,
-                chunk_size=5,
-                heartbeat_interval=0.2,
-                ping_timeout=0.5,
-                connect_timeout=10,
-            ) as backend:
+        with WorkerPool(workers=2, fault_plan="0:kill@0") as pool:
+            with DistributedBackend(pool.addresses, chunk_size=5) as backend:
                 result = TrialEngine(backend=backend).run(
                     bernoulli_trial, trials=60, seed=5
                 )

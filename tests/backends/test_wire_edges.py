@@ -19,22 +19,24 @@ import time
 
 import pytest
 
-from repro.backends import DistributedBackend, WorkerServer, probe_worker
+from repro.backends.distributed import DistributedBackend
 from repro.backends.membership import REGISTRY_ROLE, _describe_occupant, announce_worker
 from repro.backends.wire import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    SERVICE_ROLE,
     WORKER_ROLE,
     ProtocolError,
     WireTimeout,
     handshake,
     parse_address,
+    probe_worker,
     recv_message,
     request,
     send_message,
 )
+from repro.backends.worker import WorkerServer
 from repro.service.client import submit_job
-from repro.service.server import SERVICE_ROLE
 
 
 @pytest.fixture()
@@ -248,7 +250,7 @@ class TestHandshake:
 
     def test_stale_worker_is_refused_before_any_task_frame(self):
         with StalePeer(WORKER_ROLE) as peer:
-            backend = DistributedBackend([peer.address], connect_timeout=5)
+            backend = DistributedBackend([peer.address])
             with pytest.raises(ConnectionError) as info:
                 backend.open()
         message = str(info.value)  # names the address and both versions

@@ -113,6 +113,14 @@ class TestColdStart:
     def test_importing_the_cli_imports_neither_numpy_nor_scipy(self):
         assert self._loaded_after("repro.cli", "numpy", "scipy") == []
 
+    def test_the_service_client_imports_neither_numpy_nor_scipy(self):
+        """``repro jobs ...`` talks to a daemon; it needs the wire framing
+        and nothing of the scenario registry or the numerical stack."""
+        loaded = self._loaded_after(
+            "repro.service.client", "numpy", "scipy", "repro.scenarios"
+        )
+        assert loaded == []
+
     def test_importing_keyshare_does_not_import_scipy_stats(self):
         loaded = self._loaded_after(
             "repro.core.schemes.keyshare", "scipy.special", "scipy.stats"

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.backends import DistributedBackend, WorkerServer
+from repro.backends.distributed import DistributedBackend
+from repro.backends.worker import WorkerServer
 from repro.backends.pool import _worker_environment
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import (

@@ -269,7 +269,7 @@ class TestCli:
         assert serial_keys == pool_keys  # backend excluded from the keys
 
     def test_sweep_run_distributed_backend(self, tmp_path, capsys):
-        from repro.backends import WorkerServer
+        from repro.backends.worker import WorkerServer
 
         store = str(tmp_path / "store")
         with WorkerServer() as worker:
@@ -355,11 +355,42 @@ class TestCli:
                 ]
             )
 
+    def test_announce_bind_port_zero_is_refused(self, tmp_path, monkeypatch):
+        """Port 0 would bind a port no worker is ever told: refused with
+        a message naming the fix, before any pool is spawned."""
+        from repro.backends.pool import WorkerPool
+
+        def no_pool(self):
+            raise AssertionError("a pool was spawned before the refusal")
+
+        monkeypatch.setattr(WorkerPool, "start", no_pool)
+        with pytest.raises(SystemExit, match="--announce-bind must name a port"):
+            main(
+                [
+                    "sweep",
+                    "run",
+                    "smoke",
+                    "--store",
+                    str(tmp_path),
+                    "--backend",
+                    "distributed",
+                    "--pool",
+                    "1",
+                    "--announce-bind",
+                    "127.0.0.1:0",
+                ]
+            )
+
     def test_sweep_run_with_announce_bind_registry(self, tmp_path, capsys):
         """--announce-bind stands up a registry for the sweep's duration;
         an unused one changes nothing (and the stats line reports 0 joins)."""
-        from repro.backends import WorkerServer
+        import socket
 
+        from repro.backends.worker import WorkerServer
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            registry_port = probe.getsockname()[1]
         store = str(tmp_path / "store")
         with WorkerServer() as worker:
             host, port = worker.address
@@ -376,7 +407,7 @@ class TestCli:
                         "--workers",
                         f"{host}:{port}",
                         "--announce-bind",
-                        "127.0.0.1:0",
+                        f"127.0.0.1:{registry_port}",
                     ]
                 )
                 == 0
@@ -388,7 +419,8 @@ class TestCli:
     def test_chaos_flags_end_to_end_store_parity(self, tmp_path):
         """--workers @file + --chunk-size + --batch-size: byte-identical
         stores between the serial backend and a faulted worker trio."""
-        from repro.backends import FaultSpec, WorkerServer
+        from repro.backends.faults import FaultSpec
+        from repro.backends.worker import WorkerServer
 
         assert (
             main(

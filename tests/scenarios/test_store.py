@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.backends import BackendSpec
+from repro.backends.base import BackendSpec
 from repro.scenarios import SweepOrchestrator, get_scenario
 from repro.scenarios.spec import Axis, EngineSettings, ScenarioSpec
 from repro.scenarios.store import (

@@ -16,20 +16,17 @@ import time
 
 import pytest
 
-from repro.backends import WorkerServer
-from repro.backends import get as get_backend
 from repro.backends.pool import _worker_environment
+from repro.backends.registry import get as get_backend
+from repro.backends.wire import SERVICE_ROLE
+from repro.backends.worker import WorkerServer
 from repro.scenarios.orchestrator import SweepOrchestrator, resolve_entries
 from repro.scenarios.registry import _CACHE, builtin_scenarios
 from repro.scenarios.runners import _RUNNERS, register_kind
 from repro.scenarios.spec import Axis, ScenarioSpec
 from repro.scenarios.store import ResultStore
-from repro.service import (
-    Job,
-    JobScheduler,
-    JobTable,
-    SERVICE_ROLE,
-    SweepService,
+from repro.service.client import (
+    _connect,
     cancel_job,
     job_status,
     service_request,
@@ -38,7 +35,9 @@ from repro.service import (
     submit_job,
     watch_job,
 )
-from repro.service.client import _connect
+from repro.service.jobs import Job, JobTable
+from repro.service.scheduler import JobScheduler
+from repro.service.server import SweepService
 
 
 KIND = "service-test-kind"

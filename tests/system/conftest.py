@@ -138,13 +138,13 @@ class Fleet:
         self.spawn(name, "worker", "serve", "--bind", "127.0.0.1:0", *args)
         return self.await_log(name, r"listening on (\S+)").group(1)
 
-    def pool(self, name, workers, fault):
+    def pool(self, name, workers, fault, *args):
         """``repro worker pool`` with a scripted ``FaultPlan``; returns the
         ``--workers @FILE`` argument naming its addresses file."""
         addresses = self.dir / f"{name}.addr"
         self.spawn(
             name, "worker", "pool", "--workers", workers, "--fault", fault,
-            "--addresses-file", addresses,
+            "--addresses-file", addresses, *args,
         )
         wait_until(
             lambda: addresses.exists() and addresses.stat().st_size,

@@ -1,9 +1,10 @@
 """The elastic-membership contract, against real processes: a worker
-joins a running sweep through ``worker serve --announce``, and a worker
-wedged mid-span is drained out of a watched hosts file — in both, no
+joins a running sweep through ``worker serve --announce``, a respawned
+pool worker joins through the watched addresses file, and a worker
+wedged mid-span is drained out of a watched hosts file — in each, no
 resume, a store byte-identical to serial, and the membership change
-visible in ``backend stats:`` and the trace (an elastic run that silently
-degenerates to the static path proves nothing)."""
+visible in ``backend stats:`` (and the trace: an elastic run that
+silently degenerates to the static path proves nothing)."""
 
 import os
 import time
@@ -33,6 +34,21 @@ def test_chaos_elastic_kill_and_join(fleet, serial_store):
     events = trace_events(fleet, "chaos-trace.jsonl")
     assert events["worker_failure"] and events["requeue"], events.keys()
     assert len(events["join"]) == 1, events["join"]
+
+
+def test_chaos_elastic_respawn(fleet, serial_store):
+    # The same kill as above, but the pool relaunches the victim on a new
+    # port and rewrites its addresses file; the watching sweep reads that
+    # as the dead address leaving and the replacement joining.
+    workers = fleet.pool("pool", 2, "0:slow@0:0.2,1:kill@2", "--respawn", "1")
+    chaos = fleet.sweep(
+        "run", "smoke", "store-respawn", "--backend", "distributed",
+        "--workers", workers, "--watch-workers", *CARVED,
+    )
+    fleet.await_log("pool", "respawned", timeout=10)
+    stats = stats_line(chaos.stdout)
+    assert "workers_joined=1" in stats and "workers_left=1" in stats, stats
+    assert len(assert_same_store(serial_store, fleet.dir / "store-respawn", "smoke")) == 2
 
 
 def test_chaos_elastic_wedged_worker_drained(fleet, serial_store):

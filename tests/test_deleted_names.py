@@ -79,6 +79,16 @@ DELETED = (
     r"AvailabilityPoint",
     r"TimelinessResult",
     r"experiments\.cost",
+    # The distributed backend takes only what an operator can set: one
+    # respawn path (`worker pool --respawn`), local pools only, worker
+    # telemetry in `metrics` only, autotune targets for its two callers.
+    r"pool_respawns",
+    r"pool_faults",
+    r"from_hosts_file",
+    r"last_worker_stats",
+    r"workers_respawned",
+    r"FALLBACK_TARGET_SECONDS",
+    r"--hosts-file",
 )
 
 
