@@ -23,8 +23,7 @@ wall time — so autotuning is a pure performance knob, excluded from
 result-store cache keys like every other transport option.  Opt in with
 ``chunk_size="auto"`` on the ``distributed``/``process-pool`` backends —
 the only two that take a span size, so the only two keys of
-:data:`TARGET_SPAN_SECONDS` (CLI: ``--chunk-size auto``; benchmarks:
-``REPRO_BENCH_CHUNK_SIZE=auto``).
+:data:`TARGET_SPAN_SECONDS` (CLI: ``--chunk-size auto``).
 """
 
 from __future__ import annotations

@@ -14,6 +14,12 @@ factor (number of paths); ``l`` — path length (holders per path).
       Rd = (1 - p^k)^l
 
 Lemma 1: for the node-joint scheme, ``Rr + Rd > 1`` whenever ``p < 0.5``.
+
+Each equation is stated once, as plain arithmetic (:func:`eq1_release`,
+:func:`eq2_disjoint_drop`, :func:`eq3_joint_drop`): on Python scalars it is
+the validated per-configuration functions below, on broadcasting numpy
+arrays it is the planner's whole ``(k, l)`` search grid, with the same
+operations in the same order, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -40,6 +46,29 @@ class ResiliencePair:
         return abs(self.release - self.drop) < 1e-9
 
 
+def eq1_release(p, k, l):
+    """Eq. 1, ``1 - (1 - (1-p)^k)^l``, unvalidated."""
+    return 1.0 - (1.0 - (1.0 - p) ** k) ** l
+
+
+def eq2_disjoint_drop(p, k, l):
+    """Eq. 2, ``1 - (1 - (1-p)^l)^k``, unvalidated."""
+    return 1.0 - (1.0 - (1.0 - p) ** l) ** k
+
+
+def eq3_joint_drop(p, k, l):
+    """Eq. 3, ``(1 - p^k)^l``, unvalidated."""
+    return (1.0 - p ** k) ** l
+
+
+def _validated(malicious_rate, replication, path_length):
+    return (
+        check_probability(malicious_rate, "malicious_rate"),
+        check_positive_int(replication, "replication"),
+        check_positive_int(path_length, "path_length"),
+    )
+
+
 def centralized_resilience(malicious_rate: float) -> ResiliencePair:
     """Both resiliences equal ``1 - p`` (paper §III-A)."""
     p = check_probability(malicious_rate, "malicious_rate")
@@ -54,11 +83,7 @@ def disjoint_release_resilience(
     The adversary succeeds iff every column (holders sharing a layer key)
     contains at least one malicious holder.
     """
-    p = check_probability(malicious_rate, "malicious_rate")
-    k = check_positive_int(replication, "replication")
-    l = check_positive_int(path_length, "path_length")
-    column_captured = 1.0 - (1.0 - p) ** k
-    return 1.0 - column_captured ** l
+    return eq1_release(*_validated(malicious_rate, replication, path_length))
 
 
 def disjoint_drop_resilience(
@@ -68,11 +93,7 @@ def disjoint_drop_resilience(
 
     The adversary succeeds iff every path contains a malicious holder.
     """
-    p = check_probability(malicious_rate, "malicious_rate")
-    k = check_positive_int(replication, "replication")
-    l = check_positive_int(path_length, "path_length")
-    path_cut = 1.0 - (1.0 - p) ** l
-    return 1.0 - path_cut ** k
+    return eq2_disjoint_drop(*_validated(malicious_rate, replication, path_length))
 
 
 def disjoint_resilience(
@@ -102,10 +123,7 @@ def joint_drop_resilience(
     With full column-to-column fan-out the package dies only when an entire
     column is malicious.
     """
-    p = check_probability(malicious_rate, "malicious_rate")
-    k = check_positive_int(replication, "replication")
-    l = check_positive_int(path_length, "path_length")
-    return (1.0 - p ** k) ** l
+    return eq3_joint_drop(*_validated(malicious_rate, replication, path_length))
 
 
 def joint_resilience(

@@ -27,7 +27,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.core.analysis import ResiliencePair
+from repro.core.analysis import (
+    ResiliencePair,
+    eq1_release,
+    eq2_disjoint_drop,
+    eq3_joint_drop,
+)
 from repro.util.validation import check_positive_int, check_probability
 
 DEFAULT_TARGET = 0.999
@@ -77,23 +82,34 @@ class PlannedConfiguration:
         )
 
 
-def _resilience_grids(scheme: str, p: float, k_values, l_values):
-    """Vectorised Rr / Rd over the (k, l) grid for one scheme."""
-    k_col = k_values[:, None].astype(float)
-    l_row = l_values[None, :].astype(float)
-    honest = 1.0 - p
-    # Rr is shared by both multipath schemes (Eq. 1).
-    column_captured = 1.0 - honest ** k_col
-    with np.errstate(divide="ignore"):
-        release = 1.0 - column_captured ** l_row
+def search_grid(
+    scheme: str,
+    p: float,
+    node_budget: int,
+    max_replication: int = DEFAULT_MAX_REPLICATION,
+    max_path_length: int = DEFAULT_MAX_PATH_LENGTH,
+):
+    """The ``(k, l)`` grid the planner and the Pareto frontier search.
+
+    Returns ``(k, l, release, drop)``: ``k`` a column and ``l`` a row of
+    candidate values, and Eqs. 1-3 over every pair.  Cells with
+    ``k * l > node_budget`` are included; callers mask them.
+    """
     if scheme == "disjoint":
-        path_cut = 1.0 - honest ** l_row
-        drop = 1.0 - path_cut ** k_col
+        drop_equation = eq2_disjoint_drop
     elif scheme == "joint":
-        drop = (1.0 - p ** k_col) ** l_row
+        drop_equation = eq3_joint_drop
     else:
         raise ValueError(f"unknown multipath scheme {scheme!r}")
-    return release, drop
+    k = np.arange(1, min(max_replication, node_budget) + 1)[:, None]
+    l = np.arange(1, min(max_path_length, node_budget) + 1)[None, :]
+    k_float, l_float = k.astype(float), l.astype(float)
+    return (
+        k,
+        l,
+        eq1_release(p, k_float, l_float),
+        drop_equation(p, k_float, l_float),
+    )
 
 
 def plan_configuration(
@@ -145,10 +161,10 @@ def _plan_multipath(
     max_path_length: int,
 ) -> PlannedConfiguration:
     """The grid search of :func:`plan_configuration`, on validated arguments."""
-    k_values = np.arange(1, min(max_replication, node_budget) + 1)
-    l_values = np.arange(1, min(max_path_length, node_budget) + 1)
-    release, drop = _resilience_grids(scheme, p, k_values, l_values)
-    cost = k_values[:, None] * l_values[None, :]
+    k, l, release, drop = search_grid(
+        scheme, p, node_budget, max_replication, max_path_length
+    )
+    cost = k * l
     affordable = cost <= node_budget
     worst = np.minimum(release, drop)
     worst = np.where(affordable, worst, -1.0)
@@ -172,13 +188,11 @@ def _plan_multipath(
         meets = False
 
     k_index, l_index = np.unravel_index(flat_index, worst.shape)
-    k = int(k_values[k_index])
-    l = int(l_values[l_index])
     return PlannedConfiguration(
         scheme=scheme,
         malicious_rate=p,
-        replication=k,
-        path_length=l,
+        replication=int(k[k_index, 0]),
+        path_length=int(l[0, l_index]),
         release_resilience=float(release[k_index, l_index]),
         drop_resilience=float(drop[k_index, l_index]),
         node_budget=node_budget,

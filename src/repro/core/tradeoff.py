@@ -8,7 +8,7 @@ extracts the Pareto frontier, letting a sender bias the structure toward
 whichever attack worries her more (e.g. a news embargo fears release-ahead;
 an escrow fears drops).
 
-Used by the ablation benches and the ``repro.cli plan --frontier`` command.
+Used by ``repro plan --frontier`` and ``examples/embargoed_story.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.planner import _resilience_grids
+from repro.core.planner import search_grid
 from repro.util.validation import check_positive_int, check_probability
 
 
@@ -43,40 +43,31 @@ class FrontierPoint:
 
 
 def pareto_frontier(
-    scheme: str,
-    malicious_rate: float,
-    node_budget: int,
-    max_replication: int = 32,
-    max_path_length: int = 256,
+    scheme: str, malicious_rate: float, node_budget: int
 ) -> List[FrontierPoint]:
     """All Pareto-optimal (Rr, Rd) configurations under the budget.
 
-    A configuration is kept iff no other affordable configuration is at
-    least as good on both axes and strictly better on one.  The result is
-    sorted by increasing ``Rr`` (hence decreasing ``Rd``).
+    The candidates are the planner's own :func:`~repro.core.planner.search_grid`,
+    so whatever :func:`~repro.core.planner.plan_configuration` picks is on
+    or under this frontier.  A configuration is kept iff no other
+    affordable configuration is at least as good on both axes and
+    strictly better on one.  The result is sorted by increasing ``Rr``
+    (hence decreasing ``Rd``).
     """
     p = check_probability(malicious_rate, "malicious_rate")
     check_positive_int(node_budget, "node_budget")
-    k_values = np.arange(1, min(max_replication, node_budget) + 1)
-    l_values = np.arange(1, min(max_path_length, node_budget) + 1)
-    release, drop = _resilience_grids(scheme, p, k_values, l_values)
-    cost = k_values[:, None] * l_values[None, :]
-    affordable = cost <= node_budget
-
-    candidates = []
-    for k_index in range(release.shape[0]):
-        for l_index in range(release.shape[1]):
-            if not affordable[k_index, l_index]:
-                continue
-            candidates.append(
-                (
-                    float(release[k_index, l_index]),
-                    float(drop[k_index, l_index]),
-                    int(k_values[k_index]),
-                    int(l_values[l_index]),
-                    int(cost[k_index, l_index]),
-                )
-            )
+    k, l, release, drop = search_grid(scheme, p, node_budget)
+    cost = k * l
+    k_index, l_index = np.nonzero(cost <= node_budget)
+    candidates = list(
+        zip(
+            release[k_index, l_index].tolist(),
+            drop[k_index, l_index].tolist(),
+            k[k_index, 0].tolist(),
+            l[0, l_index].tolist(),
+            cost[k_index, l_index].tolist(),
+        )
+    )
     # Sort by Rr descending, then sweep keeping strictly improving Rd —
     # the classic O(n log n) Pareto extraction; ties broken toward lower
     # cost so the frontier is also cost-minimal per point.
@@ -84,13 +75,13 @@ def pareto_frontier(
     frontier: List[FrontierPoint] = []
     best_drop = -1.0
     epsilon = 1e-12
-    for rel, drp, k, l, _cost in candidates:
+    for rel, drp, replication, path_length, _cost in candidates:
         if drp > best_drop + epsilon:
             best_drop = drp
             frontier.append(
                 FrontierPoint(
-                    replication=k,
-                    path_length=l,
+                    replication=replication,
+                    path_length=path_length,
                     release_resilience=rel,
                     drop_resilience=drp,
                 )
@@ -104,16 +95,15 @@ def biased_configuration(
     malicious_rate: float,
     node_budget: int,
     release_weight: float = 0.5,
-    **kwargs,
 ) -> FrontierPoint:
     """Pick the frontier point maximizing a weighted mix of Rr and Rd.
 
     ``release_weight = 1`` optimizes purely for release-ahead resilience
     (embargo use case); ``0`` purely for drop resilience (escrow use case);
-    ``0.5`` reproduces the balanced planner's preference.
+    ``0.5`` weighs the two attacks equally.
     """
     weight = check_probability(release_weight, "release_weight")
-    frontier = pareto_frontier(scheme, malicious_rate, node_budget, **kwargs)
+    frontier = pareto_frontier(scheme, malicious_rate, node_budget)
     if not frontier:
         raise RuntimeError("empty frontier — budget too small")
     return max(

@@ -3,9 +3,9 @@
 Autotuning must be a pure performance knob — ``chunk_size="auto"`` on
 any backend produces results identical to the serial reference (the
 determinism contract) — and a production backend neither reads nor writes
-benchmark artefacts: whatever ``BENCH_*.json`` records sit in
-``REPRO_BENCH_OUT`` or the working directory, spans are sized from
-``DEFAULT_RATE`` and the rates the run measures itself.
+anything on disk: whatever ``BENCH_*.json`` records sit in the working
+directory, spans are sized from ``DEFAULT_RATE`` and the rates the run
+measures itself.
 """
 
 import json
@@ -34,9 +34,8 @@ def _write_bench(directory, name, records):
 
 @pytest.fixture
 def bench_dir(tmp_path, monkeypatch):
-    """One directory that is both the cwd and ``REPRO_BENCH_OUT``."""
+    """A fresh working directory."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
     return tmp_path
 
 
@@ -122,10 +121,9 @@ class TestObservedRateFeedback:
                 )
         assert list(bench_dir.iterdir()) == []
 
-    def test_missing_directory_is_a_no_op(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path / "absent"))
+    def test_auto_pool_run_records_nothing(self, bench_dir):
         assert auto_span_count() == DEFAULT_SPAN_COUNT
-        assert not (tmp_path / "absent").exists()
+        assert list(bench_dir.iterdir()) == []
 
 
 class TestSizingMath:

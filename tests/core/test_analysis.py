@@ -67,6 +67,15 @@ class TestDisjoint:
         assert pair.release == pytest.approx(0.7)
         assert pair.drop == pytest.approx(0.7)
 
+    def test_each_mechanism_earns_its_place(self):
+        """Onion layering turns one point of trust into l of them (Rr);
+        replication rescues Rd at an Rr price."""
+        for p in (0.05, 0.15, 0.25, 0.35, 0.45):
+            assert disjoint_release_resilience(p, 1, 8) > centralized_resilience(p).release
+            single, replicated = disjoint_resilience(p, 1, 6), disjoint_resilience(p, 3, 6)
+            assert replicated.drop > single.drop
+            assert replicated.release <= single.release
+
 
 class TestJoint:
     def test_release_matches_disjoint(self):

@@ -91,6 +91,7 @@ class TestPaperShapes:
         expensive = plan_configuration("joint", 0.30, 10000).cost
         assert cheap < 100
         assert expensive > 3000
+        assert plan_configuration("joint", 0.35, 10000).cost > 5000
 
     def test_disjoint_holds_09_to_p018(self):
         assert plan_configuration("disjoint", 0.15, 10000).worst_resilience > 0.9

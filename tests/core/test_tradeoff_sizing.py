@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.analysis import joint_resilience
 from repro.core.onion import OnionCore, build_onion
+from repro.core.planner import plan_configuration
 from repro.core.sizing import (
     SHARE_BYTES,
     centralized_cost,
@@ -56,6 +57,18 @@ class TestParetoFrontier:
         for p in (0.1, 0.3, 0.45):
             frontier = pareto_frontier("joint", p, 300)
             assert lemma1_gap(frontier) > 0.0
+
+    @pytest.mark.parametrize("p", [0.3, 0.35, 0.4])
+    @pytest.mark.parametrize("scheme", ["disjoint", "joint"])
+    def test_planner_choice_is_on_or_under_the_frontier(self, scheme, p):
+        """The frontier searches the planner's grid: at N = 10,000 some
+        frontier point is at least as good as the plan on both axes."""
+        plan = plan_configuration(scheme, p, 10000)
+        assert any(
+            point.release_resilience >= plan.release_resilience
+            and point.drop_resilience >= plan.drop_resilience
+            for point in pareto_frontier(scheme, p, 10000)
+        )
 
     def test_disjoint_frontier_also_works(self):
         frontier = pareto_frontier("disjoint", 0.2, 300)
@@ -118,6 +131,7 @@ class TestSchemeCosts:
         assert central.total_bytes < disjoint.total_bytes
         assert disjoint.total_bytes < joint.total_bytes
         assert joint.total_bytes < share.total_bytes
+        assert share.messages > joint.messages  # shares cost messages
 
     def test_holder_counts(self):
         assert centralized_cost().holders == 1

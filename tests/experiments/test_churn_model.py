@@ -1,5 +1,7 @@
 """The epoch churn model: limiting cases pin it to the closed forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,19 @@ class TestKeyShare:
         weak = simulate_key_share(plan, 3.0, TRIALS, rng(11), malicious_rate=0.05)
         strong = simulate_key_share(plan, 3.0, TRIALS, rng(12), malicious_rate=0.45)
         assert weak.worst > strong.worst
+
+    def test_balanced_thresholds_never_lose_to_a_majority(self):
+        """Algorithm 1's balanced m against a naive majority m, same plan,
+        same draws: the thresholds earn their place."""
+        for p in (0.1, 0.2, 0.3):
+            plan = algorithm1(5, 10, 2000, 3.0, 1.0, p)
+            majority = dataclasses.replace(
+                plan,
+                thresholds=(plan.shares_per_column // 2 + 1,) * len(plan.thresholds),
+            )
+            balanced = simulate_key_share(plan, 3.0, TRIALS, rng(15))
+            naive = simulate_key_share(majority, 3.0, TRIALS, rng(15))
+            assert balanced.worst >= naive.worst - 0.05
 
     def test_alpha_insensitivity_below_p03(self):
         """The share scheme's headline property (Fig. 7): churn barely

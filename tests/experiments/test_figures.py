@@ -36,7 +36,8 @@ def curves(report, value_key="value"):
 
 
 class TestFig6Analytic:
-    """Fast analytic-only checks (fig6b: ``measure=False``, zero trials)."""
+    """Fast analytic-only checks (fig6b/fig6d: ``measure=False``, zero
+    trials) at N = 10,000 and N = 100."""
 
     P_SWEEP = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -44,6 +45,12 @@ class TestFig6Analytic:
     def report(self):
         return run_reduced(
             "fig6b", (("scheme", SCHEMES), ("p", self.P_SWEEP))
+        )
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return run_reduced(
+            "fig6d", (("scheme", SCHEMES), ("p", self.P_SWEEP))
         )
 
     def test_all_schemes_swept(self, report):
@@ -68,6 +75,17 @@ class TestFig6Analytic:
         assert joint_costs[0.1] < 100
         assert joint_costs[0.3] > 3000
 
+    def test_small_network_keeps_joint_ahead(self, small):
+        """Fig. 6(c)/(d): the DHT's size barely moves resilience — the
+        joint scheme still dominates — while costs clamp at N = 100."""
+        worst = curves(small, "analytic_worst")
+        joint, central = worst["scheme=joint"], worst["scheme=central"]
+        for p in (0.1, 0.2, 0.3):
+            assert joint[p] > central[p]
+        assert joint[0.2] >= 0.95
+        assert small.trials_run == 0
+        assert all(cost <= 100 for cost in curves(small, "cost")["scheme=joint"].values())
+
 
 class TestFig6Measured:
     def test_monte_carlo_confirms_analytics(self):
@@ -89,12 +107,16 @@ class TestFig6Measured:
 
 
 class TestFig7:
+    """All four α panels."""
+
+    ALPHAS = (1.0, 2.0, 3.0, 5.0)
+
     @pytest.fixture(scope="class")
     def panels(self):
         report = run_reduced(
             "fig7",
             (
-                ("alpha", (1.0, 5.0)),
+                ("alpha", self.ALPHAS),
                 ("p", (0.0, 0.1, 0.2, 0.3)),
                 ("scheme", CHURN_SCHEMES),
             ),
@@ -105,15 +127,18 @@ class TestFig7:
     def test_panel_extraction(self, panels):
         assert set(panels) == {
             f"alpha={alpha} scheme={scheme}"
-            for alpha in (1.0, 5.0)
+            for alpha in self.ALPHAS
             for scheme in CHURN_SCHEMES
         }
 
     def test_share_scheme_flat_under_churn(self, panels):
-        for alpha in (1.0, 5.0):
+        for alpha in self.ALPHAS:
             share = panels[f"alpha={alpha} scheme=share"]
             for p in (0.0, 0.1, 0.2):
                 assert share[p] > 0.9, f"share at p={p}, alpha={alpha}"
+        calm, harsh = panels["alpha=1.0 scheme=share"], panels["alpha=5.0 scheme=share"]
+        for p in (0.0, 0.1, 0.2):
+            assert abs(calm[p] - harsh[p]) < 0.05, f"share moved with alpha at p={p}"
 
     def test_multipath_schemes_decay_with_alpha(self, panels):
         joint_1 = panels["alpha=1.0 scheme=joint"]
@@ -121,7 +146,7 @@ class TestFig7:
         assert joint_5[0.1] < joint_1[0.1] - 0.1
 
     def test_central_is_baseline(self, panels):
-        for alpha in (1.0, 5.0):
+        for alpha in self.ALPHAS:
             central = panels[f"alpha={alpha} scheme=central"]
             share = panels[f"alpha={alpha} scheme=share"]
             for p in (0.1, 0.2, 0.3):
@@ -134,7 +159,7 @@ class TestFig8:
         return run_reduced(
             "fig8",
             (
-                ("budget", (100, 1000, 10000)),
+                ("budget", (100, 1000, 5000, 10000)),
                 ("p", (0.1, 0.14, 0.26, 0.3, 0.45)),
             ),
             trials=600,
@@ -146,6 +171,9 @@ class TestFig8:
         assert series["budget=1000"][0.26] > 0.9
         assert series["budget=10000"][0.3] > 0.9
         assert series["budget=10000"][0.45] < 0.2
+        # 5,000 nodes nearly coincide with 10,000 for moderate p.
+        for p in (0.1, 0.14, 0.26, 0.3):
+            assert abs(series["budget=5000"][p] - series["budget=10000"][p]) < 0.03
 
     def test_bigger_budget_never_much_worse(self, report):
         series = curves(report)

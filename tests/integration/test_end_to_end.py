@@ -5,6 +5,7 @@ event loop."""
 import pytest
 
 from repro.adversary.population import SybilPopulation
+from repro.churn.distributions import ParetoLifetime, WeibullLifetime
 from repro.churn.lifetime import ExponentialLifetime
 from repro.churn.process import ChurnProcess
 from repro.cloud.storage import CloudStore
@@ -165,6 +166,35 @@ class TestWithLiveChurn:
             overlay.loop.run(until=330.0)
             share_delivered += bob.has_key(result.key_id)
         assert share_delivered >= joint_delivered
+
+    def test_heavy_tails_deliver_no_better_than_exponential(self):
+        """Same mean lifetime, three tails, every node born at t = 0: the
+        heavy tails' infant mortality front-loads deaths, so Algorithm 1's
+        exponential assumption may only flatter them, never the reverse."""
+        delivered = {}
+        for name, model in (
+            ("exponential", ExponentialLifetime(600.0)),
+            ("weibull", WeibullLifetime(600.0, shape=0.6)),
+            ("pareto", ParetoLifetime(600.0, tail_index=1.8)),
+        ):
+            delivered[name] = 0
+            for index in range(5):
+                seed = 700 + index * 11
+                overlay, _, _, alice, bob = build_world(size=120, seed=seed, resolve=True)
+                ChurnProcess(overlay.network, model, RandomSource(seed + 1, "churn")).start()
+                result = alice.send_key_share(
+                    b"m",
+                    ReleaseTimeline(0.0, 300.0, 3),  # alpha = 0.5
+                    bob.node_id,
+                    share_rows=6,
+                    secret_rows=3,
+                    thresholds=[1, 3, 3],
+                )
+                overlay.loop.run(until=330.0)
+                delivered[name] += bob.has_key(result.key_id)
+        assert delivered["exponential"] >= 3
+        assert delivered["weibull"] <= delivered["exponential"] + 1
+        assert delivered["pareto"] <= delivered["exponential"] + 1
 
 
 class TestDeterminism:

@@ -2,9 +2,11 @@
 
 Every pattern below is a name a simplification PR removed for good: a
 second way to do something the code now does one way.  None may come back
-in ``src``, ``tests``, ``benchmarks`` or ``README.md`` — as code, as an
-alias, or as documentation of something that no longer exists.  This file
-is not searched, so the patterns cannot match themselves.
+in the code, the examples, the workflow, ``README.md`` or the pytest and
+git configuration — as code, as an alias, or as documentation of something
+that no longer exists.  This file is not searched, so the patterns cannot
+match themselves; nor is the perf ledger's README, which only a benchmark
+change may edit and which still tells the deleted suite's history.
 """
 
 import re
@@ -15,7 +17,17 @@ import pytest
 from repro.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-SEARCHED = ("src", "tests", "benchmarks", "README.md")
+SEARCHED = (
+    "src",
+    "tests",
+    "benchmarks",
+    "examples",
+    ".github",
+    "README.md",
+    "pytest.ini",
+    ".gitignore",
+)
+NOT_SEARCHED = {Path(__file__).resolve(), ROOT / "benchmarks" / "ledger" / "README.md"}
 
 DELETED = (
     # One figure pipeline: the loop drivers, their pivots, the autotune disk
@@ -89,6 +101,13 @@ DELETED = (
     r"workers_respawned",
     r"FALLBACK_TARGET_SECONDS",
     r"--hosts-file",
+    # One ruler: the pytest-benchmark suite, its knobs and its record
+    # writer; the speed-up gates are tests/system/test_perf_smoke.py.
+    r"REPRO_BENCH_\w+",
+    r"record_bench",
+    r"bench_sweep",
+    r"benchmarks/bench_",
+    r"pytest-benchmark",
 )
 
 
@@ -100,7 +119,7 @@ def _searched_files():
             if (
                 candidate.is_file()
                 and "__pycache__" not in candidate.parts
-                and candidate != Path(__file__).resolve()
+                and candidate not in NOT_SEARCHED
             ):
                 yield candidate
 
