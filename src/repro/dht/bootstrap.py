@@ -11,7 +11,10 @@ so :func:`build_network` offers two modes:
   correct-by-construction contact sample (each node learns a logarithmic
   set of peers spread across its buckets, exactly the steady-state shape a
   converged Kademlia overlay has).  Used by the protocol experiments where
-  the *overlay* is substrate, not subject.
+  the *overlay* is substrate, not subject.  The sample is drawn at build
+  time but each table applies it the first time it is used, so a release
+  that reaches 2 of 100 nodes builds 2 tables; every table, RPC and trace
+  line is the same as if all 100 had been filled up front.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def build_network(
     full_join:
         If True every node joins via the real bootstrap procedure (slow,
         faithful); if False routing tables are directly seeded (fast,
-        steady-state-equivalent).
+        steady-state-equivalent, applied on each table's first use).
     contacts_per_node:
         In fast mode, how many random peers each node learns in addition to
         its nearest neighbours.
@@ -110,24 +113,35 @@ def _seed_routing_tables(
     rng: RandomSource,
     contacts_per_node: int,
 ) -> None:
-    """Populate routing tables with the converged-overlay contact shape.
+    """Hand every routing table the converged-overlay contact shape.
 
     Every node learns (a) its ``bucket_size`` nearest neighbours in id
     space — Kademlia guarantees the closest bucket fills — and (b) a random
     sample of distant peers, which populates the high buckets.  Sorting once
     by id value lets us find near neighbours without an O(N^2) scan: XOR
     closeness and numeric closeness agree on the top bits that matter here.
+
+    This is fast mode: each table gets its list through
+    :meth:`~repro.dht.routing_table.RoutingTable.seed` and applies it when
+    first used, so a release pays only for the tables it touches.  Deferral
+    is exact.  A node's list depends on nothing but its window in
+    ``ordered`` and its slice of ``rng``, never on any table's state; the
+    table applies it with ``add_contact``'s no-probe rule, which reads no
+    liveness, before any other read or write.  The draws are all taken
+    here, node by node, in the order an eager ``add_contact`` loop took them
+    (``tests/dht/test_seeding.py`` keeps that loop as the oracle).
     """
     ordered = sorted(ids, key=lambda node_id: node_id.value)
     index_of = {node_id: position for position, node_id in enumerate(ordered)}
     population = len(ordered)
     sample_count = min(contacts_per_node, population - 1)
-    for node_id, node in nodes.items():
-        add_contact = node.routing_table.add_contact
+    randrange = rng.randrange
+    draws = [ordered[randrange(population)] for _ in range(len(nodes) * sample_count)]
+    for number, (node_id, node) in enumerate(nodes.items()):
         position = index_of[node_id]
-        lo = max(0, position - node.bucket_size // 2)
-        hi = min(population, position + node.bucket_size // 2 + 1)
-        for neighbour in ordered[lo:hi]:
-            add_contact(neighbour)
-        for _ in range(sample_count):
-            add_contact(ordered[rng.randrange(population)])
+        half = node.bucket_size // 2
+        start = number * sample_count
+        node.routing_table.seed(
+            ordered[max(0, position - half) : position + half + 1]
+            + draws[start : start + sample_count]
+        )

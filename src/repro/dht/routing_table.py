@@ -9,7 +9,7 @@ fails a liveness check supplied by the caller.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.dht.node_id import ID_BITS, NodeId
 
@@ -80,12 +80,31 @@ class RoutingTable:
 
     Buckets are created on first contact: an N-node overlay fills about
     log2(N) of a node's 160, and the experiments build an overlay per run.
+    Contacts handed to :meth:`seed` wait until the table is first used.
     """
 
     def __init__(self, owner: NodeId, bucket_size: int = DEFAULT_BUCKET_SIZE) -> None:
         self.owner = owner
         self.bucket_size = bucket_size
         self._buckets: Dict[int, KBucket] = {}  # bucket index -> live bucket
+        self._seeds: List[NodeId] = []  # queued by seed(), applied by _live()
+
+    def seed(self, contacts: Iterable[NodeId]) -> None:
+        """Add ``contacts`` as :meth:`add_contact` without a probe would, later.
+
+        They are applied, in order, the first time the table is read or
+        written.  That is exact: the no-probe rule reads only the table, and
+        every method applies the queue before it touches a bucket.
+        """
+        self._seeds.extend(contacts)
+
+    def _live(self) -> Dict[int, KBucket]:
+        """The buckets, with any queued seeds applied."""
+        if self._seeds:
+            seeds, self._seeds = self._seeds, []
+            for node_id in seeds:
+                self._add(node_id, None)
+        return self._buckets
 
     def _index_of(self, node_id: NodeId) -> int:
         """Bucket index of ``node_id``; -1, which no bucket has, for the owner."""
@@ -93,13 +112,18 @@ class RoutingTable:
 
     def bucket_for(self, node_id: NodeId) -> KBucket:
         index = self.owner.bucket_index_for(node_id)
-        bucket = self._buckets.get(index)
+        buckets = self._live()
+        bucket = buckets.get(index)
         if bucket is None:
-            bucket = self._buckets[index] = KBucket(self.bucket_size)
+            bucket = buckets[index] = KBucket(self.bucket_size)
         return bucket
 
     def add_contact(self, node_id: NodeId, probe: Optional[LivenessProbe] = None) -> bool:
         """Insert/refresh a contact; silently ignores the owner's own id."""
+        self._live()
+        return self._add(node_id, probe)
+
+    def _add(self, node_id: NodeId, probe: Optional[LivenessProbe]) -> bool:
         # Every seeded contact and every RPC lands here, so the index is
         # computed inline rather than through ``bucket_for``.
         index = (node_id.value ^ self.owner.value).bit_length() - 1
@@ -111,11 +135,11 @@ class RoutingTable:
         return bucket.touch(node_id, probe)
 
     def remove_contact(self, node_id: NodeId) -> bool:
-        bucket = self._buckets.get(self._index_of(node_id))
+        bucket = self._live().get(self._index_of(node_id))
         return bucket is not None and bucket.remove(node_id)
 
     def __contains__(self, node_id: NodeId) -> bool:
-        bucket = self._buckets.get(self._index_of(node_id))
+        bucket = self._live().get(self._index_of(node_id))
         return bucket is not None and node_id in bucket
 
     def closest_contacts(self, target: NodeId, count: int) -> List[NodeId]:
@@ -128,25 +152,26 @@ class RoutingTable:
         target_value = target.value
         by_distance = {
             contact.value ^ target_value: contact
-            for bucket in self._buckets.values()
+            for bucket in self._live().values()
             for contact in bucket._contacts
         }
         return [by_distance[d] for d in sorted(by_distance)[:count]]
 
     @property
     def contact_count(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return sum(len(bucket) for bucket in self._live().values())
 
     def all_contacts(self) -> List[NodeId]:
         """Every contact, by ascending bucket index, LRS order within one."""
+        buckets = self._live()
         contacts: List[NodeId] = []
-        for index in sorted(self._buckets):
-            contacts.extend(self._buckets[index]._contacts)
+        for index in sorted(buckets):
+            contacts.extend(buckets[index]._contacts)
         return contacts
 
     def bucket_sizes(self) -> List[int]:
         """Occupancy per bucket index (diagnostics and tests)."""
         sizes = [0] * ID_BITS
-        for index, bucket in self._buckets.items():
+        for index, bucket in self._live().items():
             sizes[index] = len(bucket)
         return sizes

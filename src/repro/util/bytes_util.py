@@ -16,7 +16,10 @@ def xor_bytes(left: bytes, right: bytes) -> bytes:
         raise ValueError(
             f"xor_bytes requires equal lengths, got {len(left)} and {len(right)}"
         )
-    return bytes(a ^ b for a, b in zip(left, right))
+    # One big-integer XOR: the onion and cloud ciphers XOR whole payloads.
+    return (int.from_bytes(left, "big") ^ int.from_bytes(right, "big")).to_bytes(
+        len(left), "big"
+    )
 
 
 def int_to_bytes(value: int, length: int) -> bytes:

@@ -36,6 +36,21 @@ class TestXor:
         right = data.draw(st.binary(min_size=len(left), max_size=len(left)))
         assert xor_bytes(left, right) == xor_bytes(right, left)
 
+    @given(
+        st.binary(max_size=300),
+        st.data(),
+        st.integers(min_value=0, max_value=8),
+    )
+    def test_matches_the_per_byte_reference(self, left, data, zeros):
+        """Same bytes as the per-byte generator, leading zero bytes kept."""
+        right = data.draw(st.binary(min_size=len(left), max_size=len(left)))
+        left, right = b"\x00" * zeros + left, b"\x00" * zeros + right
+        reference = bytes(a ^ b for a, b in zip(left, right))
+        assert xor_bytes(left, right) == reference
+
+    def test_empty_input(self):
+        assert xor_bytes(b"", b"") == b""
+
 
 class TestIntConversion:
     @given(st.integers(min_value=0, max_value=2 ** 64 - 1))
