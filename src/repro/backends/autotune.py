@@ -5,7 +5,7 @@
 that it is
 
 - **big enough** to amortise its fixed cost (a TCP round trip for the
-  distributed backend, a pickle round trip for the pools), and
+  distributed backend, an encode/decode round trip for the pools), and
 - **small enough** that spans stay granular: a retried span re-executes
   little work, and the pull-based rebalancing in
   :class:`~repro.backends.distributed.DistributedBackend` has at least

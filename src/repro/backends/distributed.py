@@ -11,12 +11,11 @@ one-pool-per-sweep contract.
 
 Execution model per span call:
 
-1. :meth:`start` pickles the task once; each worker receives it lazily,
-   the first time (per engine run) a span is dispatched on its
-   connection — which is also what makes reconnects transparent.  A task
-   that cannot be pickled falls back to exact in-process execution for
-   that run, mirroring
-   :class:`~repro.experiments.executors.SweepPoolExecutor`.
+1. :meth:`start` encodes the task once
+   (:func:`~repro.backends.wire.encode_blob`, which refuses anything but
+   the registered unit classes); each worker receives it lazily, the
+   first time (per engine run) a span is dispatched on its connection —
+   which is also what makes reconnects transparent.
 2. :meth:`run` carves its half-open range on demand: each live worker's
    driver thread pulls the next span off a shared cursor, sized for
    *that* worker (``chunk_size`` trials; default balances the range
@@ -33,10 +32,12 @@ Execution model per span call:
 **Fault tolerance.**  A span dispatch that fails at the transport level
 (EOF, refused reconnect, a torn frame, a wire timeout, a heartbeat
 declaring the worker dead) *requeues the span* for the surviving
-workers, up to :data:`SPAN_RETRIES` attempts per span.  Because every span's
-counts are a pure function of the task and the span bounds, re-executing
-a span — even one the dying worker may have half-finished — produces the
-exact same numbers, so results and result-store cache keys stay
+workers, up to :data:`SPAN_RETRIES` attempts per span (a refused connect
+never sent the span, so it strikes the worker but is no attempt).
+Because every span's counts are a pure function of the task and the
+span bounds, re-executing a span — even one the dying worker may have
+half-finished — produces the exact same numbers, so results and
+result-store cache keys stay
 **byte-identical** to a clean run; the fault-injection suite
 (``tests/backends/test_faults.py``) and the CI ``chaos`` job assert
 exactly that.  Per-worker failures are tracked as consecutive *strikes*
@@ -91,7 +92,6 @@ dispatch immediately with the remote traceback, exactly as before.
 
 from __future__ import annotations
 
-import pickle
 import socket
 import threading
 import time
@@ -188,6 +188,10 @@ class WorkerLost(ConnectionError):
     """A worker stopped responding mid-span (its heartbeat went silent)."""
 
 
+class WorkerUnreachable(ConnectionError):
+    """A worker refused (or timed out) the connect: no span reached it."""
+
+
 class NoWorkersLeft(ConnectionError):
     """Every worker is dead or circuit-broken with spans still pending."""
 
@@ -232,7 +236,7 @@ class _Worker:
                 (self.host, self.port), timeout=CONNECT_TIMEOUT
             )
         except OSError as error:
-            raise ConnectionError(
+            raise WorkerUnreachable(
                 f"cannot reach worker {self.address}: {error}"
             ) from error
         try:
@@ -598,6 +602,8 @@ class DistributedBackend(ExecutionBackend):
         self._payload = None
 
     def start(self, task: TrialTask) -> None:
+        # Encoded first: a refused task opens no connection.
+        self._payload = encode_blob(task)
         self.open()
         # Per-run state: strikes are *consecutive* failures within a run;
         # carrying them across engine runs let a transient blip in sweep A
@@ -608,12 +614,6 @@ class DistributedBackend(ExecutionBackend):
         # A run boundary is also a natural admission point: adopt joins,
         # drains, and any cooled-down breakers before spans fly.
         self._admit_members()
-        try:
-            self._payload = encode_blob(task)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            # Unpicklable task (ad-hoc closure): exact in-process fallback
-            # for this run, connections stay open for the next task.
-            self._payload = None
 
     def finish(self) -> None:
         self._payload = None
@@ -836,7 +836,7 @@ class DistributedBackend(ExecutionBackend):
         """(Re)connect and load the current task onto the connection."""
         if worker.sock is None:
             worker.connect()
-        if self._payload is not None and worker.loaded != self._payload:
+        if worker.loaded != self._payload:
             self._worker_request(worker, {"op": "task", "task": self._payload})
             worker.loaded = self._payload
 
@@ -902,7 +902,14 @@ class DistributedBackend(ExecutionBackend):
                             )
                     except (ConnectionError, OSError) as error:
                         # Transport failure: strike the worker, requeue
-                        # the span for whoever is still alive.
+                        # the span for whoever is still alive.  A refused
+                        # connect never sent the span, so it costs the span
+                        # no attempt: a dead worker fails in microseconds
+                        # and re-pulls the span it just requeued, and two
+                        # dead workers' refusals alone used to exhaust
+                        # SPAN_RETRIES before the survivor got to it.
+                        if not isinstance(error, WorkerUnreachable):
+                            attempts += 1
                         worker.drop_connection()
                         worker.strikes += 1
                         self._count(
@@ -922,22 +929,22 @@ class DistributedBackend(ExecutionBackend):
                                 worker=worker.address,
                                 trips=worker.breaker_trips,
                             )
-                        if attempts + 1 >= SPAN_RETRIES:
+                        if attempts >= SPAN_RETRIES:
                             source.abort(
                                 NoWorkersLeft(
                                     f"span [{low}, {high}) failed on "
-                                    f"{attempts + 1} workers, giving up: "
+                                    f"{attempts} workers, giving up: "
                                     f"{error}"
                                 )
                             )
                             return
-                        source.requeue(low, high, attempts + 1)
+                        source.requeue(low, high, attempts)
                         self._count(
                             "spans_requeued",
                             worker=worker.address,
                             low=low,
                             high=high,
-                            attempt=attempts + 1,
+                            attempt=attempts,
                         )
                         if worker.broken:
                             return
@@ -1045,12 +1052,9 @@ class DistributedBackend(ExecutionBackend):
         return [reply for _, reply in results]
 
     def run(self, task: TrialTask, start: int, stop: int) -> List[Any]:
-        if self._payload is None:
-            return task.run_range(start, stop)
         if start >= stop:
             return task.merge(())
-        # A span's reply carries JSON counts, or pickled collect values.
         return task.merge(
-            decode_blob(reply["values"]) if "values" in reply else reply["counts"]
+            decode_blob(reply["result"])
             for reply in self._dispatch(task, start, stop)
         )

@@ -31,7 +31,6 @@ backend do both halves itself with ``DistributedBackend(pool=N)`` /
 
 from __future__ import annotations
 
-import contextlib
 import os
 import re
 import select
@@ -113,32 +112,6 @@ def _await_line(stream, timeout: float, context: str) -> str:
     return buffer.split(b"\n", 1)[0].decode("utf-8", "replace")
 
 
-@contextlib.contextmanager
-def worker_import_path(directory):
-    """Temporarily prepend ``directory`` to ``PYTHONPATH`` for spawned workers.
-
-    Workers unpickle task callables by importing their defining module;
-    callables that live outside the installed package (test helpers,
-    benchmark modules) need their directory on the children's path.
-    Spawning happens under this context; the parent environment is
-    restored on exit.
-    """
-    directory = str(directory)
-    previous = os.environ.get("PYTHONPATH")
-    os.environ["PYTHONPATH"] = (
-        directory
-        if not previous
-        else os.pathsep.join([directory, previous])
-    )
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PYTHONPATH", None)
-        else:
-            os.environ["PYTHONPATH"] = previous
-
-
 def _worker_environment() -> dict:
     """The spawned worker's environment: inherit ours, ensure importability.
 
@@ -166,8 +139,8 @@ class WorkerPool:
     workers:
         Local serve processes to spawn.
     host:
-        Interface the local workers bind (loopback by default — the
-        protocol ships pickles).
+        Interface the local workers bind (loopback by default — nothing
+        authenticates a peer on the worker port).
     fault_plan:
         Optional :class:`~repro.backends.faults.FaultPlan` (or its
         compact string form) mapping worker indices to scripted faults.

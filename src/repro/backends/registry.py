@@ -10,7 +10,7 @@ name         class              substrate
 ============ ================== ========================================
 serial       SerialExecutor     the in-process reference loop
 process-pool SweepPoolExecutor  one fork pool from ``open`` to ``close``,
-                                pickle-shipped tasks and results
+                                tasks and results shipped as data
 distributed  DistributedBackend spans over TCP to ``repro worker``
                                 processes
 ============ ================== ========================================
@@ -195,7 +195,7 @@ def _register_builtins() -> None:
         SweepPoolExecutor,
         description=(
             "one fork pool from open to close (a bare engine run opens "
-            "and closes its own); pickle-shipped tasks and results"
+            "and closes its own); tasks and results shipped as data"
         ),
         options=("jobs", "chunk_size"),
         available=fork_available,

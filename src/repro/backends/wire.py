@@ -2,9 +2,15 @@
 
 One frame = a 4-byte big-endian unsigned length followed by that many
 bytes of UTF-8 JSON.  JSON keeps the protocol inspectable (tcpdump a
-sweep and read it); binary payloads that JSON cannot carry — the pickled
-:class:`~repro.experiments.executors.TrialTask` and collect-mode values —
-travel base64-encoded inside it.
+sweep and read it).
+
+**Tasks as data.**  A :class:`~repro.experiments.executors.TrialTask` and
+a span's result cross a process boundary — to a fork-pool child or to a
+TCP worker — one way only: :func:`encode_blob` / :func:`decode_blob`, a
+JSON text in which every object is ``{"unit": name, "fields": {...}}``
+for a class named in :data:`UNITS`.  Decoding builds those classes and
+nothing else, so a peer on the worker port can hand a worker wrong
+numbers, never code to run.
 
 The message vocabulary (``protocol`` version :data:`PROTOCOL_VERSION`):
 
@@ -13,10 +19,12 @@ op          request fields                                  reply
 ========== =============================================== =======================
 ``hello``   —                                               ``role``, ``protocol``
 ``ping``    —                                               ``ok``
-``task``    ``task`` (base64 pickle of a ``TrialTask``)     ``ok``
-``run``     ``start``, ``stop`` (half-open span of the      ``counts`` (list of
-            task loaded on this connection)                 int) or ``values``
-                                                            (base64 pickle)
+``task``    ``task`` (:func:`encode_blob` of a              ``ok``
+            ``TrialTask``)
+``run``     ``start``, ``stop`` (half-open span of the      ``result``
+            task loaded on this connection)                 (:func:`encode_blob`
+                                                            of the span's
+                                                            ``run_range``)
 ``stats``   —                                               ``stats`` (a metrics
                                                             registry snapshot —
                                                             op counts, per-mode
@@ -28,11 +36,11 @@ op          request fields                                  reply
 
 Version 2 dropped the ``mode`` field of ``run`` (and ``modes`` from the
 ``hello`` reply): the loaded task is one kind of work and says which, so
-a request cannot disagree with it.  Which reply field a span carries
-follows from the task too — ``values`` for a collect task, ``counts``
-otherwise.  ``stats`` and ``cancel`` are additive — a worker that
-predates them replies ``ok: false``, which :func:`fetch_worker_stats`
-and :func:`cancel_worker` fold into ``None``.
+a request cannot disagree with it.  Version 3 made the task and the span
+result codec text, one ``result`` field for every kind of task.
+``stats`` and ``cancel`` are additive — a worker that predates them
+replies ``ok: false``, which :func:`fetch_worker_stats` and
+:func:`cancel_worker` fold into ``None``.
 
 ``cancel`` is the cooperative mid-span drain primitive: it bumps the
 worker's cancel generation, and every running span (they check between
@@ -72,16 +80,42 @@ from a *dead* one instead of blocking forever:
 
 from __future__ import annotations
 
-import base64
+import functools
+import importlib
 import json
-import pickle
 import select
 import socket
 import struct
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, FrozenSet, Optional
 
 #: Bumped on incompatible message-vocabulary changes; :func:`handshake` checks it.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
+
+#: Every class a task or span result may carry, by name → defining module:
+#: the engine units the scenario kinds build, the values nested in them,
+#: and ``TrialTask`` itself.  Decoding resolves a name through this table
+#: alone and imports a module only when the table names it.
+UNITS: Dict[str, str] = {
+    "TrialTask": "repro.experiments.executors",
+    "AttackTrial": "repro.experiments.attack_resilience",
+    "AdaptiveTrial": "repro.scenarios.runners",
+    "MultipathAttackBatch": "repro.experiments.attack_kernels",
+    "CentralAttackBatch": "repro.experiments.attack_kernels",
+    "CentralizedChurnBatch": "repro.experiments.churn_resilience",
+    "MultipathChurnBatch": "repro.experiments.churn_resilience",
+    "KeyShareChurnBatch": "repro.experiments.churn_resilience",
+    "MultipathAvailabilityBatch": "repro.experiments.availability",
+    "KeyShareAvailabilityBatch": "repro.experiments.availability",
+    "EpochAvailabilityBatch": "repro.epoch.measure",
+    "EpochTimelinessBatch": "repro.epoch.measure",
+    "EpochAvailabilityTrial": "repro.epoch.oracle",
+    "EpochTimelinessTrial": "repro.epoch.oracle",
+    "TimelinessTrial": "repro.experiments.timeliness",
+    "CentralizedScheme": "repro.core.schemes.centralized",
+    "NodeDisjointScheme": "repro.core.schemes.disjoint",
+    "NodeJointScheme": "repro.core.schemes.joint",
+    "SharePlan": "repro.core.schemes.keyshare",
+}
 
 #: The server role strings ``hello`` replies carry, so a client can tell a
 #: repro worker from the sweep-service daemon (``repro serve``) or some
@@ -92,7 +126,7 @@ SERVICE_ROLE = "repro-sweep-service"
 _HEADER = struct.Struct(">I")
 
 #: Refuse absurd frames instead of allocating them: no legitimate message
-#: (even a pickled task with a large population) approaches 256 MiB.
+#: (even a long collect-mode span result) approaches 256 MiB.
 MAX_FRAME_BYTES = 1 << 28
 
 
@@ -183,12 +217,81 @@ def recv_message(
 
 
 def encode_blob(value: Any) -> str:
-    """Pickle + base64: how non-JSON payloads ride inside frames."""
-    return base64.b64encode(pickle.dumps(value)).decode("ascii")
+    """``value`` as codec text: how a task or span result leaves a process.
+
+    ``None``, bools, numbers and strings pass through; lists and tuples
+    become arrays; an instance of a :data:`UNITS` class becomes
+    ``{"unit": name, "fields": {...}}`` — its dataclass fields, or its
+    attributes for the scheme classes, whose attributes are exactly their
+    constructor arguments.  Anything else raises :class:`TypeError`.
+    """
+    return json.dumps(_to_data(value), separators=(",", ":"))
 
 
 def decode_blob(text: str) -> Any:
-    return pickle.loads(base64.b64decode(text.encode("ascii")))
+    """The value :func:`encode_blob` wrote, with arrays back as tuples.
+
+    A unit is rebuilt only if the table names it and its fields are
+    exactly its constructor's; any other text raises :class:`ValueError`
+    or :class:`TypeError`.
+    """
+    return _from_data(json.loads(text))
+
+
+def _to_data(value: Any) -> Any:
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_to_data(item) for item in value]
+    kind = type(value)
+    if UNITS.get(kind.__name__) != kind.__module__:
+        raise TypeError(
+            f"{kind.__module__}.{kind.__qualname__} cannot cross a process "
+            "boundary: only the classes in repro.backends.wire.UNITS can "
+            "(run an ad-hoc callable on the 'serial' backend)"
+        )
+    import dataclasses  # not at import: `repro jobs` never encodes
+
+    if dataclasses.is_dataclass(value):
+        fields = {
+            field.name: getattr(value, field.name)
+            for field in dataclasses.fields(value)
+        }
+    else:
+        fields = vars(value)
+    return {
+        "unit": kind.__name__,
+        "fields": {name: _to_data(item) for name, item in fields.items()},
+    }
+
+
+def _from_data(data: Any) -> Any:
+    if isinstance(data, list):
+        return tuple(_from_data(item) for item in data)
+    if not isinstance(data, dict):
+        return data
+    if data.keys() != {"unit", "fields"} or not isinstance(data["fields"], dict):
+        raise ValueError(
+            f"an object must be {{'unit': name, 'fields': {{...}}}}, "
+            f"got keys {sorted(data)}"
+        )
+    name, fields = data["unit"], data["fields"]
+    if not isinstance(name, str) or name not in UNITS:
+        raise ValueError(f"unknown unit {name!r}")
+    kind = getattr(importlib.import_module(UNITS[name]), name)
+    expected = _parameters(kind)
+    if fields.keys() != expected:
+        raise TypeError(
+            f"{name} takes fields {sorted(expected)}, got {sorted(fields)}"
+        )
+    return kind(**{field: _from_data(item) for field, item in fields.items()})
+
+
+@functools.lru_cache(maxsize=None)
+def _parameters(kind: type) -> FrozenSet[str]:
+    import inspect
+
+    return frozenset(inspect.signature(kind).parameters)
 
 
 def request(

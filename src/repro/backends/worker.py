@@ -3,7 +3,7 @@
 ``repro worker serve --bind host:port`` runs one of these next to the
 data — any machine with the same codebase on ``PYTHONPATH``.  The
 orchestrator side (:class:`~repro.backends.distributed.DistributedBackend`)
-connects, ships the pickled :class:`~repro.experiments.executors.TrialTask`
+connects, ships the encoded :class:`~repro.experiments.executors.TrialTask`
 once per engine run, then streams span requests naming only ``start`` and
 ``stop``; the worker executes each span through the loaded task's own
 :meth:`~repro.experiments.executors.TrialTask.run_range` — the *same*
@@ -15,9 +15,12 @@ Connections are stateful (one current task per connection) and served one
 per thread, so several orchestrators — or several concurrent span threads
 of one — can share a worker, and a heartbeat ``ping`` on a fresh
 connection answers even while every other connection is busy computing.
-The server is deliberately trusting: the protocol ships pickles, so bind
-it only on interfaces you control (the default is loopback), exactly like
-every other pickle-based worker pool.
+A task arrives as data (:func:`~repro.backends.wire.decode_blob`): the
+worker builds only the unit classes in :data:`~repro.backends.wire.UNITS`
+and refuses anything else with ``ok: false``, so a peer on the port can
+make it compute, never run code of the peer's choosing.  Nothing
+authenticates a peer yet — one can still feed a driver wrong counts — so
+bind it only on interfaces you control (the default is loopback).
 
 **Cancellation.**  Spans execute as ~8 sub-slices with a cooperative
 cancel check between each (additive merging keeps results byte-identical
@@ -102,11 +105,7 @@ def _execute_span(
         if should_abandon():
             return {"ok": True, "cancelled": True}
         parts.append(task.run_range(low, min(low + step, stop)))
-    merged = task.merge(parts)
-    if task.mode == "collect":
-        # Arbitrary values ride as a pickle; counts are plain JSON ints.
-        return {"ok": True, "values": encode_blob(merged)}
-    return {"ok": True, "counts": merged}
+    return {"ok": True, "result": encode_blob(task.merge(parts))}
 
 
 def _cancellable_sleep(
@@ -160,7 +159,7 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                     loaded = decode_blob(message["task"])
                     if not isinstance(loaded, TrialTask):
                         raise TypeError(
-                            "task must be a pickled TrialTask, got "
+                            "task must encode a TrialTask, got "
                             f"{type(loaded).__name__}"
                         )
                     task = loaded

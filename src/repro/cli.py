@@ -472,8 +472,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bind",
         default="127.0.0.1:7070",
         help="host:port to listen on; port 0 picks an ephemeral port "
-        "(default: %(default)s — loopback only; the protocol ships "
-        "pickles, so bind only interfaces you control)",
+        "(default: %(default)s — loopback only; a peer cannot run code "
+        "here but nothing authenticates it, so bind only interfaces you "
+        "control)",
     )
     worker_serve.add_argument(
         "--fault",

@@ -1,7 +1,8 @@
 """TrialEngine-compatible batch units + point-level epoch estimators.
 
-The batch units are frozen module-level dataclasses (picklable, so the
-pool and distributed backends can ship them — the PR 3 kernel convention).
+The batch units are frozen dataclasses registered in
+:data:`repro.backends.wire.UNITS`, so the pool and distributed backends
+ship them as data.
 ``EpochAvailabilityBatch(generator, count)`` returns ``(release, drop)``
 attack-success counts; ``EpochTimelinessBatch`` returns ``(delivered,
 lateness >= 1, ..., lateness >= R)`` counts — every channel a valid

@@ -3,7 +3,8 @@
 The sweeps are the registered ``fig6a``…``fig8`` scenarios
 (:mod:`repro.scenarios.registry`) and a point is one scenario kind
 (:mod:`repro.scenarios.runners`); the modules here hold what a kind
-ships to the engine — the picklable trial and batch units, the
+ships to the engine — the trial and batch units (each a class in
+:data:`repro.backends.wire.UNITS`, so every backend can ship it), the
 ``simulate_*_counts`` kernels and the kernel-lane names:
 
 - :mod:`repro.experiments.attack_resilience` — Fig. 6(a)-(d): the

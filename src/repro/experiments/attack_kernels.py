@@ -197,8 +197,9 @@ def evaluate_multipath_masks(
 class MultipathAttackBatch:
     """Engine batch unit for the disjoint/joint finite-population attack.
 
-    A frozen module-level dataclass so a shared sweep pool can pickle it;
-    ``__call__`` matches the engine's ``BatchFunction`` contract and
+    A frozen dataclass registered in :data:`repro.backends.wire.UNITS`, so
+    every backend can ship it; ``__call__`` matches the engine's
+    ``BatchFunction`` contract and
     returns ``(release_resisted, drop_resisted)`` counts.
     """
 

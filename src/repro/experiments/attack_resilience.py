@@ -32,6 +32,7 @@ seed-deterministic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.adversary.population import SybilPopulation
@@ -56,20 +57,18 @@ def vectorized_batch_size(trials: int, batch_size: Optional[int]) -> Optional[in
     return min(trials, DEFAULT_VECTORIZED_BATCH) or None
 
 
+@dataclass(frozen=True)
 class AttackTrial:
-    """One finite-population attack trial, as a picklable callable.
+    """One finite-population attack trial, as an engine unit.
 
     Mark exactly ``N * p`` of ``N`` node ids malicious, sample the holder
-    structure, evaluate both attacks.  A module-level class (rather than a
-    closure) so a shared sweep pool can ship the task to workers by pickle.
+    structure, evaluate both attacks.  A registered unit class (rather
+    than a closure) so the pool and the TCP workers receive it as data.
     """
 
-    def __init__(
-        self, scheme: Scheme, malicious_rate: float, population_size: int
-    ) -> None:
-        self.scheme = scheme
-        self.malicious_rate = malicious_rate
-        self.population_size = population_size
+    scheme: Scheme
+    malicious_rate: float
+    population_size: int
 
     @property
     def population_ids(self) -> range:

@@ -129,8 +129,8 @@ def simulate_key_share_availability(
     return outcome_from_counts(release, drop, trials)
 
 
-# Batch callables as module-level frozen dataclasses so a shared sweep pool
-# can ship them to workers by pickle (see churn_resilience for the pattern).
+# Batch callables as frozen dataclasses registered in repro.backends.wire.UNITS,
+# so the pool and the TCP workers receive them as data (see churn_resilience).
 
 
 @dataclass(frozen=True)

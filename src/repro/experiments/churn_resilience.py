@@ -26,9 +26,9 @@ from repro.experiments.churn_model import (
     simulate_multipath_counts,
 )
 
-# Batch callables are module-level frozen dataclasses (not lambdas) so a
-# shared sweep pool can ship them to workers by pickle; every parameter a
-# batch needs is bound at construction time.
+# Batch callables are frozen dataclasses (not lambdas) registered in
+# repro.backends.wire.UNITS, so the pool and the TCP workers receive them as
+# data; every parameter a batch needs is bound at construction time.
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ invariants make every backend interchangeable:
 
 That contract is what lets the result store exclude transport options
 (``jobs``, worker addresses) from its cache keys.  Tasks reach pool and
-remote workers *by pickling*; a task whose callables cannot be pickled
-(an ad-hoc closure) runs in-process — exact, just not parallel.
+remote workers *as data* — :func:`repro.backends.wire.encode_blob`, which
+carries only the unit classes in :data:`repro.backends.wire.UNITS` — so
+an ad-hoc closure runs on :class:`SerialExecutor` alone; the other
+backends refuse it at :meth:`~ExecutionBackend.start`.
 
 There are three *kinds* of task — scalar trials, vectorised batches,
 collected values — and the :class:`TrialTask` alone knows which it is:
@@ -34,7 +36,7 @@ stop)`` that splits a range, calls the first and feeds the second.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -46,7 +48,8 @@ from repro.util.validation import check_positive_int
 TrialFunction = Callable[[RandomSource], Any]
 
 #: A collect-mode trial: receives its trial index and private stream and
-#: returns an arbitrary (picklable, for the pool executor) value.
+#: returns a value (``None``, a number, a string or a tuple of them, for
+#: the backends that ship results between processes).
 IndexedTrialFunction = Callable[[int, RandomSource], Any]
 
 #: A vectorised batch trial: receives a seeded ``numpy.random.Generator``
@@ -282,9 +285,21 @@ def pools_constructed() -> int:
 def _new_pool(jobs: int):
     global _POOLS_CONSTRUCTED
     context = multiprocessing.get_context("fork")
-    pool = context.Pool(processes=jobs)
+    pool = context.Pool(processes=jobs, initializer=_default_sigterm)
     _POOLS_CONSTRUCTED += 1
     return pool
+
+
+def _default_sigterm() -> None:
+    """Pool-child initializer: SIGTERM kills the child again.
+
+    A child forked from a process that handles SIGTERM itself — the
+    ``repro serve`` daemon's asyncio loop does — inherits that handler and
+    survives ``Pool.terminate``'s SIGTERM.  A child then left waiting on
+    the task-queue lock the terminating parent holds never exits, and the
+    parent's ``join`` (and with it the daemon's drain) hangs.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def fork_available() -> bool:
@@ -296,10 +311,12 @@ def fork_available() -> bool:
     return True
 
 
-def _shipped(args: Tuple[bytes, int, int]) -> List[Any]:
-    """Worker side of the pool: unpickle the task, run one span of it."""
+def _shipped(args: Tuple[str, int, int]) -> str:
+    """Worker side of the pool: decode the task, run one span, encode it."""
+    from repro.backends.wire import decode_blob, encode_blob
+
     payload, low, high = args
-    return pickle.loads(payload).run_range(low, high)
+    return encode_blob(decode_blob(payload).run_range(low, high))
 
 
 @dataclass
@@ -307,17 +324,14 @@ class SweepPoolExecutor(ExecutionBackend):
     """One fork pool shared by every engine run between ``open`` and ``close``.
 
     Opened once (``open``/``close``, or a ``with`` block) the pool serves
-    every engine run of a sweep, a figure, or the daemon's lifetime, and
-    each task ships to the workers *by pickling*.  A bare engine run on
-    an unopened executor still gets a pool: :meth:`start` opens one and
-    the matching :meth:`finish` closes it again, so nothing outlives the
-    run.
-
-    Tasks whose callables cannot be pickled (ad-hoc closures) fall back to
-    exact in-process execution for that run — same counts, no parallelism —
-    which the figure units avoid by using module-level callable classes.
-    All engine invariants hold unchanged: counts are identical to the
-    serial executor for any worker count or span partition.
+    every engine run of a sweep, a figure, or the daemon's lifetime.  Each
+    task ships to the children as :func:`~repro.backends.wire.encode_blob`
+    text and each span's result comes back the same way; :meth:`start`
+    refuses a task the codec cannot carry (an ad-hoc closure).  A bare
+    engine run on an unopened executor still gets a pool: :meth:`start`
+    opens one and the matching :meth:`finish` closes it again, so nothing
+    outlives the run.  Counts are identical to the serial executor for
+    any worker count or span partition.
     """
 
     jobs: int = 2
@@ -325,7 +339,7 @@ class SweepPoolExecutor(ExecutionBackend):
     #: the workers), or ``"auto"`` (:mod:`repro.backends.autotune`).
     chunk_size: Any = None
     _pool: Any = field(default=None, repr=False, compare=False)
-    _payload: Optional[bytes] = field(default=None, repr=False, compare=False)
+    _payload: Optional[str] = field(default=None, repr=False, compare=False)
     # Whether the latest start() had to open the pool itself, and the
     # matching finish() therefore owes the close.
     _opened_by_start: bool = field(default=False, repr=False, compare=False)
@@ -348,14 +362,12 @@ class SweepPoolExecutor(ExecutionBackend):
         self._payload = None
 
     def start(self, task: TrialTask) -> None:
+        from repro.backends.wire import encode_blob
+
+        # Encoded before the pool opens: a refused task leaves nothing open.
+        self._payload = encode_blob(task)
         self._opened_by_start = self._pool is None
         self.open()
-        try:
-            self._payload = pickle.dumps(task)
-        except Exception:
-            # Unpicklable task: run this engine run in-process (exact, just
-            # not parallel) while the pool stays open for later tasks.
-            self._payload = None
 
     def finish(self) -> None:
         self._payload = None
@@ -381,15 +393,16 @@ class SweepPoolExecutor(ExecutionBackend):
     def run(self, task: TrialTask, start: int, stop: int) -> List[Any]:
         """One ``run_range`` result per span, merged in span order.
 
-        Spans ship to the pool with the pickled task and their results
-        come back through ``pool.map``; without a pool (no ``fork``) or
-        for an unpicklable task they run here instead.
+        Spans ship to the pool with the encoded task and their encoded
+        results come back through ``pool.map``; without a pool (no
+        ``fork``) they run here instead.
         """
         spans = self._spans(task, start, stop)
-        if self._pool is None or self._payload is None:
-            parts = [task.run_range(low, high) for low, high in spans]
-        else:
-            parts = self._pool.map(
-                _shipped, [(self._payload, low, high) for low, high in spans]
-            )
-        return task.merge(parts)
+        if self._pool is None:
+            return task.merge(task.run_range(low, high) for low, high in spans)
+        from repro.backends.wire import decode_blob
+
+        replies = self._pool.map(
+            _shipped, [(self._payload, low, high) for low, high in spans]
+        )
+        return task.merge(decode_blob(reply) for reply in replies)

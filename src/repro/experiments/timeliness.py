@@ -70,7 +70,7 @@ def _run_one(
 
 @dataclass(frozen=True)
 class TimelinessTrial:
-    """One end-to-end run as a picklable collect-mode trial callable."""
+    """One end-to-end run as a collect-mode engine unit."""
 
     scheme: str
     max_latency: float

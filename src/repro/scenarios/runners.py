@@ -12,7 +12,8 @@ result dict.  Every result carries two common fields:
 
 A kind is one function: it validates the parameter set against its
 ``_take`` table (the one place a parameter's default is stated), plans,
-builds the picklable trial or batch unit from :mod:`repro.experiments`,
+builds the trial or batch unit from :mod:`repro.experiments` (a class in
+:data:`repro.backends.wire.UNITS`, so every backend can ship it),
 makes one engine call and shapes the result dict — whose keys and key
 order are the store record.  To run one point directly, call
 ``get_runner(kind)(params, trials, seed, engine, batch_size)``.
@@ -20,6 +21,7 @@ order are the store record.  To run one point directly, call
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.core.planner import DEFAULT_TARGET, PLANNING_FLOOR, plan_configuration
@@ -578,22 +580,15 @@ def sensitivity_runner(
     }
 
 
+@dataclass(frozen=True)
 class AdaptiveTrial:
-    """One two-phase adaptive-adversary trial, as a picklable callable."""
+    """One two-phase adaptive-adversary trial, as an engine unit."""
 
-    def __init__(
-        self,
-        scheme,
-        population_size: int,
-        seed_rate: float,
-        observation_rate: float,
-        budget: int,
-    ) -> None:
-        self.scheme = scheme
-        self.population_size = population_size
-        self.seed_rate = seed_rate
-        self.observation_rate = observation_rate
-        self.budget = budget
+    scheme: Any
+    population_size: int
+    seed_rate: float
+    observation_rate: float
+    budget: int
 
     def __call__(self, rng):
         from repro.adversary.adaptive import AdaptiveAdversary, evaluate_adaptive_attack

@@ -20,10 +20,7 @@ from repro.backends.worker import WorkerServer
 from repro.backends.autotune import DEFAULT_RATE, MIN_SPANS_PER_WORKER
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import SweepPoolExecutor, TrialTask
-
-
-def bernoulli_trial(rng):
-    return rng.bernoulli(0.4)
+from trial_units import bernoulli_trial
 
 
 def _write_bench(directory, name, records):

@@ -17,12 +17,9 @@ from repro.experiments.executors import (
     SerialExecutor,
     SweepPoolExecutor,
 )
+from trial_units import bernoulli_trial
 
 BUILTINS = ("distributed", "process-pool", "serial")
-
-
-def bernoulli_trial(rng):
-    return rng.bernoulli(0.4)
 
 
 class TestRegistry:

@@ -15,10 +15,7 @@ from repro.backends.membership import retire_worker
 from repro.backends.wire import cancel_worker
 from repro.backends.worker import _cancellable_sleep
 from repro.experiments.engine import TrialEngine
-
-
-def bernoulli_trial(rng):
-    return rng.bernoulli(0.4)
+from trial_units import bernoulli_trial
 
 
 def _address(server):

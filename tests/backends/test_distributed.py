@@ -25,29 +25,13 @@ from repro.backends.wire import (
 )
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import TrialTask
-
-
-def bernoulli_trial(rng):
-    return rng.bernoulli(0.4)
-
-
-def paired_trial(rng):
-    return rng.bernoulli(0.8), rng.bernoulli(0.2)
-
-
-def counting_batch(generator, count):
-    return (int((generator.random(count) < 0.3).sum()),)
-
-
-def indexed_measure(index, rng):
-    return (index, round(rng.random(), 6))
-
-
-class FailingBatch:
-    """A picklable batch that blows up on the worker."""
-
-    def __call__(self, generator, count):
-        raise RuntimeError("injected batch failure")
+from trial_units import (
+    bernoulli_trial,
+    counting_batch,
+    failing_batch,
+    indexed_measure,
+    paired_trial,
+)
 
 
 @pytest.fixture()
@@ -99,7 +83,7 @@ class TestWire:
         try:
             reply = request(connection, {"op": "hello"})
             assert reply["role"] == WORKER_ROLE
-            assert reply["protocol"] == PROTOCOL_VERSION == 2
+            assert reply["protocol"] == PROTOCOL_VERSION == 3
             assert "modes" not in reply  # the loaded task knows its kind
         finally:
             connection.close()
@@ -111,9 +95,9 @@ class TestWire:
                 request(connection, {"op": "fly"})
             with pytest.raises(RuntimeError, match="no task loaded"):
                 request(connection, {"op": "run", "start": 0, "stop": 1})
-            # A pickle that is not a TrialTask fails the load, not a span.
-            with pytest.raises(RuntimeError, match="must be a pickled TrialTask"):
-                request(connection, {"op": "task", "task": encode_blob({"x": 1})})
+            # A decodable value that is not a TrialTask fails the load.
+            with pytest.raises(RuntimeError, match="must encode a TrialTask"):
+                request(connection, {"op": "task", "task": encode_blob([1])})
             # The connection survives all three failures.
             assert request(connection, {"op": "ping"})["ok"]
             assert worker.failures == 3
@@ -124,7 +108,7 @@ class TestWire:
             reply = request(
                 connection, {"op": "run", "mode": "counts", "start": 0, "stop": 3}
             )
-            assert decode_blob(reply["values"]) == task.run_range(0, 3)
+            assert decode_blob(reply["result"]) == tuple(task.run_range(0, 3))
         finally:
             connection.close()
 
@@ -216,7 +200,7 @@ class TestDistributedFailureModes:
             engine = TrialEngine(backend=backend)
             with pytest.raises(RuntimeError, match="injected batch failure") as info:
                 engine.run_batched(
-                    FailingBatch(), trials=40, seed=1, batch_size=10
+                    failing_batch, trials=40, seed=1, batch_size=10
                 )
             # The remote stack rides along — the only clue when a task
             # fails off-host.
@@ -229,14 +213,3 @@ class TestDistributedFailureModes:
         assert good == TrialEngine().run_batched(
             counting_batch, trials=40, seed=1, batch_size=10
         )
-
-    def test_unpicklable_task_falls_back_in_process(self, worker):
-        bias = 0.6
-        closure = lambda rng: rng.bernoulli(bias)  # noqa: E731 - deliberate
-        reference = TrialEngine().run(closure, trials=60, seed=9, label="cl")
-        with DistributedBackend([_address(worker)]) as backend:
-            result = TrialEngine(backend=backend).run(
-                closure, trials=60, seed=9, label="cl"
-            )
-        assert result == reference
-        assert worker.failures == 0  # nothing ever reached the worker

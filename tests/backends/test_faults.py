@@ -24,24 +24,9 @@ from repro.backends.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.backends.worker import WorkerServer
 from repro.experiments.engine import TrialEngine
 from repro.scenarios import ResultStore, SweepOrchestrator, get_scenario
+from trial_units import bernoulli_trial, counting_batch, indexed_measure, paired_trial
 
 pytestmark = pytest.mark.usefixtures("fast_fault_detection")
-
-
-def bernoulli_trial(rng):
-    return rng.bernoulli(0.4)
-
-
-def paired_trial(rng):
-    return rng.bernoulli(0.8), rng.bernoulli(0.2)
-
-
-def counting_batch(generator, count):
-    return (int((generator.random(count) < 0.3).sum()),)
-
-
-def indexed_measure(index, rng):
-    return (index, round(rng.random(), 6))
 
 
 def _addresses(servers):
@@ -173,6 +158,35 @@ class TestKillRebalancing:
                 )
                 assert values == reference
                 assert backend.stats["spans_requeued"] >= 1
+        finally:
+            _stop_servers(servers)
+
+    def test_refused_reconnects_spend_no_span_retries(self, monkeypatch):
+        """A dead worker's reconnect is refused in microseconds, so it
+        re-pulls the span it just requeued before a busy survivor can.
+        Counting each refusal as an attempt let two dead workers spend a
+        span's whole retry budget (the TestRandomFaultPlansProperty
+        flake); here one dead worker is allowed enough strikes to do it
+        alone."""
+        monkeypatch.setattr(
+            distributed, "BREAKER_THRESHOLD", 2 * distributed.SPAN_RETRIES
+        )
+        reference = TrialEngine().run(
+            paired_trial, trials=6, seed=5, label="refused", channels=2
+        )
+        servers = _start_servers(
+            [
+                FaultSpec("kill", after_spans=0),
+                FaultSpec("slow", after_spans=0, delay=0.3),
+            ]
+        )
+        try:
+            with _backend(servers, chunk_size=3) as backend:
+                result = TrialEngine(backend=backend).run(
+                    paired_trial, trials=6, seed=5, label="refused", channels=2
+                )
+                assert result == reference
+                assert backend.stats["workers_broken"] == 1
         finally:
             _stop_servers(servers)
 

@@ -29,10 +29,7 @@ from repro.backends.membership import (
 from repro.backends.pool import write_addresses_file
 from repro.backends.worker import WorkerServer
 from repro.experiments.engine import TrialEngine
-
-
-def bernoulli_trial(rng):
-    return rng.bernoulli(0.4)
+from trial_units import bernoulli_trial
 
 
 def _address(server):

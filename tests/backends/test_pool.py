@@ -18,25 +18,26 @@ import socket
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-from _pool_trials import bernoulli_trial
 from repro.backends.distributed import DistributedBackend
 from repro.backends.faults import FaultSpec
 from repro.backends.pool import WorkerPool, load_hosts_file
 from repro.backends.worker import WorkerServer
-from repro.backends.pool import _worker_environment, worker_import_path
+from repro.backends.pool import _worker_environment
 from repro.backends.wire import ProtocolError, recv_message, request
+from repro.core.schemes import CentralizedScheme
+from repro.experiments.attack_resilience import AttackTrial
 from repro.experiments.engine import TrialEngine
 
+#: What the spawned workers run: a production unit, since a worker process
+#: decodes only the classes the package's own unit table names.
+central_attack = AttackTrial(CentralizedScheme(), 0.4, 50)
 
-@pytest.fixture(scope="module", autouse=True)
-def _trials_importable_by_workers():
-    """Expose ``_pool_trials`` to spawned workers via their PYTHONPATH."""
-    with worker_import_path(Path(__file__).resolve().parent):
-        yield
+
+def run_attack(engine, trials, seed):
+    return engine.run(central_attack, trials=trials, seed=seed, channels=2)
 
 
 @pytest.fixture(scope="module")
@@ -52,22 +53,18 @@ class TestWorkerPool:
         assert pool.poll() == [None, None]
 
     def test_engine_results_match_serial_through_the_pool(self, pool):
-        reference = TrialEngine().run(bernoulli_trial, trials=60, seed=9)
+        reference = run_attack(TrialEngine(), trials=60, seed=9)
         with DistributedBackend(pool.addresses) as backend:
-            result = TrialEngine(backend=backend).run(
-                bernoulli_trial, trials=60, seed=9
-            )
+            result = run_attack(TrialEngine(backend=backend), trials=60, seed=9)
         assert result == reference
 
     def test_backend_owned_pool_spawns_and_reaps(self):
-        reference = TrialEngine().run(bernoulli_trial, trials=40, seed=3)
+        reference = run_attack(TrialEngine(), trials=40, seed=3)
         backend = DistributedBackend(pool=2)
         with backend:
             owned = backend._pool
             assert len(backend.workers) == 2
-            result = TrialEngine(backend=backend).run(
-                bernoulli_trial, trials=40, seed=3
-            )
+            result = run_attack(TrialEngine(backend=backend), trials=40, seed=3)
         assert result == reference
         # close() stopped the owned pool and forgot the addresses.
         assert backend.workers == ()
@@ -159,9 +156,7 @@ class TestWorkerPool:
             original = pool.addresses
             # Trip the scripted kill by asking worker 0 for a span.
             with DistributedBackend(pool.addresses, chunk_size=5) as backend:
-                TrialEngine(backend=backend).run(
-                    bernoulli_trial, trials=60, seed=5
-                )
+                run_attack(TrialEngine(backend=backend), trials=60, seed=5)
             deadline = time.monotonic() + 10
             while pool.poll()[0] is None and time.monotonic() < deadline:
                 time.sleep(0.1)
@@ -183,12 +178,10 @@ class TestWorkerPool:
     @pytest.mark.usefixtures("fast_fault_detection")
     def test_fault_plan_reaches_the_spawned_worker(self):
         """A pool-scripted kill really terminates the worker *process*."""
-        reference = TrialEngine().run(bernoulli_trial, trials=60, seed=5)
+        reference = run_attack(TrialEngine(), trials=60, seed=5)
         with WorkerPool(workers=2, fault_plan="0:kill@0") as pool:
             with DistributedBackend(pool.addresses, chunk_size=5) as backend:
-                result = TrialEngine(backend=backend).run(
-                    bernoulli_trial, trials=60, seed=5
-                )
+                result = run_attack(TrialEngine(backend=backend), trials=60, seed=5)
                 assert result == reference
                 assert backend.stats["spans_requeued"] >= 1
             deadline = time.monotonic() + 10

@@ -7,17 +7,24 @@ absurd frame sizes, undecodable payloads, silence — must surface as a
 :class:`~repro.backends.wire.WireTimeout` subclass) within a bounded
 time, never as a hang or a raw decode exception.  The server side gets
 the mirror-image treatment: garbage on a connection drops that
-connection, nothing more.
+connection, nothing more — and a hostile ``task`` (a pickle, a name
+outside the unit table, wrong fields) is refused, never executed.
 """
 
+import base64
 import errno
+import importlib
 import json
+import pickle
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.backends.distributed import DistributedBackend
 from repro.backends.membership import REGISTRY_ROLE, _describe_occupant, announce_worker
@@ -25,9 +32,12 @@ from repro.backends.wire import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     SERVICE_ROLE,
+    UNITS,
     WORKER_ROLE,
     ProtocolError,
     WireTimeout,
+    decode_blob,
+    encode_blob,
     handshake,
     parse_address,
     probe_worker,
@@ -36,7 +46,9 @@ from repro.backends.wire import (
     send_message,
 )
 from repro.backends.worker import WorkerServer
+from repro.experiments.executors import TrialTask
 from repro.service.client import submit_job
+from trial_units import bernoulli_trial
 
 
 @pytest.fixture()
@@ -203,6 +215,117 @@ class TestServerSideEdges:
         finally:
             impostor.close()
             thread.join(timeout=2)
+
+
+class _CreatesFile:
+    """Pickles to a payload whose unpickling would create ``path``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def _unit(name, **fields):
+    return json.dumps({"unit": name, "fields": fields})
+
+
+_ATTACK_FIELDS = {
+    "scheme": {"unit": "CentralizedScheme", "fields": {}},
+    "malicious_rate": 0.2,
+}
+
+#: ``task`` fields a worker must refuse, each with ``ok: false``.
+HOSTILE_TASKS = {
+    "a name outside the table": _unit("system", command="touch owned"),
+    "a table name given with another module": json.dumps(
+        {
+            "unit": "AttackTrial",
+            "module": "os",
+            "fields": {**_ATTACK_FIELDS, "population_size": 100},
+        }
+    ),
+    "a qualified name": _unit("os.system", command="true"),
+    "a missing field": _unit("AttackTrial", **_ATTACK_FIELDS),
+    "an extra field": _unit(
+        "AttackTrial", **_ATTACK_FIELDS, population_size=100, command="true"
+    ),
+    "a non-object": json.dumps([1, 2, 3]),
+    "a bare object, not codec text": {"unit": "TrialTask", "fields": {}},
+    "a unit that is not a task": _unit("NodeJointScheme", replication=2, path_length=3),
+}
+
+
+class TestHostilePeer:
+    """A ``task`` op builds registered units or nothing: no code runs."""
+
+    TASK = TrialTask(seed=4, label="after", trial=bernoulli_trial)
+
+    def _still_serves(self, connection):
+        request(connection, {"op": "task", "task": encode_blob(self.TASK)})
+        reply = request(connection, {"op": "run", "start": 0, "stop": 30})
+        assert decode_blob(reply["result"]) == tuple(self.TASK.run_range(0, 30))
+
+    def test_a_pickle_is_refused_and_runs_nothing(self, worker, tmp_path):
+        target = tmp_path / "owned"
+        blob = base64.b64encode(pickle.dumps(_CreatesFile(target))).decode("ascii")
+        with socket.create_connection(worker.address, timeout=5) as connection:
+            with pytest.raises(RuntimeError, match="worker failed 'task'"):
+                request(connection, {"op": "task", "task": blob})
+            assert not target.exists()
+            self._still_serves(connection)
+        assert worker.failures == 1
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_TASKS))
+    def test_a_hostile_task_is_refused_and_the_connection_serves_on(
+        self, worker, case
+    ):
+        with socket.create_connection(worker.address, timeout=5) as connection:
+            with pytest.raises(RuntimeError, match="worker failed 'task'"):
+                request(connection, {"op": "task", "task": HOSTILE_TASKS[case]})
+            self._still_serves(connection)
+        assert worker.failures == 1
+
+
+_NAMES = st.sampled_from(sorted(UNITS) + ["system", "os.system", "eval"])
+_FIELD_NAMES = st.sampled_from(
+    ["seed", "label", "scheme", "replication", "path_length", "malicious_rate",
+     "population_size", "rate", "trial", "command"]
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12)
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=8), children, max_size=3)
+        | st.fixed_dictionaries(
+            {
+                "unit": _NAMES,
+                "fields": st.dictionaries(_FIELD_NAMES, children, max_size=4),
+            }
+        )
+    ),
+    max_leaves=16,
+)
+
+
+@given(_DOCUMENTS)
+def test_decoding_any_json_returns_or_refuses_and_imports_only_the_table(document):
+    for module in set(UNITS.values()):
+        importlib.import_module(module)  # what a decode may legitimately load
+    before = set(sys.modules)
+    try:
+        decode_blob(json.dumps(document))
+    except (ValueError, TypeError):
+        pass
+    assert set(sys.modules) == before
 
 
 class StalePeer:

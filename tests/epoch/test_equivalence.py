@@ -186,17 +186,6 @@ class TestTimelinessEquivalence:
 
 
 class TestBatchContracts:
-    def test_batches_are_picklable(self):
-        import pickle
-
-        for unit in (
-            EpochAvailabilityBatch(0.1, 0.9, 3, 4, 1000, 2.0),
-            EpochTimelinessBatch(0.1, 0.9, 3, 4, 1000, 2.0),
-            EpochAvailabilityTrial(0.1, 0.9, 3, 4, 1000, 2.0),
-            EpochTimelinessTrial(0.1, 0.9, 3, 4, 1000, 2.0),
-        ):
-            assert pickle.loads(pickle.dumps(unit)) == unit
-
     def test_batch_partition_only_shifts_statistics(self):
         # Different partitions draw different streams — results differ
         # by sampling noise, never systematically.

@@ -9,8 +9,6 @@ passes or always fails).  Degenerate rates (p = 0, p = 1) must agree
 directly.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -168,13 +166,6 @@ class TestPlacement:
 
 
 class TestBatchUnits:
-    def test_units_are_picklable(self):
-        for unit in (
-            MultipathAttackBatch(0.2, 1000, 3, 4, joint=True),
-            CentralAttackBatch(0.2, 1000),
-        ):
-            assert pickle.loads(pickle.dumps(unit)) == unit
-
     def test_factory_dispatch(self):
         assert isinstance(
             attack_batch_for(CentralizedScheme(), 0.1, 500), CentralAttackBatch

@@ -20,27 +20,13 @@ from repro.experiments.executors import (
 )
 from repro.scenarios.runners import get_runner
 from repro.util.rng import RandomSource
-
-
-def bernoulli_trial(rng):
-    return rng.bernoulli(0.4)
-
-
-def paired_trial(rng):
-    return rng.bernoulli(0.8), rng.bernoulli(0.2)
-
-
-# Module-level (picklable) so the pool really ships them to its workers.
-def sparse_batch(generator, count):
-    return (int((generator.random(count) < 0.3).sum()),)
-
-
-def dense_batch(generator, count):
-    return (int((generator.random(count) < 0.97).sum()),)
-
-
-def indexed_measure(index, rng):
-    return (index, round(rng.random(), 6))
+from trial_units import (
+    bernoulli_trial,
+    counting_batch,
+    dense_batch,
+    indexed_measure,
+    paired_trial,
+)
 
 
 def all_executors():
@@ -87,11 +73,11 @@ class TestDeterminismAcrossExecutors:
 
     def test_batched_mode_byte_identical(self):
         reference = TrialEngine().run_batched(
-            sparse_batch, trials=997, seed=13, label="vec", batch_size=100
+            counting_batch, trials=997, seed=13, label="vec", batch_size=100
         )
         for executor in all_executors():
             result = TrialEngine(backend=executor).run_batched(
-                sparse_batch, trials=997, seed=13, label="vec", batch_size=100
+                counting_batch, trials=997, seed=13, label="vec", batch_size=100
             )
             assert result == reference, executor
 

@@ -4,13 +4,14 @@ The engine's determinism contract says the executor is never observable in
 the results; these tests push the paths that contract depends on but the
 figure drivers rarely exercise: worker counts above the trial count,
 zero-trial runs, partitions that do not divide the trial count, and the
-:class:`SweepPoolExecutor` (pickle-shipped tasks, in-process fallback for
-unpicklable ones, one pool across many runs, none left by a bare run).
+:class:`SweepPoolExecutor` (tasks shipped as data, a closure refused at
+``start``, one pool across many runs, none left by a bare run).
 """
 
 import gc
 import itertools
 import multiprocessing
+import signal
 import subprocess
 import sys
 import warnings
@@ -33,22 +34,14 @@ from repro.experiments.executors import (
     run_collect_range,
     run_count_range,
 )
-
-
-def bernoulli_trial(rng):
-    return rng.bernoulli(0.4)
-
-
-def paired_trial(rng):
-    return rng.bernoulli(0.8), rng.bernoulli(0.2)
-
-
-def counting_batch(generator, count):
-    return (int((generator.random(count) < 0.3).sum()),)
-
-
-def indexed_measure(index, rng):
-    return (index, round(rng.random(), 6))
+from trial_units import (
+    bernoulli_trial,
+    counting_batch,
+    failing_batch,
+    indexed_measure,
+    negative_corner_batch,
+    paired_trial,
+)
 
 
 def kind_task(mode, units):
@@ -240,19 +233,6 @@ class TestIndivisibleChunks:
         assert reference.trials == 97
 
 
-def negative_corner_batch(generator, count):
-    """A batch whose first channel can go to zero — exercises every slot."""
-    draws = generator.random(count)
-    return (int((draws < 0.001).sum()), int((draws < 0.9).sum()))
-
-
-class FailingBatch:
-    """A picklable batch that dies on the worker mid-span."""
-
-    def __call__(self, generator, count):
-        raise RuntimeError("injected batch failure")
-
-
 class TestPoolBatchLane:
     """Batch tasks through the pool: per-span counts back through ``pool.map``."""
 
@@ -292,7 +272,7 @@ class TestPoolBatchLane:
         with SweepPoolExecutor(jobs=2) as executor:
             with pytest.raises(RuntimeError, match="injected batch failure"):
                 TrialEngine(backend=executor).run_batched(
-                    FailingBatch(), trials=120, seed=7, batch_size=10
+                    failing_batch, trials=120, seed=7, batch_size=10
                 )
             # The pool survives and the next (healthy) run still works.
             healthy = TrialEngine(backend=executor).run_batched(
@@ -302,19 +282,10 @@ class TestPoolBatchLane:
             counting_batch, trials=120, seed=7, batch_size=10
         )
 
-    def test_unpicklable_batch_falls_back_in_process(self):
-        bias = 0.25
-        closure = lambda generator, count: (  # noqa: E731 - deliberate
-            int((generator.random(count) < bias).sum()),
-        )
-        reference = TrialEngine().run_batched(
-            closure, trials=90, seed=2, label="clb", batch_size=30
-        )
-        with SweepPoolExecutor(jobs=2) as executor:
-            result = TrialEngine(backend=executor).run_batched(
-                closure, trials=90, seed=2, label="clb", batch_size=30
-            )
-        assert result == reference
+
+def ignore_signal(signum, frame):
+    """A handler a pool child must not inherit (module-level: the child
+    sends its SIGTERM handler back by reference)."""
 
 
 class TestSweepPoolLifecycle:
@@ -369,22 +340,42 @@ class TestSweepPoolLifecycle:
         assert done.returncode == 0, done.stderr
         assert "Traceback" not in done.stderr
 
-    def test_unpicklable_task_falls_back_in_process(self):
+    def test_a_closure_is_refused_at_start(self):
+        """On both backends that ship tasks: the pool and the TCP worker."""
         bias = 0.6
         closure = lambda rng: rng.bernoulli(bias)  # noqa: E731 - deliberate
         reference = TrialEngine().run(closure, trials=60, seed=9, label="cl")
-        with SweepPoolExecutor(jobs=2) as executor:
-            result = TrialEngine(backend=executor).run(
-                closure, trials=60, seed=9, label="cl"
-            )
-            # The pool survives the fallback and still serves picklable tasks.
-            after = TrialEngine(backend=executor).run(
-                bernoulli_trial, trials=60, seed=9, label="ok"
-            )
-        assert result == reference
-        assert after == TrialEngine().run(
-            bernoulli_trial, trials=60, seed=9, label="ok"
-        )
+        assert reference.trials == 60  # serial runs any callable
+        with WorkerServer() as server:
+            host, port = server.address
+            for backend in (
+                SweepPoolExecutor(jobs=2),
+                DistributedBackend([f"{host}:{port}"]),
+            ):
+                with backend:
+                    engine = TrialEngine(backend=backend)
+                    with pytest.raises(TypeError, match="'serial' backend"):
+                        engine.run(closure, trials=60, seed=9, label="cl")
+                    # The backend stays usable for a unit it can ship.
+                    after = engine.run(bernoulli_trial, trials=60, seed=9)
+                assert after == TrialEngine().run(bernoulli_trial, trials=60, seed=9)
+            assert server.failures == 0  # the closure never reached the worker
+
+    def test_pool_children_restore_the_default_sigterm(self):
+        # Regression: a pool forked under a no-op SIGTERM handler (the
+        # daemon's asyncio loop installs one) kept it in every child, so
+        # terminate() could not kill a child blocked on the task queue and
+        # the daemon's drain hung in join().
+        previous = signal.signal(signal.SIGTERM, ignore_signal)
+        try:
+            executor = SweepPoolExecutor(jobs=2).open()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        try:
+            in_child = executor._pool.apply(signal.getsignal, (signal.SIGTERM,))
+            assert in_child == signal.SIG_DFL
+        finally:
+            executor.close()
 
     def test_close_then_reopen(self):
         executor = SweepPoolExecutor(jobs=2)

@@ -20,10 +20,7 @@ from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import SerialExecutor
 from repro.obs import JsonlSink, Tracer, read_trace
 from repro.scenarios import ResultStore, SweepOrchestrator, get_scenario
-
-
-def bernoulli_trial(rng):
-    return rng.bernoulli(0.4)
+from trial_units import bernoulli_trial
 
 
 def store_bytes(root):

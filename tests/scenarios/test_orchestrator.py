@@ -12,6 +12,7 @@ from repro.scenarios.orchestrator import SweepOrchestrator
 from repro.scenarios.runners import _RUNNERS, get_runner, register_kind
 from repro.scenarios.spec import Axis, ScenarioSpec, ToleranceRule, ToleranceSchedule
 from repro.scenarios.store import ResultStore
+from trial_units import BernoulliTrial
 
 
 @pytest.fixture
@@ -23,7 +24,7 @@ def counting_kind():
     def run_point(params, trials, seed, engine, batch_size=None):
         calls.append(dict(params))
         estimate = engine.estimate(
-            lambda rng: rng.bernoulli(params["p"]),
+            BernoulliTrial(params["p"]),  # a unit: some sweeps run jobs > 1
             trials=trials,
             seed=seed,
             label=f"unit-{params['p']}",

@@ -108,7 +108,16 @@ DELETED = (
     r"bench_sweep",
     r"benchmarks/bench_",
     r"pytest-benchmark",
+    # Tasks as data: one codec crosses every process boundary, no second
+    # way to ship a task and no silent in-process fallback.
+    r"_pool_trials",
+    r"worker_import_path",
+    r"falls back to exact in-process",
 )
+
+#: ...and nothing under ``src/repro/`` pickles or unpickles: a task or a
+#: span result leaves a process only through ``wire.encode_blob``.
+PICKLE_IN_SRC = re.compile(r"pickl|marshal|b64decode|\bdill\b", re.IGNORECASE)
 
 
 def _searched_files():
@@ -136,6 +145,16 @@ def test_no_deleted_name_is_back():
             if pattern.search(line):
                 hits.append(f"{path.relative_to(ROOT)}:{number}: {line.strip()}")
     assert not hits, "a deleted name is back:\n" + "\n".join(hits)
+
+
+def test_nothing_in_the_package_pickles():
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if PICKLE_IN_SRC.search(line)
+    ]
+    assert not hits, "a second way to ship a task is back:\n" + "\n".join(hits)
 
 
 def test_the_search_reaches_every_tree():
