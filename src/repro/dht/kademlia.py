@@ -6,6 +6,11 @@ deterministic sequential probe order — the simulated transport is
 synchronous, so parallelism only affects latency accounting, which we model
 by charging the per-round maximum RTT instead of the sum).
 
+Answers and lookups work on integer XOR distances to the target, mapped
+back to ids through the routing table's value index and the lookup's
+``known`` map.  Distances to one target are distinct per id, so they order
+exactly as ``(distance, contact)`` pairs would.
+
 The application layer hooks in through :attr:`KademliaNode.deliver_handler`:
 the key-routing protocol installs a callback that receives ``Deliver``
 payloads (onion packages, key shares).
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.dht.node_id import NodeId
 from repro.dht.rpc import (
@@ -91,17 +96,21 @@ class KademliaNode:
             self.store.put(request.key, request.value, ttl=request.ttl)
             return StoreAck(responder=self.node_id, key=request.key)
         if isinstance(request, FindNode):
-            contacts = self._closest_excluding(request.target, request.sender)
+            contacts = self.routing_table.closest_contacts(
+                request.target, self.bucket_size, excluding=request.sender
+            )
             return FoundNodes(
-                responder=self.node_id, target=request.target, contacts=contacts
+                responder=self.node_id, target=request.target, contacts=tuple(contacts)
             )
         if isinstance(request, FindValue):
             value = self.store.get(request.key)
             if value is not None:
                 return FoundValue(responder=self.node_id, key=request.key, value=value)
-            contacts = self._closest_excluding(request.key, request.sender)
+            contacts = self.routing_table.closest_contacts(
+                request.key, self.bucket_size, excluding=request.sender
+            )
             return FoundValue(
-                responder=self.node_id, key=request.key, contacts=contacts
+                responder=self.node_id, key=request.key, contacts=tuple(contacts)
             )
         if isinstance(request, Deliver):
             self.delivered_payloads.append((request.channel, request.payload))
@@ -109,17 +118,6 @@ class KademliaNode:
                 self.deliver_handler(request.sender, request.channel, request.payload)
             return DeliverAck(responder=self.node_id, channel=request.channel)
         raise TypeError(f"unhandled request type {type(request).__name__}")
-
-    def _closest_excluding(self, target: NodeId, sender: NodeId) -> Tuple[NodeId, ...]:
-        sender_value = sender.value
-        contacts = [
-            contact
-            for contact in self.routing_table.closest_contacts(
-                target, self.bucket_size + 1
-            )
-            if contact.value != sender_value
-        ]
-        return tuple(contacts[: self.bucket_size])
 
     def _probe_contact(self, contact: NodeId) -> bool:
         """Bucket-eviction liveness probe.
@@ -194,17 +192,17 @@ class KademliaNode:
         from repro.dht.network import NodeUnreachable
 
         target_value = target.value
-        # Both lists hold (distance, contact) nearest first; XOR distances to
-        # one target are distinct, so tuple order never reaches the contact.
-        # ``pending`` is the part of the shortlist not yet probed.
-        shortlist = [
-            (contact.value ^ target_value, contact)
-            for contact in self.routing_table.closest_contacts(target, self.bucket_size)
-        ]
+        k = self.bucket_size
+        # Both lists hold XOR distances to the target, nearest first;
+        # ``pending`` is the part of the shortlist not yet probed.  ``known``
+        # maps every distance seen (the own id's too) back to its contact.
+        start = self.routing_table.closest_contacts(target, k)
+        shortlist = [contact.value ^ target_value for contact in start]
         pending = list(shortlist)
-        known: Set[NodeId] = {contact for _, contact in shortlist}
-        known.add(self.node_id)
+        known = dict(zip(shortlist, start))
+        known[self.node_id.value ^ target_value] = self.node_id
         failed: List[NodeId] = []
+        dead = set()
         result = LookupResult(target=target, closest=[])
         best_distance: Optional[int] = None
         request = (
@@ -221,12 +219,14 @@ class KademliaNode:
             # where a dead contact costs the timeout the caller sat out.
             round_wait = 0.0
             improved = False
-            for _, contact in candidates:
+            for candidate in candidates:
+                contact = known[candidate]
                 try:
                     response, rtt = self.network.rpc(request, contact)
                 except NodeUnreachable as unreachable:
                     round_wait = max(round_wait, unreachable.waited)
                     failed.append(contact)
+                    dead.add(candidate)
                     self.routing_table.remove_contact(contact)
                     continue
                 round_wait = max(round_wait, rtt)
@@ -236,13 +236,12 @@ class KademliaNode:
                     result.value = response.value
                     break
                 for new_contact in getattr(response, "contacts", ()):
-                    if new_contact in known:
-                        continue
-                    known.add(new_contact)
                     distance = new_contact.value ^ target_value
-                    entry = (distance, new_contact)
-                    insort(shortlist, entry)
-                    insort(pending, entry)
+                    if distance in known:
+                        continue
+                    known[distance] = new_contact
+                    insort(shortlist, distance)
+                    insort(pending, distance)
                     if best_distance is None or distance < best_distance:
                         best_distance = distance
                         improved = True
@@ -250,14 +249,11 @@ class KademliaNode:
             # Done once a round learns nothing nearer and the k nearest known
             # contacts (dead ones included) have all been probed.
             if not improved and (
-                not pending or pending[0] > shortlist[: self.bucket_size][-1]
+                not pending or pending[0] > shortlist[:k][-1]
             ):
                 break
 
-        dead = set(failed)
-        result.closest = [contact for _, contact in shortlist if contact not in dead][
-            : self.bucket_size
-        ]
+        result.closest = [known[d] for d in shortlist if d not in dead][:k]
         result.failures = failed
         return result
 

@@ -5,6 +5,14 @@ from the owner has bit length ``i + 1``.  Buckets are least-recently-seen
 ordered: fresh contacts go to the tail, re-seen contacts move to the tail,
 and when a bucket is full the head (stalest) contact is evicted only if it
 fails a liveness check supplied by the caller.
+
+Contacts are held by id value.  Every bucket a table creates shares the
+table's one ``value -> NodeId`` index of all its contacts, and a bucket
+updates it exactly where it gains or loses a contact (an append, a probe
+eviction, :meth:`KBucket.remove`).  :meth:`RoutingTable.closest_contacts`,
+the answer to every ``FIND_NODE``, is then one sort of plain XOR distances
+mapped back through that index: distances to one target are distinct per
+id, so the sort has no ties and equals the sort by ``(distance, id)``.
 """
 
 from __future__ import annotations
@@ -19,28 +27,38 @@ LivenessProbe = Callable[[NodeId], bool]
 
 
 class KBucket:
-    """One bucket of up to ``capacity`` contacts, LRS-ordered."""
+    """One bucket of up to ``capacity`` contacts, LRS-ordered.
 
-    def __init__(self, capacity: int = DEFAULT_BUCKET_SIZE) -> None:
+    ``index`` is the owning table's ``value -> NodeId`` map of every
+    contact; the bucket keeps its own contacts in it.  A bucket made on its
+    own keeps a private one.
+    """
+
+    def __init__(
+        self,
+        capacity: int = DEFAULT_BUCKET_SIZE,
+        index: Optional[Dict[int, NodeId]] = None,
+    ) -> None:
         if capacity < 1:
             raise ValueError(f"bucket capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        # Insertion-ordered, keyed by NodeId: head = stalest, tail = freshest.
-        self._contacts: Dict[NodeId, None] = {}
+        # Insertion-ordered, keyed by id value: head = stalest, tail = freshest.
+        self._contacts: Dict[int, NodeId] = {}
+        self._index: Dict[int, NodeId] = {} if index is None else index
 
     def __len__(self) -> int:
         return len(self._contacts)
 
     def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self._contacts
+        return node_id.value in self._contacts
 
     @property
     def contacts(self) -> List[NodeId]:
-        return list(self._contacts)
+        return list(self._contacts.values())
 
     @property
     def stalest(self) -> Optional[NodeId]:
-        return next(iter(self._contacts), None)
+        return next(iter(self._contacts.values()), None)
 
     def touch(self, node_id: NodeId, probe: Optional[LivenessProbe] = None) -> bool:
         """Record that ``node_id`` was seen.
@@ -51,27 +69,30 @@ class KBucket:
         proven stability bias toward long-lived nodes; a dead one is evicted.
         """
         contacts = self._contacts
-        if node_id in contacts:
-            del contacts[node_id]
-            contacts[node_id] = None  # back in at the tail
+        value = node_id.value
+        if value in contacts:
+            del contacts[value]
+            contacts[value] = self._index[value] = node_id  # back in at the tail
             return True
         if len(contacts) < self.capacity:
-            contacts[node_id] = None
+            contacts[value] = self._index[value] = node_id
             return True
         stalest = next(iter(contacts))  # capacity >= 1: a full bucket has a head
-        if probe is not None and not probe(stalest):
+        if probe is not None and not probe(contacts[stalest]):
             del contacts[stalest]
-            contacts[node_id] = None
+            del self._index[stalest]
+            contacts[value] = self._index[value] = node_id
             return True
-        del contacts[stalest]
-        contacts[stalest] = None
+        contacts[stalest] = contacts.pop(stalest)
         return False
 
     def remove(self, node_id: NodeId) -> bool:
         """Drop a contact (e.g. after a failed RPC); returns whether present."""
-        if node_id not in self._contacts:
+        value = node_id.value
+        if value not in self._contacts:
             return False
-        del self._contacts[node_id]
+        del self._contacts[value]
+        del self._index[value]
         return True
 
 
@@ -87,6 +108,7 @@ class RoutingTable:
         self.owner = owner
         self.bucket_size = bucket_size
         self._buckets: Dict[int, KBucket] = {}  # bucket index -> live bucket
+        self._index: Dict[int, NodeId] = {}  # id value -> contact, every bucket's
         self._seeds: List[NodeId] = []  # queued by seed(), applied by _live()
 
     def seed(self, contacts: Iterable[NodeId]) -> None:
@@ -103,70 +125,77 @@ class RoutingTable:
         if self._seeds:
             seeds, self._seeds = self._seeds, []
             for node_id in seeds:
-                self._add(node_id, None)
+                bucket = self._bucket_of(node_id, create=True)
+                if bucket is not None:
+                    bucket.touch(node_id)
         return self._buckets
 
-    def _index_of(self, node_id: NodeId) -> int:
-        """Bucket index of ``node_id``; -1, which no bucket has, for the owner."""
-        return (node_id.value ^ self.owner.value).bit_length() - 1
+    def _bucket_of(self, node_id: NodeId, create: bool) -> Optional[KBucket]:
+        """The bucket ``node_id`` falls into; None for the owner's own id.
+
+        The one place a bucket index is computed.  With ``create`` a missing
+        bucket is made, sharing the table's index; without, it stays None.
+        """
+        index = (node_id.value ^ self.owner.value).bit_length() - 1
+        bucket = self._buckets.get(index)  # index -1, the owner's, has none
+        if bucket is None and create and index >= 0:
+            bucket = self._buckets[index] = KBucket(self.bucket_size, self._index)
+        return bucket
 
     def bucket_for(self, node_id: NodeId) -> KBucket:
-        index = self.owner.bucket_index_for(node_id)
-        buckets = self._live()
-        bucket = buckets.get(index)
+        self._live()
+        bucket = self._bucket_of(node_id, create=True)
         if bucket is None:
-            bucket = buckets[index] = KBucket(self.bucket_size)
+            raise ValueError("a node does not bucket its own id")
         return bucket
 
     def add_contact(self, node_id: NodeId, probe: Optional[LivenessProbe] = None) -> bool:
         """Insert/refresh a contact; silently ignores the owner's own id."""
         self._live()
-        return self._add(node_id, probe)
-
-    def _add(self, node_id: NodeId, probe: Optional[LivenessProbe]) -> bool:
-        # Every seeded contact and every RPC lands here, so the index is
-        # computed inline rather than through ``bucket_for``.
-        index = (node_id.value ^ self.owner.value).bit_length() - 1
-        if index < 0:
-            return False
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = self._buckets[index] = KBucket(self.bucket_size)
-        return bucket.touch(node_id, probe)
+        bucket = self._bucket_of(node_id, create=True)
+        return bucket is not None and bucket.touch(node_id, probe)
 
     def remove_contact(self, node_id: NodeId) -> bool:
-        bucket = self._live().get(self._index_of(node_id))
+        self._live()
+        bucket = self._bucket_of(node_id, create=False)
         return bucket is not None and bucket.remove(node_id)
 
     def __contains__(self, node_id: NodeId) -> bool:
-        bucket = self._live().get(self._index_of(node_id))
-        return bucket is not None and node_id in bucket
+        self._live()
+        return node_id.value in self._index
 
-    def closest_contacts(self, target: NodeId, count: int) -> List[NodeId]:
+    def closest_contacts(
+        self, target: NodeId, count: int, excluding: Optional[NodeId] = None
+    ) -> List[NodeId]:
         """The ``count`` known contacts closest to ``target``, nearest first.
 
-        A flat scan of the live buckets.  XOR distances to one target are
-        distinct per id, so keying on the distance drops no contact and
-        leaves no ties to break.
+        One sort of the XOR distances of every contact to ``target``, mapped
+        back through the value index (``distance ^ target`` is the contact's
+        value).  ``excluding`` (a ``FIND_NODE`` sender) is left out.
         """
+        self._live()
+        index = self._index
         target_value = target.value
-        by_distance = {
-            contact.value ^ target_value: contact
-            for bucket in self._live().values()
-            for contact in bucket._contacts
-        }
-        return [by_distance[d] for d in sorted(by_distance)[:count]]
+        distances = [value ^ target_value for value in index]
+        distances.sort()
+        if excluding is None:
+            return [index[d ^ target_value] for d in distances[:count]]
+        skipped = excluding.value ^ target_value
+        return [
+            index[d ^ target_value] for d in distances[: count + 1] if d != skipped
+        ][:count]
 
     @property
     def contact_count(self) -> int:
-        return sum(len(bucket) for bucket in self._live().values())
+        self._live()
+        return len(self._index)
 
     def all_contacts(self) -> List[NodeId]:
         """Every contact, by ascending bucket index, LRS order within one."""
         buckets = self._live()
         contacts: List[NodeId] = []
         for index in sorted(buckets):
-            contacts.extend(buckets[index]._contacts)
+            contacts.extend(buckets[index]._contacts.values())
         return contacts
 
     def bucket_sizes(self) -> List[int]:

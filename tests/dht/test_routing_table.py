@@ -234,3 +234,52 @@ class TestOracle:
             assert bucket.touch(node_id, probes[probe]) is expected
             assert bucket.contacts == model
             assert bucket.stalest == model[0]
+
+
+# One step on a table: (kind, contact value, probe answer, target, count, excluded value).
+table_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["seed", "add", "add_probed", "remove", "touch"]),
+        id_values,
+        st.booleans(),
+        id_values,
+        st.integers(min_value=0, max_value=30),
+        id_values,
+    ),
+    max_size=50,
+)
+
+
+class TestValueIndex:
+    """The table's ``value -> NodeId`` index against the buckets it mirrors."""
+
+    @given(
+        owner=id_values,
+        bucket_size=st.integers(min_value=1, max_value=4),
+        steps=table_steps,
+    )
+    def test_index_is_the_union_of_the_buckets(self, owner, bucket_size, steps):
+        table = RoutingTable(NodeId(owner), bucket_size=bucket_size)
+        for kind, value, alive, target, count, excluded in steps:
+            contact = NodeId(value)
+            if kind == "seed":
+                table.seed([contact])
+            elif kind == "add":
+                table.add_contact(contact)
+            elif kind == "add_probed":
+                table.add_contact(contact, probe=lambda _: alive)
+            elif kind == "remove":
+                table.remove_contact(contact)
+            elif value != owner:
+                table.bucket_for(contact).touch(contact, probe=lambda _: alive)
+            everyone = table.all_contacts()  # applies any queued seed
+            buckets = table._buckets.values()
+            assert all(bucket._index is table._index for bucket in buckets)
+            assert table._index == {
+                contact.value: contact for bucket in buckets for contact in bucket.contacts
+            }
+            assert len(table._index) == len(everyone) == table.contact_count
+            left = [c for c in everyone if c.value != excluded]
+            assert table.closest_contacts(
+                NodeId(target), count, excluding=NodeId(excluded)
+            ) == sort_by_distance(left, NodeId(target))[:count]

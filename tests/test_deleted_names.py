@@ -113,6 +113,10 @@ DELETED = (
     r"_pool_trials",
     r"worker_import_path",
     r"falls back to exact in-process",
+    # A FIND_NODE is answered in integer space: the table leaves the sender
+    # out itself, and no dict of the table is built per answer.
+    r"_closest_excluding",
+    r"\bby_distance\b",
 )
 
 #: ...and nothing under ``src/repro/`` pickles or unpickles: a task or a
