@@ -128,15 +128,16 @@ def _seed_routing_tables(
     ``ordered`` and its slice of ``rng``, never on any table's state; the
     table applies it with ``add_contact``'s no-probe rule, which reads no
     liveness, before any other read or write.  The draws are all taken
-    here, node by node, in the order an eager ``add_contact`` loop took them
-    (``tests/dht/test_seeding.py`` keeps that loop as the oracle).
+    here in one :meth:`~repro.util.rng.RandomSource.below` call — the values
+    ``randrange`` gives — node by node, in the order an eager
+    ``add_contact`` loop took them (``tests/dht/test_seeding.py`` keeps
+    that loop as the oracle).
     """
     ordered = sorted(ids, key=lambda node_id: node_id.value)
     index_of = {node_id: position for position, node_id in enumerate(ordered)}
     population = len(ordered)
     sample_count = min(contacts_per_node, population - 1)
-    randrange = rng.randrange
-    draws = [ordered[randrange(population)] for _ in range(len(nodes) * sample_count)]
+    draws = [ordered[i] for i in rng.below(population, len(nodes) * sample_count)]
     for number, (node_id, node) in enumerate(nodes.items()):
         position = index_of[node_id]
         half = node.bucket_size // 2

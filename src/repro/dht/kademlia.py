@@ -88,20 +88,25 @@ class KademliaNode:
     # -- server side -------------------------------------------------------
 
     def handle_request(self, request: Request) -> Response:
-        """Dispatch an incoming RPC; also learns the sender as a contact."""
-        self.routing_table.add_contact(request.sender, probe=self._probe_contact)
-        if isinstance(request, Ping):
-            return Pong(responder=self.node_id)
-        if isinstance(request, Store):
-            self.store.put(request.key, request.value, ttl=request.ttl)
-            return StoreAck(responder=self.node_id, key=request.key)
-        if isinstance(request, FindNode):
-            contacts = self.routing_table.closest_contacts(
+        """Dispatch an incoming RPC; also learns the sender as a contact.
+
+        ``FIND_NODE``, nearly every RPC a lookup sends, is matched first by
+        exact class; the rest go through the ``isinstance`` chain.
+        """
+        routing_table = self.routing_table
+        routing_table.add_contact(request.sender, probe=self._probe_contact)
+        if request.__class__ is FindNode:
+            contacts = routing_table.closest_contacts(
                 request.target, self.bucket_size, excluding=request.sender
             )
             return FoundNodes(
                 responder=self.node_id, target=request.target, contacts=tuple(contacts)
             )
+        if isinstance(request, Ping):
+            return Pong(responder=self.node_id)
+        if isinstance(request, Store):
+            self.store.put(request.key, request.value, ttl=request.ttl)
+            return StoreAck(responder=self.node_id, key=request.key)
         if isinstance(request, FindValue):
             value = self.store.get(request.key)
             if value is not None:
@@ -193,6 +198,10 @@ class KademliaNode:
 
         target_value = target.value
         k = self.bucket_size
+        # Bound once: every probe of the loop calls these.
+        rpc = self.network.rpc
+        add_contact = self.routing_table.add_contact
+        probe = self._probe_contact
         # Both lists hold XOR distances to the target, nearest first;
         # ``pending`` is the part of the shortlist not yet probed.  ``known``
         # maps every distance seen (the own id's too) back to its contact.
@@ -222,7 +231,7 @@ class KademliaNode:
             for candidate in candidates:
                 contact = known[candidate]
                 try:
-                    response, rtt = self.network.rpc(request, contact)
+                    response, rtt = rpc(request, contact)
                 except NodeUnreachable as unreachable:
                     round_wait = max(round_wait, unreachable.waited)
                     failed.append(contact)
@@ -231,7 +240,7 @@ class KademliaNode:
                     continue
                 round_wait = max(round_wait, rtt)
                 result.contacted += 1
-                self.routing_table.add_contact(contact, probe=self._probe_contact)
+                add_contact(contact, probe=probe)
                 if isinstance(response, FoundValue) and response.value is not None:
                     result.value = response.value
                     break

@@ -139,14 +139,16 @@ class SimulatedNetwork:
         """Deliver a request synchronously; returns (response, round-trip time).
 
         Raises :class:`NodeUnreachable` when the target is not online, after
-        charging a one-way delay (the caller waited for a timeout).
+        charging a one-way delay (the caller waited for a timeout); an
+        unknown target raises ``KeyError`` before any delay is drawn.
         """
-        self._require_known(target)
+        state = self._liveness.get(target)  # one read: known and online
+        if state is None:
+            raise KeyError(f"unknown node {target}")
         one_way = self.latency.delay(request.sender.value, target.value)
-        if not self.is_online(target):
-            raise NodeUnreachable(target, self._liveness[target], one_way)
-        node = self._nodes[target]
-        response = node.handle_request(request)
+        if state is not Liveness.ONLINE:
+            raise NodeUnreachable(target, state, one_way)
+        response = self._nodes[target].handle_request(request)
         self.rpc_count += 1
         if self.tracer.enabled:
             self.tracer.event(

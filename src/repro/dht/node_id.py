@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.util.rng import RandomSource
 
@@ -100,17 +100,6 @@ class NodeId:
         """XOR distance."""
         return self.value ^ other.value
 
-    def bucket_index_for(self, other: "NodeId") -> int:
-        """Index of the k-bucket that ``other`` falls into, from this node.
-
-        Equals ``floor(log2(distance))``; raises for the node's own id,
-        which never enters a routing table.
-        """
-        distance = self.distance_to(other)
-        if distance == 0:
-            raise ValueError("a node does not bucket its own id")
-        return distance.bit_length() - 1
-
     # -- encoding ----------------------------------------------------------
 
     def to_bytes(self) -> bytes:
@@ -125,16 +114,6 @@ class NodeId:
 
     def __repr__(self) -> str:
         return f"NodeId({self}...)"
-
-
-def sort_by_distance(ids: Iterable[NodeId], target: NodeId) -> List[NodeId]:
-    """Sort ids ascending by XOR distance to ``target``."""
-    return sorted(ids, key=lambda node_id: node_id.distance_to(target))
-
-
-def closest(ids: Iterable[NodeId], target: NodeId, count: int = 1) -> List[NodeId]:
-    """The ``count`` ids closest to ``target``."""
-    return sort_by_distance(ids, target)[:count]
 
 
 def unique_random_ids(

@@ -151,7 +151,8 @@ class RoutingTable:
 
     def add_contact(self, node_id: NodeId, probe: Optional[LivenessProbe] = None) -> bool:
         """Insert/refresh a contact; silently ignores the owner's own id."""
-        self._live()
+        if self._seeds:  # the hot path of every RPC: skip the call when idle
+            self._live()
         bucket = self._bucket_of(node_id, create=True)
         return bucket is not None and bucket.touch(node_id, probe)
 
@@ -173,7 +174,8 @@ class RoutingTable:
         back through the value index (``distance ^ target`` is the contact's
         value).  ``excluding`` (a ``FIND_NODE`` sender) is left out.
         """
-        self._live()
+        if self._seeds:
+            self._live()
         index = self._index
         target_value = target.value
         distances = [value ^ target_value for value in index]

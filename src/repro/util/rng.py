@@ -87,6 +87,29 @@ class RandomSource:
         """Uniform integer in ``[0, stop)``."""
         return self._rng.randrange(stop)
 
+    def below(self, stop: int, count: int) -> List[int]:
+        """``count`` uniform integers in ``[0, stop)``, as ``randrange`` draws them.
+
+        Draw for draw the values ``[randrange(stop) for _ in range(count)]``
+        returns, leaving the stream in the same place: the rejection loop
+        ``Random.randrange`` runs (``stop.bit_length()`` bits at a time,
+        redrawn while ``>= stop``), through the public ``getrandbits``,
+        without its per-call argument checks.  ``tests/util/test_rng.py``
+        holds it to ``randrange`` on the interpreter it runs on.
+        """
+        if stop < 1:
+            raise ValueError(f"stop must be >= 1, got {stop}")
+        getrandbits = self._rng.getrandbits
+        bits = stop.bit_length()
+        draws: List[int] = []
+        append = draws.append
+        for _ in range(count):
+            value = getrandbits(bits)
+            while value >= stop:
+                value = getrandbits(bits)
+            append(value)
+        return draws
+
     def getrandbits(self, bits: int) -> int:
         """Uniform integer with the given number of random bits."""
         return self._rng.getrandbits(bits)
@@ -129,8 +152,13 @@ class RandomSource:
     def sample_indices(self, population: int, count: int) -> List[int]:
         """Sample ``count`` distinct indices from ``range(population)``.
 
-        This avoids materialising the population list, which matters when
-        marking malicious nodes in a 10,000-node network thousands of times.
+        ``random.sample`` picks by set rejection, without materialising
+        ``range(population)`` as a list, only while ``population`` exceeds
+        ``21 + 4 ** ceil(log4(3 * count))`` (just 21 when ``count`` <= 5); at
+        or below that it copies the population into a pool list.  For a
+        10,000-node network that means ``count`` < 1,366 is list-free, and
+        larger markings (the scalar Fig. 6 lane's at p >= 0.14) build the
+        10,000-entry pool.
         """
         if count > population:
             raise ValueError(

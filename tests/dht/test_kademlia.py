@@ -3,9 +3,14 @@
 import pytest
 
 from repro.dht.bootstrap import build_network
-from repro.dht.node_id import NodeId, sort_by_distance
+from repro.dht.node_id import NodeId
 from repro.dht.rpc import FindNode, FindValue, FoundNodes, FoundValue, Store, StoreAck
 from repro.util.rng import RandomSource
+
+
+def sort_by_distance(ids, target):
+    """The oracle: ``ids`` ascending by XOR distance to ``target``."""
+    return sorted(ids, key=lambda node_id: node_id.value ^ target.value)
 
 
 @pytest.fixture(scope="module")

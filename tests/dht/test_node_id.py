@@ -7,16 +7,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dht.node_id import (
-    ID_BITS,
-    NodeId,
-    closest,
-    sort_by_distance,
-    unique_random_ids,
-)
+from repro.dht.node_id import ID_BITS, NodeId, unique_random_ids
+from repro.dht.routing_table import RoutingTable
 from repro.util.rng import RandomSource
 
 id_values = st.integers(min_value=0, max_value=2 ** ID_BITS - 1)
+
+
+def bucket_index(owner, other):
+    """Which of ``owner``'s buckets ``other`` lands in, read off a table."""
+    table = RoutingTable(owner)
+    table.bucket_for(other).touch(other)
+    return table.bucket_sizes().index(1)
+
+
+def table_of(ids, owner=NodeId(2 ** 159)):
+    table = RoutingTable(owner)
+    for node_id in ids:
+        table.add_contact(node_id)
+    return table
 
 
 class TestConstruction:
@@ -134,30 +143,32 @@ class TestMetric:
 
     def test_bucket_index(self):
         origin = NodeId(0)
-        assert origin.bucket_index_for(NodeId(1)) == 0
-        assert origin.bucket_index_for(NodeId(2)) == 1
-        assert origin.bucket_index_for(NodeId(3)) == 1
-        assert origin.bucket_index_for(NodeId(2 ** 159)) == 159
+        assert bucket_index(origin, NodeId(1)) == 0
+        assert bucket_index(origin, NodeId(2)) == 1
+        assert bucket_index(origin, NodeId(3)) == 1
+        assert bucket_index(origin, NodeId(2 ** 159)) == 159
+        table = RoutingTable(origin)
+        assert table.bucket_for(NodeId(2)) is table.bucket_for(NodeId(3))
 
     def test_bucket_index_self_rejected(self):
         node_id = NodeId(42)
         with pytest.raises(ValueError):
-            node_id.bucket_index_for(node_id)
+            RoutingTable(node_id).bucket_for(node_id)
 
 
 class TestOrderingHelpers:
     def test_sort_by_distance(self):
         target = NodeId(8)
-        ids = [NodeId(0), NodeId(9), NodeId(12), NodeId(8)]
-        ordered = sort_by_distance(ids, target)
+        table = table_of([NodeId(0), NodeId(9), NodeId(12), NodeId(8)])
+        ordered = table.closest_contacts(target, 4)
         assert ordered[0] == NodeId(8)  # distance 0
         assert ordered[1] == NodeId(9)  # distance 1
+        assert ordered == [NodeId(8), NodeId(9), NodeId(12), NodeId(0)]
 
     def test_closest(self):
-        target = NodeId(0)
-        ids = [NodeId(100), NodeId(5), NodeId(50)]
-        assert closest(ids, target, count=1) == [NodeId(5)]
-        assert len(closest(ids, target, count=2)) == 2
+        table = table_of([NodeId(100), NodeId(5), NodeId(50)])
+        assert table.closest_contacts(NodeId(0), 1) == [NodeId(5)]
+        assert len(table.closest_contacts(NodeId(0), 2)) == 2
 
     def test_unique_random_ids_distinct(self):
         ids = unique_random_ids(RandomSource(3), 500)

@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dht.node_id import ID_BITS, NodeId, sort_by_distance
+from repro.dht.node_id import ID_BITS, NodeId
 from repro.dht.routing_table import KBucket, RoutingTable
 from repro.util.rng import RandomSource
+
+
+def sort_by_distance(ids, target):
+    """The oracle: ``ids`` ascending by XOR distance to ``target``."""
+    return sorted(ids, key=lambda node_id: node_id.value ^ target.value)
 
 
 def make_ids(count, seed=1):

@@ -5,11 +5,22 @@ import pytest
 from repro.dht.kademlia import KademliaNode
 from repro.dht.network import Liveness, NodeUnreachable, SimulatedNetwork
 from repro.dht.node_id import NodeId
-from repro.dht.rpc import Deliver, Ping, Pong
+from repro.dht.rpc import (
+    Deliver,
+    DeliverAck,
+    FindNode,
+    FindValue,
+    FoundNodes,
+    FoundValue,
+    Ping,
+    Pong,
+    Store,
+    StoreAck,
+)
 from repro.dht.storage import ValueStore
 from repro.sim.clock import Clock
 from repro.sim.event_loop import EventLoop
-from repro.sim.latency import ConstantLatency
+from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.util.rng import RandomSource
 
 
@@ -134,6 +145,118 @@ class TestRpc:
         before = network.rpc_count
         network.rpc(Ping(sender=nodes[0].node_id), nodes[1].node_id)
         assert network.rpc_count == before + 1
+
+
+class TestRpcOrderOfEffects:
+    """What an RPC costs and changes, in order: an unknown target fails
+    before any delay is drawn; a known one always takes one draw, and only
+    an online one is handled and counted."""
+
+    LATENCY_SEED = 31
+
+    def make(self):
+        _, network, nodes = make_network()
+        network.latency = UniformLatency(rng=RandomSource(self.LATENCY_SEED))
+        twin = UniformLatency(rng=RandomSource(self.LATENCY_SEED))
+        return network, nodes, twin
+
+    def test_unknown_target_takes_no_draw(self):
+        network, nodes, twin = self.make()
+        with pytest.raises(KeyError):
+            network.rpc(Ping(sender=nodes[0].node_id), NodeId(12345))
+        assert network.rpc_count == 0
+        assert network.latency.delay(0, 0) == twin.delay(0, 0)
+
+    @pytest.mark.parametrize("state", [Liveness.OFFLINE, Liveness.DEAD])
+    def test_unreachable_target_takes_one_draw(self, state):
+        network, nodes, twin = self.make()
+        target = nodes[1].node_id
+        (network.set_offline if state is Liveness.OFFLINE else network.kill)(target)
+        with pytest.raises(NodeUnreachable) as info:
+            network.rpc(Ping(sender=nodes[0].node_id), target)
+        assert info.value.node_id == target
+        assert info.value.liveness is state
+        assert info.value.waited == twin.delay(0, 0)
+        assert network.rpc_count == 0
+        assert network.latency.delay(0, 0) == twin.delay(0, 0)
+
+    def test_online_target_takes_one_draw_and_counts(self):
+        network, nodes, twin = self.make()
+        response, rtt = network.rpc(Ping(sender=nodes[0].node_id), nodes[1].node_id)
+        assert isinstance(response, Pong)
+        assert rtt == 2.0 * twin.delay(0, 0)
+        assert network.rpc_count == 1
+        assert network.latency.delay(0, 0) == twin.delay(0, 0)
+
+
+class TestHandleRequest:
+    """Every request type gets its response type, and the sender is learned
+    exactly once, before the answer."""
+
+    def answer(self, request_for, prepare=None):
+        _, network, nodes = make_network(node_count=4)
+        server, sender = nodes[0], nodes[1].node_id
+        for other in nodes[2:]:
+            server.routing_table.add_contact(other.node_id)
+        if prepare is not None:
+            prepare(server)
+        learned = []
+        add_contact = server.routing_table.add_contact
+
+        def counting_add_contact(node_id, probe=None):
+            learned.append(node_id)
+            return add_contact(node_id, probe)
+
+        server.routing_table.add_contact = counting_add_contact
+        response = server.handle_request(request_for(sender))
+        assert learned == [sender]
+        assert response.responder == server.node_id
+        return server, sender, response
+
+    def test_ping(self):
+        _, _, response = self.answer(lambda sender: Ping(sender=sender))
+        assert type(response) is Pong
+
+    def test_store(self):
+        server, _, response = self.answer(
+            lambda sender: Store(sender=sender, key=NodeId(7), value=b"v")
+        )
+        assert type(response) is StoreAck and response.key == NodeId(7)
+        assert server.store.get(NodeId(7)) == b"v"
+
+    def test_find_node(self):
+        server, sender, response = self.answer(
+            lambda sender: FindNode(sender=sender, target=NodeId(9))
+        )
+        assert type(response) is FoundNodes and response.target == NodeId(9)
+        assert response.contacts == tuple(
+            server.routing_table.closest_contacts(
+                NodeId(9), server.bucket_size, excluding=sender
+            )
+        )
+        assert sender not in response.contacts and len(response.contacts) == 2
+
+    def test_find_value_hit(self):
+        _, _, response = self.answer(
+            lambda sender: FindValue(sender=sender, key=NodeId(7)),
+            prepare=lambda server: server.store.put(NodeId(7), b"v"),
+        )
+        assert type(response) is FoundValue
+        assert response.value == b"v" and response.contacts == ()
+
+    def test_find_value_miss(self):
+        _, sender, response = self.answer(
+            lambda sender: FindValue(sender=sender, key=NodeId(7))
+        )
+        assert type(response) is FoundValue and response.value is None
+        assert sender not in response.contacts and len(response.contacts) == 2
+
+    def test_deliver(self):
+        server, _, response = self.answer(
+            lambda sender: Deliver(sender=sender, channel="c", payload=b"p")
+        )
+        assert type(response) is DeliverAck and response.channel == "c"
+        assert server.delivered_payloads == [("c", b"p")]
 
 
 class TestScheduledSend:

@@ -119,6 +119,18 @@ DELETED = (
     r"\bby_distance\b",
 )
 
+#: Gone from ``src/`` only: the id-list distance helpers and the per-id
+#: bucket index, with no caller once a FIND_NODE was answered in integer
+#: space (the tests keep their own copies as oracles).  Never in ``src/``:
+#: the private ``Random._randbelow``; draws go through ``RandomSource.below``
+#: and the public ``getrandbits``.
+DELETED_FROM_SRC = (
+    r"\bsort_by_distance\b",
+    r"\bdef closest\b|import[^#]*\bclosest\b",
+    r"\bbucket_index_for\b",
+    r"\b_randbelow\b",
+)
+
 #: ...and nothing under ``src/repro/`` pickles or unpickles: a task or a
 #: span result leaves a process only through ``wire.encode_blob``.
 PICKLE_IN_SRC = re.compile(r"pickl|marshal|b64decode|\bdill\b", re.IGNORECASE)
@@ -149,6 +161,17 @@ def test_no_deleted_name_is_back():
             if pattern.search(line):
                 hits.append(f"{path.relative_to(ROOT)}:{number}: {line.strip()}")
     assert not hits, "a deleted name is back:\n" + "\n".join(hits)
+
+
+def test_no_name_deleted_from_src_is_back():
+    pattern = re.compile("|".join(DELETED_FROM_SRC))
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert not hits, "a name deleted from src is back:\n" + "\n".join(hits)
 
 
 def test_nothing_in_the_package_pickles():

@@ -1,6 +1,8 @@
 """Tests for the deterministic random source."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.util.rng import RandomSource, derive_seed, optional_source, spawn_sources
 
@@ -95,6 +97,46 @@ class TestDraws:
         rng = RandomSource(5)
         hits = sum(rng.bernoulli(0.3) for _ in range(20000))
         assert 0.27 < hits / 20000 < 0.33
+
+
+#: ``stop`` at and around every power of two up to 2**64 (where rejection
+#: takes no draw, about half of them, or almost none), and one far beyond.
+BOUNDARY_STOPS = sorted(
+    {1, 10 ** 30}
+    | {stop for k in range(1, 65) for stop in (2 ** k - 1, 2 ** k, 2 ** k + 1)}
+)
+
+
+class TestBelow:
+    """``below(stop, count)`` is ``randrange(stop)``, ``count`` times, on
+    this interpreter: same values, and the stream left in the same place."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(BOUNDARY_STOPS),
+        st.integers(min_value=0, max_value=500),
+        st.integers(min_value=0, max_value=2 ** 63 - 1),
+    )
+    def test_equals_randrange_draw_for_draw(self, stop, count, seed):
+        fast, oracle = RandomSource(seed), RandomSource(seed)
+        assert fast.below(stop, count) == [oracle.randrange(stop) for _ in range(count)]
+        assert fast.random() == oracle.random()
+
+    def test_every_boundary_stop(self):
+        for stop in BOUNDARY_STOPS:
+            fast, oracle = RandomSource(stop), RandomSource(stop)
+            assert fast.below(stop, 50) == [oracle.randrange(stop) for _ in range(50)]
+            assert fast.random() == oracle.random()
+
+    @pytest.mark.parametrize("stop", [0, -1, -(2 ** 70)])
+    def test_empty_range_rejected(self, stop):
+        with pytest.raises(ValueError):
+            RandomSource(1).below(stop, 3)
+
+    def test_zero_count_takes_no_draw(self):
+        source, untouched = RandomSource(8), RandomSource(8)
+        assert source.below(2 ** 64 + 1, 0) == []
+        assert source.random() == untouched.random()
 
 
 class TestCollections:
