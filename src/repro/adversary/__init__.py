@@ -16,18 +16,6 @@ way the paper's experiments do (``10000 * p`` non-repeated random nodes);
 holders deposit captured onions, keys and shares.
 """
 
-from repro.adversary.adaptive import AdaptiveAdversary, evaluate_adaptive_attack
-from repro.adversary.drop import DropAttack
-from repro.adversary.knowledge import CollusionPool, Observation
 from repro.adversary.population import SybilPopulation
-from repro.adversary.release_ahead import ReleaseAheadAttack
 
-__all__ = [
-    "SybilPopulation",
-    "CollusionPool",
-    "Observation",
-    "ReleaseAheadAttack",
-    "DropAttack",
-    "AdaptiveAdversary",
-    "evaluate_adaptive_attack",
-]
+__all__ = ["SybilPopulation"]

@@ -43,6 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.backends.faults import FaultPlan
 from repro.backends.wire import parse_address
+from repro.util.validation import check_positive_int
 
 #: What ``repro worker serve`` announces on stdout once bound.
 _ADDRESS_LINE = re.compile(r"listening on (\S+?):(\d+)")
@@ -137,7 +138,7 @@ class WorkerPool:
     Parameters
     ----------
     workers:
-        Local serve processes to spawn.
+        Local serve processes to spawn (at least one).
     host:
         Interface the local workers bind (loopback by default — nothing
         authenticates a peer on the worker port).
@@ -161,7 +162,7 @@ class WorkerPool:
             fault_plan = FaultPlan.parse(fault_plan)
         if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
             fault_plan = FaultPlan(faults=fault_plan)
-        self.workers = workers
+        self.workers = check_positive_int(workers, "workers")
         self.host = host
         self.fault_plan = fault_plan
         self.max_respawns = max_respawns

@@ -15,33 +15,7 @@ repair the multipath schemes rely on, including its release-ahead exposure
 cost (every repair hands the column key to one more node).
 """
 
-from repro.churn.distributions import (
-    FixedLifetime,
-    ParetoLifetime,
-    WeibullLifetime,
-)
-from repro.churn.lifetime import (
-    ExponentialLifetime,
-    LifetimeModel,
-    death_probability,
-    expected_deaths,
-)
+from repro.churn.lifetime import ExponentialLifetime
 from repro.churn.process import ChurnProcess
-from repro.churn.replication import ColumnReplicaSet, RepairOutcome
-from repro.churn.session import AvailabilityModel, AlwaysAvailable, IntermittentAvailability
 
-__all__ = [
-    "LifetimeModel",
-    "ExponentialLifetime",
-    "WeibullLifetime",
-    "ParetoLifetime",
-    "FixedLifetime",
-    "death_probability",
-    "expected_deaths",
-    "ChurnProcess",
-    "ColumnReplicaSet",
-    "RepairOutcome",
-    "AvailabilityModel",
-    "AlwaysAvailable",
-    "IntermittentAvailability",
-]
+__all__ = ["ExponentialLifetime", "ChurnProcess"]

@@ -40,7 +40,6 @@ drive through :func:`main` with an argv list.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from typing import List, Optional
@@ -52,11 +51,56 @@ from typing import List, Optional
 _BUILTIN_BACKENDS = "serial, process-pool, distributed"
 
 
+def _address(text: str) -> str:
+    from repro.backends.wire import parse_address
+
+    parse_address(text)
+    return text
+
+
+#: What a checked argument's value must be: (description, convert, ok).
+_POSITIVE_INT = ("a positive integer", int, lambda value: value > 0)
+_COUNT = ("a non-negative integer", int, lambda value: value >= 0)
+_POSITIVE = ("a positive number", float, lambda value: value > 0)
+_NON_NEGATIVE = ("a non-negative number", float, lambda value: value >= 0)
+_PROBABILITY = ("a probability in [0, 1]", float, lambda value: 0 <= value <= 1)
+_CHUNK_SIZE = (
+    "a positive integer or 'auto'",
+    lambda text: text if text == "auto" else int(text),
+    lambda value: value == "auto" or value > 0,
+)
+_ADDRESS = ("host:port", _address, bool)
+
+
+def _add_checked(parser, *flags, rule, **kwargs) -> None:
+    """``parser.add_argument`` whose value must satisfy ``rule``.
+
+    A value that does not exits with one line naming the flag while the
+    command line is parsed, before any work starts.
+    """
+    description, convert, ok = rule
+
+    def checked(text):
+        try:
+            value = convert(text)
+            valid = ok(value)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise SystemExit(
+                f"{'/'.join(flags)} must be {description}, got {text!r}"
+            )
+        return value
+
+    parser.add_argument(*flags, type=checked, **kwargs)
+
+
 def _add_backend_arguments(parser) -> None:
     """The shared execution-backend surface of ``sweep`` and ``serve``."""
-    parser.add_argument(
+    _add_checked(
+        parser,
         "--jobs",
-        type=int,
+        rule=_POSITIVE_INT,
         default=None,
         help="worker processes for the run's ONE shared backend "
         "(1 = serial; results are identical for any value; above 1, "
@@ -79,23 +123,28 @@ def _add_backend_arguments(parser) -> None:
         "`repro worker serve` processes, or @FILE for a host-list file "
         "(one host:port per line, # comments)",
     )
-    parser.add_argument(
+    _add_checked(
+        parser,
         "--pool",
-        type=int,
+        rule=_POSITIVE_INT,
         default=None,
         help="with --backend distributed: spawn (and own) a local pool of "
         "this many worker processes instead of naming --workers",
     )
-    parser.add_argument(
+    _add_checked(
+        parser,
         "--chunk-size",
+        rule=_CHUNK_SIZE,
         default=None,
         metavar="N|auto",
         help="span size per dispatched unit of work for backends that "
         "take one (never observable in results); 'auto' sizes spans "
         "from each worker's observed rate",
     )
-    parser.add_argument(
+    _add_checked(
+        parser,
         "--announce-bind",
+        rule=_ADDRESS,
         default=None,
         metavar="HOST:PORT",
         help="with --backend distributed: run a membership registry on "
@@ -121,20 +170,6 @@ def _add_backend_arguments(parser) -> None:
     )
 
 
-def _parse_chunk_size(text):
-    if text is None or text == "auto":
-        return text
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise SystemExit(
-            f"--chunk-size must be a positive integer or 'auto', got {text!r}"
-        )
-    return value
-
-
 def _backend_from_args(args):
     """Resolve the CLI's backend surface into a BackendSpec.
 
@@ -145,13 +180,14 @@ def _backend_from_args(args):
     from repro.backends.base import BackendSpec
     from repro.backends.registry import resolve_spec
 
-    if args.backend is None:
+    if args.backend != "distributed":
         if args.workers or args.pool:
             raise SystemExit("--workers/--pool require --backend distributed")
         if args.announce_bind or args.watch_workers:
             raise SystemExit(
                 "--announce-bind/--watch-workers require --backend distributed"
             )
+    if args.backend is None:
         if args.chunk_size:
             raise SystemExit(
                 "--chunk-size requires an explicit --backend that takes one"
@@ -166,42 +202,33 @@ def _backend_from_args(args):
             )
         if args.workers and args.pool:
             raise SystemExit("pass either --workers or --pool, not both")
-        if args.workers:
-            if args.workers.startswith("@"):
-                from repro.backends.pool import load_hosts_file
-
-                try:
-                    options["workers"] = load_hosts_file(args.workers[1:])
-                except (OSError, ValueError) as error:
-                    raise SystemExit(str(error)) from None
-                if args.watch_workers:
-                    options["watch_hosts"] = args.workers[1:]
-            elif args.watch_workers:
-                raise SystemExit(
-                    "--watch-workers requires --workers @FILE (a host-list "
-                    "file the sweep can re-read)"
-                )
-            else:
-                options["workers"] = [
-                    worker.strip()
-                    for worker in args.workers.split(",")
-                    if worker.strip()
-                ]
-        elif args.watch_workers:
+        hosts_file = (args.workers or "").startswith("@")
+        if args.watch_workers and not hosts_file:
             raise SystemExit(
                 "--watch-workers requires --workers @FILE (a host-list "
                 "file the sweep can re-read)"
             )
+        if hosts_file:
+            from repro.backends.pool import load_hosts_file
+
+            try:
+                options["workers"] = load_hosts_file(args.workers[1:])
+            except (OSError, ValueError) as error:
+                raise SystemExit(str(error)) from None
+            if args.watch_workers:
+                options["watch_hosts"] = args.workers[1:]
+        elif args.workers:
+            options["workers"] = [
+                worker.strip()
+                for worker in args.workers.split(",")
+                if worker.strip()
+            ]
         if args.pool:
             options["pool"] = args.pool
         if args.announce_bind:
             from repro.backends.wire import parse_address
 
-            try:
-                _, port = parse_address(args.announce_bind)
-            except ValueError as error:
-                raise SystemExit(str(error)) from None
-            if port == 0:
+            if parse_address(args.announce_bind)[1] == 0:
                 raise SystemExit(
                     "--announce-bind must name a port, not 0: workers "
                     "started with `repro worker serve --announce HOST:PORT` "
@@ -209,15 +236,8 @@ def _backend_from_args(args):
                     "is never printed"
                 )
             options["announce_bind"] = args.announce_bind
-    elif args.workers or args.pool:
-        raise SystemExit("--workers/--pool require --backend distributed")
-    elif args.announce_bind or args.watch_workers:
-        raise SystemExit(
-            "--announce-bind/--watch-workers require --backend distributed"
-        )
-    chunk_size = _parse_chunk_size(args.chunk_size)
-    if chunk_size is not None:
-        options["chunk_size"] = chunk_size
+    if args.chunk_size is not None:
+        options["chunk_size"] = args.chunk_size
     try:
         return resolve_spec(
             BackendSpec(args.backend, options=options), jobs=args.jobs
@@ -285,9 +305,11 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["central", "disjoint", "joint", "share"],
         default="joint",
     )
-    plan.add_argument("-p", "--malicious-rate", type=float, required=True)
-    plan.add_argument("--budget", type=int, default=10000)
-    plan.add_argument("--target", type=float, default=0.999)
+    _add_checked(
+        plan, "-p", "--malicious-rate", rule=_PROBABILITY, required=True
+    )
+    _add_checked(plan, "--budget", rule=_POSITIVE_INT, default=10000)
+    _add_checked(plan, "--target", rule=_PROBABILITY, default=0.999)
     plan.add_argument(
         "--frontier",
         action="store_true",
@@ -346,22 +368,25 @@ def _build_parser() -> argparse.ArgumentParser:
             "is not part of the key (default: %(default)s)",
         )
         _add_backend_arguments(action_parser)
-        action_parser.add_argument(
+        _add_checked(
+            action_parser,
             "--trials",
-            type=int,
+            rule=_COUNT,
             default=None,
             help="override the spec's per-point trial budget",
         )
-        action_parser.add_argument(
+        _add_checked(
+            action_parser,
             "--tolerance",
-            type=float,
+            rule=_POSITIVE,
             default=None,
             help="adaptive early stopping base tolerance; the scenario's "
             "schedule may tighten it per point (e.g. near curve knees)",
         )
-        action_parser.add_argument(
+        _add_checked(
+            action_parser,
             "--batch-size",
-            type=int,
+            rule=_POSITIVE_INT,
             default=None,
             help="override the spec's engine batch size (the batch "
             "partition shapes results, so this lands in cache keys — "
@@ -387,9 +412,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "sweep on a local backend instead of aborting — results are "
             "byte-identical on either rung (default: abort)",
         )
-        action_parser.add_argument(
+        _add_checked(
+            action_parser,
             "--point-deadline",
-            type=float,
+            rule=_POSITIVE,
             default=None,
             metavar="SECONDS",
             help="watchdog: abandon any point still running after this "
@@ -418,9 +444,10 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report what would be removed without deleting anything",
     )
-    sweep_gc.add_argument(
+    _add_checked(
+        sweep_gc,
         "--tmp-grace",
-        type=float,
+        rule=_NON_NEGATIVE,
         default=None,
         metavar="SECONDS",
         help="only collect orphaned temp files older than this (default: "
@@ -468,8 +495,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve trial spans over TCP for `--backend distributed` "
         "orchestrators (same codebase required on both sides)",
     )
-    worker_serve.add_argument(
+    _add_checked(
+        worker_serve,
         "--bind",
+        rule=_ADDRESS,
         default="127.0.0.1:7070",
         help="host:port to listen on; port 0 picks an ephemeral port "
         "(default: %(default)s — loopback only; a peer cannot run code "
@@ -484,8 +513,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "with KIND in kill/drop/slow/hang, e.g. kill@2 = die abruptly "
         "when asked for a 3rd span",
     )
-    worker_serve.add_argument(
+    _add_checked(
+        worker_serve,
         "--announce",
+        rule=_ADDRESS,
         default=None,
         metavar="HOST:PORT",
         help="announce this worker to a running sweep's membership "
@@ -498,9 +529,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="launch a local pool of serve processes and run until "
         "interrupted",
     )
-    worker_pool.add_argument(
+    _add_checked(
+        worker_pool,
         "--workers",
-        type=int,
+        rule=_POSITIVE_INT,
         default=2,
         help="local worker processes to spawn (default: %(default)s)",
     )
@@ -524,9 +556,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "to this file — consumable as `--workers @FILE`; rewritten "
         "atomically whenever --respawn replaces a dead worker",
     )
-    worker_pool.add_argument(
+    _add_checked(
+        worker_pool,
         "--respawn",
-        type=int,
+        rule=_COUNT,
         default=0,
         metavar="N",
         help="relaunch up to N dead local workers on fresh ephemeral "
@@ -540,8 +573,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "over TCP, fair-share them over one backend, deduplicate "
         "overlapping points through the shared store",
     )
-    serve.add_argument(
+    _add_checked(
+        serve,
         "--bind",
+        rule=_ADDRESS,
         default="127.0.0.1:7272",
         help="host:port to listen on; port 0 picks an ephemeral port "
         "(default: %(default)s — loopback only)",
@@ -559,8 +594,10 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs_actions = jobs_parser.add_subparsers(dest="action", required=True)
 
     def _add_at(parser):
-        parser.add_argument(
+        _add_checked(
+            parser,
             "--at",
+            rule=_ADDRESS,
             default="127.0.0.1:7272",
             metavar="HOST:PORT",
             help="the daemon's address (default: %(default)s)",
@@ -571,9 +608,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     jobs_submit.add_argument("name", help="registered scenario name")
     _add_at(jobs_submit)
-    jobs_submit.add_argument("--trials", type=int, default=None)
-    jobs_submit.add_argument("--tolerance", type=float, default=None)
-    jobs_submit.add_argument("--batch-size", type=int, default=None)
+    _add_checked(jobs_submit, "--trials", rule=_COUNT, default=None)
+    _add_checked(jobs_submit, "--tolerance", rule=_POSITIVE, default=None)
+    _add_checked(jobs_submit, "--batch-size", rule=_POSITIVE_INT, default=None)
     jobs_submit.add_argument(
         "--kernel",
         default=None,
@@ -637,9 +674,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cost = subparsers.add_parser(
         "cost", help="communication/storage cost per scheme"
     )
-    cost.add_argument("-k", "--replication", type=int, default=3)
-    cost.add_argument("-l", "--path-length", type=int, default=6)
-    cost.add_argument("-n", "--share-rows", type=int, default=8)
+    _add_checked(cost, "-k", "--replication", rule=_POSITIVE_INT, default=3)
+    _add_checked(cost, "-l", "--path-length", rule=_POSITIVE_INT, default=6)
+    _add_checked(cost, "-n", "--share-rows", rule=_POSITIVE_INT, default=8)
 
     subparsers.add_parser("demo", help="run an end-to-end release on a small overlay")
 
@@ -749,25 +786,19 @@ def _command_scenarios(args) -> int:
 
 
 def _command_sweep(args) -> int:
-    from repro.experiments.reporting import format_sweep_table
-    from repro.scenarios import ResultStore, SweepOrchestrator, get_scenario
-
     if args.action == "gc":
         return _sweep_gc(args)
     if args.action in ("verify", "repair"):
         return _sweep_integrity(args)
+    from repro.experiments.reporting import format_sweep_table
+    from repro.scenarios import ResultStore, get_scenario
+    from repro.scenarios.orchestrator import SweepOrchestrator
+
     try:
-        spec = get_scenario(args.name)
+        spec = get_scenario(args.name).with_kernel(args.kernel)
     except ValueError as error:
         print(error)
         return 1
-    if getattr(args, "kernel", None):
-        # Pin the runner's kernel lane by landing it in the spec's fixed
-        # params — it enters every point's cache key, so a pinned run
-        # caches separately from the scenario's default lane.
-        spec = dataclasses.replace(
-            spec, fixed={**spec.fixed, "kernel": args.kernel}
-        )
     store = ResultStore(args.store)
     already = store.count(spec.name)
     if args.action == "resume":
@@ -840,11 +871,7 @@ def _command_sweep(args) -> int:
     if report.backend_stats:
         # One greppable line for operators and the CI chaos job:
         # requeues, breaker trips, re-admissions, mid-sweep joins.
-        rendered = " ".join(
-            f"{key}={value}"
-            for key, value in sorted(report.backend_stats.items())
-        )
-        print(f"backend stats: {rendered}")
+        print(f"backend stats: {_key_values(report.backend_stats)}")
     if spec.axes:
         print()
         print(
@@ -879,27 +906,30 @@ def _render_progress_frame(frame) -> None:
     )
 
 
-def _print_job_summary(final, address) -> None:
-    """A finished job's one-line summary plus its stats line."""
+def _key_values(counters) -> str:
+    """``counters`` as one greppable ``key=value ...`` line, keys sorted."""
+    return " ".join(f"{key}={value}" for key, value in sorted(counters.items()))
+
+
+def _follow_job(address, job) -> int:
+    """Stream a job's progress to completion, then print its one-line
+    summary plus its stats line; exit 0 only if the job is done."""
+    from repro.service import service_stats, watch_job
+
+    final = watch_job(address, job, on_frame=_render_progress_frame)
     print(
         f"{final['scenario']}: {final['points']} points — "
         f"{final['computed']} computed, {final['cached']} cached, "
         f"{final['trials_run']} new trials; job {final['job']} at {address}",
         flush=True,
     )
-    counters = {
-        "dedup_hits": final.get("dedup_hits", 0),
-    }
-    from repro.service import service_stats
-
+    counters = {"dedup_hits": final.get("dedup_hits", 0)}
     try:
         counters.update(service_stats(address).get("stats", {}))
     except (OSError, ConnectionError, RuntimeError):
         pass  # the per-job dedup figure still prints
-    rendered = " ".join(
-        f"{key}={value}" for key, value in sorted(counters.items())
-    )
-    print(f"backend stats: {rendered}", flush=True)
+    print(f"backend stats: {_key_values(counters)}", flush=True)
+    return 0 if final["status"] == "done" else 1
 
 
 def _command_serve(args) -> int:
@@ -942,22 +972,16 @@ def _command_serve(args) -> int:
     finally:
         _finish_trace(tracer, getattr(args, "trace", None))
     counters = service.metrics.counter_values("service.", strip=True)
-    rendered = " ".join(
-        f"{key}={value}" for key, value in sorted(counters.items())
+    print(
+        "repro sweep service: drained — "
+        f"{_key_values(counters) or 'no jobs served'}"
     )
-    print(f"repro sweep service: drained — {rendered or 'no jobs served'}")
     return 0
 
 
 def _command_jobs(args) -> int:
     """`repro jobs submit|status|watch|cancel` — the daemon's client."""
-    from repro.service import (
-        cancel_job,
-        job_status,
-        service_stats,
-        submit_job,
-        watch_job,
-    )
+    from repro.service import cancel_job, job_status, service_stats, submit_job
 
     try:
         if args.action == "submit":
@@ -976,17 +1000,9 @@ def _command_jobs(args) -> int:
                 f"({accepted['points']} points)",
                 flush=True,
             )
-            if not args.watch:
-                return 0
-            final = watch_job(args.at, job, on_frame=_render_progress_frame)
-            _print_job_summary(final, args.at)
-            return 0 if final["status"] == "done" else 1
+            return _follow_job(args.at, job) if args.watch else 0
         if args.action == "watch":
-            final = watch_job(
-                args.at, args.job, on_frame=_render_progress_frame
-            )
-            _print_job_summary(final, args.at)
-            return 0 if final["status"] == "done" else 1
+            return _follow_job(args.at, args.job)
         if args.action == "cancel":
             reply = cancel_job(args.at, args.job)
             verb = (
@@ -1019,10 +1035,7 @@ def _command_jobs(args) -> int:
             )
         stats = service_stats(args.at).get("stats", {})
         if stats:
-            rendered = " ".join(
-                f"{key}={value}" for key, value in sorted(stats.items())
-            )
-            print(f"service stats: {rendered}")
+            print(f"service stats: {_key_values(stats)}")
         return 0
     except (OSError, ConnectionError, RuntimeError) as error:
         raise SystemExit(f"sweep service at {args.at}: {error}") from None
@@ -1091,8 +1104,6 @@ def _sweep_gc(args) -> int:
         args.tmp_grace if args.tmp_grace is not None
         else DEFAULT_TMP_GRACE_SECONDS
     )
-    if grace < 0:
-        raise SystemExit("--tmp-grace must be >= 0 seconds")
     report = ResultStore(args.store).gc(
         dry_run=args.dry_run,
         tmp_grace_seconds=grace,
@@ -1141,11 +1152,6 @@ def _command_worker(args) -> int:
             fault = FaultSpec.parse(args.fault)
         except ValueError as error:
             raise SystemExit(str(error)) from None
-    if args.announce:
-        try:
-            parse_address(args.announce)
-        except ValueError as error:
-            raise SystemExit(str(error)) from None
     serve(host, port, fault=fault, announce=args.announce)
     return 0
 
@@ -1153,12 +1159,9 @@ def _command_worker(args) -> int:
 def _worker_pool(args) -> int:
     """Foreground `repro worker pool`: stand up workers, wait, tear down."""
     import signal
-    import time
 
     from repro.backends.pool import WorkerPool, write_addresses_file
 
-    if args.respawn < 0:
-        raise SystemExit("--respawn must be a non-negative integer")
     pool = WorkerPool(
         workers=args.workers,
         host=args.bind_host,
@@ -1208,7 +1211,7 @@ def _worker_pool(args) -> int:
                                 args.addresses_file, pool.addresses
                             )
                         codes = pool.poll()
-                if codes and all(code is not None for code in codes):
+                if all(code is not None for code in codes):
                     print("repro worker pool: every worker exited", flush=True)
                     return 1
     except KeyboardInterrupt:
@@ -1226,45 +1229,36 @@ def _command_trace(args) -> int:
         summarize_trace,
     )
 
-    if args.action == "validate":
-        count = 0
-        truncated_at = []
+    count = 0
+    truncated_at = []
 
-        def note_truncation(line_number, _line):
-            truncated_at.append(line_number)
-
-        try:
-            for _line_number, _record in iter_trace(
-                args.file, on_truncated=note_truncation
-            ):
-                count += 1
-        except OSError as error:
-            print(f"cannot read trace: {error}")
-            return 1
-        except TraceSchemaError as error:
-            print(f"invalid trace: {error}")
-            return 1
-        if truncated_at:
-            # A torn tail is a crash artifact, not schema rot: report it
-            # plainly and keep exit 0 so post-mortem pipelines proceed.
-            print(
-                f"{args.file}: {count} record(s), schema OK; final line "
-                f"{truncated_at[0]} truncated (writer died mid-write) — "
-                f"preceding records are intact"
-            )
-            return 0
-        print(f"{args.file}: {count} record(s), schema OK")
-        return 0
+    def note_truncation(line_number, _line):
+        truncated_at.append(line_number)
 
     try:
-        summary = summarize_trace(args.file)
+        if args.action == "summary":
+            print(format_trace_summary(summarize_trace(args.file), args.file))
+            return 0
+        for _line_number, _record in iter_trace(
+            args.file, on_truncated=note_truncation
+        ):
+            count += 1
     except OSError as error:
         print(f"cannot read trace: {error}")
         return 1
     except TraceSchemaError as error:
         print(f"invalid trace: {error}")
         return 1
-    print(format_trace_summary(summary, args.file))
+    if truncated_at:
+        # A torn tail is a crash artifact, not schema rot: report it
+        # plainly and keep exit 0 so post-mortem pipelines proceed.
+        print(
+            f"{args.file}: {count} record(s), schema OK; final line "
+            f"{truncated_at[0]} truncated (writer died mid-write) — "
+            f"preceding records are intact"
+        )
+        return 0
+    print(f"{args.file}: {count} record(s), schema OK")
     return 0
 
 

@@ -7,16 +7,6 @@ the key hidden in the DHT — so the implementation is deliberately a simple
 access-controlled blob store.
 """
 
-from repro.cloud.storage import (
-    AccessDeniedError,
-    BlobMetadata,
-    CloudStore,
-    UnknownBlobError,
-)
+from repro.cloud.storage import CloudStore
 
-__all__ = [
-    "CloudStore",
-    "BlobMetadata",
-    "AccessDeniedError",
-    "UnknownBlobError",
-]
+__all__ = ["CloudStore"]

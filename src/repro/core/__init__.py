@@ -19,47 +19,9 @@ Layout:
 - :mod:`repro.core.sender` / :mod:`repro.core.receiver` — Alice and Bob.
 """
 
-from repro.core.analysis import (
-    centralized_resilience,
-    disjoint_drop_resilience,
-    disjoint_release_resilience,
-    joint_drop_resilience,
-    joint_release_resilience,
-)
-from repro.core.onion import OnionLayer, build_onion, peel_onion
-from repro.core.paths import HolderGrid, ShareLattice, build_grid, build_share_lattice
-from repro.core.planner import PlannedConfiguration, plan_configuration
+from repro.core.planner import plan_configuration
 from repro.core.receiver import DataReceiver
-from repro.core.schemes import (
-    CentralizedScheme,
-    KeyShareScheme,
-    NodeDisjointScheme,
-    NodeJointScheme,
-)
-from repro.core.sender import DataSender, SendResult
+from repro.core.sender import DataSender
 from repro.core.timeline import ReleaseTimeline
 
-__all__ = [
-    "ReleaseTimeline",
-    "HolderGrid",
-    "ShareLattice",
-    "build_grid",
-    "build_share_lattice",
-    "OnionLayer",
-    "build_onion",
-    "peel_onion",
-    "centralized_resilience",
-    "disjoint_release_resilience",
-    "disjoint_drop_resilience",
-    "joint_release_resilience",
-    "joint_drop_resilience",
-    "PlannedConfiguration",
-    "plan_configuration",
-    "CentralizedScheme",
-    "NodeDisjointScheme",
-    "NodeJointScheme",
-    "KeyShareScheme",
-    "DataSender",
-    "SendResult",
-    "DataReceiver",
-]
+__all__ = ["ReleaseTimeline", "plan_configuration", "DataSender", "DataReceiver"]

@@ -13,25 +13,18 @@ The churn-aware Monte Carlo lives in :mod:`repro.experiments.churn_model`
 because it is shared machinery across schemes.
 """
 
-from repro.core.schemes.base import AttackOutcome, Scheme
+from repro.core.schemes.base import Scheme
 from repro.core.schemes.centralized import CentralizedScheme
 from repro.core.schemes.disjoint import NodeDisjointScheme
 from repro.core.schemes.joint import NodeJointScheme
-from repro.core.schemes.keyshare import (
-    KeyShareScheme,
-    SharePlan,
-    algorithm1,
-    plan_share_scheme,
-)
+from repro.core.schemes.keyshare import KeyShareScheme, algorithm1, plan_share_scheme
 
 __all__ = [
     "Scheme",
-    "AttackOutcome",
     "CentralizedScheme",
     "NodeDisjointScheme",
     "NodeJointScheme",
     "KeyShareScheme",
-    "SharePlan",
     "algorithm1",
     "plan_share_scheme",
 ]

@@ -14,38 +14,3 @@ The paper's protocol needs three primitives:
 Nothing here calls out to external crypto libraries; the finite-field and
 sharing arithmetic is implemented from scratch and property-tested.
 """
-
-from repro.crypto.cipher import (
-    AuthenticationError,
-    SymmetricCipher,
-    decrypt,
-    encrypt,
-)
-from repro.crypto.kdf import derive_key, derive_subkeys
-from repro.crypto.keys import KEY_SIZE, SecretKey, generate_key
-from repro.crypto.shamir import (
-    Share,
-    ShareMatrix,
-    combine_bytes,
-    combine_shares,
-    split_bytes,
-    split_secret,
-)
-
-__all__ = [
-    "SymmetricCipher",
-    "AuthenticationError",
-    "encrypt",
-    "decrypt",
-    "SecretKey",
-    "generate_key",
-    "KEY_SIZE",
-    "derive_key",
-    "derive_subkeys",
-    "Share",
-    "ShareMatrix",
-    "split_secret",
-    "combine_shares",
-    "split_bytes",
-    "combine_bytes",
-]

@@ -18,22 +18,5 @@ live node) and to *deliver* onion packages and key shares between holders.
 """
 
 from repro.dht.bootstrap import build_network
-from repro.dht.kademlia import KademliaNode, LookupResult
-from repro.dht.network import NodeUnreachable, SimulatedNetwork
-from repro.dht.node_id import ID_BITS, NodeId
-from repro.dht.routing_table import KBucket, RoutingTable
-from repro.dht.storage import StorageEntry, ValueStore
 
-__all__ = [
-    "NodeId",
-    "ID_BITS",
-    "RoutingTable",
-    "KBucket",
-    "ValueStore",
-    "StorageEntry",
-    "SimulatedNetwork",
-    "NodeUnreachable",
-    "KademliaNode",
-    "LookupResult",
-    "build_network",
-]
+__all__ = ["build_network"]

@@ -18,36 +18,6 @@ Layout mirrors the PR 3 attack-kernel split:
   ``churn.replication`` objects; the property-tested ground truth).
 """
 
-from repro.epoch.measure import (
-    EPOCH_KERNELS,
-    EPOCH_METRICS,
-    EpochAvailabilityBatch,
-    EpochTimelinessBatch,
-    epoch_availability_outcome,
-    epoch_timeliness_result,
-)
-from repro.epoch.oracle import EpochAvailabilityTrial, EpochTimelinessTrial
-from repro.epoch.placement import PlacementState, sample_distinct_slots
-from repro.epoch.population import (
-    EpochPopulation,
-    make_lifetime_model,
-    mean_lifetime_for_alpha,
-    sample_lifetimes,
-)
+from repro.epoch.measure import EPOCH_METRICS
 
-__all__ = [
-    "EPOCH_KERNELS",
-    "EPOCH_METRICS",
-    "EpochAvailabilityBatch",
-    "EpochAvailabilityTrial",
-    "EpochPopulation",
-    "EpochTimelinessBatch",
-    "EpochTimelinessTrial",
-    "PlacementState",
-    "epoch_availability_outcome",
-    "epoch_timeliness_result",
-    "make_lifetime_model",
-    "mean_lifetime_for_alpha",
-    "sample_distinct_slots",
-    "sample_lifetimes",
-]
+__all__ = ["EPOCH_METRICS"]

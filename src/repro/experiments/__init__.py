@@ -34,26 +34,6 @@ plus shared machinery:
   format the benchmarks print.
 """
 
-from repro.experiments.attack_kernels import (
-    CentralAttackBatch,
-    MultipathAttackBatch,
-    attack_batch_for,
-)
-from repro.experiments.engine import (
-    EngineResult,
-    MonteCarloEstimate,
-    PairedEstimate,
-    TrialEngine,
-)
-from repro.experiments.reporting import format_series_table
+from repro.experiments.engine import TrialEngine
 
-__all__ = [
-    "attack_batch_for",
-    "CentralAttackBatch",
-    "MultipathAttackBatch",
-    "TrialEngine",
-    "EngineResult",
-    "MonteCarloEstimate",
-    "PairedEstimate",
-    "format_series_table",
-]
+__all__ = ["TrialEngine"]

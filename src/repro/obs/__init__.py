@@ -21,41 +21,25 @@ one-time warning, never an aborted sweep; and the CI ``trace-smoke`` job
 asserts store bytes are identical with tracing on and off.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import (
-    SCHEMA_VERSION,
     JsonlSink,
     ListSink,
     TraceSchemaError,
     iter_trace,
     read_trace,
-    validate_record,
 )
-from repro.obs.summary import (
-    TraceSummary,
-    format_trace_summary,
-    summarize_trace,
-)
-from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, coerce_tracer
+from repro.obs.summary import format_trace_summary, summarize_trace
+from repro.obs.trace import Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "SCHEMA_VERSION",
     "JsonlSink",
     "ListSink",
     "TraceSchemaError",
     "iter_trace",
     "read_trace",
-    "validate_record",
-    "TraceSummary",
     "format_trace_summary",
     "summarize_trace",
-    "NULL_TRACER",
-    "NullTracer",
-    "Span",
     "Tracer",
-    "coerce_tracer",
 ]

@@ -7,62 +7,33 @@ The subsystem that makes every figure and extension sweep a piece of data:
 - :mod:`repro.scenarios.registry` — every paper figure and extension as a
   named scenario, plus workloads beyond the paper's figures;
 - :mod:`repro.scenarios.runners` — per-kind point runners (register your
-  own with :func:`register_kind` to declare a brand-new workload);
+  own with :func:`~repro.scenarios.runners.register_kind` to declare a
+  brand-new workload);
 - :mod:`repro.scenarios.orchestrator` — grid expansion, one shared
   executor pool per sweep, per-point tolerance schedules;
-- :mod:`repro.scenarios.store` — the content-addressed result store that
-  makes sweeps incremental and resumable.
+- :mod:`repro.scenarios.store` / :mod:`repro.scenarios.journal` — the
+  content-addressed result store that makes sweeps incremental and
+  resumable, and the sweep journal.
+
+The package re-exports the spec, registry, store and journal names only,
+so listing or showing a scenario loads neither numpy nor scipy.  Import
+the orchestrator's and the runners' names from their modules.
 
 CLI: ``repro scenarios list/show`` and ``repro sweep run/resume``.
 """
 
-from repro.scenarios.journal import (
-    JournalBusyError,
-    JournalOwnershipLost,
-    SweepJournal,
-    sweep_spec_hash,
-)
-from repro.scenarios.orchestrator import SweepOrchestrator, SweepReport
-from repro.scenarios.registry import builtin_scenarios, get_scenario, scenario_names
-from repro.scenarios.runners import get_runner, kind_names, register_kind
-from repro.scenarios.spec import (
-    Axis,
-    EngineSettings,
-    ScenarioSpec,
-    SweepPoint,
-    ToleranceRule,
-    ToleranceSchedule,
-)
-from repro.scenarios.store import (
-    PointClaim,
-    ResultStore,
-    StoreIntegrityError,
-    VerifyReport,
-    point_cache_key,
-)
+from repro.scenarios.journal import SweepJournal, sweep_spec_hash
+from repro.scenarios.registry import builtin_scenarios, get_scenario
+from repro.scenarios.spec import Axis, ScenarioSpec
+from repro.scenarios.store import ResultStore, point_cache_key
 
 __all__ = [
     "Axis",
-    "EngineSettings",
-    "JournalBusyError",
-    "JournalOwnershipLost",
-    "PointClaim",
     "ResultStore",
     "ScenarioSpec",
-    "StoreIntegrityError",
     "SweepJournal",
-    "SweepOrchestrator",
-    "SweepPoint",
-    "SweepReport",
-    "ToleranceRule",
-    "ToleranceSchedule",
-    "VerifyReport",
     "builtin_scenarios",
-    "get_runner",
     "get_scenario",
-    "kind_names",
     "point_cache_key",
-    "register_kind",
-    "scenario_names",
     "sweep_spec_hash",
 ]

@@ -23,7 +23,6 @@ CLI: ``repro serve`` and ``repro jobs submit/status/watch/cancel``.
 from repro.service.client import (
     cancel_job,
     job_status,
-    service_request,
     service_stats,
     shutdown_service,
     submit_job,
@@ -33,7 +32,6 @@ from repro.service.client import (
 __all__ = [
     "cancel_job",
     "job_status",
-    "service_request",
     "service_stats",
     "shutdown_service",
     "submit_job",

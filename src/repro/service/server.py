@@ -255,8 +255,6 @@ class SweepService:
             }
 
     def _op_submit(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        import dataclasses
-
         name = message.get("scenario")
         if not isinstance(name, str) or not name:
             return {"ok": False, "error": "submit needs a scenario name"}
@@ -264,13 +262,7 @@ class SweepService:
             spec = get_scenario(name)
         except ValueError as error:
             return {"ok": False, "error": str(error)}
-        kernel = message.get("kernel")
-        if kernel:
-            # Same rule as the CLI: a pinned kernel lane lands in the
-            # fixed params, and therefore in every cache key.
-            spec = dataclasses.replace(
-                spec, fixed={**spec.fixed, "kernel": kernel}
-            )
+        spec = spec.with_kernel(message.get("kernel"))
         try:
             spec, trials, entries = resolve_entries(
                 spec,

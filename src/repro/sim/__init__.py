@@ -10,17 +10,3 @@ experiment is exactly reproducible from its seed.
 Timelines are :mod:`repro.obs.trace` events: an overlay built with
 ``build_network(trace=sink)`` stamps them with this loop's virtual clock.
 """
-
-from repro.sim.clock import Clock
-from repro.sim.event_loop import Event, EventLoop, ScheduledHandle
-from repro.sim.latency import ConstantLatency, LatencyModel, UniformLatency
-
-__all__ = [
-    "EventLoop",
-    "Event",
-    "ScheduledHandle",
-    "Clock",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-]

@@ -12,41 +12,6 @@ This subpackage holds helpers used across all the substrates:
   intervals) shared by the analytical model and the Monte-Carlo harness.
 """
 
-from repro.util.bytes_util import (
-    bytes_to_int,
-    chunk_bytes,
-    constant_time_equal,
-    int_to_bytes,
-    xor_bytes,
-)
-from repro.util.rng import RandomSource, derive_seed
-from repro.util.stats import (
-    binomial_pmf,
-    binomial_tail_at_least,
-    mean,
-    sample_proportion_ci,
-)
-from repro.util.validation import (
-    check_fraction,
-    check_positive,
-    check_probability,
-    check_type,
-)
+from repro.util.rng import RandomSource
 
-__all__ = [
-    "RandomSource",
-    "derive_seed",
-    "xor_bytes",
-    "int_to_bytes",
-    "bytes_to_int",
-    "chunk_bytes",
-    "constant_time_equal",
-    "check_probability",
-    "check_fraction",
-    "check_positive",
-    "check_type",
-    "binomial_pmf",
-    "binomial_tail_at_least",
-    "mean",
-    "sample_proportion_ci",
-]
+__all__ = ["RandomSource"]

@@ -13,7 +13,8 @@ import pytest
 from repro.backends.base import BackendSpec
 from repro.backends.registry import get
 from repro.backends.worker import WorkerServer
-from repro.scenarios import ResultStore, SweepOrchestrator, get_scenario
+from repro.scenarios import ResultStore, get_scenario
+from repro.scenarios.orchestrator import SweepOrchestrator
 
 
 @pytest.fixture(scope="module")

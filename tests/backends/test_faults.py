@@ -23,7 +23,8 @@ from repro.backends.distributed import DistributedBackend, NoWorkersLeft
 from repro.backends.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.backends.worker import WorkerServer
 from repro.experiments.engine import TrialEngine
-from repro.scenarios import ResultStore, SweepOrchestrator, get_scenario
+from repro.scenarios import ResultStore, get_scenario
+from repro.scenarios.orchestrator import SweepOrchestrator
 from trial_units import bernoulli_trial, counting_batch, indexed_measure, paired_trial
 
 pytestmark = pytest.mark.usefixtures("fast_fault_detection")

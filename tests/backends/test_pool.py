@@ -101,6 +101,25 @@ class TestWorkerPool:
                 ]
             )
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_an_empty_pool_is_refused_before_anything_spawns(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            WorkerPool(workers=workers)
+
+    def test_cli_pool_of_zero_workers_exits_instead_of_hanging(self):
+        # An empty pool used to print a ready line with no address and
+        # then wait forever for a worker death that could never come.
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "worker", "pool", "--workers", "0"],
+            env=_worker_environment(),
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert done.returncode != 0
+        assert done.stdout == ""
+        assert done.stderr == "--workers must be a positive integer, got '0'\n"
+
     def test_hosts_file_rejects_garbage_and_empty(self, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("# nothing\n\n")

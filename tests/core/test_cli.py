@@ -1,13 +1,21 @@
 """The command-line interface (driven through main(argv))."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.backends.pool import _worker_environment
 from repro.cli import main
+
+_spec = importlib.util.spec_from_file_location(
+    "cli_help_regen", Path(__file__).parent / "golden" / "regen.py"
+)
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
 
 
 class TestPlan:
@@ -126,3 +134,89 @@ class TestColdStart:
             "repro.core.schemes.keyshare", "scipy.special", "scipy.stats"
         )
         assert loaded == ["scipy.special"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenarios", "list"],
+            ["scenarios", "show", "fig7"],
+            ["backends", "list"],
+            ["sweep", "verify", "--store", "STORE"],
+            ["sweep", "repair", "--store", "STORE"],
+            ["sweep", "gc", "--store", "STORE"],
+        ],
+        ids=" ".join,
+    )
+    def test_commands_that_compute_nothing_load_neither_numpy_nor_scipy(
+        self, argv, tmp_path
+    ):
+        """Listing specs, listing backends and checking a store run no
+        trial, so a cold start must not pay for the numerical stack."""
+        argv = [str(tmp_path) if arg == "STORE" else arg for arg in argv]
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import json, sys; from repro.cli import main; "
+                f"code = main({argv!r}); print(json.dumps([code, "
+                "[name for name in ('numpy', 'scipy') if name in sys.modules]]))",
+            ],
+            env=_worker_environment(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+
+
+class TestHelpText:
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 13),
+        reason="argparse 3.13 renders short options differently",
+    )
+    def test_every_parser_level_matches_the_golden(self, monkeypatch):
+        """No flag is added, renamed or re-worded by accident: every
+        ``--help`` text matches ``golden/cli_help.txt`` byte for byte."""
+        monkeypatch.setenv("COLUMNS", "80")
+        assert regen.render_help() == regen.GOLDEN.read_text()
+
+
+class TestBadArguments:
+    """A value the CLI cannot use is refused with one line naming the
+    flag while the command line is parsed — never a traceback from deep
+    inside the run."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "run", "smoke", "--jobs", "0"],
+            ["sweep", "run", "smoke", "--trials", "-1"],
+            ["sweep", "run", "smoke", "--batch-size", "0"],
+            ["sweep", "run", "smoke", "--point-deadline", "0"],
+            ["sweep", "run", "smoke", "--tolerance", "-1"],
+            ["sweep", "resume", "smoke", "--jobs", "two"],
+            ["sweep", "gc", "--tmp-grace", "-1"],
+            ["serve", "--bind", "nonsense"],
+            ["worker", "serve", "--bind", "nonsense"],
+            ["worker", "pool", "--respawn", "-1"],
+            ["jobs", "status", "--at", "nonsense"],
+            ["jobs", "submit", "smoke", "--trials", "-1"],
+            ["plan", "-p", "1.5"],
+            ["plan", "-p", "0.3", "--budget", "0"],
+            ["cost", "-k", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused_with_one_line_naming_the_flag(self, argv, tmp_path):
+        flag = argv[-2]
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env=_worker_environment(),
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            timeout=60,
+        )
+        assert done.returncode != 0
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1 and flag in done.stderr, done.stderr

@@ -19,7 +19,8 @@ from repro.backends.wire import fetch_worker_stats
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import SerialExecutor
 from repro.obs import JsonlSink, Tracer, read_trace
-from repro.scenarios import ResultStore, SweepOrchestrator, get_scenario
+from repro.scenarios import ResultStore, get_scenario
+from repro.scenarios.orchestrator import SweepOrchestrator
 from trial_units import bernoulli_trial
 
 

@@ -7,7 +7,8 @@ import os
 import pytest
 
 from repro.backends.base import BackendSpec
-from repro.scenarios import SweepOrchestrator, get_scenario
+from repro.scenarios import get_scenario
+from repro.scenarios.orchestrator import SweepOrchestrator
 from repro.scenarios.spec import Axis, EngineSettings, ScenarioSpec
 from repro.scenarios.store import (
     STORE_GENERATION,
