@@ -14,14 +14,19 @@ batch units for :meth:`~repro.experiments.engine.TrialEngine.run_batched`:
    and under without-replacement sampling that reduces to: the number of
    malicious holders in the grid is ``Hypergeometric(N, M, c)`` and their
    cells are a uniform ``h``-subset of the ``c`` cells.  The kernel draws
-   the count per trial and places it with one batched draw of uniform
-   keys — the cells whose key is below the row's ``count``-th smallest,
-   ties taken lowest cell index first — giving a ``(trials, k, l)``
-   boolean malicious mask without constructing a single id.
+   the count per trial and one uniform key per cell: the malicious cells
+   are the ``count`` with the smallest keys, ties taken lowest cell index
+   first — without constructing a single id.
 3. **Attack predicates.**  Release-ahead succeeds when every column holds a
    malicious replica (Eq. 1); a drop needs every row cut (node-disjoint,
-   Eq. 2) or a fully-malicious column (node-joint, Eq. 3) — three axis
-   reductions over the mask.
+   Eq. 2) or a fully-malicious column (node-joint, Eq. 3).  The malicious
+   cells are a prefix of the key order, so each predicate asks whether one
+   key is malicious (the largest column minimum, the largest row minimum,
+   the smallest column maximum), which it is iff fewer than ``count`` keys
+   lie below it: one compare-and-count per predicate, with no sort and no
+   ``(trials, k, l)`` mask.  The rare row whose critical key ties
+   another is decided on its mask (:func:`place_malicious_counts`'s rule
+   with :func:`evaluate_multipath_masks`), so the tie rule holds exactly.
 
 The kernels draw from the engine's per-batch numpy generators rather than
 the scalar lane's fork-per-trial streams, so estimates are *statistically*
@@ -39,9 +44,12 @@ import numpy as np
 
 from repro.util.validation import check_positive_int, check_probability
 
-#: Cap on the elements of one (trials, k*l) sampling slab; larger batches
-#: are processed in deterministic sub-slabs (a function of the batch shape
-#: alone, never of the executor) to bound peak memory at ~100 MB.
+#: Cap on the elements of one (trials, k*l) key slab; larger batches are
+#: processed in deterministic sub-slabs (a function of the batch shape
+#: alone, never of the executor).  A full slab is 32 MB of float64 keys.
+#: Deciding it by rank peaks at ~36 MB (the keys plus one byte per cell
+#: for a compare) plus the success rows the tie check copies, up to a
+#: second slab when every row succeeds.
 MAX_SLAB_ELEMENTS = 4_000_000
 
 
@@ -50,6 +58,27 @@ def malicious_count(population_size: int, malicious_rate: float) -> int:
     check_positive_int(population_size, "population_size")
     check_probability(malicious_rate, "malicious_rate")
     return round(population_size * malicious_rate)
+
+
+def _smallest_cells(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mark each row's ``count`` smallest keys, ties lowest cell index first."""
+    trials, cells = keys.shape
+    ordered = np.sort(keys, axis=1)
+    # The smallest key *not* taken; a row that takes every cell has none.
+    threshold = np.where(
+        counts >= cells,
+        np.inf,
+        ordered[np.arange(trials), np.minimum(counts, cells - 1)],
+    )[:, None]
+    mask = keys < threshold
+    short = counts - mask.sum(axis=1)
+    rows = np.flatnonzero(short)
+    if rows.size:
+        # The threshold key repeats below its own rank: top those rows up
+        # from the tied cells in index order.
+        tied = keys[rows] == threshold[rows]
+        mask[rows] |= tied & (tied.cumsum(axis=1) <= short[rows, None])
+    return mask
 
 
 def place_malicious_counts(
@@ -68,46 +97,25 @@ def place_malicious_counts(
     function of the keys alone (no dependence on a sort's tie order) and
     keeps every row at exactly ``count`` marked cells.
     """
-    trials = counts.shape[0]
-    cells = replication * path_length
-    keys = generator.random((trials, cells))
-    ordered = np.sort(keys, axis=1)
-    # The smallest key *not* taken; a row that takes every cell has none.
-    threshold = np.where(
-        counts >= cells,
-        np.inf,
-        ordered[np.arange(trials), np.minimum(counts, cells - 1)],
-    )[:, None]
-    mask = keys < threshold
-    short = counts - mask.sum(axis=1)
-    rows = np.flatnonzero(short)
-    if rows.size:
-        # The threshold key repeats below its own rank: top those rows up
-        # from the tied cells in index order.
-        tied = keys[rows] == threshold[rows]
-        mask[rows] |= tied & (tied.cumsum(axis=1) <= short[rows, None])
-    return mask.reshape(trials, replication, path_length)
+    keys = generator.random((counts.shape[0], replication * path_length))
+    return _smallest_cells(keys, counts).reshape(-1, replication, path_length)
 
 
-def _constant_mask(
-    trials: int, replication: int, path_length: int, marked: int, population: int
-) -> Optional[np.ndarray]:
-    """The degenerate all-honest / all-malicious mask, or ``None``.
+def _fixed_status(cells: int, population: int, marked: int) -> Optional[bool]:
+    """``False`` at p = 0 and ``True`` at p = 1, where every holder shares
+    that malicious status; ``None`` otherwise.
 
     Also the one guard site for impossible grids, shared by the public
     sampler and the production batch units so the two can never diverge.
     """
-    cells = replication * path_length
     if cells > population:
         raise ValueError(
             f"population of {population} cannot supply {cells} "
             f"distinct holders"
         )
-    if marked <= 0:
-        return np.zeros((trials, replication, path_length), dtype=bool)
-    if marked >= population:
-        return np.ones((trials, replication, path_length), dtype=bool)
-    return None
+    if 0 < marked < population:
+        return None
+    return marked > 0
 
 
 def _malicious_grid_slabs(
@@ -115,32 +123,25 @@ def _malicious_grid_slabs(
     trials: int,
     population_size: int,
     marked: int,
-    replication: int,
-    path_length: int,
+    cells: int,
     slab_trials: int,
 ):
-    """Yield non-degenerate masks in ``slab_trials``-sized slabs.
+    """Yield ``(counts, keys)`` in ``slab_trials``-sized slabs.
 
-    Hypergeometric counts for the whole run are drawn upfront and placement
-    keys slab by slab; sequential generator fills make the slab size
-    invisible to the draw stream, so results never depend on the memory
-    cap.  This is the one sampling core: :func:`sample_malicious_grids`
-    and the batch units both run through it.
+    The one statement of the draw order: hypergeometric counts for the
+    whole run upfront, then one ``(step, cells)`` block of placement keys
+    per slab.  Sequential generator fills make the slab size invisible to
+    the draw stream, so results never depend on the memory cap.
     """
-    cells = replication * path_length
     counts = generator.hypergeometric(
         ngood=marked,
         nbad=population_size - marked,
         nsample=cells,
         size=trials,
     )
-    done = 0
-    while done < trials:
-        step = min(slab_trials, trials - done)
-        yield place_malicious_counts(
-            generator, counts[done : done + step], replication, path_length
-        )
-        done += step
+    for start in range(0, trials, slab_trials):
+        step = min(slab_trials, trials - start)
+        yield counts[start : start + step], generator.random((step, cells))
 
 
 def sample_malicious_grids(
@@ -155,27 +156,18 @@ def sample_malicious_grids(
 
     Distributionally identical to marking ``marked`` of ``population_size``
     ids and sampling ``replication * path_length`` distinct holders per
-    trial: a hypergeometric count scattered by batched permutation.
+    trial: a hypergeometric count placed on the cells with the smallest
+    uniform keys (:func:`place_malicious_counts`).
     """
-    constant = _constant_mask(
-        trials, replication, path_length, marked, population_size
+    cells = replication * path_length
+    status = _fixed_status(cells, population_size, marked)
+    if status is not None or trials == 0:
+        # p = 0 or 1 fixes every cell; zero trials have none to draw.
+        return np.full((trials, replication, path_length), bool(status))
+    ((counts, keys),) = _malicious_grid_slabs(
+        generator, trials, population_size, marked, cells, slab_trials=trials
     )
-    if constant is not None:
-        return constant
-    return np.concatenate(
-        list(
-            _malicious_grid_slabs(
-                generator,
-                trials,
-                population_size,
-                marked,
-                replication,
-                path_length,
-                slab_trials=trials,
-            )
-        ),
-        axis=0,
-    )
+    return _smallest_cells(keys, counts).reshape(trials, replication, path_length)
 
 
 def evaluate_multipath_masks(
@@ -191,6 +183,26 @@ def evaluate_multipath_masks(
         # Drop (Eq. 2): every row (path) cut somewhere.
         drop_success = mask.any(axis=2).all(axis=1)
     return release_success, drop_success
+
+
+def _ranked(
+    keys: np.ndarray, critical: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row: is ``critical`` marked by rank, and could a tie overturn it?
+
+    A key is marked iff fewer than the row's ``count`` keys lie strictly
+    below it.  That is exact unless another key equals it, and then only a
+    yes can be wrong, so only the yes rows are checked.
+    """
+    # int32 sums run ~2x faster than the default intp ones; a row is far
+    # below 2**31 cells.
+    below = np.less(keys, critical[:, None]).sum(axis=1, dtype=np.int32)
+    marked = below < counts
+    rows = np.flatnonzero(marked)
+    equal = np.equal(keys[rows], critical[rows, None]).sum(axis=1, dtype=np.int32)
+    tied = np.zeros_like(marked)
+    tied[rows] = equal > 1
+    return marked, tied
 
 
 @dataclass(frozen=True)
@@ -219,34 +231,55 @@ class MultipathAttackBatch:
         self, generator: np.random.Generator, count: int
     ) -> Tuple[int, int]:
         marked = malicious_count(self.population_size, self.malicious_rate)
-        constant = _constant_mask(
-            count, self.replication, self.path_length, marked, self.population_size
-        )
-        if constant is not None:
-            if not constant.any():
-                return count, count  # all honest: both attacks resisted
-            # Every holder malicious: release always succeeds; a drop
-            # needs a cut per row / a full column, which it also gets.
-            return 0, 0
         cells = self.replication * self.path_length
-        slab_trials = max(1, MAX_SLAB_ELEMENTS // cells)
+        status = _fixed_status(cells, self.population_size, marked)
+        if status is not None:
+            # All honest: both attacks resisted.  Every holder malicious:
+            # release succeeds, and a drop gets its cut per row / full column.
+            return (0, 0) if status else (count, count)
         release_resisted = count
         drop_resisted = count
-        for mask in _malicious_grid_slabs(
+        for counts, keys in _malicious_grid_slabs(
             generator,
             count,
             self.population_size,
             marked,
-            self.replication,
-            self.path_length,
-            slab_trials,
+            cells,
+            slab_trials=max(1, MAX_SLAB_ELEMENTS // cells),
         ):
-            release_success, drop_success = evaluate_multipath_masks(
-                mask, self.joint
-            )
+            release_success, drop_success = self.ranked_successes(keys, counts)
             release_resisted -= int(release_success.sum())
             drop_resisted -= int(drop_success.sum())
         return release_resisted, drop_resisted
+
+    def ranked_successes(
+        self, keys: np.ndarray, counts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-trial (release, drop) success flags for one slab of keys.
+
+        Equal to :func:`evaluate_multipath_masks` of the mask
+        :func:`place_malicious_counts` builds from the same keys, decided
+        by rank without building it (module docstring, step 3).
+        """
+        grid = keys.reshape(-1, self.replication, self.path_length)
+        # Eq. 1: every column holds a marked cell iff the largest column
+        # minimum is marked.
+        release, release_tied = _ranked(keys, grid.min(axis=1).max(axis=1), counts)
+        if self.joint:
+            # Eq. 3: some column is fully marked iff the smallest column
+            # maximum is.
+            drop_key = grid.max(axis=1).min(axis=1)
+        else:
+            # Eq. 2: every row is cut iff the largest row minimum is.
+            drop_key = grid.min(axis=2).max(axis=1)
+        drop, drop_tied = _ranked(keys, drop_key, counts)
+        tied = np.flatnonzero(release_tied | drop_tied)
+        if tied.size:
+            mask = _smallest_cells(keys[tied], counts[tied])
+            release[tied], drop[tied] = evaluate_multipath_masks(
+                mask.reshape(-1, self.replication, self.path_length), self.joint
+            )
+        return release, drop
 
 
 @dataclass(frozen=True)

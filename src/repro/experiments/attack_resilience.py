@@ -16,8 +16,9 @@ kind calls too, over two Monte-Carlo lanes:
 
 - ``kernel="vectorized"`` — the numpy batch kernels of
   :mod:`repro.experiments.attack_kernels` through the engine's
-  ``run_batched`` mode: whole batches of trials as ``(trials, k, l)``
-  malicious-mask arrays, ~10-100x the scalar throughput at N = 10,000;
+  ``run_batched`` mode: whole batches of trials as ``(trials, k * l)``
+  slabs of placement keys, each attack decided by ranking one key per
+  trial, ~10-100x the scalar throughput at N = 10,000;
 - ``kernel="scalar"`` — the original per-trial :class:`AttackTrial`
   objects, kept as the small-N oracle the kernels are property-tested
   against.

@@ -9,9 +9,11 @@ passes or always fails).  Degenerate rates (p = 0, p = 1) must agree
 directly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.schemes import (
@@ -64,6 +66,12 @@ class TestMaskSampler:
         assert not none.any()
         everyone = sample_malicious_grids(generator, 50, 100, 100, 3, 4)
         assert everyone.all()
+
+    def test_zero_trials_give_an_empty_mask(self):
+        generator = np.random.default_rng(7)
+        for marked in (0, 30, 100):
+            masks = sample_malicious_grids(generator, 0, 100, marked, 2, 3)
+            assert masks.shape == (0, 2, 3) and masks.dtype == bool
 
     def test_grid_larger_than_population_rejected(self):
         generator = np.random.default_rng(7)
@@ -165,6 +173,49 @@ class TestPlacement:
         assert mask.reshape(-1).tolist() == [True] * 4 + [False] * 2
 
 
+class TestRankRule:
+    """The batch's rank rule ≡ the mask path, on the same keys, ties included."""
+
+    # The default 100 examples miss a dropped drop-key tie check about
+    # half the time; 300 caught it on every run tried.
+    @settings(max_examples=300)
+    @given(_placements())
+    def test_flags_equal_mask_path(self, placement):
+        seed, counts, replication, path_length = placement
+        shape = (len(counts), replication * path_length)
+        generator = np.random.default_rng(seed)
+        # Tie-free keys, then at most 3, 2 and 1 (all-equal) values a row.
+        for keys in [generator.random(shape)] + [
+            generator.integers(0, levels, size=shape) / 4.0 for levels in (3, 2, 1)
+        ]:
+            mask = place_malicious_counts(
+                _StubGenerator(keys), counts, replication, path_length
+            )
+            for joint in (False, True):
+                release, drop = evaluate_multipath_masks(mask, joint)
+                batch = MultipathAttackBatch(
+                    0.5, 100, replication, path_length, joint
+                )
+                flags = batch.ranked_successes(keys, counts)
+                assert flags[0].tolist() == release.tolist()
+                assert flags[1].tolist() == drop.tolist()
+
+    def test_batch_builds_no_mask(self):
+        # The p = 0.40 node-joint plan of fig6a@1000: one slab of 100 x 9,955
+        # float64 keys.  Sorting it and marking a (trials, k, l) mask peaks
+        # above twice the slab; deciding by rank adds ~13%.  The bound sits
+        # between the two so numpy's reduction temporaries cannot cross it.
+        slab_bytes = 100 * 11 * 905 * 8
+        batch = MultipathAttackBatch(0.4, 10_000, 11, 905, joint=True)
+        tracemalloc.start()
+        try:
+            batch(np.random.default_rng(2017), 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * slab_bytes
+
+
 class TestBatchUnits:
     def test_factory_dispatch(self):
         assert isinstance(
@@ -211,12 +262,13 @@ class TestBatchUnits:
             )
         assert pooled == reference
 
-    def test_sub_slabbing_is_invisible(self, monkeypatch):
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_sub_slabbing_is_invisible(self, monkeypatch, joint):
         # Forcing tiny memory slabs must not change a batch's counts:
         # the slab partition is a pure function of the batch shape.
         import repro.experiments.attack_kernels as kernels
 
-        batch = MultipathAttackBatch(0.25, 300, 2, 3, joint=False)
+        batch = MultipathAttackBatch(0.25, 300, 2, 3, joint=joint)
         whole = batch(np.random.default_rng(3), 500)
         monkeypatch.setattr(kernels, "MAX_SLAB_ELEMENTS", 6)
         slabbed = batch(np.random.default_rng(3), 500)
