@@ -10,7 +10,7 @@ the assumption §III-D's exposure argument rests on).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Sequence, Set
+from typing import Hashable, Iterable, Sequence, Set
 
 from repro.util.rng import RandomSource
 from repro.util.validation import check_probability
@@ -119,17 +119,3 @@ class SybilPopulation:
             raise ValueError("node set must be non-empty")
         honest = sum(1 for node_id in node_ids if node_id not in self._malicious)
         return honest / len(node_ids)
-
-
-def mark_overlay(
-    overlay_ids: Sequence[Hashable],
-    malicious_rate: float,
-    seed: int = 97,
-    rng: Optional[RandomSource] = None,
-) -> SybilPopulation:
-    """Convenience: build a population and mark an overlay in one call."""
-    if rng is None:
-        rng = RandomSource(seed, label="sybil")
-    population = SybilPopulation(malicious_rate, rng)
-    population.mark_population(overlay_ids)
-    return population

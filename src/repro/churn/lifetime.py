@@ -10,7 +10,6 @@ uses exactly this to size its dead-share estimate ``d``.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.util.rng import RandomSource
 from repro.util.validation import check_positive
@@ -56,32 +55,3 @@ def death_probability(duration: float, mean_lifetime: float) -> float:
     check_positive(mean_lifetime, "mean_lifetime")
     check_positive(duration, "duration", allow_zero=True)
     return 1.0 - math.exp(-duration / mean_lifetime)
-
-
-def expected_deaths(
-    population: int, duration: float, mean_lifetime: float
-) -> float:
-    """Expected node deaths among ``population`` nodes over ``duration``."""
-    if population < 0:
-        raise ValueError(f"population must be non-negative, got {population}")
-    return population * death_probability(duration, mean_lifetime)
-
-
-def holding_period_death_probability(
-    emerging_time: float, path_length: int, mean_lifetime: Optional[float] = None, alpha: Optional[float] = None
-) -> float:
-    """Per-holding-period death probability given ``T`` and ``l``.
-
-    Either the mean lifetime is given directly, or the paper's ``α`` ratio
-    (``T = α * t_life``) is given, in which case
-    ``p_dead = 1 - exp(-α / l)`` — the quantity plotted against in Fig. 7.
-    """
-    if path_length < 1:
-        raise ValueError(f"path_length must be >= 1, got {path_length}")
-    if (mean_lifetime is None) == (alpha is None):
-        raise ValueError("provide exactly one of mean_lifetime or alpha")
-    if alpha is not None:
-        check_positive(alpha, "alpha", allow_zero=True)
-        return 1.0 - math.exp(-alpha / path_length)
-    check_positive(emerging_time, "emerging_time", allow_zero=True)
-    return death_probability(emerging_time / path_length, mean_lifetime)

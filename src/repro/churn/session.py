@@ -9,7 +9,7 @@ package exposes it as an optional extension axis.
 from __future__ import annotations
 
 from repro.util.rng import RandomSource
-from repro.util.validation import check_positive, check_probability
+from repro.util.validation import check_positive
 
 
 class AvailabilityModel:
@@ -80,16 +80,3 @@ class IntermittentAvailability(AvailabilityModel):
             f"IntermittentAvailability(online={self.mean_online}, "
             f"offline={self.mean_offline})"
         )
-
-
-def availability_from_uptime(
-    uptime_fraction: float, mean_online: float = 3600.0
-) -> AvailabilityModel:
-    """Build a model with a target long-run uptime fraction."""
-    check_probability(uptime_fraction, "uptime_fraction")
-    if uptime_fraction >= 1.0:
-        return AlwaysAvailable()
-    if uptime_fraction <= 0.0:
-        raise ValueError("uptime_fraction must be positive")
-    mean_offline = mean_online * (1.0 - uptime_fraction) / uptime_fraction
-    return IntermittentAvailability(mean_online, mean_offline)

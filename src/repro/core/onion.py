@@ -17,8 +17,8 @@ they are last because they find the key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 from repro.crypto.cipher import AuthenticationError, SymmetricCipher
 from repro.crypto.shamir import Share
@@ -75,7 +75,10 @@ def deserialize_share(data: bytes) -> Share:
     threshold = reader.read_u8()
     payload = reader.read_bytes()
     reader.expect_end()
-    return Share(index=index, payload=payload, threshold=threshold)
+    try:
+        return Share(index=index, payload=payload, threshold=threshold)
+    except ValueError as exc:
+        raise WireError(f"malformed share: {exc}") from exc
 
 
 def _serialize_core(core: OnionCore) -> bytes:
@@ -230,13 +233,3 @@ def _try_parse_core(data: bytes) -> Optional[OnionCore]:
     except WireError:
         return None
 
-
-def layer_count(blob_size: int, payload_size: int, overhead: int) -> int:
-    """Rough number of layers a blob of ``blob_size`` could contain.
-
-    Size accounting helper used by the cost benchmarks: each layer adds the
-    cipher overhead plus its header.  Not used for correctness anywhere.
-    """
-    if overhead <= 0:
-        raise ValueError("overhead must be positive")
-    return max(0, (blob_size - payload_size) // overhead)

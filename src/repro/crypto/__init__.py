@@ -5,9 +5,8 @@ The paper's protocol needs three primitives:
 - a symmetric cipher for the message payload and the onion layers
   (:mod:`repro.crypto.cipher` — SHA-256 counter-mode keystream with an
   HMAC-SHA-256 authentication tag; simulation-grade, documented as such);
-- Shamir secret sharing for the key-share routing scheme
-  (:mod:`repro.crypto.shamir`, over GF(2^8) for byte strings and over a
-  prime field for integers);
+- Shamir secret sharing over GF(2^8) for the key-share routing scheme
+  (:mod:`repro.crypto.shamir`);
 - key generation / derivation (:mod:`repro.crypto.keys`,
   :mod:`repro.crypto.kdf`).
 

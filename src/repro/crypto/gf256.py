@@ -1,17 +1,15 @@
 """Arithmetic in GF(2^8), the field used for byte-oriented Shamir sharing.
 
 The field is constructed with the AES reduction polynomial
-``x^8 + x^4 + x^3 + x + 1`` (0x11b).  Multiplication and inversion go through
-precomputed log/antilog tables over the generator 3, which makes the
-byte-wise share/combine loops fast enough for the Monte-Carlo experiments.
+``x^8 + x^4 + x^3 + x + 1`` (0x11b).  Multiplication and division go through
+precomputed log/antilog tables over the generator 3.
 
 The tables are stored as immutable ``bytes`` (C-contiguous, branch-free to
 index) and the full 256x256 product table ``_MUL`` is materialised once at
-import, so the scalar hot path — :func:`multiply` inside Horner loops — is a
-single flat lookup with no zero-operand branch.  :func:`export_tables` hands
-the same tables to the vectorised NumPy backend
-(:mod:`repro.crypto.gf256_numpy`), which builds its ``uint8`` arrays from
-them; scalar and vector lanes therefore share one source of field truth.
+import, so a scalar product is a single flat lookup with no zero-operand
+branch.  :func:`export_tables` hands the same tables to the vectorised NumPy
+backend (:mod:`repro.crypto.gf256_numpy`), which the Shamir codec runs on;
+scalar and vector lanes therefore share one source of field truth.
 """
 
 from __future__ import annotations
@@ -72,36 +70,18 @@ def export_tables() -> Tuple[bytes, bytes, bytes]:
     return _EXP, _LOG, _MUL
 
 
-def add(left: int, right: int) -> int:
-    """Field addition (XOR)."""
-    return left ^ right
-
-
-def subtract(left: int, right: int) -> int:
-    """Field subtraction equals addition in characteristic 2."""
-    return left ^ right
-
-
 def multiply(left: int, right: int) -> int:
     """Field multiplication: one flat product-table lookup.
 
     Out-of-range operands raise rather than aliasing into a wrong table
-    row; the byte-matrix hot loops (:func:`eval_polynomial`,
-    :func:`multiply_many`, the NumPy backend) index ``_MUL`` directly with
-    known-valid values and stay branch-free.
+    row; :func:`eval_polynomial` and the NumPy backend index ``_MUL``
+    directly with known-valid values and stay branch-free.
     """
     if not 0 <= left <= 255 or not 0 <= right <= 255:
         raise ValueError(
             f"operands must be field elements in [0, 255], got ({left}, {right})"
         )
     return _MUL[left << 8 | right]
-
-
-def inverse(value: int) -> int:
-    """Multiplicative inverse; raises on zero."""
-    if value == 0:
-        raise ZeroDivisionError("zero has no multiplicative inverse in GF(256)")
-    return _EXP[255 - _LOG[value]]
 
 
 def divide(numerator: int, denominator: int) -> int:
@@ -111,15 +91,6 @@ def divide(numerator: int, denominator: int) -> int:
     if numerator == 0:
         return 0
     return _EXP[(_LOG[numerator] - _LOG[denominator]) % 255]
-
-
-def power(base: int, exponent: int) -> int:
-    """Raise a field element to a non-negative integer power."""
-    if exponent < 0:
-        raise ValueError(f"exponent must be non-negative, got {exponent}")
-    if base == 0:
-        return 0 if exponent else 1
-    return _EXP[(_LOG[base] * exponent) % 255]
 
 
 def eval_polynomial(coefficients: Sequence[int], point: int) -> int:
@@ -137,8 +108,8 @@ def eval_polynomial(coefficients: Sequence[int], point: int) -> int:
 def lagrange_weights_at_zero(xs: Sequence[int]) -> List[int]:
     """Per-point Lagrange basis values at x = 0: ``w_i = Π x_j / Π (x_i ^ x_j)``.
 
-    The one implementation of the weight logic — the scalar Shamir combine,
-    :func:`interpolate_at_zero`, and the NumPy backend all call this.
+    The one implementation of the weight logic — the scalar reference
+    combine and the NumPy backend both call this.
     ``xs`` must be distinct nonzero field elements.
     """
     if len(set(xs)) != len(xs):
@@ -156,26 +127,3 @@ def lagrange_weights_at_zero(xs: Sequence[int]) -> List[int]:
             denominator = multiply(denominator, x_i ^ x_j)
         weights.append(divide(numerator, denominator))
     return weights
-
-
-def interpolate_at_zero(points: Sequence[tuple]) -> int:
-    """Lagrange-interpolate a polynomial through ``points`` and evaluate at 0.
-
-    ``points`` is a sequence of ``(x, y)`` field-element pairs with distinct
-    ``x``.  This recovers the Shamir secret byte.
-    """
-    weights = lagrange_weights_at_zero([x for x, _ in points])
-    secret = 0
-    for (_x, y), weight in zip(points, weights):
-        secret ^= multiply(y, weight)
-    return secret
-
-
-def multiply_many(values: Sequence[int], scalar: int) -> List[int]:
-    """Multiply every element of ``values`` by ``scalar``, branch-free.
-
-    One product-table row serves the whole sequence; zeros on either side
-    fall out of the table instead of a per-element branch.
-    """
-    row = _MUL[scalar << 8 : (scalar + 1) << 8]
-    return [row[value] for value in values]

@@ -1,12 +1,11 @@
 """Vectorised GF(2^8) arithmetic on NumPy ``uint8`` arrays.
 
-The tables come from :func:`repro.crypto.gf256.export_tables`, so the scalar
-and vector lanes share one field construction; every operation here is exact
-integer table arithmetic and agrees with the scalar module element for
-element (the test suite checks all 65,536 products).
+The product table comes from :func:`repro.crypto.gf256.export_tables`, so
+the scalar and vector lanes share one field construction; every operation
+here is exact integer table arithmetic and agrees with the scalar module
+element for element (the test suite checks all 65,536 products).
 
-Layout conventions used by the Shamir batch codec
-(:mod:`repro.crypto.shamir`):
+Layout conventions used by the Shamir codec (:mod:`repro.crypto.shamir`):
 
 - a *coefficient matrix* is ``(length, threshold)`` — one random polynomial
   per secret byte, lowest-degree coefficient first (column 0 is the secret);
@@ -16,21 +15,14 @@ Layout conventions used by the Shamir batch codec
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.crypto import gf256
 
-_EXP_BYTES, _LOG_BYTES, _MUL_BYTES = gf256.export_tables()
-
 #: The flat product table reshaped to (256, 256): ``MUL[a, b] == a * b``.
-MUL = np.frombuffer(_MUL_BYTES, dtype=np.uint8).reshape(256, 256)
-EXP = np.frombuffer(_EXP_BYTES, dtype=np.uint8)
-LOG = np.frombuffer(_LOG_BYTES, dtype=np.uint8)
-
-
-def multiply(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Elementwise field product of two broadcastable ``uint8`` arrays."""
-    return MUL[left, right]
+MUL = np.frombuffer(gf256.export_tables()[2], dtype=np.uint8).reshape(256, 256)
 
 
 def eval_polynomials(coefficients: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -41,12 +33,6 @@ def eval_polynomials(coefficients: np.ndarray, xs: np.ndarray) -> np.ndarray:
     points; the result is the ``(share_count, length)`` payload matrix.
     Horner's rule over the field, one vectorised step per coefficient.
     """
-    coefficients = np.ascontiguousarray(coefficients, dtype=np.uint8)
-    xs = np.asarray(xs, dtype=np.uint8)
-    if coefficients.ndim != 2:
-        raise ValueError(
-            f"coefficient matrix must be 2-D, got shape {coefficients.shape}"
-        )
     length, threshold = coefficients.shape
     result = np.zeros((xs.shape[0], length), dtype=np.uint8)
     for degree in range(threshold - 1, -1, -1):
@@ -54,34 +40,15 @@ def eval_polynomials(coefficients: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return result
 
 
-def lagrange_weights_at_zero(xs: np.ndarray) -> np.ndarray:
-    """Per-point Lagrange basis values at x = 0 for distinct nonzero ``xs``.
-
-    The weights themselves come from :func:`gf256.lagrange_weights_at_zero`
-    (one implementation for every lane — the count is at most 255, so the
-    scalar loop is never the bottleneck); this wrapper only adapts them to
-    the array layout :func:`combine_at_zero` consumes.
-    """
-    xs = np.asarray(xs, dtype=np.uint8)
-    return np.array(
-        gf256.lagrange_weights_at_zero(xs.tolist()), dtype=np.uint8
-    )
-
-
-def combine_at_zero(xs: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+def combine_at_zero(xs: Sequence[int], payloads: np.ndarray) -> np.ndarray:
     """Recover the secret vector from a payload matrix.
 
-    ``xs`` is the ``(threshold,)`` x-coordinate vector and ``payloads`` the
-    matching ``(threshold, length)`` payload matrix; the result is the
-    ``(length,)`` secret byte vector.  The Lagrange weights are computed
-    once and applied to every byte column in one table gather.
+    ``xs`` lists the ``threshold`` distinct nonzero x-coordinates and
+    ``payloads`` is the matching ``(threshold, length)`` uint8 payload
+    matrix; the result is the ``(length,)`` secret byte vector.  The
+    Lagrange weights come from :func:`gf256.lagrange_weights_at_zero` (at
+    most 255 points, so the scalar loop is never the bottleneck) and are
+    applied to every byte column in one table gather.
     """
-    payloads = np.ascontiguousarray(payloads, dtype=np.uint8)
-    if payloads.ndim != 2:
-        raise ValueError(f"payload matrix must be 2-D, got shape {payloads.shape}")
-    weights = lagrange_weights_at_zero(xs)
-    if weights.shape[0] != payloads.shape[0]:
-        raise ValueError(
-            f"{weights.shape[0]} x-coordinates but {payloads.shape[0]} payload rows"
-        )
+    weights = np.array(gf256.lagrange_weights_at_zero(xs), dtype=np.uint8)
     return np.bitwise_xor.reduce(MUL[payloads, weights[:, None]], axis=0)

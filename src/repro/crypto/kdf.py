@@ -34,7 +34,3 @@ def derive_key(master: bytes, label: str, length: int = 32) -> bytes:
             raise ValueError("requested length too large for HKDF expand")
     return b"".join(blocks)[:length]
 
-
-def derive_subkeys(master: bytes, labels: List[str], length: int = 32) -> List[bytes]:
-    """Derive one subkey per label."""
-    return [derive_key(master, label, length) for label in labels]

@@ -27,7 +27,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.schemes.keyshare import SharePlan
-from repro.experiments.churn_model import ChurnOutcome, outcome_from_counts
 from repro.util.validation import check_positive_int, check_probability
 
 
@@ -64,22 +63,6 @@ def simulate_multipath_availability_counts(
     return int(release_success.sum()), int(drop_success.sum())
 
 
-def simulate_multipath_availability(
-    malicious_rate: float,
-    uptime: float,
-    replication: int,
-    path_length: int,
-    trials: int,
-    rng: np.random.Generator,
-    joint: bool,
-) -> ChurnOutcome:
-    """Static grid + per-boundary offline draws (no deaths)."""
-    release, drop = simulate_multipath_availability_counts(
-        malicious_rate, uptime, replication, path_length, trials, rng, joint
-    )
-    return outcome_from_counts(release, drop, trials)
-
-
 def simulate_key_share_availability_counts(
     plan: SharePlan,
     uptime: float,
@@ -113,20 +96,6 @@ def simulate_key_share_availability_counts(
     release_success = captured.any(axis=2).all(axis=1)
     drop_success = starved.all(axis=2).any(axis=1)
     return int(release_success.sum()), int(drop_success.sum())
-
-
-def simulate_key_share_availability(
-    plan: SharePlan,
-    uptime: float,
-    trials: int,
-    rng: np.random.Generator,
-    malicious_rate: float,
-) -> ChurnOutcome:
-    """Offline carriers behave as per-boundary dead shares."""
-    release, drop = simulate_key_share_availability_counts(
-        plan, uptime, trials, rng, malicious_rate
-    )
-    return outcome_from_counts(release, drop, trials)
 
 
 # Batch callables as frozen dataclasses registered in repro.backends.wire.UNITS,

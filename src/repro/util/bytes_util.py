@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hmac
-from typing import List
 
 
 def xor_bytes(left: bytes, right: bytes) -> bytes:
@@ -27,18 +26,6 @@ def int_to_bytes(value: int, length: int) -> bytes:
     if value < 0:
         raise ValueError(f"value must be non-negative, got {value}")
     return value.to_bytes(length, "big")
-
-
-def bytes_to_int(data: bytes) -> int:
-    """Decode a big-endian byte string to an integer."""
-    return int.from_bytes(data, "big")
-
-
-def chunk_bytes(data: bytes, size: int) -> List[bytes]:
-    """Split ``data`` into chunks of at most ``size`` bytes (last may be short)."""
-    if size <= 0:
-        raise ValueError(f"chunk size must be positive, got {size}")
-    return [data[i : i + size] for i in range(0, len(data), size)]
 
 
 def constant_time_equal(left: bytes, right: bytes) -> bool:

@@ -185,16 +185,3 @@ class RandomSource:
         import numpy as np
 
         return np.random.default_rng(derive_seed(self.seed, "numpy"))
-
-
-def spawn_sources(seed: int, labels: Sequence[str]) -> List[RandomSource]:
-    """Build one independent :class:`RandomSource` per label from one seed."""
-    root = RandomSource(seed)
-    return [root.fork(label) for label in labels]
-
-
-def optional_source(source: Optional[RandomSource], seed: int, label: str) -> RandomSource:
-    """Return ``source`` if given, otherwise a fresh one from ``seed``/``label``."""
-    if source is not None:
-        return source
-    return RandomSource(seed, label=label)

@@ -30,27 +30,6 @@ def binomial_pmf(successes: int, trials: int, probability: float) -> float:
     )
 
 
-def binomial_tail_at_least(threshold: int, trials: int, probability: float) -> float:
-    """P[Bin(trials, probability) >= threshold].
-
-    This is the quantity Algorithm 1 evaluates twice per column: once for the
-    release-ahead success (``m`` of ``n`` shares malicious) and once for the
-    drop success (``n - d - m + 1`` of ``n - d`` alive shares malicious).
-    """
-    probability = check_probability(probability, "probability")
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
-    if threshold <= 0:
-        return 1.0
-    if threshold > trials:
-        return 0.0
-    total = 0.0
-    for count in range(threshold, trials + 1):
-        total += binomial_pmf(count, trials, probability)
-    # Clamp tiny negative / >1 float drift.
-    return min(1.0, max(0.0, total))
-
-
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean of a non-empty sequence."""
     if not values:

@@ -6,8 +6,6 @@ helpers so that misuse produces one consistent style of error message.
 
 from __future__ import annotations
 
-from typing import Any, Type
-
 
 def check_probability(value: float, name: str) -> float:
     """Ensure ``value`` is a probability in ``[0, 1]`` and return it."""
@@ -16,14 +14,6 @@ def check_probability(value: float, name: str) -> float:
     if not 0.0 <= float(value) <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return float(value)
-
-
-def check_fraction(value: float, name: str) -> float:
-    """Ensure ``value`` is a strict fraction in ``[0, 1)`` and return it."""
-    value = check_probability(value, name)
-    if value >= 1.0:
-        raise ValueError(f"{name} must be strictly below 1, got {value}")
-    return value
 
 
 def check_positive(value: float, name: str, allow_zero: bool = False) -> float:
@@ -44,13 +34,4 @@ def check_positive_int(value: int, name: str, minimum: int = 1) -> int:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def check_type(value: Any, expected: Type, name: str) -> Any:
-    """Ensure ``value`` is an instance of ``expected`` and return it."""
-    if not isinstance(value, expected):
-        raise TypeError(
-            f"{name} must be {expected.__name__}, got {type(value).__name__}"
-        )
     return value

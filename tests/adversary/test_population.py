@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adversary.population import SybilPopulation, mark_overlay
+from repro.adversary.population import SybilPopulation
 from repro.util.rng import RandomSource
 
 
@@ -115,7 +115,3 @@ class TestHelpers:
         population = SybilPopulation(0.0, RandomSource(7))
         with pytest.raises(ValueError):
             population.honest_fraction_of([])
-
-    def test_mark_overlay_convenience(self):
-        population = mark_overlay(list(range(50)), 0.2, seed=8)
-        assert population.malicious_count == 10

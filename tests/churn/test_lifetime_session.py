@@ -3,18 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.churn.lifetime import (
-    ExponentialLifetime,
-    death_probability,
-    expected_deaths,
-    holding_period_death_probability,
-)
-from repro.churn.session import (
-    AlwaysAvailable,
-    IntermittentAvailability,
-    availability_from_uptime,
-)
+from repro.churn.lifetime import ExponentialLifetime, death_probability
+from repro.churn.session import AlwaysAvailable, IntermittentAvailability
 from repro.util.rng import RandomSource
 
 
@@ -47,29 +40,30 @@ class TestModuleHelpers:
     def test_death_probability(self):
         assert death_probability(3.0, 1.0) == pytest.approx(1 - math.exp(-3))
 
-    def test_expected_deaths(self):
-        assert expected_deaths(100, 1.0, 1.0) == pytest.approx(
-            100 * (1 - math.exp(-1))
+    @given(
+        st.floats(min_value=0.0, max_value=1e4),
+        st.floats(min_value=1e-3, max_value=1e4),
+    )
+    def test_matches_the_lifetime_model(self, duration, mean_lifetime):
+        model = ExponentialLifetime(mean_lifetime)
+        assert death_probability(duration, mean_lifetime) == model.death_probability(
+            duration
         )
 
-    def test_expected_deaths_negative_population_rejected(self):
-        with pytest.raises(ValueError):
-            expected_deaths(-1, 1.0, 1.0)
+    def test_holding_period_quantity(self):
+        # Algorithm 1 line 2: p_dead = 1 - e^{-alpha / l} for a holding
+        # period of t_s / l = alpha * t_life / l.
+        alpha, path_length, mean_lifetime = 3.0, 10, 10.0
+        holding_period = alpha * mean_lifetime / path_length
+        assert death_probability(holding_period, mean_lifetime) == pytest.approx(
+            1 - math.exp(-0.3)
+        )
 
-    def test_holding_period_via_alpha(self):
-        # p_dead = 1 - e^{-alpha / l}, the Algorithm 1 line-2 quantity.
-        value = holding_period_death_probability(0.0, 10, alpha=3.0)
-        assert value == pytest.approx(1 - math.exp(-0.3))
-
-    def test_holding_period_via_lifetime(self):
-        value = holding_period_death_probability(30.0, 10, mean_lifetime=10.0)
-        assert value == pytest.approx(1 - math.exp(-0.3))
-
-    def test_exactly_one_mode_required(self):
+    def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
-            holding_period_death_probability(1.0, 10)
+            death_probability(-1.0, 1.0)
         with pytest.raises(ValueError):
-            holding_period_death_probability(1.0, 10, mean_lifetime=1.0, alpha=1.0)
+            death_probability(1.0, 0.0)
 
 
 class TestAvailability:
@@ -84,20 +78,19 @@ class TestAvailability:
         model = IntermittentAvailability(mean_online=30.0, mean_offline=10.0)
         assert model.uptime_fraction == pytest.approx(0.75)
 
+    def test_zero_offline_is_always_up(self):
+        model = IntermittentAvailability(mean_online=90.0, mean_offline=0.0)
+        assert model.uptime_fraction == 1.0
+        assert model.draw_offline_duration(RandomSource(3)) == 0.0
+
+    def test_nonpositive_online_rejected(self):
+        with pytest.raises(ValueError):
+            IntermittentAvailability(mean_online=0.0, mean_offline=10.0)
+        with pytest.raises(ValueError):
+            IntermittentAvailability(mean_online=10.0, mean_offline=-1.0)
+
     def test_instantaneous_availability_matches_uptime(self):
         model = IntermittentAvailability(mean_online=30.0, mean_offline=10.0)
         rng = RandomSource(2)
         hits = sum(model.is_available(rng) for _ in range(20000))
         assert 0.72 < hits / 20000 < 0.78
-
-    def test_from_uptime_factory(self):
-        model = availability_from_uptime(0.9, mean_online=90.0)
-        assert isinstance(model, IntermittentAvailability)
-        assert model.uptime_fraction == pytest.approx(0.9)
-
-    def test_from_uptime_one_is_always(self):
-        assert isinstance(availability_from_uptime(1.0), AlwaysAvailable)
-
-    def test_from_uptime_zero_rejected(self):
-        with pytest.raises(ValueError):
-            availability_from_uptime(0.0)

@@ -12,6 +12,8 @@ from repro.core.onion import (
     peel_onion,
     serialize_share,
 )
+from repro.core.wire import WireError, WireWriter
+from repro.crypto.cipher import SymmetricCipher
 from repro.crypto.shamir import Share, split_secret
 from repro.util.rng import RandomSource
 
@@ -93,6 +95,26 @@ class TestPeelSecurity:
         tampered[len(tampered) // 2] ^= 0xFF
         with pytest.raises(OnionPeelError):
             peel_onion(layer_keys[0], bytes(tampered))
+
+    @pytest.mark.parametrize("index, threshold", [(0, 2), (1, 0), (0, 0)])
+    def test_authenticated_layer_with_a_malformed_share(self, index, threshold):
+        # The layer decrypts, but its share field is out of range: that is
+        # a peel failure like any other, never a bare ValueError.
+        share = WireWriter().write_u8(index).write_u8(threshold)
+        body = (
+            WireWriter()
+            .write_u8(0)  # layer type byte
+            .write_u32(1)
+            .write_f64(0.0)
+            .write_bytes_list([b"next-hop"])
+            .write_bytes_list([share.write_bytes(b"payload").getvalue()])
+            .write_bytes(b"remaining")
+            .getvalue()
+        )
+        key = keys(1)[0]
+        blob = SymmetricCipher(key, rng=RandomSource(3)).encrypt(body)
+        with pytest.raises(OnionPeelError, match="malformed share"):
+            peel_onion(key, blob)
 
     def test_inner_layers_unreadable_without_outer(self):
         # Peeling with an inner key directly on the outer blob fails: the

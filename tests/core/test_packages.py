@@ -13,6 +13,7 @@ from repro.core.packages import (
     SharePackage,
     parse_package,
 )
+from repro.core.wire import WireError, WireWriter
 from repro.crypto.shamir import Share
 
 
@@ -33,6 +34,20 @@ class TestRoundTrips:
         parsed = parse_package(CHANNEL_SHARE, package.to_bytes())
         assert parsed == package
         assert parsed.share.threshold == 3
+
+    @pytest.mark.parametrize("index, threshold", [(0, 2), (1, 0), (0, 0)])
+    def test_malformed_share_is_a_wire_error(self, index, threshold):
+        share = WireWriter().write_u8(index).write_u8(threshold).write_bytes(b"p")
+        data = (
+            WireWriter()
+            .write_bytes(b"kid")
+            .write_u32(2)
+            .write_u32(7)
+            .write_bytes(share.getvalue())
+            .getvalue()
+        )
+        with pytest.raises(WireError, match="malformed share"):
+            parse_package(CHANNEL_SHARE, data)
 
     def test_secret_package(self):
         package = SecretPackage(key_id=b"kid", secret=b"s" * 32)

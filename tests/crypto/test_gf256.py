@@ -41,8 +41,8 @@ class TestMultiplication:
 
     @given(elements, elements, elements)
     def test_distributive(self, a, b, c):
-        left = gf256.multiply(a, gf256.add(b, c))
-        right = gf256.add(gf256.multiply(a, b), gf256.multiply(a, c))
+        left = gf256.multiply(a, b ^ c)
+        right = gf256.multiply(a, b) ^ gf256.multiply(a, c)
         assert left == right
 
     @given(elements)
@@ -53,19 +53,16 @@ class TestMultiplication:
     def test_zero_annihilates(self, a):
         assert gf256.multiply(a, 0) == 0
 
+    @pytest.mark.parametrize("a, b", [(-1, 0), (256, 0), (0, -1), (0, 256)])
+    def test_operands_outside_the_field_rejected(self, a, b):
+        with pytest.raises(ValueError, match="field elements"):
+            gf256.multiply(a, b)
 
-class TestInverse:
-    @given(nonzero)
-    def test_inverse_multiplies_to_one(self, a):
-        assert gf256.multiply(a, gf256.inverse(a)) == 1
 
-    def test_zero_has_no_inverse(self):
-        with pytest.raises(ZeroDivisionError):
-            gf256.inverse(0)
-
-    @given(nonzero, nonzero)
-    def test_divide_consistent_with_inverse(self, a, b):
-        assert gf256.divide(a, b) == gf256.multiply(a, gf256.inverse(b))
+class TestDivision:
+    @given(elements, nonzero)
+    def test_divide_inverts_multiply(self, a, b):
+        assert gf256.multiply(gf256.divide(a, b), b) == a
 
     def test_divide_by_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -75,61 +72,55 @@ class TestInverse:
     def test_zero_divided_is_zero(self, a):
         assert gf256.divide(0, a) == 0
 
-
-class TestPower:
-    @given(elements)
-    def test_power_zero_is_one(self, a):
-        if a != 0:
-            assert gf256.power(a, 0) == 1
-
-    def test_zero_to_zero_is_one(self):
-        assert gf256.power(0, 0) == 1
-
-    @given(nonzero, st.integers(min_value=0, max_value=20))
-    def test_power_matches_repeated_multiply(self, a, exponent):
-        expected = 1
-        for _ in range(exponent):
-            expected = gf256.multiply(expected, a)
-        assert gf256.power(a, exponent) == expected
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            gf256.power(3, -1)
+    def test_every_quotient_is_exact(self):
+        for b in range(1, 256):
+            for a in range(256):
+                assert gf256.divide(gf256.multiply(a, b), b) == a
 
 
 class TestPolynomials:
     @given(st.lists(elements, min_size=1, max_size=6), elements)
     def test_eval_matches_horner_reference(self, coefficients, point):
         expected = 0
-        for degree, coefficient in enumerate(coefficients):
-            expected ^= gf256.multiply(
-                coefficient, gf256.power(point, degree)
-            )
+        power = 1
+        for coefficient in coefficients:
+            expected ^= _slow_multiply(coefficient, power)
+            power = _slow_multiply(power, point)
         assert gf256.eval_polynomial(coefficients, point) == expected
 
     @given(st.lists(elements, min_size=1, max_size=5))
-    def test_interpolation_recovers_constant_term(self, coefficients):
-        degree = len(coefficients) - 1
-        points = [
-            (x, gf256.eval_polynomial(coefficients, x))
-            for x in range(1, degree + 2)
-        ]
-        assert gf256.interpolate_at_zero(points) == coefficients[0]
+    def test_lagrange_weights_recover_constant_term(self, coefficients):
+        xs = list(range(1, len(coefficients) + 1))
+        weights = gf256.lagrange_weights_at_zero(xs)
+        secret = 0
+        for x, weight in zip(xs, weights):
+            secret ^= gf256.multiply(gf256.eval_polynomial(coefficients, x), weight)
+        assert secret == coefficients[0]
 
-    def test_interpolation_rejects_duplicate_x(self):
+    @given(elements, st.lists(elements, max_size=5))
+    def test_eval_at_zero_is_the_constant_term(self, constant, rest):
+        assert gf256.eval_polynomial([constant] + rest, 0) == constant
+
+    def test_single_point_weight_is_one(self):
+        for x in range(1, 256):
+            assert gf256.lagrange_weights_at_zero([x]) == [1]
+
+    @given(st.lists(nonzero, min_size=1, max_size=10, unique=True))
+    def test_weights_interpolate_the_constant_one(self, xs):
+        # The constant polynomial 1 takes the value 1 at every point, so its
+        # interpolated value at zero, the XOR of the weights, is 1.
+        total = 0
+        for weight in gf256.lagrange_weights_at_zero(xs):
+            total ^= weight
+        assert total == 1
+
+    def test_weights_reject_duplicate_x(self):
         with pytest.raises(ValueError):
-            gf256.interpolate_at_zero([(1, 2), (1, 3)])
+            gf256.lagrange_weights_at_zero([1, 1])
 
-    def test_interpolation_rejects_x_zero(self):
+    def test_weights_reject_x_zero(self):
         with pytest.raises(ValueError):
-            gf256.interpolate_at_zero([(0, 2), (1, 3)])
-
-
-class TestBatchMultiply:
-    @given(st.lists(elements, max_size=10), elements)
-    def test_multiply_many_matches_elementwise(self, values, scalar):
-        expected = [gf256.multiply(v, scalar) for v in values]
-        assert gf256.multiply_many(values, scalar) == expected
+            gf256.lagrange_weights_at_zero([0, 1])
 
 
 class TestTables:
@@ -144,6 +135,11 @@ class TestTables:
         for value in range(1, 256):
             assert exp[log[value]] == value
         assert exp[:255] == exp[255:510]
+
+    def test_generator_has_full_order(self):
+        exp, log, _ = gf256.export_tables()
+        assert sorted(exp[:255]) == list(range(1, 256))
+        assert log[0] == 0 and log[1] == 0
 
     def test_product_table_rows_match_multiply(self):
         _, _, mul = gf256.export_tables()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.kdf import derive_key, derive_subkeys
+from repro.crypto.kdf import derive_key
 from repro.crypto.keys import KEY_SIZE, SecretKey, generate_key
 from repro.util.rng import RandomSource
 
@@ -26,6 +26,11 @@ class TestKdf:
         long = derive_key(b"m", "l", 64)
         assert long[:32] == short
 
+    def test_sibling_labels_give_distinct_keys(self):
+        keys = [derive_key(b"m", f"layer-{index}") for index in range(64)]
+        assert len(set(keys)) == 64
+        assert all(len(key) == 32 for key in keys)
+
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
             derive_key(b"m", "l", 0)
@@ -37,11 +42,6 @@ class TestKdf:
     def test_non_bytes_master_rejected(self):
         with pytest.raises(TypeError):
             derive_key("master", "l")
-
-    def test_derive_subkeys(self):
-        keys = derive_subkeys(b"m", ["a", "b", "c"])
-        assert len(keys) == 3
-        assert len(set(keys)) == 3
 
 
 class TestSecretKey:

@@ -8,9 +8,10 @@ import pytest
 from repro import api
 from repro.core.schemes.keyshare import algorithm1
 from repro.experiments.availability import (
-    simulate_key_share_availability,
-    simulate_multipath_availability,
+    KeyShareAvailabilityBatch,
+    MultipathAvailabilityBatch,
 )
+from repro.experiments.churn_model import outcome_from_counts
 from repro.experiments.engine import TrialEngine
 from repro.scenarios.runners import get_runner
 from repro.scenarios.spec import Axis
@@ -22,11 +23,23 @@ def rng(seed=5):
     return np.random.default_rng(seed)
 
 
+def multipath(malicious_rate, uptime, replication, path_length, trials, generator, joint):
+    batch = MultipathAvailabilityBatch(
+        malicious_rate, uptime, replication, path_length, joint
+    )
+    return outcome_from_counts(*batch(generator, trials), trials)
+
+
+def key_share(plan, uptime, trials, generator, malicious_rate):
+    batch = KeyShareAvailabilityBatch(plan, uptime, malicious_rate)
+    return outcome_from_counts(*batch(generator, trials), trials)
+
+
 class TestMultipathAvailability:
     def test_full_uptime_matches_static_model(self):
         from repro.core.analysis import joint_resilience
 
-        outcome = simulate_multipath_availability(
+        outcome = multipath(
             0.3, 1.0, 3, 3, TRIALS, rng(1), joint=True
         )
         pair = joint_resilience(0.3, 3, 3)
@@ -34,10 +47,10 @@ class TestMultipathAvailability:
         assert outcome.drop_resilience == pytest.approx(pair.drop, abs=0.03)
 
     def test_offline_holders_hit_only_drop(self):
-        honest_world = simulate_multipath_availability(
+        honest_world = multipath(
             0.2, 1.0, 3, 4, TRIALS, rng(2), joint=True
         )
-        flaky_world = simulate_multipath_availability(
+        flaky_world = multipath(
             0.2, 0.8, 3, 4, TRIALS, rng(3), joint=True
         )
         assert flaky_world.drop_resilience < honest_world.drop_resilience
@@ -46,16 +59,16 @@ class TestMultipathAvailability:
         )
 
     def test_disjoint_suffers_more_than_joint(self):
-        disjoint = simulate_multipath_availability(
+        disjoint = multipath(
             0.0, 0.8, 3, 5, TRIALS, rng(4), joint=False
         )
-        joint = simulate_multipath_availability(
+        joint = multipath(
             0.0, 0.8, 3, 5, TRIALS, rng(5), joint=True
         )
         assert joint.drop_resilience > disjoint.drop_resilience
 
     def test_zero_uptime_always_drops(self):
-        outcome = simulate_multipath_availability(
+        outcome = multipath(
             0.0, 0.0, 3, 3, 500, rng(6), joint=True
         )
         assert outcome.drop_resilience == 0.0
@@ -65,7 +78,7 @@ class TestMultipathAvailability:
 class TestKeyShareAvailability:
     def test_full_uptime_matches_churn_free_plan(self):
         plan = algorithm1(5, 10, 2000, 0.001, 1.0, 0.2)  # negligible churn
-        outcome = simulate_key_share_availability(
+        outcome = key_share(
             plan, 1.0, TRIALS, rng(7), malicious_rate=0.2
         )
         assert outcome.release_resilience == pytest.approx(
@@ -74,10 +87,10 @@ class TestKeyShareAvailability:
 
     def test_threshold_absorbs_moderate_flakiness(self):
         plan = algorithm1(5, 10, 2000, 3.0, 1.0, 0.15)
-        steady = simulate_key_share_availability(
+        steady = key_share(
             plan, 1.0, TRIALS, rng(8), malicious_rate=0.15
         )
-        flaky = simulate_key_share_availability(
+        flaky = key_share(
             plan, 0.9, TRIALS, rng(9), malicious_rate=0.15
         )
         # 10% offline carriers sit well inside the (m, n) slack.
@@ -85,7 +98,7 @@ class TestKeyShareAvailability:
 
     def test_extreme_flakiness_starves_columns(self):
         plan = algorithm1(5, 10, 2000, 3.0, 1.0, 0.15)
-        broken = simulate_key_share_availability(
+        broken = key_share(
             plan, 0.3, TRIALS, rng(10), malicious_rate=0.15
         )
         assert broken.drop_resilience < 0.2

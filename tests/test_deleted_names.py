@@ -117,6 +117,43 @@ DELETED = (
     # out itself, and no dict of the table is built per answer.
     r"_closest_excluding",
     r"\bby_distance\b",
+    # Shamir sharing has one codec: the GF(256) table codec at every size.
+    # No size crossovers, no matrix API, no prime-field twin, and none of
+    # the field helpers only tests called.
+    r"\b_BATCH_SPLIT_MIN_WORK\b",
+    r"\b_BATCH_COMBINE_MIN_WORK\b",
+    r"\b_combine_used_scalar\b",
+    r"\b_lagrange_weights_at_zero\b",
+    r"\bShareMatrix\b",
+    r"\bsplit_bytes\b",
+    r"\bcombine_bytes\b",
+    r"\bprimefield\b",
+    r"\bPrimeField\b",
+    r"\bDEFAULT_PRIME\b",
+    r"\bIntegerShare\b",
+    r"\bsplit_integer_secret\b",
+    r"\bcombine_integer_shares\b",
+    r"\bshares_by_index\b",
+    r"\bgf256\.(add|subtract|inverse|power)\b",
+    r"\binterpolate_at_zero\b",
+    r"\bmultiply_many\b",
+    r"\bgf256_numpy\.(multiply|EXP|LOG|lagrange_weights_at_zero)\b",
+    r"\bderive_subkeys\b",
+    # Helpers only their own unit tests called.
+    r"\bbinomial_tail_at_least\b",
+    r"\bholding_period_death_probability\b",
+    r"\bexpected_deaths\b",
+    r"\bavailability_from_uptime\b",
+    r"\bsimulate_multipath_availability\b",
+    r"\bsimulate_key_share_availability\b",
+    r"\bmark_overlay\b",
+    r"\blayer_count\b",
+    r"\bcheck_type\b",
+    r"\bcheck_fraction\b",
+    r"\boptional_source\b",
+    r"\bspawn_sources\b",
+    r"\bchunk_bytes\b",
+    r"\bbytes_to_int\b",
 )
 
 #: Gone from ``src/`` only: the id-list distance helpers and the per-id

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.bytes_util import (
-    bytes_to_int,
-    chunk_bytes,
-    constant_time_equal,
-    int_to_bytes,
-    xor_bytes,
-)
+from repro.util.bytes_util import constant_time_equal, int_to_bytes, xor_bytes
 
 
 class TestXor:
@@ -55,7 +49,7 @@ class TestXor:
 class TestIntConversion:
     @given(st.integers(min_value=0, max_value=2 ** 64 - 1))
     def test_roundtrip(self, value):
-        assert bytes_to_int(int_to_bytes(value, 8)) == value
+        assert int.from_bytes(int_to_bytes(value, 8), "big") == value
 
     def test_big_endian(self):
         assert int_to_bytes(1, 4) == b"\x00\x00\x00\x01"
@@ -67,25 +61,6 @@ class TestIntConversion:
     def test_overflow_rejected(self):
         with pytest.raises(OverflowError):
             int_to_bytes(256, 1)
-
-
-class TestChunking:
-    def test_even_chunks(self):
-        assert chunk_bytes(b"abcdef", 2) == [b"ab", b"cd", b"ef"]
-
-    def test_ragged_tail(self):
-        assert chunk_bytes(b"abcde", 2) == [b"ab", b"cd", b"e"]
-
-    def test_empty_input(self):
-        assert chunk_bytes(b"", 4) == []
-
-    def test_bad_size_rejected(self):
-        with pytest.raises(ValueError):
-            chunk_bytes(b"abc", 0)
-
-    @given(st.binary(max_size=100), st.integers(min_value=1, max_value=10))
-    def test_chunks_reassemble(self, data, size):
-        assert b"".join(chunk_bytes(data, size)) == data
 
 
 class TestConstantTimeEqual:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.rng import RandomSource, derive_seed, optional_source, spawn_sources
+from repro.util.rng import RandomSource, derive_seed
 
 
 class TestDeterminism:
@@ -48,14 +48,15 @@ class TestForking:
         child_b = root_b.fork("c")
         assert child_a.random() == child_b.random()
 
+    def test_fork_seeds_distinct_across_labels(self):
+        root = RandomSource(5)
+        forks = [root.fork(label) for label in ("x", "y", "z", "w", "v")]
+        assert len({fork.seed for fork in forks}) == 5
+        assert [fork.label for fork in forks] == ["x", "y", "z", "w", "v"]
+
     def test_distinct_labels_distinct_streams(self):
         root = RandomSource(1)
         assert root.fork("a").random() != root.fork("b").random()
-
-    def test_spawn_sources(self):
-        sources = spawn_sources(5, ["x", "y", "z"])
-        assert len(sources) == 3
-        assert len({source.seed for source in sources}) == 3
 
 
 class TestDraws:
@@ -181,12 +182,3 @@ class TestMisc:
 
     def test_repr_mentions_label(self):
         assert "my-label" in repr(RandomSource(1, label="my-label"))
-
-    def test_optional_source_passthrough(self):
-        source = RandomSource(9)
-        assert optional_source(source, 1, "x") is source
-
-    def test_optional_source_creates(self):
-        created = optional_source(None, 1, "x")
-        assert isinstance(created, RandomSource)
-        assert created.label == "x"

@@ -7,7 +7,6 @@ from scipy import stats as scipy_stats
 
 from repro.util.stats import (
     binomial_pmf,
-    binomial_tail_at_least,
     mean,
     sample_proportion_ci,
     wilson_proportion_ci,
@@ -46,27 +45,25 @@ class TestBinomialPmf:
         with pytest.raises(ValueError):
             binomial_pmf(0, -1, 0.5)
 
-
-class TestBinomialTail:
-    def test_threshold_zero_is_one(self):
-        assert binomial_tail_at_least(0, 10, 0.3) == 1.0
-
-    def test_threshold_above_trials_is_zero(self):
-        assert binomial_tail_at_least(11, 10, 0.3) == 0.0
-
     @given(
         st.integers(min_value=1, max_value=25),
         st.integers(min_value=1, max_value=25),
         st.floats(min_value=0.01, max_value=0.99),
     )
-    def test_matches_scipy_sf(self, threshold, trials, probability):
-        ours = binomial_tail_at_least(threshold, trials, probability)
+    def test_upper_tail_matches_scipy_sf(self, threshold, trials, probability):
+        ours = sum(
+            binomial_pmf(k, trials, probability) for k in range(threshold, trials + 1)
+        )
         reference = float(scipy_stats.binom.sf(threshold - 1, trials, probability))
         assert ours == pytest.approx(reference, abs=1e-10)
 
-    def test_monotone_in_threshold(self):
-        tails = [binomial_tail_at_least(m, 20, 0.4) for m in range(21)]
-        assert tails == sorted(tails, reverse=True)
+    @given(
+        st.integers(min_value=0, max_value=40),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_sums_to_one(self, trials, probability):
+        total = sum(binomial_pmf(k, trials, probability) for k in range(trials + 1))
+        assert total == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMean:

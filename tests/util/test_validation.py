@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.util.validation import (
-    check_fraction,
-    check_positive,
-    check_positive_int,
-    check_probability,
-    check_type,
-)
+from repro.util.validation import check_positive, check_positive_int, check_probability
 
 
 class TestProbability:
@@ -31,15 +25,6 @@ class TestProbability:
             check_probability(1.5, "my_rate")
 
 
-class TestFraction:
-    def test_accepts_below_one(self):
-        assert check_fraction(0.999, "f") == 0.999
-
-    def test_rejects_one(self):
-        with pytest.raises(ValueError):
-            check_fraction(1.0, "f")
-
-
 class TestPositive:
     def test_accepts_positive(self):
         assert check_positive(0.5, "x") == 0.5
@@ -59,6 +44,14 @@ class TestPositive:
         with pytest.raises(TypeError):
             check_positive(True, "x")
 
+    def test_rejects_non_numbers(self):
+        with pytest.raises(TypeError, match="mean_lifetime must be a number"):
+            check_positive("1.0", "mean_lifetime")
+
+    def test_error_message_names_argument(self):
+        with pytest.raises(ValueError, match="duration must be non-negative"):
+            check_positive(-0.5, "duration", allow_zero=True)
+
 
 class TestPositiveInt:
     def test_accepts_minimum(self):
@@ -73,15 +66,10 @@ class TestPositiveInt:
         with pytest.raises(TypeError):
             check_positive_int(1.0, "n")
 
+    def test_error_message_names_argument(self):
+        with pytest.raises(ValueError, match="share_count must be >= 1, got 0"):
+            check_positive_int(0, "share_count")
+
     def test_rejects_bool(self):
         with pytest.raises(TypeError):
             check_positive_int(True, "n")
-
-
-class TestType:
-    def test_accepts_instance(self):
-        assert check_type("abc", str, "s") == "abc"
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(TypeError, match="s must be str"):
-            check_type(3, str, "s")
