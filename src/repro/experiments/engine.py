@@ -57,13 +57,16 @@ from repro.experiments.executors import (
     TrialTask,
 )
 from repro.obs.trace import coerce_tracer
-from repro.util.stats import sample_proportion_ci, wilson_proportion_ci
+from repro.util.stats import (
+    DEFAULT_CHECK_INTERVAL,
+    DEFAULT_CHECKPOINT_BATCHES,
+    DEFAULT_MIN_TRIALS,
+    sample_proportion_ci,
+    wilson_proportion_ci,
+)
 from repro.util.validation import check_positive, check_positive_int
 
 DEFAULT_TRIALS = 1000
-DEFAULT_MIN_TRIALS = 100
-DEFAULT_CHECK_INTERVAL = 100
-DEFAULT_CHECKPOINT_BATCHES = 4
 
 _CI_METHODS = {
     "normal": sample_proportion_ci,

@@ -24,7 +24,11 @@ the first line that is torn (no newline) or does not parse, so a kill
 mid-append loses at most the transition being written and the journal
 survives any kill.  Nothing is ever appended after a torn tail, because
 every ``begin`` starts a new file.  Nothing calls ``fsync``: the
-guarantee is SIGKILL-safety, not power-loss-safety.
+guarantee is SIGKILL-safety, not power-loss-safety.  Every resume reads
+the whole previous log, so a canonical mark line is taken apart by one
+anchored regular expression; any other line goes through ``json.loads``
+and folds as it always did.  Reads and marks use the log's path as a
+string, never a ``Path``.
 
 On resume, ``begin`` with the same ``spec_hash`` returns the *mid-flight*
 keys — points whose start was journaled but whose finish never was.  The
@@ -60,9 +64,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 import uuid
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Set
 
@@ -70,6 +76,7 @@ from repro.scenarios.store import (
     JOURNAL_DIR,
     JOURNAL_SUFFIX,
     _pid_alive,
+    _read_bytes,
     canonical_json,
 )
 
@@ -86,6 +93,13 @@ _STARTED = "started"
 _FINISHED = "finished"
 _COMPLETE = "complete"
 _RELEASE = "release"
+
+#: A mark line as :func:`_mark_line` writes it for a key of printable
+#: ASCII without quote or backslash (every content key is hex).
+_CANONICAL_MARK = re.compile(
+    rb'\{"index":(-?(?:0|[1-9][0-9]*)),"key":"([ !#-\[\]-~]*)",'
+    rb'"status":"(started|finished)"\}'
+).fullmatch
 
 
 class JournalBusyError(RuntimeError):
@@ -126,7 +140,9 @@ def _line(payload: Dict[str, Any]) -> bytes:
 
 
 def _mark_line(key: str, index: int, status: str) -> bytes:
-    return _line({"key": key, "index": index, "status": status})
+    """``_line({"key": key, "index": index, "status": status})``, spelled out."""
+    key = encode_basestring_ascii(key)
+    return f'{{"index":{index:d},"key":{key},"status":"{status}"}}\n'.encode()
 
 
 def _fold(data: bytes) -> Optional[Dict[str, Any]]:
@@ -136,7 +152,7 @@ def _fold(data: bytes) -> Optional[Dict[str, Any]]:
     ``complete``/``release`` op.  Folding stops at the first line that
     is torn (the tail has no newline) or is not one of those — a prefix
     of the transitions, never a phantom key.  No readable header means
-    no journal.
+    no journal.  Lines :data:`_CANONICAL_MARK` matches skip ``json.loads``.
     """
     lines = data.split(b"\n")
     lines.pop()  # what follows the last newline: empty, or a torn tail
@@ -150,6 +166,10 @@ def _fold(data: bytes) -> Optional[Dict[str, Any]]:
     state = {**header, "status": "running", "points": points}
     for raw in lines[1:]:
         try:
+            if (mark := _CANONICAL_MARK(raw)) is not None:
+                index, key, status = mark.groups()
+                points[key.decode()] = {"status": status.decode(), "index": int(index)}
+                continue
             entry = json.loads(raw)
             op = entry.get("op")
             if op is None:
@@ -186,7 +206,9 @@ class SweepJournal:
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
     ) -> None:
         self.scenario = scenario
-        self.path = Path(root) / JOURNAL_DIR / f"{scenario}{JOURNAL_SUFFIX}"
+        self._dir = os.path.join(root, JOURNAL_DIR)
+        self._path = os.path.join(self._dir, f"{scenario}{JOURNAL_SUFFIX}")
+        self.path = Path(self._path)
         self.lease_seconds = float(lease_seconds)
         self._state: Optional[Dict[str, Any]] = None
         #: This journal object's lease identity.  The pid alone cannot
@@ -214,7 +236,7 @@ class SweepJournal:
         pre-journal behaviour.
         """
         try:
-            return _fold(self.path.read_bytes())
+            return _fold(_read_bytes(self._path))
         except OSError:
             return None
 
@@ -225,16 +247,6 @@ class SweepJournal:
             for key, entry in state["points"].items()
             if entry["status"] == status
         }
-
-    def midflight_keys(self) -> Set[str]:
-        """Keys journaled as started but never finished (current state)."""
-        state = self._state or self.load()
-        return self._keys_in(state, _STARTED) if state else set()
-
-    def committed_keys(self) -> Set[str]:
-        """Keys journaled as finished (current state)."""
-        state = self._state or self.load()
-        return self._keys_in(state, _FINISHED) if state else set()
 
     @classmethod
     def status(cls, root, scenario: str) -> Optional[Dict[str, Any]]:
@@ -360,17 +372,17 @@ class SweepJournal:
             _mark_line(key, entry["index"], entry["status"])
             for key, entry in state["points"].items()
         )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(self._dir, exist_ok=True)
         # Named by the token: two drivers racing `begin` never share one.
-        temp = self.path.with_name(
-            f"{self.scenario}.{self._token}{JOURNAL_SUFFIX}.tmp"
+        temp = os.path.join(
+            self._dir, f"{self.scenario}.{self._token}{JOURNAL_SUFFIX}.tmp"
         )
         self._fd = os.open(
             temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND, 0o666
         )
         try:
             self._append(log)
-            os.replace(temp, self.path)
+            os.replace(temp, self._path)
         except BaseException:
             self._close()
             raise
@@ -391,7 +403,7 @@ class SweepJournal:
     def _lease_age(self) -> Optional[float]:
         """Seconds since the journal file was last touched, or ``None``."""
         try:
-            return max(0.0, time.time() - self.path.stat().st_mtime)
+            return max(0.0, time.time() - os.stat(self._path).st_mtime)
         except OSError:
             return None
 
@@ -437,7 +449,7 @@ class SweepJournal:
                 f"journal.{transition} without the lease: call begin() first"
             )
         try:
-            inode = os.stat(self.path).st_ino
+            inode = os.stat(self._path).st_ino
         except FileNotFoundError:
             # Journal lost entirely — rewriting it is recovery.
             self._install()

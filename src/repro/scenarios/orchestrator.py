@@ -42,8 +42,9 @@ from repro.scenarios.store import (
     STORE_GENERATION,
     ResultStore,
     StoreIntegrityError,
+    content_key,
     finalize_record,
-    point_cache_key,
+    key_base,
 )
 from repro.util.validation import check_positive_int
 
@@ -93,11 +94,10 @@ def resolve_entries(
     effective_trials = spec.trials if trials is None else trials
     check_positive_int(effective_trials, "trials", minimum=0)
     entries: List[PointEntry] = []
+    base = key_base(spec, effective_trials)
     for point in spec.points():
         resolved = spec.point_tolerance(point.values, base=tolerance)
-        key = point_cache_key(
-            spec, point.values, trials=effective_trials, tolerance=resolved
-        )
+        key = content_key(base, {**spec.fixed, **point.values}, resolved)
         label = (
             " ".join(
                 f"{name}={value}" for name, value in point.values.items()

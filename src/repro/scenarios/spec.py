@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.experiments.engine import (
+from repro.util.stats import (
     DEFAULT_CHECK_INTERVAL,
     DEFAULT_CHECKPOINT_BATCHES,
     DEFAULT_MIN_TRIALS,

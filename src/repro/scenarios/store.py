@@ -36,6 +36,11 @@ moves them into a ``.quarantine/`` directory (never deletes), and the
 next sweep recomputes exactly the quarantined points.  Dot-directories
 under the root (``.quarantine/``, ``.journal/``) are store-internal and
 invisible to content-key lookups.
+
+A read opens the record's string path once (no ``Path`` join, no stat
+first); only a miss lists the root for the sibling scan, and ``keys`` and
+``verify`` list each directory once.  Bytes that are not UTF-8 are
+corrupt, like torn JSON; an undecodable claim file reads as torn.
 """
 
 from __future__ import annotations
@@ -45,9 +50,10 @@ import json
 import os
 import time
 import uuid
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.scenarios.spec import ScenarioSpec
 
@@ -104,6 +110,23 @@ def _pid_alive(pid: Any) -> bool:
     except (PermissionError, OSError):
         return True
     return True
+
+
+def _read_bytes(path: str | os.PathLike) -> bytes:
+    """A file's bytes through one descriptor: no buffered file object."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 65536):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
+
+
+def _parse_record(data: bytes) -> Any:
+    """A record file's JSON; ``ValueError`` (corrupt) if not UTF-8 or not JSON."""
+    return json.loads(data.decode("utf-8"))
 
 
 class StoreIntegrityError(ValueError):
@@ -184,20 +207,30 @@ def point_cache_key(
     ``trials`` defaults to the spec's; ``tolerance`` is the *resolved*
     per-point tolerance (after any schedule), not the base.
     """
+    return content_key(
+        key_base(spec, trials), {**spec.fixed, **point_values}, tolerance
+    )
+
+
+def key_base(spec: ScenarioSpec, trials: Optional[int] = None) -> Dict[str, Any]:
+    """The half of a point's key payload that every point of ``spec`` shares."""
     engine_payload = spec.engine.to_dict()
     # A pinned execution backend never reaches the key: by the
     # determinism contract transport topology (jobs, workers, chunking)
     # never changes results, so the engine payload here is byte-identical
     # to the pre-backend format and existing stores stay valid.
     engine_payload.pop("backend", None)
-    payload = {
+    return {
         "kind": spec.kind,
-        "params": {**spec.fixed, **point_values},
         "trials": spec.trials if trials is None else trials,
         "seed": spec.seed,
-        "tolerance": tolerance,
         "engine": engine_payload,
     }
+
+
+def content_key(base: Mapping[str, Any], params: Mapping[str, Any], tolerance) -> str:
+    """A point's key from :func:`key_base`, its params and its tolerance."""
+    payload = {**base, "params": params, "tolerance": tolerance}
     digest = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
     return digest[:_KEY_HEX_CHARS]
 
@@ -207,26 +240,35 @@ class ResultStore:
 
     def __init__(self, root) -> None:
         self.root = Path(root)
+        self._prefix = os.path.join(self.root, "")  # record paths concatenate
 
     def __repr__(self) -> str:
         return f"ResultStore({str(self.root)!r})"
 
     def path_for(self, scenario: str, key: str) -> Path:
-        return self.root / scenario / f"{key}.json"
+        return Path(f"{self._prefix}{scenario}{os.sep}{key}.json")
 
     def quarantine_dir(self, scenario: str) -> Path:
         """Where :meth:`repair` parks a scenario's failed records."""
         return self.root / ".quarantine" / scenario
 
-    def _scenario_dirs(self) -> List[Path]:
+    def _scenario_names(self) -> List[str]:
         """The record directories, dot-dirs (quarantine, journal) excluded."""
-        if not self.root.is_dir():
+        try:
+            with os.scandir(self._prefix) as entries:
+                return sorted(
+                    entry.name
+                    for entry in entries
+                    if entry.is_dir() and not entry.name.startswith(".")
+                )
+        except (FileNotFoundError, NotADirectoryError):
             return []
-        return sorted(
-            entry
-            for entry in self.root.iterdir()
-            if entry.is_dir() and not entry.name.startswith(".")
-        )
+
+    def _candidates(self, scenario: str, key: str) -> Iterator[str]:
+        """A key's record paths: its scenario's, then (on a miss) every one's."""
+        yield f"{self._prefix}{scenario}{os.sep}{key}.json"
+        for sibling in self._scenario_names():
+            yield f"{self._prefix}{sibling}{os.sep}{key}.json"
 
     def find(self, scenario: str, key: str) -> Optional[Path]:
         """Locate a content key: the scenario's directory, then any sibling.
@@ -235,49 +277,44 @@ class ResultStore:
         practice: a renamed scenario (or an overlapping grid saved under
         another name) hits the same records instead of recomputing.
         """
-        preferred = self.path_for(scenario, key)
-        if preferred.is_file():
-            return preferred
-        for entry in self._scenario_dirs():
-            candidate = entry / f"{key}.json"
-            if candidate.is_file():
-                return candidate
+        for path in self._candidates(scenario, key):
+            if os.path.isfile(path):
+                return Path(path)
         return None
 
     def has(self, scenario: str, key: str) -> bool:
         return self.find(scenario, key) is not None
 
+    def _read(self, scenario: str, key: str) -> Tuple[str, bytes]:
+        """A key's record path and bytes, from the first place that opens."""
+        for path in self._candidates(scenario, key):
+            try:
+                return path, _read_bytes(path)
+            except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+                continue
+        raise FileNotFoundError(
+            f"no cached record for key {key!r} (scenario {scenario!r}) "
+            f"under {self.root}"
+        )
+
     def load(self, scenario: str, key: str) -> Dict[str, Any]:
-        path = self.find(scenario, key)
-        if path is None:
-            raise FileNotFoundError(
-                f"no cached record for key {key!r} (scenario {scenario!r}) "
-                f"under {self.root}"
-            )
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        return _parse_record(self._read(scenario, key)[1])
 
     def load_verified(self, scenario: str, key: str) -> Dict[str, Any]:
         """Load one record, raising :class:`StoreIntegrityError` if bad.
 
-        The cache-trusting load for resumes: torn/corrupt JSON and
-        missing or mismatched checksums raise instead of poisoning the
-        sweep.
+        The cache-trusting load for resumes: torn/corrupt JSON, bytes
+        that are not UTF-8 and missing or mismatched checksums raise
+        instead of poisoning the sweep.
         """
-        path = self.find(scenario, key)
-        if path is None:
-            raise FileNotFoundError(
-                f"no cached record for key {key!r} (scenario {scenario!r}) "
-                f"under {self.root}"
-            )
+        path, data = self._read(scenario, key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except json.JSONDecodeError:
-            raise StoreIntegrityError(path, "corrupt") from None
+            record = _parse_record(data)
+        except ValueError:
+            raise StoreIntegrityError(Path(path), "corrupt") from None
         status = verify_record(record)
         if status != "ok":
-            raise StoreIntegrityError(path, status)
+            raise StoreIntegrityError(Path(path), status)
         return record
 
     def quarantine(self, path: Path) -> Path:
@@ -387,28 +424,30 @@ class ResultStore:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            # Torn or mid-write: fresh by mtime, so keep it.
+        except (OSError, ValueError):
+            # Torn, mid-write or undecodable: fresh by mtime, so keep it.
             return False
         return isinstance(payload, dict) and not _pid_alive(payload.get("pid"))
 
+    def _listing(self, scenario: str) -> Tuple[str, List[str]]:
+        """A scenario directory's path and sorted entry names (none if absent)."""
+        directory = f"{self._prefix}{scenario}"
+        try:
+            return directory, sorted(os.listdir(directory))
+        except (FileNotFoundError, NotADirectoryError):
+            return directory, []
+
     def keys(self, scenario: str) -> List[str]:
         """The cached point keys of a scenario (sorted for determinism)."""
-        directory = self.root / scenario
-        if not directory.is_dir():
-            return []
-        return sorted(path.stem for path in directory.glob("*.json"))
+        _, names = self._listing(scenario)
+        return sorted(name[:-5] for name in names if name.endswith(".json"))
 
     def count(self, scenario: str) -> int:
         return len(self.keys(scenario))
 
     def scenarios(self) -> List[str]:
         """Scenario names that have at least one cached point."""
-        return sorted(
-            entry.name
-            for entry in self._scenario_dirs()
-            if any(entry.glob("*.json"))
-        )
+        return [name for name in self._scenario_names() if self.keys(name)]
 
     # -- integrity ---------------------------------------------------------
 
@@ -423,28 +462,25 @@ class ResultStore:
         but a verify after a driver SIGKILL should name them.
         """
         report = VerifyReport(scenario=scenario)
-        directories = (
-            [self.root / scenario]
-            if scenario is not None
-            else self._scenario_dirs()
-        )
-        for directory in directories:
-            if not directory.is_dir():
-                continue
-            for orphan in sorted(directory.glob("*.json.tmp")):
-                report.orphans.append(orphan)
-            for path in sorted(directory.glob("*.json")):
+        scenarios = [scenario] if scenario is not None else self._scenario_names()
+        for name in scenarios:
+            directory, names = self._listing(name)
+            for entry in names:
+                path = f"{directory}{os.sep}{entry}"
+                if entry.endswith(".json.tmp"):
+                    report.orphans.append(Path(path))
+                if not entry.endswith(".json"):
+                    continue
                 report.scanned += 1
                 try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        record = json.load(handle)
-                except (OSError, json.JSONDecodeError):
-                    report.corrupt.append(path)
+                    record = _parse_record(_read_bytes(path))
+                except (OSError, ValueError):
+                    report.corrupt.append(Path(path))
                     continue
                 if verify_record(record) == "ok":
                     report.ok += 1
                 else:
-                    report.mismatched.append(path)
+                    report.mismatched.append(Path(path))
         return report
 
     def repair(self, scenario: Optional[str] = None) -> "VerifyReport":
@@ -490,42 +526,37 @@ class ResultStore:
         report = GcReport(
             dry_run=dry_run, purge_quarantine=purge_quarantine
         )
-        if not self.root.is_dir():
-            return report
-        directories = self._scenario_dirs()
+        scenario_names = self._scenario_names()
         now = time.time()
-        for directory in directories:
-            for orphan in sorted(directory.glob("*.json.tmp")):
+
+        def age_gate(paths, aged: List[Path], fresh: List[Path]) -> None:
+            for path in paths:
                 try:
-                    age = now - orphan.stat().st_mtime
+                    age = now - path.stat().st_mtime
                 except OSError:
                     continue  # renamed/removed underneath us: not ours
-                if age >= tmp_grace_seconds:
-                    report.orphans.append(orphan)
-                else:
-                    report.fresh_tmp.append(orphan)
+                (aged if age >= tmp_grace_seconds else fresh).append(path)
+
+        for name in scenario_names:
+            directory, names = self._listing(name)
+
+            def having(suffix: str) -> List[Path]:
+                return [Path(directory, n) for n in names if n.endswith(suffix)]
+
+            tmp = having(".json.tmp") + having(f"{CLAIM_SUFFIX}.tmp")
+            age_gate(tmp, report.orphans, report.fresh_tmp)
             # In-flight point claims: a dead owner's (or aged-out) claim
             # is abandoned and collected; a live driver's claim is kept —
             # gc next to a running sweep must never steal its dedup lock.
-            for claim in sorted(directory.glob(f"*{CLAIM_SUFFIX}")):
+            for claim in having(CLAIM_SUFFIX):
                 if self._claim_is_stale(claim, tmp_grace_seconds):
                     report.stale_claims.append(claim)
                 else:
                     report.fresh_claims.append(claim)
-            for claim_tmp in sorted(directory.glob(f"*{CLAIM_SUFFIX}.tmp")):
+            for path in having(".json"):
                 try:
-                    age = now - claim_tmp.stat().st_mtime
-                except OSError:
-                    continue
-                if age >= tmp_grace_seconds:
-                    report.orphans.append(claim_tmp)
-                else:
-                    report.fresh_tmp.append(claim_tmp)
-            for path in sorted(directory.glob("*.json")):
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        record = json.load(handle)
-                except (OSError, json.JSONDecodeError):
+                    record = _parse_record(_read_bytes(path))
+                except (OSError, ValueError):
                     report.corrupt.append(path)
                     continue
                 if not isinstance(record, dict):
@@ -542,38 +573,25 @@ class ResultStore:
         # tmp files get the ordinary orphan treatment.
         journal_root = self.root / JOURNAL_DIR
         if journal_root.is_dir():
-            live = {
-                directory.name
-                for directory in directories
-                if any(directory.glob("*.json"))
-            }
-            for orphan in sorted(journal_root.glob(f"*{JOURNAL_SUFFIX}.tmp")):
-                try:
-                    age = now - orphan.stat().st_mtime
-                except OSError:
-                    continue
-                if age >= tmp_grace_seconds:
-                    report.orphans.append(orphan)
-                else:
-                    report.fresh_tmp.append(orphan)
-            for journal in sorted(journal_root.glob(f"*{JOURNAL_SUFFIX}")):
-                if journal.stem in live:
-                    continue
-                try:
-                    age = now - journal.stat().st_mtime
-                except OSError:
-                    continue
-                if age >= tmp_grace_seconds:
-                    report.journal_orphans.append(journal)
-                else:
-                    report.fresh_journals.append(journal)
+            live = set(self.scenarios())
+            journal_tmp = sorted(journal_root.glob(f"*{JOURNAL_SUFFIX}.tmp"))
+            age_gate(journal_tmp, report.orphans, report.fresh_tmp)
+            age_gate(
+                sorted(
+                    journal
+                    for journal in journal_root.glob(f"*{JOURNAL_SUFFIX}")
+                    if journal.stem not in live
+                ),
+                report.journal_orphans,
+                report.fresh_journals,
+            )
         quarantine_root = self.root / ".quarantine"
         if quarantine_root.is_dir():
             report.quarantined.extend(sorted(quarantine_root.rglob("*.json")))
         if not dry_run:
             for path in report.removed_paths():
                 path.unlink(missing_ok=True)
-            sweep_dirs = list(directories)
+            sweep_dirs = [self.root / name for name in scenario_names]
             if journal_root.is_dir():
                 sweep_dirs.append(journal_root)
             if purge_quarantine and quarantine_root.is_dir():
@@ -607,7 +625,7 @@ class PointClaim:
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return
         if isinstance(payload, dict) and payload.get("token") == self.token:
             try:

@@ -12,6 +12,12 @@ from typing import Sequence, Tuple
 
 from repro.util.validation import check_probability
 
+#: The trial engine's stopping-rule defaults (see ``TrialEngine``), here so
+#: a scenario spec can default to them without importing the engine.
+DEFAULT_MIN_TRIALS = 100
+DEFAULT_CHECK_INTERVAL = 100
+DEFAULT_CHECKPOINT_BATCHES = 4
+
 
 def binomial_pmf(successes: int, trials: int, probability: float) -> float:
     """Probability of exactly ``successes`` in ``trials`` Bernoulli draws."""

@@ -129,6 +129,17 @@ class TestColdStart:
         )
         assert loaded == []
 
+    @pytest.mark.parametrize(
+        "module", ["repro.scenarios.store", "repro.scenarios.journal"]
+    )
+    def test_the_store_and_the_journal_load_no_trial_engine(self, module):
+        """Reading a store or a journal runs no trial: the spec's engine
+        defaults come from ``repro.util.stats``, not the engine."""
+        loaded = self._loaded_after(
+            module, "repro.experiments.engine", "multiprocessing", "numpy"
+        )
+        assert loaded == []
+
     def test_importing_keyshare_does_not_import_scipy_stats(self):
         loaded = self._loaded_after(
             "repro.core.schemes.keyshare", "scipy.special", "scipy.stats"

@@ -17,13 +17,15 @@ from repro.scenarios.journal import (
     JournalBusyError,
     JournalOwnershipLost,
     SweepJournal,
+    _fold,
+    _mark_line,
     sweep_spec_hash,
 )
 from repro.api import run_sweep
 from repro.scenarios.orchestrator import SweepOrchestrator
 from repro.scenarios.runners import _RUNNERS, register_kind
 from repro.scenarios.spec import Axis, ScenarioSpec
-from repro.scenarios.store import ResultStore
+from repro.scenarios.store import ResultStore, canonical_json
 
 
 @pytest.fixture
@@ -96,6 +98,11 @@ def complete_lines(path) -> list:
     return [json.loads(line) for line in data[: data.rfind(b"\n") + 1].splitlines()]
 
 
+def marks(journal) -> dict:
+    """Key -> last mark, as the journal on disk has it."""
+    return {key: entry["status"] for key, entry in journal.load()["points"].items()}
+
+
 class TestSpecHash:
     def test_deterministic_and_order_sensitive(self):
         assert sweep_spec_hash(["a", "b"]) == sweep_spec_hash(["a", "b"])
@@ -109,12 +116,12 @@ class TestStateMachine:
         journal = SweepJournal(tmp_path, "scn")
         assert journal.begin("hash1", 2) == set()
         journal.point_started("k1", 0)
-        assert journal.midflight_keys() == {"k1"}
+        assert marks(journal) == {"k1": "started"}
         journal.point_finished("k1", 0)
-        assert journal.midflight_keys() == set()
-        assert journal.committed_keys() == {"k1"}
+        assert marks(journal) == {"k1": "finished"}
         journal.point_started("k2", 1)
         journal.point_finished("k2", 1)
+        assert marks(journal) == {"k1": "finished", "k2": "finished"}
         journal.complete()
         status = SweepJournal.status(tmp_path, "scn")
         assert status["status"] == "complete"
@@ -149,7 +156,7 @@ class TestStateMachine:
         first.release()
         second = SweepJournal(tmp_path, "scn")
         assert second.begin("hash2", 3) == set()
-        assert second.midflight_keys() == set()
+        assert marks(second) == {}
 
     def test_completed_sweep_resumes_clean(self, tmp_path):
         first = SweepJournal(tmp_path, "scn")
@@ -676,3 +683,175 @@ class TestProperties:
         )
         assert journal.path.read_bytes().count(b"\n") == 2003
         journal.release()
+
+
+# -- the fold's byte-level contract -------------------------------------------
+
+
+def fold_per_line(data):
+    """The fold as it was before canonical marks skipped ``json.loads``:
+    every line parsed on its own, kept as the oracle for :func:`_fold`."""
+    lines = data.split(b"\n")
+    lines.pop()
+    try:
+        header = json.loads(lines[0])
+        if not isinstance(header["spec_hash"], str):
+            return None
+    except (IndexError, ValueError, KeyError, TypeError):
+        return None
+    points = {}
+    state = {**header, "status": "running", "points": points}
+    for raw in lines[1:]:
+        try:
+            entry = json.loads(raw)
+            op = entry.get("op")
+            if op is None:
+                status = entry["status"]
+                if status not in ("started", "finished"):
+                    break
+                points[entry["key"]] = {
+                    "status": status,
+                    "index": entry["index"],
+                }
+            elif op == "complete":
+                state["status"] = "complete"
+                state["owner"] = None
+            elif op == "release":
+                state["owner"] = None
+            else:
+                break
+        except (ValueError, KeyError, TypeError, AttributeError):
+            break
+    return state
+
+
+TEXT_KEYS = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f'),
+    max_size=12,
+)
+INDICES = st.integers() | st.integers(min_value=-(10**40), max_value=10**40)
+STATUSES = st.sampled_from(["started", "finished"])
+HEADER = (
+    b'{"owner":{"pid":1,"token":"t"},"scenario":"scn","schema":2,'
+    b'"spec_hash":"h","total_points":3}'
+)
+#: Lines that look almost like a canonical mark, or are one spelled
+#: another way: the fold must read each exactly as ``json.loads`` does.
+NEAR_CANONICAL = [
+    b'{"index":01,"key":"k","status":"started"}',
+    b'{"index":-0,"key":"k","status":"started"}',
+    b'{"index":-01,"key":"k","status":"started"}',
+    b'{"index":1.0,"key":"k","status":"started"}',
+    b'{"index":1e2,"key":"k","status":"started"}',
+    b'{"index":1,"key":"\\u00E9","status":"started"}',
+    b'{"index":1,"key":"\\u00e9","status":"finished"}',
+    b'{"index":1,"key":"\\u0061","status":"started"}',
+    b'{"index":1,"key":"\\/","status":"started"}',
+    b'{"index":1,"key":"k\x01","status":"started"}',
+    b'{"index":1,"key":"k\x1f","status":"started"}',
+    b'{"index":1,"key":"k\x7f","status":"started"}',
+    b'{"index":1,"key":"k\t","status":"started"}',
+    b'{"index":1,"key":"k\xc3\xa9","status":"started"}',
+    b'{"index":1,"key":"k\xff","status":"started"}',
+    b'{ "index": 1, "key": "k", "status": "started" }',
+    b'{"index":1,"key":"k","status":"started"} ',
+    b'{"index":1,"key":"k","status":"started"}\r',
+    b'{"index":1,"key":"k","status":"started"}x',
+    b'{"index":1,"key":"k","status":"started"}{"op":"complete"}',
+    b'\xef\xbb\xbf{"index":1,"key":"k","status":"started"}',
+    b'{"index":1,"key":"k","status":"started","index":2}',
+    b'{"index":1,"key":"k","status":"started","x":1}',
+    b'{"index":1,"key":"k","status":"weird"}',
+    b'{"index":1,"key":"k","status":"Started"}',
+    b'{"key":"k","status":"started"}',
+    b'{"index":1,"key":7,"status":"started"}',
+    b'{"index":1,"key":"k","status":"started","op":"complete"}',
+    b'{"index":' + b"9" * 5000 + b',"key":"k","status":"started"}',
+    b'{"op":"complete"}',
+    b'{"op":"release"}',
+    b'{"op":"other"}',
+    b'{"op":null,"index":2,"key":"n","status":"finished"}',
+    b"[]",
+    b'"started"',
+    b"",
+    b"\xff",
+]
+GOOD_MARK = b'{"index":2,"key":"after","status":"finished"}'
+
+
+def mutated(line: bytes, position: int, byte: int) -> bytes:
+    """``line`` with one byte replaced: a canonical mark one edit away."""
+    position %= len(line)
+    return line[:position] + bytes([byte]) + line[position + 1 :]
+
+
+MARK_LINES = st.builds(
+    lambda key, index, status: _mark_line(key, index, status)[:-1],
+    TEXT_KEYS | st.sampled_from(["k", "0123abcdef", "k0"]),
+    INDICES,
+    STATUSES,
+)
+LOG_LINES = st.lists(
+    MARK_LINES
+    | st.sampled_from(NEAR_CANONICAL)
+    | st.builds(mutated, MARK_LINES, st.integers(0, 200), st.integers(0, 255))
+    | st.binary(max_size=16),
+    max_size=12,
+)
+
+
+def assert_same_fold(data):
+    folded, oracle = _fold(data), fold_per_line(data)
+    assert folded == oracle
+    if oracle is not None:
+        assert list(folded["points"].items()) == list(oracle["points"].items())
+
+
+class TestFoldBytes:
+    """Canonical marks are read without ``json.loads``; every byte string
+    still folds to what a per-line ``json.loads`` fold gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(TEXT_KEYS, INDICES, STATUSES)
+    def test_mark_line_is_the_canonical_encoding(self, key, index, status):
+        payload = {"key": key, "index": index, "status": status}
+        assert _mark_line(key, index, status) == (
+            canonical_json(payload) + "\n"
+        ).encode("utf-8")
+
+    @pytest.mark.parametrize("line", NEAR_CANONICAL)
+    def test_each_near_canonical_line_folds_as_json_reads_it(self, line):
+        assert_same_fold(b"\n".join([HEADER, line, GOOD_MARK]) + b"\n")
+
+    @pytest.mark.parametrize("header", [b'{"spec_hash":7}', b"{", b"", b"[]"])
+    def test_a_bad_header_is_no_journal(self, header):
+        assert _fold(header + b"\n" + GOOD_MARK + b"\n") is None
+        assert_same_fold(header + b"\n" + GOOD_MARK + b"\n")
+
+    @settings(max_examples=400, deadline=None)
+    @given(LOG_LINES, st.binary(max_size=8))
+    def test_fold_equals_the_per_line_fold(self, lines, tail):
+        """Any lines, any torn tail: the same state, in the same order."""
+        assert_same_fold(b"\n".join([HEADER, *lines]) + b"\n" + tail)
+
+    def test_a_resumed_log_is_read_without_json_loads(self, tmp_path, monkeypatch):
+        journal = SweepJournal(tmp_path, "scn")
+        journal.begin("hash1", 3)
+        for index, key in enumerate(["k0", "k1", "k2"]):
+            journal.point_started(key, index)
+            journal.point_finished(key, index)
+        journal.complete()
+        parsed = []
+        real_loads = json.loads
+        monkeypatch.setattr(
+            json, "loads", lambda raw: parsed.append(raw) or real_loads(raw)
+        )
+        state = SweepJournal(tmp_path, "scn").load()
+        # The header and the closing op only: no mark line is parsed.
+        header = journal.path.read_bytes().split(b"\n")[0]
+        assert parsed == [header, b'{"op":"complete"}']
+        assert {key: entry["status"] for key, entry in state["points"].items()} == {
+            "k0": "finished",
+            "k1": "finished",
+            "k2": "finished",
+        }

@@ -59,6 +59,12 @@ def serve(store, compute, span=None, **kwargs):
     )
 
 
+def marks(store):
+    """Key -> last mark, as the journal on disk has it."""
+    state = SweepJournal(store.root, SPEC.name).load()
+    return {key: entry["status"] for key, entry in state["points"].items()}
+
+
 def commit(store):
     """What another driver's finished point leaves in the store."""
     record = build_point_record(SPEC, ENTRY, TRIALS, dict(RESULT))
@@ -182,13 +188,12 @@ class TestCommitOrder:
         def while_computing():
             # Write-ahead: the intent is on disk before the claim is
             # taken, and stays mid-flight until the record has landed.
-            assert journal.midflight_keys() == {ENTRY.key}
+            assert marks(store) == {ENTRY.key: "started"}
             assert claim_path.exists()
 
         try:
             serve(store, Compute(while_computing), journal=journal)
-            assert journal.committed_keys() == {ENTRY.key}
-            assert journal.midflight_keys() == set()
+            assert marks(store) == {ENTRY.key: "finished"}
         finally:
             journal.release()
 
@@ -204,6 +209,6 @@ class TestCommitOrder:
                 serve(store, explode, journal=journal)
             assert not store.claim_path(SPEC.name, ENTRY.key).exists()
             assert not store.has(SPEC.name, ENTRY.key)
-            assert journal.midflight_keys() == {ENTRY.key}
+            assert marks(store) == {ENTRY.key: "started"}
         finally:
             journal.release()

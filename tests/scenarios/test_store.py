@@ -1,14 +1,16 @@
 """Result store: content-addressed keys, persistence, atomicity, integrity."""
 
 import dataclasses
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.backends.base import BackendSpec
-from repro.scenarios import get_scenario
-from repro.scenarios.orchestrator import SweepOrchestrator
+from repro.scenarios import builtin_scenarios, get_scenario
+from repro.scenarios.orchestrator import SweepOrchestrator, resolve_entries
 from repro.scenarios.spec import Axis, EngineSettings, ScenarioSpec
 from repro.scenarios.store import (
     STORE_GENERATION,
@@ -115,6 +117,37 @@ class TestCacheKeys:
     def test_canonical_json_is_order_insensitive(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
 
+    @staticmethod
+    def key_oracle(spec, values, trials, tolerance) -> str:
+        """The key payload as one dict per point, hashed the long way."""
+        engine = spec.engine.to_dict()
+        engine.pop("backend", None)
+        payload = {
+            "kind": spec.kind,
+            "params": {**spec.fixed, **values},
+            "trials": trials,
+            "seed": spec.seed,
+            "tolerance": tolerance,
+            "engine": engine,
+        }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+
+    @pytest.mark.parametrize("overrides", [{}, {"trials": 7, "tolerance": 0.03}])
+    def test_resolved_keys_equal_point_cache_key_for_every_scenario(self, overrides):
+        """``resolve_entries`` builds each spec's shared key half once;
+        every point's key is still the one-point ``point_cache_key``."""
+        points = 0
+        for spec in builtin_scenarios().values():
+            spec, trials, entries = resolve_entries(spec, **overrides)
+            for entry in entries:
+                values = entry.point.values
+                assert entry.key == point_cache_key(
+                    spec, values, trials=trials, tolerance=entry.tolerance
+                ) == self.key_oracle(spec, values, trials, entry.tolerance)
+            points += len(entries)
+        assert points > 500
+
 
 class TestResultStore:
     def test_save_load_round_trip(self, tmp_path):
@@ -174,6 +207,27 @@ class TestResultStore:
         store.save("new-name", "abc", newer)
         assert store.load("new-name", "abc")["result"] == newer["result"]
         assert store.load("old-name", "abc")["result"] == record["result"]
+
+    def test_a_finished_sweep_reruns_without_path_stats_or_globs(
+        self, tmp_path, monkeypatch
+    ):
+        """A cache hit is one open of a string path: no ``Path.is_file``
+        probe before it, no ``Path.glob`` scan, no ``Path.stat``."""
+        store = ResultStore(tmp_path)
+        spec = get_scenario("smoke")
+        first = SweepOrchestrator(store=store).run(spec)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the re-read path called a Path stat or glob")
+
+        with monkeypatch.context() as patched:
+            for name in ("is_file", "glob", "stat"):
+                patched.setattr(Path, name, refuse)
+            again = SweepOrchestrator(store=ResultStore(tmp_path)).run(spec)
+        assert (again.computed, again.cached) == (0, len(first.records))
+        assert [r["checksum"] for r in again.records] == [
+            r["checksum"] for r in first.records
+        ]
 
     def test_load_of_missing_key_is_a_clear_error(self, tmp_path):
         import pytest
@@ -421,6 +475,45 @@ class TestIntegrity:
         assert store.repair().quarantined == []
 
 
+    @staticmethod
+    def rotted(tmp_path):
+        """A smoke store with one byte of one record rotted into ``0xff``
+        (invalid UTF-8 anywhere); returns the store, the spec, the victim
+        and its pristine bytes."""
+        store = ResultStore(tmp_path)
+        spec = get_scenario("smoke")
+        SweepOrchestrator(store=store).run(spec, trials=20)
+        victim = sorted((tmp_path / "smoke").glob("*.json"))[0]
+        pristine = victim.read_bytes()
+        victim.write_bytes(pristine[:40] + b"\xff" + pristine[41:])
+        return store, spec, victim, pristine
+
+    def test_undecodable_record_is_corrupt_not_a_crash(self, tmp_path):
+        store, _, victim, _ = self.rotted(tmp_path)
+        with pytest.raises(StoreIntegrityError, match="corrupt") as damage:
+            store.load_verified("smoke", victim.stem)
+        assert damage.value.path == victim
+        report = store.verify()
+        assert [p.name for p in report.corrupt] == [victim.name]
+        assert (report.scanned, report.ok) == (2, 1)
+        assert store.gc(dry_run=True).corrupt == [victim]
+
+    def test_repair_quarantines_an_undecodable_record(self, tmp_path):
+        store, _, victim, _ = self.rotted(tmp_path)
+        assert store.repair().quarantined == [
+            store.quarantine_dir("smoke") / victim.name
+        ]
+        assert not store.has("smoke", victim.stem)
+        assert store.verify().clean
+
+    def test_rerun_recomputes_an_undecodable_record(self, tmp_path):
+        store, spec, victim, pristine = self.rotted(tmp_path)
+        report = SweepOrchestrator(store=store).run(spec, trials=20)
+        assert (report.computed, report.cached) == (1, 1)
+        assert victim.read_bytes() == pristine
+        assert (store.quarantine_dir("smoke") / victim.name).is_file()
+
+
 class TestPointClaims:
     """In-flight claims: exclusive acquire, expiry, gc awareness, no-op save."""
 
@@ -471,6 +564,23 @@ class TestPointClaims:
         held.release()
         assert store.claim_path("scn", "k1").exists()
         takeover.release()
+
+    def test_undecodable_claim_reads_as_torn(self, tmp_path):
+        """A fresh claim file whose bytes are not UTF-8 is kept, like a
+        torn one: whoever wrote it may still be alive."""
+        store = ResultStore(tmp_path)
+        path = store.claim_path("scn", "k1")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b'{"pid":\xff}\n')
+        assert store.claim("scn", "k1") is None
+        assert store.gc(dry_run=True).fresh_claims == [path]
+
+    def test_release_of_an_undecodable_claim_is_quiet(self, tmp_path):
+        store = ResultStore(tmp_path)
+        claim = store.claim("scn", "k1")
+        claim.path.write_bytes(b"\xff")
+        claim.release()  # not ours to judge: no error, nothing deleted
+        assert claim.path.read_bytes() == b"\xff"
 
     def test_claims_are_invisible_to_record_scans(self, tmp_path):
         store = ResultStore(tmp_path)

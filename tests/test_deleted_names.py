@@ -154,6 +154,9 @@ DELETED = (
     r"\bspawn_sources\b",
     r"\bchunk_bytes\b",
     r"\bbytes_to_int\b",
+    # A journal's state is read one way, from disk (``load``/``status``).
+    r"\bmidflight_keys\b",
+    r"\bcommitted_keys\b",
 )
 
 #: Gone from ``src/`` only: the id-list distance helpers and the per-id
