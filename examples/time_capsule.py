@@ -2,8 +2,8 @@
 """A long-horizon time capsule: why key-share routing exists.
 
 The sender wants data hidden for *five node lifetimes* (α = 5 — the paper's
-harshest Fig. 7 panel).  This script contrasts the schemes analytically at
-that horizon and then demonstrates the failure mode concretely: with keys
+harshest Fig. 7 panel).  This script contrasts the schemes at that horizon
+through the churn model's exact forms, which show the failure mode: with keys
 pre-assigned to concrete holders (multipath), churn repairs keep handing
 the column keys to new nodes, and the release-ahead exposure grows; the
 key-share scheme stores nothing across periods so churn barely moves it.
@@ -11,20 +11,17 @@ key-share scheme stores nothing across periods so churn barely moves it.
 Run:  python examples/time_capsule.py
 """
 
-import numpy as np
-
 from repro.core import plan_configuration
 from repro.core.schemes.keyshare import plan_share_scheme
 from repro.experiments.churn_model import (
-    simulate_centralized,
-    simulate_key_share,
-    simulate_multipath,
+    centralized_churn,
+    key_share_churn,
+    multipath_churn,
 )
 from repro.experiments.reporting import format_series_table
 
 ALPHA = 5.0
 NETWORK = 10000
-TRIALS = 2000
 P_SWEEP = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
 
@@ -32,27 +29,19 @@ def main() -> None:
     rows = {"central": [], "disjoint": [], "joint": [], "share": []}
     for p in P_SWEEP:
         planning_rate = max(p, 0.05)
-        rng = np.random.default_rng(17)
-
-        rows["central"].append(
-            simulate_centralized(p, ALPHA, TRIALS, rng).worst
-        )
+        rows["central"].append(centralized_churn(p, ALPHA).worst)
         for scheme in ("disjoint", "joint"):
             configuration = plan_configuration(scheme, planning_rate, NETWORK)
-            outcome = simulate_multipath(
+            outcome = multipath_churn(
                 p,
                 ALPHA,
                 configuration.replication,
                 configuration.path_length,
-                TRIALS,
-                rng,
                 joint=(scheme == "joint"),
             )
             rows[scheme].append(outcome.worst)
         plan = plan_share_scheme(planning_rate, NETWORK, ALPHA, 1.0)
-        rows["share"].append(
-            simulate_key_share(plan, ALPHA, TRIALS, rng, malicious_rate=p).worst
-        )
+        rows["share"].append(key_share_churn(plan, malicious_rate=p).worst)
 
     print(
         format_series_table(

@@ -101,11 +101,6 @@ UNITS: Dict[str, str] = {
     "AdaptiveTrial": "repro.scenarios.runners",
     "MultipathAttackBatch": "repro.experiments.attack_kernels",
     "CentralAttackBatch": "repro.experiments.attack_kernels",
-    "CentralizedChurnBatch": "repro.experiments.churn_resilience",
-    "MultipathChurnBatch": "repro.experiments.churn_resilience",
-    "KeyShareChurnBatch": "repro.experiments.churn_resilience",
-    "MultipathAvailabilityBatch": "repro.experiments.availability",
-    "KeyShareAvailabilityBatch": "repro.experiments.availability",
     "EpochAvailabilityBatch": "repro.epoch.measure",
     "EpochTimelinessBatch": "repro.epoch.measure",
     "EpochAvailabilityTrial": "repro.epoch.oracle",
@@ -114,7 +109,6 @@ UNITS: Dict[str, str] = {
     "CentralizedScheme": "repro.core.schemes.centralized",
     "NodeDisjointScheme": "repro.core.schemes.disjoint",
     "NodeJointScheme": "repro.core.schemes.joint",
-    "SharePlan": "repro.core.schemes.keyshare",
 }
 
 #: The server role strings ``hello`` replies carry, so a client can tell a

@@ -9,8 +9,8 @@ Every scheme exposes the same surface:
 - ``evaluate_attacks(structure, population)`` — static attack outcome for
   one sampled structure (the Monte-Carlo inner loop).
 
-The churn-aware Monte Carlo lives in :mod:`repro.experiments.churn_model`
-because it is shared machinery across schemes.
+The churn-aware resilience (closed form) lives in
+:mod:`repro.experiments.churn_model` because it is shared across schemes.
 """
 
 from repro.core.schemes.base import Scheme

@@ -101,6 +101,25 @@ def _drop_tails(n: int, d: int, p: float) -> np.ndarray:
     return tails
 
 
+def path_resilience(
+    release_by_column: Sequence[float],
+    drop_by_column: Sequence[float],
+    replication: int,
+) -> Tuple[float, float]:
+    """Algorithm 1's lines 14-18: per-column attack-success rates → (Rr, Rd).
+
+    The ``k`` onion paths are independent: release-ahead needs every
+    column captured on at least one path, a drop needs one column starved
+    on all ``k`` paths.
+    """
+    release_failure = 1.0  # lines 14-17
+    drop_resilience = 1.0
+    for column_release, column_drop in zip(release_by_column, drop_by_column):
+        release_failure *= 1.0 - (1.0 - column_release) ** replication
+        drop_resilience *= 1.0 - column_drop ** replication
+    return 1.0 - release_failure, drop_resilience  # line 18
+
+
 def algorithm1(
     replication: int,
     path_length: int,
@@ -157,12 +176,9 @@ def algorithm1(
         release_tail_by_column.append(column_release)
         drop_tail_by_column.append(column_drop)
 
-    release_failure = 1.0  # lines 14-17
-    drop_resilience = 1.0
-    for column_release, column_drop in zip(release_by_column, drop_by_column):
-        release_failure *= 1.0 - (1.0 - column_release) ** k
-        drop_resilience *= 1.0 - column_drop ** k
-    release_resilience = 1.0 - release_failure  # line 18
+    release_resilience, drop_resilience = path_resilience(
+        release_by_column, drop_by_column, k
+    )
 
     return SharePlan(
         replication=k,

@@ -5,143 +5,81 @@ evaluation) from *node unavailability* — a holder that is merely offline at
 its forwarding instant blocks on-time release without losing data.  The
 evaluation section leaves this axis unexplored; this extension sweeps it.
 
-Model: every holder is independently offline at any given boundary with
-probability ``1 - uptime`` (the stationary availability of the alternating
-renewal process in :mod:`repro.churn.session`).  An offline holder cannot
-forward (drop side) but keeps its stored keys, so release-ahead resilience
-is untouched — which is exactly why the effect is interesting: it shifts
-*only one* side of the Rr/Rd balance.
+Static model: every holder is independently offline at any given boundary
+with probability ``1 - uptime`` (the stationary availability of the
+alternating renewal process in :mod:`repro.churn.session`), independently
+of being malicious.  An offline holder cannot forward (drop side) but keeps
+its stored keys, so release-ahead resilience is untouched — which is
+exactly why the effect is interesting: it shifts *only one* side of the
+Rr/Rd balance.  A holder is unusable with probability
+``u = 1 - (1 - p)·uptime``:
 
-- multipath joint: a column forwards iff >= 1 holder is online and honest;
-- multipath disjoint: a row survives iff its holder is online and honest at
-  every boundary;
+- multipath: ``Rr`` is Eq. 1; a joint column forwards iff >= 1 holder is
+  usable, ``Rd = (1 - u^k)^l`` (Eq. 3 at ``u``); a disjoint row survives
+  iff every hop is usable, ``Rd = 1 - (1 - (1-u)^l)^k`` (Eq. 2 at ``u``);
 - key-share: an offline carrier's shares miss the boundary, so it behaves
-  like a temporary dead share — absorbed by the (m, n) threshold.
+  like a temporary dead share — absorbed by the (m, n) threshold.  Column
+  1 is captured with ``p`` and starved with ``max(p, 1 - uptime)``; column
+  ``j >= 2`` is captured when ``Bin(n, p) >= m_j`` and starved when the
+  honest online carriers, ``Bin(n, (1-p)·uptime)``, fall below ``m_j``.
+  Release and drop are scored separately, so these marginals suffice;
+  Algorithm 1's lines 14-18 aggregate them over the ``k`` paths.
+
+The forms are exact (the tests hold the old samplers to them).  The
+``epoch`` lanes simulate death churn and repair on an explicit node
+population instead (:mod:`repro.epoch`), so they stay Monte Carlo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
-from repro.core.schemes.keyshare import SharePlan
+from repro.core.analysis import eq1_release, eq2_disjoint_drop, eq3_joint_drop
+from repro.core.schemes.keyshare import SharePlan, _binomial_tail, path_resilience
+from repro.experiments.churn_model import ChurnOutcome
 from repro.util.validation import check_positive_int, check_probability
 
 
-def simulate_multipath_availability_counts(
+def multipath_availability(
     malicious_rate: float,
     uptime: float,
     replication: int,
     path_length: int,
-    trials: int,
-    rng: np.random.Generator,
     joint: bool,
-) -> Tuple[int, int]:
-    """Attack-success counts for the multipath sweep (engine batch unit)."""
+) -> ChurnOutcome:
+    """The disjoint/joint schemes with offline holders (static lane)."""
     p = check_probability(malicious_rate, "malicious_rate")
     up = check_probability(uptime, "uptime")
     k = check_positive_int(replication, "replication")
     l = check_positive_int(path_length, "path_length")
-
-    malicious = rng.random((trials, l, k)) < p
-    offline = rng.random((trials, l, k)) >= up
-    unusable = malicious | offline
-
-    if joint:
-        column_blocked = unusable.all(axis=2)  # whole column out
-        drop_success = column_blocked.any(axis=1)
-    else:
-        row_cut = unusable.any(axis=1)  # any bad hop cuts a row
-        drop_success = row_cut.all(axis=1)
-
-    # Offline holders keep their keys: release capture is malicious-only.
-    column_captured = malicious.any(axis=2)
-    release_success = column_captured.all(axis=1)
-
-    return int(release_success.sum()), int(drop_success.sum())
+    unusable = 1.0 - (1.0 - p) * up
+    drop = eq3_joint_drop if joint else eq2_disjoint_drop
+    return ChurnOutcome(eq1_release(p, k, l), drop(unusable, k, l))
 
 
-def simulate_key_share_availability_counts(
-    plan: SharePlan,
-    uptime: float,
-    trials: int,
-    rng: np.random.Generator,
-    malicious_rate: float,
-) -> Tuple[int, int]:
-    """Attack-success counts for the key-share sweep (engine batch unit)."""
+def key_share_availability(
+    plan: SharePlan, uptime: float, malicious_rate: float
+) -> ChurnOutcome:
+    """Key-share routing with offline carriers (static lane)."""
     up = check_probability(uptime, "uptime")
     p = check_probability(malicious_rate, "malicious_rate")
     n = plan.shares_per_column
-    l = plan.path_length
-    k = plan.replication
-    thresholds = np.array(plan.thresholds, dtype=np.int64)
-
-    shape = (trials, l - 1, k)
-    malicious = rng.binomial(n=n, p=p, size=shape)
-    offline = rng.binomial(n=n, p=1.0 - up, size=shape)
-    offline_malicious = rng.hypergeometric(
-        ngood=malicious, nbad=n - malicious, nsample=offline
+    below = np.array(plan.thresholds, dtype=np.int64) - 1  # m_j - 1
+    captured = _binomial_tail(below, n, p)
+    starved = 1.0 - _binomial_tail(below, n, (1.0 - p) * up)
+    return ChurnOutcome(
+        *path_resilience(
+            [p, *captured.tolist()],
+            [max(p, 1.0 - up), *starved.tolist()],
+            plan.replication,
+        )
     )
-    honest_online = (n - malicious) - (offline - offline_malicious)
-
-    captured = malicious >= thresholds[None, :, None]
-    starved = honest_online < thresholds[None, :, None]
-    seed_captured = rng.random((trials, 1, k)) < p
-    seed_starved = rng.random((trials, 1, k)) < max(p, 1.0 - up)
-    captured = np.concatenate([seed_captured, captured], axis=1)
-    starved = np.concatenate([seed_starved, starved], axis=1)
-
-    release_success = captured.any(axis=2).all(axis=1)
-    drop_success = starved.all(axis=2).any(axis=1)
-    return int(release_success.sum()), int(drop_success.sum())
-
-
-# Batch callables as frozen dataclasses registered in repro.backends.wire.UNITS,
-# so the pool and the TCP workers receive them as data (see churn_resilience).
-
-
-@dataclass(frozen=True)
-class MultipathAvailabilityBatch:
-    """Engine batch unit for the disjoint/joint availability sweep."""
-
-    malicious_rate: float
-    uptime: float
-    replication: int
-    path_length: int
-    joint: bool
-
-    def __call__(self, generator, count):
-        return simulate_multipath_availability_counts(
-            self.malicious_rate,
-            self.uptime,
-            self.replication,
-            self.path_length,
-            count,
-            generator,
-            self.joint,
-        )
-
-
-@dataclass(frozen=True)
-class KeyShareAvailabilityBatch:
-    """Engine batch unit for the key-share availability sweep."""
-
-    plan: SharePlan
-    uptime: float
-    malicious_rate: float
-
-    def __call__(self, generator, count):
-        return simulate_key_share_availability_counts(
-            self.plan, self.uptime, count, generator, malicious_rate=self.malicious_rate
-        )
 
 
 #: Kernel lanes the ``availability`` scenario kind dispatches between.
-#: "static" is the historical per-boundary offline model (the batch units
-#: above, no deaths); the epoch lanes simulate death churn + repair on an
-#: explicit node population (repro.epoch), where ``alpha`` / ``lifetime`` /
+#: "static" is the per-boundary offline model (the closed forms above, no
+#: deaths); the epoch lanes simulate death churn + repair on an explicit
+#: node population (repro.epoch), where ``alpha`` / ``lifetime`` /
 #: ``lifetime_shape`` parameterize node lifetimes.
 AVAILABILITY_KERNELS = ("static", "epoch", "epoch-scalar")
 

@@ -7,15 +7,18 @@ result dict.  Every result carries two common fields:
 
 - ``"value"`` — the headline number reporting pivots into tables;
 - ``"trials_run"`` — trials actually executed (less than the budget when
-  adaptive stopping fires; what "zero new trials on a cached re-run"
-  means operationally).
+  adaptive stopping fires; 0 for a point computed in closed form; what
+  "zero new trials on a cached re-run" means operationally).
 
 A kind is one function: it validates the parameter set against its
 ``_take`` table (the one place a parameter's default is stated), plans,
 builds the trial or batch unit from :mod:`repro.experiments` (a class in
 :data:`repro.backends.wire.UNITS`, so every backend can ship it),
 makes one engine call and shapes the result dict — whose keys and key
-order are the store record.  To run one point directly, call
+order are the store record.  Fig. 7 (``churn_resilience``), Fig. 8
+(``share_cost``) and availability's ``static`` lane make no engine call:
+their values are closed forms, and ``trials`` only shapes their keys.  To
+run one point directly, call
 ``get_runner(kind)(params, trials, seed, engine, batch_size)``.
 """
 
@@ -27,7 +30,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 from repro.core.planner import DEFAULT_TARGET, PLANNING_FLOOR, plan_configuration
 from repro.core.schemes import CentralizedScheme, NodeDisjointScheme, NodeJointScheme
 from repro.core.schemes.keyshare import plan_share_scheme
-from repro.experiments.churn_model import ChurnOutcome, outcome_from_result
+from repro.experiments.churn_model import ChurnOutcome
 from repro.experiments.engine import MonteCarloEstimate, PairedEstimate, TrialEngine
 
 PointRunner = Callable[
@@ -230,11 +233,18 @@ def churn_resilience_runner(
     engine: TrialEngine,
     batch_size: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Fig. 7 family: the epoch churn model per (scheme, α, p)."""
-    from repro.experiments.churn_resilience import (
-        CentralizedChurnBatch,
-        KeyShareChurnBatch,
-        MultipathChurnBatch,
+    """Fig. 7 family: the epoch churn model per (scheme, α, p), exactly.
+
+    The multipath schemes use the configuration the no-churn planner
+    would have picked (the sender plans without knowing the churn level —
+    exactly the failure mode §III-D fixes); key-share plans with
+    Algorithm 1, which *does* model churn.  No trial runs: ``trials``
+    shapes the point's cache key, not its value.
+    """
+    from repro.experiments.churn_model import (
+        centralized_churn,
+        key_share_churn,
+        multipath_churn,
     )
 
     args = _take(
@@ -247,11 +257,11 @@ def churn_resilience_runner(
     planning_rate = max(p, PLANNING_FLOOR)
     if scheme == "central":
         k = length = 1
-        batch = CentralizedChurnBatch(p, alpha)
+        outcome = centralized_churn(p, alpha)
     elif scheme in ("disjoint", "joint"):
         plan = plan_configuration(scheme, planning_rate, args["population_size"])
         k, length = plan.replication, plan.path_length
-        batch = MultipathChurnBatch(p, alpha, k, length, joint=(scheme == "joint"))
+        outcome = multipath_churn(p, alpha, k, length, joint=(scheme == "joint"))
     elif scheme == "share":
         # Algorithm 1 plans with the churn level (T = α, λ = 1).
         plan = plan_share_scheme(
@@ -261,24 +271,16 @@ def churn_resilience_runner(
             mean_lifetime=1.0,
         )
         k, length = plan.replication, plan.path_length
-        batch = KeyShareChurnBatch(plan, alpha, malicious_rate=p)
+        outcome = key_share_churn(plan, malicious_rate=p)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    result = engine.run_batched(
-        batch,
-        trials=trials,
-        seed=seed,
-        label=f"fig7-{scheme}-a{alpha}-p{p}",
-        channels=2,
-        batch_size=batch_size,
-    )
     return {
         "scheme": scheme,
         "alpha": alpha,
         "p": p,
         "replication": k,
         "path_length": length,
-        **_outcome_dict(outcome_from_result(result)),
+        **_outcome_dict(outcome),
     }
 
 
@@ -293,12 +295,12 @@ def share_cost_runner(
     """Fig. 8: key-share resilience vs available-node budget.
 
     Algorithm 1 re-plans ``(m, n)`` for each budget N at the paper's
-    α = 3 and the epoch Monte Carlo measures the resulting resilience
-    beside the plan's own (Rr, Rd) prediction.  The expected shape:
-    10,000 and 5,000 nearly coincide, 1,000 holds R > 0.95 to p ≈ 0.26,
-    and even 100 nodes keep R > 0.9 to p ≈ 0.14.
+    α = 3; the churn model at the plan's own rate is Algorithm 1's own
+    aggregation, so the resilience equals ``analytic_resilience`` exactly.
+    The expected shape: 10,000 and 5,000 nearly coincide, 1,000 holds
+    R > 0.95 to p ≈ 0.26, and even 100 nodes keep R > 0.9 to p ≈ 0.14.
     """
-    from repro.experiments.churn_resilience import KeyShareChurnBatch
+    from repro.experiments.churn_model import key_share_churn
 
     args = _take(
         "share_cost",
@@ -308,14 +310,6 @@ def share_cost_runner(
     )
     budget, p, alpha = args["budget"], args["p"], args["alpha"]
     plan = plan_share_scheme(p, budget, emerging_time=alpha, mean_lifetime=1.0)
-    result = engine.run_batched(
-        KeyShareChurnBatch(plan, alpha),
-        trials=trials,
-        seed=seed,
-        label=f"fig8-N{budget}-p{p}",
-        channels=2,
-        batch_size=batch_size,
-    )
     return {
         "budget": budget,
         "p": p,
@@ -324,7 +318,7 @@ def share_cost_runner(
         "path_length": plan.path_length,
         "shares_per_column": plan.shares_per_column,
         "analytic_resilience": plan.worst_resilience,
-        **_outcome_dict(outcome_from_result(result)),
+        **_outcome_dict(key_share_churn(plan)),
     }
 
 
@@ -338,9 +332,9 @@ def availability_runner(
 ) -> Dict[str, Any]:
     """Extension: transient unavailability on top of death churn."""
     from repro.experiments.availability import (
-        KeyShareAvailabilityBatch,
-        MultipathAvailabilityBatch,
         check_kernel,
+        key_share_availability,
+        multipath_availability,
     )
 
     # The unpinned kernel default stays "static" and the churn knobs (read
@@ -382,7 +376,7 @@ def availability_runner(
         planning_rate = max(p, PLANNING_FLOOR)
         if scheme in ("disjoint", "joint"):
             plan = plan_configuration(scheme, planning_rate, population_size)
-            batch = MultipathAvailabilityBatch(
+            outcome = multipath_availability(
                 p,
                 uptime,
                 plan.replication,
@@ -391,19 +385,9 @@ def availability_runner(
             )
         elif scheme == "share":
             plan = plan_share_scheme(planning_rate, population_size, 1.0, 1.0)
-            batch = KeyShareAvailabilityBatch(plan, uptime, p)
+            outcome = key_share_availability(plan, uptime, p)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        outcome = outcome_from_result(
-            engine.run_batched(
-                batch,
-                trials=trials,
-                seed=seed,
-                label=f"avail-{scheme}-{uptime}-{p}",
-                channels=2,
-                batch_size=batch_size,
-            )
-        )
     payload = {
         "scheme": scheme,
         "uptime": uptime,

@@ -49,7 +49,11 @@ class Job:
         #: keys derived from it match a CLI sweep's by construction.
         self.spec = spec
         self.trials = trials
+        #: The resolved grid, released once the job is finished: a
+        #: finished job answers ``status`` and ``watch`` from its counters
+        #: and frames, so a long-lived daemon does not keep every grid.
         self.entries = entries
+        self.points = len(entries)
         self.force = force
         self.status = JOB_QUEUED
         #: Next entry index the scheduler will serve.
@@ -75,10 +79,6 @@ class Job:
         self.progress: List[Dict[str, Any]] = []
 
     @property
-    def points(self) -> int:
-        return len(self.entries)
-
-    @property
     def finished(self) -> bool:
         return self.status in TERMINAL_STATES
 
@@ -88,8 +88,14 @@ class Job:
         return (
             self.status in (JOB_QUEUED, JOB_RUNNING)
             and not self.cancel_requested
-            and self.cursor < len(self.entries)
+            and self.cursor < self.points
         )
+
+    def finish(self, status: str) -> None:
+        """Enter terminal ``status`` and release the resolved grid."""
+        self.status = status
+        self.finished_at = time.time()
+        self.entries = []
 
     def describe(self) -> Dict[str, Any]:
         """The job as one JSON-safe status dict (the ``status`` reply)."""

@@ -165,9 +165,8 @@ class JobScheduler:
             except Exception as failure:  # noqa: BLE001 - job-scoped failure
                 # One job's bad point must not take the daemon (or the
                 # other jobs) down with it.
-                job.status = JOB_FAILED
                 job.error = f"{type(failure).__name__}: {failure}"
-                job.finished_at = time.time()
+                job.finish(JOB_FAILED)
                 self.metrics.counter("service.jobs_failed").inc()
                 self.tracer.event(
                     "service.job_failed", job=job.id, error=job.error
@@ -175,9 +174,8 @@ class JobScheduler:
             else:
                 job.cursor += 1
                 job.served += 1
-                if job.cursor == len(job.entries):
-                    job.status = JOB_DONE
-                    job.finished_at = time.time()
+                if job.cursor == job.points:
+                    job.finish(JOB_DONE)
                     self.metrics.counter("service.jobs_completed").inc()
                     self.tracer.event(
                         "service.job_done",
@@ -204,8 +202,7 @@ class JobScheduler:
         settled = False
         for job in self.table.open_jobs():
             if job.cancel_requested:
-                job.status = JOB_CANCELLED
-                job.finished_at = time.time()
+                job.finish(JOB_CANCELLED)
                 self.metrics.counter("service.jobs_cancelled").inc()
                 self.tracer.event("service.job_cancelled", job=job.id)
                 settled = True

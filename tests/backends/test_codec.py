@@ -15,20 +15,10 @@ import pytest
 from repro.api import run_scenario
 from repro.backends.wire import UNITS, decode_blob, encode_blob
 from repro.core.schemes import CentralizedScheme, NodeDisjointScheme, NodeJointScheme
-from repro.core.schemes.keyshare import algorithm1
 from repro.epoch.measure import EpochAvailabilityBatch, EpochTimelinessBatch
 from repro.epoch.oracle import EpochAvailabilityTrial, EpochTimelinessTrial
 from repro.experiments.attack_kernels import CentralAttackBatch, MultipathAttackBatch
 from repro.experiments.attack_resilience import AttackTrial
-from repro.experiments.availability import (
-    KeyShareAvailabilityBatch,
-    MultipathAvailabilityBatch,
-)
-from repro.experiments.churn_resilience import (
-    CentralizedChurnBatch,
-    KeyShareChurnBatch,
-    MultipathChurnBatch,
-)
 from repro.experiments.executors import SerialExecutor, TrialTask
 from repro.experiments.timeliness import TimelinessTrial
 from repro.scenarios.registry import builtin_scenarios
@@ -37,7 +27,6 @@ from repro.scenarios.runners import AdaptiveTrial
 PRODUCTION_UNITS = {
     name for name, module in UNITS.items() if module.startswith("repro.")
 }
-PLAN = algorithm1(3, 4, 200, 3.0, 1.0, 0.1)
 EPOCH = (0.1, 0.9, 3, 4, 1000, 2.0)
 
 
@@ -65,13 +54,6 @@ TASKS = {
     "AdaptiveTrial": _counts(AdaptiveTrial(NodeJointScheme(3, 4), 200, 0.1, 0.5, 4)),
     "MultipathAttackBatch": _batches(MultipathAttackBatch(0.2, 1000, 3, 4, True)),
     "CentralAttackBatch": _batches(CentralAttackBatch(0.2, 1000)),
-    "CentralizedChurnBatch": _batches(CentralizedChurnBatch(0.1, 2.0)),
-    "MultipathChurnBatch": _batches(MultipathChurnBatch(0.1, 2.0, 3, 4, False)),
-    "KeyShareChurnBatch": _batches(KeyShareChurnBatch(PLAN, 3.0, 0.2)),
-    "MultipathAvailabilityBatch": _batches(
-        MultipathAvailabilityBatch(0.1, 0.9, 3, 4, True)
-    ),
-    "KeyShareAvailabilityBatch": _batches(KeyShareAvailabilityBatch(PLAN, 0.9, 0.1)),
     "EpochAvailabilityBatch": _batches(EpochAvailabilityBatch(*EPOCH)),
     "EpochTimelinessBatch": _batches(EpochTimelinessBatch(*EPOCH), channels=9),
     "EpochAvailabilityTrial": _counts(EpochAvailabilityTrial(*EPOCH)),

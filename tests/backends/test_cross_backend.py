@@ -81,22 +81,18 @@ class TestSmokeSweepOnEveryBackend:
         ]
 
 
-class TestScalarKindAcrossBackends:
-    def test_churn_point_identical_everywhere(self, worker, tmp_path):
-        # A scalar-trial kind (no vectorised kernel): one cheap point of
-        # the fig7 grid through every backend.
+class TestBatchKindAcrossBackends:
+    def test_fig6a_point_identical_everywhere(self, worker, tmp_path):
+        # A batch kernel at full population size: one cheap point of the
+        # fig6a grid through every backend.
         import dataclasses
 
         from repro.scenarios.spec import Axis
 
-        spec = get_scenario("fig7")
+        spec = get_scenario("fig6a")
         tiny = dataclasses.replace(
             spec,
-            axes=(
-                Axis("alpha", (1.0,)),
-                Axis("p", (0.2,)),
-                Axis("scheme", ("joint",)),
-            ),
+            axes=(Axis("scheme", ("joint",)), Axis("p", (0.2,))),
             trials=60,
         )
         results = {}
@@ -104,6 +100,7 @@ class TestScalarKindAcrossBackends:
             report = SweepOrchestrator(backend=backend).run(tiny)
             results[name] = report.results()[0]
         reference = results.pop("serial")
+        assert reference["trials_run"] == 60
         for name, result in results.items():
             assert result == reference, name
 

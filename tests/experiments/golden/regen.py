@@ -2,18 +2,20 @@
 """Record-checksum pins for every scenario kind and Monte-Carlo lane
 (``tests/experiments/test_record_parity.py``).
 
-    PYTHONPATH=src python3 tests/experiments/golden/regen.py
+    PYTHONPATH=src python3 tests/experiments/golden/regen.py [SCENARIO ...]
 
 rewrites ``record_parity.json`` beside this file from whatever ``repro``
-is on the path.  The committed golden was generated on the commit *before*
+is on the path — every entry, or only the named scenarios' entries.  The committed golden was generated on the commit *before*
 PR 16 replaced the double ``argsort`` in ``place_malicious_counts`` with a
 threshold on the count-th smallest key and moved the adaptive game onto
 ``mark_index_population``, so it states what "same draws, same store
 bytes" means for the vectorised Fig. 6 lane and ``adversary/adaptive.py``.
 The other entries (one sweep per remaining kind and lane, at small
 trials) were generated on the commit before PR 23 folded the ``*_point``
-layer into the scenario runners.  Only rerun it in a PR that says why a
-record's bytes changed.
+layer into the scenario runners.  The fig7, fig8 and availability entries
+were regenerated when those kinds became closed forms (their records hold
+exact values and ``trials_run`` 0; the keys did not move).  Only rerun it
+in a PR that says why a record's bytes changed.
 
 Each pin is the store checksum of one point record (SHA-256 over its
 canonical JSON: point, params, seed, trials, result), keyed by the point's
@@ -23,6 +25,7 @@ content key, at the scenario's registry seed.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Dict
 
@@ -53,12 +56,17 @@ def checksums(scenario: str) -> Dict[str, str]:
     return {record["key"]: record["checksum"] for record in report.records}
 
 
-def compute() -> Dict[str, Dict[str, str]]:
-    return {scenario: checksums(scenario) for scenario in SWEEPS}
+def compute(scenarios=SWEEPS) -> Dict[str, Dict[str, str]]:
+    return {scenario: checksums(scenario) for scenario in scenarios}
 
 
 if __name__ == "__main__":
+    golden = {}
+    if sys.argv[1:]:
+        with open(GOLDEN, "r", encoding="utf-8") as handle:
+            golden = json.load(handle)
+    golden.update(compute(sys.argv[1:] or SWEEPS))
     with open(GOLDEN, "w", encoding="utf-8") as handle:
-        json.dump(compute(), handle, indent=1, sort_keys=True)
+        json.dump(golden, handle, indent=1, sort_keys=True)
         handle.write("\n")
     print(f"wrote {GOLDEN}")

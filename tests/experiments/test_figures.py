@@ -107,7 +107,8 @@ class TestFig6Measured:
 
 
 class TestFig7:
-    """All four α panels."""
+    """All four α panels, on the churn model's exact values: the bounds are
+    the paper's shape, not room for Monte-Carlo noise."""
 
     ALPHAS = (1.0, 2.0, 3.0, 5.0)
 
@@ -138,7 +139,7 @@ class TestFig7:
                 assert share[p] > 0.9, f"share at p={p}, alpha={alpha}"
         calm, harsh = panels["alpha=1.0 scheme=share"], panels["alpha=5.0 scheme=share"]
         for p in (0.0, 0.1, 0.2):
-            assert abs(calm[p] - harsh[p]) < 0.05, f"share moved with alpha at p={p}"
+            assert abs(calm[p] - harsh[p]) < 1e-6, f"share moved with alpha at p={p}"
 
     def test_multipath_schemes_decay_with_alpha(self, panels):
         joint_1 = panels["alpha=1.0 scheme=joint"]
@@ -150,7 +151,7 @@ class TestFig7:
             central = panels[f"alpha={alpha} scheme=central"]
             share = panels[f"alpha={alpha} scheme=share"]
             for p in (0.1, 0.2, 0.3):
-                assert central[p] <= share[p] + 0.02
+                assert central[p] < share[p]
 
 
 class TestFig8:
@@ -181,7 +182,9 @@ class TestFig8:
             assert series["budget=10000"][p] >= series["budget=100"][p] - 0.05
 
     def test_measured_matches_algorithm1(self, report):
+        """The churn model at the plan's own rate is Algorithm 1's own
+        aggregation: the two agree bit for bit, and no trial runs."""
         for result in report.results():
-            assert result["value"] == pytest.approx(
-                result["analytic_resilience"], abs=0.06
-            )
+            assert result["value"] == result["analytic_resilience"]
+            assert result["trials_run"] == 0
+        assert report.trials_run == 0

@@ -20,7 +20,7 @@ from repro.backends.pool import _worker_environment
 from repro.backends.registry import get as get_backend
 from repro.backends.wire import SERVICE_ROLE
 from repro.backends.worker import WorkerServer
-from repro.scenarios.orchestrator import SweepOrchestrator, resolve_entries
+from repro.scenarios.orchestrator import PointEntry, SweepOrchestrator, resolve_entries
 from repro.scenarios.registry import _CACHE, builtin_scenarios
 from repro.scenarios.runners import _RUNNERS, register_kind
 from repro.scenarios.spec import Axis, ScenarioSpec
@@ -343,6 +343,40 @@ class TestFairShare:
             if job_id == short_job.id
         )
         assert last_short <= 3
+
+
+def _held_entries(job):
+    """The ``PointEntry`` objects a job's attributes still reach."""
+    held = []
+    for value in vars(job).values():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        held.extend(item for item in items if isinstance(item, PointEntry))
+    return held
+
+
+class TestRetention:
+    def test_a_finished_job_keeps_no_grid(self, service_scenarios, tmp_path):
+        """A long-lived daemon must not keep every finished job's resolved
+        grid: done and cancelled jobs answer status and watch from their
+        counters and frames alone."""
+        service = SweepService(tmp_path / "store", jobs=1)
+        with service.serve_background() as handle:
+            address = _address(handle)
+            done = submit_job(address, "service-test")["job"]
+            slow = submit_job(address, "service-test-slow")["job"]
+            cancel_job(address, slow)
+            final = watch_job(address, done)
+            cancelled = watch_job(address, slow)
+            assert final["status"] == "done" and final["points"] == 4
+            assert cancelled["status"] == "cancelled"
+            assert cancelled["points"] == 8
+            frames = []
+            watch_job(address, done, on_frame=frames.append)
+            assert len(frames) == 4  # the progress frames are replayed
+            jobs = service.table.all()
+            assert [job.status for job in jobs] == ["done", "cancelled"]
+            for job in jobs:
+                assert _held_entries(job) == [], job.id
 
 
 class TestDrain:

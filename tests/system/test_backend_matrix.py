@@ -1,9 +1,11 @@
 """The determinism contract, executed: one sweep must leave identical
 content-addressed keys and record bytes on every execution backend,
 including a live localhost worker speaking the JSON/TCP span protocol.
-Beside ``smoke``: the zero-trial cost panel, the key-share budget sweep,
-and the two Monte-Carlo lanes whose bytes a kernel rewrite could move (a
-vectorised Fig. 6 panel and the scalar, index-marked adaptive game).
+Beside ``smoke``: the zero-trial cost panel, the small-population Fig. 6
+panel, and the two Monte-Carlo lanes whose bytes a kernel rewrite could
+move (a vectorised Fig. 6 panel and the scalar, index-marked adaptive
+game).  Fig. 7, Fig. 8 and the static availability lane are closed forms
+that ship no unit, so no backend can move their bytes.
 """
 
 import json
@@ -14,7 +16,7 @@ from conftest import assert_same_store
 SWEEPS = [
     ("smoke", []),
     ("fig6b", ["--trials", 20]),
-    ("fig8", ["--trials", 20]),
+    ("fig6c", ["--trials", 20]),
     ("fig6a", ["--trials", 200]),
     ("adaptive-observation", ["--trials", 50]),
 ]

@@ -154,6 +154,13 @@ DELETED = (
     r"\bspawn_sources\b",
     r"\bchunk_bytes\b",
     r"\bbytes_to_int\b",
+    # Fig. 7, Fig. 8 and the static availability lane are closed forms: no
+    # sampler, no batch unit (the samplers live on as tests/churn_samplers.py).
+    r"experiments\.churn_resilience",
+    r"\b(Centralized|Multipath|KeyShare)ChurnBatch\b",
+    r"\b(Multipath|KeyShare)AvailabilityBatch\b",
+    r"\bsimulate_(centralized|multipath|key_share)\w*",
+    r"\boutcome_from_counts\b",
     # A journal's state is read one way, from disk (``load``/``status``).
     r"\bmidflight_keys\b",
     r"\bcommitted_keys\b",
