@@ -56,9 +56,8 @@ class SybilPopulation:
         ``random.sample`` consumes the same stream for any same-length
         sequence — but stores only the ``round(N * p)`` malicious ids: the
         N-element decided set is replaced by the interval bookkeeping the
-        membership tests below read.  This is the Monte-Carlo hot path:
-        one marking per scalar Fig. 6 trial (``AttackTrial``) and per
-        adaptive-game trial (``AdaptiveAdversary.corrupt``).
+        membership tests below read.  This is the adaptive game's hot
+        path: one marking per trial (``AdaptiveAdversary.corrupt``).
         """
         count = round(population_size * self.malicious_rate)
         chosen = set(self._rng.sample_indices(population_size, count))

@@ -97,7 +97,6 @@ PROTOCOL_VERSION = 3
 #: alone and imports a module only when the table names it.
 UNITS: Dict[str, str] = {
     "TrialTask": "repro.experiments.executors",
-    "AttackTrial": "repro.experiments.attack_resilience",
     "AdaptiveTrial": "repro.scenarios.runners",
     "MultipathAttackBatch": "repro.experiments.attack_kernels",
     "CentralAttackBatch": "repro.experiments.attack_kernels",
@@ -106,7 +105,6 @@ UNITS: Dict[str, str] = {
     "EpochAvailabilityTrial": "repro.epoch.oracle",
     "EpochTimelinessTrial": "repro.epoch.oracle",
     "TimelinessTrial": "repro.experiments.timeliness",
-    "CentralizedScheme": "repro.core.schemes.centralized",
     "NodeDisjointScheme": "repro.core.schemes.disjoint",
     "NodeJointScheme": "repro.core.schemes.joint",
 }

@@ -397,8 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--kernel",
             default=None,
             help="pin the point runner's kernel lane for this sweep "
-            "(e.g. 'epoch' / 'epoch-scalar' for availability and "
-            "timeliness kinds, 'vectorized' / 'scalar' for the attack "
+            "('epoch' / 'epoch-scalar' for the availability and timeliness "
             "kinds); the value lands in the spec's fixed params — and "
             "therefore in cache keys — so a pinned run never collides "
             "with the scenario's default lane",
@@ -614,8 +613,8 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs_submit.add_argument(
         "--kernel",
         default=None,
-        help="pin the point runner's kernel lane (lands in cache keys, "
-        "exactly as with `sweep run --kernel`)",
+        help="pin an availability or timeliness kind's kernel lane (lands "
+        "in cache keys, exactly as with `sweep run --kernel`)",
     )
     jobs_submit.add_argument(
         "--force",

@@ -10,10 +10,10 @@ Layout:
 - :mod:`repro.core.wire` — the byte-level serialization the onion and the
   protocol messages share.
 - :mod:`repro.core.analysis` — the closed-form resilience equations
-  (Eqs. 1-3 and Lemma 1).
+  (Eqs. 1-3 and Lemma 1) and their exact finite-population form.
 - :mod:`repro.core.planner` — choosing ``(k, l)`` for a target resilience.
-- :mod:`repro.core.schemes` — the four schemes (centralized, node-disjoint,
-  node-joint, key-share routing with Algorithm 1).
+- :mod:`repro.core.schemes` — the schemes (centralized, node-disjoint,
+  node-joint, and key-share routing as Algorithm 1).
 - :mod:`repro.core.protocol` — holder runtime for end-to-end simulation on
   the DHT substrate.
 - :mod:`repro.core.sender` / :mod:`repro.core.receiver` — Alice and Bob.

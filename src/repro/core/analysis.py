@@ -20,11 +20,18 @@ Each equation is stated once, as plain arithmetic (:func:`eq1_release`,
 the validated per-configuration functions below, on broadcasting numpy
 arrays it is the planner's whole ``(k, l)`` search grid, with the same
 operations in the same order, so both give the same bits.
+
+Eqs. 1-3 are the infinite-population limit.  :func:`finite_resilience` is
+the exact value of the experiment Fig. 6 measures — exactly ``round(N p)``
+of ``N`` ids malicious, ``k * l`` distinct holders — which the Monte-Carlo
+estimates are held to.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.util.validation import check_positive_int, check_probability
 
@@ -143,6 +150,113 @@ def lemma1_holds(malicious_rate: float, replication: int, path_length: int) -> b
     """
     pair = joint_resilience(malicious_rate, replication, path_length)
     return pair.release + pair.drop > 1.0
+
+
+@lru_cache(maxsize=4)
+def _log_factorials(population_size: int):
+    """``log(i!)`` for ``i`` in ``0..population_size``, one rounding each."""
+    import numpy as np
+
+    return np.array([math.lgamma(i + 1) for i in range(population_size + 1)])
+
+
+def _all_groups_hold(population_size, marked, groups, size, allowed):
+    """P(each of ``groups`` disjoint groups of ``size`` holders, drawn
+    without replacement from ``population_size`` ids of which ``marked``
+    are malicious, has a malicious count in ``allowed``).
+
+    A chain over groups whose state is the malicious count drawn so far:
+    each step applies the hypergeometric pmf of the next group, keeps the
+    counts in ``allowed``, and drops states below ``1e-30`` of the step's
+    largest (far below what a double sum can still see).
+    """
+    import numpy as np
+
+    table = _log_factorials(population_size)
+    counts = np.array(allowed)
+    probability = np.ones(1)
+    first = 0  # the malicious count ``probability[0]`` stands for
+    for group in range(groups):
+        remaining = population_size - group * size
+        malicious = marked - (first + np.arange(probability.size))[:, None]
+        honest = remaining - malicious
+        valid = (counts <= malicious) & (size - counts <= honest)
+        # Clip the invalid cells' indices into the table; ``valid`` zeroes them.
+        log_pmf = (
+            table[np.maximum(malicious, 0)]
+            - table[counts]
+            - table[np.maximum(malicious - counts, 0)]
+            + table[np.maximum(honest, 0)]
+            - table[size - counts]
+            - table[np.maximum(honest - size + counts, 0)]
+            - table[remaining]
+            + table[size]
+            + table[remaining - size]
+        )
+        weights = np.where(valid, np.exp(np.where(valid, log_pmf, 0.0)), 0.0)
+        moved = np.zeros(probability.size + size)
+        for column, drawn in enumerate(allowed):
+            moved[drawn : drawn + probability.size] += probability * weights[:, column]
+        largest = moved.max()
+        if largest == 0.0:
+            return 0.0
+        kept = np.flatnonzero(moved >= largest * 1e-30)
+        probability = moved[kept[0] : kept[-1] + 1]
+        first += int(kept[0])
+    return float(probability.sum())
+
+
+def finite_resilience(
+    scheme: str,
+    malicious_rate: float,
+    replication: int,
+    path_length: int,
+    population_size: int,
+) -> ResiliencePair:
+    """Exact (Rr, Rd) of the finite-population experiment behind Fig. 6.
+
+    The experiment marks exactly ``M = round(N * p)`` of ``N`` ids
+    malicious and places ``k * l`` distinct holders, so the holders'
+    malicious counts per group are hypergeometric, not binomial as in
+    Eqs. 1-3 (which are its ``N -> infinity`` limit):
+
+    - release-ahead succeeds when each of the ``l`` columns of ``k``
+      holders has a malicious one (Eq. 1's event);
+    - a node-disjoint drop succeeds when each of the ``k`` rows of ``l``
+      holders has one (Eq. 2's);
+    - a node-joint drop is resisted when each column has fewer than ``k``
+      (Eq. 3's).
+
+    ``scheme`` is ``"central"`` (the ``k = l = 1`` grid, whatever ``k``
+    and ``l`` are given), ``"disjoint"`` or ``"joint"``.
+    """
+    p, k, l = _validated(malicious_rate, replication, path_length)
+    check_positive_int(population_size, "population_size")
+    if scheme == "central":
+        k = l = 1
+    elif scheme not in ("disjoint", "joint"):
+        raise ValueError(
+            f"scheme must be 'central', 'disjoint' or 'joint', got {scheme!r}"
+        )
+    if k * l > population_size:
+        raise ValueError(
+            f"population of {population_size} cannot supply {k * l} "
+            f"distinct holders"
+        )
+    marked = round(population_size * p)
+    release = 1.0 - _all_groups_hold(
+        population_size, marked, l, k, range(1, k + 1)
+    )
+    if scheme == "disjoint":
+        drop = 1.0 - _all_groups_hold(
+            population_size, marked, k, l, range(1, l + 1)
+        )
+    else:
+        drop = _all_groups_hold(population_size, marked, l, k, range(k))
+    # ``1 - chain`` can land an ulp or so outside [0, 1].
+    return ResiliencePair(
+        release=min(max(release, 0.0), 1.0), drop=min(max(drop, 0.0), 1.0)
+    )
 
 
 def required_nodes(replication: int, path_length: int) -> int:

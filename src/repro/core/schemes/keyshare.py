@@ -28,17 +28,12 @@ seeded with that column-1 value (see DESIGN.md §5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import betainc
 
-from repro.adversary.population import SybilPopulation
-from repro.core.analysis import ResiliencePair
-from repro.core.paths import ShareLattice, build_share_lattice
-from repro.core.schemes.base import AttackOutcome, Scheme
-from repro.util.rng import RandomSource
 from repro.util.validation import check_positive, check_positive_int, check_probability
 
 
@@ -266,97 +261,3 @@ def plan_share_scheme(
         mean_lifetime,
         malicious_rate,
     )
-
-
-class KeyShareScheme(Scheme):
-    """The key-share routing scheme, parameterised by Algorithm 1's inputs."""
-
-    name = "share"
-
-    def __init__(
-        self,
-        replication: int,
-        path_length: int,
-        node_budget: int,
-        emerging_time: float,
-        mean_lifetime: float,
-        lattice_rows: int = 0,
-    ) -> None:
-        """``lattice_rows`` bounds the *sampled* lattice's row count for
-        structure-level Monte Carlo; 0 means use Algorithm 1's full ``n``
-        (which can be the entire network — the paper's cost axis)."""
-        self.replication = check_positive_int(replication, "replication")
-        self.path_length = check_positive_int(path_length, "path_length", minimum=2)
-        self.node_budget = check_positive_int(node_budget, "node_budget")
-        self.emerging_time = check_positive(emerging_time, "emerging_time")
-        self.mean_lifetime = check_positive(mean_lifetime, "mean_lifetime")
-        self.lattice_rows = lattice_rows
-
-    def plan(self, malicious_rate: float) -> SharePlan:
-        """Run Algorithm 1 for this configuration at one malicious rate."""
-        return algorithm1(
-            self.replication,
-            self.path_length,
-            self.node_budget,
-            self.emerging_time,
-            self.mean_lifetime,
-            malicious_rate,
-        )
-
-    def resilience(self, malicious_rate: float) -> ResiliencePair:
-        plan = self.plan(malicious_rate)
-        return ResiliencePair(
-            release=plan.release_resilience, drop=plan.drop_resilience
-        )
-
-    @property
-    def node_cost(self) -> int:
-        rows = self.lattice_rows or (self.node_budget // self.path_length)
-        return rows * self.path_length
-
-    def sample_structure(
-        self, population: Sequence[Hashable], rng: RandomSource
-    ) -> ShareLattice:
-        plan = self.plan(0.0)  # thresholds for sampling don't depend on p...
-        # ...but the balanced m does; re-plan at evaluation time instead.
-        rows = self.lattice_rows or plan.shares_per_column
-        thresholds = [1] + [max(1, min(rows, m)) for m in plan.thresholds]
-        return build_share_lattice(
-            population, rows, self.path_length, thresholds, rng
-        )
-
-    def evaluate_attacks(
-        self, structure: ShareLattice, population: SybilPopulation
-    ) -> AttackOutcome:
-        """Static attack outcome under the telescoping semantics.
-
-        Release-ahead: the adversary wins if at any column ``j >= 2`` it
-        controls at least ``m_j`` of the *carriers* (column ``j - 1``
-        holders) — with ``m_j`` captured shares of every column-``j`` key
-        it strips all remaining layers of its captured row onions at once.
-        Drop: it wins if at any column fewer than ``m_j`` carriers are
-        honest (no churn in the static variant; the epoch model adds dead
-        carriers).
-        """
-        columns = structure.columns()
-        release_won = False
-        drop_won = False
-        for column_index in range(2, structure.path_length + 1):
-            carriers = columns[column_index - 2]
-            threshold = structure.threshold(column_index)
-            malicious = sum(
-                1 for holder in carriers if population.is_malicious(holder)
-            )
-            if malicious >= threshold:
-                release_won = True
-            if len(carriers) - malicious < threshold:
-                drop_won = True
-        return AttackOutcome(
-            release_resisted=not release_won, drop_resisted=not drop_won
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"KeyShareScheme(k={self.replication}, l={self.path_length}, "
-            f"N={self.node_budget})"
-        )

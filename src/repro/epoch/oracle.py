@@ -10,8 +10,7 @@ scalar lane gives every trial a private node population while the
 vectorized lane shares one per batch — identical marginals, and the
 estimators are means, so the sharing does not bias them).  The
 equivalence property test holds both lanes inside overlapping Wilson
-intervals, exactly as the scalar ``AttackTrial`` anchors the PR 3
-attack kernels.
+intervals.
 """
 
 from __future__ import annotations

@@ -25,8 +25,7 @@ plus shared machinery:
   trial engine (pluggable execution backends, streaming aggregation,
   adaptive early stopping) every measured experiment runs through;
 - :mod:`repro.experiments.attack_kernels` — the vectorised
-  finite-population attack kernels behind Fig. 6's
-  ``kernel="vectorized"`` lane;
+  finite-population attack kernels behind Fig. 6's measured curves;
 - :mod:`repro.experiments.executors` — the ``ExecutionBackend``
   interface, its determinism contract, and the serial and process-pool
   implementations;

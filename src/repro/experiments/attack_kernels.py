@@ -1,10 +1,7 @@
-"""Vectorised finite-population attack kernels (the Fig. 6 fast lane).
+"""Vectorised finite-population attack kernels (the Fig. 6 Monte Carlo).
 
-The scalar :class:`~repro.experiments.attack_resilience.AttackTrial` walks
-one trial at a time through Python objects: build a
-:class:`~repro.adversary.population.SybilPopulation`, sample a holder grid,
-evaluate both attacks.  These kernels run the *same experiment* as numpy
-batch units for :meth:`~repro.experiments.engine.TrialEngine.run_batched`:
+Each kernel runs the paper's finite-population experiment as a numpy batch
+unit for :meth:`~repro.experiments.engine.TrialEngine.run_batched`:
 
 1. **Marking.**  The paper marks exactly ``M = round(N * p)`` of ``N`` node
    ids malicious per trial (sampling without replacement).
@@ -28,11 +25,10 @@ batch units for :meth:`~repro.experiments.engine.TrialEngine.run_batched`:
    another is decided on its mask (:func:`place_malicious_counts`'s rule
    with :func:`evaluate_multipath_masks`), so the tie rule holds exactly.
 
-The kernels draw from the engine's per-batch numpy generators rather than
-the scalar lane's fork-per-trial streams, so estimates are *statistically*
-(not bit-) identical to :class:`AttackTrial`; the property tests pin the
-equivalence on small populations and the scalar class stays around as the
-small-N oracle.
+The kernels draw from the engine's per-batch numpy generators.  What their
+estimates converge to is known exactly:
+:func:`repro.core.analysis.finite_resilience` computes the same experiment's
+(Rr, Rd) in closed form, and the tests hold every measured channel to it.
 """
 
 from __future__ import annotations
@@ -287,8 +283,7 @@ class CentralAttackBatch:
     """Engine batch unit for the centralized scheme's single holder.
 
     The sampled holder is malicious with probability exactly
-    ``round(N * p) / N`` — the finite-population rate, not ``p`` — matching
-    the scalar oracle's marking.
+    ``round(N * p) / N`` — the finite-population rate, not ``p``.
     """
 
     malicious_rate: float
@@ -308,14 +303,11 @@ class CentralAttackBatch:
         return resisted, resisted
 
 
-def attack_batch_for(
-    scheme, malicious_rate: float, population_size: int
-) -> Optional[object]:
-    """The vectorised batch unit for a scheme instance, or ``None``.
+def attack_batch_for(scheme, malicious_rate: float, population_size: int):
+    """The batch unit for a scheme instance.
 
     Dispatches on the concrete scheme classes the Fig. 6 planner emits;
-    unknown schemes return ``None`` so callers fall back to the scalar
-    :class:`AttackTrial` oracle.
+    any other scheme is a ``TypeError``.
     """
     from repro.core.schemes import (
         CentralizedScheme,
@@ -333,4 +325,4 @@ def attack_batch_for(
             path_length=scheme.path_length,
             joint=isinstance(scheme, NodeJointScheme),
         )
-    return None
+    raise TypeError(f"no attack batch unit for {type(scheme).__name__}")

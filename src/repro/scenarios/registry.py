@@ -38,14 +38,6 @@ _CHURN_SCHEMES = ("central", "disjoint", "joint", "share")
 def _fig6(name: str, population_size: int, measure: bool) -> ScenarioSpec:
     panel = {"fig6a": "(a)", "fig6b": "(b)", "fig6c": "(c)", "fig6d": "(d)"}[name]
     quantity = "attack resilience R" if measure else "required nodes C"
-    # Measuring specs pin the Monte-Carlo lane explicitly: the kernel is
-    # part of the point's parameter set, so it lands in the result-store
-    # cache key and a cached scalar-lane record can never be served for a
-    # vectorised-lane request (the lanes agree statistically, not
-    # bit-for-bit).
-    fixed = {"population_size": population_size, "measure": measure}
-    if measure:
-        fixed["kernel"] = "vectorized"
     return ScenarioSpec(
         name=name,
         kind="attack_resilience",
@@ -53,7 +45,7 @@ def _fig6(name: str, population_size: int, measure: bool) -> ScenarioSpec:
             f"Fig. 6{panel}: {quantity} vs malicious rate p, "
             f"N = {population_size:,}"
         ),
-        fixed=fixed,
+        fixed={"population_size": population_size, "measure": measure},
         axes=(
             Axis("scheme", _MULTIPATH_SCHEMES),
             Axis("p", P_SWEEP),
@@ -145,11 +137,7 @@ def _builtin_list() -> List[ScenarioSpec]:
                 "N = 1,000 nodes — between Fig. 6's 10,000 and 100 panels, "
                 "the budget a mid-size overlay actually has"
             ),
-            fixed={
-                "population_size": 1000,
-                "measure": True,
-                "kernel": "vectorized",
-            },
+            fixed={"population_size": 1000, "measure": True},
             axes=(
                 Axis("scheme", _MULTIPATH_SCHEMES),
                 Axis("p", P_SWEEP),
@@ -166,7 +154,7 @@ def _builtin_list() -> List[ScenarioSpec]:
                 "grid at p = 0.2: the resilience surface the Fig. 6 planner "
                 "walks, exposed point by point"
             ),
-            fixed={"p": 0.2, "population_size": 2000, "kernel": "vectorized"},
+            fixed={"p": 0.2, "population_size": 2000},
             axes=(
                 Axis("scheme", ("disjoint", "joint")),
                 Axis("replication", (2, 3, 4, 5)),
@@ -314,7 +302,6 @@ def _builtin_list() -> List[ScenarioSpec]:
                 "scheme": "joint",
                 "population_size": 500,
                 "measure": True,
-                "kernel": "vectorized",
             },
             axes=(Axis("p", (0.1, 0.3)),),
             trials=40,

@@ -167,14 +167,8 @@ def attack_resilience_runner(
     figure's grid (``population_size=10000`` for (a)+(b), ``100`` for
     (c)+(d)).
     """
-    from repro.experiments.attack_resilience import check_kernel, measure_attack
+    from repro.experiments.attack_resilience import measure_attack
 
-    # The Monte-Carlo lane is part of a point's *parameter set*, so a spec
-    # that wants the vectorised kernels must pin kernel="vectorized" (all
-    # built-in measuring specs do) — that puts the lane in the result-store
-    # cache key.  The unpinned default stays "scalar", the pre-kernel
-    # estimator, so stores populated before the vectorised lane existed
-    # remain valid for specs that never mention a kernel.
     args = _take(
         "attack_resilience",
         params,
@@ -183,11 +177,9 @@ def attack_resilience_runner(
             "population_size": 10000,
             "target": DEFAULT_TARGET,
             "measure": True,
-            "kernel": "scalar",
         },
     )
     p, population_size = args["p"], args["population_size"]
-    check_kernel(args["kernel"])
     plan = plan_configuration(
         args["scheme"], p, population_size, target=args["target"]
     )
@@ -206,7 +198,6 @@ def attack_resilience_runner(
             trials,
             seed,
             engine,
-            kernel=args["kernel"],
             label=f"fig6-{scheme.name}-{p}",
             batch_size=batch_size,
         )
@@ -518,10 +509,7 @@ def sensitivity_runner(
 
     The planner normally hides (k, l) behind a cost search; this kind pins
     them explicitly and measures how release/drop resilience trade off as
-    the grid grows — the surface the paper's Fig. 6 planner walks.  Pin
-    ``kernel="vectorized"`` in the spec (the built-in sensitivity-grid
-    does) for the numpy attack kernels; the unpinned default stays the
-    scalar per-trial lane so pre-kernel result stores remain valid.
+    the grid grows — the surface the paper's Fig. 6 planner walks.
     """
     from repro.experiments.attack_resilience import measure_attack
 
@@ -529,7 +517,7 @@ def sensitivity_runner(
         "sensitivity",
         params,
         required={"scheme": str, "replication": int, "path_length": int, "p": float},
-        optional={"population_size": 2000, "kernel": "scalar"},
+        optional={"population_size": 2000},
     )
     scheme = _multipath_scheme(
         args["scheme"], args["replication"], args["path_length"]
@@ -542,7 +530,6 @@ def sensitivity_runner(
         trials,
         seed,
         engine,
-        kernel=args["kernel"],
         label=(
             f"sens-{args['scheme']}-k{args['replication']}"
             f"-l{args['path_length']}-p{args['p']}"

@@ -157,8 +157,7 @@ class RandomSource:
         ``21 + 4 ** ceil(log4(3 * count))`` (just 21 when ``count`` <= 5); at
         or below that it copies the population into a pool list.  For a
         10,000-node network that means ``count`` < 1,366 is list-free, and
-        larger markings (the scalar Fig. 6 lane's at p >= 0.14) build the
-        10,000-entry pool.
+        larger markings (p >= 0.14) build the 10,000-entry pool.
         """
         if count > population:
             raise ValueError(

@@ -14,11 +14,10 @@ import pytest
 
 from repro.api import run_scenario
 from repro.backends.wire import UNITS, decode_blob, encode_blob
-from repro.core.schemes import CentralizedScheme, NodeDisjointScheme, NodeJointScheme
+from repro.core.schemes import NodeDisjointScheme, NodeJointScheme
 from repro.epoch.measure import EpochAvailabilityBatch, EpochTimelinessBatch
 from repro.epoch.oracle import EpochAvailabilityTrial, EpochTimelinessTrial
 from repro.experiments.attack_kernels import CentralAttackBatch, MultipathAttackBatch
-from repro.experiments.attack_resilience import AttackTrial
 from repro.experiments.executors import SerialExecutor, TrialTask
 from repro.experiments.timeliness import TimelinessTrial
 from repro.scenarios.registry import builtin_scenarios
@@ -48,10 +47,12 @@ def _batches(batch, channels=2):
 #: One task per unit; together they name every production entry of the
 #: table (asserted below).  Each runs range units [0, 3).
 TASKS = {
-    "AttackTrial-central": _counts(AttackTrial(CentralizedScheme(), 0.3, 100)),
-    "AttackTrial-disjoint": _counts(AttackTrial(NodeDisjointScheme(2, 3), 0.3, 100)),
-    "AttackTrial-joint": _counts(AttackTrial(NodeJointScheme(2, 3), 0.3, 100)),
-    "AdaptiveTrial": _counts(AdaptiveTrial(NodeJointScheme(3, 4), 200, 0.1, 0.5, 4)),
+    "AdaptiveTrial-disjoint": _counts(
+        AdaptiveTrial(NodeDisjointScheme(2, 3), 200, 0.1, 0.5, 4)
+    ),
+    "AdaptiveTrial-joint": _counts(
+        AdaptiveTrial(NodeJointScheme(3, 4), 200, 0.1, 0.5, 4)
+    ),
     "MultipathAttackBatch": _batches(MultipathAttackBatch(0.2, 1000, 3, 4, True)),
     "CentralAttackBatch": _batches(CentralAttackBatch(0.2, 1000)),
     "EpochAvailabilityBatch": _batches(EpochAvailabilityBatch(*EPOCH)),
@@ -109,11 +110,9 @@ def test_every_unit_a_builtin_scenario_builds_is_registered():
     for name in sorted(builtin_scenarios()):
         run_scenario(name, trials=1, backend=recorder)
     assert recorder.units <= PRODUCTION_UNITS
-    # What no built-in spec builds: the scalar oracle lanes, which the
-    # round trip above covers.
+    # What no built-in spec builds: the epoch lane's scalar walkers, which
+    # the round trip above covers.
     assert PRODUCTION_UNITS - recorder.units == {
-        "AttackTrial",
-        "CentralizedScheme",
         "EpochAvailabilityTrial",
         "EpochTimelinessTrial",
     }

@@ -27,17 +27,18 @@ from repro.backends.pool import WorkerPool, load_hosts_file
 from repro.backends.worker import WorkerServer
 from repro.backends.pool import _worker_environment
 from repro.backends.wire import ProtocolError, recv_message, request
-from repro.core.schemes import CentralizedScheme
-from repro.experiments.attack_resilience import AttackTrial
+from repro.experiments.attack_kernels import CentralAttackBatch
 from repro.experiments.engine import TrialEngine
 
 #: What the spawned workers run: a production unit, since a worker process
 #: decodes only the classes the package's own unit table names.
-central_attack = AttackTrial(CentralizedScheme(), 0.4, 50)
+central_attack = CentralAttackBatch(0.4, 50)
 
 
 def run_attack(engine, trials, seed):
-    return engine.run(central_attack, trials=trials, seed=seed, channels=2)
+    return engine.run_batched(
+        central_attack, trials=trials, seed=seed, channels=2, batch_size=10
+    )
 
 
 @pytest.fixture(scope="module")

@@ -231,25 +231,22 @@ def _unit(name, **fields):
     return json.dumps({"unit": name, "fields": fields})
 
 
-_ATTACK_FIELDS = {
-    "scheme": {"unit": "CentralizedScheme", "fields": {}},
-    "malicious_rate": 0.2,
-}
+_ATTACK_FIELDS = {"malicious_rate": 0.2}
 
 #: ``task`` fields a worker must refuse, each with ``ok: false``.
 HOSTILE_TASKS = {
     "a name outside the table": _unit("system", command="touch owned"),
     "a table name given with another module": json.dumps(
         {
-            "unit": "AttackTrial",
+            "unit": "CentralAttackBatch",
             "module": "os",
             "fields": {**_ATTACK_FIELDS, "population_size": 100},
         }
     ),
     "a qualified name": _unit("os.system", command="true"),
-    "a missing field": _unit("AttackTrial", **_ATTACK_FIELDS),
+    "a missing field": _unit("CentralAttackBatch", **_ATTACK_FIELDS),
     "an extra field": _unit(
-        "AttackTrial", **_ATTACK_FIELDS, population_size=100, command="true"
+        "CentralAttackBatch", **_ATTACK_FIELDS, population_size=100, command="true"
     ),
     "a non-object": json.dumps([1, 2, 3]),
     "a bare object, not codec text": {"unit": "TrialTask", "fields": {}},

@@ -6,10 +6,9 @@ from scipy import stats
 
 from repro.adversary.population import SybilPopulation
 from repro.core.analysis import disjoint_resilience, joint_resilience
-from repro.core.paths import HolderGrid, ShareLattice
+from repro.core.paths import HolderGrid
 from repro.core.schemes import (
     CentralizedScheme,
-    KeyShareScheme,
     NodeDisjointScheme,
     NodeJointScheme,
     algorithm1,
@@ -196,33 +195,3 @@ class TestPlanShareScheme:
         assert worst(0.30, 10000) > 0.95
         # 5000 and 10000 nearly coincide below p = 0.3.
         assert abs(worst(0.25, 5000) - worst(0.25, 10000)) < 0.02
-
-
-class TestKeyShareSchemeObject:
-    def test_resilience_uses_algorithm1(self):
-        scheme = KeyShareScheme(5, 10, 1000, 3.0, 1.0)
-        pair = scheme.resilience(0.2)
-        plan = scheme.plan(0.2)
-        assert pair.release == pytest.approx(plan.release_resilience)
-        assert pair.drop == pytest.approx(plan.drop_resilience)
-
-    def test_structure_sampling(self):
-        scheme = KeyShareScheme(3, 4, 1000, 3.0, 1.0, lattice_rows=6)
-        lattice = scheme.sample_structure(POPULATION, RandomSource(3))
-        assert isinstance(lattice, ShareLattice)
-        assert lattice.share_count == 6
-        assert lattice.path_length == 4
-
-    def test_static_attack_evaluation(self):
-        scheme = KeyShareScheme(3, 4, 1000, 3.0, 1.0, lattice_rows=6)
-        lattice = scheme.sample_structure(POPULATION, RandomSource(4))
-        all_honest = SybilPopulation(0.0, RandomSource(5))
-        outcome = scheme.evaluate_attacks(lattice, all_honest)
-        assert outcome.release_resisted
-        assert outcome.drop_resisted
-
-        all_malicious = SybilPopulation(0.0, RandomSource(6))
-        all_malicious.force_malicious(lattice.all_holders())
-        outcome = scheme.evaluate_attacks(lattice, all_malicious)
-        assert not outcome.release_resisted
-        assert not outcome.drop_resisted

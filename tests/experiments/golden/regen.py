@@ -14,8 +14,11 @@ The other entries (one sweep per remaining kind and lane, at small
 trials) were generated on the commit before PR 23 folded the ``*_point``
 layer into the scenario runners.  The fig7, fig8 and availability entries
 were regenerated when those kinds became closed forms (their records hold
-exact values and ``trials_run`` 0; the keys did not move).  Only rerun it
-in a PR that says why a record's bytes changed.
+exact values and ``trials_run`` 0; the keys did not move).  The fig6a,
+fig6c, sensitivity-grid and smoke entries were regenerated when the attack
+kinds lost their ``kernel`` parameter: the param and the content key left
+each record, and every ``result`` block stayed byte for byte.  Only rerun
+it in a PR that says why a record's bytes changed.
 
 Each pin is the store checksum of one point record (SHA-256 over its
 canonical JSON: point, params, seed, trials, result), keyed by the point's
@@ -32,7 +35,7 @@ from typing import Dict
 from repro import api
 
 GOLDEN = Path(__file__).with_name("record_parity.json")
-#: scenario -> trials per point (fig6a pins ``kernel="vectorized"`` itself).
+#: scenario -> trials per point.
 SWEEPS = {
     "fig6a": 1000,
     "fig6c": 200,
@@ -43,10 +46,7 @@ SWEEPS = {
     "epoch-smoke": 40,  # availability, epoch lane
     "timeliness": 4,  # event lane: trials are protocol runs
     "timeliness-1e6": 8,  # epoch lane
-    "sensitivity-grid": 40,  # pins kernel="vectorized"
-    # Pins kernel="vectorized" too.  The scalar AttackTrial lane has no
-    # record pin: TestScalarVectorizedEquivalence and perf_smoke hold it
-    # to the vectorised one statistically.
+    "sensitivity-grid": 40,
     "smoke": 40,
 }
 

@@ -1,12 +1,12 @@
-"""Scalar ≡ vectorised equivalence for the finite-population attack kernels.
+"""The finite-population attack kernels against their exact answer.
 
-The vectorised lane draws from per-batch numpy streams, the scalar oracle
-from per-trial forks, so the contract is *statistical* equivalence: same
-marking distribution, same structural predicates, overlapping confidence
-intervals on pinned seeds (deterministic — a pinned seed either always
-passes or always fails).  Degenerate rates (p = 0, p = 1) must agree
-*exactly*, and the mask sampler's combinatorial invariants are checked
-directly.
+The kernels draw from per-batch numpy streams; what their estimates
+converge to is :func:`repro.core.analysis.finite_resilience`.  So the
+contract is *statistical*: every measured channel's Wilson interval at
+z = 3.29 holds the exact value on pinned seeds (``tests/fig6_exact.py``;
+deterministic — a pinned seed either always passes or always fails).
+Degenerate rates (p = 0, p = 1) must come out *exactly*, and the mask
+sampler's combinatorial invariants are checked directly.
 """
 
 import tracemalloc
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fig6_exact
 from repro.core.schemes import (
     CentralizedScheme,
     NodeDisjointScheme,
@@ -30,24 +31,10 @@ from repro.experiments.attack_kernels import (
     place_malicious_counts,
     sample_malicious_grids,
 )
-from repro.experiments.attack_resilience import AttackTrial
+from repro.core.analysis import finite_resilience
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import SweepPoolExecutor
 from repro.scenarios.runners import get_runner
-from repro.util.stats import wilson_proportion_ci
-
-
-def _overlapping(first, second) -> bool:
-    """Do two (successes, trials) Wilson intervals overlap?
-
-    z = 3.29 (99.9%): a dozen comparisons run across the parametrised
-    cases, so per-comparison intervals are widened to keep the family-wise
-    false-trip rate negligible (pinned seeds make each outcome
-    deterministic; both lanes separately converge to the analytic curve).
-    """
-    _, low_a, high_a = wilson_proportion_ci(*first, z_score=3.29)
-    _, low_b, high_b = wilson_proportion_ci(*second, z_score=3.29)
-    return low_a <= high_b and low_b <= high_a
 
 
 class TestMaskSampler:
@@ -225,9 +212,10 @@ class TestBatchUnits:
         joint = attack_batch_for(NodeJointScheme(2, 3), 0.1, 500)
         assert isinstance(disjoint, MultipathAttackBatch) and not disjoint.joint
         assert isinstance(joint, MultipathAttackBatch) and joint.joint
-        assert attack_batch_for(object(), 0.1, 500) is None
+        with pytest.raises(TypeError, match="no attack batch unit for object"):
+            attack_batch_for(object(), 0.1, 500)
 
-    def test_degenerate_rates_match_scalar_exactly(self):
+    def test_degenerate_rates_are_exact(self):
         engine = TrialEngine()
         for scheme in (
             CentralizedScheme(),
@@ -239,13 +227,11 @@ class TestBatchUnits:
                 result = engine.run_batched(
                     batch, trials=40, seed=5, label="deg", channels=2
                 )
-                # p=0: no attack ever succeeds; p=1: release always
-                # succeeds (the scalar oracle agrees by construction).
-                assert result.estimates[0].successes == resisted
-                scalar = engine.estimate_pair(
-                    AttackTrial(scheme, rate, 200), trials=40, seed=5, label="deg"
-                )
-                assert scalar.release.successes == resisted
+                # p=0: no attack ever succeeds; p=1: both always succeed,
+                # and the exact form says so to the bit.
+                assert [e.successes for e in result.estimates] == [resisted] * 2
+                exact = finite_resilience(scheme.name, rate, 2, 3, 200)
+                assert (exact.release, exact.drop) == (resisted / 40,) * 2
 
     def test_counts_deterministic_and_executor_independent(self):
         batch = MultipathAttackBatch(0.3, 400, 3, 4, joint=True)
@@ -281,41 +267,36 @@ def _fig6_point(scheme_name, p, trials, seed, **extra):
     )
 
 
-class TestScalarVectorizedEquivalence:
-    """Pinned-seed Wilson-CI overlap between the two lanes (deterministic)."""
+class TestKernelMatchesFiniteForm:
+    """Pinned-seed Wilson intervals around the exact finite-N answer."""
 
     @pytest.mark.parametrize("scheme_name", ["central", "disjoint", "joint"])
     @pytest.mark.parametrize("p", [0.1, 0.3])
-    def test_point_estimates_overlap(self, scheme_name, p):
-        fast, slow = (
-            _fig6_point(
-                scheme_name, p, 400, 2017, population_size=400, kernel=kernel
-            )
-            for kernel in ("vectorized", "scalar")
+    def test_point_estimates_bracket_the_exact_value(self, scheme_name, p):
+        point = _fig6_point(scheme_name, p, 400, 2017, population_size=400)
+        exact = finite_resilience(
+            scheme_name, p, point["replication"], point["path_length"], 400
         )
-        for planned in ("replication", "path_length", "cost", "analytic_worst"):
-            assert fast[planned] == slow[planned]
         for channel in ("release", "drop"):
-            fast_est = fast["measured"][channel]
-            slow_est = slow["measured"][channel]
-            assert _overlapping(
-                (fast_est["successes"], fast_est["trials"]),
-                (slow_est["successes"], slow_est["trials"]),
+            assert fig6_exact.bracketed(
+                point["measured"][channel], getattr(exact, channel)
             ), f"{scheme_name} p={p} {channel}"
 
-    def test_both_lanes_track_the_analytic_curve(self):
-        # Small population, moderate p: both lanes near the closed form.
-        for kernel in ("vectorized", "scalar"):
-            point = _fig6_point(
-                "joint", 0.2, 500, 99, population_size=600, kernel=kernel
-            )
-            assert point["measured"]["release"]["estimate"] == pytest.approx(
-                point["analytic_release"], abs=0.07
-            )
-            assert point["measured"]["drop"]["estimate"] == pytest.approx(
-                point["analytic_drop"], abs=0.07
-            )
+    def test_the_kernel_tracks_the_analytic_curve(self):
+        # Small population, moderate p: the estimates near the closed form.
+        point = _fig6_point("joint", 0.2, 500, 99, population_size=600)
+        assert point["measured"]["release"]["estimate"] == pytest.approx(
+            point["analytic_release"], abs=0.07
+        )
+        assert point["measured"]["drop"]["estimate"] == pytest.approx(
+            point["analytic_drop"], abs=0.07
+        )
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            _fig6_point("joint", 0.1, 400, 2017, kernel="quantum")
+    @pytest.mark.parametrize("kind", ["attack_resilience", "sensitivity"])
+    def test_a_kernel_parameter_is_refused(self, kind):
+        params = {"scheme": "joint", "p": 0.1, "kernel": "vectorized"}
+        if kind == "sensitivity":
+            params.update(replication=2, path_length=3)
+        refused = r"does not accept parameter\(s\) \['kernel'\]"
+        with pytest.raises(ValueError, match=refused):
+            get_runner(kind)(params, 10, 2017, TrialEngine())

@@ -2,13 +2,15 @@
 
 Each class shrinks a registered figure scenario (fewer axis values, fewer
 trials) and runs it through ``api.run_scenario`` — the path the store, CI
-and the perf ledger exercise — then reads the curves off ``sweep_series``.
+and the perf ledger exercise — then reads the curves off ``sweep_series``;
+``TestFig6Exact`` instead runs the Fig. 6 family at ten times its trials.
 """
 
 import dataclasses
 
 import pytest
 
+import fig6_exact
 from repro import api
 from repro.experiments.reporting import sweep_series
 from repro.scenarios.spec import Axis
@@ -95,15 +97,45 @@ class TestFig6Measured:
             trials=300,
             population_size=2000,
         )
-        for result in report.results():
-            if result["measured"] is None:
-                continue
-            assert result["measured"]["release"]["estimate"] == pytest.approx(
-                result["analytic_release"], abs=0.08
-            )
-            assert result["measured"]["drop"]["estimate"] == pytest.approx(
-                result["analytic_drop"], abs=0.08
-            )
+        rows = list(fig6_exact.channels(report))
+        assert len(rows) == 12
+        for point, channel, estimate, exact, _ in rows:
+            assert fig6_exact.bracketed(estimate, exact), (point, channel)
+
+
+class TestFig6Exact:
+    """Every Fig. 6-family sweep at 10x its registry trials: each measured
+    channel holds the exact finite-N value at z = 3.29, while Eqs. 1-3,
+    the N -> infinity limit, miss some at N = 100."""
+
+    SWEEPS = ("fig6a", "fig6c", "scheme-matrix-n1000", "sensitivity-grid")
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rows = {}
+        for name in self.SWEEPS:
+            trials = 10 * api.get_scenario(name).trials
+            report = api.run_scenario(name, trials=trials)
+            rows[name] = list(fig6_exact.channels(report))
+        return rows
+
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_every_channel_holds_the_exact_value(self, rows, name):
+        outside = [
+            (point, channel)
+            for point, channel, estimate, exact, _ in rows[name]
+            if not fig6_exact.bracketed(estimate, exact)
+        ]
+        assert len(rows[name]) == (64 if name == "sensitivity-grid" else 66)
+        assert outside == []
+
+    def test_eqs_1_to_3_miss_the_small_network(self, rows):
+        missed = [
+            (point, channel)
+            for point, channel, estimate, _, analytic in rows["fig6c"]
+            if not fig6_exact.bracketed(estimate, analytic)
+        ]
+        assert missed
 
 
 class TestFig7:

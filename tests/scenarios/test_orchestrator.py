@@ -313,7 +313,7 @@ class TestDriverEquivalence:
         spec = ScenarioSpec(
             name="fig6-small",
             kind="attack_resilience",
-            fixed={"population_size": 500, "kernel": "vectorized"},
+            fixed={"population_size": 500},
             axes=(
                 Axis("scheme", ("central", "disjoint", "joint")),
                 Axis("p", (0.1, 0.3)),

@@ -164,18 +164,28 @@ DELETED = (
     # A journal's state is read one way, from disk (``load``/``status``).
     r"\bmidflight_keys\b",
     r"\bcommitted_keys\b",
+    # Fig. 6 has one Monte-Carlo lane, held to the exact finite-N form
+    # (``core.analysis.finite_resilience``): no per-trial scalar lane, no
+    # lane knob on the attack kinds, and no key-share scheme object whose
+    # attack evaluator nothing called.
+    r"\bAttackTrial\b",
+    r"\bvectorized_batch_size\b",
+    r"\bDEFAULT_VECTORIZED_BATCH\b",
+    r"\bKeyShareScheme\b",
 )
 
 #: Gone from ``src/`` only: the id-list distance helpers and the per-id
 #: bucket index, with no caller once a FIND_NODE was answered in integer
 #: space (the tests keep their own copies as oracles).  Never in ``src/``:
 #: the private ``Random._randbelow``; draws go through ``RandomSource.below``
-#: and the public ``getrandbits``.
+#: and the public ``getrandbits``.  Gone from ``src/`` too: the attack
+#: kinds' lane table (the perf ledger keeps a ``KERNELS`` of its own).
 DELETED_FROM_SRC = (
     r"\bsort_by_distance\b",
     r"\bdef closest\b|import[^#]*\bclosest\b",
     r"\bbucket_index_for\b",
     r"\b_randbelow\b",
+    r"\bKERNELS\b",
 )
 
 #: ...and nothing under ``src/repro/`` pickles or unpickles: a task or a
