@@ -318,6 +318,7 @@ def announce_worker(
     timeout: float = 5.0,
     retry_seconds: float = 0.0,
     retry_interval: float = 0.5,
+    stop: Optional[threading.Event] = None,
 ) -> bool:
     """Announce ``worker_address`` to a driver registry; ``True`` if accepted.
 
@@ -326,10 +327,12 @@ def announce_worker(
     driver's registry is listening (e.g. the CI chaos job races a
     replacement against the sweep's startup).  A reachable registry that
     *refuses* the announcement (probe failed, malformed address) is
-    terminal: retrying would not change the answer.
+    terminal: retrying would not change the answer.  Once ``stop`` is
+    set, no new attempt starts (one already sent still gets its answer).
     """
+    stop = stop or threading.Event()
     deadline = time.monotonic() + retry_seconds
-    while True:
+    while not stop.is_set():
         try:
             reply = _registry_request(
                 registry_address,
@@ -340,7 +343,8 @@ def announce_worker(
         except (OSError, ConnectionError):
             if time.monotonic() >= deadline:
                 return False
-            time.sleep(retry_interval)
+            stop.wait(retry_interval)
+    return False
 
 
 def retire_worker(

@@ -102,8 +102,6 @@ UNITS: Dict[str, str] = {
     "CentralAttackBatch": "repro.experiments.attack_kernels",
     "EpochAvailabilityBatch": "repro.epoch.measure",
     "EpochTimelinessBatch": "repro.epoch.measure",
-    "EpochAvailabilityTrial": "repro.epoch.oracle",
-    "EpochTimelinessTrial": "repro.epoch.oracle",
     "TimelinessTrial": "repro.experiments.timeliness",
     "NodeDisjointScheme": "repro.core.schemes.disjoint",
     "NodeJointScheme": "repro.core.schemes.joint",

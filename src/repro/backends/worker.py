@@ -442,6 +442,11 @@ class WorkerServer(socketserver.ThreadingTCPServer):
 #: so a refused connection means "keep trying", not "give up".
 _ANNOUNCE_RETRY_SECONDS = 60.0
 
+#: How long shutdown waits for an announce request already on the wire
+#: (its own timeout): the registry may have recorded the join before
+#: replying, and a recorded join must be retired, not struck.
+_ANNOUNCE_SETTLE_SECONDS = 5.0
+
 
 def serve(
     host: str,
@@ -473,6 +478,8 @@ def serve(
     )
 
     announced_as: Optional[str] = None
+    stopping = threading.Event()
+    announcer: Optional[threading.Thread] = None
     if announce is not None:
         from repro.backends.membership import (
             announce_worker,
@@ -491,21 +498,23 @@ def serve(
                 announce,
                 own_address,
                 retry_seconds=_ANNOUNCE_RETRY_SECONDS,
+                stop=stopping,
             ):
                 announced_as = own_address
                 print(
                     f"repro worker announced {own_address} to {announce}",
                     flush=True,
                 )
-            else:
+            elif not stopping.is_set():
                 print(
                     f"repro worker: announce to {announce} not accepted",
                     flush=True,
                 )
 
-        threading.Thread(
+        announcer = threading.Thread(
             target=_announce, name="repro-announce", daemon=True
-        ).start()
+        )
+        announcer.start()
 
     def _terminate(signum, frame):  # pragma: no cover - signal path
         raise KeyboardInterrupt
@@ -519,7 +528,13 @@ def serve(
         signal.signal(signal.SIGTERM, previous_handler)
         server.server_close()
         server._close_connections()
-        if announce is not None and announced_as is not None:
+        if announcer is not None:
+            # End the retry loop, but let a request already sent answer:
+            # deciding on ``announced_as`` before it does would leave a
+            # join the registry recorded never retired.
+            stopping.set()
+            announcer.join(timeout=_ANNOUNCE_SETTLE_SECONDS)
+        if announced_as is not None:
             from repro.backends.membership import retire_worker
 
             retire_worker(announce, announced_as)

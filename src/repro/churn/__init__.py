@@ -10,9 +10,10 @@ Two phenomena are modelled, following the paper's taxonomy:
   rejoins; storage survives but the node cannot send or receive meanwhile.
 
 :mod:`repro.churn.process` drives these against a simulated network on the
-event loop; :mod:`repro.churn.replication` implements the column-replica
-repair the multipath schemes rely on, including its release-ahead exposure
-cost (every repair hands the column key to one more node).
+event loop; :mod:`repro.epoch` measures them, with the column-replica
+repair the multipath schemes rely on and its release-ahead exposure cost
+(every repair hands the column key to one more node), on whole node
+populations.
 """
 
 from repro.churn.lifetime import ExponentialLifetime

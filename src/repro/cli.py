@@ -397,10 +397,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--kernel",
             default=None,
             help="pin the point runner's kernel lane for this sweep "
-            "('epoch' / 'epoch-scalar' for the availability and timeliness "
-            "kinds); the value lands in the spec's fixed params — and "
-            "therefore in cache keys — so a pinned run never collides "
-            "with the scenario's default lane",
+            "(availability: 'static' or 'epoch'; timeliness: 'event' or "
+            "'epoch'; other kinds have none and refuse it); the value lands "
+            "in the spec's fixed params — and therefore in cache keys — so "
+            "a pinned run never collides with the scenario's default lane",
         )
         action_parser.add_argument(
             "--fallback",

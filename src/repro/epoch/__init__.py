@@ -13,9 +13,10 @@ Layout mirrors the PR 3 attack-kernel split:
 - :mod:`repro.epoch.population` — lifetime sampling + per-epoch masks,
 - :mod:`repro.epoch.placement` — share→node assignment bookkeeping,
 - :mod:`repro.epoch.repair` — the vectorized per-epoch repair round,
-- :mod:`repro.epoch.measure` — ``TrialEngine``-compatible batch units,
-- :mod:`repro.epoch.oracle` — the slim scalar reference walker (drives
-  ``churn.replication`` objects; the property-tested ground truth).
+- :mod:`repro.epoch.measure` — ``TrialEngine``-compatible batch units.
+
+The scalar reference walker the batch units are held to lives with the
+tests (``tests/epoch_oracle.py``).
 """
 
 from repro.epoch.measure import EPOCH_METRICS

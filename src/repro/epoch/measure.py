@@ -31,7 +31,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.planner import PLANNING_FLOOR, plan_configuration
-from repro.epoch.oracle import EpochAvailabilityTrial, EpochTimelinessTrial
 from repro.epoch.placement import PlacementState
 from repro.epoch.population import (
     EpochPopulation,
@@ -41,10 +40,6 @@ from repro.epoch.population import (
 from repro.epoch.repair import step_epoch
 from repro.experiments.churn_model import outcome_from_result
 from repro.obs import MetricsRegistry
-
-#: Kernel lane names the ``availability`` / ``timeliness`` scenario kinds
-#: accept on top of their historical defaults ("static" / "event").
-EPOCH_KERNELS = ("epoch", "epoch-scalar")
 
 #: Cap on a chunk's ``trials * path_length * replication`` cell slab.
 MAX_SLAB_ELEMENTS = 4_000_000
@@ -248,10 +243,10 @@ def _record(
 # -- point-level entry points (what the availability/timeliness kinds call) --
 
 
-def _check_multipath(scheme: str, kernel: str) -> bool:
+def _check_multipath(scheme: str) -> bool:
     if scheme not in ("disjoint", "joint"):
         raise ValueError(
-            f"kernel {kernel!r} simulates the multipath schemes "
+            "the epoch kernel simulates the multipath schemes "
             f"('disjoint', 'joint'); got scheme {scheme!r}"
         )
     return scheme == "joint"
@@ -269,14 +264,13 @@ def epoch_availability_outcome(
     seed: int,
     engine,
     batch_size: Optional[int],
-    scalar: bool,
 ):
     """Measure one availability point under epoch churn; a ChurnOutcome.
 
     The (k, l) configuration comes from the same planner call the static
     lane uses, so epoch points are comparable against static ones.
     """
-    joint = _check_multipath(scheme, "epoch-scalar" if scalar else "epoch")
+    joint = _check_multipath(scheme)
     planned = plan_configuration(
         scheme, max(malicious_rate, PLANNING_FLOOR), population_size
     )
@@ -297,29 +291,19 @@ def epoch_availability_outcome(
         "epoch.point",
         kind="availability",
         scheme=scheme,
-        lane="scalar" if scalar else "vectorized",
         nodes=population_size,
         replication=planned.replication,
         path_length=planned.path_length,
         alpha=alpha,
     ):
-        if scalar:
-            result = engine.run(
-                EpochAvailabilityTrial(joint=joint, **fields),
-                trials=trials,
-                seed=seed,
-                label=label,
-                channels=2,
-            )
-        else:
-            result = engine.run_batched(
-                EpochAvailabilityBatch(joint=joint, **fields),
-                trials=trials,
-                seed=seed,
-                label=label,
-                channels=2,
-                batch_size=batch_size,
-            )
+        result = engine.run_batched(
+            EpochAvailabilityBatch(joint=joint, **fields),
+            trials=trials,
+            seed=seed,
+            label=label,
+            channels=2,
+            batch_size=batch_size,
+        )
     return outcome_from_result(result)
 
 
@@ -338,7 +322,6 @@ def epoch_timeliness_result(
     seed: int,
     engine,
     batch_size: Optional[int],
-    scalar: bool,
 ):
     """Measure one timeliness point under epoch churn.
 
@@ -347,7 +330,7 @@ def epoch_timeliness_result(
     schedule and is right-censored at ``retry_epochs`` (a chain that has
     not delivered by then counts as undelivered).
     """
-    _check_multipath(scheme, "epoch-scalar" if scalar else "epoch")
+    _check_multipath(scheme)
     label = (
         f"epoch-time-{scheme}-{uptime}-{malicious_rate}-{alpha}-{lifetime}"
     )
@@ -366,31 +349,20 @@ def epoch_timeliness_result(
         "epoch.point",
         kind="timeliness",
         scheme=scheme,
-        lane="scalar" if scalar else "vectorized",
         nodes=population_size,
         replication=replication,
         path_length=path_length,
         alpha=alpha,
     ):
-        if scalar:
-            trial = EpochTimelinessTrial(**fields)
-            result = engine.run(
-                trial,
-                trials=trials,
-                seed=seed,
-                label=label,
-                channels=trial.channels,
-            )
-        else:
-            batch = EpochTimelinessBatch(**fields)
-            result = engine.run_batched(
-                batch,
-                trials=trials,
-                seed=seed,
-                label=label,
-                channels=batch.channels,
-                batch_size=batch_size,
-            )
+        batch = EpochTimelinessBatch(**fields)
+        result = engine.run_batched(
+            batch,
+            trials=trials,
+            seed=seed,
+            label=label,
+            channels=batch.channels,
+            batch_size=batch_size,
+        )
     delivered = result.estimates[0].successes
     tail = [estimate.successes for estimate in result.estimates[1:]]
     mean_lateness = (sum(tail) / delivered) if delivered else 0.0

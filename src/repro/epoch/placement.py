@@ -10,8 +10,8 @@ round maintains.
 
 Repaired cells leave the shared population: a replacement is a fresh
 private node (slot sentinel ``-1``) with its own lifetime and session
-draws — the scalar oracle does exactly the same through
-``fresh_id_allocator``, so the two lanes' replacement semantics match.
+draws — the scalar oracle the tests hold this lane to
+(``tests/epoch_oracle.py``) does the same with fresh ids.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """The vectorized per-epoch death/repair round.
 
-Mirrors the replica-maintenance semantics of ``churn.replication`` at
-epoch granularity: within one epoch all deaths land *simultaneously*,
-then the survivors republish.  A column whose
+Replica maintenance at epoch granularity: within one epoch all deaths
+land *simultaneously*, then the survivors republish.  A column whose
 ``k`` holders all die in the same epoch is lost — there is no survivor
-to repair from (``simulate_column_epoch_deaths``'s sequential
-interleaving could never lose a ``k >= 2`` column; the scalar oracle
-uses ``repair_simultaneous_deaths`` for the same step).  Every other
+to repair from (a sequential interleaving, each death repaired before
+the next, could never lose a ``k >= 2`` column; the scalar oracle of
+``tests/epoch_oracle.py`` takes the same simultaneous step).  Every other
 death is repaired onto a fresh private node whose own lifetime starts
 at the repair epoch and whose maliciousness is an independent
 Bernoulli draw at the population's exact marked rate — a malicious

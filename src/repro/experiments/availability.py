@@ -74,21 +74,3 @@ def key_share_availability(
             plan.replication,
         )
     )
-
-
-#: Kernel lanes the ``availability`` scenario kind dispatches between.
-#: "static" is the per-boundary offline model (the closed forms above, no
-#: deaths); the epoch lanes simulate death churn + repair on an explicit
-#: node population (repro.epoch), where ``alpha`` / ``lifetime`` /
-#: ``lifetime_shape`` parameterize node lifetimes.
-AVAILABILITY_KERNELS = ("static", "epoch", "epoch-scalar")
-
-
-def check_kernel(kernel: str) -> str:
-    """Validate an availability lane name."""
-    if kernel not in AVAILABILITY_KERNELS:
-        raise ValueError(
-            f"unknown availability kernel {kernel!r}; "
-            f"expected one of {AVAILABILITY_KERNELS}"
-        )
-    return kernel

@@ -71,9 +71,8 @@ class ChurnOutcome:
 def outcome_from_result(result) -> ChurnOutcome:
     """A two-channel engine result (release, drop attack successes) → outcome.
 
-    The adapter the epoch lanes of the availability and timeliness kinds
-    use to turn a :class:`~repro.experiments.engine.EngineResult` into a
-    resilience pair.
+    The adapter the availability kind's epoch lane uses to turn a
+    :class:`~repro.experiments.engine.EngineResult` into a resilience pair.
     """
     release, drop = result.estimates
     trials = release.trials

@@ -81,21 +81,3 @@ class TimelinessTrial:
         return _run_one(
             self.scheme, self.max_latency, self.seed + index * 13, self.path_length
         )
-
-
-#: Kernel lanes the ``timeliness`` scenario kind dispatches between.
-#: "event" is the historical end-to-end event-loop protocol run
-#: (:class:`TimelinessTrial`, one collect-mode engine trial per run); the
-#: epoch lanes measure delivery lateness in *holding epochs* under churn
-#: (repro.epoch), right-censored at ``retry_epochs``.
-TIMELINESS_KERNELS = ("event", "epoch", "epoch-scalar")
-
-
-def check_kernel(kernel: str) -> str:
-    """Validate a timeliness lane name."""
-    if kernel not in TIMELINESS_KERNELS:
-        raise ValueError(
-            f"unknown timeliness kernel {kernel!r}; "
-            f"expected one of {TIMELINESS_KERNELS}"
-        )
-    return kernel

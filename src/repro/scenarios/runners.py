@@ -313,6 +313,34 @@ def share_cost_runner(
     }
 
 
+#: The kernel lanes of the kinds that have more than one, default first:
+#: ``static`` (availability's per-boundary closed forms, no deaths) or
+#: ``event`` (timeliness's end-to-end event-loop protocol runs), then
+#: ``epoch``, the churn-and-repair simulator of :mod:`repro.epoch` on an
+#: explicit node population, which reads ``alpha`` / ``lifetime`` /
+#: ``lifetime_shape``.
+KERNEL_LANES = {
+    "availability": ("static", "epoch"),
+    "timeliness": ("event", "epoch"),
+}
+
+
+def check_kernel(kind: str, kernel: str) -> str:
+    """Validate a kernel lane for ``kind``: what a pinned ``--kernel``
+    and a point runner both check, before anything is computed."""
+    lanes = KERNEL_LANES.get(kind)
+    if lanes is None:
+        raise ValueError(
+            f"kind {kind!r} has no kernel lanes; only "
+            f"{', '.join(sorted(KERNEL_LANES))} take a kernel"
+        )
+    if kernel not in lanes:
+        raise ValueError(
+            f"unknown {kind} kernel {kernel!r}; expected one of {lanes}"
+        )
+    return kernel
+
+
 @register_kind("availability")
 def availability_runner(
     params: Mapping[str, Any],
@@ -323,13 +351,12 @@ def availability_runner(
 ) -> Dict[str, Any]:
     """Extension: transient unavailability on top of death churn."""
     from repro.experiments.availability import (
-        check_kernel,
         key_share_availability,
         multipath_availability,
     )
 
     # The unpinned kernel default stays "static" and the churn knobs (read
-    # by the epoch lanes only) are optional, so cache keys of stores
+    # by the epoch lane only) are optional, so cache keys of stores
     # populated before the epoch lane existed remain valid; only specs
     # that *pin* kernel="epoch" differ.
     args = _take(
@@ -346,7 +373,7 @@ def availability_runner(
     )
     scheme, uptime, p = args["scheme"], args["uptime"], args["p"]
     kernel, population_size = args["kernel"], args["population_size"]
-    if check_kernel(kernel) != "static":
+    if check_kernel("availability", kernel) != "static":
         from repro.epoch.measure import epoch_availability_outcome
 
         outcome = epoch_availability_outcome(
@@ -361,7 +388,6 @@ def availability_runner(
             seed=seed,
             engine=engine,
             batch_size=batch_size,
-            scalar=(kernel == "epoch-scalar"),
         )
     else:
         planning_rate = max(p, PLANNING_FLOOR)
@@ -407,11 +433,11 @@ def timeliness_runner(
 
     On the event lane each end-to-end run is one collect-mode engine
     trial; the per-run seeds are a function of the run index alone,
-    keeping results identical for any executor.  On the epoch lanes the
+    keeping results identical for any executor.  On the epoch lane the
     churn knobs apply and ``max_latency`` is carried through for labeling
     only.
     """
-    from repro.experiments.timeliness import TimelinessTrial, check_kernel
+    from repro.experiments.timeliness import TimelinessTrial
 
     # As with availability: the kernel default stays "event" and every
     # churn knob is optional, so pre-epoch cache keys remain valid.
@@ -436,7 +462,7 @@ def timeliness_runner(
         },
     )
     scheme, max_latency, kernel = args["scheme"], args["max_latency"], args["kernel"]
-    if check_kernel(kernel) != "event":
+    if check_kernel("timeliness", kernel) != "event":
         from repro.epoch.measure import epoch_timeliness_result
 
         delivered, runs, mean_lateness, worst_lateness = epoch_timeliness_result(
@@ -454,7 +480,6 @@ def timeliness_runner(
             seed=seed,
             engine=engine,
             batch_size=batch_size,
-            scalar=(kernel == "epoch-scalar"),
         )
         early = 0
     else:

@@ -259,10 +259,9 @@ class SweepService:
         if not isinstance(name, str) or not name:
             return {"ok": False, "error": "submit needs a scenario name"}
         try:
-            spec = get_scenario(name)
+            spec = get_scenario(name).with_kernel(message.get("kernel"))
         except ValueError as error:
             return {"ok": False, "error": str(error)}
-        spec = spec.with_kernel(message.get("kernel"))
         try:
             spec, trials, entries = resolve_entries(
                 spec,

@@ -70,7 +70,9 @@ def wilson_proportion_ci(
     Unlike the normal approximation, the Wilson interval keeps honest
     (non-degenerate) width at 0 or ``trials`` successes, which matters for
     the trial engine's adaptive early stopping on near-certain events.
-    The returned estimate is still the raw sample proportion.
+    The returned estimate is still the raw sample proportion, and at 0 or
+    ``trials`` successes the closed end is exactly 0.0 or 1.0 (the float
+    arithmetic would miss it by an ulp).
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -90,4 +92,6 @@ def wilson_proportion_ci(
         )
         / denominator
     )
-    return estimate, max(0.0, center - spread), min(1.0, center + spread)
+    low = 0.0 if successes == 0 else max(0.0, center - spread)
+    high = 1.0 if successes == trials else min(1.0, center + spread)
+    return estimate, low, high

@@ -3,9 +3,9 @@
 ``repro.backends.wire.encode_blob``/``decode_blob`` are the only way a
 task or a span result leaves a process.  Two guards keep that honest:
 every entry of the unit table survives a round trip with the same text
-and the same counts, and every unit a built-in scenario builds is in the
-table — so a new kind that ships an unregistered unit fails here, not in
-a sweep on the process pool.
+and the same counts, and the units the built-in scenarios build are the
+table exactly — so a new kind that ships an unregistered unit fails here,
+not in a sweep on the process pool, and so does an entry no kind builds.
 """
 
 import json
@@ -16,7 +16,6 @@ from repro.api import run_scenario
 from repro.backends.wire import UNITS, decode_blob, encode_blob
 from repro.core.schemes import NodeDisjointScheme, NodeJointScheme
 from repro.epoch.measure import EpochAvailabilityBatch, EpochTimelinessBatch
-from repro.epoch.oracle import EpochAvailabilityTrial, EpochTimelinessTrial
 from repro.experiments.attack_kernels import CentralAttackBatch, MultipathAttackBatch
 from repro.experiments.executors import SerialExecutor, TrialTask
 from repro.experiments.timeliness import TimelinessTrial
@@ -57,8 +56,6 @@ TASKS = {
     "CentralAttackBatch": _batches(CentralAttackBatch(0.2, 1000)),
     "EpochAvailabilityBatch": _batches(EpochAvailabilityBatch(*EPOCH)),
     "EpochTimelinessBatch": _batches(EpochTimelinessBatch(*EPOCH), channels=9),
-    "EpochAvailabilityTrial": _counts(EpochAvailabilityTrial(*EPOCH)),
-    "EpochTimelinessTrial": _counts(EpochTimelinessTrial(*EPOCH), channels=9),
     "TimelinessTrial": TrialTask(
         seed=7, label="codec", indexed_trial=TimelinessTrial("joint", 0.05, 7, 3)
     ),
@@ -109,10 +106,4 @@ def test_every_unit_a_builtin_scenario_builds_is_registered():
     recorder = RecordingBackend()
     for name in sorted(builtin_scenarios()):
         run_scenario(name, trials=1, backend=recorder)
-    assert recorder.units <= PRODUCTION_UNITS
-    # What no built-in spec builds: the epoch lane's scalar walkers, which
-    # the round trip above covers.
-    assert PRODUCTION_UNITS - recorder.units == {
-        "EpochAvailabilityTrial",
-        "EpochTimelinessTrial",
-    }
+    assert recorder.units == PRODUCTION_UNITS

@@ -36,6 +36,58 @@ def _address(server):
     return f"{server.address[0]}:{server.address[1]}"
 
 
+def _announce_then_terminate(registry):
+    """Run `repro worker serve --announce` against ``registry``, SIGTERM it
+    the moment the registry shows the join, and return ``(joined, left)``
+    once it has exited 0."""
+    import signal
+    import subprocess
+    import sys
+
+    from repro.backends.pool import _worker_environment
+
+    host, port = registry.address
+    process = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.cli",
+            "worker",
+            "serve",
+            "--bind",
+            "127.0.0.1:0",
+            "--announce",
+            f"{host}:{port}",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=_worker_environment(),
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        joined = []
+        while not joined and time.monotonic() < deadline:
+            joined, _ = registry.poll()
+            if not joined:
+                time.sleep(0.01)
+        assert joined, "worker never announced itself"
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=10) == 0
+        deadline = time.monotonic() + 10
+        left = []
+        while not left and time.monotonic() < deadline:
+            _, left = registry.poll()
+            if not left:
+                time.sleep(0.05)
+        return joined, left
+    finally:
+        if process.poll() is None:  # pragma: no cover - cleanup
+            process.kill()
+        process.wait()
+        process.stdout.close()
+
+
 #: Keeps the initial fleet slow enough that a mid-run joiner still finds
 #: spans to serve (see the same constant's rationale in test_faults).
 _SLIGHTLY_SLOW = FaultSpec("slow", after_spans=0, delay=0.02)
@@ -369,50 +421,21 @@ class TestElasticJoin:
     def test_serve_announce_cli_round_trip(self):
         """`repro worker serve --announce` end-to-end: the subprocess
         announces its bound address and retires itself on SIGTERM."""
-        import signal
-        import subprocess
-        import sys
-
-        from repro.backends.pool import _worker_environment
-
         with MembershipRegistry() as registry:
-            host, port = registry.address
-            process = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.cli",
-                    "worker",
-                    "serve",
-                    "--bind",
-                    "127.0.0.1:0",
-                    "--announce",
-                    f"{host}:{port}",
-                ],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                env=_worker_environment(),
-                text=True,
-            )
-            try:
-                deadline = time.monotonic() + 30
-                joined = []
-                while not joined and time.monotonic() < deadline:
-                    joined, _ = registry.poll()
-                    if not joined:
-                        time.sleep(0.05)
-                assert joined, "worker never announced itself"
-                process.send_signal(signal.SIGTERM)
-                assert process.wait(timeout=10) == 0
-                deadline = time.monotonic() + 10
-                left = []
-                while not left and time.monotonic() < deadline:
-                    _, left = registry.poll()
-                    if not left:
-                        time.sleep(0.05)
-                assert left == joined  # clean shutdown retired the address
-            finally:
-                if process.poll() is None:  # pragma: no cover - cleanup
-                    process.kill()
-                process.wait()
-                process.stdout.close()
+            joined, left = _announce_then_terminate(registry)
+        assert left == joined  # clean shutdown retired the address
+
+    def test_sigterm_before_the_announce_reply_still_retires(self):
+        """The registry records the join, then takes 0.5 s to reply; a
+        SIGTERM inside that window must wait for the reply and retire,
+        or the driver strikes a worker that left cleanly."""
+
+        class SlowReplyRegistry(MembershipRegistry):
+            def announce(self, worker):
+                reply = super().announce(worker)
+                time.sleep(0.5)
+                return reply
+
+        with SlowReplyRegistry() as registry:
+            joined, left = _announce_then_terminate(registry)
+        assert left == joined

@@ -1,16 +1,16 @@
-"""Churn process driving an overlay, and column replica repair."""
+"""Churn process driving an overlay, and column replica repair (the
+bookkeeping of the epoch lane's scalar oracle, ``tests/epoch_oracle.py``)."""
 
 import pytest
 
-from repro.churn.lifetime import ExponentialLifetime
-from repro.churn.process import ChurnProcess
-from repro.churn.replication import (
+from epoch_oracle import (
     ColumnReplicaSet,
     RepairOutcome,
     fresh_id_allocator,
     repair_simultaneous_deaths,
-    simulate_column_epoch_deaths,
 )
+from repro.churn.lifetime import ExponentialLifetime
+from repro.churn.process import ChurnProcess
 from repro.dht.bootstrap import build_network
 from repro.util.rng import RandomSource
 
@@ -128,47 +128,6 @@ class TestColumnReplicaSet:
             column.handle_death(2, 100, replacement_is_malicious=False)
 
 
-class TestEpochDeaths:
-    def test_certain_death_loses_column(self):
-        column = ColumnReplicaSet(column_index=1, members={1, 2})
-        outcomes = simulate_column_epoch_deaths(
-            column,
-            death_probability=1.0,
-            malicious_rate=0.0,
-            rng=RandomSource(61),
-            id_allocator=fresh_id_allocator(),
-        )
-        # Sequential processing: first death repairs, eventually all die.
-        assert RepairOutcome.COLUMN_LOST in outcomes or column.alive_count > 0
-
-    def test_no_death_no_outcomes(self):
-        column = ColumnReplicaSet(column_index=1, members={1, 2})
-        outcomes = simulate_column_epoch_deaths(
-            column, 0.0, 0.0, RandomSource(62), fresh_id_allocator()
-        )
-        assert outcomes == []
-
-    def test_lost_column_stays_lost(self):
-        column = ColumnReplicaSet(column_index=1, members={1})
-        column.handle_death(1, 2, replacement_is_malicious=False)
-        assert column.lost
-        outcomes = simulate_column_epoch_deaths(
-            column, 1.0, 0.5, RandomSource(63), fresh_id_allocator()
-        )
-        assert outcomes == []
-
-    def test_exposure_statistics(self):
-        # Over many epochs, exposure grows roughly by k * p_dead per epoch.
-        rng = RandomSource(64)
-        allocator = fresh_id_allocator()
-        column = ColumnReplicaSet(column_index=1, members={1, 2, 3, 4, 5})
-        for _ in range(40):
-            simulate_column_epoch_deaths(column, 0.2, 0.0, rng, allocator)
-            if column.lost:
-                break
-        assert len(column.ever_knew) > 20  # 5 + ~40 epochs * 1 death/epoch
-
-
 class TestSimultaneousDeaths:
     """Epoch-granular repair: all deaths land before any republish."""
 
@@ -180,8 +139,8 @@ class TestSimultaneousDeaths:
         )
 
     def test_whole_membership_dying_together_loses_column(self):
-        # The sequential simulator can never lose a k >= 2 column (each
-        # death repairs before the next lands); the simultaneous step can.
+        # Sequential repair could never lose a k >= 2 column (each death
+        # repairs before the next lands); the simultaneous step can.
         column = self.make_column()
         results = repair_simultaneous_deaths(
             column, [1, 2, 3], 0.0, RandomSource(1), fresh_id_allocator()

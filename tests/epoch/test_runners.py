@@ -6,15 +6,11 @@ their exact historical shape, and only specs that pin ``kernel="epoch"``
 produce the extended payload.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.experiments.availability import AVAILABILITY_KERNELS
 from repro.experiments.engine import TrialEngine
-from repro.experiments.timeliness import TIMELINESS_KERNELS
 from repro.scenarios.registry import get_scenario, scenario_names
-from repro.scenarios.runners import get_runner
+from repro.scenarios.runners import KERNEL_LANES, get_runner
 
 ENGINE = TrialEngine()
 
@@ -25,17 +21,16 @@ class TestAvailabilityDispatch:
             {"scheme": scheme, "uptime": 0.9, "p": p, **extra}, trials, seed, ENGINE
         )
 
-    def test_kernel_constants(self):
-        assert AVAILABILITY_KERNELS == ("static", "epoch", "epoch-scalar")
+    def test_kernel_lanes(self):
+        assert KERNEL_LANES["availability"] == ("static", "epoch")
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown availability kernel"):
             self.run("joint", 0.1, 10, kernel="warp")
 
-    @pytest.mark.parametrize("kernel", ["epoch", "epoch-scalar"])
-    def test_epoch_lanes_produce_points(self, kernel):
+    def test_epoch_lane_produces_points(self):
         record = self.run(
-            "joint", 0.2, 40, seed=11, population_size=500, kernel=kernel
+            "joint", 0.2, 40, seed=11, population_size=500, kernel="epoch"
         )
         assert record["scheme"] == "joint"
         assert 0.0 <= record["release_resilience"] <= 1.0
@@ -48,8 +43,9 @@ class TestAvailabilityDispatch:
 
 
 class TestTimelinessDispatch:
-    def test_kernel_constants(self):
-        assert TIMELINESS_KERNELS == ("event", "epoch", "epoch-scalar")
+    def test_kernel_lanes(self):
+        assert KERNEL_LANES["timeliness"] == ("event", "epoch")
+        assert sorted(KERNEL_LANES) == ["availability", "timeliness"]
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown timeliness kernel"):
@@ -57,14 +53,13 @@ class TestTimelinessDispatch:
                 {"scheme": "joint", "kernel": "warp"}, 5, 31337, ENGINE
             )
 
-    @pytest.mark.parametrize("kernel", ["epoch", "epoch-scalar"])
-    def test_epoch_lanes_produce_results(self, kernel):
+    def test_epoch_lane_produces_results(self):
         record = get_runner("timeliness")(
             {
                 "scheme": "disjoint",
                 "max_latency": 0.0,
                 "path_length": 3,
-                "kernel": kernel,
+                "kernel": "epoch",
                 "uptime": 0.95,
                 "alpha": 1.0,
                 "population_size": 500,
@@ -182,24 +177,52 @@ class TestRegistrySpecs:
 
 
 class TestCliKernelOverride:
-    def test_kernel_flag_pins_the_lane(self, capsys):
+    def test_kernel_flag_pins_the_lane(self):
         # --kernel lands in spec.fixed exactly like a spec-pinned kernel
         # (and therefore in cache keys).
-        spec = get_scenario("epoch-smoke")
-        pinned = dataclasses.replace(
-            spec, fixed={**spec.fixed, "kernel": "epoch-scalar"}
-        )
-        assert pinned.fixed["kernel"] == "epoch-scalar"
+        spec = get_scenario("availability")
+        pinned = spec.with_kernel("epoch")
+        assert pinned.fixed["kernel"] == "epoch"
         for point in pinned.points():
-            assert point.params(pinned)["kernel"] == "epoch-scalar"
+            assert point.params(pinned)["kernel"] == "epoch"
+        assert spec.with_kernel(None) is spec
+
+    @pytest.mark.parametrize(
+        "name, kernel, match",
+        [
+            ("availability", "warp", "unknown availability kernel 'warp'"),
+            ("timeliness", "static", "unknown timeliness kernel 'static'"),
+            ("smoke", "epoch", "kind 'attack_resilience' has no kernel lanes"),
+        ],
+    )
+    def test_a_lane_the_kind_lacks_is_refused(self, name, kernel, match):
+        with pytest.raises(ValueError, match=match):
+            get_scenario(name).with_kernel(kernel)
 
     def test_cli_exposes_the_flag(self):
         from repro.cli import _build_parser
 
         parser = _build_parser()
         args = parser.parse_args(
-            ["sweep", "run", "epoch-smoke", "--kernel", "epoch-scalar"]
+            ["sweep", "run", "epoch-smoke", "--kernel", "epoch"]
         )
-        assert args.kernel == "epoch-scalar"
+        assert args.kernel == "epoch"
         args = parser.parse_args(["sweep", "run", "epoch-smoke"])
         assert args.kernel is None
+
+    @pytest.mark.parametrize(
+        "name, kernel", [("smoke", "epoch"), ("epoch-smoke", "warp")]
+    )
+    def test_sweep_refuses_a_lane_before_any_state_exists(
+        self, tmp_path, capsys, name, kernel
+    ):
+        from repro.cli import main
+
+        store = tmp_path / "store"
+        code = main(
+            ["sweep", "run", name, "--kernel", kernel, "--store", str(store)]
+        )
+        out = capsys.readouterr().out.strip().splitlines()
+        assert code == 1
+        assert len(out) == 1 and "kernel" in out[0], out
+        assert not store.exists()  # no journal, no claim, no record

@@ -1,32 +1,150 @@
-"""Scalar reference walker for the epoch simulator — the ground truth.
+"""The scalar reference walker the epoch lane (``repro.epoch``) is held to.
 
-One trial at a time, driving the existing ``churn.replication`` objects
-(``ColumnReplicaSet`` + ``repair_simultaneous_deaths`` +
-``fresh_id_allocator``) through the same epoch schedule the vectorized
-lane executes: sample a private population for the placed cells, land
-each epoch's deaths simultaneously, repair from survivors, then attempt
-forwarding.  Statistically equivalent to ``repro.epoch.measure`` (the
-scalar lane gives every trial a private node population while the
-vectorized lane shares one per batch — identical marginals, and the
-estimators are means, so the sharing does not bias them).  The
-equivalence property test holds both lanes inside overlapping Wilson
-intervals.
+One trial at a time, with a private node population per trial, it walks
+the same epoch schedule the vectorized lane executes: place the shares,
+land each epoch's deaths simultaneously, repair from survivors onto fresh
+nodes, then attempt the epoch's forwarding.  The vectorized lane shares
+one population per batch — identical marginals, and the estimators are
+means, so the sharing does not bias them.
+``tests/epoch/test_equivalence.py`` holds both inside overlapping Wilson
+intervals; ``tests/system/test_perf_smoke.py`` times one point through
+both.
+
+The column bookkeeping is :class:`ColumnReplicaSet` (paper §III-D): every
+repair hands the column key to one more node, which is malicious with the
+population's marked rate, so the set of nodes that ever knew a key only
+grows — the release-ahead exposure cost of replica maintenance.
+
+The two trial classes are scalar engine units: ``engine.run(trial, ...)``
+runs them in process; they are not in the wire's unit table, so no
+backend ships them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.churn.replication import (
-    ColumnReplicaSet,
-    RepairOutcome,
-    fresh_id_allocator,
-    repair_simultaneous_deaths,
-)
 from repro.epoch.population import make_lifetime_model, mean_lifetime_for_alpha
 from repro.util.rng import RandomSource
+from repro.util.validation import check_probability
+
+
+class RepairOutcome(Enum):
+    """Result of processing one death within a column."""
+
+    REPAIRED = "repaired"  # a surviving replica copied state to a new node
+    COLUMN_LOST = "column_lost"  # no survivor remained: data gone (drop)
+    NOT_A_MEMBER = "not_a_member"  # the dead node was not in this column
+
+
+@dataclass
+class ColumnReplicaSet:
+    """The live replicas of one column key plus its historical exposure.
+
+    ``members`` are the current live replicas (opaque ids),
+    ``malicious_members`` the adversary's subset of them, ``ever_knew``
+    every id that ever held the key; the key is *captured* once
+    ``ever_knew_malicious`` is positive.
+    """
+
+    column_index: int
+    members: Set = field(default_factory=set)
+    malicious_members: Set = field(default_factory=set)
+    ever_knew: Set = field(default_factory=set)
+    ever_knew_malicious: int = 0
+    lost: bool = False
+    repairs: int = 0
+
+    def __post_init__(self) -> None:
+        self.ever_knew |= set(self.members)
+        self.ever_knew_malicious = len(self.malicious_members & self.ever_knew)
+
+    @property
+    def alive_count(self) -> int:
+        return len(self.members)
+
+    @property
+    def captured(self) -> bool:
+        """True once any node that ever knew the key is malicious."""
+        return self.ever_knew_malicious > 0
+
+    def handle_death(
+        self,
+        dead_member,
+        replacement,
+        replacement_is_malicious: bool,
+    ) -> RepairOutcome:
+        """Process the death of ``dead_member`` with a proposed replacement.
+
+        If at least one replica survives, the column repairs itself onto
+        ``replacement`` (which joins ``ever_knew``).  With no survivor the
+        column is lost: the key cannot be copied from anywhere.
+        """
+        if dead_member not in self.members:
+            return RepairOutcome.NOT_A_MEMBER
+        self.members.discard(dead_member)
+        self.malicious_members.discard(dead_member)
+        if not self.members:
+            self.lost = True
+            return RepairOutcome.COLUMN_LOST
+        if replacement in self.ever_knew:
+            raise ValueError("replacement node already knew this column key")
+        self.members.add(replacement)
+        self.ever_knew.add(replacement)
+        if replacement_is_malicious:
+            self.malicious_members.add(replacement)
+            self.ever_knew_malicious += 1
+        self.repairs += 1
+        return RepairOutcome.REPAIRED
+
+
+def repair_simultaneous_deaths(
+    column: ColumnReplicaSet,
+    doomed,
+    malicious_rate: float,
+    rng: RandomSource,
+    id_allocator,
+) -> List[tuple]:
+    """Land one epoch's deaths *together*, then repair the survivors.
+
+    All of an epoch's deaths happen before any republish round runs, so a
+    column whose *entire* membership dies in one epoch has no survivor to
+    repair from and is lost.  Returns ``[(dead_member,
+    replacement_or_None, outcome), ...]`` so the caller can track which
+    replacement landed in which replica slot.
+    """
+    check_probability(malicious_rate, "malicious_rate")
+    outcomes: List[tuple] = []
+    doomed = [member for member in doomed if member in column.members]
+    if column.lost or not doomed:
+        return outcomes
+    if set(doomed) >= column.members:
+        column.members.clear()
+        column.malicious_members.clear()
+        column.lost = True
+        return [
+            (member, None, RepairOutcome.COLUMN_LOST) for member in doomed
+        ]
+    for member in doomed:
+        replacement = next(id_allocator)
+        outcome = column.handle_death(
+            member,
+            replacement,
+            replacement_is_malicious=rng.bernoulli(malicious_rate),
+        )
+        outcomes.append((member, replacement, outcome))
+    return outcomes
+
+
+def fresh_id_allocator(start: int = 1_000_000):
+    """An infinite stream of opaque integer ids for replacement nodes."""
+    current = start
+    while True:
+        yield current
+        current += 1
 
 
 class _ScalarEpochWalker:
@@ -121,7 +239,7 @@ class EpochAvailabilityTrial:
     """Scalar oracle for one availability trial (engine.run, channels=2).
 
     Returns ``(release_success, drop_success)`` — attack *successes*,
-    matching the static-model batches so ``outcome_from_result`` applies.
+    matching ``EpochAvailabilityBatch``'s channels.
     """
 
     malicious_rate: float
@@ -175,9 +293,8 @@ class EpochAvailabilityTrial:
 class EpochTimelinessTrial:
     """Scalar oracle for one timeliness trial (engine.run, 1+R channels).
 
-    Channels are ``(delivered, lateness >= 1, ..., lateness >= R)`` —
-    all proportions over trials, so Wilson machinery applies per channel
-    and ``sum(tail) / delivered`` recovers the mean lateness.
+    Channels are ``(delivered, lateness >= 1, ..., lateness >= R)``,
+    matching ``EpochTimelinessBatch``'s.
     """
 
     malicious_rate: float

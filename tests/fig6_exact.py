@@ -11,10 +11,6 @@ from repro.util.stats import wilson_proportion_ci
 
 Z_SCORE = 3.29
 
-#: The interval's ends are floats: with every trial a success (or none)
-#: they can miss 1 (or 0) by an ulp.
-SLACK = 1e-12
-
 
 def bracketed(estimate, value) -> bool:
     """Does a measured ``{"successes", "trials"}`` channel's interval hold
@@ -22,7 +18,7 @@ def bracketed(estimate, value) -> bool:
     _, low, high = wilson_proportion_ci(
         estimate["successes"], estimate["trials"], z_score=Z_SCORE
     )
-    return low - SLACK <= value <= high + SLACK
+    return low <= value <= high
 
 
 def channels(report):

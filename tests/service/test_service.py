@@ -143,6 +143,24 @@ class TestProtocolRoundTrips:
             with pytest.raises(RuntimeError, match="unknown op"):
                 service_request(address, {"op": "frobnicate"})
 
+    @pytest.mark.parametrize(
+        "name, kernel, match",
+        [
+            ("smoke", "epoch", "has no kernel lanes"),
+            ("epoch-smoke", "warp", "unknown availability kernel"),
+        ],
+    )
+    def test_a_lane_the_kind_lacks_is_refused_at_submit(
+        self, tmp_path, name, kernel, match
+    ):
+        # An ``ok: false`` reply is what makes the client raise.
+        service = SweepService(tmp_path / "store", jobs=1)
+        with service.serve_background() as handle:
+            address = _address(handle)
+            with pytest.raises(RuntimeError, match=match):
+                submit_job(address, name, kernel=kernel)
+            assert service_stats(address)["jobs"] == 0
+
     def test_wrong_role_port_is_refused(self):
         worker = WorkerServer().serve_background()
         try:

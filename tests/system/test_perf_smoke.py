@@ -4,16 +4,21 @@ speed-up gate.
 Fixed sizes, one run per lane, in process.  Agreement is per measured
 point and channel at z = 3.29 (99.9%) — with dozens of comparisons at
 once, a 95% interval would trip on one legitimate 2-sigma excursion about
-half the time.  The Fig. 6 kernel has no slower lane left to race: its
-speed is bounded in CI on the ledger's
+half the time.  The epoch lane races the scalar walker of
+``tests/epoch_oracle.py``.  The Fig. 6 kernel has no slower lane left to
+race: its speed is bounded in CI on the ledger's
 ``experiments.kernel_trials_per_s.attack``.  Each test prints what it
 measured (``-s`` to see it).
 """
 
 import time
+from dataclasses import asdict
 
 import fig6_exact
+from epoch_oracle import EpochAvailabilityTrial
 from repro import api
+from repro.core.planner import plan_configuration
+from repro.experiments.churn_model import outcome_from_result
 from repro.experiments.engine import TrialEngine
 from repro.scenarios.runners import get_runner
 from repro.util.stats import wilson_proportion_ci
@@ -46,14 +51,15 @@ def test_fig6_kernel_matches_finite_resilience():
     )
 
 
-def availability(kernel, nodes, trials):
+def vectorized(nodes, trials):
+    """One availability point through the epoch lane, as a sweep runs it."""
     return get_runner("availability")(
         {
             "scheme": "joint",
             "uptime": 0.9,
             "p": 0.2,
             "population_size": nodes,
-            "kernel": kernel,
+            "kernel": "epoch",
             "alpha": 2.0,
         },
         trials,
@@ -62,21 +68,33 @@ def availability(kernel, nodes, trials):
     )
 
 
+def walked(nodes, trials):
+    """The same point through the scalar oracle, one trial at a time."""
+    plan = plan_configuration("joint", 0.2, nodes)
+    trial = EpochAvailabilityTrial(
+        0.2, 0.9, plan.replication, plan.path_length, nodes, 2.0, joint=True
+    )
+    result = TrialEngine().run(
+        trial, trials=trials, seed=2017, label="oracle", channels=2
+    )
+    return asdict(outcome_from_result(result))
+
+
 def test_epoch_lane_beats_scalar_walker():
     """One availability point at 10^5 nodes and 200 trials through the
     numpy epoch lane and the scalar reference walker."""
     nodes, trials = 100_000, 200
-    availability("epoch", 2000, 20)  # imports and allocator, outside the timing
-    vectorized, vectorized_s = timed(availability, "epoch", nodes, trials)
-    scalar, scalar_s = timed(availability, "epoch-scalar", nodes, trials)
+    vectorized(2000, 20)  # imports and allocator, outside the timing
+    fast, fast_s = timed(vectorized, nodes, trials)
+    slow, slow_s = timed(walked, nodes, trials)
 
     for channel in ("release_resilience", "drop_resilience"):
-        pair = [(round(lane[channel] * trials), trials) for lane in (vectorized, scalar)]
+        pair = [(round(lane[channel] * trials), trials) for lane in (fast, slow)]
         assert overlap(*pair), (channel, pair)
 
-    speedup = scalar_s / vectorized_s
+    speedup = slow_s / fast_s
     print(
-        f"\nepoch lane: N={nodes} trials={trials} vectorized {vectorized_s:.2f} s, "
-        f"scalar {scalar_s:.2f} s -> x{speedup:.1f}"
+        f"\nepoch lane: N={nodes} trials={trials} vectorized {fast_s:.2f} s, "
+        f"scalar {slow_s:.2f} s -> x{speedup:.1f}"
     )
     assert speedup > 1.0

@@ -172,6 +172,13 @@ DELETED = (
     r"\bvectorized_batch_size\b",
     r"\bDEFAULT_VECTORIZED_BATCH\b",
     r"\bKeyShareScheme\b",
+    # The epoch kinds have one Monte-Carlo lane each: the scalar walker is
+    # the tests' oracle (tests/epoch_oracle.py), not a lane a sweep can pin.
+    r"epoch-scalar",
+    r"\b(EPOCH|AVAILABILITY|TIMELINESS)_KERNELS\b",
+    r"\bsimulate_column_epoch_deaths\b",
+    r"repro\.epoch\.oracle",
+    r"repro\.churn\.replication",
 )
 
 #: Gone from ``src/`` only: the id-list distance helpers and the per-id

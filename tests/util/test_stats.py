@@ -140,6 +140,15 @@ class TestWilsonCi:
         assert low_zero == 0.0 and high_zero > 0.05
         assert high_full == 1.0 and low_full < 0.95
 
+    @pytest.mark.parametrize("z_score", [1.96, 3.29])
+    def test_closed_ends_are_exact(self, z_score):
+        # The float form misses 1 at n of n successes (0.9999999999999999)
+        # and 0 at none (~1e-17) for thousands of n below 20,000; an
+        # interval meant to hold an exact 1 or 0 must hold it.
+        for trials in range(1, 20_001):
+            assert wilson_proportion_ci(trials, trials, z_score)[2] == 1.0
+            assert wilson_proportion_ci(0, trials, z_score)[1] == 0.0
+
     def test_single_trial(self):
         for successes in (0, 1):
             estimate, low, high = wilson_proportion_ci(successes, 1)
