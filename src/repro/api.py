@@ -260,14 +260,24 @@ def submit_sweep(
     progress stream (``on_progress`` receives each per-point frame) and
     returns the job's *final* status dict instead — ``status``,
     ``computed``, ``cached``, ``dedup_hits``, ``trials_run``.
+
+    The daemon runs registered scenarios only, by name: a spec that
+    differs from the registered one of its name (say, from
+    ``with_overrides``) raises ``ValueError`` before anything connects —
+    pass its trials and tolerance as arguments instead.
     """
     from repro.service import submit_job, watch_job
 
-    name = (
-        scenario.name
-        if isinstance(scenario, ScenarioSpec)
-        else str(scenario)
-    )
+    if isinstance(scenario, ScenarioSpec):
+        if scenario != get_scenario(scenario.name):
+            raise ValueError(
+                f"spec {scenario.name!r} differs from the registered "
+                "scenario of that name; the daemon runs registered "
+                "scenarios only"
+            )
+        name = scenario.name
+    else:
+        name = str(scenario)
     accepted = submit_job(
         address,
         name,

@@ -394,15 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "uses it to carve the smoke sweep into many spans)",
         )
         action_parser.add_argument(
-            "--kernel",
-            default=None,
-            help="pin the point runner's kernel lane for this sweep "
-            "(availability: 'static' or 'epoch'; timeliness: 'event' or "
-            "'epoch'; other kinds have none and refuse it); the value lands "
-            "in the spec's fixed params — and therefore in cache keys — so "
-            "a pinned run never collides with the scenario's default lane",
-        )
-        action_parser.add_argument(
             "--fallback",
             choices=["local"],
             default=None,
@@ -611,12 +602,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_checked(jobs_submit, "--tolerance", rule=_POSITIVE, default=None)
     _add_checked(jobs_submit, "--batch-size", rule=_POSITIVE_INT, default=None)
     jobs_submit.add_argument(
-        "--kernel",
-        default=None,
-        help="pin an availability or timeliness kind's kernel lane (lands "
-        "in cache keys, exactly as with `sweep run --kernel`)",
-    )
-    jobs_submit.add_argument(
         "--force",
         action="store_true",
         help="recompute every point, overwriting cached results",
@@ -794,7 +779,7 @@ def _command_sweep(args) -> int:
     from repro.scenarios.orchestrator import SweepOrchestrator
 
     try:
-        spec = get_scenario(args.name).with_kernel(args.kernel)
+        spec = get_scenario(args.name)
     except ValueError as error:
         print(error)
         return 1
@@ -990,7 +975,6 @@ def _command_jobs(args) -> int:
                 trials=args.trials,
                 tolerance=args.tolerance,
                 batch_size=args.batch_size,
-                kernel=args.kernel,
                 force=args.force,
             )
             job = accepted["job"]

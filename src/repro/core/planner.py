@@ -39,8 +39,8 @@ DEFAULT_TARGET = 0.999
 #: The sender plans its structure for an *assumed* adversary; planning for
 #: p = 0 would yield k = l = 1 (no redundancy at all), which makes the churn
 #: panels non-monotone at the origin for a silly reason.  The churn and
-#: availability kinds (static and epoch lanes) plan at ``max(p, floor)``,
-#: matching how a deployment would size its paths.
+#: availability kinds (``availability`` and ``epoch_availability``) plan at
+#: ``max(p, floor)``, matching how a deployment would size its paths.
 PLANNING_FLOOR = 0.05
 DEFAULT_MAX_REPLICATION = 64
 DEFAULT_MAX_PATH_LENGTH = 2048

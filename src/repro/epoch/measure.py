@@ -240,16 +240,7 @@ def _record(
     EPOCH_METRICS.counter("epoch.trials").inc(trials)
 
 
-# -- point-level entry points (what the availability/timeliness kinds call) --
-
-
-def _check_multipath(scheme: str) -> bool:
-    if scheme not in ("disjoint", "joint"):
-        raise ValueError(
-            "the epoch kernel simulates the multipath schemes "
-            f"('disjoint', 'joint'); got scheme {scheme!r}"
-        )
-    return scheme == "joint"
+# -- point-level entry points (what the epoch_* kinds call) ----------------
 
 
 def epoch_availability_outcome(
@@ -267,10 +258,14 @@ def epoch_availability_outcome(
 ):
     """Measure one availability point under epoch churn; a ChurnOutcome.
 
-    The (k, l) configuration comes from the same planner call the static
-    lane uses, so epoch points are comparable against static ones.
+    The (k, l) configuration comes from the same planner call the
+    closed-form ``availability`` kind uses, so the two are comparable.
     """
-    joint = _check_multipath(scheme)
+    if scheme not in ("disjoint", "joint"):
+        raise ValueError(
+            "the epoch kernel simulates the multipath schemes "
+            f"('disjoint', 'joint'); got scheme {scheme!r}"
+        )
     planned = plan_configuration(
         scheme, max(malicious_rate, PLANNING_FLOOR), population_size
     )
@@ -289,7 +284,7 @@ def epoch_availability_outcome(
     )
     with engine.tracer.span(
         "epoch.point",
-        kind="availability",
+        kind="epoch_availability",
         scheme=scheme,
         nodes=population_size,
         replication=planned.replication,
@@ -297,7 +292,7 @@ def epoch_availability_outcome(
         alpha=alpha,
     ):
         result = engine.run_batched(
-            EpochAvailabilityBatch(joint=joint, **fields),
+            EpochAvailabilityBatch(joint=(scheme == "joint"), **fields),
             trials=trials,
             seed=seed,
             label=label,
@@ -308,7 +303,6 @@ def epoch_availability_outcome(
 
 
 def epoch_timeliness_result(
-    scheme: str,
     uptime: float,
     malicious_rate: float,
     population_size: int,
@@ -328,12 +322,10 @@ def epoch_timeliness_result(
     Returns ``(delivered, trials_run, mean_lateness, worst_lateness)``.
     Lateness is counted in epochs past the nominal ``path_length``-epoch
     schedule and is right-censored at ``retry_epochs`` (a chain that has
-    not delivered by then counts as undelivered).
+    not delivered by then counts as undelivered).  A column forwards
+    when any replica is usable (the joint rule), hence the label.
     """
-    _check_multipath(scheme)
-    label = (
-        f"epoch-time-{scheme}-{uptime}-{malicious_rate}-{alpha}-{lifetime}"
-    )
+    label = f"epoch-time-joint-{uptime}-{malicious_rate}-{alpha}-{lifetime}"
     fields = dict(
         malicious_rate=malicious_rate,
         uptime=uptime,
@@ -347,8 +339,7 @@ def epoch_timeliness_result(
     )
     with engine.tracer.span(
         "epoch.point",
-        kind="timeliness",
-        scheme=scheme,
+        kind="epoch_timeliness",
         nodes=population_size,
         replication=replication,
         path_length=path_length,

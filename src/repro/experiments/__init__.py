@@ -3,10 +3,10 @@
 The sweeps are the registered ``fig6a``…``fig8`` scenarios
 (:mod:`repro.scenarios.registry`) and a point is one scenario kind
 (:mod:`repro.scenarios.runners`); the modules here hold what a kind
-ships to the engine — the trial and batch units (each a class in
-:data:`repro.backends.wire.UNITS`, so every backend can ship it) and the
-kernel-lane names — or, where the model is a product of independent
-events, the closed form a kind returns without the engine:
+ships to the engine — the trial and batch units, each a class in
+:data:`repro.backends.wire.UNITS`, so every backend can ship it — or,
+where the model is a product of independent events, the closed form a
+kind returns without the engine:
 
 - :mod:`repro.experiments.attack_resilience` — Fig. 6(a)-(d): the
   finite-population attack measurement (N = 10,000 and N = 100) shared
@@ -16,10 +16,13 @@ events, the closed form a kind returns without the engine:
   resilience vs available-node budget N in {100, 1000, 5000, 10000}), in
   closed form (DESIGN.md §5);
 - :mod:`repro.experiments.availability` — the unavailability
-  extension's static lane in closed form, and its lane names;
-- :mod:`repro.experiments.timeliness` — the end-to-end protocol trial;
+  extension (the ``availability`` kind) in closed form;
+- :mod:`repro.experiments.timeliness` — the end-to-end protocol trial
+  (the ``timeliness`` kind).
 
-plus shared machinery:
+The ``epoch_availability`` and ``epoch_timeliness`` kinds measure the
+same two extensions under lifetime churn; their batch units live in
+:mod:`repro.epoch.measure`.  Shared machinery:
 
 - :mod:`repro.experiments.engine` — the batched parallel Monte-Carlo
   trial engine (pluggable execution backends, streaming aggregation,

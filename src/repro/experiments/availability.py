@@ -26,8 +26,9 @@ Rr/Rd balance.  A holder is unusable with probability
   Algorithm 1's lines 14-18 aggregate them over the ``k`` paths.
 
 The forms are exact (the tests hold the old samplers to them).  The
-``epoch`` lanes simulate death churn and repair on an explicit node
-population instead (:mod:`repro.epoch`), so they stay Monte Carlo.
+``epoch_availability`` and ``epoch_timeliness`` kinds simulate death churn
+and repair on an explicit node population instead (:mod:`repro.epoch`),
+so they stay Monte Carlo.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def multipath_availability(
     path_length: int,
     joint: bool,
 ) -> ChurnOutcome:
-    """The disjoint/joint schemes with offline holders (static lane)."""
+    """The disjoint/joint schemes with offline holders."""
     p = check_probability(malicious_rate, "malicious_rate")
     up = check_probability(uptime, "uptime")
     k = check_positive_int(replication, "replication")
@@ -60,7 +61,7 @@ def multipath_availability(
 def key_share_availability(
     plan: SharePlan, uptime: float, malicious_rate: float
 ) -> ChurnOutcome:
-    """Key-share routing with offline carriers (static lane)."""
+    """Key-share routing with offline carriers."""
     up = check_probability(uptime, "uptime")
     p = check_probability(malicious_rate, "malicious_rate")
     n = plan.shares_per_column

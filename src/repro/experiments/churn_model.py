@@ -71,7 +71,7 @@ class ChurnOutcome:
 def outcome_from_result(result) -> ChurnOutcome:
     """A two-channel engine result (release, drop attack successes) → outcome.
 
-    The adapter the availability kind's epoch lane uses to turn a
+    The adapter the ``epoch_availability`` kind uses to turn a
     :class:`~repro.experiments.engine.EngineResult` into a resilience pair.
     """
     release, drop = result.estimates

@@ -206,7 +206,7 @@ def _builtin_list() -> List[ScenarioSpec]:
         # -- epoch churn simulator (repro.epoch) --------------------------
         ScenarioSpec(
             name="availability-1e6",
-            kind="availability",
+            kind="epoch_availability",
             description=(
                 "Million-node epoch-churn availability: resilience vs p "
                 "per scheme, measured (not approximated) on a 10^6-node "
@@ -214,7 +214,6 @@ def _builtin_list() -> List[ScenarioSpec]:
             ),
             fixed={
                 "population_size": 1_000_000,
-                "kernel": "epoch",
                 "alpha": 2.0,
                 "uptime": 0.9,
             },
@@ -227,7 +226,7 @@ def _builtin_list() -> List[ScenarioSpec]:
         ),
         ScenarioSpec(
             name="timeliness-1e6",
-            kind="timeliness",
+            kind="epoch_timeliness",
             description=(
                 "Million-node epoch-churn timeliness: delivery rate and "
                 "lateness (in holding epochs past the nominal schedule) "
@@ -235,23 +234,18 @@ def _builtin_list() -> List[ScenarioSpec]:
             ),
             fixed={
                 "population_size": 1_000_000,
-                "kernel": "epoch",
                 "alpha": 2.0,
                 "uptime": 0.9,
                 "path_length": 4,
                 "retry_epochs": 8,
-                "max_latency": 0.0,
             },
-            axes=(
-                Axis("scheme", ("disjoint", "joint")),
-                Axis("p", (0.0, 0.1, 0.2)),
-            ),
+            axes=(Axis("p", (0.0, 0.1, 0.2)),),
             trials=400,
             seed=31337,
         ),
         ScenarioSpec(
             name="epoch-churn-grid",
-            kind="availability",
+            kind="epoch_availability",
             description=(
                 "Churn-rate sensitivity grid: availability vs alpha per "
                 "lifetime distribution (exponential/Weibull/Pareto) at "
@@ -259,7 +253,6 @@ def _builtin_list() -> List[ScenarioSpec]:
             ),
             fixed={
                 "population_size": 100_000,
-                "kernel": "epoch",
                 "uptime": 0.9,
                 "p": 0.2,
             },
@@ -274,7 +267,7 @@ def _builtin_list() -> List[ScenarioSpec]:
         # -- CI / quickstart ----------------------------------------------
         ScenarioSpec(
             name="epoch-smoke",
-            kind="availability",
+            kind="epoch_availability",
             description=(
                 "Capped-size epoch-kernel smoke: one 10^5-node availability "
                 "point through the orchestrator — what the epoch-smoke CI "
@@ -282,7 +275,6 @@ def _builtin_list() -> List[ScenarioSpec]:
             ),
             fixed={
                 "population_size": 100_000,
-                "kernel": "epoch",
                 "alpha": 2.0,
                 "uptime": 0.9,
                 "scheme": "joint",

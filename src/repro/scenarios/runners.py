@@ -15,10 +15,13 @@ A kind is one function: it validates the parameter set against its
 builds the trial or batch unit from :mod:`repro.experiments` (a class in
 :data:`repro.backends.wire.UNITS`, so every backend can ship it),
 makes one engine call and shapes the result dict — whose keys and key
-order are the store record.  Fig. 7 (``churn_resilience``), Fig. 8
-(``share_cost``) and availability's ``static`` lane make no engine call:
-their values are closed forms, and ``trials`` only shapes their keys.  To
-run one point directly, call
+order are the store record.  A kind is one model, and ``_take`` refuses
+a parameter its model does not read.  Fig. 7 (``churn_resilience``),
+Fig. 8 (``share_cost``) and ``availability`` make no engine call: their
+values are closed forms, and ``trials`` only shapes their keys.  The
+``epoch_availability`` and ``epoch_timeliness`` kinds measure the same
+extensions under lifetime churn on an explicit node population
+(:mod:`repro.epoch`).  To run one point directly, call
 ``get_runner(kind)(params, trials, seed, engine, batch_size)``.
 """
 
@@ -313,34 +316,6 @@ def share_cost_runner(
     }
 
 
-#: The kernel lanes of the kinds that have more than one, default first:
-#: ``static`` (availability's per-boundary closed forms, no deaths) or
-#: ``event`` (timeliness's end-to-end event-loop protocol runs), then
-#: ``epoch``, the churn-and-repair simulator of :mod:`repro.epoch` on an
-#: explicit node population, which reads ``alpha`` / ``lifetime`` /
-#: ``lifetime_shape``.
-KERNEL_LANES = {
-    "availability": ("static", "epoch"),
-    "timeliness": ("event", "epoch"),
-}
-
-
-def check_kernel(kind: str, kernel: str) -> str:
-    """Validate a kernel lane for ``kind``: what a pinned ``--kernel``
-    and a point runner both check, before anything is computed."""
-    lanes = KERNEL_LANES.get(kind)
-    if lanes is None:
-        raise ValueError(
-            f"kind {kind!r} has no kernel lanes; only "
-            f"{', '.join(sorted(KERNEL_LANES))} take a kernel"
-        )
-    if kernel not in lanes:
-        raise ValueError(
-            f"unknown {kind} kernel {kernel!r}; expected one of {lanes}"
-        )
-    return kernel
-
-
 @register_kind("availability")
 def availability_runner(
     params: Mapping[str, Any],
@@ -349,76 +324,88 @@ def availability_runner(
     engine: TrialEngine,
     batch_size: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Extension: transient unavailability on top of death churn."""
+    """Extension: transient unavailability on top of death churn, per
+    forwarding boundary in closed form (no engine call)."""
     from repro.experiments.availability import (
         key_share_availability,
         multipath_availability,
     )
 
-    # The unpinned kernel default stays "static" and the churn knobs (read
-    # by the epoch lane only) are optional, so cache keys of stores
-    # populated before the epoch lane existed remain valid; only specs
-    # that *pin* kernel="epoch" differ.
     args = _take(
         "availability",
         params,
         required={"scheme": str, "uptime": float, "p": float},
-        optional={
-            "population_size": 10000,
-            "kernel": "static",
-            "alpha": 2.0,
-            "lifetime": "exponential",
-            "lifetime_shape": None,
-        },
+        optional={"population_size": 10000},
     )
     scheme, uptime, p = args["scheme"], args["uptime"], args["p"]
-    kernel, population_size = args["kernel"], args["population_size"]
-    if check_kernel("availability", kernel) != "static":
-        from repro.epoch.measure import epoch_availability_outcome
-
-        outcome = epoch_availability_outcome(
-            scheme,
-            uptime,
+    planning_rate = max(p, PLANNING_FLOOR)
+    if scheme in ("disjoint", "joint"):
+        plan = plan_configuration(scheme, planning_rate, args["population_size"])
+        outcome = multipath_availability(
             p,
-            population_size=population_size,
-            alpha=args["alpha"],
-            lifetime=args["lifetime"],
-            lifetime_shape=args["lifetime_shape"],
-            trials=trials,
-            seed=seed,
-            engine=engine,
-            batch_size=batch_size,
+            uptime,
+            plan.replication,
+            plan.path_length,
+            joint=(scheme == "joint"),
         )
+    elif scheme == "share":
+        plan = plan_share_scheme(planning_rate, args["population_size"], 1.0, 1.0)
+        outcome = key_share_availability(plan, uptime, p)
     else:
-        planning_rate = max(p, PLANNING_FLOOR)
-        if scheme in ("disjoint", "joint"):
-            plan = plan_configuration(scheme, planning_rate, population_size)
-            outcome = multipath_availability(
-                p,
-                uptime,
-                plan.replication,
-                plan.path_length,
-                joint=(scheme == "joint"),
-            )
-        elif scheme == "share":
-            plan = plan_share_scheme(planning_rate, population_size, 1.0, 1.0)
-            outcome = key_share_availability(plan, uptime, p)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-    payload = {
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return {
         "scheme": scheme,
         "uptime": uptime,
         "p": p,
         **_outcome_dict(outcome),
     }
-    if kernel != "static":
-        payload.update(
-            kernel=kernel,
-            alpha=args["alpha"],
-            lifetime=args["lifetime"],
-            population_size=population_size,
-        )
-    return payload
+
+
+#: The churn knobs both epoch kinds read, with their defaults: α = T /
+#: t_life and the lifetime distribution of :mod:`repro.epoch.population`.
+_EPOCH_CHURN = {"alpha": 2.0, "lifetime": "exponential", "lifetime_shape": None}
+
+
+@register_kind("epoch_availability")
+def epoch_availability_runner(
+    params: Mapping[str, Any],
+    trials: int,
+    seed: int,
+    engine: TrialEngine,
+    batch_size: Optional[int] = None,
+) -> Dict[str, Any]:
+    """Extension: availability measured under lifetime churn and repair on
+    an explicit node population (:mod:`repro.epoch`); multipath only."""
+    from repro.epoch.measure import epoch_availability_outcome
+
+    args = _take(
+        "epoch_availability",
+        params,
+        required={"scheme": str, "uptime": float, "p": float},
+        optional={"population_size": 10000, **_EPOCH_CHURN},
+    )
+    outcome = epoch_availability_outcome(
+        args["scheme"],
+        args["uptime"],
+        args["p"],
+        population_size=args["population_size"],
+        alpha=args["alpha"],
+        lifetime=args["lifetime"],
+        lifetime_shape=args["lifetime_shape"],
+        trials=trials,
+        seed=seed,
+        engine=engine,
+        batch_size=batch_size,
+    )
+    return {
+        "scheme": args["scheme"],
+        "uptime": args["uptime"],
+        "p": args["p"],
+        **_outcome_dict(outcome),
+        "alpha": args["alpha"],
+        "lifetime": args["lifetime"],
+        "population_size": args["population_size"],
+    }
 
 
 @register_kind("timeliness")
@@ -431,92 +418,104 @@ def timeliness_runner(
 ) -> Dict[str, Any]:
     """Extension: end-to-end release lateness; ``trials`` is the run count.
 
-    On the event lane each end-to-end run is one collect-mode engine
-    trial; the per-run seeds are a function of the run index alone,
-    keeping results identical for any executor.  On the epoch lane the
-    churn knobs apply and ``max_latency`` is carried through for labeling
-    only.
+    Each end-to-end run is one collect-mode engine trial; the per-run
+    seeds are a function of the run index alone, keeping results
+    identical for any executor.
     """
     from repro.experiments.timeliness import TimelinessTrial
 
-    # As with availability: the kernel default stays "event" and every
-    # churn knob is optional, so pre-epoch cache keys remain valid.
-    # ``max_latency`` moved from required to optional (the historical
-    # spec pins it on an axis, so its keys are unchanged).
     args = _take(
         "timeliness",
         params,
         required={"scheme": str},
-        optional={
-            "max_latency": 0.5,
-            "path_length": 3,
-            "kernel": "event",
-            "uptime": 0.9,
-            "alpha": 2.0,
-            "p": 0.0,
-            "population_size": 10000,
-            "replication": 3,
-            "retry_epochs": 8,
-            "lifetime": "exponential",
-            "lifetime_shape": None,
-        },
+        optional={"max_latency": 0.5, "path_length": 3},
     )
-    scheme, max_latency, kernel = args["scheme"], args["max_latency"], args["kernel"]
-    if check_kernel("timeliness", kernel) != "event":
-        from repro.epoch.measure import epoch_timeliness_result
-
-        delivered, runs, mean_lateness, worst_lateness = epoch_timeliness_result(
-            scheme,
-            args["uptime"],
-            args["p"],
-            population_size=args["population_size"],
-            alpha=args["alpha"],
-            lifetime=args["lifetime"],
-            lifetime_shape=args["lifetime_shape"],
-            path_length=args["path_length"],
-            replication=args["replication"],
-            retry_epochs=args["retry_epochs"],
-            trials=trials,
-            seed=seed,
-            engine=engine,
-            batch_size=batch_size,
-        )
-        early = 0
-    else:
-        raw = engine.map(
-            TimelinessTrial(scheme, max_latency, seed, args["path_length"]),
-            trials=trials,
-            seed=seed,
-            label=f"timeliness-{scheme}-{max_latency}",
-        )
-        latenesses = [lateness for lateness in raw if lateness is not None]
-        delivered, runs = len(latenesses), trials
-        mean_lateness = sum(latenesses) / delivered if delivered else 0.0
-        worst_lateness = max(latenesses) if latenesses else 0.0
-        # Arrivals before tr: must always be zero.
-        early = sum(1 for lateness in latenesses if lateness < 0)
-    payload = {
+    scheme, max_latency = args["scheme"], args["max_latency"]
+    raw = engine.map(
+        TimelinessTrial(scheme, max_latency, seed, args["path_length"]),
+        trials=trials,
+        seed=seed,
+        label=f"timeliness-{scheme}-{max_latency}",
+    )
+    latenesses = [lateness for lateness in raw if lateness is not None]
+    delivered = len(latenesses)
+    mean_lateness = sum(latenesses) / delivered if delivered else 0.0
+    return {
         "scheme": scheme,
         "max_latency": max_latency,
+        "delivered": delivered,
+        "runs": trials,
+        "delivery_rate": delivered / trials if trials else 0.0,
+        "mean_lateness": mean_lateness,
+        "worst_lateness": max(latenesses) if latenesses else 0.0,
+        # Arrivals before tr: must always be zero.
+        "early_releases": sum(1 for lateness in latenesses if lateness < 0),
+        "value": mean_lateness,
+        "trials_run": trials,
+    }
+
+
+@register_kind("epoch_timeliness")
+def epoch_timeliness_runner(
+    params: Mapping[str, Any],
+    trials: int,
+    seed: int,
+    engine: TrialEngine,
+    batch_size: Optional[int] = None,
+) -> Dict[str, Any]:
+    """Extension: delivery rate and lateness, in holding epochs past the
+    nominal ``path_length``-epoch schedule, under lifetime churn and repair.
+
+    The walk forwards a column when any of its replicas is usable, which
+    is the joint rule, so the kind takes no ``scheme`` and its records
+    name ``"joint"``.
+    """
+    from repro.epoch.measure import epoch_timeliness_result
+
+    args = _take(
+        "epoch_timeliness",
+        params,
+        required={},
+        optional={
+            "uptime": 0.9,
+            "p": 0.0,
+            "population_size": 10000,
+            **_EPOCH_CHURN,
+            "path_length": 3,
+            "replication": 3,
+            "retry_epochs": 8,
+        },
+    )
+    delivered, runs, mean_lateness, worst_lateness = epoch_timeliness_result(
+        args["uptime"],
+        args["p"],
+        population_size=args["population_size"],
+        alpha=args["alpha"],
+        lifetime=args["lifetime"],
+        lifetime_shape=args["lifetime_shape"],
+        path_length=args["path_length"],
+        replication=args["replication"],
+        retry_epochs=args["retry_epochs"],
+        trials=trials,
+        seed=seed,
+        engine=engine,
+        batch_size=batch_size,
+    )
+    return {
+        "scheme": "joint",
         "delivered": delivered,
         "runs": runs,
         "delivery_rate": delivered / runs if runs else 0.0,
         "mean_lateness": mean_lateness,
         "worst_lateness": worst_lateness,
-        "early_releases": early,
         "value": mean_lateness,
         "trials_run": runs,
+        "uptime": args["uptime"],
+        "alpha": args["alpha"],
+        "p": args["p"],
+        "population_size": args["population_size"],
+        "retry_epochs": args["retry_epochs"],
     }
-    if kernel != "event":
-        payload.update(
-            kernel=kernel,
-            uptime=args["uptime"],
-            alpha=args["alpha"],
-            p=args["p"],
-            population_size=args["population_size"],
-            retry_epochs=args["retry_epochs"],
-        )
-    return payload
 
 
 # -- new workloads beyond the paper ------------------------------------------

@@ -350,19 +350,6 @@ class ScenarioSpec:
             changes["tolerance"] = tolerance
         return replace(self, **changes) if changes else self
 
-    def with_kernel(self, kernel: Optional[str]) -> "ScenarioSpec":
-        """A copy with the point runner's kernel lane pinned (a falsy
-        ``kernel`` keeps the spec).  The lane lands in the fixed params,
-        and therefore in every point's cache key, so a pinned run never
-        collides with the scenario's default lane.  A lane the kind does
-        not have raises ``ValueError`` here, before any point runs."""
-        if not kernel:
-            return self
-        from repro.scenarios.runners import check_kernel
-
-        check_kernel(self.kind, kernel)
-        return replace(self, fixed={**self.fixed, "kernel": kernel})
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

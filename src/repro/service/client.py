@@ -53,7 +53,6 @@ def submit_job(
     trials: Optional[int] = None,
     tolerance: Optional[float] = None,
     batch_size: Optional[int] = None,
-    kernel: Optional[str] = None,
     force: bool = False,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> Dict[str, Any]:
@@ -65,8 +64,6 @@ def submit_job(
         payload["tolerance"] = tolerance
     if batch_size is not None:
         payload["batch_size"] = batch_size
-    if kernel:
-        payload["kernel"] = kernel
     if force:
         payload["force"] = True
     return service_request(address, payload, timeout=timeout)

@@ -19,7 +19,7 @@ op            request fields                                   reply
 ``ping``      —                                                ``ok``
 ``submit``    ``scenario`` (registered name), optional         ``job``, ``points``
               ``trials``/``tolerance``/``batch_size``/
-              ``kernel``/``force``
+              ``force``; any other field is refused
 ``status``    optional ``job``                                 ``job`` dict, or
                                                                ``jobs`` list
 ``watch``     ``job``, optional ``after`` (frame seq)          a stream: one frame
@@ -62,6 +62,9 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios.store import ResultStore
 from repro.service.jobs import Job, JobTable
 from repro.service.scheduler import JobScheduler
+
+#: Every field a ``submit`` request may carry.
+_SUBMIT_FIELDS = {"op", "scenario", "trials", "tolerance", "batch_size", "force"}
 
 
 class SweepService:
@@ -258,8 +261,11 @@ class SweepService:
         name = message.get("scenario")
         if not isinstance(name, str) or not name:
             return {"ok": False, "error": "submit needs a scenario name"}
+        unknown = sorted(set(message) - _SUBMIT_FIELDS)
+        if unknown:
+            return {"ok": False, "error": f"submit does not take {unknown}"}
         try:
-            spec = get_scenario(name).with_kernel(message.get("kernel"))
+            spec = get_scenario(name)
         except ValueError as error:
             return {"ok": False, "error": str(error)}
         try:

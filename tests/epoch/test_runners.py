@@ -1,94 +1,34 @@
-"""Kernel dispatch through the runners, registry and CLI.
+"""One model per kind: the two closed-form/event kinds and their epoch twins.
 
-The epoch lane must be reachable from every layer above it — and must be
-*invisible* to every pre-existing cache key: default-kernel payloads keep
-their exact historical shape, and only specs that pin ``kernel="epoch"``
-produce the extended payload.
+``availability`` is the closed form, ``epoch_availability`` the epoch
+simulator; ``timeliness`` runs the event-loop protocol, ``epoch_timeliness``
+counts holding epochs under churn.  Each kind's ``_take`` table lists only
+what its model reads, so a parameter the model would ignore is refused
+rather than landing, unread, in a cache key.
 """
 
 import pytest
 
 from repro.experiments.engine import TrialEngine
 from repro.scenarios.registry import get_scenario, scenario_names
-from repro.scenarios.runners import KERNEL_LANES, get_runner
+from repro.scenarios.runners import get_runner
 
 ENGINE = TrialEngine()
+AVAILABILITY = {"scheme": "joint", "uptime": 0.9, "p": 0.2}
 
 
-class TestAvailabilityDispatch:
-    def run(self, scheme, p, trials, seed=2017, **extra):
-        return get_runner("availability")(
-            {"scheme": scheme, "uptime": 0.9, "p": p, **extra}, trials, seed, ENGINE
-        )
-
-    def test_kernel_lanes(self):
-        assert KERNEL_LANES["availability"] == ("static", "epoch")
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown availability kernel"):
-            self.run("joint", 0.1, 10, kernel="warp")
-
-    def test_epoch_lane_produces_points(self):
-        record = self.run(
-            "joint", 0.2, 40, seed=11, population_size=500, kernel="epoch"
-        )
-        assert record["scheme"] == "joint"
-        assert 0.0 <= record["release_resilience"] <= 1.0
-        assert 0.0 <= record["drop_resilience"] <= 1.0
-        assert record["trials_run"] == 40
-
-    def test_share_scheme_has_no_epoch_lane(self):
-        with pytest.raises(ValueError, match="multipath"):
-            self.run("share", 0.1, 10, kernel="epoch")
+def run(kind, params, trials=30, seed=3):
+    return get_runner(kind)(params, trials, seed, ENGINE)
 
 
-class TestTimelinessDispatch:
-    def test_kernel_lanes(self):
-        assert KERNEL_LANES["timeliness"] == ("event", "epoch")
-        assert sorted(KERNEL_LANES) == ["availability", "timeliness"]
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown timeliness kernel"):
-            get_runner("timeliness")(
-                {"scheme": "joint", "kernel": "warp"}, 5, 31337, ENGINE
-            )
-
-    def test_epoch_lane_produces_results(self):
-        record = get_runner("timeliness")(
-            {
-                "scheme": "disjoint",
-                "max_latency": 0.0,
-                "path_length": 3,
-                "kernel": "epoch",
-                "uptime": 0.95,
-                "alpha": 1.0,
-                "population_size": 500,
-                "retry_epochs": 4,
-            },
-            40,
-            5,
-            ENGINE,
-        )
-        assert record["runs"] == 40
-        assert 0 <= record["delivered"] <= 40
-        assert record["early_releases"] == 0
-        assert record["mean_lateness"] >= 0.0
-        assert record["worst_lateness"] <= 4
+def refuses(kind, params, name):
+    with pytest.raises(ValueError, match=rf"does not accept parameter\(s\) \['{name}'\]"):
+        run(kind, params)
 
 
-class TestRunnerPayloads:
-    def run_availability(self, **extra):
-        return get_runner("availability")(
-            {"scheme": "joint", "uptime": 0.9, "p": 0.2, **extra},
-            trials=30,
-            seed=3,
-            engine=ENGINE,
-        )
-
-    def test_default_payload_shape_is_unchanged(self):
-        # Cache-key discipline: a spec that never mentions a kernel must
-        # produce the exact pre-epoch payload fields.
-        payload = self.run_availability()
+class TestAvailability:
+    def test_payload_is_the_closed_form_record(self):
+        payload = run("availability", AVAILABILITY)
         assert sorted(payload) == [
             "drop_resilience",
             "p",
@@ -98,21 +38,75 @@ class TestRunnerPayloads:
             "uptime",
             "value",
         ]
+        assert payload["trials_run"] == 0
 
-    def test_epoch_payload_records_the_lane(self):
-        payload = self.run_availability(kernel="epoch", population_size=500)
-        assert payload["kernel"] == "epoch"
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("alpha", 9.0),
+            ("lifetime", "pareto"),
+            ("lifetime_shape", 1.5),
+            ("kernel", "epoch"),
+        ],
+    )
+    def test_refuses_what_the_closed_form_does_not_read(self, name, value):
+        refuses("availability", {**AVAILABILITY, name: value}, name)
+
+
+class TestEpochAvailability:
+    def test_measures_a_point(self):
+        payload = run(
+            "epoch_availability",
+            {**AVAILABILITY, "population_size": 500},
+            trials=40,
+            seed=11,
+        )
+        assert list(payload) == [
+            "scheme",
+            "uptime",
+            "p",
+            "release_resilience",
+            "drop_resilience",
+            "value",
+            "trials_run",
+            "alpha",
+            "lifetime",
+            "population_size",
+        ]
         assert payload["alpha"] == 2.0
         assert payload["lifetime"] == "exponential"
         assert payload["population_size"] == 500
-        assert payload["trials_run"] == 30
+        assert payload["trials_run"] == 40
+        assert 0.0 <= payload["release_resilience"] <= 1.0
+        assert 0.0 <= payload["drop_resilience"] <= 1.0
 
-    def test_timeliness_default_payload_shape_is_unchanged(self):
-        payload = get_runner("timeliness")(
-            {"scheme": "central", "max_latency": 0.05},
-            trials=2,
-            seed=9,
-            engine=ENGINE,
+    def test_lifetime_params_reach_the_model(self):
+        # The closed form refuses alpha and lifetime; the simulator reads
+        # them, so heavier churn must move the measured point.
+        base = {**AVAILABILITY, "population_size": 500}
+        calm = run("epoch_availability", {**base, "alpha": 0.5}, trials=200)
+        heavy = run(
+            "epoch_availability",
+            {**base, "alpha": 9.0, "lifetime": "pareto"},
+            trials=200,
+        )
+        assert heavy["drop_resilience"] < calm["drop_resilience"]
+
+    def test_share_scheme_is_refused(self):
+        with pytest.raises(ValueError, match="multipath"):
+            run("epoch_availability", {**AVAILABILITY, "scheme": "share"}, 10)
+
+    @pytest.mark.parametrize(
+        "name, value", [("kernel", "epoch"), ("max_latency", 0.0)]
+    )
+    def test_refuses_what_the_simulator_does_not_read(self, name, value):
+        refuses("epoch_availability", {**AVAILABILITY, name: value}, name)
+
+
+class TestTimeliness:
+    def test_payload_is_the_event_loop_record(self):
+        payload = run(
+            "timeliness", {"scheme": "central", "max_latency": 0.05}, 2, 9
         )
         assert sorted(payload) == [
             "delivered",
@@ -127,102 +121,98 @@ class TestRunnerPayloads:
             "worst_lateness",
         ]
 
-    def test_timeliness_epoch_payload_records_the_lane(self):
-        payload = get_runner("timeliness")(
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("p", 0.1),
+            ("uptime", 0.9),
+            ("alpha", 2.0),
+            ("population_size", 1000),
+            ("replication", 3),
+            ("retry_epochs", 8),
+            ("lifetime", "weibull"),
+            ("lifetime_shape", 1.5),
+            ("kernel", "epoch"),
+        ],
+    )
+    def test_refuses_the_churn_params(self, name, value):
+        refuses("timeliness", {"scheme": "joint", name: value}, name)
+
+
+class TestEpochTimeliness:
+    def test_measures_a_point(self):
+        payload = run(
+            "epoch_timeliness",
             {
-                "scheme": "joint",
-                "kernel": "epoch",
+                "path_length": 3,
+                "uptime": 0.95,
+                "alpha": 1.0,
                 "population_size": 500,
                 "retry_epochs": 4,
-                "max_latency": 0.0,
             },
-            trials=30,
-            seed=9,
-            engine=ENGINE,
+            trials=40,
+            seed=5,
         )
-        assert payload["kernel"] == "epoch"
-        assert payload["population_size"] == 500
-        assert payload["retry_epochs"] == 4
-        assert payload["runs"] == 30
+        assert list(payload) == [
+            "scheme",
+            "delivered",
+            "runs",
+            "delivery_rate",
+            "mean_lateness",
+            "worst_lateness",
+            "value",
+            "trials_run",
+            "uptime",
+            "alpha",
+            "p",
+            "population_size",
+            "retry_epochs",
+        ]
+        assert payload["scheme"] == "joint"  # the forwarding rule it measures
+        assert payload["runs"] == payload["trials_run"] == 40
+        assert 0 <= payload["delivered"] <= 40
+        assert payload["mean_lateness"] >= 0.0
+        assert payload["worst_lateness"] <= 4
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("scheme", "joint"), ("max_latency", 0.0), ("kernel", "epoch")],
+    )
+    def test_refuses_what_the_walk_does_not_read(self, name, value):
+        refuses("epoch_timeliness", {name: value}, name)
 
 
 class TestRegistrySpecs:
     @pytest.mark.parametrize(
-        "name",
-        ["availability-1e6", "timeliness-1e6", "epoch-churn-grid", "epoch-smoke"],
+        "name, kind",
+        [
+            ("availability-1e6", "epoch_availability"),
+            ("epoch-churn-grid", "epoch_availability"),
+            ("epoch-smoke", "epoch_availability"),
+            ("timeliness-1e6", "epoch_timeliness"),
+            ("availability", "availability"),
+            ("timeliness", "timeliness"),
+        ],
     )
-    def test_epoch_scenarios_registered(self, name):
+    def test_each_scenario_names_its_model_as_its_kind(self, name, kind):
         assert name in scenario_names()
         spec = get_scenario(name)
-        assert spec.fixed["kernel"] == "epoch"
-        assert spec.points()  # axes expand to a non-empty grid
+        assert spec.kind == kind
+        assert spec.points()
+        for point in spec.points():
+            assert "kernel" not in point.params(spec)
 
     def test_million_node_specs_pin_the_population(self):
         for name in ("availability-1e6", "timeliness-1e6"):
             assert get_scenario(name).fixed["population_size"] == 1_000_000
+
+    def test_timeliness_1e6_sweeps_p_only(self):
+        spec = get_scenario("timeliness-1e6")
+        assert [axis.name for axis in spec.axes] == ["p"]
+        assert len(spec.points()) == 3
 
     def test_epoch_smoke_is_small_enough_for_ci(self):
         spec = get_scenario("epoch-smoke")
         assert spec.trials <= 200
         assert spec.fixed["population_size"] <= 100_000
         assert len(spec.points()) == 1
-
-    def test_legacy_specs_stay_kernel_free(self):
-        # The historical availability sweep must not grow a kernel pin —
-        # that would rewrite its cache keys.
-        spec = get_scenario("availability")
-        assert "kernel" not in spec.fixed
-        for point in spec.points():
-            assert "kernel" not in point.params(spec)
-
-
-class TestCliKernelOverride:
-    def test_kernel_flag_pins_the_lane(self):
-        # --kernel lands in spec.fixed exactly like a spec-pinned kernel
-        # (and therefore in cache keys).
-        spec = get_scenario("availability")
-        pinned = spec.with_kernel("epoch")
-        assert pinned.fixed["kernel"] == "epoch"
-        for point in pinned.points():
-            assert point.params(pinned)["kernel"] == "epoch"
-        assert spec.with_kernel(None) is spec
-
-    @pytest.mark.parametrize(
-        "name, kernel, match",
-        [
-            ("availability", "warp", "unknown availability kernel 'warp'"),
-            ("timeliness", "static", "unknown timeliness kernel 'static'"),
-            ("smoke", "epoch", "kind 'attack_resilience' has no kernel lanes"),
-        ],
-    )
-    def test_a_lane_the_kind_lacks_is_refused(self, name, kernel, match):
-        with pytest.raises(ValueError, match=match):
-            get_scenario(name).with_kernel(kernel)
-
-    def test_cli_exposes_the_flag(self):
-        from repro.cli import _build_parser
-
-        parser = _build_parser()
-        args = parser.parse_args(
-            ["sweep", "run", "epoch-smoke", "--kernel", "epoch"]
-        )
-        assert args.kernel == "epoch"
-        args = parser.parse_args(["sweep", "run", "epoch-smoke"])
-        assert args.kernel is None
-
-    @pytest.mark.parametrize(
-        "name, kernel", [("smoke", "epoch"), ("epoch-smoke", "warp")]
-    )
-    def test_sweep_refuses_a_lane_before_any_state_exists(
-        self, tmp_path, capsys, name, kernel
-    ):
-        from repro.cli import main
-
-        store = tmp_path / "store"
-        code = main(
-            ["sweep", "run", name, "--kernel", kernel, "--store", str(store)]
-        )
-        out = capsys.readouterr().out.strip().splitlines()
-        assert code == 1
-        assert len(out) == 1 and "kernel" in out[0], out
-        assert not store.exists()  # no journal, no claim, no record

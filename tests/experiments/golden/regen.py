@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record-checksum pins for every scenario kind and Monte-Carlo lane
+"""Record-checksum pins for every scenario kind
 (``tests/experiments/test_record_parity.py``).
 
     PYTHONPATH=src python3 tests/experiments/golden/regen.py [SCENARIO ...]
@@ -17,8 +17,14 @@ were regenerated when those kinds became closed forms (their records hold
 exact values and ``trials_run`` 0; the keys did not move).  The fig6a,
 fig6c, sensitivity-grid and smoke entries were regenerated when the attack
 kinds lost their ``kernel`` parameter: the param and the content key left
-each record, and every ``result`` block stayed byte for byte.  Only rerun
-it in a PR that says why a record's bytes changed.
+each record, and every ``result`` block stayed byte for byte.  The
+epoch-smoke and timeliness-1e6 entries were regenerated when the epoch lane
+of the availability and timeliness kinds became the epoch_availability and
+epoch_timeliness kinds: ``kind``, params and content keys moved, the
+constant ``kernel``/``max_latency``/``early_releases`` fields left each
+``result``, timeliness-1e6 kept only its three joint points, and every
+measured count stayed the same.  Only rerun it in a PR that says why a
+record's bytes changed.
 
 Each pin is the store checksum of one point record (SHA-256 over its
 canonical JSON: point, params, seed, trials, result), keyed by the point's
@@ -42,10 +48,10 @@ SWEEPS = {
     "adaptive-observation": 100,
     "fig7": 40,
     "fig8": 40,
-    "availability": 40,  # static lane
-    "epoch-smoke": 40,  # availability, epoch lane
-    "timeliness": 4,  # event lane: trials are protocol runs
-    "timeliness-1e6": 8,  # epoch lane
+    "availability": 40,  # closed form
+    "epoch-smoke": 40,  # epoch_availability
+    "timeliness": 4,  # event loop: trials are protocol runs
+    "timeliness-1e6": 8,  # epoch_timeliness
     "sensitivity-grid": 40,
     "smoke": 40,
 }

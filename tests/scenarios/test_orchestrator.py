@@ -248,8 +248,14 @@ class TestValidationAndErrors:
             run_sweep(spec)
 
     def test_none_default_takes_none_or_a_float(self):
-        runner = get_runner("availability")
-        point = {"scheme": "joint", "uptime": 0.9, "p": 0.1}
+        runner = get_runner("epoch_availability")
+        point = {
+            "scheme": "joint",
+            "uptime": 0.9,
+            "p": 0.1,
+            "population_size": 200,
+            "lifetime": "weibull",
+        }
         for shape in (None, 1.5, 2):
             runner({**point, "lifetime_shape": shape}, 10, 1, TrialEngine())
         with pytest.raises(TypeError, match="'lifetime_shape' must be float"):

@@ -144,21 +144,18 @@ class TestProtocolRoundTrips:
                 service_request(address, {"op": "frobnicate"})
 
     @pytest.mark.parametrize(
-        "name, kernel, match",
-        [
-            ("smoke", "epoch", "has no kernel lanes"),
-            ("epoch-smoke", "warp", "unknown availability kernel"),
-        ],
+        "name", ["availability", "epoch-smoke", "timeliness", "timeliness-1e6"]
     )
-    def test_a_lane_the_kind_lacks_is_refused_at_submit(
-        self, tmp_path, name, kernel, match
-    ):
-        # An ``ok: false`` reply is what makes the client raise.
+    def test_a_field_submit_does_not_take_is_refused(self, tmp_path, name):
+        # A ``kernel`` field used to pick one of two models inside a kind;
+        # each model is its own kind now, and the daemon refuses the field
+        # rather than silently run the registered spec without it.
         service = SweepService(tmp_path / "store", jobs=1)
         with service.serve_background() as handle:
             address = _address(handle)
-            with pytest.raises(RuntimeError, match=match):
-                submit_job(address, name, kernel=kernel)
+            message = {"op": "submit", "scenario": name, "kernel": "epoch"}
+            with pytest.raises(RuntimeError, match=r"does not take \['kernel'\]"):
+                service_request(address, message)
             assert service_stats(address)["jobs"] == 0
 
     def test_wrong_role_port_is_refused(self):
@@ -189,6 +186,33 @@ class TestProtocolRoundTrips:
             # Cancelling a finished job is a no-op, not an error.
             again = cancel_job(address, job)
             assert again["ok"] and again["cancelled"] is False
+
+
+class TestSubmitSweep:
+    """``api.submit_sweep``: the daemon runs registered scenarios by name."""
+
+    def test_a_spec_other_than_the_registered_one_is_refused(self, monkeypatch):
+        from repro import api
+        from repro.service import client
+
+        def no_connection(*args, **kwargs):
+            raise AssertionError("submit_sweep connected")
+
+        monkeypatch.setattr(client, "_connect", no_connection)
+        spec = api.get_scenario("smoke").with_overrides(seed=5)
+        with pytest.raises(ValueError, match="differs from the registered"):
+            api.submit_sweep("127.0.0.1:7272", spec)
+
+    def test_a_registered_spec_round_trips(self, service_scenarios, tmp_path):
+        from repro import api
+
+        service = SweepService(tmp_path / "store", jobs=1)
+        with service.serve_background() as handle:
+            final = api.submit_sweep(
+                _address(handle), service_scenarios["service-test"], watch=True
+            )
+        assert final["status"] == "done"
+        assert final["computed"] == 4 and final["cached"] == 0
 
 
 class TestDeduplication:

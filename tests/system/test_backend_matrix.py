@@ -4,7 +4,7 @@ including a live localhost worker speaking the JSON/TCP span protocol.
 Beside ``smoke``: the zero-trial cost panel, the small-population Fig. 6
 panel, and the two Monte-Carlo lanes whose bytes a kernel rewrite could
 move (a vectorised Fig. 6 panel and the scalar, index-marked adaptive
-game).  Fig. 7, Fig. 8 and the static availability lane are closed forms
+game).  Fig. 7, Fig. 8 and the availability kind are closed forms
 that ship no unit, so no backend can move their bytes.
 """
 

@@ -52,14 +52,13 @@ def test_fig6_kernel_matches_finite_resilience():
 
 
 def vectorized(nodes, trials):
-    """One availability point through the epoch lane, as a sweep runs it."""
-    return get_runner("availability")(
+    """One epoch_availability point, as a sweep runs it."""
+    return get_runner("epoch_availability")(
         {
             "scheme": "joint",
             "uptime": 0.9,
             "p": 0.2,
             "population_size": nodes,
-            "kernel": "epoch",
             "alpha": 2.0,
         },
         trials,

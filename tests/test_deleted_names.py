@@ -179,6 +179,12 @@ DELETED = (
     r"\bsimulate_column_epoch_deaths\b",
     r"repro\.epoch\.oracle",
     r"repro\.churn\.replication",
+    # A kind is one model: the epoch simulator runs as the epoch_availability
+    # and epoch_timeliness kinds, so no kind has lanes and nothing pins one.
+    r"\bKERNEL_LANES\b",
+    r"\bcheck_kernel\b",
+    r"\bwith_kernel\b",
+    r"--kernel\b",
 )
 
 #: Gone from ``src/`` only: the id-list distance helpers and the per-id
@@ -256,6 +262,20 @@ def test_the_search_reaches_every_tree():
 def test_figures_command_does_not_exist():
     with pytest.raises(SystemExit) as info:
         main(["figures"])
+    assert info.value.code != 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "run", "epoch-smoke"],
+        ["sweep", "resume", "epoch-smoke"],
+        ["jobs", "submit", "epoch-smoke"],
+    ],
+)
+def test_no_command_takes_a_kernel_flag(command):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--kernel", "epoch"])
     assert info.value.code != 0
 
 
