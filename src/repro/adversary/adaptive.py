@@ -98,19 +98,15 @@ def evaluate_adaptive_attack(
 ) -> AdaptiveOutcome:
     """One trial: sample a structure, corrupt adaptively, evaluate attacks.
 
-    ``scheme`` is any :class:`repro.core.schemes.base.Scheme`; node ids are
-    the indices ``range(population_size)``, never materialised.  The
+    ``scheme`` is a :class:`repro.core.schemes.base.MultipathScheme`; node
+    ids are the indices ``range(population_size)``, never materialised.  The
     adversary sees the holder list only through its observation filter —
     it never learns holders its nodes did not notice.
     """
     structure = scheme.sample_structure(
         range(population_size), rng.fork("structure")
     )
-    if hasattr(structure, "all_holders"):
-        holders = structure.all_holders()
-    else:
-        holders = [structure]
-    population = adversary.corrupt(population_size, holders)
+    population = adversary.corrupt(population_size, structure.all_holders())
     outcome = scheme.evaluate_attacks(structure, population)
     return AdaptiveOutcome(
         seeds_used=population.malicious_count - adversary.last_targeted,

@@ -3,8 +3,9 @@
 Malicious holders deposit every package, layer key and share they handle.
 The pool then answers the two questions the attacks need:
 
-- can the secret key be reconstructed *now* (release-ahead succeeded)?
-- at what (virtual) time did reconstruction first become possible?
+- which layer keys can the adversary know (captured directly or combined
+  from shares)?
+- at what (virtual) time did each first become known?
 
 The pool works on opaque byte payloads plus structured tags, so both the
 end-to-end protocol simulation and the abstract Monte Carlo can use it.
@@ -12,7 +13,7 @@ end-to-end protocol simulation and the abstract Monte Carlo can use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.crypto.shamir import Share, combine_shares
@@ -133,25 +134,3 @@ class CollusionPool:
         if kind is None:
             return list(self._observations)
         return [obs for obs in self._observations if obs.kind == kind]
-
-    def earliest_full_compromise_time(self, total_columns: int) -> Optional[float]:
-        """Earliest time all ``total_columns`` layer keys were known.
-
-        This is the release-ahead success instant for onion structures: the
-        adversary can strip every layer once it has every column key (it has
-        seen the outer onion at column 1 by then in any successful attack,
-        because capturing column 1's key requires a malicious first-column
-        holder, who also saw the package).
-        """
-        times = []
-        for column in range(1, total_columns + 1):
-            capture = self.layer_key_capture_time(column)
-            if capture is None:
-                if self._secret_key is not None:
-                    return self._secret_key[0]
-                return None
-            times.append(capture)
-        full = max(times)
-        if self._secret_key is not None:
-            return min(full, self._secret_key[0])
-        return full

@@ -104,12 +104,6 @@ class CloudStore:
     def exists(self, blob_id: str) -> bool:
         return blob_id in self._blobs
 
-    def grant_access(self, blob_id: str, principal: str) -> None:
-        """Add a reader (no-op for public blobs)."""
-        record = self._require(blob_id)
-        if record.readers is not None:
-            record.readers.add(principal)
-
     def delete(self, blob_id: str, principal: str) -> None:
         """Owner-only removal."""
         record = self._require(blob_id)

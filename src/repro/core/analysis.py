@@ -15,6 +15,9 @@ factor (number of paths); ``l`` — path length (holders per path).
 
 Lemma 1: for the node-joint scheme, ``Rr + Rd > 1`` whenever ``p < 0.5``.
 
+The events behind the equations, as predicates on sampled malicious-holder
+masks, are :func:`evaluate_multipath_masks`.
+
 Each equation is stated once, as plain arithmetic (:func:`eq1_release`,
 :func:`eq2_disjoint_drop`, :func:`eq3_joint_drop`): on Python scalars it is
 the validated per-configuration functions below, on broadcasting numpy
@@ -47,10 +50,6 @@ class ResiliencePair:
     def worst(self) -> float:
         """min(Rr, Rd) — the single number the evaluation plots as R."""
         return min(self.release, self.drop)
-
-    @property
-    def balanced(self) -> bool:
-        return abs(self.release - self.drop) < 1e-9
 
 
 def eq1_release(p, k, l):
@@ -143,13 +142,24 @@ def joint_resilience(
     )
 
 
-def lemma1_holds(malicious_rate: float, replication: int, path_length: int) -> bool:
-    """Check Lemma 1's inequality ``Rr + Rd > 1`` for the node-joint scheme.
+def evaluate_multipath_masks(mask, joint: bool):
+    """Per-trial attack success flags from a ``(trials, k, l)`` mask.
 
-    Guaranteed true for ``p < 0.5``; the property tests sweep this.
+    ``mask[t, i, j]`` is whether trial ``t``'s holder on path ``i`` of
+    column ``j`` is malicious; returns ``(release_success, drop_success)``
+    boolean arrays of length ``trials``.  The one statement of the static
+    attack rules of §II-B: the Fig. 6 kernel decides its tied rows with it
+    and the node-disjoint/node-joint schemes evaluate one grid with it.
     """
-    pair = joint_resilience(malicious_rate, replication, path_length)
-    return pair.release + pair.drop > 1.0
+    # Release-ahead (Eq. 1): a malicious replica in every column.
+    release_success = mask.any(axis=1).all(axis=1)
+    if joint:
+        # Drop (Eq. 3): some column entirely malicious.
+        drop_success = mask.all(axis=1).any(axis=1)
+    else:
+        # Drop (Eq. 2): every row (path) cut somewhere.
+        drop_success = mask.any(axis=2).all(axis=1)
+    return release_success, drop_success
 
 
 @lru_cache(maxsize=4)
@@ -258,9 +268,3 @@ def finite_resilience(
         release=min(max(release, 0.0), 1.0), drop=min(max(drop, 0.0), 1.0)
     )
 
-
-def required_nodes(replication: int, path_length: int) -> int:
-    """Grid cost in distinct DHT nodes (plotted as C in Fig. 6(b)/(d))."""
-    check_positive_int(replication, "replication")
-    check_positive_int(path_length, "path_length")
-    return replication * path_length

@@ -46,11 +46,6 @@ class OnionLayer:
     remaining: bytes = b""
     forward_at: float = 0.0
 
-    @property
-    def is_terminal(self) -> bool:
-        """True when ``remaining`` is the core (checked by the peeler)."""
-        return not self.next_hops
-
 
 @dataclass(frozen=True)
 class OnionCore:

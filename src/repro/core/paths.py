@@ -1,16 +1,12 @@
 """Pseudo-random holder structures: grids and share lattices.
 
-The sender selects holders *pseudo-randomly* (paper §III): she draws random
-targets in the id space and resolves each to a concrete live node.  Two
-resolution modes are supported:
-
-- **abstract** — holders are drawn directly from a given population
-  sequence without an overlay.  The Monte-Carlo experiments use this (the
-  paper's own evaluation works at this level too: it marks ``10000 * p``
-  nodes malicious and samples holders among the 10,000).
-- **overlay-backed** — holders are found by iterative DHT lookup of random
-  targets (:func:`build_grid_on_overlay`), which the end-to-end protocol
-  simulation uses.
+The sender selects holders *pseudo-randomly* (paper §III).
+:func:`build_grid` draws them directly from a population sequence: node
+indices in the adaptive game (the paper's own evaluation works at this
+level too: it marks ``10000 * p`` nodes malicious and samples holders among
+the 10,000), the overlay's live node ids in the end-to-end multipath
+sender.  The key-share sender resolves random targets by DHT lookup
+instead (:class:`~repro.core.sender.DataSender`).
 
 All structures guarantee *node-disjointness across the whole structure*:
 one physical node never appears twice, matching the paper's figures where
@@ -19,7 +15,7 @@ every ``H_{i,j}`` is distinct (and required for Eqs. 1-3's independence).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Set
 
 from repro.util.rng import RandomSource
@@ -58,10 +54,6 @@ class HolderGrid:
         """``l`` — holders per path."""
         return len(self.rows[0])
 
-    @property
-    def node_count(self) -> int:
-        return self.replication * self.path_length
-
     def row(self, index: int) -> Sequence[Hashable]:
         """Path ``index`` (1-based)."""
         return self.rows[index - 1]
@@ -70,19 +62,8 @@ class HolderGrid:
         """Column ``index`` (1-based): the holders replicating key ``K_index``."""
         return [row[index - 1] for row in self.rows]
 
-    def columns(self) -> List[List[Hashable]]:
-        return [self.column(j) for j in range(1, self.path_length + 1)]
-
     def all_holders(self) -> List[Hashable]:
         return [holder for row in self.rows for holder in row]
-
-    def position_of(self, holder: Hashable) -> Optional[tuple]:
-        """``(row, column)`` 1-based position, or None."""
-        for i, row in enumerate(self.rows, start=1):
-            for j, member in enumerate(row, start=1):
-                if member == holder:
-                    return (i, j)
-        return None
 
 
 @dataclass(frozen=True)
@@ -128,26 +109,6 @@ class ShareLattice:
         """``l``."""
         return len(self.rows[0])
 
-    @property
-    def node_count(self) -> int:
-        return self.share_count * self.path_length
-
-    def threshold(self, column: int) -> int:
-        """``m`` for column (1-based)."""
-        return self.thresholds[column - 1]
-
-    def row(self, index: int) -> Sequence[Hashable]:
-        return self.rows[index - 1]
-
-    def column(self, index: int) -> List[Hashable]:
-        return [row[index - 1] for row in self.rows]
-
-    def columns(self) -> List[List[Hashable]]:
-        return [self.column(j) for j in range(1, self.path_length + 1)]
-
-    def all_holders(self) -> List[Hashable]:
-        return [holder for row in self.rows for holder in row]
-
 
 def build_grid(
     population: Sequence[Hashable],
@@ -178,32 +139,6 @@ def build_grid(
     return HolderGrid(rows=rows)
 
 
-def build_share_lattice(
-    population: Sequence[Hashable],
-    share_count: int,
-    path_length: int,
-    thresholds: Sequence[int],
-    rng: RandomSource,
-    exclude: Optional[Set[Hashable]] = None,
-) -> ShareLattice:
-    """Sample an ``n x l`` share lattice from ``population``."""
-    check_positive_int(share_count, "share_count")
-    check_positive_int(path_length, "path_length")
-    candidates = _eligible(population, exclude)
-    needed = share_count * path_length
-    if len(candidates) < needed:
-        raise ValueError(
-            f"population of {len(candidates)} eligible nodes cannot supply "
-            f"{needed} distinct holders"
-        )
-    chosen = rng.sample(candidates, needed)
-    rows = tuple(
-        tuple(chosen[i * path_length : (i + 1) * path_length])
-        for i in range(share_count)
-    )
-    return ShareLattice(rows=rows, thresholds=tuple(thresholds))
-
-
 def _eligible(
     population: Sequence[Hashable], exclude: Optional[Set[Hashable]]
 ) -> Sequence[Hashable]:
@@ -212,47 +147,3 @@ def _eligible(
     # No copy: ``random.sample`` draws identically from any same-length
     # sequence, so a ``range`` population never needs materialising.
     return population
-
-
-def build_grid_on_overlay(
-    lookup_node,
-    replication: int,
-    path_length: int,
-    rng: RandomSource,
-    exclude: Optional[Set] = None,
-) -> HolderGrid:
-    """Resolve a grid of holders by iterative DHT lookups of random targets.
-
-    ``lookup_node`` is any :class:`~repro.dht.kademlia.KademliaNode` the
-    sender controls.  Each holder is the closest *online* node to a fresh
-    random target id; duplicates (possible when targets land near each
-    other) are re-drawn, preserving node-disjointness.
-    """
-    from repro.dht.node_id import NodeId
-
-    check_positive_int(replication, "replication")
-    check_positive_int(path_length, "path_length")
-    taken: Set = set(exclude) if exclude else set()
-    taken.add(lookup_node.node_id)
-    flat: List = []
-    attempts = 0
-    needed = replication * path_length
-    max_attempts = needed * 20 + 100
-    while len(flat) < needed:
-        attempts += 1
-        if attempts > max_attempts:
-            raise RuntimeError(
-                f"could not resolve {needed} distinct online holders after "
-                f"{attempts} lookups"
-            )
-        target = NodeId.random(rng)
-        resolved = lookup_node.find_closest_online(target)
-        if resolved is None or resolved in taken:
-            continue
-        taken.add(resolved)
-        flat.append(resolved)
-    rows = tuple(
-        tuple(flat[i * path_length : (i + 1) * path_length])
-        for i in range(replication)
-    )
-    return HolderGrid(rows=rows)

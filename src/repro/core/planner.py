@@ -28,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.analysis import (
-    ResiliencePair,
     eq1_release,
     eq2_disjoint_drop,
     eq3_joint_drop,
@@ -74,12 +73,6 @@ class PlannedConfiguration:
     def worst_resilience(self) -> float:
         """min(Rr, Rd) — the R axis of Fig. 6(a)/(c)."""
         return min(self.release_resilience, self.drop_resilience)
-
-    @property
-    def resilience_pair(self) -> ResiliencePair:
-        return ResiliencePair(
-            release=self.release_resilience, drop=self.drop_resilience
-        )
 
 
 def search_grid(

@@ -8,8 +8,8 @@ nothing addressed to him exists anywhere in the network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.cloud.storage import CloudStore
 from repro.crypto.cipher import decrypt
@@ -68,9 +68,6 @@ class DataReceiver:
 
     def received(self, key_id: bytes) -> Optional[ReceivedKey]:
         return self._received.get(key_id)
-
-    def all_received(self) -> List[ReceivedKey]:
-        return list(self._received.values())
 
     def release_time_of(self, key_id: bytes) -> Optional[float]:
         """When the key first emerged at the receiver, or None."""

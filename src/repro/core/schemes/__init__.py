@@ -5,10 +5,15 @@ surface:
 
 - ``name`` — the label the paper's figures use;
 - ``resilience(p)`` — closed-form no-churn resilience;
-- ``sample_structure(population, rng)`` — draw the holder structure the
-  sender would build;
-- ``evaluate_attacks(structure, population)`` — static attack outcome for
-  one sampled structure (the adaptive adversary's inner loop).
+- ``node_cost`` — distinct holders the structure consumes.
+
+The two multipath schemes share :class:`~repro.core.schemes.base.MultipathScheme`,
+which adds the adaptive adversary's inner loop:
+
+- ``sample_structure(population, rng)`` — draw the ``k x l`` holder grid
+  the sender would build;
+- ``evaluate_attacks(grid, population)`` — static attack outcome for one
+  grid, by :func:`repro.core.analysis.evaluate_multipath_masks`.
 
 Key share routing is Algorithm 1 (:func:`algorithm1`,
 :func:`plan_share_scheme`): a plan, not a sampled structure.

@@ -6,8 +6,10 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from repro.adversary.population import SybilPopulation
-from repro.core.analysis import ResiliencePair
+from repro.core.analysis import ResiliencePair, evaluate_multipath_masks
+from repro.core.paths import HolderGrid, build_grid
 from repro.util.rng import RandomSource
+from repro.util.validation import check_positive_int
 
 
 @dataclass(frozen=True)
@@ -38,17 +40,45 @@ class Scheme:
         """Distinct holders the structure consumes."""
         raise NotImplementedError
 
-    def sample_structure(
-        self, population: Sequence[Hashable], rng: RandomSource
-    ):
-        """Draw the holder structure the sender would construct."""
-        raise NotImplementedError
-
-    def evaluate_attacks(
-        self, structure, population: SybilPopulation
-    ) -> AttackOutcome:
-        """Static (no-churn) attack evaluation for one structure."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(cost={self.node_cost})"
+
+
+class MultipathScheme(Scheme):
+    """A ``k x l`` holder grid; subclasses set ``joint`` (the drop rule)."""
+
+    joint: bool
+
+    def __init__(self, replication: int, path_length: int) -> None:
+        self.replication = check_positive_int(replication, "replication")
+        self.path_length = check_positive_int(path_length, "path_length")
+
+    @property
+    def node_cost(self) -> int:
+        return self.replication * self.path_length
+
+    def sample_structure(
+        self, population: Sequence[Hashable], rng: RandomSource
+    ) -> HolderGrid:
+        """Draw the holder grid the sender would construct."""
+        return build_grid(population, self.replication, self.path_length, rng)
+
+    def evaluate_attacks(
+        self, structure: HolderGrid, population: SybilPopulation
+    ) -> AttackOutcome:
+        """Static (no-churn) attack evaluation for one grid."""
+        import numpy as np
+
+        mask = np.array(
+            [
+                [population.is_malicious(holder) for holder in row]
+                for row in structure.rows
+            ]
+        )
+        release, drop = evaluate_multipath_masks(mask[None], self.joint)
+        return AttackOutcome(
+            release_resisted=not release[0], drop_resisted=not drop[0]
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(k={self.replication}, l={self.path_length})"

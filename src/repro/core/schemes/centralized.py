@@ -7,12 +7,8 @@ a dead holder loses the key with nobody to repair from.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
-
-from repro.adversary.population import SybilPopulation
 from repro.core.analysis import ResiliencePair, centralized_resilience
-from repro.core.schemes.base import AttackOutcome, Scheme
-from repro.util.rng import RandomSource
+from repro.core.schemes.base import Scheme
 
 
 class CentralizedScheme(Scheme):
@@ -26,19 +22,3 @@ class CentralizedScheme(Scheme):
     @property
     def node_cost(self) -> int:
         return 1
-
-    def sample_structure(
-        self, population: Sequence[Hashable], rng: RandomSource
-    ) -> Hashable:
-        """The structure is just the one chosen holder."""
-        if not population:
-            raise ValueError("population must be non-empty")
-        return rng.choice(population)
-
-    def evaluate_attacks(
-        self, structure: Hashable, population: SybilPopulation
-    ) -> AttackOutcome:
-        malicious = population.is_malicious(structure)
-        return AttackOutcome(
-            release_resisted=not malicious, drop_resisted=not malicious
-        )

@@ -10,49 +10,15 @@ requires owning a whole column (Eq. 3), and Lemma 1 guarantees
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
-
-from repro.adversary.drop import DropAttack
-from repro.adversary.population import SybilPopulation
-from repro.adversary.release_ahead import ReleaseAheadAttack
 from repro.core.analysis import ResiliencePair, joint_resilience
-from repro.core.paths import HolderGrid, build_grid
-from repro.core.schemes.base import AttackOutcome, Scheme
-from repro.util.rng import RandomSource
-from repro.util.validation import check_positive_int
+from repro.core.schemes.base import MultipathScheme
 
 
-class NodeJointScheme(Scheme):
+class NodeJointScheme(MultipathScheme):
     """The ``k x l`` node-joint (full column fan-out) routing scheme."""
 
     name = "joint"
-
-    def __init__(self, replication: int, path_length: int) -> None:
-        self.replication = check_positive_int(replication, "replication")
-        self.path_length = check_positive_int(path_length, "path_length")
+    joint = True
 
     def resilience(self, malicious_rate: float) -> ResiliencePair:
         return joint_resilience(malicious_rate, self.replication, self.path_length)
-
-    @property
-    def node_cost(self) -> int:
-        return self.replication * self.path_length
-
-    def sample_structure(
-        self, population: Sequence[Hashable], rng: RandomSource
-    ) -> HolderGrid:
-        return build_grid(population, self.replication, self.path_length, rng)
-
-    def evaluate_attacks(
-        self, structure: HolderGrid, population: SybilPopulation
-    ) -> AttackOutcome:
-        columns = structure.columns()
-        release = ReleaseAheadAttack(population).evaluate_grid(columns)
-        drop = DropAttack(population).evaluate_joint(columns)
-        return AttackOutcome(
-            release_resisted=not release.succeeded,
-            drop_resisted=not drop.succeeded,
-        )
-
-    def __repr__(self) -> str:
-        return f"NodeJointScheme(k={self.replication}, l={self.path_length})"

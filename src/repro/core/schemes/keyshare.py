@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import betainc
 
 from repro.util.validation import check_positive, check_positive_int, check_probability
 
@@ -60,16 +59,14 @@ class SharePlan:
     def worst_resilience(self) -> float:
         return min(self.release_resilience, self.drop_resilience)
 
-    def lattice_thresholds(self) -> Tuple[int, ...]:
-        """Per-column m for all ``l`` columns (column 1 needs no recovery:
-        its keys are handed over directly, modelled as threshold 1)."""
-        return (1,) + self.thresholds
-
 
 def _binomial_tail(k: np.ndarray, n: int, p: float) -> np.ndarray:
     """``P[Bin(n, p) > k]`` for ``0 <= k < n``: the regularised incomplete
     beta function, which is what ``scipy.stats.binom.sf`` evaluates — bit
-    for bit — without importing ``scipy.stats``."""
+    for bit — without importing ``scipy.stats``.  ``scipy.special`` is
+    imported here, on first use, so importing the module costs no scipy."""
+    from scipy.special import betainc
+
     return betainc(k + 1, n - k, p)
 
 

@@ -51,24 +51,6 @@ class ReleaseTimeline:
         self._check_column(column)
         return self.start_time + column * self.holding_period
 
-    def arrival_time(self, column: int) -> float:
-        """When the onion arrives at column ``column``."""
-        self._check_column(column)
-        return self.start_time + (column - 1) * self.holding_period
-
-    def column_at(self, timestamp: float) -> int:
-        """Which column holds the onion at ``timestamp``.
-
-        Clamped to ``[1, l]``; before ``ts`` the package is still with the
-        sender, which callers must handle themselves.
-        """
-        if timestamp < self.start_time:
-            raise ValueError(f"timestamp {timestamp} precedes start time")
-        if timestamp >= self.release_time:
-            return self.path_length
-        elapsed = timestamp - self.start_time
-        return min(self.path_length, int(elapsed / self.holding_period) + 1)
-
     def boundaries(self) -> List[float]:
         """All forwarding instants, ``[ts + th, ts + 2*th, ..., tr]``."""
         return [self.forward_time(column) for column in range(1, self.path_length + 1)]

@@ -14,7 +14,7 @@ Used by ``repro plan --frontier`` and ``examples/embargoed_story.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -34,12 +34,6 @@ class FrontierPoint:
     @property
     def cost(self) -> int:
         return self.replication * self.path_length
-
-    def satisfies(self, min_release: float, min_drop: float) -> bool:
-        return (
-            self.release_resilience >= min_release
-            and self.drop_resilience >= min_drop
-        )
 
 
 def pareto_frontier(
@@ -110,17 +104,4 @@ def biased_configuration(
         frontier,
         key=lambda point: weight * point.release_resilience
         + (1.0 - weight) * point.drop_resilience,
-    )
-
-
-def lemma1_gap(points: Sequence[FrontierPoint]) -> float:
-    """The minimum of (Rr + Rd - 1) over a frontier.
-
-    Lemma 1 says this is positive for the node-joint scheme at p < 0.5;
-    the tests sweep it.
-    """
-    if not points:
-        raise ValueError("empty frontier")
-    return min(
-        point.release_resilience + point.drop_resilience - 1.0 for point in points
     )

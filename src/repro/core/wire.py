@@ -33,12 +33,6 @@ class WireWriter:
         self._parts.append(value.to_bytes(4, "big"))
         return self
 
-    def write_u64(self, value: int) -> "WireWriter":
-        if not 0 <= value < 2 ** 64:
-            raise WireError(f"u64 out of range: {value}")
-        self._parts.append(value.to_bytes(8, "big"))
-        return self
-
     def write_f64(self, value: float) -> "WireWriter":
         import struct
 
@@ -52,9 +46,6 @@ class WireWriter:
         self.write_u32(len(data))
         self._parts.append(bytes(data))
         return self
-
-    def write_str(self, text: str) -> "WireWriter":
-        return self.write_bytes(text.encode("utf-8"))
 
     def write_bytes_list(self, items: List[bytes]) -> "WireWriter":
         self.write_u32(len(items))
@@ -91,9 +82,6 @@ class WireReader:
     def read_u32(self) -> int:
         return int.from_bytes(self._take(4), "big")
 
-    def read_u64(self) -> int:
-        return int.from_bytes(self._take(8), "big")
-
     def read_f64(self) -> float:
         import struct
 
@@ -103,9 +91,6 @@ class WireReader:
         length = self.read_u32()
         return self._take(length)
 
-    def read_str(self) -> str:
-        return self.read_bytes().decode("utf-8")
-
     def read_bytes_list(self) -> List[bytes]:
         count = self.read_u32()
         return [self.read_bytes() for _ in range(count)]
@@ -113,9 +98,6 @@ class WireReader:
     @property
     def remaining(self) -> int:
         return len(self._data) - self._offset
-
-    def read_rest(self) -> bytes:
-        return self._take(self.remaining)
 
     def expect_end(self) -> None:
         if self.remaining:

@@ -7,8 +7,7 @@ The paper's protocol needs three primitives:
   HMAC-SHA-256 authentication tag; simulation-grade, documented as such);
 - Shamir secret sharing over GF(2^8) for the key-share routing scheme
   (:mod:`repro.crypto.shamir`);
-- key generation / derivation (:mod:`repro.crypto.keys`,
-  :mod:`repro.crypto.kdf`).
+- key generation (:mod:`repro.crypto.keys`).
 
 Nothing here calls out to external crypto libraries; the finite-field and
 sharing arithmetic is implemented from scratch and property-tested.

@@ -1,8 +1,7 @@
 """Secret-key type and generation.
 
 A :class:`SecretKey` wraps the raw 32 key bytes with a short fingerprint for
-logging (never log the key itself) and hex (de)serialization for the cloud
-manifest format used by the examples.
+logging (never log the key itself).
 """
 
 from __future__ import annotations
@@ -37,14 +36,6 @@ class SecretKey:
     def fingerprint(self) -> str:
         """Short stable identifier, safe to log."""
         return hashlib.sha256(self.material).hexdigest()[:16]
-
-    def to_hex(self) -> str:
-        """Hex-encode the key material (for manifests; handle with care)."""
-        return self.material.hex()
-
-    @classmethod
-    def from_hex(cls, encoded: str) -> "SecretKey":
-        return cls(bytes.fromhex(encoded))
 
     def __repr__(self) -> str:  # never expose material in repr
         return f"SecretKey(fingerprint={self.fingerprint})"

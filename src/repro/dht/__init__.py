@@ -4,8 +4,9 @@ This substrate replaces the paper's Overlay Weaver deployment.  It provides:
 
 - 160-bit node identifiers under the XOR metric (:mod:`repro.dht.node_id`);
 - per-node k-bucket routing tables (:mod:`repro.dht.routing_table`);
-- a key/value store with expiry (:mod:`repro.dht.storage`);
-- RPC message types (:mod:`repro.dht.rpc`);
+- RPC message types — PING, FIND_NODE and the protocol's DELIVER
+  (:mod:`repro.dht.rpc`); the overlay stores no values, the ciphertext
+  lives in the cloud store;
 - a simulated transport that delivers RPCs with latency and respects node
   liveness (:mod:`repro.dht.network`);
 - the node protocol logic with iterative lookup (:mod:`repro.dht.kademlia`);

@@ -1,7 +1,7 @@
 """Kademlia node protocol logic.
 
-Implements the four classic RPC handlers plus iterative lookup
-(``FIND_NODE`` / ``FIND_VALUE`` with α-way parallelism folded into a
+Implements the PING, FIND_NODE and DELIVER handlers plus iterative
+``FIND_NODE`` lookup (with α-way parallelism folded into a
 deterministic sequential probe order — the simulated transport is
 synchronous, so parallelism only affects latency accounting, which we model
 by charging the per-round maximum RTT instead of the sum).
@@ -20,25 +20,20 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.dht.node_id import NodeId
 from repro.dht.rpc import (
     Deliver,
     DeliverAck,
     FindNode,
-    FindValue,
     FoundNodes,
-    FoundValue,
     Ping,
     Pong,
     Request,
     Response,
-    Store,
-    StoreAck,
 )
 from repro.dht.routing_table import RoutingTable
-from repro.dht.storage import ValueStore
 
 DEFAULT_REPLICATION = 20  # Kademlia's k
 DEFAULT_CONCURRENCY = 3  # Kademlia's alpha
@@ -52,19 +47,14 @@ class LookupResult:
 
     target: NodeId
     closest: List[NodeId]
-    value: Optional[bytes] = None
     rounds: int = 0
     contacted: int = 0
     elapsed: float = 0.0
     failures: List[NodeId] = field(default_factory=list)
 
-    @property
-    def found_value(self) -> bool:
-        return self.value is not None
-
 
 class KademliaNode:
-    """One DHT participant: routing table, storage, RPC handlers, lookups."""
+    """One DHT participant: routing table, RPC handlers, lookups."""
 
     def __init__(
         self,
@@ -76,11 +66,9 @@ class KademliaNode:
         self.node_id = node_id
         self.network = network
         self.routing_table = RoutingTable(node_id, bucket_size=bucket_size)
-        self.store = ValueStore(network.loop.clock)
         self.bucket_size = bucket_size
         self.concurrency = max(1, concurrency)
         self.deliver_handler: Optional[DeliverHandler] = None
-        self.delivered_payloads: List[Tuple[str, bytes]] = []
 
     def __repr__(self) -> str:
         return f"KademliaNode({self.node_id})"
@@ -90,8 +78,8 @@ class KademliaNode:
     def handle_request(self, request: Request) -> Response:
         """Dispatch an incoming RPC; also learns the sender as a contact.
 
-        ``FIND_NODE``, nearly every RPC a lookup sends, is matched first by
-        exact class; the rest go through the ``isinstance`` chain.
+        ``FIND_NODE``, every RPC a lookup sends, is matched first by exact
+        class; the rest go through the ``isinstance`` chain.
         """
         routing_table = self.routing_table
         routing_table.add_contact(request.sender, probe=self._probe_contact)
@@ -104,21 +92,7 @@ class KademliaNode:
             )
         if isinstance(request, Ping):
             return Pong(responder=self.node_id)
-        if isinstance(request, Store):
-            self.store.put(request.key, request.value, ttl=request.ttl)
-            return StoreAck(responder=self.node_id, key=request.key)
-        if isinstance(request, FindValue):
-            value = self.store.get(request.key)
-            if value is not None:
-                return FoundValue(responder=self.node_id, key=request.key, value=value)
-            contacts = self.routing_table.closest_contacts(
-                request.key, self.bucket_size, excluding=request.sender
-            )
-            return FoundValue(
-                responder=self.node_id, key=request.key, contacts=tuple(contacts)
-            )
         if isinstance(request, Deliver):
-            self.delivered_payloads.append((request.channel, request.payload))
             if self.deliver_handler is not None:
                 self.deliver_handler(request.sender, request.channel, request.payload)
             return DeliverAck(responder=self.node_id, channel=request.channel)
@@ -135,10 +109,6 @@ class KademliaNode:
         overlay.
         """
         return self.network.is_online(contact)
-
-    def wipe_storage(self) -> None:
-        """Called by the network when this node dies."""
-        self.store.clear()
 
     # -- client side -------------------------------------------------------
 
@@ -162,38 +132,7 @@ class KademliaNode:
         self.iterative_find_node(self.node_id)
 
     def iterative_find_node(self, target: NodeId) -> LookupResult:
-        """Locate the k closest nodes to ``target``."""
-        return self._iterative_lookup(target, find_value=False)
-
-    def iterative_find_value(self, key: NodeId) -> LookupResult:
-        """Retrieve a value (or the k closest nodes if nobody has it)."""
-        local = self.store.get(key)
-        if local is not None:
-            return LookupResult(target=key, closest=[self.node_id], value=local)
-        return self._iterative_lookup(key, find_value=True)
-
-    def store_value(self, key: NodeId, value: bytes, ttl: Optional[float] = None) -> int:
-        """Store a value on the k closest nodes; returns how many acked."""
-        from repro.dht.network import NodeUnreachable
-
-        lookup = self.iterative_find_node(key)
-        stored = 0
-        for contact in lookup.closest:
-            if contact == self.node_id:
-                self.store.put(key, value, ttl=ttl)
-                stored += 1
-                continue
-            try:
-                self.network.rpc(
-                    Store(sender=self.node_id, key=key, value=value, ttl=ttl), contact
-                )
-                stored += 1
-            except NodeUnreachable:
-                self.routing_table.remove_contact(contact)
-        return stored
-
-    def _iterative_lookup(self, target: NodeId, find_value: bool) -> LookupResult:
-        """The iterative α-probe loop shared by FIND_NODE and FIND_VALUE."""
+        """Locate the k closest nodes to ``target`` (the α-probe loop)."""
         from repro.dht.network import NodeUnreachable
 
         target_value = target.value
@@ -214,13 +153,9 @@ class KademliaNode:
         dead = set()
         result = LookupResult(target=target, closest=[])
         best_distance: Optional[int] = None
-        request = (
-            FindValue(sender=self.node_id, key=target)
-            if find_value
-            else FindNode(sender=self.node_id, target=target)
-        )
+        request = FindNode(sender=self.node_id, target=target)
 
-        while pending and result.value is None:
+        while pending:
             candidates = pending[: self.concurrency]
             del pending[: self.concurrency]
             result.rounds += 1
@@ -241,10 +176,7 @@ class KademliaNode:
                 round_wait = max(round_wait, rtt)
                 result.contacted += 1
                 add_contact(contact, probe=probe)
-                if isinstance(response, FoundValue) and response.value is not None:
-                    result.value = response.value
-                    break
-                for new_contact in getattr(response, "contacts", ()):
+                for new_contact in response.contacts:
                     distance = new_contact.value ^ target_value
                     if distance in known:
                         continue

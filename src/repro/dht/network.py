@@ -98,7 +98,7 @@ class SimulatedNetwork:
         return self._liveness.get(node_id) is Liveness.ONLINE
 
     def set_offline(self, node_id: NodeId) -> None:
-        """Transient departure; storage survives, RPCs fail meanwhile."""
+        """Transient departure; the node keeps its state, RPCs fail meanwhile."""
         self._require_known(node_id)
         if self._liveness[node_id] is Liveness.DEAD:
             raise ValueError(f"node {node_id} is dead and cannot go offline")
@@ -116,13 +116,9 @@ class SimulatedNetwork:
             self.tracer.event("churn", message=f"node {node_id} online")
 
     def kill(self, node_id: NodeId) -> None:
-        """Permanent death: the node's stored data is wiped (paper §II-C)."""
+        """Permanent death (paper §II-C): the node never answers again."""
         self._require_known(node_id)
         self._liveness[node_id] = Liveness.DEAD
-        node = self._nodes[node_id]
-        wipe = getattr(node, "wipe_storage", None)
-        if wipe is not None:
-            wipe()
         if self.tracer.enabled:
             self.tracer.event("churn", message=f"node {node_id} died")
 

@@ -88,8 +88,8 @@ class NodeId:
     def hash_of(cls, material: bytes) -> "NodeId":
         """SHA-1-style mapping of arbitrary material into the id space.
 
-        SHA-256 truncated to 160 bits; used to map storage keys onto the
-        overlay and to derive deterministic holder targets from path seeds.
+        SHA-256 truncated to 160 bits; maps a name onto a deterministic
+        point of the id space (a lookup target).
         """
         digest = hashlib.sha256(material).digest()
         return cls.from_bytes(digest[:ID_BYTES])

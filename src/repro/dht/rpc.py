@@ -1,8 +1,10 @@
 """Kademlia RPC message types.
 
-Four classic RPCs (PING, STORE, FIND_NODE, FIND_VALUE) plus DELIVER, the
+Two classic Kademlia RPCs (PING, FIND_NODE) plus DELIVER, the
 application-level message used by the self-emerging key protocol to hand an
-onion package or key share to a holder.  Messages are plain dataclasses —
+onion package or key share to a holder.  The protocol keeps no value in the
+DHT (the ciphertext lives in :class:`~repro.cloud.storage.CloudStore`), so
+STORE and FIND_VALUE are not modelled.  Messages are plain dataclasses —
 the simulated transport passes them by reference, and equality/`repr` make
 test assertions pleasant.
 """
@@ -10,7 +12,7 @@ test assertions pleasant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from repro.dht.node_id import NodeId
 
@@ -40,22 +42,6 @@ class Pong(Response):
 
 
 @dataclass(frozen=True)
-class Store(Request):
-    """Ask the receiver to store a key/value pair."""
-
-    key: NodeId = field(default=None)  # type: ignore[assignment]
-    value: bytes = b""
-    ttl: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class StoreAck(Response):
-    """Store acknowledgement."""
-
-    key: NodeId = field(default=None)  # type: ignore[assignment]
-
-
-@dataclass(frozen=True)
 class FindNode(Request):
     """Ask for the k closest contacts to ``target``."""
 
@@ -67,22 +53,6 @@ class FoundNodes(Response):
     """Closest contacts known to the responder."""
 
     target: NodeId = field(default=None)  # type: ignore[assignment]
-    contacts: Tuple[NodeId, ...] = ()
-
-
-@dataclass(frozen=True)
-class FindValue(Request):
-    """Ask for a value, falling back to closest contacts."""
-
-    key: NodeId = field(default=None)  # type: ignore[assignment]
-
-
-@dataclass(frozen=True)
-class FoundValue(Response):
-    """Either the value or the closest contacts (value takes precedence)."""
-
-    key: NodeId = field(default=None)  # type: ignore[assignment]
-    value: Optional[bytes] = None
     contacts: Tuple[NodeId, ...] = ()
 
 
@@ -108,8 +78,6 @@ class DeliverAck(Response):
 def describe(message) -> str:
     """Short human-readable description for traces."""
     name = type(message).__name__
-    if isinstance(message, (Store, StoreAck, FindValue, FoundValue)):
-        return f"{name}(key={str(message.key)[:12]})"
     if isinstance(message, (FindNode, FoundNodes)):
         return f"{name}(target={str(message.target)[:12]})"
     if isinstance(message, (Deliver, DeliverAck)):

@@ -59,9 +59,16 @@ def make_lifetime_model(
 ) -> LifetimeModel:
     """A churn lifetime model by name, with its shape knob where one exists.
 
-    ``shape`` feeds Weibull's shape parameter or Pareto's tail index;
-    the other models ignore it (``None`` keeps each model's default).
+    ``shape`` feeds Weibull's shape parameter or Pareto's tail index
+    (``None`` keeps the model's default).  The exponential and fixed models
+    have no shape, so a ``shape`` for them is a ``ValueError`` rather than
+    a knob that silently changes nothing.
     """
+    if shape is not None and name in ("exponential", "fixed"):
+        raise ValueError(
+            f"lifetime_shape applies to the weibull and pareto models only; "
+            f"the {name!r} model has no shape (got {shape!r})"
+        )
     if name == "exponential":
         return ExponentialLifetime(mean_lifetime)
     if name == "weibull":
@@ -219,7 +226,3 @@ class EpochPopulation:
         if self.uptime <= 0.0:
             return np.zeros(self.size, dtype=bool)
         return generator.random(self.size) < self.uptime
-
-    def alive_at(self, epoch: int) -> np.ndarray:
-        """Nodes that have not yet died at the start of ``epoch``."""
-        return self.death_epoch >= epoch

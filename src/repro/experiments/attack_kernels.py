@@ -23,7 +23,8 @@ unit for :meth:`~repro.experiments.engine.TrialEngine.run_batched`:
    lie below it: one compare-and-count per predicate, with no sort and no
    ``(trials, k, l)`` mask.  The rare row whose critical key ties
    another is decided on its mask (:func:`place_malicious_counts`'s rule
-   with :func:`evaluate_multipath_masks`), so the tie rule holds exactly.
+   with :func:`~repro.core.analysis.evaluate_multipath_masks`), so the tie
+   rule holds exactly.
 
 The kernels draw from the engine's per-batch numpy generators.  What their
 estimates converge to is known exactly:
@@ -38,6 +39,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.analysis import evaluate_multipath_masks
 from repro.util.validation import check_positive_int, check_probability
 
 #: Cap on the elements of one (trials, k*l) key slab; larger batches are
@@ -101,8 +103,7 @@ def _fixed_status(cells: int, population: int, marked: int) -> Optional[bool]:
     """``False`` at p = 0 and ``True`` at p = 1, where every holder shares
     that malicious status; ``None`` otherwise.
 
-    Also the one guard site for impossible grids, shared by the public
-    sampler and the production batch units so the two can never diverge.
+    Also the guard site for impossible grids.
     """
     if cells > population:
         raise ValueError(
@@ -138,47 +139,6 @@ def _malicious_grid_slabs(
     for start in range(0, trials, slab_trials):
         step = min(slab_trials, trials - start)
         yield counts[start : start + step], generator.random((step, cells))
-
-
-def sample_malicious_grids(
-    generator: np.random.Generator,
-    trials: int,
-    population_size: int,
-    marked: int,
-    replication: int,
-    path_length: int,
-) -> np.ndarray:
-    """Draw ``(trials, replication, path_length)`` malicious-holder masks.
-
-    Distributionally identical to marking ``marked`` of ``population_size``
-    ids and sampling ``replication * path_length`` distinct holders per
-    trial: a hypergeometric count placed on the cells with the smallest
-    uniform keys (:func:`place_malicious_counts`).
-    """
-    cells = replication * path_length
-    status = _fixed_status(cells, population_size, marked)
-    if status is not None or trials == 0:
-        # p = 0 or 1 fixes every cell; zero trials have none to draw.
-        return np.full((trials, replication, path_length), bool(status))
-    ((counts, keys),) = _malicious_grid_slabs(
-        generator, trials, population_size, marked, cells, slab_trials=trials
-    )
-    return _smallest_cells(keys, counts).reshape(trials, replication, path_length)
-
-
-def evaluate_multipath_masks(
-    mask: np.ndarray, joint: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-trial attack success flags from a ``(trials, k, l)`` mask."""
-    # Release-ahead (Eq. 1): a malicious replica in every column.
-    release_success = mask.any(axis=1).all(axis=1)
-    if joint:
-        # Drop (Eq. 3): some column entirely malicious.
-        drop_success = mask.all(axis=1).any(axis=1)
-    else:
-        # Drop (Eq. 2): every row (path) cut somewhere.
-        drop_success = mask.any(axis=2).all(axis=1)
-    return release_success, drop_success
 
 
 def _ranked(

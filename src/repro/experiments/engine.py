@@ -10,9 +10,10 @@ Three kinds of task cover every experiment in the repository:
 
 - :meth:`TrialEngine.run` / :meth:`~TrialEngine.estimate` /
   :meth:`~TrialEngine.estimate_pair` — scalar trials drawing from a
-  forked :class:`~repro.util.rng.RandomSource` per trial (Fig. 6);
+  forked :class:`~repro.util.rng.RandomSource` per trial (the adaptive
+  adversary's game);
 - :meth:`TrialEngine.run_batched` — vectorised numpy batch trials
-  (Fig. 7, Fig. 8, the availability extension);
+  (the Fig. 6 attack kernels and the epoch-churn kinds);
 - :meth:`TrialEngine.map` — trials returning arbitrary values collected
   in index order (the timeliness extension).
 

@@ -26,8 +26,9 @@ carries only the unit classes in :data:`repro.backends.wire.UNITS` — so
 an ad-hoc closure runs on :class:`SerialExecutor` alone; the other
 backends refuse it at :meth:`~ExecutionBackend.start`.
 
-There are three *kinds* of task — scalar trials, vectorised batches,
-collected values — and the :class:`TrialTask` alone knows which it is:
+There are three *kinds* of task — scalar trials (the adaptive game),
+vectorised batches (the Fig. 6 and epoch kinds), collected values (the
+timeliness protocol runs) — and the :class:`TrialTask` alone knows which it is:
 :meth:`TrialTask.run_range` picks the kernel and :meth:`TrialTask.merge`
 combines partial results, so every backend is one ``run(task, start,
 stop)`` that splits a range, calls the first and feeds the second.

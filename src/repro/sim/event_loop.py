@@ -88,11 +88,6 @@ class EventLoop:
     # -- execution ---------------------------------------------------------
 
     @property
-    def pending_count(self) -> int:
-        """Number of not-yet-fired, not-cancelled events."""
-        return sum(1 for event in self._heap if not event.cancelled)
-
-    @property
     def processed_count(self) -> int:
         """Number of events fired so far."""
         return self._processed

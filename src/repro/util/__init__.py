@@ -8,8 +8,8 @@ This subpackage holds helpers used across all the substrates:
   the crypto layer.
 - :mod:`repro.util.validation` — small argument-validation guards that
   raise uniform, well-worded exceptions.
-- :mod:`repro.util.stats` — statistics helpers (binomial tails, confidence
-  intervals) shared by the analytical model and the Monte-Carlo harness.
+- :mod:`repro.util.stats` — confidence intervals and the trial engine's
+  stopping-rule defaults.
 """
 
 from repro.util.rng import RandomSource

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List, Optional, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 _T = TypeVar("_T")
 
@@ -168,19 +168,3 @@ class RandomSource:
     def shuffle(self, items: List[_T]) -> None:
         """Shuffle a list in place."""
         self._rng.shuffle(items)
-
-    def shuffled(self, items: Iterable[_T]) -> List[_T]:
-        """Return a new shuffled list leaving the input untouched."""
-        out = list(items)
-        self._rng.shuffle(out)
-        return out
-
-    def numpy_generator(self):  # pragma: no cover - thin convenience wrapper
-        """Return a seeded :class:`numpy.random.Generator` forked from this source.
-
-        Vectorised Monte-Carlo code paths use numpy; deriving the generator
-        through the same seed tree keeps them reproducible.
-        """
-        import numpy as np
-
-        return np.random.default_rng(derive_seed(self.seed, "numpy"))

@@ -1,46 +1,19 @@
-"""Statistics helpers shared by the analytic model and the Monte-Carlo harness.
+"""Statistics helpers for the Monte-Carlo harness.
 
-Algorithm 1 of the paper needs binomial tail probabilities; the experiment
-harness needs sample means with confidence intervals for the resilience
-estimates it reports next to the closed-form values.
+The experiment harness reports proportions with confidence intervals next
+to the closed-form values, and the trial engine stops on their width.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
-
-from repro.util.validation import check_probability
+from typing import Tuple
 
 #: The trial engine's stopping-rule defaults (see ``TrialEngine``), here so
 #: a scenario spec can default to them without importing the engine.
 DEFAULT_MIN_TRIALS = 100
 DEFAULT_CHECK_INTERVAL = 100
 DEFAULT_CHECKPOINT_BATCHES = 4
-
-
-def binomial_pmf(successes: int, trials: int, probability: float) -> float:
-    """Probability of exactly ``successes`` in ``trials`` Bernoulli draws."""
-    probability = check_probability(probability, "probability")
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
-    if successes < 0 or successes > trials:
-        return 0.0
-    # math.comb handles big integers exactly; the float conversion at the end
-    # is the only rounding step.
-    combinations = math.comb(trials, successes)
-    return (
-        combinations
-        * probability ** successes
-        * (1.0 - probability) ** (trials - successes)
-    )
-
-
-def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean of a non-empty sequence."""
-    if not values:
-        raise ValueError("mean of an empty sequence is undefined")
-    return sum(values) / len(values)
 
 
 def sample_proportion_ci(

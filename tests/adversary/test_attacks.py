@@ -1,10 +1,15 @@
-"""Static attack evaluators: the structural success conditions of §II-B."""
+"""Static attack rules (§II-B, Eqs. 1-3) on hand-built holder grids.
+
+The rules are stated once, in ``repro.core.analysis.evaluate_multipath_masks``;
+these cases drive it through the schemes' ``evaluate_attacks``, the path the
+adaptive game takes.
+"""
 
 import pytest
 
-from repro.adversary.drop import DropAttack
 from repro.adversary.population import SybilPopulation
-from repro.adversary.release_ahead import ReleaseAheadAttack
+from repro.core.paths import HolderGrid, build_grid
+from repro.core.schemes import NodeDisjointScheme, NodeJointScheme
 from repro.util.rng import RandomSource
 
 
@@ -15,150 +20,141 @@ def population_with(malicious):
 
 
 # A 2x3 grid: rows are paths, columns replicate layer keys.
-ROWS = [["a1", "a2", "a3"], ["b1", "b2", "b3"]]
-COLUMNS = [["a1", "b1"], ["a2", "b2"], ["a3", "b3"]]
+GRID = HolderGrid(rows=(("a1", "a2", "a3"), ("b1", "b2", "b3")))
+DISJOINT = NodeDisjointScheme(2, 3)
+JOINT = NodeJointScheme(2, 3)
+
+
+def outcome(scheme, malicious):
+    return scheme.evaluate_attacks(GRID, population_with(malicious))
 
 
 class TestReleaseAheadGrid:
+    """Eq. 1: a malicious holder in every column; the same for both schemes."""
+
     def test_all_honest_resists(self):
-        attack = ReleaseAheadAttack(population_with([]))
-        assert not attack.evaluate_grid(COLUMNS).succeeded
+        for scheme in (DISJOINT, JOINT):
+            assert outcome(scheme, []).release_resisted
 
     def test_one_malicious_per_column_succeeds(self):
-        attack = ReleaseAheadAttack(population_with(["a1", "b2", "a3"]))
-        result = attack.evaluate_grid(COLUMNS)
-        assert result.succeeded
-        assert result.earliest_release_period == 1
-        assert result.captured_columns == [1, 2, 3]
+        for scheme in (DISJOINT, JOINT):
+            assert not outcome(scheme, ["a1", "b2", "a3"]).release_resisted
 
     def test_one_clean_column_blocks(self):
         # Column 2 has no malicious holder: the Fig. 2(b) K3 case.
-        attack = ReleaseAheadAttack(population_with(["a1", "b1", "a3", "b3"]))
-        result = attack.evaluate_grid(COLUMNS)
-        assert not result.succeeded
-        assert result.uncaptured_columns == [2]
+        for scheme in (DISJOINT, JOINT):
+            assert outcome(scheme, ["a1", "b1", "a3", "b3"]).release_resisted
 
     def test_empty_grid_rejected(self):
-        attack = ReleaseAheadAttack(population_with([]))
         with pytest.raises(ValueError):
-            attack.evaluate_grid([])
+            HolderGrid(rows=())
         with pytest.raises(ValueError):
-            attack.evaluate_grid([[]])
-
-
-class TestReleaseAheadSinglePath:
-    def test_malicious_suffix_releases_early(self):
-        # Fig. 2(b)'s K2: last two holders malicious -> release when the
-        # onion reaches the suffix.
-        attack = ReleaseAheadAttack(population_with(["h4", "h5"]))
-        result = attack.evaluate_single_path(["h1", "h2", "h3", "h4", "h5"])
-        assert result.succeeded
-        assert result.earliest_release_period == 4
-
-    def test_broken_continuity_blocks(self):
-        # Fig. 2(b)'s K3: malicious at head, middle and tail but the break
-        # right before the tail stops early release... a malicious *tail*
-        # alone still releases one holding period early.
-        attack = ReleaseAheadAttack(population_with(["h1", "h3"]))
-        result = attack.evaluate_single_path(["h1", "h2", "h3", "h4"])
-        assert not result.succeeded
-
-    def test_fully_malicious_path_releases_at_start(self):
-        attack = ReleaseAheadAttack(population_with(["h1", "h2", "h3"]))
-        result = attack.evaluate_single_path(["h1", "h2", "h3"])
-        assert result.succeeded
-        assert result.earliest_release_period == 1
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(ValueError):
-            ReleaseAheadAttack(population_with([])).evaluate_single_path([])
-
-
-class TestReleaseAheadShares:
-    def test_threshold_capture(self):
-        attack = ReleaseAheadAttack(population_with(["s1", "s2"]))
-        assert attack.evaluate_share_column(["s1", "s2", "s3"], threshold=2)
-        assert not attack.evaluate_share_column(["s1", "s2", "s3"], threshold=3)
-
-    def test_lattice_requires_every_column(self):
-        attack = ReleaseAheadAttack(population_with(["s1", "s2", "t1"]))
-        columns = [["s1", "s2", "s3"], ["t1", "t2", "t3"]]
-        result = attack.evaluate_share_lattice(columns, thresholds=[2, 2])
-        assert not result.succeeded  # column 2 has only 1 of 2 shares
-        result = attack.evaluate_share_lattice(columns, thresholds=[2, 1])
-        assert result.succeeded
-
-    def test_threshold_validation(self):
-        attack = ReleaseAheadAttack(population_with([]))
-        with pytest.raises(ValueError):
-            attack.evaluate_share_column(["x"], threshold=0)
-        with pytest.raises(ValueError):
-            attack.evaluate_share_lattice([["x"]], thresholds=[1, 2])
+            HolderGrid(rows=((),))
 
 
 class TestDropDisjoint:
+    """Eq. 2: every path cut somewhere."""
+
     def test_all_honest_resists(self):
-        attack = DropAttack(population_with([]))
-        assert not attack.evaluate_disjoint(ROWS).succeeded
+        assert outcome(DISJOINT, []).drop_resisted
 
     def test_every_path_cut_succeeds(self):
-        attack = DropAttack(population_with(["a2", "b3"]))
-        result = attack.evaluate_disjoint(ROWS)
-        assert result.succeeded
-        assert result.surviving_routes == 0
+        assert not outcome(DISJOINT, ["a2", "b3"]).drop_resisted
 
     def test_one_clean_path_survives(self):
-        attack = DropAttack(population_with(["a1", "a2", "a3"]))
-        result = attack.evaluate_disjoint(ROWS)
-        assert not result.succeeded
-        assert result.surviving_routes == 1
-        assert result.cut_positions == [1]
+        assert outcome(DISJOINT, ["a1", "a2", "a3"]).drop_resisted
 
 
 class TestDropJoint:
+    """Eq. 3: some column entirely malicious."""
+
     def test_scattered_malicious_cannot_drop(self):
         # The paper's §III-C example: (H1,1, H2,2, H1,3) malicious drops
         # the node-disjoint scheme but not the node-joint scheme.
         malicious = ["a1", "b2", "a3"]
-        disjoint = DropAttack(population_with(malicious)).evaluate_disjoint(ROWS)
-        joint = DropAttack(population_with(malicious)).evaluate_joint(COLUMNS)
-        assert disjoint.succeeded
-        assert not joint.succeeded
+        assert not outcome(DISJOINT, malicious).drop_resisted
+        assert outcome(JOINT, malicious).drop_resisted
 
     def test_full_column_drops(self):
-        attack = DropAttack(population_with(["a2", "b2"]))
-        result = attack.evaluate_joint(COLUMNS)
-        assert result.succeeded
-        assert result.cut_positions == [2]
+        assert not outcome(JOINT, ["a2", "b2"]).drop_resisted
 
     def test_empty_column_rejected(self):
         with pytest.raises(ValueError):
-            DropAttack(population_with([])).evaluate_joint([[]])
+            HolderGrid(rows=((), ()))
 
 
-class TestDropShares:
-    def test_share_starvation(self):
-        attack = DropAttack(population_with(["s1", "s2"]))
-        # 3 carriers, threshold 2: one honest survivor is not enough.
-        assert attack.evaluate_share_column(["s1", "s2", "s3"], threshold=2)
-        assert not attack.evaluate_share_column(["s1", "s2", "s3"], threshold=1)
+class TestReleaseAheadSinglePath:
+    """One path (``k = 1``): every column is one holder, so the static rule
+    releases at the start only when the whole path is malicious."""
 
-    def test_dead_carriers_count(self):
-        attack = DropAttack(population_with([]))
-        assert attack.evaluate_share_column(
-            ["s1", "s2", "s3"], threshold=2, dead=["s1", "s2"]
+    PATH = HolderGrid(rows=(("h1", "h2", "h3", "h4", "h5"),))
+
+    def evaluate(self, malicious):
+        return NodeDisjointScheme(1, 5).evaluate_attacks(
+            self.PATH, population_with(malicious)
         )
 
-    def test_lattice_any_column_suffices(self):
-        attack = DropAttack(population_with(["t1", "t2", "t3"]))
-        columns = [["s1", "s2", "s3"], ["t1", "t2", "t3"]]
-        result = attack.evaluate_share_lattice(columns, thresholds=[1, 1])
-        assert result.succeeded
-        assert result.cut_positions == [2]
+    def test_fully_malicious_path_releases_at_start(self):
+        assert not self.evaluate(["h1", "h2", "h3", "h4", "h5"]).release_resisted
 
-    def test_dead_by_column_alignment_checked(self):
-        attack = DropAttack(population_with([]))
-        with pytest.raises(ValueError):
-            attack.evaluate_share_lattice(
-                [["a"], ["b"]], thresholds=[1, 1], dead_by_column=[[]]
-            )
+    def test_malicious_suffix_does_not_release_at_start(self):
+        # Fig. 2(b)'s K2: the suffix only sees the onion once it arrives.
+        assert self.evaluate(["h4", "h5"]).release_resisted
+
+    def test_broken_continuity_blocks(self):
+        # Fig. 2(b)'s K3: malicious head and middle, honest holders between.
+        assert self.evaluate(["h1", "h3"]).release_resisted
+
+    def test_any_malicious_holder_drops(self):
+        assert not self.evaluate(["h3"]).drop_resisted
+
+
+class TestGridCases:
+    """Each malicious pattern of ``GRID`` against both schemes: expected
+    ``(release_resisted, disjoint drop_resisted, joint drop_resisted)``."""
+
+    CASES = {
+        "none": ([], (True, True, True)),
+        "every-holder": (
+            ["a1", "a2", "a3", "b1", "b2", "b3"],
+            (False, False, False),
+        ),
+        "one-full-path": (["a1", "a2", "a3"], (False, True, True)),
+        "one-full-column": (["a2", "b2"], (True, False, False)),
+        "scattered-cover": (["a1", "b2", "a3"], (False, False, True)),
+        "both-paths-cut": (["a1", "b3"], (True, False, True)),
+        "one-holder": (["b2"], (True, True, True)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_case(self, case):
+        malicious, (release, disjoint_drop, joint_drop) = self.CASES[case]
+        disjoint = outcome(DISJOINT, malicious)
+        joint = outcome(JOINT, malicious)
+        assert disjoint.release_resisted is release
+        assert joint.release_resisted is release
+        assert disjoint.drop_resisted is disjoint_drop
+        assert joint.drop_resisted is joint_drop
+
+
+@pytest.mark.parametrize(
+    "scheme", [NodeDisjointScheme(3, 4), NodeJointScheme(3, 4)], ids=repr
+)
+def test_sampled_grids_follow_the_rules_of_section_2b(scheme):
+    """The rules of §II-B written out per holder, over sampled grids."""
+    population_ids = [f"n{i}" for i in range(300)]
+    rng = RandomSource(17, "attack-rules")
+    for trial in range(200):
+        sybil = SybilPopulation(0.35, rng.fork(f"sybil{trial}"))
+        sybil.mark_population(population_ids)
+        grid = build_grid(population_ids, 3, 4, rng.fork(f"grid{trial}"))
+        bad = [[sybil.is_malicious(holder) for holder in row] for row in grid.rows]
+        columns = list(zip(*bad))
+        released = all(any(column) for column in columns)
+        if scheme.joint:
+            dropped = any(all(column) for column in columns)
+        else:
+            dropped = all(any(row) for row in bad)
+        result = scheme.evaluate_attacks(grid, sybil)
+        assert result.release_resisted is not released
+        assert result.drop_resisted is not dropped

@@ -67,29 +67,3 @@ class TestShareDerivation:
         pool.deposit_share(0.0, "a", column=3, share=shares[0])
         pool.deposit_share(1.0, "b", column=3, share=shares[1])
         assert pool.captured_columns() == {1, 3}
-
-
-class TestCompromiseTime:
-    def test_requires_every_column(self):
-        pool = CollusionPool()
-        deposit_key(pool, 1, time=1.0)
-        deposit_key(pool, 2, time=4.0)
-        assert pool.earliest_full_compromise_time(3) is None
-        deposit_key(pool, 3, time=2.0)
-        assert pool.earliest_full_compromise_time(3) == 4.0
-
-    def test_direct_secret_shortcuts(self):
-        pool = CollusionPool()
-        pool.deposit(
-            Observation(time=7.0, holder="t", kind="secret_key", payload=b"S")
-        )
-        assert pool.earliest_full_compromise_time(5) == 7.0
-
-    def test_secret_beats_slower_key_set(self):
-        pool = CollusionPool()
-        deposit_key(pool, 1, time=1.0)
-        deposit_key(pool, 2, time=10.0)
-        pool.deposit(
-            Observation(time=4.0, holder="t", kind="secret_key", payload=b"S")
-        )
-        assert pool.earliest_full_compromise_time(2) == 4.0

@@ -45,52 +45,19 @@ class TestIndexPopulationFastPath:
         assert by_index.mark_index_population(1000) == by_list.mark_population(
             list(range(1000))
         )
-        assert by_index.malicious_ids() == by_list.malicious_ids()
+        assert all(
+            by_index.is_malicious(node) == by_list.is_malicious(node)
+            for node in range(1000)
+        )
 
     def test_exact_count_without_materializing(self):
         population = SybilPopulation(0.25, RandomSource(42))
         marked = population.mark_index_population(10000)
         assert len(marked) == 2500
         assert population.malicious_count == 2500
-        # The decided set stays empty: the interval carries the decisions.
-        assert population._decided == set()
-
-    def test_marked_ids_are_decided_not_redrawn(self):
-        population = SybilPopulation(0.5, RandomSource(43))
-        marked = population.mark_index_population(100)
-        # decide() must return membership for every in-range id without
-        # consuming randomness (a redraw would flip honest ids to
-        # malicious at rate p).
-        for node_id in range(100):
-            assert population.decide(node_id) == (node_id in marked)
-        assert population.malicious_count == len(marked)
-
-    def test_later_joiners_still_decided_fresh(self):
-        population = SybilPopulation(1.0, RandomSource(44))
-        population.mark_index_population(10)
-        assert population.decide(10)  # out of range: fresh coin at p=1
-        assert not population.is_malicious(11)  # query-only stays honest
-
-    def test_in_range_decisions_are_not_rememoized(self):
-        population = SybilPopulation(0.0, RandomSource(45))
-        population.mark_index_population(50)
-        assert not population.decide(5)
-        # The interval answers for in-range ids; nothing gets re-added.
-        assert population._decided == set()
 
 
-class TestIncrementalDecisions:
-    def test_decide_memoized(self):
-        population = SybilPopulation(0.5, RandomSource(3))
-        first = population.decide("node-x")
-        for _ in range(10):
-            assert population.decide("node-x") == first
-
-    def test_decide_rate(self):
-        population = SybilPopulation(0.3, RandomSource(4))
-        hits = sum(population.decide(f"node-{i}") for i in range(10000))
-        assert 0.27 < hits / 10000 < 0.33
-
+class TestQueries:
     def test_unknown_is_honest(self):
         population = SybilPopulation(1.0, RandomSource(5))
         assert not population.is_malicious("never seen")
@@ -101,17 +68,3 @@ class TestIncrementalDecisions:
         assert population.is_malicious("evil")
         population.force_honest(["evil"])
         assert not population.is_malicious("evil")
-        # Forced decisions stick even through decide().
-        assert not population.decide("evil")
-
-
-class TestHelpers:
-    def test_honest_fraction(self):
-        population = SybilPopulation(0.0, RandomSource(7))
-        population.force_malicious([1, 2])
-        assert population.honest_fraction_of([1, 2, 3, 4]) == 0.5
-
-    def test_honest_fraction_empty_rejected(self):
-        population = SybilPopulation(0.0, RandomSource(7))
-        with pytest.raises(ValueError):
-            population.honest_fraction_of([])

@@ -68,14 +68,6 @@ class TestAccessControl:
         with pytest.raises(AccessDeniedError):
             cloud.download(meta.blob_id, "eve")
 
-    def test_grant_access(self):
-        cloud = CloudStore()
-        meta = cloud.upload("alice", b"private", readers=set())
-        with pytest.raises(AccessDeniedError):
-            cloud.download(meta.blob_id, "carol")
-        cloud.grant_access(meta.blob_id, "carol")
-        assert cloud.download(meta.blob_id, "carol") == b"private"
-
 
 class TestLifecycle:
     def test_owner_delete(self):

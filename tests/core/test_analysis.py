@@ -1,5 +1,8 @@
 """Closed-form resilience equations (Eqs. 1-3, Lemma 1)."""
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +13,13 @@ from repro.core.analysis import (
     disjoint_drop_resilience,
     disjoint_release_resilience,
     disjoint_resilience,
+    eq1_release,
+    eq2_disjoint_drop,
+    eq3_joint_drop,
+    evaluate_multipath_masks,
     joint_drop_resilience,
     joint_release_resilience,
     joint_resilience,
-    lemma1_holds,
-    required_nodes,
 )
 
 rates = st.floats(min_value=0.0, max_value=1.0)
@@ -27,7 +32,7 @@ class TestCentralized:
         pair = centralized_resilience(p)
         assert pair.release == pytest.approx(1 - p)
         assert pair.drop == pytest.approx(1 - p)
-        assert pair.balanced
+        assert pair.release == pair.drop
 
 
 class TestDisjoint:
@@ -103,7 +108,8 @@ class TestJoint:
     @settings(max_examples=200)
     def test_lemma1_for_p_below_half(self, p, k, l):
         """Lemma 1: Rr + Rd > 1 whenever p < 0.5 (node-joint scheme)."""
-        assert lemma1_holds(p, k, l)
+        pair = joint_resilience(p, k, l)
+        assert pair.release + pair.drop > 1.0
 
     def test_lemma1_boundary(self):
         # At exactly p = 0.5, Rr + Rd == 1 for k == l symmetric cases.
@@ -112,9 +118,6 @@ class TestJoint:
 
 
 class TestHelpers:
-    def test_required_nodes(self):
-        assert required_nodes(4, 7) == 28
-
     def test_worst(self):
         pair = ResiliencePair(release=0.9, drop=0.7)
         assert pair.worst == 0.7
@@ -126,3 +129,78 @@ class TestHelpers:
             disjoint_release_resilience(0.5, 0, 2)
         with pytest.raises(TypeError):
             joint_drop_resilience(0.5, 2.0, 2)
+
+
+def every_mask(k, l):
+    """All ``2^(k*l)`` malicious patterns of a ``k x l`` grid, one per trial."""
+    cells = list(itertools.product((False, True), repeat=k * l))
+    return np.array(cells, dtype=bool).reshape(len(cells), k, l)
+
+
+class TestMultipathMasks:
+    """``evaluate_multipath_masks`` is the one statement of the static attack
+    rules; weighting every malicious pattern of a small grid by its
+    probability must give Eqs. 1-3 exactly."""
+
+    SHAPES = [(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 1), (2, 4)]
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["disjoint", "joint"])
+    @pytest.mark.parametrize("k,l", SHAPES)
+    def test_enumeration_equals_the_closed_forms(self, k, l, joint):
+        masks = every_mask(k, l)
+        release, drop = evaluate_multipath_masks(masks, joint)
+        marked = masks.reshape(len(masks), -1).sum(axis=1)
+        for p in (0.1, 0.3, 0.5, 0.8):
+            weight = p**marked * (1 - p) ** (k * l - marked)
+            drop_form = eq3_joint_drop if joint else eq2_disjoint_drop
+            assert 1 - weight[release].sum() == pytest.approx(
+                eq1_release(p, k, l), abs=1e-12
+            )
+            assert 1 - weight[drop].sum() == pytest.approx(
+                drop_form(p, k, l), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_a_single_path(self, l):
+        # One path: release needs every holder, a drop needs any one, and
+        # the two drop rules coincide (each column is one holder).
+        masks = every_mask(1, l)
+        for joint in (False, True):
+            release, drop = evaluate_multipath_masks(masks, joint)
+            assert release.tolist() == masks.all(axis=(1, 2)).tolist()
+            assert drop.tolist() == masks.any(axis=(1, 2)).tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_a_single_column(self, k):
+        # One column: any malicious replica releases, a drop needs them all.
+        masks = every_mask(k, 1)
+        for joint in (False, True):
+            release, drop = evaluate_multipath_masks(masks, joint)
+            assert release.tolist() == masks.any(axis=(1, 2)).tolist()
+            assert drop.tolist() == masks.all(axis=(1, 2)).tolist()
+
+    def test_the_release_rule_does_not_depend_on_the_drop_rule(self):
+        masks = every_mask(3, 3)
+        disjoint_release, _ = evaluate_multipath_masks(masks, joint=False)
+        joint_release, _ = evaluate_multipath_masks(masks, joint=True)
+        assert disjoint_release.tolist() == joint_release.tolist()
+
+    def test_a_joint_drop_is_a_disjoint_drop(self):
+        # A fully malicious column cuts every path, not the other way round.
+        masks = every_mask(3, 3)
+        _, disjoint_drop = evaluate_multipath_masks(masks, joint=False)
+        _, joint_drop = evaluate_multipath_masks(masks, joint=True)
+        assert not (joint_drop & ~disjoint_drop).any()
+        assert (disjoint_drop & ~joint_drop).any()
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["disjoint", "joint"])
+    def test_trials_are_decided_one_by_one(self, joint):
+        masks = np.random.default_rng(5).random((40, 3, 4)) < 0.4
+        release, drop = evaluate_multipath_masks(masks, joint)
+        for trial, mask in enumerate(masks):
+            one_release, one_drop = evaluate_multipath_masks(mask[None], joint)
+            assert (one_release[0], one_drop[0]) == (release[trial], drop[trial])
+
+    def test_no_trials_give_empty_flags(self):
+        release, drop = evaluate_multipath_masks(np.zeros((0, 2, 3), bool), False)
+        assert release.shape == drop.shape == (0,)

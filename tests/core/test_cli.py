@@ -100,7 +100,7 @@ class TestColdStart:
     """What a cold ``python -m repro.cli`` pays before it does anything:
     importing the CLI must not import the numerical stack (every command
     imports what it needs on dispatch), and importing the key-share scheme
-    must not import ``scipy.stats``."""
+    or the API facade must not import scipy at all."""
 
     @staticmethod
     def _loaded_after(module: str, *candidates: str) -> list:
@@ -144,7 +144,13 @@ class TestColdStart:
         loaded = self._loaded_after(
             "repro.core.schemes.keyshare", "scipy.special", "scipy.stats"
         )
-        assert loaded == ["scipy.special"]
+        assert loaded == []
+
+    def test_importing_the_api_imports_no_scipy(self):
+        """``scipy.special`` loads only when Algorithm 1 first evaluates a
+        binomial tail, so a protocol run or a sweep that never plans a
+        key-share scheme never pays for it."""
+        assert self._loaded_after("repro.api", "scipy") == []
 
     @pytest.mark.parametrize(
         "argv",

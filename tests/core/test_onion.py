@@ -59,7 +59,7 @@ class TestBuildAndPeel:
         core = OnionCore(secret=b"s", receiver_id=b"r")
         blob = build_onion([key], [[]], core, rng=RandomSource(2))
         layer, found_core = peel_onion(key, blob)
-        assert layer.is_terminal
+        assert not layer.next_hops
         assert found_core.secret == b"s"
 
     def test_forward_times_embedded(self):

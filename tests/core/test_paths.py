@@ -6,10 +6,7 @@ from repro.core.paths import (
     HolderGrid,
     ShareLattice,
     build_grid,
-    build_grid_on_overlay,
-    build_share_lattice,
 )
-from repro.dht.bootstrap import build_network
 from repro.util.rng import RandomSource
 
 
@@ -21,10 +18,8 @@ class TestHolderGrid:
         grid = build_grid(POPULATION, 3, 4, RandomSource(1))
         assert grid.replication == 3
         assert grid.path_length == 4
-        assert grid.node_count == 12
         assert len(grid.row(1)) == 4
         assert len(grid.column(2)) == 3
-        assert len(grid.columns()) == 4
 
     def test_holders_distinct(self):
         grid = build_grid(POPULATION, 5, 10, RandomSource(2))
@@ -35,12 +30,6 @@ class TestHolderGrid:
         grid = build_grid(POPULATION, 2, 3, RandomSource(3))
         assert grid.column(2)[0] == grid.row(1)[1]
         assert grid.column(2)[1] == grid.row(2)[1]
-
-    def test_position_of(self):
-        grid = build_grid(POPULATION, 2, 2, RandomSource(4))
-        holder = grid.row(2)[1]
-        assert grid.position_of(holder) == (2, 2)
-        assert grid.position_of("not-there") is None
 
     def test_exclusion(self):
         exclude = set(POPULATION[:90])
@@ -64,53 +53,30 @@ class TestHolderGrid:
             HolderGrid(rows=())
 
 
+def lattice_rows(share_count, path_length):
+    return tuple(
+        tuple(POPULATION[row * path_length : (row + 1) * path_length])
+        for row in range(share_count)
+    )
+
+
 class TestShareLattice:
     def test_shape(self):
-        lattice = build_share_lattice(
-            POPULATION, 5, 4, [1, 3, 3, 2], RandomSource(7)
-        )
+        lattice = ShareLattice(rows=lattice_rows(5, 4), thresholds=(1, 3, 3, 2))
         assert lattice.share_count == 5
         assert lattice.path_length == 4
-        assert lattice.node_count == 20
-        assert lattice.threshold(2) == 3
+        assert lattice.thresholds[1] == 3
 
     def test_threshold_per_column_required(self):
         with pytest.raises(ValueError, match="threshold"):
-            build_share_lattice(POPULATION, 3, 4, [1, 2], RandomSource(8))
+            ShareLattice(rows=lattice_rows(3, 4), thresholds=(1, 2))
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
             ShareLattice(rows=(("a",), ("b",)), thresholds=(3,))
 
     def test_distinctness(self):
-        lattice = build_share_lattice(
-            POPULATION, 4, 5, [1] * 5, RandomSource(9)
-        )
-        assert len(set(lattice.all_holders())) == 20
-
-
-class TestOverlayBackedConstruction:
-    def test_resolves_distinct_online_holders(self):
-        overlay = build_network(80, seed=41)
-        node = overlay.any_node()
-        grid = build_grid_on_overlay(node, 3, 4, RandomSource(42))
-        holders = grid.all_holders()
-        assert len(set(holders)) == 12
-        for holder in holders:
-            assert overlay.network.is_online(holder)
-        assert node.node_id not in holders
-
-    def test_excludes_requested_ids(self):
-        overlay = build_network(60, seed=43)
-        node = overlay.any_node()
-        excluded = overlay.node_ids[10]
-        grid = build_grid_on_overlay(
-            node, 2, 3, RandomSource(44), exclude={excluded}
-        )
-        assert excluded not in grid.all_holders()
-
-    def test_impossible_request_errors(self):
-        overlay = build_network(5, seed=45)
-        node = overlay.any_node()
-        with pytest.raises(RuntimeError):
-            build_grid_on_overlay(node, 4, 4, RandomSource(46))
+        lattice = ShareLattice(rows=lattice_rows(4, 5), thresholds=(1,) * 5)
+        assert len({holder for row in lattice.rows for holder in row}) == 20
+        with pytest.raises(ValueError, match="distinct"):
+            ShareLattice(rows=(("a", "b"), ("a", "c")), thresholds=(1, 1))

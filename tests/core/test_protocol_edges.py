@@ -115,7 +115,7 @@ class TestReceiverEdges:
                 payload=package.to_bytes(),
             )
         )
-        assert bob.all_received() == []
+        assert not bob.has_key(b"kid")
 
     def test_decrypt_before_emergence_raises(self):
         overlay, _, _, alice, bob = small_world()

@@ -121,8 +121,8 @@ class TestChurnResilience:
         overlay.loop.run(until=50.0)  # mid first period
         alice_node = alice.node
         column1 = [
-            alice_node.find_closest_online(target)
-            for target in lattice.column(1)
+            alice_node.find_closest_online(row[0])
+            for row in lattice.rows
         ]
         for victim in column1[3:]:
             if victim is not None and victim != bob.node_id:
@@ -136,8 +136,8 @@ class TestChurnResilience:
         lattice = result.structure
         overlay.loop.run(until=50.0)
         column1 = [
-            alice.node.find_closest_online(target)
-            for target in lattice.column(1)
+            alice.node.find_closest_online(row[0])
+            for row in lattice.rows
         ]
         for victim in column1:
             if victim is not None and victim != bob.node_id:
@@ -155,8 +155,8 @@ class TestChurnResilience:
         overlay.loop.run(until=50.0)
         # Kill every node currently closest to the column-2 targets.
         victims = {
-            alice.node.find_closest_online(target)
-            for target in lattice.column(2)
+            alice.node.find_closest_online(row[1])
+            for row in lattice.rows
         }
         for victim in victims:
             if victim is not None and victim not in (alice.node.node_id, bob.node_id):
@@ -173,8 +173,8 @@ class TestAttacks:
         lattice = result.structure
         # Mark carriers malicious *before* the onions land on them.
         column1 = [
-            alice.node.find_closest_online(target)
-            for target in lattice.column(1)
+            alice.node.find_closest_online(row[0])
+            for row in lattice.rows
         ]
         context.population.force_malicious(
             [c for c in column1[:2] if c is not None]
@@ -190,8 +190,8 @@ class TestAttacks:
         timeline, result = send(alice, bob, length=3, rows=4, threshold=2)
         lattice = result.structure
         column1 = [
-            alice.node.find_closest_online(target)
-            for target in lattice.column(1)
+            alice.node.find_closest_online(row[0])
+            for row in lattice.rows
         ]
         context.population.force_malicious(
             [c for c in column1[:3] if c is not None]
@@ -204,8 +204,8 @@ class TestAttacks:
         timeline, result = send(alice, bob, length=3, rows=5, threshold=2)
         lattice = result.structure
         column1 = [
-            alice.node.find_closest_online(target)
-            for target in lattice.column(1)
+            alice.node.find_closest_online(row[0])
+            for row in lattice.rows
         ]
         context.population.force_malicious(
             [c for c in column1[3:] if c is not None]
@@ -249,8 +249,8 @@ class TestDisabledTracing:
         timeline, result = send(alice, bob, length=3, rows=5, threshold=3)
         overlay.loop.run(until=50.0)  # column 1 holds its onions until t=100
         column1 = [
-            alice.node.find_closest_online(target)
-            for target in result.structure.column(1)
+            alice.node.find_closest_online(row[0])
+            for row in result.structure.rows
         ]
         for victim in column1:
             if victim is not None and victim != bob.node_id:

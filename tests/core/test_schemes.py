@@ -14,6 +14,7 @@ from repro.core.schemes import (
     algorithm1,
     plan_share_scheme,
 )
+from repro.core.schemes.base import MultipathScheme
 from repro.core.schemes.keyshare import (
     _binomial_tail,
     _drop_tails,
@@ -43,17 +44,7 @@ class TestCentralizedScheme:
     def test_analytics(self):
         pair = CentralizedScheme().resilience(0.3)
         assert pair.release == pytest.approx(0.7)
-
-    def test_monte_carlo_matches(self):
-        release, drop = monte_carlo(CentralizedScheme(), 0.3)
-        assert release == pytest.approx(0.7, abs=0.03)
-        assert drop == pytest.approx(0.7, abs=0.03)
-
-    def test_structure_is_single_holder(self):
-        scheme = CentralizedScheme()
-        holder = scheme.sample_structure(POPULATION, RandomSource(1))
-        assert holder in POPULATION
-        assert scheme.node_cost == 1
+        assert CentralizedScheme().node_cost == 1
 
 
 class TestDisjointScheme:
@@ -90,6 +81,56 @@ class TestJointScheme:
         _, disjoint_drop = monte_carlo(NodeDisjointScheme(3, 3), p, trials=2000)
         _, joint_drop = monte_carlo(NodeJointScheme(3, 3), p, trials=2000)
         assert joint_drop > disjoint_drop
+
+
+class TestMultipathScheme:
+    """Both grid schemes are one ``MultipathScheme``; only the drop rule
+    (``joint``) and the closed forms differ."""
+
+    CLASSES = [NodeDisjointScheme, NodeJointScheme]
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 5), (4, 7)])
+    def test_node_cost_is_the_grid_size(self, k, l):
+        for cls in self.CLASSES:
+            assert cls(k, l).node_cost == k * l
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    @pytest.mark.parametrize("k,l", [(0, 3), (3, 0), (-1, 2)])
+    def test_non_positive_sizes_rejected(self, cls, k, l):
+        with pytest.raises(ValueError):
+            cls(k, l)
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_non_integer_sizes_rejected(self, cls):
+        with pytest.raises(TypeError):
+            cls(2.0, 3)
+        with pytest.raises(TypeError):
+            cls(2, True)
+
+    def test_the_drop_rule_is_the_only_difference(self):
+        assert issubclass(NodeDisjointScheme, MultipathScheme)
+        assert issubclass(NodeJointScheme, MultipathScheme)
+        assert NodeDisjointScheme.joint is False and NodeJointScheme.joint is True
+        assert NodeDisjointScheme.evaluate_attacks is NodeJointScheme.evaluate_attacks
+        assert NodeDisjointScheme.sample_structure is NodeJointScheme.sample_structure
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_repr_names_the_grid(self, cls):
+        assert repr(cls(3, 4)) == f"{cls.__name__}(k=3, l=4)"
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_structure_is_seeded_and_node_disjoint(self, cls):
+        scheme = cls(3, 4)
+        grid = scheme.sample_structure(POPULATION, RandomSource(8))
+        assert grid == scheme.sample_structure(POPULATION, RandomSource(8))
+        assert grid != scheme.sample_structure(POPULATION, RandomSource(9))
+        holders = grid.all_holders()
+        assert len(set(holders)) == scheme.node_cost
+        assert set(holders) <= set(POPULATION)
+
+    def test_population_too_small_for_the_grid_rejected(self):
+        with pytest.raises(ValueError, match="distinct holders"):
+            NodeJointScheme(3, 4).sample_structure(POPULATION[:11], RandomSource(1))
 
 
 class TestAlgorithm1:

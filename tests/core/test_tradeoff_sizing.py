@@ -14,7 +14,6 @@ from repro.core.sizing import (
 )
 from repro.core.tradeoff import (
     biased_configuration,
-    lemma1_gap,
     pareto_frontier,
 )
 from repro.crypto.shamir import split_secret
@@ -56,7 +55,11 @@ class TestParetoFrontier:
     def test_lemma1_gap_positive_below_half(self):
         for p in (0.1, 0.3, 0.45):
             frontier = pareto_frontier("joint", p, 300)
-            assert lemma1_gap(frontier) > 0.0
+            gap = min(
+                point.release_resilience + point.drop_resilience - 1.0
+                for point in frontier
+            )
+            assert gap > 0.0
 
     @pytest.mark.parametrize("p", [0.3, 0.35, 0.4])
     @pytest.mark.parametrize("scheme", ["disjoint", "joint"])

@@ -5,7 +5,7 @@
 
 rewrites ``lane_parity.json`` beside this file from whatever ``repro`` is
 on the path.  The committed golden was generated on the commit *before*
-the PR 13 rewrite of ``NodeId``/``RoutingTable``/``_iterative_lookup``, so
+the PR 13 rewrite of ``NodeId``/``RoutingTable``/the iterative lookup, so
 it states what "same RPCs, same trace, same routing tables" means.  Only
 rerun it in a PR that says why the lane's observable behaviour changed.
 
@@ -67,7 +67,6 @@ def trace_digest(sink: ListSink) -> str:
 
 def lookup_pin(result, elapsed: bool = True) -> Dict[str, Any]:
     pin = {
-        "value": None if result.value is None else result.value.hex(),
         "closest": _ids(result.closest),
         "closest_count": len(result.closest),
         "rounds": result.rounds,
@@ -129,7 +128,7 @@ def release(scheme: str, seed: int) -> Dict[str, Any]:
 
 
 def full_join() -> Dict[str, Any]:
-    """Real bootstrap of 64 nodes, then one FIND_VALUE hit and one miss."""
+    """Real bootstrap of 64 nodes."""
     trace = ListSink()
     overlay = build_network(64, seed=11, full_join=True, trace=trace)
     pin: Dict[str, Any] = {
@@ -142,12 +141,6 @@ def full_join() -> Dict[str, Any]:
             ).encode()
         ).hexdigest(),
     }
-    key = NodeId.hash_of(b"lane-parity-key")
-    pin["stored"] = overlay.nodes[overlay.node_ids[3]].store_value(key, b"payload")
-    reader = overlay.nodes[overlay.node_ids[40]]
-    pin["hit"] = lookup_pin(reader.iterative_find_value(key))
-    pin["miss"] = lookup_pin(reader.iterative_find_value(NodeId.hash_of(b"nobody-stored-this")))
-    pin["tables_after"] = tables_digest(overlay)
     return pin
 
 

@@ -1,10 +1,10 @@
-"""Kademlia protocol logic: handlers, lookups, stores."""
+"""Kademlia protocol logic: handlers and lookups."""
 
 import pytest
 
 from repro.dht.bootstrap import build_network
 from repro.dht.node_id import NodeId
-from repro.dht.rpc import FindNode, FindValue, FoundNodes, FoundValue, Store, StoreAck
+from repro.dht.rpc import FindNode, FoundNodes
 from repro.util.rng import RandomSource
 
 
@@ -19,27 +19,6 @@ def overlay():
 
 
 class TestHandlers:
-    def test_store_and_find_value(self, overlay):
-        node = overlay.any_node()
-        other = overlay.nodes[overlay.node_ids[5]]
-        key = NodeId.hash_of(b"stored-key")
-        ack = node.handle_request(
-            Store(sender=other.node_id, key=key, value=b"data")
-        )
-        assert isinstance(ack, StoreAck)
-        response = node.handle_request(FindValue(sender=other.node_id, key=key))
-        assert isinstance(response, FoundValue)
-        assert response.value == b"data"
-
-    def test_find_value_miss_returns_contacts(self, overlay):
-        node = overlay.any_node()
-        other = overlay.nodes[overlay.node_ids[5]]
-        response = node.handle_request(
-            FindValue(sender=other.node_id, key=NodeId.hash_of(b"missing"))
-        )
-        assert response.value is None
-        assert len(response.contacts) > 0
-
     def test_find_node_returns_closest_known(self, overlay):
         node = overlay.any_node()
         other = overlay.nodes[overlay.node_ids[5]]
@@ -75,28 +54,6 @@ class TestIterativeLookup:
         assert result.rounds >= 1
         assert result.contacted >= 1
         assert result.elapsed > 0
-
-    def test_store_value_replicates(self, overlay):
-        node = overlay.any_node()
-        key = NodeId.hash_of(b"replicated")
-        stored = node.store_value(key, b"payload")
-        assert stored >= 5  # most of the k closest should ack
-
-    def test_find_value_after_store(self, overlay):
-        writer = overlay.nodes[overlay.node_ids[3]]
-        reader = overlay.nodes[overlay.node_ids[120]]
-        key = NodeId.hash_of(b"published")
-        writer.store_value(key, b"published-value")
-        result = reader.iterative_find_value(key)
-        assert result.value == b"published-value"
-
-    def test_local_hit_short_circuits(self, overlay):
-        node = overlay.any_node()
-        key = NodeId.hash_of(b"local")
-        node.store.put(key, b"mine")
-        result = node.iterative_find_value(key)
-        assert result.value == b"mine"
-        assert result.contacted == 0
 
 
 class TestLiveResolution:
@@ -159,12 +116,12 @@ class TestFailedProbesCostTime:
 class TestFullJoin:
     def test_bootstrap_procedure_converges(self):
         overlay = build_network(25, seed=35, full_join=True)
-        # After joining, every node can locate every key's neighbourhood.
+        # After joining, any node resolves a key to the closest other node.
         key = NodeId.hash_of(b"post-join")
-        writer = overlay.any_node()
-        writer.store_value(key, b"v")
-        reader = overlay.nodes[overlay.node_ids[-1]]
-        assert reader.iterative_find_value(key).value == b"v"
+        for node_id in (overlay.node_ids[0], overlay.node_ids[-1]):
+            others = [other for other in overlay.node_ids if other != node_id]
+            closest = sort_by_distance(others, key)[0]
+            assert overlay.nodes[node_id].iterative_find_node(key).closest[0] == closest
 
     def test_joined_tables_nonempty(self):
         overlay = build_network(20, seed=36, full_join=True)

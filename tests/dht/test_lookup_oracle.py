@@ -20,7 +20,7 @@ from repro.dht.kademlia import KademliaNode, LookupResult
 from repro.dht.network import NodeUnreachable
 from repro.dht.node_id import NodeId
 from repro.dht.routing_table import RoutingTable
-from repro.dht.rpc import FindNode, FindValue, FoundNodes, FoundValue
+from repro.dht.rpc import FindNode, FoundNodes
 
 SIZES = (2, 21, 100, 1000)
 SEEDS = (7, 41, 2017)
@@ -54,13 +54,9 @@ class OracleNode(KademliaNode):
             return FoundNodes(
                 responder=self.node_id, target=request.target, contacts=contacts
             )
-        if isinstance(request, FindValue) and self.store.get(request.key) is None:
-            self.routing_table.add_contact(request.sender, probe=self._probe_contact)
-            contacts = oracle_answer(self, request.key, request.sender)
-            return FoundValue(responder=self.node_id, key=request.key, contacts=contacts)
         return super().handle_request(request)
 
-    def _iterative_lookup(self, target, find_value):
+    def iterative_find_node(self, target):
         """The tuple-based lookup loop, as it was."""
         target_value = target.value
         shortlist = [
@@ -73,12 +69,8 @@ class OracleNode(KademliaNode):
         failed = []
         result = LookupResult(target=target, closest=[])
         best_distance = None
-        request = (
-            FindValue(sender=self.node_id, key=target)
-            if find_value
-            else FindNode(sender=self.node_id, target=target)
-        )
-        while pending and result.value is None:
+        request = FindNode(sender=self.node_id, target=target)
+        while pending:
             candidates = pending[: self.concurrency]
             del pending[: self.concurrency]
             result.rounds += 1
@@ -95,10 +87,7 @@ class OracleNode(KademliaNode):
                 round_wait = max(round_wait, rtt)
                 result.contacted += 1
                 self.routing_table.add_contact(contact, probe=self._probe_contact)
-                if isinstance(response, FoundValue) and response.value is not None:
-                    result.value = response.value
-                    break
-                for new_contact in getattr(response, "contacts", ()):
+                for new_contact in response.contacts:
                     if new_contact in known:
                         continue
                     known.add(new_contact)
@@ -165,10 +154,8 @@ def replay(overlay, pairs):
         responder = overlay.nodes[pairs[(number + 1) % len(pairs)][0]]
         outcomes.append(responder.handle_request(FindNode(sender=caller, target=target)))
         outcomes.append(vars(node.iterative_find_node(target)))
-        value = number.to_bytes(2, "big")
-        outcomes.append(node.store_value(target, value))
         finder = overlay.nodes[pairs[-1 - number][0]]
-        outcomes.append(vars(finder.iterative_find_value(target)))
+        outcomes.append(vars(finder.iterative_find_node(target)))
     return outcomes
 
 

@@ -1,4 +1,4 @@
-"""Per-node storage and the simulated transport."""
+"""The simulated transport and the node's request handlers."""
 
 import pytest
 
@@ -9,16 +9,12 @@ from repro.dht.rpc import (
     Deliver,
     DeliverAck,
     FindNode,
-    FindValue,
     FoundNodes,
-    FoundValue,
     Ping,
     Pong,
-    Store,
-    StoreAck,
+    Request,
+    describe,
 )
-from repro.dht.storage import ValueStore
-from repro.sim.clock import Clock
 from repro.sim.event_loop import EventLoop
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.util.rng import RandomSource
@@ -34,54 +30,6 @@ def make_network(node_count=3, seed=4, latency=0.05):
         network.register(node)
         nodes.append(node)
     return loop, network, nodes
-
-
-class TestValueStore:
-    def test_put_get(self):
-        store = ValueStore(Clock())
-        key = NodeId(1)
-        store.put(key, b"value")
-        assert store.get(key) == b"value"
-        assert key in store
-
-    def test_missing_key(self):
-        store = ValueStore(Clock())
-        assert store.get(NodeId(1)) is None
-
-    def test_overwrite(self):
-        store = ValueStore(Clock())
-        key = NodeId(1)
-        store.put(key, b"old")
-        store.put(key, b"new")
-        assert store.get(key) == b"new"
-
-    def test_ttl_expiry(self):
-        clock = Clock()
-        store = ValueStore(clock)
-        key = NodeId(1)
-        store.put(key, b"ephemeral", ttl=10.0)
-        assert store.get(key) == b"ephemeral"
-        clock.advance_to(10.0)
-        assert store.get(key) is None
-        assert len(store) == 0
-
-    def test_delete(self):
-        store = ValueStore(Clock())
-        key = NodeId(1)
-        store.put(key, b"v")
-        assert store.delete(key)
-        assert not store.delete(key)
-
-    def test_clear(self):
-        store = ValueStore(Clock())
-        store.put(NodeId(1), b"a")
-        store.put(NodeId(2), b"b")
-        store.clear()
-        assert len(store) == 0
-
-    def test_non_bytes_rejected(self):
-        with pytest.raises(TypeError):
-            ValueStore(Clock()).put(NodeId(1), "text")
 
 
 class TestLiveness:
@@ -106,13 +54,6 @@ class TestLiveness:
             network.set_online(target)
         with pytest.raises(ValueError):
             network.set_offline(target)
-
-    def test_kill_wipes_storage(self):
-        _, network, nodes = make_network()
-        node = nodes[0]
-        node.store.put(NodeId(5), b"stored data")
-        network.kill(node.node_id)
-        assert node.store.get(NodeId(5)) is None
 
     def test_unknown_node_rejected(self):
         _, network, _ = make_network()
@@ -217,13 +158,6 @@ class TestHandleRequest:
         _, _, response = self.answer(lambda sender: Ping(sender=sender))
         assert type(response) is Pong
 
-    def test_store(self):
-        server, _, response = self.answer(
-            lambda sender: Store(sender=sender, key=NodeId(7), value=b"v")
-        )
-        assert type(response) is StoreAck and response.key == NodeId(7)
-        assert server.store.get(NodeId(7)) == b"v"
-
     def test_find_node(self):
         server, sender, response = self.answer(
             lambda sender: FindNode(sender=sender, target=NodeId(9))
@@ -236,41 +170,64 @@ class TestHandleRequest:
         )
         assert sender not in response.contacts and len(response.contacts) == 2
 
-    def test_find_value_hit(self):
-        _, _, response = self.answer(
-            lambda sender: FindValue(sender=sender, key=NodeId(7)),
-            prepare=lambda server: server.store.put(NodeId(7), b"v"),
-        )
-        assert type(response) is FoundValue
-        assert response.value == b"v" and response.contacts == ()
-
-    def test_find_value_miss(self):
-        _, sender, response = self.answer(
-            lambda sender: FindValue(sender=sender, key=NodeId(7))
-        )
-        assert type(response) is FoundValue and response.value is None
-        assert sender not in response.contacts and len(response.contacts) == 2
-
     def test_deliver(self):
-        server, _, response = self.answer(
+        handled = []
+
+        def install(server):
+            server.deliver_handler = lambda *delivery: handled.append(delivery)
+
+        _, sender, response = self.answer(
+            lambda sender: Deliver(sender=sender, channel="c", payload=b"p"),
+            prepare=install,
+        )
+        assert type(response) is DeliverAck and response.channel == "c"
+        assert handled == [(sender, "c", b"p")]
+
+
+    def test_deliver_without_a_handler_is_still_acknowledged(self):
+        _, _, response = self.answer(
             lambda sender: Deliver(sender=sender, channel="c", payload=b"p")
         )
         assert type(response) is DeliverAck and response.channel == "c"
-        assert server.delivered_payloads == [("c", b"p")]
+
+    def test_a_request_the_overlay_does_not_model_is_refused(self):
+        # The overlay keeps no values: only FIND_NODE, PING and DELIVER.
+        _, network, nodes = make_network()
+        with pytest.raises(TypeError, match="unhandled request type Request"):
+            nodes[0].handle_request(Request(sender=nodes[1].node_id))
+
+
+@pytest.mark.parametrize(
+    "message,text",
+    [
+        (Ping(sender=NodeId(1)), "Ping"),
+        (Pong(responder=NodeId(1)), "Pong"),
+        (FindNode(sender=NodeId(1), target=NodeId(255)), "FindNode(target="),
+        (FoundNodes(responder=NodeId(1), target=NodeId(255)), "FoundNodes(target="),
+        (Deliver(sender=NodeId(1), channel="onion", payload=b"x"), "Deliver(channel=onion)"),
+        (DeliverAck(responder=NodeId(1), channel="share"), "DeliverAck(channel=share)"),
+    ],
+    ids=["ping", "pong", "find-node", "found-nodes", "deliver", "deliver-ack"],
+)
+def test_describe_names_each_modelled_message(message, text):
+    assert describe(message).startswith(text)
+    if isinstance(message, (FindNode, FoundNodes)):
+        assert describe(message) == f"{text}{str(message.target)[:12]})"
 
 
 class TestScheduledSend:
     def test_send_at_delivers_with_latency(self):
         loop, network, nodes = make_network(latency=0.5)
         request = Deliver(sender=nodes[0].node_id, channel="test", payload=b"hi")
-        delivered = []
+        delivered, handled = [], []
+        nodes[1].deliver_handler = lambda *delivery: handled.append(delivery)
         network.send_at(
             10.0, request, nodes[1].node_id, on_delivered=delivered.append
         )
         loop.run()
         assert len(delivered) == 1
         assert loop.clock.now == pytest.approx(10.5)
-        assert nodes[1].delivered_payloads == [("test", b"hi")]
+        assert handled == [(nodes[0].node_id, "test", b"hi")]
 
     def test_send_to_dead_node_dropped(self):
         loop, network, nodes = make_network()
@@ -282,12 +239,13 @@ class TestScheduledSend:
         assert failures == [nodes[1].node_id]
         assert network.dropped_sends == 1
 
-    def test_send_to_offline_node_dropped_but_storage_kept(self):
+    def test_send_to_offline_node_dropped(self):
         loop, network, nodes = make_network()
-        nodes[1].store.put(NodeId(9), b"persisted")
+        handled = []
+        nodes[1].deliver_handler = lambda *delivery: handled.append(delivery)
         network.set_offline(nodes[1].node_id)
         request = Deliver(sender=nodes[0].node_id, channel="t", payload=b"x")
         network.send_at(1.0, request, nodes[1].node_id)
         loop.run()
-        assert nodes[1].delivered_payloads == []
-        assert nodes[1].store.get(NodeId(9)) == b"persisted"
+        assert handled == []
+        assert network.dropped_sends == 1

@@ -49,6 +49,23 @@ class TestModelFactory:
         with pytest.raises(ValueError, match="unknown lifetime model"):
             make_lifetime_model("zipf", 10.0)
 
+    @pytest.mark.parametrize("name", ["exponential", "fixed"])
+    def test_a_shapeless_model_refuses_a_shape(self, name):
+        with pytest.raises(ValueError, match="lifetime_shape"):
+            make_lifetime_model(name, 10.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "name,knob,default",
+        [
+            ("weibull", "shape", WeibullLifetime(10.0).shape),
+            ("pareto", "tail_index", ParetoLifetime(10.0).tail_index),
+        ],
+    )
+    def test_no_shape_keeps_the_model_default(self, name, knob, default):
+        model = make_lifetime_model(name, 10.0, None)
+        assert getattr(model, knob) == default
+        assert model.mean_lifetime == 10.0
+
 
 class TestVectorizedSampling:
     @pytest.mark.parametrize(
@@ -111,7 +128,6 @@ class TestEpochPopulation:
             None, 100, 0.1, 1.0, np.random.default_rng(6)
         )
         assert np.isinf(population.death_epoch).all()
-        assert population.alive_at(10**9).all()
 
     def test_online_mask_rate(self):
         population = EpochPopulation.sample(

@@ -182,6 +182,34 @@ class TestEpochTimeliness:
         refuses("epoch_timeliness", {name: value}, name)
 
 
+class TestLifetimeShape:
+    """``lifetime_shape`` is Weibull's shape or Pareto's tail index; the
+    exponential and fixed models have none, so a shape for them is refused
+    instead of yielding the plain record under another cache key."""
+
+    POINTS = {
+        "epoch_availability": {**AVAILABILITY, "population_size": 500},
+        "epoch_timeliness": {
+            "path_length": 3,
+            "uptime": 0.95,
+            "population_size": 500,
+            "retry_epochs": 2,
+        },
+    }
+
+    @pytest.mark.parametrize("kind", sorted(POINTS))
+    @pytest.mark.parametrize("lifetime", ["exponential", "fixed"])
+    def test_a_shapeless_model_refuses_a_shape(self, kind, lifetime):
+        params = {**self.POINTS[kind], "lifetime": lifetime, "lifetime_shape": 5.0}
+        with pytest.raises(ValueError, match="lifetime_shape"):
+            run(kind, params, trials=10)
+
+    @pytest.mark.parametrize("kind", sorted(POINTS))
+    def test_a_shaped_model_reads_it(self, kind):
+        params = {**self.POINTS[kind], "lifetime": "weibull", "lifetime_shape": 5.0}
+        assert run(kind, params, trials=10)["trials_run"] == 10
+
+
 class TestRegistrySpecs:
     @pytest.mark.parametrize(
         "name, kind",

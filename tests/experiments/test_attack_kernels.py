@@ -25,16 +25,29 @@ from repro.core.schemes import (
 from repro.experiments.attack_kernels import (
     CentralAttackBatch,
     MultipathAttackBatch,
+    _malicious_grid_slabs,
+    _smallest_cells,
     attack_batch_for,
-    evaluate_multipath_masks,
     malicious_count,
     place_malicious_counts,
-    sample_malicious_grids,
 )
-from repro.core.analysis import finite_resilience
+from repro.core.analysis import evaluate_multipath_masks, finite_resilience
 from repro.experiments.engine import TrialEngine
 from repro.experiments.executors import SweepPoolExecutor
 from repro.scenarios.runners import get_runner
+
+
+def _sample_masks(generator, trials, population, marked, replication, path_length):
+    """Masks in the kernel's own draw order: hypergeometric counts, then keys."""
+    cells = replication * path_length
+    slabs = [
+        _smallest_cells(keys, counts)
+        for counts, keys in _malicious_grid_slabs(
+            generator, trials, population, marked, cells, slab_trials=max(1, trials)
+        )
+    ]
+    masks = np.concatenate(slabs) if slabs else np.zeros((0, cells), dtype=bool)
+    return masks.reshape(-1, replication, path_length)
 
 
 class TestMaskSampler:
@@ -43,33 +56,34 @@ class TestMaskSampler:
         # mask holds exactly round(N * p) ones.
         generator = np.random.default_rng(7)
         marked = malicious_count(24, 0.25)
-        masks = sample_malicious_grids(generator, 200, 24, marked, 4, 6)
+        masks = _sample_masks(generator, 200, 24, marked, 4, 6)
         assert masks.shape == (200, 4, 6)
         assert (masks.reshape(200, -1).sum(axis=1) == marked).all()
 
-    def test_zero_and_full_rates_are_exact(self):
-        generator = np.random.default_rng(7)
-        none = sample_malicious_grids(generator, 50, 100, 0, 3, 4)
-        assert not none.any()
-        everyone = sample_malicious_grids(generator, 50, 100, 100, 3, 4)
-        assert everyone.all()
+    def test_mean_count_tracks_hypergeometric(self):
+        generator = np.random.default_rng(11)
+        masks = _sample_masks(generator, 4000, 100, 30, 2, 3)
+        mean = masks.reshape(4000, -1).sum(axis=1).mean()
+        assert mean == pytest.approx(6 * 30 / 100, abs=0.1)
 
     def test_zero_trials_give_an_empty_mask(self):
         generator = np.random.default_rng(7)
         for marked in (0, 30, 100):
-            masks = sample_malicious_grids(generator, 0, 100, marked, 2, 3)
+            masks = _sample_masks(generator, 0, 100, marked, 2, 3)
             assert masks.shape == (0, 2, 3) and masks.dtype == bool
+        for joint in (False, True):
+            assert MultipathAttackBatch(0.3, 100, 2, 3, joint)(generator, 0) == (0, 0)
+
+    def test_zero_and_full_rates_are_exact(self):
+        generator = np.random.default_rng(7)
+        for joint in (False, True):
+            assert MultipathAttackBatch(0.0, 100, 3, 4, joint)(generator, 50) == (50, 50)
+            assert MultipathAttackBatch(1.0, 100, 3, 4, joint)(generator, 50) == (0, 0)
 
     def test_grid_larger_than_population_rejected(self):
         generator = np.random.default_rng(7)
-        with pytest.raises(ValueError):
-            sample_malicious_grids(generator, 10, 10, 2, 3, 4)
-
-    def test_mean_count_tracks_hypergeometric(self):
-        generator = np.random.default_rng(11)
-        masks = sample_malicious_grids(generator, 4000, 100, 30, 2, 3)
-        mean = masks.reshape(4000, -1).sum(axis=1).mean()
-        assert mean == pytest.approx(6 * 30 / 100, abs=0.1)
+        with pytest.raises(ValueError, match="cannot supply"):
+            MultipathAttackBatch(0.2, 10, 3, 4, False)(generator, 10)
 
     def test_predicates_match_scalar_definitions(self):
         # One hand-built 2x3 mask exercising all three predicates.

@@ -16,6 +16,7 @@ from repro.core.protocol import (
     install_holders,
 )
 from repro.core.receiver import DataReceiver
+from repro.core.schemes import NodeJointScheme
 from repro.core.sender import DataSender
 from repro.core.timeline import ReleaseTimeline
 from repro.dht.bootstrap import build_network
@@ -222,7 +223,8 @@ class TestDeterminism:
 class TestTheoryAgreement:
     def test_release_ahead_success_matches_structural_predicate(self):
         """For each sampled world the live attack outcome must equal the
-        static grid predicate — the protocol implements the theory."""
+        static rule of Eq. 1 (the scheme's ``evaluate_attacks``) — the
+        protocol implements the theory."""
         agreements = 0
         runs = 8
         for index in range(runs):
@@ -233,11 +235,9 @@ class TestTheoryAgreement:
             result = alice.send_multipath(
                 b"x", timeline, bob.node_id, replication=2, joint=True
             )
-            grid = result.structure
-            predicted = all(
-                any(context.population.is_malicious(h) for h in grid.column(j))
-                for j in range(1, 4)
-            )
+            predicted = not NodeJointScheme(2, 3).evaluate_attacks(
+                result.structure, context.population
+            ).release_resisted
             overlay.loop.run(until=10.0)
             actual = (
                 attempt_early_release(context.pool, 3)

@@ -105,13 +105,15 @@ class TestCancellation:
         handle.cancel()
         assert loop.run() == 0
 
-    def test_pending_count_ignores_cancelled(self):
+    def test_cancelled_event_is_not_counted_as_run(self):
         loop = EventLoop()
-        keep = loop.call_at(1.0, lambda: None)
-        drop = loop.call_at(2.0, lambda: None)
+        fired = []
+        keep = loop.call_at(1.0, lambda: fired.append("keep"))
+        drop = loop.call_at(2.0, lambda: fired.append("drop"))
         drop.cancel()
-        assert loop.pending_count == 1
-        assert keep.time == 1.0
+        assert loop.run() == 1
+        assert fired == ["keep"]
+        assert keep.time == 1.0 and not keep.cancelled
 
     def test_peek_skips_cancelled_head(self):
         loop = EventLoop()

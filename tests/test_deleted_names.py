@@ -185,6 +185,68 @@ DELETED = (
     r"\bcheck_kernel\b",
     r"\bwith_kernel\b",
     r"--kernel\b",
+    # src/ keeps only what the program runs: the static attack rules are
+    # stated once (core.analysis.evaluate_multipath_masks), the overlay
+    # keeps no values (FIND_NODE, PING and DELIVER only), and definitions
+    # only tests called are gone.
+    r"\bReleaseAheadAttack\b",
+    r"\bDropAttack\b",
+    r"\bReleaseAheadResult\b",
+    r"\bDropResult\b",
+    r"adversary\.release_ahead\b",
+    r"adversary\.drop\b",
+    r"adversary/(release_ahead|drop)\.py",
+    r"\bValueStore\b",
+    r"\bStorageEntry\b",
+    r"dht\.storage\b",
+    r"dht/storage\.py",
+    r"\bstore_value\b",
+    r"\biterative_find_value\b",
+    r"\bfind_value\b",
+    r"\bFindValue\b",
+    r"\bFoundValue\b",
+    r"\bStoreAck\b",
+    r"\bStore\(",
+    r"\bwipe_storage\b",
+    r"\bdelivered_payloads\b",
+    r"\bfound_value\b",
+    r"crypto\.kdf\b",
+    r"crypto/kdf\.py",
+    r"\bderive_key\b",
+    r"\bbinomial_pmf\b",
+    r"\bstats\.mean\b",
+    r"\bsample_malicious_grids\b",
+    r"\bhonest_fraction_of\b",
+    r"\bmalicious_ids\b",
+    r"\b_is_decided\b",
+    r"\b_decided_index_prefix\b",
+    r"\.decide\(",
+    r"\bearliest_full_compromise_time\b",
+    r"\bbuild_share_lattice\b",
+    r"\bposition_of\b",
+    r"\blemma1_holds\b",
+    r"\brequired_nodes\b",
+    r"\blemma1_gap\b",
+    r"\.satisfies\(",
+    r"\bresilience_pair\b",
+    r"\blattice_thresholds\b",
+    r"\bcolumn_at\b",
+    r"\barrival_time\b",
+    r"\bis_terminal\b",
+    r"\ball_received\b",
+    r"\b(write|read)_(u64|str)\b",
+    r"\bread_rest\b",
+    r"\bnumpy_generator\b",
+    r"\bgrant_access\b",
+    r"\bpending_count\b",
+    r"\balive_at\b",
+    r"\b(to|from)_hex\b",
+    r"\bbuild_grid_on_overlay\b",
+    r"\.shuffled\(",
+    r"\.balanced\b",
+    r"\.node_count\b",
+    r"\.columns\(\)",
+    r"\.threshold\(",
 )
 
 #: Gone from ``src/`` only: the id-list distance helpers and the per-id

@@ -1,78 +1,9 @@
 """Tests for the statistics helpers (cross-checked against scipy)."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from repro.util.stats import (
-    binomial_pmf,
-    mean,
-    sample_proportion_ci,
-    wilson_proportion_ci,
-)
-
-
-class TestBinomialPmf:
-    def test_certain_success(self):
-        assert binomial_pmf(3, 3, 1.0) == pytest.approx(1.0)
-
-    def test_certain_failure(self):
-        assert binomial_pmf(0, 3, 0.0) == pytest.approx(1.0)
-
-    def test_out_of_support_is_zero(self):
-        assert binomial_pmf(4, 3, 0.5) == 0.0
-        assert binomial_pmf(-1, 3, 0.5) == 0.0
-
-    def test_hand_computed(self):
-        # P[Bin(2, 0.5) = 1] = 0.5
-        assert binomial_pmf(1, 2, 0.5) == pytest.approx(0.5)
-
-    @given(
-        st.integers(min_value=0, max_value=30),
-        st.integers(min_value=0, max_value=30),
-        # scipy's pmf overflows on subnormal probabilities; stay in the
-        # sane range (our implementation handles the extremes exactly and
-        # those are pinned in the non-property tests).
-        st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
-    )
-    def test_matches_scipy(self, successes, trials, probability):
-        ours = binomial_pmf(successes, trials, probability)
-        reference = float(scipy_stats.binom.pmf(successes, trials, probability))
-        assert ours == pytest.approx(reference, abs=1e-12)
-
-    def test_negative_trials_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_pmf(0, -1, 0.5)
-
-    @given(
-        st.integers(min_value=1, max_value=25),
-        st.integers(min_value=1, max_value=25),
-        st.floats(min_value=0.01, max_value=0.99),
-    )
-    def test_upper_tail_matches_scipy_sf(self, threshold, trials, probability):
-        ours = sum(
-            binomial_pmf(k, trials, probability) for k in range(threshold, trials + 1)
-        )
-        reference = float(scipy_stats.binom.sf(threshold - 1, trials, probability))
-        assert ours == pytest.approx(reference, abs=1e-10)
-
-    @given(
-        st.integers(min_value=0, max_value=40),
-        st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_sums_to_one(self, trials, probability):
-        total = sum(binomial_pmf(k, trials, probability) for k in range(trials + 1))
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-
-class TestMean:
-    def test_simple(self):
-        assert mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean([])
+from repro.util.stats import sample_proportion_ci, wilson_proportion_ci
 
 
 class TestProportionCi:
