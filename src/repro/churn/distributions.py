@@ -13,9 +13,8 @@ are to that assumption while holding the mean lifetime fixed:
 - :class:`FixedLifetime` — degenerate deterministic lifetimes, the
   light-tail extreme, useful as a bracketing baseline.
 
-Unlike the exponential, these are *not* memoryless, so the per-period
-death probability depends on node age; :func:`death_probability_at_age`
-exposes the conditional form the epoch model needs.
+Unlike the exponential, these are *not* memoryless: a node's chance of
+dying in the next period depends on its age.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ class WeibullLifetime(LifetimeModel):
         check_positive(duration, "duration", allow_zero=True)
         return 1.0 - math.exp(-((duration / self.scale) ** self.shape))
 
-    def survival(self, age: float) -> float:
-        return math.exp(-((age / self.scale) ** self.shape))
-
     def __repr__(self) -> str:
         return f"WeibullLifetime(mean={self.mean_lifetime}, shape={self.shape})"
 
@@ -87,11 +83,6 @@ class ParetoLifetime(LifetimeModel):
             return 0.0
         return 1.0 - (self.minimum / duration) ** self.tail_index
 
-    def survival(self, age: float) -> float:
-        if age <= self.minimum:
-            return 1.0
-        return (self.minimum / age) ** self.tail_index
-
     def __repr__(self) -> str:
         return (
             f"ParetoLifetime(mean={self.mean_lifetime}, "
@@ -113,27 +104,5 @@ class FixedLifetime(LifetimeModel):
         check_positive(duration, "duration", allow_zero=True)
         return 1.0 if duration >= self.mean_lifetime else 0.0
 
-    def survival(self, age: float) -> float:
-        return 1.0 if age < self.mean_lifetime else 0.0
-
     def __repr__(self) -> str:
         return f"FixedLifetime(mean={self.mean_lifetime})"
-
-
-def death_probability_at_age(
-    model, age: float, duration: float
-) -> float:
-    """Conditional P[die within ``duration`` | alive at ``age``].
-
-    For models exposing ``survival``; the exponential's memorylessness makes
-    this independent of age, the heavy-tailed models' *decreasing* hazard
-    makes old nodes safer — the effect the sensitivity sweep measures.
-    """
-    survival = getattr(model, "survival", None)
-    if survival is None:
-        # Memoryless fallback (exponential).
-        return model.death_probability(duration)
-    alive_now = survival(age)
-    if alive_now <= 0.0:
-        return 1.0
-    return 1.0 - survival(age + duration) / alive_now

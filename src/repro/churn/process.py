@@ -10,7 +10,7 @@ the paper reasons about ("a new node will take the place of H1,3").
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.churn.lifetime import LifetimeModel
 from repro.churn.session import AlwaysAvailable, AvailabilityModel
@@ -18,8 +18,6 @@ from repro.dht.kademlia import KademliaNode
 from repro.dht.node_id import NodeId
 from repro.dht.network import Liveness, SimulatedNetwork
 from repro.util.rng import RandomSource
-
-DeathListener = Callable[[NodeId, NodeId], None]
 
 
 class ChurnProcess:
@@ -40,21 +38,10 @@ class ChurnProcess:
         )
         self.replace_dead_nodes = replace_dead_nodes
         self._rng = rng
-        self._death_listeners: List[DeathListener] = []
         self.deaths = 0
         self.joins = 0
         self._replacement_counter = 0
         self._started = False
-
-    # -- listeners ---------------------------------------------------------
-
-    def on_death(self, listener: DeathListener) -> None:
-        """Register a callback ``(dead_id, replacement_id | dead_id)``.
-
-        The replication layer subscribes here to trigger column repair.
-        When replacement is disabled the second argument repeats the dead id.
-        """
-        self._death_listeners.append(listener)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -79,13 +66,10 @@ class ChurnProcess:
             return
         self.network.kill(node_id)
         self.deaths += 1
-        replacement_id = node_id
         if self.replace_dead_nodes:
-            replacement_id = self._join_replacement()
-        for listener in self._death_listeners:
-            listener(node_id, replacement_id)
+            self._join_replacement()
 
-    def _join_replacement(self) -> NodeId:
+    def _join_replacement(self) -> None:
         """A fresh node joins under a new id and gets its own death clock."""
         self._replacement_counter += 1
         id_rng = self._rng.fork(f"join-{self._replacement_counter}")
@@ -104,7 +88,6 @@ class ChurnProcess:
                 node.routing_table.add_contact(contact)
         self.joins += 1
         self._schedule_death(candidate)
-        return candidate
 
     # -- diagnostics -------------------------------------------------------
 

@@ -104,15 +104,6 @@ class CloudStore:
     def exists(self, blob_id: str) -> bool:
         return blob_id in self._blobs
 
-    def delete(self, blob_id: str, principal: str) -> None:
-        """Owner-only removal."""
-        record = self._require(blob_id)
-        if principal != record.metadata.owner:
-            raise AccessDeniedError(
-                f"only the owner may delete blob {blob_id!r}"
-            )
-        del self._blobs[blob_id]
-
     def __len__(self) -> int:
         return len(self._blobs)
 

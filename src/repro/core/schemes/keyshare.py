@@ -16,7 +16,8 @@ tails:
   among the ``n - d`` that churn left alive, i.e.
   ``P[Bin(n - d, p) >= n - d - m + 1]``.
 
-``m`` minimizes the absolute difference of those two tails, the per-column
+``m`` minimizes the absolute difference of those two tails (which no
+column changes, so one ``m`` serves every column), the per-column
 success rates accumulate across columns, and the final aggregation over the
 ``k`` onion paths yields (Rr, Rd).  We implement the pseudocode faithfully,
 with one documented disambiguation: the paper's final loop reads ``l``
@@ -145,28 +146,22 @@ def algorithm1(
 
     release_tails = _release_tails(n, p)
     drop_tails = _drop_tails(n, d, p)
+    # Line 8's tails depend on (n, d, p) only, never on the column, so
+    # its argmin picks the same m for every column: it runs once.
+    m_index = int(np.argmin(np.abs(release_tails - drop_tails)))  # line 8
+    m = m_index + 1
+    column_release = float(release_tails[m_index])
+    column_drop = float(drop_tails[m_index])
 
     pr = p  # line 4
     pd = p
     release_by_column: List[float] = [pr]  # seeded with column 1 (line 4-5)
     drop_by_column: List[float] = [pd]
-    release_tail_by_column: List[float] = [p]  # column 1 contributes p itself
-    drop_tail_by_column: List[float] = [p]
-    thresholds: List[int] = []
-
     for _column in range(2, l + 1):  # lines 7-13
-        difference = np.abs(release_tails - drop_tails)
-        m_index = int(np.argmin(difference))  # line 8
-        m = m_index + 1
-        column_release = float(release_tails[m_index])
-        column_drop = float(drop_tails[m_index])
         pr = 1.0 - (1.0 - pr) * (1.0 - column_release)  # line 9
         pd = 1.0 - (1.0 - pd) * (1.0 - column_drop)  # lines 10-11
-        thresholds.append(m)
         release_by_column.append(pr)
         drop_by_column.append(pd)
-        release_tail_by_column.append(column_release)
-        drop_tail_by_column.append(column_drop)
 
     release_resilience, drop_resilience = path_resilience(
         release_by_column, drop_by_column, k
@@ -180,11 +175,12 @@ def algorithm1(
         dead_share_estimate=d,
         death_probability=p_dead,
         malicious_rate=p,
-        thresholds=tuple(thresholds),
+        thresholds=(m,) * (l - 1),
         release_success_by_column=tuple(release_by_column),
         drop_success_by_column=tuple(drop_by_column),
-        release_tail_by_column=tuple(release_tail_by_column),
-        drop_tail_by_column=tuple(drop_tail_by_column),
+        # Column 1 contributes p itself.
+        release_tail_by_column=(p,) + (column_release,) * (l - 1),
+        drop_tail_by_column=(p,) + (column_drop,) * (l - 1),
         release_resilience=release_resilience,
         drop_resilience=drop_resilience,
     )

@@ -188,9 +188,9 @@ def build_point_record(
             "seed": spec.seed,
             "tolerance": entry.tolerance,
             "result": result,
-            # Finalized (generation + checksum) here as well as in
-            # save() so a report's record shape never depends on cache
-            # state.
+            # Finalized (generation + checksum) here, once: save()
+            # writes a stamped record as it stands, and a report's
+            # record shape never depends on cache state.
             "store_generation": STORE_GENERATION,
         }
     )

@@ -32,8 +32,8 @@ from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.core.planner import DEFAULT_TARGET, PLANNING_FLOOR, plan_configuration
 from repro.core.schemes import CentralizedScheme, NodeDisjointScheme, NodeJointScheme
-from repro.core.schemes.keyshare import plan_share_scheme
-from repro.experiments.churn_model import ChurnOutcome
+from repro.core.schemes.keyshare import SharePlan, plan_share_scheme
+from repro.experiments.churn_model import ChurnOutcome, key_share_churn
 from repro.experiments.engine import MonteCarloEstimate, PairedEstimate, TrialEngine
 
 PointRunner = Callable[
@@ -142,6 +142,18 @@ def _outcome_dict(outcome: ChurnOutcome) -> Dict[str, Any]:
     }
 
 
+def _share_outcome(plan: SharePlan, p: float) -> ChurnOutcome:
+    """Algorithm 1's (Rr, Rd) at the actual rate ``p``.
+
+    A plan made at ``p`` already holds them — bit for bit what
+    :func:`key_share_churn` re-derives — so only a plan made at the
+    planning floor for a lower ``p`` re-evaluates its tails.
+    """
+    if p == plan.malicious_rate:
+        return ChurnOutcome(plan.release_resilience, plan.drop_resilience)
+    return key_share_churn(plan, malicious_rate=p)
+
+
 def _multipath_scheme(name: str, replication: int, path_length: int):
     if name == "disjoint":
         return NodeDisjointScheme(replication, path_length)
@@ -235,11 +247,7 @@ def churn_resilience_runner(
     Algorithm 1, which *does* model churn.  No trial runs: ``trials``
     shapes the point's cache key, not its value.
     """
-    from repro.experiments.churn_model import (
-        centralized_churn,
-        key_share_churn,
-        multipath_churn,
-    )
+    from repro.experiments.churn_model import centralized_churn, multipath_churn
 
     args = _take(
         "churn_resilience",
@@ -265,7 +273,7 @@ def churn_resilience_runner(
             mean_lifetime=1.0,
         )
         k, length = plan.replication, plan.path_length
-        outcome = key_share_churn(plan, malicious_rate=p)
+        outcome = _share_outcome(plan, p)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return {
@@ -289,13 +297,13 @@ def share_cost_runner(
     """Fig. 8: key-share resilience vs available-node budget.
 
     Algorithm 1 re-plans ``(m, n)`` for each budget N at the paper's
-    α = 3; the churn model at the plan's own rate is Algorithm 1's own
-    aggregation, so the resilience equals ``analytic_resilience`` exactly.
+    α = 3.  The churn model at the plan's own rate is Algorithm 1's own
+    aggregation, so the record's resilience pair is the plan's
+    ``(release_resilience, drop_resilience)``, taken from the plan rather
+    than re-evaluated, and equals ``analytic_resilience`` exactly.
     The expected shape: 10,000 and 5,000 nearly coincide, 1,000 holds
     R > 0.95 to p ≈ 0.26, and even 100 nodes keep R > 0.9 to p ≈ 0.14.
     """
-    from repro.experiments.churn_model import key_share_churn
-
     args = _take(
         "share_cost",
         params,
@@ -312,7 +320,7 @@ def share_cost_runner(
         "path_length": plan.path_length,
         "shares_per_column": plan.shares_per_column,
         "analytic_resilience": plan.worst_resilience,
-        **_outcome_dict(key_share_churn(plan)),
+        **_outcome_dict(_share_outcome(plan, p)),
     }
 
 

@@ -41,6 +41,11 @@ A read opens the record's string path once (no ``Path`` join, no stat
 first); only a miss lists the root for the sibling scan, and ``keys`` and
 ``verify`` list each directory once.  Bytes that are not UTF-8 are
 corrupt, like torn JSON; an undecodable claim file reads as torn.
+
+A write does each step once: a computed record is checksummed once (by
+the orchestrator; ``save`` keeps a current checksum), claim and temp files
+are written through one descriptor, and a scenario directory is made only
+when an open finds it missing (gc drops empty ones between sweeps).
 """
 
 from __future__ import annotations
@@ -124,6 +129,23 @@ def _read_bytes(path: str | os.PathLike) -> bytes:
         os.close(fd)
 
 
+def _write_new(path: str, data: bytes, flags: int) -> None:
+    """Create ``path`` (mode ``0o666`` under the umask) and write ``data``
+    through one descriptor; its directory is made only if it is missing."""
+    flags |= os.O_WRONLY | os.O_CREAT
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # one call unless the kernel writes short
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def _parse_record(data: bytes) -> Any:
     """A record file's JSON; ``ValueError`` (corrupt) if not UTF-8 or not JSON."""
     return json.loads(data.decode("utf-8"))
@@ -141,6 +163,8 @@ class StoreIntegrityError(ValueError):
 #: One encoder for every call: ``json.dumps`` with non-default options
 #: builds a fresh ``JSONEncoder`` each time, a third of a small payload's cost.
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: The stored form of a record: ``json``'s own ``indent=2``, sorted keys.
+_STORED_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 def canonical_json(payload: Any) -> str:
@@ -187,9 +211,9 @@ def finalize_record(record: Mapping[str, Any]) -> Dict[str, Any]:
     The generation is written, never consulted; the checksum is what
     every load verifies.  Idempotent: any stale checksum is recomputed,
     so finalizing a finalized record is a no-op.
-    :meth:`ResultStore.save` finalizes internally; the orchestrator also
-    finalizes the in-memory copy so a report's record shape never
-    depends on cache state.
+    The orchestrator finalizes each computed record once, so a report's
+    record shape never depends on cache state; :meth:`ResultStore.save`
+    finalizes only a record that carries no checksum of this generation.
     """
     stamped = {**record, "store_generation": STORE_GENERATION}
     stamped[CHECKSUM_FIELD] = record_checksum(stamped)
@@ -336,33 +360,35 @@ class ResultStore:
         Every record is stamped (:func:`finalize_record`) with the
         store-format :data:`STORE_GENERATION` and its
         :func:`record_checksum`, so :meth:`verify` can detect torn or
-        tampered copies.
+        tampered copies.  A record already stamped for this generation
+        (a computed point's, by ``build_point_record``) is written as it
+        stands, so a point is hashed once; a caller that edits a stamped
+        record finalizes it again.
 
         A second writer of an *identical* record is a no-op: concurrent
         sweeps sharing a point (the determinism contract makes their
         records byte-identical) race the rename harmlessly instead of
         churning the file's inode and mtime under each other.
         """
-        stamped = finalize_record(record)
-        path = self.path_for(scenario, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        body = json.dumps(stamped, indent=2, sort_keys=True) + "\n"
-        data = body.encode("utf-8")
+        current = record.get("store_generation") == STORE_GENERATION
+        if not (current and CHECKSUM_FIELD in record):
+            record = finalize_record(record)
+        path = f"{self._prefix}{scenario}{os.sep}{key}.json"
+        data = (_STORED_ENCODER.encode(record) + "\n").encode("utf-8")
         try:
-            if path.read_bytes() == data:
-                return path
+            if _read_bytes(path) == data:
+                return Path(path)
         except OSError:
             pass
-        temp = path.with_suffix(".json.tmp")
-        with open(temp, "wb") as handle:
-            handle.write(data)
+        temp = f"{path}.tmp"
+        _write_new(temp, data, os.O_TRUNC)
         os.replace(temp, path)
-        return path
+        return Path(path)
 
     # -- in-flight point claims --------------------------------------------
 
     def claim_path(self, scenario: str, key: str) -> Path:
-        return self.root / scenario / f"{key}{CLAIM_SUFFIX}"
+        return Path(f"{self._prefix}{scenario}{os.sep}{key}{CLAIM_SUFFIX}")
 
     def claim(
         self,
@@ -374,8 +400,10 @@ class ResultStore:
 
         The cross-process dedup primitive: before computing a point, a
         driver exclusively creates ``<scenario>/<key>.claim`` carrying
-        its pid + token.  A concurrent driver meeting the claim backs
-        off (``None``) and polls for the record instead of recomputing.
+        its pid + token in one ``O_EXCL`` open and one write (the
+        scenario directory is made only if that open finds it missing).
+        A concurrent driver meeting the claim backs off (``None``) and
+        polls for the record instead of recomputing.
         A claim whose owner process is gone, or whose file has aged past
         ``grace_seconds`` (the same grace gc applies to tmp orphans), is
         *abandoned*: it is taken over in place rather than wedging every
@@ -388,13 +416,11 @@ class ResultStore:
         correctness.
         """
         path = self.claim_path(scenario, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"pid": os.getpid(), "token": uuid.uuid4().hex}
-        body = canonical_json(payload) + "\n"
+        token = uuid.uuid4().hex
+        data = (canonical_json({"pid": os.getpid(), "token": token}) + "\n").encode()
         try:
-            with open(path, "x", encoding="utf-8") as handle:
-                handle.write(body)
-            return PointClaim(path=path, token=payload["token"])
+            _write_new(str(path), data, os.O_EXCL)
+            return PointClaim(path=path, token=token)
         except FileExistsError:
             pass
         if not self._claim_is_stale(path, grace_seconds):
@@ -402,14 +428,13 @@ class ResultStore:
         # Abandoned: replace it with our own marker (atomic — concurrent
         # takeovers race the rename, last writer owns the claim file and
         # the loser discovers it at release time, harmlessly).
-        temp = path.with_suffix(CLAIM_SUFFIX + ".tmp")
+        temp = f"{path}.tmp"
         try:
-            with open(temp, "w", encoding="utf-8") as handle:
-                handle.write(body)
+            _write_new(temp, data, os.O_TRUNC)
             os.replace(temp, path)
         except OSError:
             return None
-        return PointClaim(path=path, token=payload["token"])
+        return PointClaim(path=path, token=token)
 
     @staticmethod
     def _claim_is_stale(path: Path, grace_seconds: float) -> bool:
@@ -422,8 +447,7 @@ class ResultStore:
         if age >= grace_seconds:
             return True
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            payload = _parse_record(_read_bytes(path))
         except (OSError, ValueError):
             # Torn, mid-write or undecodable: fresh by mtime, so keep it.
             return False
@@ -623,13 +647,12 @@ class PointClaim:
         token check keeps a resumed zombie driver from deleting it.
         """
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            payload = _parse_record(_read_bytes(self.path))
         except (OSError, ValueError):
             return
         if isinstance(payload, dict) and payload.get("token") == self.token:
             try:
-                self.path.unlink()
+                os.unlink(self.path)
             except OSError:
                 pass
 

@@ -8,7 +8,6 @@ from repro.churn.distributions import (
     FixedLifetime,
     ParetoLifetime,
     WeibullLifetime,
-    death_probability_at_age,
 )
 from repro.churn.lifetime import ExponentialLifetime
 from repro.util.rng import RandomSource
@@ -38,7 +37,7 @@ class TestWeibull:
         # Same mean, but the heavy-tailed model kills more nodes early...
         assert heavy.death_probability(10.0) > light.death_probability(10.0)
         # ...and keeps more of its survivors very long.
-        assert heavy.survival(500.0) > light.survival(500.0)
+        assert heavy.death_probability(500.0) < light.death_probability(500.0)
 
     def test_cdf_bounds(self):
         model = WeibullLifetime(10.0, shape=0.7)
@@ -68,8 +67,9 @@ class TestPareto:
     def test_survival_decreasing(self):
         model = ParetoLifetime(100.0, tail_index=1.5)
         ages = [model.minimum * factor for factor in (1.0, 2.0, 5.0, 20.0)]
-        survivals = [model.survival(age) for age in ages]
+        survivals = [1.0 - model.death_probability(age) for age in ages]
         assert survivals == sorted(survivals, reverse=True)
+        assert survivals[0] == 1.0
 
 
 class TestFixed:
@@ -79,27 +79,6 @@ class TestFixed:
         assert model.draw_lifetime(rng) == 42.0
         assert model.death_probability(41.9) == 0.0
         assert model.death_probability(42.0) == 1.0
-
-
-class TestConditionalHazard:
-    def test_exponential_is_memoryless(self):
-        model = ExponentialLifetime(100.0)
-        young = death_probability_at_age(model, 0.0, 10.0)
-        old = death_probability_at_age(model, 500.0, 10.0)
-        assert young == pytest.approx(old)
-
-    def test_heavy_tail_old_nodes_are_safer(self):
-        """Decreasing hazard: surviving proves robustness — the property
-        that makes long-lived-node biased replica placement work, and that
-        the exponential assumption hides."""
-        model = WeibullLifetime(100.0, shape=0.5)
-        young = death_probability_at_age(model, 1.0, 10.0)
-        old = death_probability_at_age(model, 500.0, 10.0)
-        assert old < young
-
-    def test_dead_population_certain(self):
-        model = FixedLifetime(10.0)
-        assert death_probability_at_age(model, 20.0, 1.0) == 1.0
 
 
 class TestWithChurnProcess:

@@ -44,21 +44,6 @@ class TestChurnProcess:
         assert process.joins == 0
         assert len(overlay.network.online_ids()) < 30
 
-    def test_death_listener_invoked(self):
-        overlay = build_network(20, seed=55)
-        process = ChurnProcess(
-            overlay.network,
-            ExponentialLifetime(10.0),
-            RandomSource(56, "churn"),
-        )
-        events = []
-        process.on_death(lambda dead, repl: events.append((dead, repl)))
-        process.start()
-        overlay.loop.run(until=5.0)
-        assert events
-        for dead, replacement in events:
-            assert dead != replacement  # replacement joined under a new id
-
     def test_double_start_rejected(self):
         overlay = build_network(5, seed=57)
         process = ChurnProcess(

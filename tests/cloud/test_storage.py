@@ -70,18 +70,6 @@ class TestAccessControl:
 
 
 class TestLifecycle:
-    def test_owner_delete(self):
-        cloud = CloudStore()
-        meta = cloud.upload("alice", b"gone soon")
-        cloud.delete(meta.blob_id, "alice")
-        assert not cloud.exists(meta.blob_id)
-
-    def test_non_owner_delete_rejected(self):
-        cloud = CloudStore()
-        meta = cloud.upload("alice", b"keep")
-        with pytest.raises(AccessDeniedError):
-            cloud.delete(meta.blob_id, "bob")
-
     def test_len(self):
         cloud = CloudStore()
         cloud.upload("a", b"1")

@@ -91,7 +91,7 @@ class TestVectorizedSampling:
         vector = sample_lifetimes(model, 30000, np.random.default_rng(4))
         survival_at_mean = (vector > 50.0).mean()
         assert survival_at_mean == pytest.approx(
-            model.survival(50.0), abs=0.02
+            1.0 - model.death_probability(50.0), abs=0.02
         )
 
     def test_empty_and_negative_sizes(self):

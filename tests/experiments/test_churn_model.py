@@ -6,12 +6,16 @@ import math
 import pytest
 
 from repro.core.analysis import disjoint_resilience, joint_resilience
-from repro.core.schemes.keyshare import algorithm1
+from repro.core.planner import PLANNING_FLOOR
+from repro.core.schemes import keyshare
+from repro.core.schemes.keyshare import algorithm1, plan_share_scheme
 from repro.experiments.churn_model import (
     centralized_churn,
     key_share_churn,
     multipath_churn,
 )
+from repro.scenarios import get_scenario
+from repro.scenarios.runners import get_runner
 
 
 class TestCentralized:
@@ -108,3 +112,61 @@ class TestKeyShare:
         harsh = key_share_churn(algorithm1(5, 20, 10000, 5.0, 1.0, 0.25))
         assert abs(calm.worst - harsh.worst) < 0.05
         assert harsh.worst > 0.9
+
+
+def _share_points():
+    """Every key-share point of fig7, heavy-churn and fig8: (kind, params, plan)."""
+    for name in ("fig7", "heavy-churn", "fig8"):
+        spec = get_scenario(name)
+        for point in spec.points():
+            params = point.params(spec)
+            if spec.kind == "share_cost":
+                plan = plan_share_scheme(
+                    params["p"], params["budget"], params["alpha"], 1.0
+                )
+            elif params["scheme"] == "share":
+                plan = plan_share_scheme(
+                    max(params["p"], PLANNING_FLOOR),
+                    params["population_size"],
+                    params["alpha"],
+                    1.0,
+                )
+            else:
+                continue
+            yield spec.kind, params, plan
+
+
+class TestAlgorithm1OncePerPoint:
+    """A key-share point runs Algorithm 1's tails once: the runner takes
+    (Rr, Rd) from the plan, and re-evaluates only below the planning floor."""
+
+    def test_runner_records_equal_the_churn_model_bit_for_bit(self):
+        below_floor = 0
+        for kind, params, plan in _share_points():
+            record = get_runner(kind)(params, 10, 0, None)
+            expected = key_share_churn(plan, params["p"])
+            assert record["release_resilience"] == expected.release_resilience
+            assert record["drop_resilience"] == expected.drop_resilience
+            below_floor += params["p"] < PLANNING_FLOOR
+        assert below_floor > 0
+
+    def test_a_share_point_evaluates_the_tails_once(self, monkeypatch):
+        """Two binomial-tail calls per point (one release, one drop array:
+        Algorithm 1's own); four only for a fig7-family point planned at
+        the floor for a lower p, which re-evaluates them at that p."""
+        tails = []
+        real = keyshare._binomial_tail
+
+        def counted(*args):
+            tails.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(keyshare, "_binomial_tail", counted)
+        counts = []
+        for kind, params, plan in _share_points():
+            tails.clear()
+            get_runner(kind)(params, 10, 0, None)
+            expected = 2 if plan.malicious_rate == params["p"] else 4
+            assert len(tails) == expected, (kind, params)
+            counts.append(expected)
+        assert counts.count(2) > 100 and counts.count(4) > 0

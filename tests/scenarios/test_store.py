@@ -237,6 +237,125 @@ class TestResultStore:
             store.load("scn", "missing")
 
 
+class TestCommitPath:
+    """A computed point does each step of its commit once: one checksum,
+    no directory made ahead of a write that finds its directory there."""
+
+    SPEC = ScenarioSpec(
+        name="commit",
+        kind="share_cost",
+        axes=(Axis("budget", (100, 1000)), Axis("p", (0.1, 0.2))),
+        trials=10,
+        seed=5,
+    )
+
+    @staticmethod
+    def count_mkdirs(patched):
+        made = []
+        real_makedirs, real_mkdir = os.makedirs, Path.mkdir
+
+        def makedirs(*args, **kwargs):
+            made.append(args[0])
+            return real_makedirs(*args, **kwargs)
+
+        def mkdir(self, *args, **kwargs):
+            made.append(self)
+            return real_mkdir(self, *args, **kwargs)
+
+        patched.setattr(os, "makedirs", makedirs)
+        patched.setattr(Path, "mkdir", mkdir)
+        return made
+
+    def test_a_computed_point_is_checksummed_once(self, tmp_path, monkeypatch):
+        from repro.scenarios import store as store_module
+
+        hashed = []
+        real = store_module.record_checksum
+
+        def counted(record):
+            hashed.append(record.get("key"))
+            return real(record)
+
+        monkeypatch.setattr(store_module, "record_checksum", counted)
+        report = SweepOrchestrator(store=ResultStore(tmp_path)).run(self.SPEC)
+        monkeypatch.undo()
+        assert report.computed == 4
+        assert sorted(hashed) == sorted(r["key"] for r in report.records)
+        assert ResultStore(tmp_path).verify().ok == 4
+
+    def test_after_the_first_point_a_sweep_makes_no_directory(
+        self, tmp_path, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a later point made a directory")
+
+        def after_the_first(point, record, cached):
+            monkeypatch.setattr(os, "makedirs", refuse)
+            monkeypatch.setattr(Path, "mkdir", refuse)
+
+        report = SweepOrchestrator(store=ResultStore(tmp_path)).run(
+            self.SPEC, progress=after_the_first
+        )
+        monkeypatch.undo()
+        assert report.computed == 4
+        assert ResultStore(tmp_path).verify().ok == 4
+
+    def test_claims_and_saves_remake_a_removed_scenario_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """gc drops empty scenario directories between sweeps: the next
+        claim or save makes the directory again, once, on the miss."""
+        store = ResultStore(tmp_path)
+        store.claim("scn", "k0").release()
+        made = self.count_mkdirs(monkeypatch)
+        store.claim("scn", "k1").release()
+        assert made == []
+        store.gc()
+        assert not (tmp_path / "scn").exists()
+        claim = store.claim("scn", "k1")
+        assert claim is not None and len(made) == 1
+        path = store.save("scn", "k1", {"key": "k1", "result": {"v": 1}})
+        claim.release()
+        assert len(made) == 1
+        (tmp_path / "scn" / "k1.json").unlink()
+        store.gc()
+        assert not (tmp_path / "scn").exists()
+        assert store.save("scn", "k1", {"key": "k1", "result": {"v": 1}}) == path
+        assert len(made) == 2
+        assert store.load_verified("scn", "k1")["result"] == {"v": 1}
+        assert not list((tmp_path / "scn").glob("*.tmp"))
+
+    def test_save_writes_a_stamped_record_as_it_stands(self, tmp_path):
+        """A record stamped with this generation's checksum is written as
+        is; an unstamped or other-generation one is stamped first.  Both
+        give ``json``'s own ``indent=2`` form of the finalized record."""
+        store = ResultStore(tmp_path)
+        record = {"key": "k1", "scenario": "scn", "result": {"v": [1, 2.5]}}
+        stamped = finalize_record(record)
+        stored = (json.dumps(stamped, indent=2, sort_keys=True) + "\n").encode()
+        for given in (record, {**record, "store_generation": 0}, stamped):
+            path = store.save("scn", "k1", given)
+            assert path == tmp_path / "scn" / "k1.json"
+            assert path.read_bytes() == stored
+            path.unlink()
+
+    def test_claim_and_record_files_get_open_modes(self, tmp_path):
+        """Files are created ``0o666`` under the umask, as ``open`` makes
+        them, whether the directory was there or not."""
+        previous = os.umask(0o027)
+        try:
+            store = ResultStore(tmp_path)
+            claim = store.claim("scn", "k1")
+            record = store.save("scn", "k1", {"key": "k1", "result": {}})
+            backdate(claim.path)
+            takeover = store.claim("scn", "k1")
+            for path in (claim.path, record, store.save("other", "k2", {})):
+                assert path.stat().st_mode & 0o777 == 0o640
+            takeover.release()
+        finally:
+            os.umask(previous)
+
+
 class TestGarbageCollection:
     """`gc`: orphans, corrupt records, abandoned claims, quarantine."""
 

@@ -247,6 +247,12 @@ DELETED = (
     r"\.node_count\b",
     r"\.columns\(\)",
     r"\.threshold\(",
+    # Churn hooks nothing calls: the age-conditioned death probability
+    # (and the survival functions only it read) and the death listeners.
+    r"\bdeath_probability_at_age\b",
+    r"\bon_death\b",
+    r"\bDeathListener\b",
+    r"\bdef survival\b",
 )
 
 #: Gone from ``src/`` only: the id-list distance helpers and the per-id
@@ -254,13 +260,15 @@ DELETED = (
 #: space (the tests keep their own copies as oracles).  Never in ``src/``:
 #: the private ``Random._randbelow``; draws go through ``RandomSource.below``
 #: and the public ``getrandbits``.  Gone from ``src/`` too: the attack
-#: kinds' lane table (the perf ledger keeps a ``KERNELS`` of its own).
+#: kinds' lane table (the perf ledger keeps a ``KERNELS`` of its own), and
+#: ``CloudStore.delete``, which the protocol never calls.
 DELETED_FROM_SRC = (
     r"\bsort_by_distance\b",
     r"\bdef closest\b|import[^#]*\bclosest\b",
     r"\bbucket_index_for\b",
     r"\b_randbelow\b",
     r"\bKERNELS\b",
+    r"\bdef delete\b",
 )
 
 #: ...and nothing under ``src/repro/`` pickles or unpickles: a task or a
